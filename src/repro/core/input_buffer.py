@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import List, Optional
+import functools
+import itertools
+import operator
+from typing import List, Optional, Sequence
 
 from repro.core.output_buffer import LOGICAL_BASE
 from repro.heap.heap import ManagedHeap
@@ -77,6 +80,53 @@ class InputBuffer:
         if self._frozen:
             raise InputBufferError("buffer is frozen (stream already finished)")
         return self._place(object_bytes)
+
+    def place_run(self, data, sizes: Sequence[int]) -> List[int]:
+        """Copy a run of whole objects — ``data`` is their back-to-back
+        images, ``sizes`` their (aligned) byte sizes — returning each
+        object's physical address.
+
+        Same greedy chunk filling as :meth:`place` object by object, but
+        the bytes move with **one slice copy per chunk-run** and the parse
+        index, placement list and cursors are extended in bulk.
+        """
+        if self._frozen:
+            raise InputBufferError("buffer is frozen (stream already finished)")
+        ends = list(itertools.accumulate(sizes))
+        if not ends:
+            return []
+        if ends[-1] != len(data):
+            raise InputBufferError(
+                f"object sizes sum to {ends[-1]} bytes, run holds {len(data)}"
+            )
+        if functools.reduce(operator.or_, sizes) % OBJECT_ALIGNMENT:
+            raise InputBufferError(
+                f"run-placed object sizes must be {OBJECT_ALIGNMENT}-byte aligned"
+            )
+        heap = self.heap
+        memory = heap.memory_view
+        source = memoryview(data)
+        placed_before = len(self.placed_objects)
+        first = 0  # ordinal of the first object not yet placed
+        consumed = 0  # source bytes already placed
+        while first < len(ends):
+            chunk = self._chunk_for(sizes[first])
+            # Objects first..stop-1 fit this chunk's free tail.
+            stop = bisect.bisect_right(ends, consumed + chunk.free, first)
+            nbytes = ends[stop - 1] - consumed
+            base = chunk.physical_start + chunk.filled
+            at = heap.index_of(base, nbytes)
+            memory[at : at + nbytes] = source[consumed : consumed + nbytes]
+            shift = base - consumed
+            run = [base] + [shift + end for end in ends[first : stop - 1]]
+            heap.register_objects(run)
+            self.placed_objects.extend(run)
+            chunk.filled += nbytes
+            self._logical_cursor += nbytes
+            self.total_bytes += nbytes
+            first = stop
+            consumed += nbytes
+        return self.placed_objects[placed_before:]
 
     def append(self, object_bytes: bytes) -> int:
         """Delta-epoch placement: append one NEW object to a *finished*

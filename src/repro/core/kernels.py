@@ -35,10 +35,22 @@ import struct
 from typing import Dict, Optional, Tuple
 
 from repro.heap.klass import Klass
-from repro.heap.layout import HeapLayout, OBJECT_ALIGNMENT, align_up
+from repro.heap.layout import (
+    HeapLayout,
+    KLASS_OFFSET,
+    OBJECT_ALIGNMENT,
+    align_up,
+)
 
 #: One little-endian word (per-slot pointer writes).
 WORD_STRUCT = struct.Struct("<Q")
+
+#: The 4-byte array length slot.
+LENGTH_STRUCT = struct.Struct("<I")
+
+#: Bytes of an object image that must be readable to learn its class: the
+#: header up to and including the klass word.
+KLASS_WORD_END = KLASS_OFFSET + 8
 
 #: Header packs: (mark, tID, baddr=0) for Skyway layouts, (mark, tID) for
 #: baseline 16-byte headers.  MARK_OFFSET/KLASS_OFFSET/baddr are adjacent

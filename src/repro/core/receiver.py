@@ -2,10 +2,11 @@
 
 "With the careful design on sending, the receiving logic is much simpler":
 
-1. **Placement** (streaming): as segments arrive they are parsed object by
-   object — the klass slot holds a tID, which the registry view resolves
-   (loading the class if this JVM never saw it) to learn each object's size
-   — and copied into in-heap input-buffer chunks.
+1. **Placement** (streaming): each arriving segment's object boundaries
+   are parsed — the klass slot holds a tID, which the registry view
+   resolves once per class (loading the class if this JVM never saw it) to
+   a compiled receive kernel that knows each object's size — and the
+   segment is then copied into in-heap input-buffer chunks as one run.
 2. **Absolutization** (after end-of-stream): one linear scan rewrites each
    object's tID back to the local klass pointer and each relativized
    reference to an absolute heap address via the chunk arithmetic.
@@ -25,6 +26,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.input_buffer import InputBuffer, InputBufferError
 from repro.core.kernels import (
+    KLASS_WORD_END,
+    LENGTH_STRUCT,
     ReceiveKernel,
     WORD_STRUCT,
     receive_kernel_for,
@@ -63,9 +66,9 @@ class ObjectGraphReceiver:
         #: object (the old per-object ``name_for`` + ``loader.load`` pair
         #: dominated placement time for homogeneous streams).
         self._kernels: Dict[int, ReceiveKernel] = {}
-        #: (physical address, receive kernel) per placed object, in
-        #: logical order.
-        self._placed: List[Tuple[int, ReceiveKernel]] = []
+        #: Receive kernel per placed object, parallel to
+        #: ``buffer.placed_objects`` (logical order).
+        self._placed_kernels: List[ReceiveKernel] = []
         self._finished = False
         self.objects_received = 0
         self.bytes_received = 0
@@ -75,55 +78,69 @@ class ObjectGraphReceiver:
     # ------------------------------------------------------------------
 
     def feed(self, segment: bytes) -> None:
-        """Parse and place one flushed segment (whole objects only)."""
+        """Parse and place one flushed segment (whole objects only).
+
+        The segment's object boundaries are parsed first (one kernel dict
+        hit per object); the bytes then land in the input buffer as one
+        run and the simulated copy is charged once for the segment.
+        """
         if self._finished:
             raise ReceiveError("stream already finished")
-        cost = self.jvm.cost_model
         kernels = self._kernels
-        pos = 0
+        unpack_word = WORD_STRUCT.unpack_from
+        unpack_length = LENGTH_STRUCT.unpack_from
         n = len(segment)
-        view = memoryview(segment)
+        sizes: List[int] = []
+        placed: List[ReceiveKernel] = []
+        add_size = sizes.append
+        add_kernel = placed.append
+        pos = 0
         while pos < n:
-            if pos + KLASS_OFFSET + 8 > n:
+            if pos + KLASS_WORD_END > n:
                 raise ReceiveError(
                     f"truncated object header at segment offset {pos}"
                 )
-            tid = int.from_bytes(segment[pos + KLASS_OFFSET : pos + KLASS_OFFSET + 8],
-                                 "little")
+            tid = unpack_word(segment, pos + KLASS_OFFSET)[0]
             kernel = kernels.get(tid)
             if kernel is None:
                 if tid == 0:
                     raise ReceiveError(
-                        f"null tID at segment offset {pos} "
-                        f"(object #{self.objects_received} of the stream)"
+                        f"null tID at segment offset {pos} (object "
+                        f"#{self.objects_received + len(sizes)} of the stream)"
                     )
-                kernel = receive_kernel_for(
-                    self._klass_for_tid(tid), self.jvm.layout, cost
-                )
-                kernels[tid] = kernel
-            if kernel.is_array:
+                kernel = self._compile_kernel(tid)
+            size = kernel.size
+            if size is None:  # array: the size depends on the length slot
                 lo = pos + kernel.length_offset
-                length = int.from_bytes(segment[lo : lo + 4], "little")
-                size = kernel.array_size(length)
-            else:
-                size = kernel.size
+                if lo + 4 > n:
+                    raise ReceiveError(
+                        f"truncated object header at segment offset {pos}"
+                    )
+                size = kernel.array_size(unpack_length(segment, lo)[0])
             if pos + size > n:
                 raise ReceiveError(
                     f"object of {size} bytes overruns segment at {pos}"
                 )
-            address = self.buffer.place(view[pos : pos + size])
-            self._placed.append((address, kernel))
-            self.objects_received += 1
-            self.bytes_received += size
-            self.jvm.clock.charge(cost.memcpy(size))
+            add_size(size)
+            add_kernel(kernel)
             pos += size
+        self.buffer.place_run(segment, sizes)
+        self._placed_kernels.extend(placed)
+        self.objects_received += len(sizes)
+        self.bytes_received += n
+        self.jvm.clock.charge(self.jvm.cost_model.memcpy(n))
 
-    def _klass_for_tid(self, tid: int):
-        """tID -> local klass, loading the class if it is missing here
-        (paper: "Skyway instructs the class loader to load the missing
-        class since the type registry knows the full class name")."""
-        name = self.view.name_for(tid)
-        return self.jvm.loader.load(name)
+    def _compile_kernel(self, tid: int) -> ReceiveKernel:
+        """tID -> this receiver's kernel for the local klass, loading the
+        class if it is missing here (paper: "Skyway instructs the class
+        loader to load the missing class since the type registry knows the
+        full class name")."""
+        klass = self.jvm.loader.load(self.view.name_for(tid))
+        if klass.klass_id is None:  # pragma: no cover - loader invariant
+            raise ReceiveError(f"klass {klass.name} not installed")
+        kernel = receive_kernel_for(klass, self.jvm.layout, self.jvm.cost_model)
+        self._kernels[tid] = kernel
+        return kernel
 
     # ------------------------------------------------------------------
     # absolutization
@@ -139,37 +156,44 @@ class ObjectGraphReceiver:
         heap = self.jvm.heap
         cost = self.jvm.cost_model
 
+        # One scan restores each klass word and absolutizes each reference
+        # straight against the heap's backing store; the scan's simulated
+        # cost is summed in a local and charged once.
+        memory = heap.memory_view
+        heap_base = heap.base
         translate = self.buffer.translate
-        charge = self.jvm.clock.charge
-        for address, kernel in self._placed:
-            if kernel.klass_id is None:  # pragma: no cover - loader invariant
-                raise ReceiveError(f"klass {kernel.klass.name} not installed")
-            heap.write_klass_word(address, kernel.klass_id)
-            if kernel.is_array:
-                slots = (
-                    heap.array_length(address)
-                    if kernel.has_ref_elements
-                    else 0
-                )
+        pack_word = WORD_STRUCT.pack_into
+        pointer_fixup = cost.skyway_pointer_fixup
+        scan_cost = 0.0
+        for address, kernel in zip(self.buffer.placed_objects,
+                                   self._placed_kernels):
+            at = address - heap_base
+            pack_word(memory, at + KLASS_OFFSET, kernel.klass_id)
+            ref_unpack = kernel.ref_unpack
+            if ref_unpack is not None:
+                for slot, relative in zip(
+                    kernel.ref_offsets, ref_unpack.unpack_from(memory, at)
+                ):
+                    if relative:
+                        pack_word(memory, at + slot, translate(relative))
+            elif kernel.has_ref_elements:
+                slots = LENGTH_STRUCT.unpack_from(
+                    memory, at + kernel.length_offset
+                )[0]
                 if slots:
                     run = ref_run_struct(slots)
-                    base = address + kernel.elem_base
-                    values = heap.unpack_from(run, base)
-                    heap.pack_into(
-                        run,
+                    base = at + kernel.elem_base
+                    run.pack_into(
+                        memory,
                         base,
-                        *[translate(v) if v else 0 for v in values],
+                        *[
+                            translate(v) if v else 0
+                            for v in run.unpack_from(memory, base)
+                        ],
                     )
-                charge(kernel.object_cost + slots * cost.skyway_pointer_fixup)
-            else:
-                if kernel.ref_unpack is not None:
-                    values = heap.unpack_from(kernel.ref_unpack, address)
-                    for slot, relative in zip(kernel.ref_offsets, values):
-                        if relative:
-                            heap.pack_into(
-                                WORD_STRUCT, address + slot, translate(relative)
-                            )
-                charge(kernel.finish_cost)
+                    scan_cost += slots * pointer_fixup
+            scan_cost += kernel.finish_cost
+        self.jvm.clock.charge(scan_cost)
 
         # GC integration: make the new pointers card-table visible.
         for chunk in self.buffer.chunks:
@@ -192,7 +216,8 @@ class ObjectGraphReceiver:
         (paper §3.3: e.g. re-initializing a timestamp field)."""
         if not self._update_functions:
             return
-        for address, kernel in self._placed:
+        for address, kernel in zip(self.buffer.placed_objects,
+                                   self._placed_kernels):
             hooks = self._update_functions.get(kernel.klass.name)
             if not hooks:
                 continue

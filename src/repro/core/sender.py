@@ -201,15 +201,14 @@ class ObjectGraphSender:
 
         Per object this loop performs ONE klass resolution (a dict hit on
         the cached kernel), ONE slice copy heap→segment, ONE header pack,
-        one batched pointer unpack, and ONE clock charge — versus the
-        interpreted path's per-field reads, per-pointer charges, and three
-        klass resolutions.  Baddr words are read/written with a compiled
-        ``struct`` directly against the heap's backing store; tallies
-        accumulate in locals and flush once per root.
+        and one batched pointer unpack — versus the interpreted path's
+        per-field reads, per-pointer charges, and three klass resolutions.
+        Baddr words are read/written with a compiled ``struct`` directly
+        against the heap's backing store; byte tallies and the simulated
+        clock cost accumulate in locals and flush once per root.
         """
         heap = self.jvm.heap
         cost = self.jvm.cost_model
-        charge = self.jvm.clock.charge
         mem = heap.memory_view
         hbase = heap.base
         boff = heap.layout.baddr_offset
@@ -236,6 +235,7 @@ class ObjectGraphSender:
 
         objects = 0
         bytes_out = 0
+        clock_cost = 0.0
         header_b = pointer_b = data_b = padding_b = 0
 
         def claim(obj: int, off: int, foreign: bool) -> int:
@@ -333,8 +333,8 @@ class ObjectGraphSender:
                     size - kernel.array_header_bytes
                     - length * (8 if ref_slots else kernel.elem_size),
                 )
-                charge(kernel.array_cost(size, ref_slots)
-                       + nonnull * traverse_word)
+                clock_cost += (kernel.array_cost(size, ref_slots)
+                               + nonnull * traverse_word)
             else:
                 ref_unpack = kernel.ref_unpack
                 if ref_unpack is not None:
@@ -361,12 +361,13 @@ class ObjectGraphSender:
                 pointer_b += kernel.pointer_bytes
                 data_b += kernel.data_bytes
                 padding_b += kernel.padding_bytes
-                charge(kernel.base_cost + nonnull * traverse_word)
+                clock_cost += kernel.base_cost + nonnull * traverse_word
 
             cloned_append((source, addr, size))
             objects += 1
             bytes_out += size
 
+        self.jvm.clock.charge(clock_cost)
         self.objects_sent += objects
         self.bytes_sent += bytes_out
         self.header_bytes += header_b

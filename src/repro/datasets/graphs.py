@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import zlib
 from typing import Dict, List, Tuple
 
 
@@ -85,7 +86,8 @@ def generate_graph(
     Self-loops are dropped; duplicate edges are kept (real edge lists have
     them after sampling, and ``distinct()`` in the workloads must do work).
     """
-    rng = random.Random(seed ^ hash(profile.key))
+    # crc32, not hash(): str hashes are salted per process.
+    rng = random.Random(seed ^ zlib.crc32(profile.key.encode()))
     n = max(32, int(profile.vertices * scale))
     m = max(n, int(profile.edges * scale))
 

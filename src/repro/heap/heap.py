@@ -416,6 +416,18 @@ class ManagedHeap:
             raise HeapError(f"object already registered: {address:#x}")
         starts.insert(i, address)
 
+    def register_objects(self, addresses: List[int]) -> None:
+        """:meth:`register_object` for an ascending run of addresses: one
+        bulk extend when the run lies above everything registered so far
+        (streaming placement), per-object sorted inserts when it does not
+        (a parallel stream interleaved its own chunks)."""
+        starts = self.old.object_starts
+        if addresses and (not starts or addresses[0] > starts[-1]):
+            starts.extend(addresses)
+        else:
+            for address in addresses:
+                self.register_object(address)
+
     # ------------------------------------------------------------------
     # iteration / queries
     # ------------------------------------------------------------------

@@ -20,45 +20,138 @@ digest, whatever their heaps looked like beforehand.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
-from typing import Sequence
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
+from repro.core.kernels import (
+    KLASS_WORD_END,
+    LENGTH_STRUCT,
+    ReceiveKernel,
+    WORD_STRUCT,
+    receive_kernel_for,
+    ref_run_struct,
+)
 from repro.core.receiver import ObjectGraphReceiver
 from repro.heap.layout import KLASS_OFFSET, MARK_OFFSET
 from repro.jvm.jvm import JVM
 
+#: Normalized images are hashed in joined batches of about this many bytes.
+_HASH_BATCH_BYTES = 64 * 1024
+
+
+def _hash_objects(
+    jvm: JVM,
+    addresses: Iterable[int],
+    digest,
+    zeroed_offsets: Sequence[int],
+    normalize: Callable[[int], int],
+) -> None:
+    """The digest kernel: hash ``class name | size | normalized image`` for
+    each object at ``addresses``.
+
+    Per object: the klass word resolves through one dict hit to the class's
+    cached :class:`ReceiveKernel` (size and reference slots precomputed),
+    the image is copied once out of the heap's backing store, the header
+    words at ``zeroed_offsets`` are cleared and every non-null reference
+    word is rewritten to ``normalize(pointer)`` in that copy.
+    """
+    heap = jvm.heap
+    layout = jvm.layout
+    cost = jvm.cost_model
+    memory = heap.memory_view
+    heap_base = heap.base
+    heap_bytes = len(memory)
+    unpack_word = WORD_STRUCT.unpack_from
+    pack_word = WORD_STRUCT.pack_into
+    unpack_length = LENGTH_STRUCT.unpack_from
+    #: klass word -> (class name bytes, kernel); fixed-size classes carry
+    #: their 8-byte size suffix on the name already.
+    classes: Dict[int, Tuple[bytes, ReceiveKernel]] = {}
+    batch = []
+    batched = 0
+    for address in addresses:
+        at = address - heap_base
+        if at < 0 or at + KLASS_WORD_END > heap_bytes:
+            heap.index_of(address, KLASS_WORD_END)  # raises the canonical error
+        klass_word = unpack_word(memory, at + KLASS_OFFSET)[0]
+        entry = classes.get(klass_word)
+        if entry is None:
+            klass = heap.klass_of(address)
+            kernel = receive_kernel_for(klass, layout, cost)
+            prefix = klass.name.encode("utf-8")
+            if kernel.size is not None:
+                prefix += kernel.size.to_bytes(8, "little")
+            entry = classes[klass_word] = (prefix, kernel)
+        prefix, kernel = entry
+        size = kernel.size
+        ref_elements = 0
+        if size is None:
+            length = unpack_length(memory, at + kernel.length_offset)[0]
+            size = kernel.array_size(length)
+            if kernel.has_ref_elements:
+                ref_elements = length
+            batch.append(prefix)
+            prefix = size.to_bytes(8, "little")
+        if at + size > heap_bytes:
+            heap.index_of(address, size)
+        image = bytearray(memory[at : at + size])
+        for offset in zeroed_offsets:
+            pack_word(image, offset, 0)
+        ref_unpack = kernel.ref_unpack
+        if ref_unpack is not None:
+            for slot, pointer in zip(
+                kernel.ref_offsets, ref_unpack.unpack_from(image)
+            ):
+                if pointer:
+                    pack_word(image, slot, normalize(pointer))
+        elif ref_elements:
+            run = ref_run_struct(ref_elements)
+            run.pack_into(
+                image,
+                kernel.elem_base,
+                *[
+                    normalize(pointer) if pointer else 0
+                    for pointer in run.unpack_from(image, kernel.elem_base)
+                ],
+            )
+        batch.append(prefix)
+        batch.append(image)
+        batched += size
+        if batched >= _HASH_BATCH_BYTES:
+            digest.update(b"".join(batch))
+            batch.clear()
+            batched = 0
+    digest.update(b"".join(batch))
+
 
 def graph_digest(jvm: JVM, receiver: ObjectGraphReceiver) -> str:
     """SHA-256 over the received buffer in logical coordinates."""
-    heap = jvm.heap
-    buffer = receiver.buffer
-    spans = [
+    # Chunks sorted by physical start; a pointer's chunk is found by bisect,
+    # after a look at the chunk the previous pointer fell in.
+    spans = sorted(
         (chunk.physical_start, chunk.filled, chunk.logical_start)
-        for chunk in buffer.chunks
-    ]
+        for chunk in receiver.buffer.chunks
+    )
+    starts = [span[0] for span in spans]
+    last = (0, 0, 0)
 
     def to_logical(pointer: int) -> int:
-        if pointer == 0:
-            return 0
-        for physical, filled, logical in spans:
-            if physical <= pointer < physical + filled:
-                return logical + (pointer - physical)
-        raise ValueError(
-            f"pointer {pointer:#x} leads outside the input buffer"
-        )
+        nonlocal last
+        physical, filled, logical = last
+        if not physical <= pointer < physical + filled:
+            last = spans[max(bisect.bisect_right(starts, pointer) - 1, 0)]
+            physical, filled, logical = last
+            if not physical <= pointer < physical + filled:
+                raise ValueError(
+                    f"pointer {pointer:#x} leads outside the input buffer"
+                )
+        return logical + (pointer - physical)
 
     digest = hashlib.sha256()
-    for address in buffer.placed_objects:
-        klass = heap.klass_of(address)
-        size = heap.object_size(address)
-        image = bytearray(heap.read_bytes(address, size))
-        image[KLASS_OFFSET:KLASS_OFFSET + 8] = b"\x00" * 8
-        for offset in heap.reference_offsets(address):
-            pointer = int.from_bytes(image[offset:offset + 8], "little")
-            image[offset:offset + 8] = to_logical(pointer).to_bytes(8, "little")
-        digest.update(klass.name.encode("utf-8"))
-        digest.update(len(image).to_bytes(8, "little"))
-        digest.update(bytes(image))
+    _hash_objects(
+        jvm, receiver.buffer.placed_objects, digest, (KLASS_OFFSET,), to_logical
+    )
     return digest.hexdigest()
 
 
@@ -80,46 +173,28 @@ def semantic_graph_digest(jvm: JVM, roots: Sequence[int]) -> str:
     word if the layout carries one (sender-side scratch state), and every
     reference word (rewritten to the referent's visit index; 0 for null).
     """
-    heap = jvm.heap
-    layout = heap.layout
-    index: dict = {}
-    order: list = []
-    queue: list = []
+    index: Dict[int, int] = {}
+    order = []
     for root in roots:
         if root and root not in index:
-            index[root] = len(order) + 1
             order.append(root)
-            queue.append(root)
-    head = 0
-    while head < len(queue):
-        address = queue[head]
-        head += 1
-        for offset in heap.reference_offsets(address):
-            target = heap.read_word(address + offset)
-            if target and target not in index:
-                index[target] = len(order) + 1
-                order.append(target)
-                queue.append(target)
+            index[root] = len(order)
 
+    def visit(pointer: int) -> int:
+        number = index.get(pointer)
+        if number is None:
+            order.append(pointer)
+            number = index[pointer] = len(order)
+        return number
+
+    zeroed = [MARK_OFFSET, KLASS_OFFSET]
+    if jvm.layout.has_baddr:
+        zeroed.append(jvm.layout.baddr_offset)
     digest = hashlib.sha256()
     digest.update(len(roots).to_bytes(8, "little"))
     for root in roots:
         digest.update(index.get(root, 0).to_bytes(8, "little"))
-    for address in order:
-        klass = heap.klass_of(address)
-        size = heap.object_size(address)
-        image = bytearray(heap.read_bytes(address, size))
-        image[MARK_OFFSET:MARK_OFFSET + 8] = b"\x00" * 8
-        image[KLASS_OFFSET:KLASS_OFFSET + 8] = b"\x00" * 8
-        if layout.has_baddr:
-            off = layout.baddr_offset
-            image[off:off + 8] = b"\x00" * 8
-        for offset in heap.reference_offsets(address):
-            pointer = int.from_bytes(image[offset:offset + 8], "little")
-            image[offset:offset + 8] = index.get(pointer, 0).to_bytes(
-                8, "little"
-            )
-        digest.update(klass.name.encode("utf-8"))
-        digest.update(len(image).to_bytes(8, "little"))
-        digest.update(bytes(image))
+    # ``order`` is the BFS queue: hashing an object numbers (and enqueues)
+    # its unvisited referents, so the loop inside walks the list as it grows.
+    _hash_objects(jvm, order, digest, zeroed, visit)
     return digest.hexdigest()

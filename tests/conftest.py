@@ -208,3 +208,14 @@ def read_list(jvm: JVM, head: int):
         out.append(jvm.get_field(node, "payload"))
         node = jvm.get_field(node, "next")
     return out
+
+
+def sent_segments(src: JVM, roots):
+    """One fresh-phase send of ``roots`` straight off the sender: returns
+    (flushed segments, top marks), no stream framing."""
+    src.skyway.shuffle_start()
+    sender = src.skyway.new_sender("p", fresh_buffer=True)
+    for root in roots:
+        sender.write_object(root)
+    sender.buffer.flush()
+    return sender.buffer.drain_segments(), sender.top_marks

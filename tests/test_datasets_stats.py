@@ -1,6 +1,11 @@
 """Statistical tests on the dataset generators."""
 
+import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -48,6 +53,29 @@ class TestGraphStatistics:
         a = generate_graph(GRAPH_PROFILES["LJ"], seed=1, scale=0.1)
         b = generate_graph(GRAPH_PROFILES["LJ"], seed=2, scale=0.1)
         assert a != b
+
+    def test_same_edges_in_processes_with_different_hash_salts(self):
+        """The generator's seed must not depend on ``hash(str)``, which is
+        salted per interpreter process."""
+        script = (
+            "import hashlib\n"
+            "from repro.datasets.graphs import GRAPH_PROFILES, generate_graph\n"
+            "edges = generate_graph(GRAPH_PROFILES['LJ'], seed=7, scale=0.1)\n"
+            "print(hashlib.sha256(repr(edges).encode()).hexdigest())\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+        def edge_digest(hashseed):
+            env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
+                       PYTHONPATH=str(src))
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, env=env, timeout=60, check=True)
+            return done.stdout.strip()
+
+        here = generate_graph(GRAPH_PROFILES["LJ"], seed=7, scale=0.1)
+        expected = hashlib.sha256(repr(here).encode()).hexdigest()
+        assert edge_digest(1) == edge_digest(2) == expected
 
 
 class TestTextStatistics:

@@ -9,7 +9,7 @@ from repro.core.input_buffer import InputBuffer, InputBufferError
 from repro.core.output_buffer import LOGICAL_BASE
 from repro.jvm.jvm import JVM
 
-from tests.conftest import make_date
+from tests.conftest import make_date, sent_segments
 
 
 @pytest.fixture
@@ -18,15 +18,6 @@ def pair(classpath):
     dst = JVM("err-dst", classpath=classpath)
     attach_skyway(src, [dst])
     return src, dst
-
-
-def sent_segments(src, roots):
-    src.skyway.shuffle_start()
-    sender = src.skyway.new_sender("p", fresh_buffer=True)
-    for root in roots:
-        sender.write_object(root)
-    sender.buffer.flush()
-    return sender.buffer.drain_segments(), sender.top_marks
 
 
 class TestReceiverErrors:
