@@ -1,12 +1,10 @@
 """B-FANIN — one worker, a thousand concurrent delta channels.
 
-Per serve mode (thread-per-connection vs the async event loop) and per
-channel count (16/128/1024, scaled down by ``REPRO_BENCH_SCALE``), C
+Per channel count (16/128/1024, scaled down by ``REPRO_BENCH_SCALE``), C
 delta channels each bootstrap a FULL epoch and then ride a delta epoch
-into one worker, digest-gated per channel against the sender's heap.
-The gate: every digest matches, epoch 2 is all-delta, the async worker
-sustains the largest fan-in, and its send wall-clock beats
-thread-per-connection there.
+into one worker over one mux connection, digest-gated per channel against
+the sender's heap.  The gate: every digest matches, every channel is
+acked, epoch 2 is all-delta, and the worker sustains the largest fan-in.
 """
 
 from repro.bench.fanin_experiments import (
@@ -19,7 +17,7 @@ from repro.bench.fanin_experiments import (
 from conftest import bench_scale, emit_json, publish
 
 
-def test_fanin_thread_vs_async(benchmark):
+def test_fanin(benchmark):
     counts = [max(4, int(c * bench_scale())) for c in DEFAULT_CHANNELS]
     result = benchmark.pedantic(
         lambda: run_fanin_experiment(channel_counts=counts),
@@ -33,7 +31,7 @@ def test_fanin_thread_vs_async(benchmark):
     assert checks["digests_match_sender"], (
         "a channel's worker-side digest diverged from the sender's heap"
     )
-    assert checks["async_sustains_max_fanin"], (
-        "the async worker dropped channels at the largest fan-in"
+    assert checks["sustains_max_fanin"], (
+        "the worker dropped channels at the largest fan-in"
     )
     assert fanin_checks_pass(result), f"B-FANIN gate failed: {checks}"

@@ -21,10 +21,13 @@ Regenerates any of the paper's tables/figures without pytest:
     python -m repro.bench fleet
     python -m repro.bench fleet --smoke     # 4-worker fabric gate, exits 1
     python -m repro.bench fanin
-    python -m repro.bench fanin --smoke     # async fan-in gate, exits 1
+    python -m repro.bench fanin --smoke     # mux fan-in gate, exits 1
     python -m repro.bench policy
     python -m repro.bench policy --smoke    # adaptive-policy gate, exits 1
     python -m repro.bench all
+
+The gated experiments write ``benchmarks/results/<name>.{txt,json}``;
+with ``--smoke`` they write under ``benchmarks/results/smoke/`` instead.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import argparse
 import json
 import pathlib
 import sys
+from typing import Optional
 
 from repro import obs
 from repro.bench.delta_experiments import run_delta_iterative, run_mutation_sweep
@@ -208,26 +212,48 @@ def cmd_kernels(args) -> None:
                          "interpreted streams diverged")
 
 
+def _results_dir(smoke: bool) -> Optional[pathlib.Path]:
+    """Where this run's artifacts go, created on demand; ``None`` when not
+    running from the repo tree.  ``benchmarks/results`` holds the committed
+    full-scale artifacts; ``--smoke`` runs write under its git-ignored
+    ``smoke/`` so a CI gate never overwrites them."""
+    benchmarks = pathlib.Path(__file__).resolve().parents[3] / "benchmarks"
+    if not benchmarks.is_dir():
+        return None
+    results = benchmarks / "results" / "smoke" if smoke \
+        else benchmarks / "results"
+    results.mkdir(parents=True, exist_ok=True)
+    return results
+
+
+def _publish_and_gate(name: str, args, result: dict, report: str,
+                      passed: bool) -> None:
+    """The shared tail of the gated experiments: print the report, write
+    ``<name>.{txt,json}`` when running from the repo tree, and exit 1
+    naming every check when the gate failed."""
+    print(report)
+    results_dir = _results_dir(args.smoke)
+    if results_dir is not None:
+        (results_dir / f"{name}.txt").write_text(report + "\n")
+        (results_dir / f"{name}.json").write_text(
+            json.dumps(result, indent=2, sort_keys=True, default=str) + "\n"
+        )
+    if not passed:
+        raise SystemExit(
+            f"B-{name.upper()} gate failed: " + "  ".join(
+                f"{check}={'pass' if ok else 'FAIL'}"
+                for check, ok in result["checks"].items()
+            )
+        )
+
+
 def cmd_exchange(args) -> None:
     # --scale 0.02 maps to the full 4k-vertex graph; --smoke shrinks it.
     vertices = max(800, int(round(4_000 * args.scale / 0.02)))
     result = run_exchange_experiment(vertices=vertices, smoke=args.smoke)
-    report = format_exchange_report(result)
-    print(report)
-    results_dir = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-    if results_dir.parent.is_dir():  # running from the repo tree
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "exchange.txt").write_text(report + "\n")
-        (results_dir / "exchange.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True, default=str) + "\n"
-        )
-    if not exchange_checks_pass(result):
-        raise SystemExit(
-            "B-EXCHANGE gate failed: " + "  ".join(
-                f"{name}={'pass' if ok else 'FAIL'}"
-                for name, ok in result["checks"].items()
-            )
-        )
+    _publish_and_gate("exchange", args, result,
+                      format_exchange_report(result),
+                      exchange_checks_pass(result))
 
 
 def cmd_fleet(args) -> None:
@@ -236,22 +262,8 @@ def cmd_fleet(args) -> None:
     vertices = max(300, int(round(1_500 * args.scale / 0.02)))
     result = run_fleet_experiment(vertices=vertices, smoke=args.smoke,
                                   live=args.live)
-    report = format_fleet_report(result)
-    print(report)
-    results_dir = _results_dir()
-    if results_dir.parent.is_dir():  # running from the repo tree
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "fleet.txt").write_text(report + "\n")
-        (results_dir / "fleet.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True, default=str) + "\n"
-        )
-    if not fleet_checks_pass(result):
-        raise SystemExit(
-            "B-FLEET gate failed: " + "  ".join(
-                f"{name}={'pass' if ok else 'FAIL'}"
-                for name, ok in result["checks"].items()
-            )
-        )
+    _publish_and_gate("fleet", args, result, format_fleet_report(result),
+                      fleet_checks_pass(result))
 
 
 def cmd_fanin(args) -> None:
@@ -259,22 +271,8 @@ def cmd_fanin(args) -> None:
     # B-FANIN measures connection fan-in, not graph size, so --scale
     # deliberately does not apply.
     result = run_fanin_experiment(smoke=args.smoke, live=args.live)
-    report = format_fanin_report(result)
-    print(report)
-    results_dir = _results_dir()
-    if results_dir.parent.is_dir():  # running from the repo tree
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "fanin.txt").write_text(report + "\n")
-        (results_dir / "fanin.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True, default=str) + "\n"
-        )
-    if not fanin_checks_pass(result):
-        raise SystemExit(
-            "B-FANIN gate failed: " + "  ".join(
-                f"{name}={'pass' if ok else 'FAIL'}"
-                for name, ok in result["checks"].items()
-            )
-        )
+    _publish_and_gate("fanin", args, result, format_fanin_report(result),
+                      fanin_checks_pass(result))
 
 
 def cmd_policy(args) -> None:
@@ -282,22 +280,8 @@ def cmd_policy(args) -> None:
     # and drops the scenario sweep to the two headline operating points.
     vertices = max(500, int(round(4_000 * args.scale / 0.02)))
     result = run_policy_experiment(vertices=vertices, smoke=args.smoke)
-    report = format_policy_report(result)
-    print(report)
-    results_dir = _results_dir()
-    if results_dir.parent.is_dir():  # running from the repo tree
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "policy.txt").write_text(report + "\n")
-        (results_dir / "policy.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True, default=str) + "\n"
-        )
-    if not policy_checks_pass(result):
-        raise SystemExit(
-            "B-POLICY gate failed: " + "  ".join(
-                f"{name}={'pass' if ok else 'FAIL'}"
-                for name, ok in result["checks"].items()
-            )
-        )
+    _publish_and_gate("policy", args, result, format_policy_report(result),
+                      policy_checks_pass(result))
 
 
 COMMANDS = {
@@ -321,22 +305,15 @@ COMMANDS = {
 }
 
 
-def _results_dir() -> pathlib.Path:
-    return pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-
-def _write_trace_artifacts(experiment: str) -> None:
+def _write_trace_artifacts(experiment: str, smoke: bool) -> None:
     """Export the enabled tracer's spans and the metrics snapshot next to
-    the experiment's ``benchmarks/results/*.json`` outputs."""
+    the experiment's ``<name>.json`` output."""
     from repro.obs.export import to_chrome_trace
 
     tracer = obs.get_tracer()
-    if tracer is None:
+    results_dir = _results_dir(smoke) if tracer is not None else None
+    if results_dir is None:
         return
-    results_dir = _results_dir()
-    if not results_dir.parent.is_dir():  # not running from the repo tree
-        return
-    results_dir.mkdir(exist_ok=True)
     doc = to_chrome_trace(tracer.spans(), trace_id=tracer.trace_id)
     trace_path = results_dir / f"{experiment}.trace.json"
     snap_path = results_dir / f"{experiment}.obs.json"
@@ -369,7 +346,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", action="store_true",
                         help="run with tracing enabled and write "
                              "<experiment>.trace.json / <experiment>.obs.json "
-                             "to benchmarks/results")
+                             "to benchmarks/results (results/smoke with "
+                             "--smoke)")
     args = parser.parse_args(argv)
 
     if args.trace:
@@ -383,7 +361,7 @@ def main(argv=None) -> int:
             COMMANDS[args.experiment](args)
     finally:
         if args.trace:
-            _write_trace_artifacts(args.experiment)
+            _write_trace_artifacts(args.experiment, args.smoke)
             obs.reset()
     return 0
 

@@ -1,10 +1,10 @@
 """B-FANIN — fan-in concurrency: one worker, a thousand delta channels.
 
-The ablation behind the async front-end (:mod:`repro.transport.aserve`).
-Per serve mode (``threads`` = one blocking thread per connection, the
-executable spec; ``async`` = one event loop) and per channel count
-(16/128/1024 full, 8/32 smoke), one worker process receives C concurrent
-delta channels, each carrying its own ~24-node ListNode chain:
+The scaling test of the worker's event loop
+(:mod:`repro.transport.aserve`).  Per channel count (16/128/1024 full,
+8/32 smoke), one worker process receives C concurrent delta channels
+pipelined over *one* mux connection, each carrying its own ~24-node
+ListNode chain:
 
 * **epoch 1** bootstraps every channel FULL;
 * one field per chain is mutated;
@@ -13,26 +13,19 @@ delta channels, each carrying its own ~24-node ListNode chain:
 Both epochs are digest-gated per channel: the worker's reported semantic
 digest must equal the digest the driver computed over its own heap before
 sending — 2·C independent graphs, so any cross-channel mixup in the mux
-demultiplexer shows up as a digest mismatch, not a hang.
+demultiplexer shows up as a digest mismatch, not a hang.  Latency is
+trailer-flush → RESULT per channel: the time until the sender holds the
+ack.
 
-Driver strategy differs per arm, deliberately: the ``threads`` arm opens
-C classic connections and drives them from min(C, 64) sender threads
-(the realistic fan-in client a thread-per-connection server implies),
-while the ``async`` arm pipelines all C channels over *one* mux
-connection.  Latency is measured where each protocol defines it —
-whole ``send_epoch`` call for classic, trailer-flush → RESULT for mux —
-so the columns are comparable as "time until the sender holds the ack".
-
-``fanin_checks_pass`` is the CI gate: every digest matches, epoch 2 is
-all-delta, the async worker sustains the largest channel count, and the
-async send wall-clock beats thread-per-connection at that count.
-Results land in ``benchmarks/results/fanin.{txt,json}``.
+``fanin_checks_pass`` is the CI gate: every digest matches, every channel
+is acked, epoch 2 is all-delta, and the worker sustains the largest
+channel count.  Full-scale results land in
+``benchmarks/results/fanin.{txt,json}``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,9 +33,8 @@ from repro.delta.channel import DeltaSendChannel
 from repro.delta.wire import FRAME_DELTA, FRAME_FULL
 from repro.transport.aserve import MuxEpochClient
 from repro.transport.bootstrap import MB, build_runtime
-from repro.transport.client import WorkerClient, WorkerHandle
+from repro.transport.client import WorkerHandle
 from repro.transport.digest import semantic_graph_digest
-from repro.transport.errors import TransportError
 from repro.transport.testing import SAMPLE_FACTORY
 from repro.transport.worker import WorkerSpec
 
@@ -52,10 +44,6 @@ SMOKE_CHANNELS = (8, 32)
 #: field keeps the mutation rate well under the delta policy's FULL
 #: crossover, small enough that 1024 chains stay cheap to build.
 LIST_NODES = 24
-#: Cap on concurrent sender threads in the ``threads`` arm; beyond this
-#: a single driver process stops gaining from more senders and the
-#: measurement drowns in scheduler noise.
-SENDER_THREADS = 64
 
 _KIND_NAMES = {FRAME_FULL: "full", FRAME_DELTA: "delta"}
 
@@ -84,31 +72,6 @@ def _percentile_ms(latencies: Sequence[float], q: float) -> float:
     ordered = sorted(latencies)
     rank = min(len(ordered) - 1, int(len(ordered) * q))
     return round(ordered[rank] * 1e3, 3)
-
-
-def _pooled(jobs: List, worker_fn, pool_size: int) -> None:
-    """Run ``worker_fn(index)`` over every job index from a bounded
-    thread pool (round-robin shards keep per-thread work even)."""
-    pool_size = max(1, min(pool_size, len(jobs)))
-    shards = [list(range(i, len(jobs), pool_size)) for i in range(pool_size)]
-    errors: List[BaseException] = []
-
-    def run(shard: List[int]) -> None:
-        for index in shard:
-            try:
-                worker_fn(index)
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-                return
-
-    threads = [threading.Thread(target=run, args=(shard,), daemon=True)
-               for shard in shards]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
 
 
 def _epoch_jobs(
@@ -142,58 +105,9 @@ def _epoch_row(label: str, wall_s: float, latencies: List[float],
     }
 
 
-def _run_threads_arm(driver, handle, channels, heads,
-                     row: Dict[str, object]) -> None:
-    """C classic connections, min(C, 64) sender threads."""
-    count = len(channels)
-    clients: List[Optional[WorkerClient]] = [None] * count
-
-    started = time.perf_counter()
-
-    def connect(index: int) -> None:
-        client = WorkerClient(driver, handle.host, handle.port,
-                              read_timeout=300.0, connect_attempts=3)
-        client.connect()
-        clients[index] = client
-
-    try:
-        _pooled(list(range(count)), connect, SENDER_THREADS)
-        row["setup_s"] = round(time.perf_counter() - started, 4)
-
-        for label in ("full", "delta"):
-            jobs, expected, kinds = _epoch_jobs(driver, channels, heads)
-            latencies: List[float] = [0.0] * count
-            digests: List[Optional[str]] = [None] * count
-
-            def send(index: int) -> None:
-                channel_id, epoch, frame = jobs[index]
-                t0 = time.perf_counter()
-                result = clients[index].send_epoch(
-                    frame, channel_id, epoch, digest=True)
-                latencies[index] = time.perf_counter() - t0
-                digests[index] = result.get("digest")
-
-            started = time.perf_counter()
-            _pooled(jobs, send, SENDER_THREADS)
-            wall = time.perf_counter() - started
-            acked = sum(1 for d in digests if d is not None)
-            ok = sum(1 for d, e in zip(digests, expected) if d == e)
-            row["epochs"].append(
-                _epoch_row(label, wall, latencies, ok, acked, count, kinds))
-            if label == "full":
-                _mutate(driver, heads)
-    finally:
-        for client in clients:
-            if client is not None:
-                try:
-                    client.close()
-                except TransportError:
-                    pass
-
-
-def _run_async_arm(driver, handle, channels, heads,
-                   row: Dict[str, object]) -> None:
-    """All C channels multiplexed over one connection."""
+def _send_epochs(driver, handle, channels, heads,
+                 row: Dict[str, object]) -> None:
+    """Both epochs, all C channels multiplexed over one connection."""
     count = len(channels)
     started = time.perf_counter()
     mux = MuxEpochClient(driver, handle.host, handle.port,
@@ -237,9 +151,8 @@ def _mutate(driver, heads: List[int]) -> None:
         driver.jvm.set_field(head, "payload", current + 10_000)
 
 
-def _run_arm(mode: str, count: int, index: int,
-             coordinator=None) -> Dict[str, object]:
-    driver = build_runtime(f"fanin-driver-{mode}-{count}", SAMPLE_FACTORY,
+def _run_count(count: int, coordinator=None) -> Dict[str, object]:
+    driver = build_runtime(f"fanin-driver-{count}", SAMPLE_FACTORY,
                            old_bytes=256 * MB)
     pins = []
     heads = []
@@ -248,21 +161,19 @@ def _run_arm(mode: str, count: int, index: int,
         pins.append(driver.jvm.pin(head))
         heads.append(head)
     channels = [
-        DeltaSendChannel(driver, f"fanin-{mode}-{count}",
-                         channel_id=i + 1)
+        DeltaSendChannel(driver, f"fanin-{count}", channel_id=i + 1)
         for i in range(count)
     ]
 
     spec = WorkerSpec(
-        name=f"fanin-{mode}-{count}",
+        name=f"fanin-{count}",
         classpath_factory=SAMPLE_FACTORY,
-        serve_mode=mode,
         read_timeout=300.0,
         old_bytes=256 * MB,
         listen_backlog=2048,
     )
     if coordinator is not None:
-        # Live mode: the arm's worker registers and heartbeats its
+        # Live mode: the run's worker registers and heartbeats its
         # telemetry, so the run ends with a `repro.obs top` frame.
         spec = dataclasses.replace(
             spec, coordinator_host=coordinator.host,
@@ -270,14 +181,9 @@ def _run_arm(mode: str, count: int, index: int,
         )
     handle = WorkerHandle.spawn(spec, startup_timeout=60.0)
 
-    row: Dict[str, object] = {
-        "mode": mode, "channels": count, "epochs": [],
-    }
+    row: Dict[str, object] = {"channels": count, "epochs": []}
     try:
-        if mode == "async":
-            _run_async_arm(driver, handle, channels, heads, row)
-        else:
-            _run_threads_arm(driver, handle, channels, heads, row)
+        _send_epochs(driver, handle, channels, heads, row)
         if coordinator is not None:
             row["live_top"] = _live_frame(coordinator)
     finally:
@@ -314,7 +220,7 @@ def run_fanin_experiment(
     live: bool = False,
 ) -> Dict[str, object]:
     """Returns a JSON-serializable result dict (see module docstring).
-    ``live=True`` spins a coordinator so each arm's worker streams
+    ``live=True`` spins a coordinator so each run's worker streams
     telemetry; rows gain a rendered ``repro.obs top`` frame."""
     if channel_counts is None:
         channel_counts = SMOKE_CHANNELS if smoke else DEFAULT_CHANNELS
@@ -331,10 +237,8 @@ def run_fanin_experiment(
         )
     rows = []
     try:
-        for index, count in enumerate(channel_counts):
-            for mode in ("threads", "async"):
-                rows.append(_run_arm(mode, count, index,
-                                     coordinator=coordinator))
+        for count in channel_counts:
+            rows.append(_run_count(count, coordinator=coordinator))
     finally:
         if coordinator is not None:
             coordinator.stop()
@@ -350,21 +254,16 @@ def run_fanin_experiment(
 
 def _checks(rows: List[Dict[str, object]],
             max_count: int) -> Dict[str, bool]:
-    by_arm = {(r["mode"], r["channels"]): r for r in rows}
-    threads_max = by_arm.get(("threads", max_count))
-    async_max = by_arm.get(("async", max_count))
+    largest = next((r for r in rows if r["channels"] == max_count), None)
     return {
         "digests_match_sender": all(r["digests_ok"] for r in rows),
         "every_channel_acked": all(r["sustained"] for r in rows),
         "epoch2_rides_delta": all(
             r["epochs"][1]["modes"] == ["delta"] for r in rows
             if len(r["epochs"]) > 1),
-        "async_sustains_max_fanin": bool(
-            async_max is not None and async_max["sustained"]
-            and async_max["digests_ok"]),
-        "async_beats_threads_at_max": bool(
-            threads_max is not None and async_max is not None
-            and async_max["send_wall_s"] < threads_max["send_wall_s"]),
+        "sustains_max_fanin": bool(
+            largest is not None and largest["sustained"]
+            and largest["digests_ok"]),
     }
 
 
@@ -374,12 +273,12 @@ def fanin_checks_pass(result: Dict[str, object]) -> bool:
 
 def format_fanin_report(result: Dict[str, object]) -> str:
     lines = [
-        "B-FANIN — one worker, C concurrent delta channels: "
-        "thread-per-connection vs async event loop",
+        "B-FANIN — one worker, C concurrent delta channels over one "
+        "mux connection",
         f"  {result['list_nodes']}-node chain per channel; channel counts "
         f"{result['channel_counts']}; epoch 1 FULL, epoch 2 delta",
         "",
-        f"  {'mode':>8} {'ch':>5} {'setup_s':>8} "
+        f"  {'ch':>5} {'setup_s':>8} "
         f"{'fullW_s':>8} {'fp50_ms':>8} {'fp99_ms':>8} "
         f"{'dltW_s':>8} {'dp50_ms':>8} {'dp99_ms':>8} "
         f"{'digest':>7}",
@@ -388,7 +287,7 @@ def format_fanin_report(result: Dict[str, object]) -> str:
         full, delta = row["epochs"][0], row["epochs"][1]
         digest = "ok" if row["digests_ok"] and row["sustained"] else "FAIL"
         lines.append(
-            f"  {row['mode']:>8} {row['channels']:>5} "
+            f"  {row['channels']:>5} "
             f"{row['setup_s']:>8.3f} "
             f"{full['wall_s']:>8.3f} {full['p50_ms']:>8.2f} "
             f"{full['p99_ms']:>8.2f} "
@@ -401,7 +300,7 @@ def format_fanin_report(result: Dict[str, object]) -> str:
     if aserve:
         lines += [
             "",
-            f"  async loop (largest run): "
+            f"  event loop (largest run): "
             f"{aserve.get('epochs_applied', 0)} epochs applied, "
             f"{aserve.get('reads_paused_total', 0)} read pauses, "
             f"queue-wait p50 "
@@ -410,8 +309,8 @@ def format_fanin_report(result: Dict[str, object]) -> str:
         ]
     for row in result["rows"]:
         if row.get("live_top"):
-            lines += ["", f"  -- live telemetry after {row['mode']}/"
-                          f"{row['channels']} --"]
+            lines += ["", f"  -- live telemetry after "
+                          f"{row['channels']} channels --"]
             lines += [f"  {l}" for l in row["live_top"].splitlines()]
     lines += [
         "",

@@ -440,7 +440,7 @@ class CoordinatorServer:
                     pass
                 return
 
-    def _serve_thread(self, conn: FrameConnection) -> None:
+    def _serve_and_close(self, conn: FrameConnection) -> None:
         try:
             self.serve_connection(conn)
         finally:
@@ -465,7 +465,7 @@ class CoordinatorServer:
                     sock, read_timeout=self.spec.read_timeout,
                 )
                 thread = threading.Thread(
-                    target=self._serve_thread, args=(conn,),
+                    target=self._serve_and_close, args=(conn,),
                     name=f"coordinator-conn-{len(self._conn_threads)}",
                     daemon=True,
                 )

@@ -42,7 +42,6 @@ class FleetHarness:
         young_bytes: int = 4 * MB,
         old_bytes: int = 64 * MB,
         startup_timeout: float = 30.0,
-        serve_mode: str = "async",
         telemetry: bool = True,
         straggler_factor: float = 3.0,
         straggler_min_samples: int = 3,
@@ -56,7 +55,6 @@ class FleetHarness:
         self._young_bytes = young_bytes
         self._old_bytes = old_bytes
         self._startup_timeout = startup_timeout
-        self._serve_mode = serve_mode
         self._telemetry = telemetry
         self._stopped = False
         self.coordinator = CoordinatorHandle.spawn(
@@ -89,7 +87,6 @@ class FleetHarness:
             read_timeout=self._read_timeout,
             young_bytes=self._young_bytes,
             old_bytes=self._old_bytes,
-            serve_mode=self._serve_mode,
             coordinator_host=self.coordinator.host,
             coordinator_port=self.coordinator.port,
             strict_channels=True,

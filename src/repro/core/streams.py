@@ -14,13 +14,14 @@ trailer carrying the top marks — the sender-side root index that saves the
 receiver a graph traversal (§4.2 "Root Object Recognition") — and the total
 logical size.
 
-Both streams take an optional ``transport=`` seam.  The default (``None``)
-is the in-process path: ``close()`` returns the framed bytes, ``accept()``
-takes them.  A transport object routes the same byte stream over a real
-boundary instead: the output stream *feeds* bytes to it as segments flush
-(so a pipelined sender overlaps traversal with socket I/O, §4.2), and the
-input stream *pumps* chunks from it into the incremental decoder.  See
-:mod:`repro.transport` for the socket implementation.
+The output stream takes an optional ``transport=`` seam.  The default
+(``None``) is the in-process path: ``close()`` returns the framed bytes,
+``accept()`` takes them.  A transport object routes the same byte stream
+over a real boundary instead: the output stream *feeds* bytes to it as
+segments flush (so a pipelined sender overlaps traversal with socket I/O,
+§4.2); the receiving worker feeds arriving chunks straight to an
+:class:`IncrementalStreamDecoder`.  See :mod:`repro.transport` for the
+socket implementation.
 
 Malformed input — truncated frames, bit-flipped varints, corrupt type IDs
 — always surfaces as one typed :class:`SkywayStreamError`; the decoder
@@ -341,39 +342,23 @@ class IncrementalStreamDecoder:
 
 
 class SkywayObjectInputStream:
-    """Object-reading side: feed framed bytes, then pop root objects.
+    """Object-reading side: feed framed bytes, then pop root objects."""
 
-    ``transport`` (optional) supplies the bytes instead of ``accept(data)``:
-    ``accept()`` with no argument pumps chunks from the transport through
-    the incremental decoder (placement overlapping arrival) until the
-    transport reports end-of-stream.
-    """
-
-    def __init__(self, runtime: SkywayRuntime, transport=None) -> None:
+    def __init__(self, runtime: SkywayRuntime) -> None:
         self.runtime = runtime
         self.receiver: ObjectGraphReceiver = runtime.new_receiver()
-        self._transport = transport
         self._roots: List[Handle] = []
         self._cursor = 0
         self._finished = False
         self._buffer_token: Optional[int] = None
 
-    def accept(self, data: Optional[bytes] = None) -> None:
-        """Consume a complete framed byte stream (segments + trailer),
-        either from ``data`` or — when constructed with a transport — by
-        pumping the transport's chunks."""
+    def accept(self, data: bytes) -> None:
+        """Consume a complete framed byte stream (segments + trailer)."""
         if self._finished:
             raise SkywayStreamError("stream already finished")
         decoder = IncrementalStreamDecoder(self.runtime, receiver=self.receiver)
         with obs.span("recv.accept", clock=self.runtime.jvm.clock):
-            if data is None:
-                if self._transport is None:
-                    raise SkywayStreamError(
-                        "accept() without data requires a transport"
-                    )
-                self._transport.pump(decoder)
-            else:
-                decoder.feed(data)
+            decoder.feed(data)
             self._roots = decoder.finish()
         self._buffer_token = self.runtime.track_input_buffer(
             self.receiver, self._roots

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import random
 import weakref
+import zlib
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
@@ -54,7 +55,9 @@ class JVM:
         self.gc = GarbageCollector(self.heap, self.handles)
         self.clock = clock if clock is not None else SimClock(name)
         self.cost_model = cost_model
-        self._hash_rng = random.Random(hash_seed ^ hash(name))
+        # crc32, not hash(): str hashes are salted per process, and identity
+        # hashcodes (mark-word bytes) must repeat run to run.
+        self._hash_rng = random.Random(hash_seed ^ zlib.crc32(name.encode()))
         #: Attached Skyway runtime, if any (set by SkywayRuntime.attach).
         self.skyway: Optional[Any] = None
         # GC pauses and tallies feed the obs snapshot alongside the wire

@@ -40,10 +40,8 @@ from repro.transport.pipeline import (
     DEFAULT_CHUNK_BYTES,
     DEFAULT_QUEUE_CHUNKS,
     ChunkPipeline,
-    pump_stream,
 )
 from repro.transport.worker import (
-    SERVE_MODES,
     WorkerServer,
     WorkerSpec,
     worker_main,
@@ -60,7 +58,6 @@ __all__ = [
     "LocalAsyncWorker",
     "MuxEpochClient",
     "RemoteWorkerError",
-    "SERVE_MODES",
     "TransportClosed",
     "TransportError",
     "TransportMetrics",
@@ -72,7 +69,6 @@ __all__ = [
     "WorkerStartupError",
     "connect_with_retry",
     "graph_digest",
-    "pump_stream",
     "semantic_graph_digest",
     "worker_main",
 ]

@@ -1,11 +1,10 @@
-"""The async worker front-end: one event loop, thousands of channels.
+"""The worker's server: one event loop, thousands of channels.
 
-The thread-per-connection server (:class:`~repro.transport.worker
-.WorkerServer.serve_forever`) spends its concurrency budget on OS threads
+Thread-per-connection serving spends its concurrency budget on OS threads
 and its cycles on lock convoys — at a thousand delta channels it is the
-saturation wall the managed-server-throughput literature predicts.  This
-module serves the *same wire protocol* from a single ``selectors`` event
-loop instead:
+saturation wall the managed-server-throughput literature predicts.  Every
+worker connection is therefore served from a single ``selectors`` event
+loop:
 
 * **Non-blocking frame codec.**  Each connection owns a
   :class:`~repro.transport.frames.FrameDecoder` (already incremental) and
@@ -13,8 +12,9 @@ loop instead:
   take and the state machine advances one complete frame at a time.
 
 * **Per-connection → per-channel state machine.**  The classic per-call
-  protocol (HELLO → TRACE? → CALL → DATA*/TRAILER → RESULT) is served
-  exactly as the threaded worker does, one op in flight per connection.
+  protocol (HELLO → TRACE? → CALL → DATA*/TRAILER → RESULT) runs one op
+  in flight per connection; a streaming op is armed at its CALL and
+  completed at its TRAILER through one table (``_STREAM_OPS``).
   On top of it, a *multiplexed* mode: an EPOCH frame arriving with no
   classic op active opens a per-channel stream, ``MUX_DATA`` frames
   (channel id + chunk) interleave freely across channels on one socket,
@@ -33,11 +33,10 @@ loop instead:
   only more reads can complete) resumes immediately — over the mark,
   reads throttle to apply progress rather than stopping outright.
 
-* **Identical heap effects.**  Every byte that mutates the heap goes
-  through the same ``WorkerServer.complete_*`` path the threaded ops use,
-  under the same state lock, producing the same digests, tallies, and
-  clock accounting.  The threaded front-end stays available behind
-  ``WorkerSpec(serve_mode="threads")`` as the executable spec.
+* **One way onto the heap.**  Every byte that mutates the heap goes
+  through the ``WorkerServer.complete_*`` methods under the state lock —
+  classic stream or mux channel, the digests, tallies, and clock
+  accounting come from the same code.
 
 * **One process, one loop.**  The cluster heartbeat
   (:meth:`WorkerMembership.beat_once`) fires from the loop on the jittered
@@ -46,19 +45,19 @@ loop instead:
 
 Failure taxonomy: protocol-fatal conditions (CRC mismatch, unknown frame,
 trailer total/CRC/count mismatch, unknown op) answer one ERROR frame and
-close the connection, exactly like the threaded worker.  In mux mode a
-*per-channel* failure — above all :class:`DeltaStaleError`, the NACK — is
-answered as a RESULT with ``ok=false`` naming the error kind, so one stale
-channel cannot kill the other thousand sharing the socket.
+close the connection.  In mux mode a *per-channel* failure — above all
+:class:`DeltaStaleError`, the NACK — is answered as a RESULT with
+``ok=false`` naming the error kind, so one stale channel cannot kill the
+other thousand sharing the socket.
 
-Divergence from the threaded worker, by design: an idle connection with
-no op or stream in flight is kept open indefinitely (the threaded worker
-reaps it after ``read_timeout``); only a connection stalled *mid-stream*
-is timed out.
+An idle connection with no op or stream in flight is kept open
+indefinitely (a thousand persistent channels rely on it); only a
+connection stalled *mid-stream* is timed out after ``read_timeout``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import select
 import selectors
 import socket
@@ -69,7 +68,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.streams import IncrementalStreamDecoder
+from repro.cluster.errors import ClusterProtocolError
 from repro.transport import frames, registry_sync
 from repro.transport.bootstrap import bind_listener
 from repro.transport.connection import connect_with_retry
@@ -101,9 +100,49 @@ HIGH_WATER_BYTES = 4 * 1024 * 1024
 #: then the socket) are where the excess shows up, not the heap.
 APPLY_BATCH = 16
 
-_STREAM_OPS = ("recv_graph", "recv_blob", "recv_epoch", "put_blob")
 
-_IDLE, _EPOCH_HEADER, _STREAM = "idle", "epoch_header", "stream"
+def _check_trailer(what: str, promised: Tuple[int, int, int],
+                   received: Tuple[int, int, int]) -> None:
+    """The stream-trailer cross-check, classic TRAILER and MUX_TRAILER
+    alike: ``(total bytes, whole-stream CRC32, chunk count)`` as the sender
+    promised them against what actually arrived.  A mismatch is
+    protocol-fatal — the bytes already fed cannot be trusted."""
+    (total, crc, chunks), (got_total, got_crc, got_chunks) = promised, received
+    if got_total != total:
+        raise TransportClosed(
+            f"{what} promised {total} stream bytes, received {got_total}"
+        )
+    if got_chunks != chunks:
+        raise TransportClosed(
+            f"{what} promised {chunks} chunks, received {got_chunks}"
+        )
+    if got_crc != crc:
+        raise TransportClosed(
+            f"whole-stream CRC mismatch: {what} {crc:#010x}, "
+            f"received {got_crc:#010x}"
+        )
+
+
+class _CallStream:
+    """The classic streaming op in flight on a connection: armed at its
+    CALL, fed by DATA frames, completed at its TRAILER."""
+
+    __slots__ = ("op", "call", "sink", "total", "crc", "chunks", "header",
+                 "started")
+
+    def __init__(self, op: str, call: dict, sink) -> None:
+        self.op = op
+        self.call = call
+        #: IncrementalStreamDecoder or _BlobSink; ``None`` while a
+        #: recv_epoch still waits for its EPOCH header.
+        self.sink = sink
+        self.total = 0
+        self.crc = 0
+        self.chunks = 0
+        #: recv_epoch only: ``(channel id, epoch, kind)`` from the EPOCH
+        #: header, and that header's arrival stamp.
+        self.header: Optional[Tuple[int, int, int]] = None
+        self.started = 0.0
 
 
 class _MuxStream:
@@ -149,9 +188,7 @@ class _ReadyEpoch:
 
 class _AsyncConn:
     """Per-connection state: decoder in, byte buffer out, one state
-    machine.  ``send_frame`` matches :class:`FrameConnection`'s signature
-    so ``WorkerServer._handshake`` (and the non-streaming op handlers)
-    work against either front-end unchanged."""
+    machine."""
 
     def __init__(self, server: "AsyncWorkerServer",
                  sock: socket.socket) -> None:
@@ -165,16 +202,8 @@ class _AsyncConn:
         self.registered = False
         self.events = 0
         self.last_activity = time.monotonic()
-        # classic (one-op-at-a-time) state
-        self.mode = _IDLE
-        self.op: Optional[str] = None
-        self.call: Optional[dict] = None
-        self.sink = None  # IncrementalStreamDecoder or _BlobSink
-        self.stream_total = 0
-        self.stream_crc = 0
-        self.stream_chunks = 0
-        self.epoch_header: Optional[Tuple[int, int, int]] = None
-        self.epoch_started = 0.0
+        # classic (one-op-at-a-time) state; ``stream is None`` = idle
+        self.stream: Optional[_CallStream] = None
         self.trace_pending: Optional[Tuple[str, str]] = None
         self.op_trace: Optional[Tuple[str, str]] = None
         # multiplexed state
@@ -183,10 +212,6 @@ class _AsyncConn:
         self.ready: deque = deque()
         self.pending_per_channel: Dict[int, int] = {}
         self.queued_bytes = 0
-
-    @property
-    def mid_op(self) -> bool:
-        return self.mode != _IDLE or bool(self.mux_open) or bool(self.ready)
 
     def send_frame(self, ftype: int, payload: bytes = b"") -> None:
         data = frames.encode_frame(ftype, payload)
@@ -201,7 +226,7 @@ class AsyncWorkerServer:
     The core owns the runtime, metrics, op handlers, and the state lock;
     this class owns sockets, scheduling, and backpressure.  Everything
     that touches the heap funnels through the core's ``complete_*``
-    methods, so the two front-ends are bit-identical where it counts.
+    methods.
     """
 
     def __init__(
@@ -231,8 +256,7 @@ class AsyncWorkerServer:
         self.epoch_failures = 0
         self.reads_paused_total = 0
         self.queue_waits: List[float] = []
-        # Surface loop counters through the classic ``stats`` op.
-        core.aserve_stats = self.stats_snapshot
+        core.loop = self  # the ``stats`` op reads :meth:`stats_snapshot`
 
     def attach_membership(self, membership) -> None:
         """Adopt a registered :class:`WorkerMembership`: the loop beats it
@@ -408,8 +432,8 @@ class AsyncWorkerServer:
             self._conns.remove(conn)
 
     def _fail_conn(self, conn: _AsyncConn, exc: Exception) -> None:
-        """Threaded-worker parity: one ERROR frame naming the exception
-        type, then the connection closes (after the buffer flushes)."""
+        """One ERROR frame naming the exception type, then the connection
+        closes (after the buffer flushes)."""
         self.core.log.warning(
             "op failed, answering ERROR: %s: %s", type(exc).__name__, exc,
         )
@@ -450,21 +474,20 @@ class AsyncWorkerServer:
             conn.trace_pending = frames.decode_trace(payload)
             conn.mux_trace = conn.trace_pending
             return
-        if conn.mode == _STREAM:
-            self._on_stream_frame(conn, ftype, payload)
-            return
-        if conn.mode == _EPOCH_HEADER:
+        stream = conn.stream
+        if stream is not None and stream.sink is None:
             if ftype != frames.EPOCH:
                 raise TransportError(
                     f"protocol violation: expected EPOCH after a "
                     f"recv_epoch CALL, peer sent {frames.frame_name(ftype)}"
                 )
-            channel_id, epoch, kind = frames.decode_epoch_header(payload)
-            self.core._check_channel_id(channel_id)
-            conn.epoch_header = (channel_id, epoch, kind)
-            conn.epoch_started = time.monotonic()
-            conn.sink = _BlobSink()
-            conn.mode = _STREAM
+            stream.header = frames.decode_epoch_header(payload)
+            self.core._check_channel_id(stream.header[0])
+            stream.started = time.monotonic()
+            stream.sink = _BlobSink()
+            return
+        if stream is not None:
+            self._on_stream_frame(conn, stream, ftype, payload)
             return
         # idle: a fresh classic CALL, or the multiplexed sub-protocol
         if ftype == frames.CALL:
@@ -487,134 +510,130 @@ class AsyncWorkerServer:
     def _start_call(self, conn: _AsyncConn, call: dict) -> None:
         op = call.get("op")
         handler = self.core._OPS.get(op)
-        if handler is None:
+        stream_op = self._STREAM_OPS.get(op)
+        if handler is None and stream_op is None:
             raise TransportError(f"unknown op {op!r}")
         self.core.log.debug("serving op %s", op)
         conn.op_trace, conn.trace_pending = conn.trace_pending, None
-        if op not in _STREAM_OPS:
-            self._finish_call(conn, op,
-                              lambda: handler(self.core, conn, call))
+        if handler is not None:
+            self._finish_call(conn, op, lambda: handler(self.core, call))
             return
-        # streaming op: arm the assembly state, complete at the TRAILER
-        conn.op = op
-        conn.call = call
-        conn.stream_total = 0
-        conn.stream_crc = 0
-        conn.stream_chunks = 0
-        if op == "recv_graph":
-            conn.sink = self.core.start_recv_graph()
-            conn.mode = _STREAM
-        elif op == "recv_epoch":
-            conn.mode = _EPOCH_HEADER
-        else:  # recv_blob / put_blob
-            if op == "put_blob" and not call.get("key"):
-                from repro.cluster.errors import ClusterProtocolError
+        # streaming op: arm the sink now, complete at the TRAILER
+        make_sink, _complete = stream_op
+        conn.stream = _CallStream(op, call, make_sink(self, call))
 
-                raise ClusterProtocolError(
-                    "put_blob requires a non-empty key"
-                )
-            conn.sink = _BlobSink()
-            conn.mode = _STREAM
+    @contextlib.contextmanager
+    def _adopted(self, trace: Optional[Tuple[str, str]]):
+        """Point the process-global tracer at one connection's trace for
+        the duration of that connection's own work (a classic op, a mux
+        apply), so interleaved work from other traced connections does not
+        land under it.  Yields the tracer, or ``None`` when the connection
+        sent no TRACE."""
+        if trace is None:
+            yield None
+            return
+        trace_id, parent_span = trace
+        tracer = obs.enable(process=f"worker:{self.core.spec.name}",
+                            trace_id=trace_id or None)
+        tracer.adopt_remote(parent_span or None)
+        try:
+            yield tracer
+        finally:
+            tracer.clear_remote()
 
     def _finish_call(self, conn: _AsyncConn, op: str, run) -> None:
         """Run an op body (immediately for plain CALLs, at the TRAILER for
-        streaming ones), honoring a pending TRACE exactly as the threaded
-        ``_traced_call`` does, and answer the RESULT."""
-        if conn.op_trace is not None:
-            trace_id, parent_span = conn.op_trace
-            conn.op_trace = None
-            tracer = obs.enable(
-                process=f"worker:{self.core.spec.name}",
-                trace_id=trace_id or None,
-            )
-            tracer.adopt_remote(parent_span or None)
-            try:
+        streaming ones) and answer the RESULT.  After a TRACE frame the op
+        runs inside a ``worker.<op>`` span and its spans ship back inside
+        the RESULT under ``"trace"``."""
+        trace, conn.op_trace = conn.op_trace, None
+        with self._adopted(trace) as tracer:
+            if tracer is None:
+                result = run()
+            else:
                 mark = tracer.mark()
                 with tracer.span(f"worker.{op}",
                                  clock=self.core.runtime.jvm.clock):
                     result = run()
                 result["trace"] = tracer.export_payload(tracer.drain(mark))
-            finally:
-                tracer.clear_remote()
-        else:
-            result = run()
         conn.send_frame(frames.RESULT, frames.encode_json(result))
 
-    def _on_stream_frame(self, conn: _AsyncConn, ftype: int,
-                         payload: bytes) -> None:
+    def _on_stream_frame(self, conn: _AsyncConn, stream: _CallStream,
+                         ftype: int, payload: bytes) -> None:
         if ftype == frames.DATA:
-            conn.stream_chunks += 1
-            conn.stream_total += len(payload)
-            conn.stream_crc = zlib.crc32(payload, conn.stream_crc)
+            stream.chunks += 1
+            stream.total += len(payload)
+            stream.crc = zlib.crc32(payload, stream.crc)
             self.core.metrics.note_chunk_received()
             with self.core.metrics.phase("receive"), self.core._state_lock:
-                conn.sink.feed(payload)
+                stream.sink.feed(payload)
             return
         if ftype != frames.TRAILER:
             raise TransportError(
                 f"protocol violation: expected DATA/TRAILER mid-stream, "
                 f"peer sent {frames.frame_name(ftype)}"
             )
-        expected_total, expected_crc, expected_chunks = \
-            frames.decode_trailer(payload)
-        if conn.stream_total != expected_total:
-            raise TransportClosed(
-                f"trailer promised {expected_total} stream bytes, "
-                f"received {conn.stream_total}"
-            )
-        if conn.stream_chunks != expected_chunks:
-            raise TransportClosed(
-                f"trailer promised {expected_chunks} chunks, received "
-                f"{conn.stream_chunks}"
-            )
-        if conn.stream_crc != expected_crc:
-            raise TransportClosed(
-                f"whole-stream CRC mismatch: trailer {expected_crc:#010x}, "
-                f"received {conn.stream_crc:#010x}"
-            )
-        op, call, sink = conn.op, conn.call, conn.sink
-        total = conn.stream_total
-        header = conn.epoch_header
-        conn.mode = _IDLE
-        conn.op = conn.call = conn.sink = conn.epoch_header = None
-        core = self.core
-        clock = core.runtime.jvm.clock
-        # ``recv.receive`` parity: the threaded worker's span covers its
-        # blocking pump; here arrival overlapped the loop, so the span
-        # marks the (short) materialization and says so.
-        if op == "recv_graph":
-            def run():
-                with obs.span("recv.receive", clock=clock,
-                              stream_bytes=total, overlapped=True):
-                    pass
-                return core.complete_recv_graph(
-                    sink, total, retain=bool(call.get("retain", False)))
-        elif op == "recv_blob":
-            def run():
-                with obs.span("recv.receive", clock=clock,
-                              stream_bytes=total, overlapped=True):
-                    data = bytes(sink.data)
-                return core.complete_recv_blob(data)
-        elif op == "put_blob":
-            def run():
-                with obs.span("recv.receive", clock=clock,
-                              stream_bytes=total, overlapped=True):
-                    data = bytes(sink.data)
-                return core.complete_put_blob(call.get("key"), data)
-        else:  # recv_epoch — DeltaStaleError propagates: ERROR + close
-            channel_id, epoch, kind = header
-            receive_s = time.monotonic() - conn.epoch_started
+        _check_trailer("trailer", frames.decode_trailer(payload),
+                       (stream.total, stream.crc, stream.chunks))
+        conn.stream = None
+        _make_sink, complete = self._STREAM_OPS[stream.op]
+        attrs = {"stream_bytes": stream.total, "overlapped": True}
+        if stream.header is not None:
+            attrs["channel"], attrs["epoch"] = stream.header[:2]
 
-            def run():
-                with obs.span("recv.receive", clock=clock,
-                              channel=channel_id, epoch=epoch,
-                              stream_bytes=total, overlapped=True):
-                    data = bytes(sink.data)
-                return core.complete_recv_epoch(
-                    channel_id, epoch, kind, data, total,
-                    digest=call.get("digest", True),
-                    receive_seconds=receive_s)
-        self._finish_call(conn, op, run)
+        def run():
+            # Arrival overlapped the loop chunk by chunk, so there is no
+            # blocking receive to time: the span marks where it ended.
+            with obs.span("recv.receive", clock=self.core.runtime.jvm.clock,
+                          **attrs):
+                pass
+            return complete(self, stream)
+
+        self._finish_call(conn, stream.op, run)
+
+    # -- streaming ops: make the sink at the CALL, complete at the TRAILER --
+
+    def _graph_sink(self, call: dict):
+        return self.core.start_recv_graph()
+
+    def _blob_sink(self, call: dict):
+        return _BlobSink()
+
+    def _keyed_blob_sink(self, call: dict):
+        if not call.get("key"):
+            raise ClusterProtocolError("put_blob requires a non-empty key")
+        return _BlobSink()
+
+    def _epoch_sink(self, call: dict):
+        return None  # armed by the EPOCH header that must come next
+
+    def _complete_graph(self, stream: _CallStream) -> dict:
+        return self.core.complete_recv_graph(
+            stream.sink, stream.total,
+            retain=bool(stream.call.get("retain", False)))
+
+    def _complete_blob(self, stream: _CallStream) -> dict:
+        return self.core.complete_recv_blob(bytes(stream.sink.data))
+
+    def _complete_put_blob(self, stream: _CallStream) -> dict:
+        return self.core.complete_put_blob(
+            stream.call.get("key"), bytes(stream.sink.data))
+
+    def _complete_epoch(self, stream: _CallStream) -> dict:
+        # DeltaStaleError propagates: on a classic stream the NACK is
+        # ERROR + close.
+        channel_id, epoch, kind = stream.header
+        return self.core.complete_recv_epoch(
+            channel_id, epoch, kind, bytes(stream.sink.data), stream.total,
+            digest=stream.call.get("digest", True),
+            receive_seconds=time.monotonic() - stream.started)
+
+    _STREAM_OPS = {
+        "recv_graph": (_graph_sink, _complete_graph),
+        "recv_blob": (_blob_sink, _complete_blob),
+        "put_blob": (_keyed_blob_sink, _complete_put_blob),
+        "recv_epoch": (_epoch_sink, _complete_epoch),
+    }
 
     # -- multiplexed streams -----------------------------------------------
 
@@ -669,14 +688,9 @@ class AsyncWorkerServer:
             }))
             return
         received = len(stream.buf)
-        if received != total or stream.chunks != chunks \
-                or stream.crc != crc:
-            raise TransportClosed(
-                f"mux trailer for channel {channel_id} promised "
-                f"{total} bytes / {chunks} chunks / crc {crc:#010x}, "
-                f"received {received} / {stream.chunks} / "
-                f"{stream.crc:#010x}"
-            )
+        _check_trailer(f"mux trailer for channel {channel_id}",
+                       (total, crc, chunks),
+                       (received, stream.crc, stream.chunks))
         conn.ready.append(_ReadyEpoch(
             channel_id, stream.epoch, stream.kind, bytes(stream.buf),
             received, digest,
@@ -746,19 +760,11 @@ class AsyncWorkerServer:
             conn.pending_per_channel[item.channel_id] = left
         else:
             conn.pending_per_channel.pop(item.channel_id, None)
-        tracer = None
-        if conn.mux_trace is not None:
-            # Point the process-global tracer at *this connection's*
-            # trace for the duration of the apply, so interleaved applies
-            # from other traced connections don't land under it.
-            trace_id, parent_span = conn.mux_trace
-            tracer = obs.enable(process=f"worker:{self.core.spec.name}",
-                                trace_id=trace_id or None)
-            tracer.adopt_remote(parent_span or None)
         try:
-            with obs.span("aserve.apply", channel=item.channel_id,
-                          epoch=item.epoch, queue_wait_s=wait,
-                          clock=self.core.runtime.jvm.clock):
+            with self._adopted(conn.mux_trace), \
+                    obs.span("aserve.apply", channel=item.channel_id,
+                             epoch=item.epoch, queue_wait_s=wait,
+                             clock=self.core.runtime.jvm.clock):
                 result = self.core.complete_recv_epoch(
                     item.channel_id, item.epoch, item.kind, item.data,
                     item.stream_bytes, digest=item.digest,
@@ -780,9 +786,6 @@ class AsyncWorkerServer:
                 "channel_id": item.channel_id, "epoch": item.epoch,
                 "error_kind": type(exc).__name__, "error": str(exc),
             }
-        finally:
-            if tracer is not None:
-                tracer.clear_remote()
         try:
             conn.send_frame(frames.RESULT, frames.encode_json(result))
         except TransportError:  # pragma: no cover - oversized result
@@ -798,16 +801,16 @@ class AsyncWorkerServer:
             self._next_beat = time.monotonic() + self.membership.next_wait()
 
     def _reap_stalled(self) -> None:
-        """Time out connections stalled *mid-stream* (threaded parity:
-        its socket read would have raised after ``read_timeout``).  Idle
-        connections between ops live forever — that is the divergence a
-        thousand persistent channels rely on."""
+        """Time out connections stalled *mid-stream*.  Idle connections
+        between ops live forever — a thousand persistent channels rely on
+        it."""
         timeout = self.core.spec.read_timeout
         if not timeout:
             return
         now = time.monotonic()
         for conn in list(self._conns):
-            if (conn.mode != _IDLE or conn.mux_open) and not conn.paused \
+            if (conn.stream is not None or conn.mux_open) \
+                    and not conn.paused \
                     and now - conn.last_activity > timeout:
                 self._fail_conn(conn, TransportTimeout(
                     f"stream stalled for {timeout:.1f}s mid-op"

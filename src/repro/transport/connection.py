@@ -137,21 +137,6 @@ class FrameConnection:
             f"peer sent {frames.frame_name(got)}"
         )
 
-    def expect_frame_oneof(self, ftypes: Tuple[int, ...]) -> Tuple[int, bytes]:
-        """Like :meth:`expect_frame` for several acceptable types; returns
-        ``(type, payload)``."""
-        got, payload = self.recv_frame()
-        if got in ftypes:
-            return got, payload
-        if got == frames.ERROR:
-            kind, message = frames.decode_error(payload)
-            raise RemoteWorkerError(kind, message)
-        wanted = "/".join(frames.frame_name(t) for t in ftypes)
-        raise TransportClosed(
-            f"protocol violation: expected {wanted}, "
-            f"peer sent {frames.frame_name(got)}"
-        )
-
     def pending_remote_error(self, wait: float = 0.25) -> Optional[RemoteWorkerError]:
         """Best-effort peek for an ERROR frame after a send failed.
 

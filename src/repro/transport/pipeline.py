@@ -22,7 +22,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import zlib
 from typing import Optional
 
 from repro import obs
@@ -175,44 +174,3 @@ class ChunkPipeline:
     def chunks(self) -> int:
         return self._chunks
 
-
-def pump_stream(connection: FrameConnection, decoder,
-                metrics: Optional[TransportMetrics] = None) -> int:
-    """The ``transport=`` source for :class:`SkywayObjectInputStream`.
-
-    Reads DATA frames, feeding each payload to the incremental stream
-    decoder as it lands (placement overlaps arrival), until the TRAILER —
-    then cross-checks byte count, whole-stream CRC32, and chunk count.
-    Returns total stream bytes received.
-    """
-    if metrics is None:
-        metrics = connection.metrics
-    running_crc = 0
-    total = 0
-    chunks = 0
-    while True:
-        payload = connection.expect_frame_oneof((frames.DATA, frames.TRAILER))
-        ftype, body = payload
-        if ftype == frames.DATA:
-            chunks += 1
-            total += len(body)
-            running_crc = zlib.crc32(body, running_crc)
-            metrics.note_chunk_received()
-            decoder.feed(body)
-            continue
-        expected_total, expected_crc, expected_chunks = frames.decode_trailer(body)
-        if total != expected_total:
-            raise TransportClosed(
-                f"trailer promised {expected_total} stream bytes, "
-                f"received {total}"
-            )
-        if chunks != expected_chunks:
-            raise TransportClosed(
-                f"trailer promised {expected_chunks} chunks, received {chunks}"
-            )
-        if running_crc != expected_crc:
-            raise TransportClosed(
-                f"whole-stream CRC mismatch: trailer {expected_crc:#010x}, "
-                f"received {running_crc:#010x}"
-            )
-        return total

@@ -1,7 +1,10 @@
-"""The Skyway worker process: a socket server around a receiving runtime.
+"""The Skyway worker process: a receiving runtime and its op handlers.
 
 One worker = one spawned process = one JVM + Skyway runtime, listening on a
-loopback TCP port.  The protocol per connection:
+loopback TCP port.  Every connection is served by the one selector event
+loop in :mod:`repro.transport.aserve`; this module owns what the loop
+serves — the runtime, the op handlers, and the state lock.  The protocol
+per connection:
 
 1. HELLO / HELLO_ACK — registry convergence (:mod:`registry_sync`).  A
    driver may re-HELLO on the same connection after loading new classes;
@@ -11,19 +14,19 @@ loopback TCP port.  The protocol per connection:
 3. BYE ends the connection; the worker keeps accepting new ones (this is
    what lets a driver's retry/backoff recover from a killed connection).
 
-Connections are served one thread each, so a driver can hold N streams
-open at once (the multi-stream parallel send).  Everything that mutates
-shared state — the heap, the class loader, the registry, placement — runs
-under one server-wide lock taken per *chunk*, not per stream: socket reads
-stay concurrent while heap mutation stays serialized, so N arriving
-streams interleave placement the way the paper's per-thread output buffers
-interleave on the send side (§4.2).
+A driver can hold N streams open at once (the multi-stream parallel
+send).  Everything that mutates shared state — the heap, the class loader,
+the registry, placement — runs under one server-wide lock taken per
+*chunk*, not per stream, so N arriving streams interleave placement the
+way the paper's per-thread output buffers interleave on the send side
+(§4.2).
 
 Any exception inside an op is reported as one ERROR frame naming the
 exception type, then the connection closes — mid-stream state is
 unrecoverable, a fresh connection is not.
 
-Ops:
+Ops (the data-bearing ones are armed and completed by the loop's
+streaming-op table; their ``complete_*`` halves live here):
 
 ``ping``
     Echo, for liveness and handshake tests.
@@ -45,9 +48,9 @@ Ops:
     naming ``DeltaStaleError`` — the cross-process NACK the sender reacts
     to by forcing its next epoch full.
 ``stats``
-    Runtime + transport counters.
+    Runtime + transport + event-loop counters.
 ``shutdown``
-    Acknowledge, then exit the accept loop.
+    Acknowledge, then exit the loop.
 """
 
 from __future__ import annotations
@@ -55,11 +58,10 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
-import socket
 import threading
 import time
 import zlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro import obs
 from repro.cluster.errors import ClusterProtocolError, PeerGoneError
@@ -68,23 +70,9 @@ from repro.delta.channel import DeltaReceiveEndpoint, DeltaSendChannel
 from repro.delta.wire import FRAME_DELTA, FRAME_FULL, DeltaFrame, parse_frame
 from repro.transport import frames, registry_sync
 from repro.transport.bootstrap import MB, bind_listener, build_runtime
-from repro.transport.connection import FrameConnection
 from repro.transport.digest import graph_digest, semantic_graph_digest
-from repro.transport.errors import (
-    RemoteWorkerError,
-    TransportClosed,
-    TransportError,
-)
+from repro.transport.errors import RemoteWorkerError, TransportError
 from repro.transport.metrics import TransportMetrics
-from repro.transport.pipeline import pump_stream
-
-
-#: The two worker front-ends.  ``async`` (the default) serves every
-#: connection from one selector event loop (:mod:`repro.transport.aserve`)
-#: and scales to thousands of concurrent channels; ``threads`` is the
-#: original thread-per-connection server kept as the executable spec —
-#: bytes, digests, and clock accounting are identical between the two.
-SERVE_MODES = ("async", "threads")
 
 
 @dataclasses.dataclass
@@ -98,10 +86,7 @@ class WorkerSpec:
     read_timeout: float = 10.0
     young_bytes: int = 4 * MB
     old_bytes: int = 64 * MB
-    #: Which front-end serves connections: ``"async"`` (one event loop) or
-    #: ``"threads"`` (one thread per connection, the executable spec).
-    serve_mode: str = "async"
-    #: Listen backlog.  The async loop accepts thousands of near-
+    #: Listen backlog.  The event loop accepts thousands of near-
     #: simultaneous connects (B-FANIN opens them in a burst), so the
     #: default is far above ``bind_listener``'s conservative 8.
     listen_backlog: int = 128
@@ -122,39 +107,10 @@ class WorkerSpec:
     telemetry: bool = True
 
 
-class _ConnPump:
-    """Adapter giving ``SkywayObjectInputStream`` its ``transport.pump``."""
-
-    def __init__(self, conn: FrameConnection) -> None:
-        self._conn = conn
-        self.stream_bytes = 0
-
-    def pump(self, decoder) -> None:
-        self.stream_bytes = pump_stream(self._conn, decoder)
-
-
-class _LockedDecoder:
-    """Serialize a concurrent receive at chunk granularity.
-
-    Each connection thread reads its own socket, but every byte a decoder
-    turns into heap mutation (segment placement, class loading, registry
-    lookups) runs under the server-wide state lock.  Locking per chunk
-    rather than per stream is what lets N parallel streams interleave
-    placement — the receive half of the multi-stream send."""
-
-    def __init__(self, decoder: IncrementalStreamDecoder,
-                 lock: threading.Lock) -> None:
-        self._decoder = decoder
-        self._lock = lock
-
-    def feed(self, chunk: bytes) -> None:
-        with self._lock:
-            self._decoder.feed(chunk)
-
-
 class _BlobSink:
-    """A trivial decoder standing in for the stream decoder: recv_blob
-    pumps opaque bytes (e.g. Java-serializer broadcast payloads)."""
+    """A trivial decoder standing in for the stream decoder: blob and
+    epoch streams are opaque bytes (e.g. Java-serializer broadcast
+    payloads, delta-wire frames) reassembled before they are applied."""
 
     def __init__(self) -> None:
         self.data = bytearray()
@@ -177,13 +133,12 @@ class WorkerServer:
         self.graphs_received = 0
         self.epochs_received = 0
         #: One lock guards every mutation of shared runtime state (heap,
-        #: loader, registry, placement, tallies).  Connection threads take
-        #: it per chunk, so streams interleave without interleaving *inside*
-        #: an object placement.
+        #: loader, registry, placement, tallies).  The loop takes it per
+        #: chunk, so streams interleave without interleaving *inside* an
+        #: object placement.
         self._state_lock = threading.Lock()
-        self._conn_threads: List[threading.Thread] = []
         #: Channel ids the coordinator admitted on this worker
-        #: (``admit_channel``); consulted by recv_epoch in strict mode.
+        #: (``admit_channel``); consulted at every EPOCH header in strict mode.
         self._admitted: Set[int] = set()
         #: Named blob store (``put_blob`` / ``send_blob_peer``): the
         #: fleet's shuffle-bucket mirror.
@@ -197,39 +152,30 @@ class WorkerServer:
         #: Set by worker_main in fleet mode; carries the generation the
         #: coordinator assigned this incarnation.
         self.membership = None
+        #: The :class:`~repro.transport.aserve.AsyncWorkerServer` serving
+        #: this core (it sets this on construction); ``stats`` reads its
+        #: counters.
+        self.loop = None
         #: Structured, attributable diagnostics: one logger per worker id,
         #: level picked up from REPRO_LOG_LEVEL in :func:`worker_main`.
         self.log = logging.getLogger(f"repro.worker.{spec.name}")
 
     # -- op handlers -------------------------------------------------------
 
-    def _op_ping(self, conn: FrameConnection, call: dict) -> dict:
+    def _op_ping(self, call: dict) -> dict:
         return {"op": "ping", "echo": call.get("echo"),
                 "worker": self.spec.name}
 
-    def _op_recv_graph(self, conn: FrameConnection, call: dict) -> dict:
-        lock = self._state_lock
-        decoder = self.start_recv_graph()
-        pump = _ConnPump(conn)
-        with self.metrics.phase("receive"), \
-                obs.span("recv.receive", clock=self.runtime.jvm.clock):
-            pump.pump(_LockedDecoder(decoder, lock))
-        return self.complete_recv_graph(
-            decoder, pump.stream_bytes, retain=bool(call.get("retain", False))
-        )
-
     def start_recv_graph(self) -> IncrementalStreamDecoder:
         """A fresh stream decoder for one ``recv_graph``; every ``feed``
-        must run under the state lock (``_LockedDecoder``) unless the
-        caller is the single-threaded event loop."""
+        must run under the state lock."""
         with self._state_lock:
             return IncrementalStreamDecoder(self.runtime)
 
     def complete_recv_graph(self, decoder: IncrementalStreamDecoder,
                             stream_bytes: int, retain: bool) -> dict:
         """Everything after the last chunk: finish placement, digest,
-        tally, unpin.  Shared by the threaded and async front-ends so
-        results (and heap effects) are identical."""
+        tally, unpin."""
         with self._state_lock:
             roots = decoder.finish()
             receiver = decoder.receiver
@@ -251,12 +197,6 @@ class WorkerServer:
                 self.runtime.free_input_buffer(token)
         return result
 
-    def _op_recv_blob(self, conn: FrameConnection, call: dict) -> dict:
-        sink = _BlobSink()
-        with self.metrics.phase("receive"), obs.span("recv.receive"):
-            pump_stream(conn, sink)
-        return self.complete_recv_blob(bytes(sink.data))
-
     def complete_recv_blob(self, data: bytes) -> dict:
         return {
             "op": "recv_blob",
@@ -266,8 +206,8 @@ class WorkerServer:
 
     def _check_channel_id(self, channel_id: int) -> None:
         """The mis-route guard: a typed rejection beats a silent placement
-        into the wrong channel state.  Raised *before* any stream byte is
-        pumped, so nothing lands on this heap."""
+        into the wrong channel state.  Raised at the EPOCH header, *before*
+        any stream byte is buffered, so nothing lands on this heap."""
         if channel_id == 0:
             raise ClusterProtocolError(
                 "channel id 0 is reserved coordinator-wide; an EPOCH frame "
@@ -279,28 +219,11 @@ class WorkerServer:
                 f"coordinator never admitted on worker {self.spec.name!r}"
             )
 
-    def _op_recv_epoch(self, conn: FrameConnection, call: dict) -> dict:
-        header = frames.decode_epoch_header(
-            conn.expect_frame(frames.EPOCH)
-        )
-        channel_id, epoch, kind = header
-        self._check_channel_id(channel_id)
-        sink = _BlobSink()
-        started = time.monotonic()
-        with self.metrics.phase("receive"), \
-                obs.span("recv.receive", channel=channel_id, epoch=epoch):
-            stream_bytes = pump_stream(conn, sink)
-        return self.complete_recv_epoch(
-            channel_id, epoch, kind, bytes(sink.data), stream_bytes,
-            digest=call.get("digest", True),
-            receive_seconds=time.monotonic() - started,
-        )
-
     def observe_epoch(self, channel_id: int, stream_bytes: int,
                       receive_seconds: Optional[float],
                       apply_seconds: float) -> None:
-        """The telemetry plane's per-epoch observation point (shared by
-        the threaded op and the async loop).  ``receive_seconds`` covers
+        """The telemetry plane's per-epoch observation point.
+        ``receive_seconds`` covers
         EPOCH-header-to-last-chunk *as this worker saw it arrive* — a
         paced or congested wire stretches it, which is exactly the series
         the coordinator's straggler rule reads."""
@@ -320,10 +243,9 @@ class WorkerServer:
                             data: bytes, stream_bytes: int,
                             digest: bool = True,
                             receive_seconds: Optional[float] = None) -> dict:
-        """Apply one reassembled epoch frame: header cross-check, delta
-        endpoint routing, digest.  Shared by the threaded op (after
-        ``pump_stream``) and the async loop (after mux reassembly); a
-        :class:`DeltaStaleError` propagates to the caller, which turns it
+        """Apply one reassembled epoch frame (classic stream or mux
+        channel): header cross-check, delta endpoint routing, digest.  A
+        :class:`DeltaStaleError` propagates to the loop, which turns it
         into the NACK the sender reacts to."""
         apply_started = time.monotonic()
         with self._state_lock:
@@ -339,8 +261,8 @@ class WorkerServer:
                     f"{actual_kind:#x}"
                 )
             endpoint = DeltaReceiveEndpoint.for_runtime(self.runtime)
-            # DeltaStaleError propagates to the op dispatcher, which turns
-            # it into the ERROR frame the driver reads as a NACK.
+            # DeltaStaleError propagates to the loop, which answers the
+            # NACK (ERROR frame, or ok=false on a mux channel).
             roots = endpoint.receive(data)
             result = {
                 "op": "recv_epoch",
@@ -363,7 +285,7 @@ class WorkerServer:
 
     # -- fleet ops (repro.cluster) -----------------------------------------
 
-    def _op_admit_channel(self, conn: FrameConnection, call: dict) -> dict:
+    def _op_admit_channel(self, call: dict) -> dict:
         channel_id = int(call.get("channel_id", 0))
         if channel_id == 0:
             raise ClusterProtocolError(
@@ -373,15 +295,6 @@ class WorkerServer:
             self._admitted.add(channel_id)
         return {"op": "admit_channel", "channel_id": channel_id,
                 "admitted": len(self._admitted)}
-
-    def _op_put_blob(self, conn: FrameConnection, call: dict) -> dict:
-        key = call.get("key")
-        if not key:
-            raise ClusterProtocolError("put_blob requires a non-empty key")
-        sink = _BlobSink()
-        with self.metrics.phase("receive"), obs.span("recv.receive"):
-            pump_stream(conn, sink)
-        return self.complete_put_blob(key, bytes(sink.data))
 
     def complete_put_blob(self, key: str, data: bytes) -> dict:
         with self._state_lock:
@@ -425,7 +338,7 @@ class WorkerServer:
         for key in [k for k in self._peer_channels if k[0] == peer]:
             self._peer_channels.pop(key).close()
 
-    def _op_send_blob_peer(self, conn: FrameConnection, call: dict) -> dict:
+    def _op_send_blob_peer(self, call: dict) -> dict:
         key = call.get("key")
         peer = call.get("peer", "?")
         with self._state_lock:
@@ -451,7 +364,7 @@ class WorkerServer:
         return {"op": "send_blob_peer", "key": key, "peer": peer,
                 "bytes": len(data), "crc32": result["crc32"]}
 
-    def _op_send_peer(self, conn: FrameConnection, call: dict) -> dict:
+    def _op_send_peer(self, call: dict) -> dict:
         """Peer mode: clone a graph rooted on *this* heap straight into
         another worker — the shuffle route that never bounces through the
         driver.  The state lock covers heap reads (digest + framing) but
@@ -533,11 +446,10 @@ class WorkerServer:
             "nack_recovered": nack,
         }
 
-    def _op_stats(self, conn: FrameConnection, call: dict) -> dict:
-        result = {
+    def _op_stats(self, call: dict) -> dict:
+        return {
             "op": "stats",
             "worker": self.spec.name,
-            "serve_mode": self.spec.serve_mode,
             "graphs_received": self.graphs_received,
             "epochs_received": self.epochs_received,
             "peer_sends": self.peer_sends,
@@ -553,34 +465,29 @@ class WorkerServer:
                 if isinstance(v, (int, str, bool))
             },
             "transport": self.metrics.as_dict(),
+            "aserve": self.loop.stats_snapshot(),
         }
-        # The async front-end (aserve) hooks its loop counters in here so
-        # one stats op covers both serve modes.
-        aserve_stats = getattr(self, "aserve_stats", None)
-        if aserve_stats is not None:
-            result["aserve"] = aserve_stats()
-        return result
 
-    def _op_shutdown(self, conn: FrameConnection, call: dict) -> dict:
+    def _op_shutdown(self, call: dict) -> dict:
         self._running = False
         return {"op": "shutdown", "ok": True}
 
+    #: The ops answered straight from the CALL.  The data-bearing ops
+    #: (``recv_graph``, ``recv_blob``, ``recv_epoch``, ``put_blob``) are in
+    #: the loop's streaming-op table, which ends in the ``complete_*``
+    #: methods above.
     _OPS = {
         "ping": _op_ping,
-        "recv_graph": _op_recv_graph,
-        "recv_blob": _op_recv_blob,
-        "recv_epoch": _op_recv_epoch,
         "admit_channel": _op_admit_channel,
-        "put_blob": _op_put_blob,
         "send_blob_peer": _op_send_blob_peer,
         "send_peer": _op_send_peer,
         "stats": _op_stats,
         "shutdown": _op_shutdown,
     }
 
-    # -- connection loop ---------------------------------------------------
+    # -- handshake ---------------------------------------------------------
 
-    def _handshake(self, conn: FrameConnection, payload: bytes) -> None:
+    def _handshake(self, conn, payload: bytes) -> None:
         version, peer, driver_map = frames.decode_hello(payload)
         if version != frames.PROTOCOL_VERSION:
             raise TransportError(
@@ -602,123 +509,6 @@ class WorkerServer:
             peer, len(driver_map), len(extras),
         )
 
-    def serve_connection(self, conn: FrameConnection) -> None:
-        """Run one connection to completion (BYE, EOF, or a fatal op
-        error).  Op failures answer ERROR then end the connection."""
-        trace_pending = False
-        while self._running:
-            try:
-                ftype, payload = conn.recv_frame()
-            except TransportClosed:
-                return  # peer went away between calls; accept loop continues
-            if ftype == frames.BYE:
-                return
-            try:
-                if ftype == frames.HELLO:
-                    self._handshake(conn, payload)
-                    continue
-                if ftype == frames.TRACE:
-                    # Driver trace context for the next CALL: enable (or
-                    # re-point) this worker's tracer and parent this
-                    # thread's spans under the driver's current span.
-                    trace_id, parent_span = frames.decode_trace(payload)
-                    tracer = obs.enable(
-                        process=f"worker:{self.spec.name}",
-                        trace_id=trace_id or None,
-                    )
-                    tracer.adopt_remote(parent_span or None)
-                    trace_pending = True
-                    continue
-                if ftype != frames.CALL:
-                    raise TransportError(
-                        f"protocol violation: unexpected "
-                        f"{frames.frame_name(ftype)} frame between calls"
-                    )
-                call = frames.decode_json(payload, what="CALL")
-                handler = self._OPS.get(call.get("op"))
-                if handler is None:
-                    raise TransportError(f"unknown op {call.get('op')!r}")
-                self.log.debug("serving op %s", call.get("op"))
-                if trace_pending:
-                    result = self._traced_call(conn, call, handler)
-                else:
-                    result = handler(self, conn, call)
-                conn.send_frame(frames.RESULT, frames.encode_json(result))
-            except Exception as exc:  # noqa: BLE001 - reported as ERROR frame
-                self.log.warning(
-                    "op failed, answering ERROR: %s: %s",
-                    type(exc).__name__, exc,
-                )
-                # Flight-recorder the failure (PeerGoneError, the
-                # DeltaStaleError NACK, protocol rejections): the next
-                # heartbeat ships it, so the coordinator holds this
-                # worker's last moments even if the process dies now.
-                obs.record("error", error=type(exc).__name__,
-                           detail=str(exc)[:200])
-                try:
-                    conn.send_frame(
-                        frames.ERROR,
-                        frames.encode_error(type(exc).__name__, str(exc)),
-                    )
-                except TransportError:
-                    pass
-                return
-            finally:
-                if trace_pending and ftype == frames.CALL:
-                    trace_pending = False
-                    tracer = obs.get_tracer()
-                    if tracer is not None:
-                        tracer.clear_remote()
-
-    def _traced_call(self, conn: FrameConnection, call: dict,
-                     handler) -> dict:
-        """Serve one op inside a ``worker.<op>`` span and ship this
-        thread's spans back inside the RESULT under ``"trace"``."""
-        tracer = obs.get_tracer()
-        mark = tracer.mark()
-        with tracer.span(f"worker.{call.get('op')}",
-                         clock=self.runtime.jvm.clock):
-            result = handler(self, conn, call)
-        result["trace"] = tracer.export_payload(tracer.drain(mark))
-        return result
-
-    def _serve_thread(self, conn: FrameConnection) -> None:
-        try:
-            self.serve_connection(conn)
-        finally:
-            conn.close()
-
-    def serve_forever(self, listener: socket.socket) -> None:
-        """Accept loop: one daemon thread per connection, so N driver
-        streams can be in flight at once.  Shutdown drains the accept
-        loop, then joins whatever connections are still open."""
-        listener.settimeout(0.25)  # poll so shutdown can exit the loop
-        try:
-            while self._running:
-                try:
-                    sock, _addr = listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                conn = FrameConnection(
-                    sock, read_timeout=self.spec.read_timeout,
-                    metrics=self.metrics,
-                )
-                thread = threading.Thread(
-                    target=self._serve_thread, args=(conn,),
-                    name=f"skyway-conn-{len(self._conn_threads)}",
-                    daemon=True,
-                )
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive()
-                ]
-                self._conn_threads.append(thread)
-                thread.start()
-        finally:
-            for thread in self._conn_threads:
-                thread.join(timeout=5.0)
-
 
 def configure_worker_logging() -> None:
     """Structured logging for spawned workers: level from REPRO_LOG_LEVEL
@@ -738,24 +528,14 @@ def worker_main(spec: WorkerSpec, port_pipe) -> None:
     """Entry point of the spawned process.  Binds (with the bounded
     port-in-use retry — fleets spawn many workers on one host), reports
     the actual port through ``port_pipe``, registers with the coordinator
-    when the spec names one, then serves until shutdown.
-
-    ``spec.serve_mode`` picks the front-end: the selector event loop
-    (``"async"``, one thread for every connection, heartbeats included) or
-    the thread-per-connection server (``"threads"``, the executable spec,
-    with the membership heartbeat on its own daemon thread).
+    when the spec names one, then serves every connection — heartbeats
+    included — from the one event loop until shutdown.
     """
+    from repro.transport.aserve import AsyncWorkerServer  # aserve imports us
+
     configure_worker_logging()
-    if spec.serve_mode not in SERVE_MODES:
-        port_pipe.send(("error",
-                        f"WorkerStartupError: unknown serve_mode "
-                        f"{spec.serve_mode!r} (expected one of "
-                        f"{'/'.join(SERVE_MODES)})"))
-        port_pipe.close()
-        return
     listener = None
     membership = None
-    loop = None
     try:
         server = WorkerServer(spec)
         listener = bind_listener(spec.host, spec.port,
@@ -769,10 +549,7 @@ def worker_main(spec: WorkerSpec, port_pipe) -> None:
             obs.registry().register_source(
                 f"transport.{spec.name}", server.metrics.as_dict
             )
-        if spec.serve_mode == "async":
-            from repro.transport.aserve import AsyncWorkerServer
-
-            loop = AsyncWorkerServer(server)
+        loop = AsyncWorkerServer(server)
         if spec.coordinator_host:
             from repro.cluster.membership import WorkerMembership
 
@@ -786,17 +563,13 @@ def worker_main(spec: WorkerSpec, port_pipe) -> None:
                 membership.attach_telemetry(TelemetrySampler(
                     obs.registry(), recorder=recorder,
                 ))
-            if loop is not None:
-                # One process, one loop: register now (raises if the
-                # coordinator is unreachable), then the event loop owns
-                # the heartbeat cadence — no membership thread.
-                membership.register()
-                loop.attach_membership(membership)
-            else:
-                membership.start()  # raises if unreachable
+            # One process, one loop: register now (raises if the
+            # coordinator is unreachable), then the event loop owns the
+            # heartbeat cadence — no membership thread.
+            membership.register()
+            loop.attach_membership(membership)
             server.membership = membership
-        server.log.info("listening on %s:%d (%s)",
-                        spec.host, port, spec.serve_mode)
+        server.log.info("listening on %s:%d", spec.host, port)
         port_pipe.send(("ok", port))
     except Exception as exc:  # noqa: BLE001 - parent re-raises as typed error
         try:
@@ -808,10 +581,7 @@ def worker_main(spec: WorkerSpec, port_pipe) -> None:
     finally:
         port_pipe.close()
     try:
-        if loop is not None:
-            loop.serve_forever(listener)
-        else:
-            server.serve_forever(listener)
+        loop.serve_forever(listener)
     finally:
         if membership is not None:
             membership.stop()

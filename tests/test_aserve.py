@@ -1,7 +1,6 @@
-"""The async worker front-end: classic-protocol parity with the threaded
-worker, the multiplexed epoch sub-protocol, per-channel failure isolation
-(a stale delta NACKs one channel, the connection survives), and the
-``serve_mode`` dispatch in ``worker_main``."""
+"""The worker's event loop over real sockets: the classic protocol, the
+multiplexed epoch sub-protocol, and per-channel failure isolation (a stale
+delta NACKs one channel, the connection survives)."""
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.transport import (
     WorkerClient,
     WorkerHandle,
     WorkerSpec,
-    WorkerStartupError,
     semantic_graph_digest,
 )
 from repro.delta.channel import DeltaSendChannel
@@ -25,50 +23,17 @@ from tests.conftest import make_list, read_list
 DELTA_REQUEST = ChannelCapabilities(kernel=True, delta=True)
 
 
-def _spawn(mode: str, name: str) -> WorkerHandle:
+def _spawn(name: str) -> WorkerHandle:
     return WorkerHandle.spawn(WorkerSpec(
-        name=name, classpath_factory=SAMPLE_FACTORY, serve_mode=mode,
+        name=name, classpath_factory=SAMPLE_FACTORY,
     ))
-
-
-class TestServeModeDispatch:
-    def test_unknown_serve_mode_fails_startup(self):
-        with pytest.raises(WorkerStartupError, match="serve_mode"):
-            WorkerHandle.spawn(WorkerSpec(
-                name="bad-mode", classpath_factory=SAMPLE_FACTORY,
-                serve_mode="fibers",
-            ))
-
-    def test_threaded_mode_remains_the_executable_spec(
-            self, transport_driver):
-        """``serve_mode="threads"`` still serves the classic protocol —
-        the thread-per-connection worker is the spec the event loop is
-        measured against, not dead code."""
-        handle = _spawn("threads", "spec-worker")
-        client = WorkerClient(
-            transport_driver, handle.host, handle.port).connect()
-        channel = DeltaSendChannel(
-            transport_driver, "spec-worker", channel_id=3001)
-        try:
-            assert client.ping()["worker"] == "spec-worker"
-            head = make_list(transport_driver.jvm, range(12))
-            result = client.send_epoch(
-                channel.send([head]), 3001, channel.epoch)
-            assert result["digest"] == semantic_graph_digest(
-                transport_driver.jvm, [head])
-            assert "aserve" not in client.stats()
-            channel.close()
-        finally:
-            client.close()
-            handle.stop()
 
 
 class TestClassicParityOnAsync:
     def test_classic_ops_over_the_event_loop(self, transport_driver):
-        """A stock ``WorkerClient`` cannot tell the front-ends apart:
-        ping, graph send (digest-gated), and blob round-trip all behave
-        identically against the async loop."""
-        handle = _spawn("async", "async-worker")
+        """A stock ``WorkerClient`` over the loop's classic protocol:
+        ping, graph send (digest-gated), and blob round-trip."""
+        handle = _spawn("async-worker")
         client = WorkerClient(
             transport_driver, handle.host, handle.port).connect()
         channel = DeltaSendChannel(
@@ -118,7 +83,7 @@ class TestMuxEpochs:
         bootstraps, every DELTA applies, and each channel's worker-side
         digest matches the digest of *that* channel's sender graph."""
         driver = transport_driver
-        handle = _spawn("async", "mux-worker")
+        handle = _spawn("mux-worker")
         mux = MuxEpochClient(driver, handle.host, handle.port).connect()
         heads, channels, pins = [], [], []
         for i in range(12):
@@ -160,7 +125,7 @@ class TestMuxEpochs:
         protocol, the connection stays up — the same socket keeps serving
         other channels and classic ops."""
         driver = transport_driver
-        handle = _spawn("async", "nack-worker")
+        handle = _spawn("nack-worker")
         mux = MuxEpochClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(24))
         pin = driver.jvm.pin(head)
@@ -196,7 +161,7 @@ class TestMuxEpochs:
         connection: the worker skips the digest pass and the RESULT
         carries no ``"digest"`` key."""
         driver = transport_driver
-        handle = _spawn("async", "nodigest-worker")
+        handle = _spawn("nodigest-worker")
         mux = MuxEpochClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(10))
         channel = DeltaSendChannel(driver, "nodigest-worker",
@@ -222,7 +187,7 @@ class TestMuxEpochs:
         and results are keyed by channel id) — rejected up front, before
         any frame goes out, so the connection stays usable."""
         driver = transport_driver
-        handle = _spawn("async", "dup-worker")
+        handle = _spawn("dup-worker")
         mux = MuxEpochClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(6))
         channel = DeltaSendChannel(driver, "dup-worker", channel_id=6002)
@@ -244,7 +209,7 @@ class TestMuxEpochs:
         backpressure stall ``sendall`` is expected to ride out into
         ``BlockingIOError``."""
         driver = transport_driver
-        handle = _spawn("async", "blocking-worker")
+        handle = _spawn("blocking-worker")
         mux = MuxEpochClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(6))
         channel = DeltaSendChannel(driver, "blocking-worker",
@@ -267,7 +232,7 @@ class TestMuxEpochs:
         driver = transport_driver
         handle = WorkerHandle.spawn(WorkerSpec(
             name="strict-mux-worker", classpath_factory=SAMPLE_FACTORY,
-            serve_mode="async", strict_channels=True,
+            strict_channels=True,
         ))
         mux = MuxEpochClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(6))
@@ -289,7 +254,7 @@ class TestMuxEpochs:
         DELTA receipts as on a classic connection, and NACK recovery
         resends forced-full *on the same socket* (no reconnect)."""
         driver = transport_driver
-        handle = _spawn("async", "xchg-mux-worker")
+        handle = _spawn("xchg-mux-worker")
         mux = MuxEpochClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(24))
         pin = driver.jvm.pin(head)

@@ -45,11 +45,9 @@ def test_shuffled_interleave_matches_sequential_per_channel(
     driver = transport_driver
     shuffled = WorkerHandle.spawn(WorkerSpec(
         name="fuzz-shuffled", classpath_factory=SAMPLE_FACTORY,
-        serve_mode="async",
     ))
     sequential = WorkerHandle.spawn(WorkerSpec(
         name="fuzz-sequential", classpath_factory=SAMPLE_FACTORY,
-        serve_mode="async",
     ))
     # Tiny chunks: every channel's stream becomes many MUX_DATA frames,
     # so the shuffle actually interleaves mid-stream.

@@ -15,6 +15,7 @@ from repro.datasets.graphs import (
     generate_graph,
 )
 from repro.datasets.text import generate_text_corpus
+from repro.jvm.jvm import JVM
 from repro.simtime.costmodel import DEFAULT_COST_MODEL, INFINIBAND_COST_MODEL
 
 
@@ -55,27 +56,34 @@ class TestGraphStatistics:
         assert a != b
 
     def test_same_edges_in_processes_with_different_hash_salts(self):
-        """The generator's seed must not depend on ``hash(str)``, which is
-        salted per interpreter process."""
+        """Neither the generator's seed nor a JVM's identity-hash seed may
+        depend on ``hash(str)``, which is salted per interpreter process."""
         script = (
             "import hashlib\n"
             "from repro.datasets.graphs import GRAPH_PROFILES, generate_graph\n"
+            "from repro.jvm.jvm import JVM\n"
             "edges = generate_graph(GRAPH_PROFILES['LJ'], seed=7, scale=0.1)\n"
             "print(hashlib.sha256(repr(edges).encode()).hexdigest())\n"
+            "jvm = JVM(name='salted')\n"
+            "print(jvm.identity_hash(jvm.new_instance('java.lang.Object')))\n"
         )
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-        def edge_digest(hashseed):
+        def outputs(hashseed):
             env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
                        PYTHONPATH=str(src))
             done = subprocess.run(
                 [sys.executable, "-c", script], capture_output=True,
                 text=True, env=env, timeout=60, check=True)
-            return done.stdout.strip()
+            return done.stdout.split()
 
         here = generate_graph(GRAPH_PROFILES["LJ"], seed=7, scale=0.1)
-        expected = hashlib.sha256(repr(here).encode()).hexdigest()
-        assert edge_digest(1) == edge_digest(2) == expected
+        jvm = JVM(name="salted")
+        expected = [
+            hashlib.sha256(repr(here).encode()).hexdigest(),
+            str(jvm.identity_hash(jvm.new_instance("java.lang.Object"))),
+        ]
+        assert outputs(1) == outputs(2) == expected
 
 
 class TestTextStatistics:

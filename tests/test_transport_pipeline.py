@@ -1,25 +1,18 @@
 """Chunk pipeline mechanics: exact chunking, mode equivalence, stall
-accounting, writer-thread error propagation, and the receive pump's
-trailer cross-checks — all without a worker process (a recording fake and
-``socket.socketpair`` keep these deterministic and fast).  The end-to-end
-"pipelining actually overlaps" measurement lives in the transport
-benchmark."""
+accounting, and writer-thread error propagation — all without a worker
+process (a recording fake keeps these deterministic and fast).  The
+receive side's trailer cross-checks live in ``test_aserve_protocol.py``;
+the end-to-end "pipelining actually overlaps" measurement lives in the
+transport benchmark."""
 
-import socket
-import threading
 import zlib
 
 import pytest
 
 from repro.transport import frames
-from repro.transport.connection import FrameConnection
-from repro.transport.errors import (
-    RemoteWorkerError,
-    TransportClosed,
-    TransportError,
-)
+from repro.transport.errors import TransportClosed, TransportError
 from repro.transport.metrics import TransportMetrics
-from repro.transport.pipeline import ChunkPipeline, pump_stream
+from repro.transport.pipeline import ChunkPipeline
 
 
 class RecordingConnection:
@@ -128,83 +121,3 @@ def test_feed_after_finish_is_refused():
         pipeline.feed(b"more")
     with pytest.raises(TransportError, match="finish\\(\\) called twice"):
         pipeline.finish(4, 0)
-
-
-# ---------------------------------------------------------------------------
-# pump_stream over a real socketpair
-# ---------------------------------------------------------------------------
-
-class _Sink:
-    def __init__(self):
-        self.data = bytearray()
-
-    def feed(self, chunk):
-        self.data.extend(chunk)
-
-
-def _pump_against(sender_script):
-    """Run ``sender_script(FrameConnection)`` in a thread against one end
-    of a socketpair; pump the other end and return (result-or-raise, sink)."""
-    left, right = socket.socketpair()
-    send_conn = FrameConnection(left, read_timeout=5.0)
-    recv_conn = FrameConnection(right, read_timeout=5.0)
-    sink = _Sink()
-    thread = threading.Thread(target=sender_script, args=(send_conn,))
-    thread.start()
-    try:
-        return pump_stream(recv_conn, sink), sink
-    finally:
-        thread.join()
-        send_conn.close()
-        recv_conn.close()
-
-
-def test_pump_stream_happy_path():
-    data = b"payload" * 1000
-
-    def sender(conn):
-        conn.send_frame(frames.DATA, data[:4096])
-        conn.send_frame(frames.DATA, data[4096:])
-        conn.send_frame(
-            frames.TRAILER,
-            frames.encode_trailer(len(data), zlib.crc32(data), 2),
-        )
-
-    total, sink = _pump_against(sender)
-    assert total == len(data)
-    assert bytes(sink.data) == data
-
-
-@pytest.mark.parametrize("trailer,expect", [
-    ((5, 0, 1), "promised 5 stream bytes"),
-    ((4, 0, 2), "promised 2 chunks"),
-    ((4, 0xBADBAD, 1), "CRC mismatch"),
-], ids=["total", "chunks", "crc"])
-def test_pump_stream_rejects_bad_trailers(trailer, expect):
-    def sender(conn):
-        conn.send_frame(frames.DATA, b"data")
-        conn.send_frame(frames.TRAILER, frames.encode_trailer(*trailer))
-
-    with pytest.raises(TransportClosed, match=expect):
-        _pump_against(sender)
-
-
-def test_pump_stream_surfaces_remote_error_mid_stream():
-    def sender(conn):
-        conn.send_frame(frames.DATA, b"data")
-        conn.send_frame(
-            frames.ERROR,
-            frames.encode_error("SkywayStreamError", "remote decode blew up"),
-        )
-
-    with pytest.raises(RemoteWorkerError, match="remote decode blew up"):
-        _pump_against(sender)
-
-
-def test_pump_stream_peer_death_is_typed():
-    def sender(conn):
-        conn.send_frame(frames.DATA, b"data")
-        conn.close()  # vanish without a TRAILER
-
-    with pytest.raises(TransportClosed):
-        _pump_against(sender)
