@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.delta.channel import DeltaSendChannel
 from repro.delta.wire import FRAME_DELTA, FRAME_FULL
-from repro.transport.aserve import MuxEpochClient
+from repro.transport.client import MuxEpochClient
 from repro.transport.bootstrap import MB, build_runtime
 from repro.transport.client import WorkerHandle
 from repro.transport.digest import semantic_graph_digest

@@ -1,10 +1,11 @@
 """The cluster coordinator: membership, channel ids, placement, liveness.
 
 One coordinator per fleet, its own process (or a daemon thread in tests),
-speaking the same CRC32 frame protocol as the workers
-(:mod:`repro.transport.frames`): CALL frames carrying JSON ops, RESULT or
-ERROR back, BYE to end a connection.  It holds no heap and moves no graph
-bytes — it is the fleet's name service and allocator:
+speaking the same CRC32 frame protocol as the workers from the same
+selector loop (:class:`~repro.transport.loop.FrameLoop`): CALL frames
+carrying JSON ops, RESULT or ERROR back, BYE to end a connection.  It
+holds no heap and moves no graph bytes — it is the fleet's name service
+and allocator:
 
 ``register``
     A worker announces (name, host, port, pid) as it comes up.  The
@@ -28,10 +29,10 @@ bytes — it is the fleet's name service and allocator:
     is reported so the whole fleet converges immediately instead of
     waiting out the heartbeat window.
 
-A monitor thread marks workers dead after ``miss_limit`` missed
-heartbeats.  Dead records are kept (not erased): a lookup of a dead worker
-must answer "dead", not "unknown", so senders can distinguish a vanished
-peer from a name that never existed.
+The loop's tick marks workers dead after ``miss_limit`` missed
+heartbeats — there is no monitor thread.  Dead records are kept (not
+erased): a lookup of a dead worker must answer "dead", not "unknown", so
+senders can distinguish a vanished peer from a name that never existed.
 """
 
 from __future__ import annotations
@@ -46,9 +47,12 @@ from typing import Dict, List, Optional
 from repro.cluster.errors import ClusterProtocolError, PeerGoneError
 from repro.obs.live import FleetTelemetry, TelemetryError
 from repro.transport import frames
-from repro.transport.bootstrap import bind_listener
-from repro.transport.connection import FrameConnection
-from repro.transport.errors import TransportClosed, TransportError, WorkerStartupError
+from repro.transport.bootstrap import (
+    ProcessHandle,
+    ThreadHost,
+    serve_reporting_port,
+)
+from repro.transport.loop import Connection, FrameLoop
 
 #: Channel id 0 is reserved coordinator-wide: it can never be allocated,
 #: and every receiving worker rejects an EPOCH frame naming it with a
@@ -106,13 +110,19 @@ class WorkerRecord:
         }
 
 
-class CoordinatorServer:
-    """The in-process coordinator object (runs inside its own process, or
-    a daemon thread for tests)."""
+class CoordinatorServer(FrameLoop):
+    """The fleet's records and ops, served as a :class:`FrameLoop` whose
+    tick runs the liveness and straggler sweeps.  ``_lock`` guards the
+    records — tests and in-thread hosts sweep from other threads."""
 
     def __init__(self, spec: CoordinatorSpec) -> None:
+        super().__init__(
+            logging.getLogger(f"repro.coordinator.{spec.name}"),
+            tick=min(0.05, spec.heartbeat_interval / 2),
+            read_timeout=spec.read_timeout,
+        )
         self.spec = spec
-        self._running = True
+        self._next_sweep = 0.0
         self._lock = threading.Lock()
         self._records: Dict[str, WorkerRecord] = {}
         self._generations = itertools.count(1)
@@ -122,7 +132,6 @@ class CoordinatorServer:
         self.assignments: Dict[int, Dict[str, object]] = {}
         self.rpcs_served = 0
         self.deaths_detected = 0
-        self._conn_threads: List[threading.Thread] = []
         #: The fleet telemetry store: per-worker bounded series + recorder
         #: rings (kept after death — that is the postmortem), fleet
         #: rollups, and edge-triggered straggler events.
@@ -133,7 +142,6 @@ class CoordinatorServer:
             straggler_min_samples=spec.straggler_min_samples,
             straggler_min_seconds=spec.straggler_min_seconds,
         )
-        self.log = logging.getLogger(f"repro.coordinator.{spec.name}")
 
     # -- membership --------------------------------------------------------
 
@@ -287,7 +295,7 @@ class CoordinatorServer:
         }
 
     def _op_shutdown(self, call: dict) -> dict:
-        self._running = False
+        self.shutdown()
         return {"op": "shutdown", "ok": True}
 
     # -- telemetry ---------------------------------------------------------
@@ -346,7 +354,7 @@ class CoordinatorServer:
 
     def sweep_liveness(self, now: Optional[float] = None) -> List[str]:
         """Mark workers whose heartbeats stopped; returns the newly dead.
-        Called by the monitor thread, and directly by tests."""
+        Called from the loop tick, and directly by tests."""
         if now is None:
             now = time.monotonic()
         deadline = self.spec.heartbeat_interval * self.spec.miss_limit
@@ -364,16 +372,10 @@ class CoordinatorServer:
             )
         return newly_dead
 
-    def _monitor_loop(self) -> None:
-        while self._running:
-            time.sleep(self.spec.heartbeat_interval / 2)
-            self.sweep_liveness()
-            self.sweep_stragglers()
-
     def sweep_stragglers(self) -> List[dict]:
         """One straggler-detection pass over the alive workers' windowed
         series; returns (and logs) the newly emitted transition events.
-        Called by the monitor thread, and directly by tests."""
+        Called from the loop tick, and directly by tests."""
         events = self.telemetry.detect(alive=self._alive_names())
         for event in events:
             if event["event"] == "straggler":
@@ -388,213 +390,68 @@ class CoordinatorServer:
                               event["worker"])
         return events
 
-    # -- connection loop ---------------------------------------------------
+    # -- the loop's hooks --------------------------------------------------
 
-    def serve_connection(self, conn: FrameConnection) -> None:
-        """Serve one client (a fleet front-end or a worker's membership
-        loop) to completion.  Typed cluster errors answer ERROR and keep
-        the connection — an allocation toward a dead peer must not force
-        the fleet to re-dial — while anything unexpected answers ERROR and
-        closes."""
-        while self._running:
-            try:
-                ftype, payload = conn.recv_frame()
-            except TransportClosed:
-                return
-            if ftype == frames.BYE:
-                return
-            try:
-                if ftype != frames.CALL:
-                    raise ClusterProtocolError(
-                        f"coordinator speaks CALL/RESULT only; got "
-                        f"{frames.frame_name(ftype)}"
-                    )
-                call = frames.decode_json(payload, what="CALL")
-                handler = self._OPS.get(call.get("op"))
-                if handler is None:
-                    raise ClusterProtocolError(
-                        f"unknown coordinator op {call.get('op')!r}"
-                    )
-                self.rpcs_served += 1
-                result = handler(self, call)
-                conn.send_frame(frames.RESULT, frames.encode_json(result))
-            except (ClusterProtocolError, PeerGoneError) as exc:
-                try:
-                    conn.send_frame(
-                        frames.ERROR,
-                        frames.encode_error(type(exc).__name__, str(exc)),
-                    )
-                except TransportError:
-                    return
-            except Exception as exc:  # noqa: BLE001 - reported as ERROR frame
-                self.log.warning(
-                    "coordinator op failed, closing connection: %s: %s",
-                    type(exc).__name__, exc,
-                )
-                try:
-                    conn.send_frame(
-                        frames.ERROR,
-                        frames.encode_error(type(exc).__name__, str(exc)),
-                    )
-                except TransportError:
-                    pass
-                return
-
-    def _serve_and_close(self, conn: FrameConnection) -> None:
+    def _handle_frame(self, conn: Connection, ftype: int,
+                      payload: bytes) -> None:
+        """CALL → ``_OPS`` → RESULT.  Typed cluster errors answer ERROR and
+        keep the connection — an allocation toward a dead peer must not
+        force the fleet to re-dial — while anything unexpected propagates
+        to the loop, which answers ERROR and closes."""
         try:
-            self.serve_connection(conn)
-        finally:
-            conn.close()
-
-    def serve_forever(self, listener) -> None:
-        listener.settimeout(0.25)  # poll so shutdown can exit the loop
-        monitor = threading.Thread(
-            target=self._monitor_loop, name="coordinator-liveness",
-            daemon=True,
-        )
-        monitor.start()
-        try:
-            while self._running:
-                try:
-                    sock, _addr = listener.accept()
-                except TimeoutError:
-                    continue
-                except OSError:
-                    return
-                conn = FrameConnection(
-                    sock, read_timeout=self.spec.read_timeout,
+            if ftype != frames.CALL:
+                raise ClusterProtocolError(
+                    f"coordinator speaks CALL/RESULT only; got "
+                    f"{frames.frame_name(ftype)}"
                 )
-                thread = threading.Thread(
-                    target=self._serve_and_close, args=(conn,),
-                    name=f"coordinator-conn-{len(self._conn_threads)}",
-                    daemon=True,
+            call = frames.decode_json(payload, what="CALL")
+            handler = self._OPS.get(call.get("op"))
+            if handler is None:
+                raise ClusterProtocolError(
+                    f"unknown coordinator op {call.get('op')!r}"
                 )
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive()
-                ]
-                self._conn_threads.append(thread)
-                thread.start()
-        finally:
-            for thread in self._conn_threads:
-                thread.join(timeout=5.0)
+            self.rpcs_served += 1
+            result = handler(self, call)
+        except (ClusterProtocolError, PeerGoneError) as exc:
+            self._send_error(conn, exc)
+            return
+        conn.send_frame(frames.RESULT, frames.encode_json(result))
 
-    def stop(self) -> None:
-        self._running = False
+    def _tick(self, now: Optional[float] = None) -> None:
+        """The sweeps, every half heartbeat interval."""
+        if now is None:
+            now = time.monotonic()
+        if now < self._next_sweep:
+            return
+        self._next_sweep = now + self.spec.heartbeat_interval / 2
+        self.sweep_liveness(now)
+        self.sweep_stragglers()
 
 
 def coordinator_main(spec: CoordinatorSpec, port_pipe) -> None:
-    """Entry point of the spawned coordinator process.  Binds (with the
-    bounded port-in-use retry), reports the actual port, then serves."""
-    from repro.transport.worker import configure_worker_logging
-
-    configure_worker_logging()
-    try:
-        listener = bind_listener(spec.host, spec.port)
-        server = CoordinatorServer(spec)
-        server.log.info("listening on %s:%d",
-                        spec.host, listener.getsockname()[1])
-        port_pipe.send(("ok", listener.getsockname()[1]))
-    except Exception as exc:  # noqa: BLE001 - parent re-raises as typed error
-        port_pipe.send(("error", f"{type(exc).__name__}: {exc}"))
-        port_pipe.close()
-        return
-    finally:
-        try:
-            port_pipe.close()
-        except OSError:  # pragma: no cover - pipe already gone
-            pass
-    try:
-        server.serve_forever(listener)
-    finally:
-        listener.close()
+    """Entry point of the spawned coordinator process."""
+    serve_reporting_port(port_pipe, spec.host, spec.port,
+                         lambda _port: CoordinatorServer(spec))
 
 
-class CoordinatorHandle:
+class CoordinatorHandle(ProcessHandle):
     """A spawned coordinator process and the port it listens on."""
 
-    def __init__(self, spec: CoordinatorSpec, process, port: int) -> None:
-        self.spec = spec
-        self.process = process
-        self.host = spec.host
-        self.port = port
-
-    @classmethod
-    def spawn(cls, spec: CoordinatorSpec,
-              startup_timeout: float = 30.0) -> "CoordinatorHandle":
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
-        parent_pipe, child_pipe = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=coordinator_main, args=(spec, child_pipe),
-            name=f"skyway-coordinator-{spec.name}", daemon=True,
-        )
-        process.start()
-        child_pipe.close()
-        try:
-            if not parent_pipe.poll(startup_timeout):
-                raise WorkerStartupError(
-                    f"coordinator {spec.name!r} reported no port within "
-                    f"{startup_timeout}s"
-                )
-            status, value = parent_pipe.recv()
-        except (EOFError, OSError) as exc:
-            process.terminate()
-            process.join(timeout=5)
-            raise WorkerStartupError(
-                f"coordinator {spec.name!r} died during startup: {exc}"
-            ) from exc
-        finally:
-            parent_pipe.close()
-        if status != "ok":
-            process.join(timeout=5)
-            raise WorkerStartupError(
-                f"coordinator {spec.name!r} failed to start: {value}"
-            )
-        return cls(spec, process, int(value))
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():  # pragma: no cover - last resort
-            self.process.kill()
-            self.process.join(timeout=timeout)
+    kind = "coordinator"
+    main = staticmethod(coordinator_main)
 
 
-class LocalCoordinator:
-    """A coordinator served from a daemon thread in *this* process.
+class LocalCoordinator(ThreadHost):
+    """A coordinator served from a daemon thread in *this* process,
+    already serving when the constructor returns.
 
     Tests use it for protocol-level cases (no spawn latency) and for the
     coordinator-restart drill: stop one, start another on the same port,
     and watch workers re-register."""
 
     def __init__(self, spec: Optional[CoordinatorSpec] = None) -> None:
-        self.spec = spec if spec is not None else CoordinatorSpec()
-        self._listener = bind_listener(self.spec.host, self.spec.port)
-        self.server = CoordinatorServer(self.spec)
-        self.host = self.spec.host
-        self.port = self._listener.getsockname()[1]
-        self._thread = threading.Thread(
-            target=self.server.serve_forever, args=(self._listener,),
-            name=f"local-coordinator-{self.spec.name}", daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self.server.stop()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "LocalCoordinator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        spec = spec if spec is not None else CoordinatorSpec()
+        super().__init__(CoordinatorServer(spec),
+                         f"local-coordinator-{spec.name}",
+                         spec.host, spec.port)
+        self.start()

@@ -11,8 +11,9 @@ Two pieces live here, both used from *inside* other processes:
     socket error.
 
 :class:`WorkerMembership`
-    The worker-side liveness loop: register once, then heartbeat forever
-    from a daemon thread.  Two recoveries are built in —
+    The worker-side liveness exchange: register once, then one
+    :meth:`~WorkerMembership.beat_once` per firing of the worker's event
+    loop (there is no heartbeat thread).  Two recoveries are built in —
 
     * coordinator answers ``known=False`` (it restarted, or superseded our
       record): re-register immediately and carry on with the fresh
@@ -34,11 +35,11 @@ from typing import Optional
 
 from repro import obs
 from repro.cluster.errors import (
+    ClusterError,
     ClusterProtocolError,
     CoordinatorUnavailableError,
     PeerGoneError,
 )
-from repro.transport import frames
 from repro.transport.connection import FrameConnection, connect_with_retry
 from repro.transport.errors import RemoteWorkerError, TransportError
 
@@ -89,7 +90,6 @@ class CoordinatorClient:
 
     def call(self, op: str, **params) -> dict:
         """One RPC: CALL out, RESULT (or typed ERROR) back."""
-        payload = {"op": op, **params}
         with obs.span("cluster.rpc", op=op,
                       coordinator=f"{self.host}:{self.port}"):
             with self._lock:
@@ -98,12 +98,7 @@ class CoordinatorClient:
                         "coordinator client is closed"
                     )
                 try:
-                    self._conn.send_frame(
-                        frames.CALL, frames.encode_json(payload)
-                    )
-                    result = frames.decode_json(
-                        self._conn.expect_frame(frames.RESULT), what="RESULT"
-                    )
+                    result = self._conn.call({"op": op, **params})
                 except RemoteWorkerError as exc:
                     _raise_typed(exc)
                 except TransportError as exc:
@@ -116,14 +111,8 @@ class CoordinatorClient:
 
     def close(self) -> None:
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            try:
-                self._conn.send_frame(frames.BYE)
-            except TransportError:
-                pass
-            self._conn.close()
+            self._conn.close(bye=True)
 
     def __enter__(self) -> "CoordinatorClient":
         return self
@@ -133,8 +122,9 @@ class CoordinatorClient:
 
 
 class WorkerMembership:
-    """Register this process with the coordinator and heartbeat from a
-    daemon thread until stopped."""
+    """Register this process with the coordinator; the owning event loop
+    calls :meth:`beat_once` on the :meth:`next_wait` cadence until
+    :meth:`stop`."""
 
     #: Fractional jitter on the heartbeat period (±20%).  N workers
     #: spawned in one burst would otherwise beat the coordinator in
@@ -168,8 +158,7 @@ class WorkerMembership:
         self.sampler = None
         self.telemetry_sent = 0
         self._client: Optional[CoordinatorClient] = None
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._stopped = False
         # Per-instance PRNG: jitter needs no cross-worker coordination,
         # and an own Random keeps tests free to seed it.
         self._rng = random.Random()
@@ -189,7 +178,7 @@ class WorkerMembership:
         if self._client is not None:
             try:
                 self._client.close()
-            except Exception:  # noqa: BLE001 - teardown best-effort
+            except OSError:  # teardown best-effort
                 pass
             self._client = None
 
@@ -212,13 +201,24 @@ class WorkerMembership:
 
     # -- heartbeat loop ----------------------------------------------------
 
-    def attach_telemetry(self, sampler) -> None:
-        """Piggyback this sampler's deltas on every future heartbeat."""
-        self.sampler = sampler
+    def next_wait(self) -> float:
+        """The next heartbeat period: the coordinator-dictated interval
+        ±:data:`HEARTBEAT_JITTER`.  The worker's event loop schedules beats
+        through this."""
+        spread = self.heartbeat_interval * self.HEARTBEAT_JITTER
+        return self.heartbeat_interval + self._rng.uniform(-spread, spread)
 
-    def _beat_once(self) -> None:
+    def beat_once(self) -> None:
+        """One liveness exchange, reconnecting/re-registering as needed.
+        Never raises — a dead coordinator costs one dropped client and the
+        next beat retries.  This is the unit the worker's event loop calls
+        on its own cadence."""
+        if self._stopped:
+            return
         payload = None
         try:
+            if self._client is None:
+                self.register()
             params = {"name": self.worker_name,
                       "generation": self.generation}
             if self.sampler is not None:
@@ -237,55 +237,15 @@ class WorkerMembership:
                 # Coordinator restarted or replaced our record:
                 # re-register on the spot so the outage window is one beat.
                 self.register()
-        except CoordinatorUnavailableError:
+        except (ClusterError, TransportError):
             self._drop_client()  # reconnect (and re-register) next beat
-        except (PeerGoneError, ClusterProtocolError):
-            self._drop_client()
 
-    def next_wait(self) -> float:
-        """The next heartbeat period: the coordinator-dictated interval
-        ±:data:`HEARTBEAT_JITTER`.  Both the daemon-thread loop and the
-        async worker's event loop schedule beats through this."""
-        spread = self.heartbeat_interval * self.HEARTBEAT_JITTER
-        return self.heartbeat_interval + self._rng.uniform(-spread, spread)
-
-    def beat_once(self) -> None:
-        """One liveness exchange, reconnecting/re-registering as needed.
-        Never raises — a dead coordinator costs one dropped client and the
-        next beat retries.  This is the unit the async event loop calls on
-        its own cadence (no membership thread in that mode)."""
-        if self._stop.is_set():
-            return
-        if self._client is None:
-            try:
-                self.register()
-            except CoordinatorUnavailableError:
-                self._drop_client()
-                return
-        self._beat_once()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.next_wait()):
-            self.beat_once()
-
-    def start(self) -> None:
-        """Register (raising if the coordinator is unreachable at startup)
-        and begin heartbeating in the background."""
-        self.register()
-        self._thread = threading.Thread(
-            target=self._loop,
-            name=f"membership-{self.worker_name}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self, deregister: bool = True) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        if deregister and self._client is not None:
+    def stop(self) -> None:
+        """No more beats; tell the coordinator this worker is leaving."""
+        self._stopped = True
+        if self._client is not None:
             try:
                 self._client.call("deregister", name=self.worker_name)
-            except Exception:  # noqa: BLE001 - teardown best-effort
+            except (ClusterError, TransportError):  # teardown best-effort
                 pass
         self._drop_client()

@@ -8,20 +8,17 @@ runtime's delta endpoint and answers with receiver roots and a semantic
 graph digest — the same handle the loopback receipt carries, so the two
 substrates are directly comparable.
 
-NACK recovery, socket edition: a stale receiver (worker restarted, full GC
-on the worker heap, epoch gap) answers an ERROR frame naming
-``DeltaStaleError`` and closes the connection.  ``send()`` catches exactly
-that remote kind, reconnects, forces the next epoch full, and resends —
-one ``send()`` call, two wire frames, receipt flagged
-``nack_recovered=True``.
-
-The channel also speaks the async worker's multiplexed sub-protocol:
-construct it with a :class:`~repro.transport.aserve.MuxEpochClient`
-instead of a :class:`WorkerClient` and each epoch ships as EPOCH +
-MUX_DATA + MUX_TRAILER over the shared connection.  NACK recovery gets
-*cheaper* there — a stale channel comes back as a per-channel ``ok=false``
-RESULT, the connection survives, and recovery is just the forced-full
-resend (no reconnect).
+NACK recovery is the client session's
+(:meth:`~repro.transport.client.WorkerSession.send_epoch_recovering`): a
+stale receiver (worker restarted, full GC on the worker heap, epoch gap)
+answers ``DeltaStaleError``; the session recovers the connection, the
+channel forces the next epoch full, and the resend goes out — one
+``send()`` call, two wire frames, receipt flagged ``nack_recovered=True``.
+Over a :class:`~repro.transport.client.WorkerClient` the NACK is an ERROR
+frame and a closed connection, so recovery reconnects; over a
+:class:`~repro.transport.client.MuxEpochClient` (EPOCH + MUX_DATA +
+MUX_TRAILER on the shared socket) it is a per-channel ``ok=false`` RESULT,
+the connection survives, and recovery is just the forced-full resend.
 """
 
 from __future__ import annotations
@@ -40,9 +37,7 @@ from repro.exchange.channel import GraphChannel, SendReceipt, collect_roots
 from repro.exchange.errors import ExchangeConfigError
 from repro.policy import SendPlan
 from repro.simtime import Category
-from repro.transport.aserve import MuxEpochClient
-from repro.transport.client import WorkerClient
-from repro.transport.errors import RemoteWorkerError
+from repro.transport.client import WorkerSession
 from repro.transport.pipeline import DEFAULT_CHUNK_BYTES, DEFAULT_QUEUE_CHUNKS
 
 
@@ -56,7 +51,7 @@ class SocketGraphChannel(GraphChannel):
     def __init__(
         self,
         runtime: SkywayRuntime,
-        client: "WorkerClient | MuxEpochClient",
+        client: WorkerSession,
         requested: ChannelCapabilities = DEFAULT_REQUEST,
         policy=None,
         channel_id: Optional[int] = None,
@@ -91,7 +86,7 @@ class SocketGraphChannel(GraphChannel):
             capabilities=self.capabilities,
         )
 
-    def rebind(self, client: "WorkerClient | MuxEpochClient") -> None:
+    def rebind(self, client: WorkerSession) -> None:
         """Point this channel at a replacement connection (typically to a
         restarted worker).  The epoch record is kept: the next delta will
         draw the fresh worker's NACK and converge through the forced-full
@@ -104,7 +99,7 @@ class SocketGraphChannel(GraphChannel):
             )
         self.client = client
 
-    def recover(self, client: "WorkerClient | MuxEpochClient",
+    def recover(self, client: WorkerSession,
                 channel_id: Optional[int] = None) -> None:
         """Rebind to a replacement worker incarnation (the fleet restart
         path): point at the new connection and, when the coordinator
@@ -133,32 +128,23 @@ class SocketGraphChannel(GraphChannel):
         if digest is None:
             # No explicit override: the plan decides.
             digest = bool(executed.digest) if executed is not None else False
-        decision = channel.last_decision
-        wire_bytes = len(frame)
-        nack = False
         stalls_before = self.client.metrics.stall_seconds
         started = time.perf_counter()
-        try:
-            result = self._ship(frame, channel, digest)
-        except RemoteWorkerError as exc:
-            if exc.kind != "DeltaStaleError":
-                raise
-            nack = True
-            if not isinstance(self.client, MuxEpochClient):
-                # The worker closed the connection after the ERROR frame,
-                # so recovery is reconnect first, forced-full resend
-                # second.  A mux NACK is a per-channel RESULT — the
-                # connection survives and the resend goes straight out.
-                self.client.close()
-                self.client.connect()
-            channel.force_full_next()
+
+        def reframe() -> bytes:
+            nonlocal started
             with clock.phase(Category.SERIALIZATION):
-                frame = channel.send(roots)
-            decision = channel.last_decision
-            executed = channel.last_plan
-            wire_bytes += len(frame)
-            started = time.perf_counter()
-            result = self._ship(frame, channel, digest)
+                fresh = channel.send(roots)
+            started = time.perf_counter()  # time the frame that lands
+            return fresh
+
+        # Classic client: the channel's chunk-pipeline knobs apply.  Mux
+        # client: it chunks by its own construction-time ``chunk_bytes``.
+        result, shipped = self.client.send_epoch_recovering(
+            channel, frame, reframe, digest=digest, **self._send_opts)
+        frame = shipped[-1]
+        decision = channel.last_decision
+        executed = channel.last_plan
         # Feed the measured wire back into the engine: bandwidth from the
         # shipped bytes, queue wait from the pipeline's back-pressure
         # stalls during this send.
@@ -174,28 +160,15 @@ class SocketGraphChannel(GraphChannel):
             mode=decision.mode,
             reason=decision.reason,
             epoch=channel.epoch,
-            wire_bytes=wire_bytes,
+            wire_bytes=sum(map(len, shipped)),
             frame=frame,
             roots=tuple(result.get("root_addresses", ())),
             digest=result.get("digest"),
-            nack_recovered=nack,
+            nack_recovered=len(shipped) > 1,
             result=result,
             plan=executed,
         )
         return self._account_send(receipt)
-
-    def _ship(self, frame: bytes, channel: DeltaSendChannel,
-              digest: bool) -> dict:
-        if isinstance(self.client, MuxEpochClient):
-            # Chunking is the mux client's own (configured at
-            # construction); the classic pipeline knobs don't apply.
-            return self.client.send_epoch(
-                frame, channel.channel_id, channel.epoch, digest=digest,
-            )
-        return self.client.send_epoch(
-            frame, channel.channel_id, channel.epoch, digest=digest,
-            **self._send_opts,
-        )
 
     def _transport_dict(self):
         return self.client.metrics.as_dict()

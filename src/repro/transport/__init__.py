@@ -18,12 +18,8 @@ Entry points:
 * the typed error taxonomy in :mod:`repro.transport.errors`.
 """
 
-from repro.transport.aserve import (
-    AsyncWorkerServer,
-    LocalAsyncWorker,
-    MuxEpochClient,
-)
-from repro.transport.client import WorkerClient, WorkerHandle
+from repro.transport.aserve import AsyncWorkerServer, LocalAsyncWorker
+from repro.transport.client import MuxEpochClient, WorkerClient, WorkerHandle
 from repro.transport.connection import FrameConnection, connect_with_retry
 from repro.transport.digest import graph_digest, semantic_graph_digest
 from repro.transport.errors import (

@@ -3,13 +3,10 @@
 Thread-per-connection serving spends its concurrency budget on OS threads
 and its cycles on lock convoys — at a thousand delta channels it is the
 saturation wall the managed-server-throughput literature predicts.  Every
-worker connection is therefore served from a single ``selectors`` event
-loop:
-
-* **Non-blocking frame codec.**  Each connection owns a
-  :class:`~repro.transport.frames.FrameDecoder` (already incremental) and
-  an outbound byte buffer; the loop reads/writes whatever the kernel will
-  take and the state machine advances one complete frame at a time.
+worker connection is therefore served from the one ``selectors`` loop of
+:mod:`repro.transport.loop` (sockets, frame codec, outbound buffers,
+ERROR-then-close, stall timeouts); this module is the worker's half — what
+a frame *means*:
 
 * **Per-connection → per-channel state machine.**  The classic per-call
   protocol (HELLO → TRACE? → CALL → DATA*/TRAILER → RESULT) runs one op
@@ -39,29 +36,22 @@ loop:
   accounting come from the same code.
 
 * **One process, one loop.**  The cluster heartbeat
-  (:meth:`WorkerMembership.beat_once`) fires from the loop on the jittered
-  cadence, and peer-mode ops (``send_peer``, blob routing) run on the loop
-  like any other op — a fleet worker has no second thread.
+  (:meth:`WorkerMembership.beat_once`) fires from the loop's tick on the
+  jittered cadence, and peer-mode ops (``send_peer``, blob routing) run on
+  the loop like any other op — a fleet worker has no second thread.
 
 Failure taxonomy: protocol-fatal conditions (CRC mismatch, unknown frame,
-trailer total/CRC/count mismatch, unknown op) answer one ERROR frame and
-close the connection.  In mux mode a *per-channel* failure — above all
+trailer total/CRC/count mismatch, unknown op) take the loop's one ERROR
+frame and close.  In mux mode a *per-channel* failure — above all
 :class:`DeltaStaleError`, the NACK — is answered as a RESULT with
 ``ok=false`` naming the error kind, so one stale channel cannot kill the
 other thousand sharing the socket.
-
-An idle connection with no op or stream in flight is kept open
-indefinitely (a thousand persistent channels rely on it); only a
-connection stalled *mid-stream* is timed out after ``read_timeout``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import select
-import selectors
 import socket
-import threading
 import time
 import zlib
 from collections import deque
@@ -69,23 +59,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.cluster.errors import ClusterProtocolError
-from repro.transport import frames, registry_sync
-from repro.transport.bootstrap import bind_listener
-from repro.transport.connection import connect_with_retry
-from repro.transport.errors import (
-    FrameCorruptionError,
-    RemoteWorkerError,
-    TransportClosed,
-    TransportError,
-    TransportTimeout,
-)
-from repro.transport.metrics import TransportMetrics
+from repro.transport import frames
+from repro.transport.bootstrap import ThreadHost
+from repro.transport.errors import TransportClosed, TransportError
+from repro.transport.loop import Connection, FrameLoop
 from repro.transport.worker import WorkerServer, WorkerSpec, _BlobSink
-
-#: Chunk size for multiplexed streams.  Smaller than the classic pipeline
-#: default on purpose: mux chunks are the interleaving quantum, and a
-#: thousand channels sharing one socket round-robin at this granularity.
-DEFAULT_MUX_CHUNK_BYTES = 32 * 1024
 
 #: Completed epochs a single channel may have waiting in the ready queue
 #: before its connection's reads pause.
@@ -186,22 +164,13 @@ class _ReadyEpoch:
         self.receive_s = receive_s
 
 
-class _AsyncConn:
-    """Per-connection state: decoder in, byte buffer out, one state
-    machine."""
+class _AsyncConn(Connection):
+    """A worker connection: the loop's transport state plus one protocol
+    state machine."""
 
     def __init__(self, server: "AsyncWorkerServer",
                  sock: socket.socket) -> None:
-        self._server = server
-        self.sock = sock
-        self.decoder = frames.FrameDecoder()
-        self.out = bytearray()
-        self.paused = False
-        self.closing = False  # flush outbound, then close
-        self.closed = False
-        self.registered = False
-        self.events = 0
-        self.last_activity = time.monotonic()
+        super().__init__(server, sock)
         # classic (one-op-at-a-time) state; ``stream is None`` = idle
         self.stream: Optional[_CallStream] = None
         self.trace_pending: Optional[Tuple[str, str]] = None
@@ -213,21 +182,17 @@ class _AsyncConn:
         self.pending_per_channel: Dict[int, int] = {}
         self.queued_bytes = 0
 
-    def send_frame(self, ftype: int, payload: bytes = b"") -> None:
-        data = frames.encode_frame(ftype, payload)
-        self.out.extend(data)
-        self._server.core.metrics.note_frame_sent(len(data))
-        self._server._update_interest(self)
 
-
-class AsyncWorkerServer:
-    """The event loop around a :class:`WorkerServer` core.
+class AsyncWorkerServer(FrameLoop):
+    """The worker's frame state machine around a :class:`WorkerServer` core.
 
     The core owns the runtime, metrics, op handlers, and the state lock;
-    this class owns sockets, scheduling, and backpressure.  Everything
-    that touches the heap funnels through the core's ``complete_*``
-    methods.
+    :class:`FrameLoop` owns sockets; this class owns scheduling and
+    backpressure.  Everything that touches the heap funnels through the
+    core's ``complete_*`` methods.
     """
+
+    connection_cls = _AsyncConn
 
     def __init__(
         self,
@@ -237,31 +202,30 @@ class AsyncWorkerServer:
         apply_batch: int = APPLY_BATCH,
         tick: float = 0.05,
     ) -> None:
+        super().__init__(core.log, metrics=core.metrics, tick=tick,
+                         read_timeout=core.spec.read_timeout)
         self.core = core
         self.max_pending_epochs = max_pending_epochs
         self.high_water_bytes = high_water_bytes
         self.apply_batch = apply_batch
-        self.tick = tick
         self.membership = None
         self._next_beat: Optional[float] = None
         #: Test hook: ``False`` parks the ready queues (reads still run
         #: until the high-water mark pauses them) — how the slow-reader
         #: test proves the queue is bounded.
         self.processing_enabled = True
-        self._sel: Optional[selectors.BaseSelector] = None
-        self._conns: List[_AsyncConn] = []
         self._rr = 0  # round-robin cursor over connections
-        self.conns_accepted = 0
         self.epochs_applied = 0
         self.epoch_failures = 0
         self.reads_paused_total = 0
         self.queue_waits: List[float] = []
-        core.loop = self  # the ``stats`` op reads :meth:`stats_snapshot`
+        core.loop = self  # ``stats`` reads it, ``shutdown`` stops it
 
     def attach_membership(self, membership) -> None:
         """Adopt a registered :class:`WorkerMembership`: the loop beats it
-        on the jittered cadence.  Reconnect budgets are tightened — a dead
-        coordinator may cost one beat a short stall, never a long one."""
+        on the jittered cadence and deregisters it on exit.  Reconnect
+        budgets are tightened — a dead coordinator may cost one beat a
+        short stall, never a long one."""
         membership.connect_attempts = 1
         membership.connect_timeout = 0.5
         self.membership = membership
@@ -283,174 +247,29 @@ class AsyncWorkerServer:
                                                  int(len(waits) * 0.99))]
         return snap
 
-    # -- the loop ----------------------------------------------------------
+    # -- the loop's hooks --------------------------------------------------
 
-    def serve_forever(self, listener: socket.socket) -> None:
-        sel = selectors.DefaultSelector()
-        self._sel = sel
-        listener.setblocking(False)
-        sel.register(listener, selectors.EVENT_READ, None)
-        try:
-            while self.core._running:
-                timeout = self.tick
-                if self.processing_enabled and any(
-                        c.ready for c in self._conns):
-                    timeout = 0.0
-                elif self._next_beat is not None:
-                    timeout = min(timeout,
-                                  max(0.0, self._next_beat - time.monotonic()))
-                events = sel.select(timeout)
-                for key, mask in events:
-                    conn = key.data
-                    if conn is None:
-                        self._accept(listener)
-                        continue
-                    if conn.closed:
-                        continue
-                    if mask & selectors.EVENT_READ:
-                        self._on_readable(conn)
-                    if not conn.closed and mask & selectors.EVENT_WRITE:
-                        self._on_writable(conn)
-                self._process_ready()
-                self._maybe_beat()
-                self._reap_stalled()
-        finally:
-            self._shutdown_flush()
-            sel.unregister(listener)
-            sel.close()
-            self._sel = None
+    def _poll_timeout(self) -> float:
+        if self.processing_enabled and any(c.ready for c in self._conns):
+            return 0.0
+        if self._next_beat is None:
+            return self.tick
+        return min(self.tick, max(0.0, self._next_beat - time.monotonic()))
 
-    def shutdown(self) -> None:
-        """Ask the loop to exit (the in-process harness path; over the
-        wire the classic ``shutdown`` op does the same)."""
-        self.core._running = False
+    def _tick(self) -> None:
+        self._process_ready()
+        if self._next_beat is not None \
+                and time.monotonic() >= self._next_beat:
+            self.membership.beat_once()
+            self._next_beat = time.monotonic() + self.membership.next_wait()
 
-    # -- accept / read / write ---------------------------------------------
+    def _mid_op(self, conn: _AsyncConn) -> bool:
+        return (conn.stream is not None or bool(conn.mux_open)) \
+            and not conn.paused
 
-    def _accept(self, listener: socket.socket) -> None:
-        while True:
-            try:
-                sock, _addr = listener.accept()
-            except BlockingIOError:
-                return
-            except OSError:
-                return
-            sock.setblocking(False)
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - e.g. AF_UNIX
-                pass
-            conn = _AsyncConn(self, sock)
-            self._conns.append(conn)
-            self.conns_accepted += 1
-            self._update_interest(conn)
-
-    def _on_readable(self, conn: _AsyncConn) -> None:
-        try:
-            data = conn.sock.recv(256 * 1024)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._close_conn(conn)
-            return
-        if not data:
-            self._close_conn(conn)
-            return
-        conn.last_activity = time.monotonic()
-        conn.decoder.feed(data)
-        self._drain_frames(conn)
-
-    def _drain_frames(self, conn: _AsyncConn) -> None:
-        while not conn.closing and not conn.closed:
-            try:
-                frame = conn.decoder.next_frame()
-            except FrameCorruptionError as exc:
-                self._fail_conn(conn, exc)
-                return
-            if frame is None:
-                return
-            ftype, payload = frame
-            self.core.metrics.note_frame_received(
-                frames.HEADER_BYTES + len(payload)
-            )
-            try:
-                self._handle_frame(conn, ftype, payload)
-            except Exception as exc:  # noqa: BLE001 - reported as ERROR frame
-                self._fail_conn(conn, exc)
-                return
-
-    def _on_writable(self, conn: _AsyncConn) -> None:
-        if conn.out:
-            try:
-                sent = conn.sock.send(memoryview(conn.out))
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self._close_conn(conn)
-                return
-            del conn.out[:sent]
-        if not conn.out and conn.closing:
-            self._close_conn(conn)
-            return
-        self._update_interest(conn)
-
-    def _update_interest(self, conn: _AsyncConn) -> None:
-        if conn.closed or self._sel is None:
-            return
-        events = 0
-        if not conn.paused and not conn.closing:
-            events |= selectors.EVENT_READ
-        if conn.out:
-            events |= selectors.EVENT_WRITE
-        if events == conn.events and conn.registered == bool(events):
-            return
-        if conn.registered and not events:
-            self._sel.unregister(conn.sock)
-            conn.registered = False
-        elif conn.registered:
-            self._sel.modify(conn.sock, events, conn)
-        elif events:
-            self._sel.register(conn.sock, events, conn)
-            conn.registered = True
-        conn.events = events
-
-    def _close_conn(self, conn: _AsyncConn) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
-        if conn.registered and self._sel is not None:
-            try:
-                self._sel.unregister(conn.sock)
-            except (KeyError, ValueError):  # pragma: no cover
-                pass
-            conn.registered = False
-        try:
-            conn.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-        if conn in self._conns:
-            self._conns.remove(conn)
-
-    def _fail_conn(self, conn: _AsyncConn, exc: Exception) -> None:
-        """One ERROR frame naming the exception type, then the connection
-        closes (after the buffer flushes)."""
-        self.core.log.warning(
-            "op failed, answering ERROR: %s: %s", type(exc).__name__, exc,
-        )
-        obs.record("error", error=type(exc).__name__,
-                   detail=str(exc)[:200])
-        try:
-            conn.send_frame(
-                frames.ERROR,
-                frames.encode_error(type(exc).__name__, str(exc)),
-            )
-        except TransportError:  # pragma: no cover - encode failure
-            pass
-        conn.closing = True
-        if not conn.out:
-            self._close_conn(conn)
-        else:
-            self._update_interest(conn)
+    def _on_exit(self) -> None:
+        if self.membership is not None:
+            self.membership.stop()
 
     # -- frame state machine -----------------------------------------------
 
@@ -458,11 +277,6 @@ class AsyncWorkerServer:
                       payload: bytes) -> None:
         if ftype == frames.HELLO:
             self.core._handshake(conn, payload)
-            return
-        if ftype == frames.BYE:
-            conn.closing = True
-            if not conn.out:
-                self._close_conn(conn)
             return
         if ftype == frames.TRACE:
             # Record, don't enable: the tracer is process-global and the
@@ -490,30 +304,22 @@ class AsyncWorkerServer:
             self._on_stream_frame(conn, stream, ftype, payload)
             return
         # idle: a fresh classic CALL, or the multiplexed sub-protocol
-        if ftype == frames.CALL:
-            self._start_call(conn, frames.decode_json(payload, what="CALL"))
-            return
-        if ftype == frames.EPOCH:
-            self._mux_open(conn, payload)
-            return
-        if ftype == frames.MUX_DATA:
-            self._mux_data(conn, payload)
-            return
-        if ftype == frames.MUX_TRAILER:
-            self._mux_trailer(conn, payload)
-            return
-        raise TransportError(
-            f"protocol violation: unexpected {frames.frame_name(ftype)} "
-            f"frame between calls"
-        )
+        handler = self._IDLE_FRAMES.get(ftype)
+        if handler is None:
+            raise TransportError(
+                f"protocol violation: unexpected {frames.frame_name(ftype)} "
+                f"frame between calls"
+            )
+        handler(self, conn, payload)
 
-    def _start_call(self, conn: _AsyncConn, call: dict) -> None:
+    def _start_call(self, conn: _AsyncConn, payload: bytes) -> None:
+        call = frames.decode_json(payload, what="CALL")
         op = call.get("op")
         handler = self.core._OPS.get(op)
         stream_op = self._STREAM_OPS.get(op)
         if handler is None and stream_op is None:
             raise TransportError(f"unknown op {op!r}")
-        self.core.log.debug("serving op %s", op)
+        self.log.debug("serving op %s", op)
         conn.op_trace, conn.trace_pending = conn.trace_pending, None
         if handler is not None:
             self._finish_call(conn, op, lambda: handler(self.core, call))
@@ -564,8 +370,8 @@ class AsyncWorkerServer:
             stream.chunks += 1
             stream.total += len(payload)
             stream.crc = zlib.crc32(payload, stream.crc)
-            self.core.metrics.note_chunk_received()
-            with self.core.metrics.phase("receive"), self.core._state_lock:
+            self.metrics.note_chunk_received()
+            with self.metrics.phase("receive"), self.core._state_lock:
                 stream.sink.feed(payload)
             return
         if ftype != frames.TRAILER:
@@ -661,7 +467,7 @@ class AsyncWorkerServer:
             )
         stream.chunks += 1
         stream.crc = zlib.crc32(chunk, stream.crc)
-        self.core.metrics.note_chunk_received()
+        self.metrics.note_chunk_received()
         if stream.error is None:
             stream.buf.extend(chunk)
             conn.queued_bytes += len(chunk)
@@ -678,14 +484,8 @@ class AsyncWorkerServer:
             )
         del conn.mux_open[channel_id]
         if stream.error is not None:
-            self.epoch_failures += 1
-            kind, message = stream.error
-            obs.record("error", error=kind, channel=channel_id,
-                       epoch=stream.epoch, detail=message[:200])
-            conn.send_frame(frames.RESULT, frames.encode_json({
-                "op": "recv_epoch", "ok": False, "channel_id": channel_id,
-                "epoch": stream.epoch, "error_kind": kind, "error": message,
-            }))
+            conn.send_frame(frames.RESULT, frames.encode_json(
+                self._epoch_failed(channel_id, stream.epoch, *stream.error)))
             return
         received = len(stream.buf)
         _check_trailer(f"mux trailer for channel {channel_id}",
@@ -700,13 +500,35 @@ class AsyncWorkerServer:
             conn.pending_per_channel.get(channel_id, 0) + 1
         self._maybe_pause(conn)
 
+    #: What an idle connection (no classic op in flight) may receive.
+    _IDLE_FRAMES = {
+        frames.CALL: _start_call,
+        frames.EPOCH: _mux_open,
+        frames.MUX_DATA: _mux_data,
+        frames.MUX_TRAILER: _mux_trailer,
+    }
+
+    def _epoch_failed(self, channel_id: int, epoch: int, kind: str,
+                      message: str) -> dict:
+        """A per-channel failure (DeltaStaleError above all): counted,
+        flight-recorded — the next heartbeat ships it to the coordinator —
+        and answered ``ok=false`` so the connection's other channels live."""
+        self.epoch_failures += 1
+        obs.record("error", error=kind, channel=channel_id, epoch=epoch,
+                   detail=message[:200])
+        return {"op": "recv_epoch", "ok": False, "channel_id": channel_id,
+                "epoch": epoch, "error_kind": kind, "error": message}
+
+    def _over_pending_cap(self, conn: _AsyncConn) -> bool:
+        pending = conn.pending_per_channel
+        return bool(pending) \
+            and max(pending.values()) >= self.max_pending_epochs
+
     def _maybe_pause(self, conn: _AsyncConn) -> None:
         if conn.paused or conn.closing or conn.closed:
             return
-        over_bytes = conn.queued_bytes >= self.high_water_bytes
-        over_count = conn.pending_per_channel and max(
-            conn.pending_per_channel.values()) >= self.max_pending_epochs
-        if over_bytes or over_count:
+        if conn.queued_bytes >= self.high_water_bytes \
+                or self._over_pending_cap(conn):
             conn.paused = True
             self.reads_paused_total += 1
             self._update_interest(conn)
@@ -714,20 +536,15 @@ class AsyncWorkerServer:
     def _maybe_resume(self, conn: _AsyncConn) -> None:
         if not conn.paused or conn.closed:
             return
-        if not conn.ready:
-            # Every buffered byte belongs to a still-open stream: the
-            # applier has nothing to drain, so only more reads can make
-            # progress — staying paused would deadlock the connection.
-            # Resume; the next trailer completed over the mark re-pauses
-            # immediately, so reads throttle to apply progress instead of
-            # stopping outright.
-            conn.paused = False
-            self._update_interest(conn)
-            return
-        if conn.queued_bytes <= self.high_water_bytes // 2 and (
-                not conn.pending_per_channel or max(
-                    conn.pending_per_channel.values())
-                < self.max_pending_epochs):
+        # With an empty ready queue every buffered byte belongs to a
+        # still-open stream: the applier has nothing to drain, so only
+        # more reads can make progress — staying paused would deadlock the
+        # connection.  Resume; the next trailer completed over the mark
+        # re-pauses immediately, so reads throttle to apply progress
+        # instead of stopping outright.
+        if not conn.ready or (
+                conn.queued_bytes <= self.high_water_bytes // 2
+                and not self._over_pending_cap(conn)):
             conn.paused = False
             self._update_interest(conn)
 
@@ -774,448 +591,21 @@ class AsyncWorkerServer:
             result["queue_wait_s"] = wait
             self.epochs_applied += 1
         except Exception as exc:  # noqa: BLE001 - per-channel blast radius
-            self.epoch_failures += 1
-            # Flight-recorder the NACK (DeltaStaleError above all): the
-            # next heartbeat ships it, so a dying worker's channel
-            # failures survive at the coordinator.
-            obs.record("error", error=type(exc).__name__,
-                       channel=item.channel_id, epoch=item.epoch,
-                       detail=str(exc)[:200])
-            result = {
-                "op": "recv_epoch", "ok": False,
-                "channel_id": item.channel_id, "epoch": item.epoch,
-                "error_kind": type(exc).__name__, "error": str(exc),
-            }
+            result = self._epoch_failed(item.channel_id, item.epoch,
+                                        type(exc).__name__, str(exc))
         try:
             conn.send_frame(frames.RESULT, frames.encode_json(result))
         except TransportError:  # pragma: no cover - oversized result
             self._close_conn(conn)
 
-    # -- housekeeping ------------------------------------------------------
 
-    def _maybe_beat(self) -> None:
-        if self.membership is None or self._next_beat is None:
-            return
-        if time.monotonic() >= self._next_beat:
-            self.membership.beat_once()
-            self._next_beat = time.monotonic() + self.membership.next_wait()
-
-    def _reap_stalled(self) -> None:
-        """Time out connections stalled *mid-stream*.  Idle connections
-        between ops live forever — a thousand persistent channels rely on
-        it."""
-        timeout = self.core.spec.read_timeout
-        if not timeout:
-            return
-        now = time.monotonic()
-        for conn in list(self._conns):
-            if (conn.stream is not None or conn.mux_open) \
-                    and not conn.paused \
-                    and now - conn.last_activity > timeout:
-                self._fail_conn(conn, TransportTimeout(
-                    f"stream stalled for {timeout:.1f}s mid-op"
-                ))
-
-    def _shutdown_flush(self) -> None:
-        """Best-effort flush of every outbound buffer (above all the
-        final shutdown RESULT), then close everything."""
-        for conn in list(self._conns):
-            if conn.out and not conn.closed:
-                try:
-                    conn.sock.setblocking(True)
-                    conn.sock.settimeout(2.0)
-                    conn.sock.sendall(conn.out)
-                except OSError:
-                    pass
-            self._close_conn(conn)
-
-
-class LocalAsyncWorker:
-    """An in-process async worker for tests: the event loop runs on a
-    daemon thread inside *this* interpreter, so a test can reach the
-    server object (pause processing, read counters) while real sockets
-    carry the protocol.  Mirrors ``LocalCoordinator``."""
+class LocalAsyncWorker(ThreadHost):
+    """An in-process worker for tests (see :class:`ThreadHost`);
+    ``start()`` or ``with`` begins serving."""
 
     def __init__(self, spec: WorkerSpec, **loop_kwargs) -> None:
-        self.spec = spec
-        self.server = WorkerServer(spec)
-        self.loop = AsyncWorkerServer(self.server, **loop_kwargs)
-        self._listener = bind_listener(spec.host, spec.port,
-                                       backlog=spec.listen_backlog)
-        self.host = spec.host
-        self.port = self._listener.getsockname()[1]
-        self._thread = threading.Thread(
-            target=self.loop.serve_forever, args=(self._listener,),
-            name=f"aserve-{spec.name}", daemon=True,
+        super().__init__(
+            AsyncWorkerServer(WorkerServer(spec), **loop_kwargs),
+            f"aserve-{spec.name}", spec.host, spec.port,
+            backlog=spec.listen_backlog,
         )
-
-    def start(self) -> "LocalAsyncWorker":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.loop.shutdown()
-        self._thread.join(timeout=10.0)
-        self._listener.close()
-
-    def __enter__(self) -> "LocalAsyncWorker":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class MuxEpochClient:
-    """Driver-side endpoint of the multiplexed sub-protocol: one socket,
-    many concurrent channel streams.
-
-    ``send_epochs`` interleaves every channel's EPOCH header, MUX_DATA
-    chunks, and MUX_TRAILER on the single connection (round-robin by
-    default, caller-shuffled for the fuzz tests), draining RESULT frames
-    as they arrive — each result is matched back to its channel by the
-    ``channel_id`` the worker tags it with, and per-channel latency is
-    measured trailer-written → result-read.
-
-    Failures follow the mux taxonomy: a per-channel ``ok=false`` RESULT
-    is returned to the caller (or raised as :class:`RemoteWorkerError` by
-    the single-channel :meth:`send_epoch`), while an ERROR frame means
-    the connection is dead and raises immediately.
-    """
-
-    def __init__(
-        self,
-        runtime,
-        host: str,
-        port: int,
-        node_name: str = "driver",
-        connect_timeout: float = 2.0,
-        connect_attempts: int = 1,
-        connect_backoff: float = 0.05,
-        read_timeout: float = 60.0,
-        chunk_bytes: int = DEFAULT_MUX_CHUNK_BYTES,
-        metrics: Optional[TransportMetrics] = None,
-    ) -> None:
-        self.runtime = runtime
-        self.host = host
-        self.port = port
-        self.node_name = node_name
-        self.chunk_bytes = chunk_bytes
-        self.metrics = metrics if metrics is not None else TransportMetrics()
-        self._connect_timeout = connect_timeout
-        self._connect_attempts = connect_attempts
-        self._connect_backoff = connect_backoff
-        self._read_timeout = read_timeout
-        self._sock: Optional[socket.socket] = None
-        self._decoder = frames.FrameDecoder()
-        self._synced_names: Optional[frozenset] = None
-        self._traced = False
-        self.peer_name: Optional[str] = None
-
-    # -- connection --------------------------------------------------------
-
-    def connect(self) -> "MuxEpochClient":
-        with self.metrics.phase("connect"):
-            sock = connect_with_retry(
-                self.host, self.port,
-                connect_timeout=self._connect_timeout,
-                attempts=self._connect_attempts,
-                backoff=self._connect_backoff,
-                metrics=self.metrics,
-            )
-        sock.settimeout(self._read_timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover
-            pass
-        self._sock = sock
-        self._decoder = frames.FrameDecoder()
-        self._synced_names = None
-        self._traced = False
-        self._sync_registry()
-        return self
-
-    def close(self) -> None:
-        if self._sock is None:
-            return
-        try:
-            self._send_raw(frames.encode_frame(frames.BYE, b""))
-        except TransportError:
-            pass
-        try:
-            self._sock.close()
-        finally:
-            self._sock = None
-
-    def __enter__(self) -> "MuxEpochClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _require_sock(self) -> socket.socket:
-        if self._sock is None:
-            raise TransportError("mux client is not connected")
-        return self._sock
-
-    def _send_raw(self, data: bytes) -> None:
-        sock = self._require_sock()
-        try:
-            sock.sendall(data)
-        except socket.timeout as exc:
-            raise TransportTimeout("timed out sending mux frames") from exc
-        except OSError as exc:
-            raise TransportClosed(
-                f"peer closed while sending mux frames: {exc}"
-            ) from exc
-        self.metrics.note_frame_sent(len(data))
-
-    def _recv_frame(self, timeout: Optional[float]) -> Optional[Tuple[int, bytes]]:
-        """One frame; ``timeout=0`` polls (returns None when nothing is
-        buffered or readable), otherwise blocks up to ``timeout``.
-
-        Polling probes readability with ``select`` rather than zeroing
-        the socket timeout: the socket must stay blocking so that
-        ``sendall`` survives a full kernel send buffer — the stall the
-        worker's backpressure deliberately creates — instead of raising
-        ``BlockingIOError`` after a partial write."""
-        sock = self._require_sock()
-        while True:
-            frame = self._decoder.next_frame()
-            if frame is not None:
-                self.metrics.note_frame_received(
-                    frames.HEADER_BYTES + len(frame[1])
-                )
-                return frame
-            if timeout == 0.0:
-                if not select.select([sock], [], [], 0.0)[0]:
-                    return None
-            else:
-                sock.settimeout(timeout)
-            try:
-                data = sock.recv(256 * 1024)
-            except (BlockingIOError, socket.timeout) as exc:
-                if timeout == 0.0:
-                    return None
-                raise TransportTimeout(
-                    "timed out waiting for a mux RESULT"
-                ) from exc
-            except OSError as exc:
-                raise TransportClosed(f"connection reset: {exc}") from exc
-            if not data:
-                raise TransportClosed(
-                    "peer closed the connection mid-conversation"
-                )
-            self._decoder.feed(data)
-
-    def _sync_registry(self) -> None:
-        snapshot = self.runtime.view.snapshot()
-        if self._synced_names is not None \
-                and frozenset(snapshot) == self._synced_names:
-            return
-        with self.metrics.phase("handshake"):
-            self._send_raw(frames.encode_frame(
-                frames.HELLO,
-                frames.encode_hello(self.node_name, snapshot),
-            ))
-            got = self._recv_frame(self._read_timeout)
-            ftype, payload = got
-            if ftype == frames.ERROR:
-                kind, message = frames.decode_error(payload)
-                raise RemoteWorkerError(kind, message)
-            if ftype != frames.HELLO_ACK:
-                raise TransportClosed(
-                    f"protocol violation: expected HELLO_ACK, peer sent "
-                    f"{frames.frame_name(ftype)}"
-                )
-            peer, extras = frames.decode_hello_ack(payload)
-            merged = registry_sync.merge_registries(snapshot, extras)
-            registry_sync.install_merged(self.runtime, merged)
-        self.peer_name = peer
-        self._synced_names = frozenset(merged)
-
-    def _send_trace_once(self) -> None:
-        if self._traced or not obs.enabled():
-            return
-        trace_id, span_id = obs.current_context()
-        self._send_raw(frames.encode_frame(
-            frames.TRACE, frames.encode_trace(trace_id, span_id)
-        ))
-        self._traced = True
-
-    # -- the fan-in send ---------------------------------------------------
-
-    def send_epochs(
-        self,
-        epochs,
-        rng=None,
-        flush_bytes: int = 256 * 1024,
-    ) -> Dict[int, dict]:
-        """Ship many epochs concurrently over the one connection.
-
-        ``epochs`` is an iterable of ``(channel_id, epoch, frame_bytes)``
-        or ``(channel_id, epoch, frame_bytes, digest)`` tuples (``digest``
-        defaults to True and rides the MUX_TRAILER flags byte).  Frames
-        interleave round-robin across channels (in-order within each
-        channel — the only ordering the worker requires); pass an ``rng``
-        (anything with ``randrange``) to randomize the interleaving
-        instead, which is how the fuzz test splices.
-
-        Each channel may appear at most once per call: the worker allows
-        one open mux stream per channel, and results are keyed by channel
-        id — ship a channel's successive epochs in successive calls.
-
-        Returns ``{channel_id: {"result": <worker RESULT>,
-        "latency_s": <trailer-sent → result-read>}}``.  ``ok=false``
-        results are returned, not raised — per-channel failures are the
-        caller's to triage.
-        """
-        epochs = list(epochs)
-        queues: List[List[Tuple[int, bytes]]] = []
-        expected: set = set()
-        for entry in epochs:
-            channel_id, epoch, frame_bytes = entry[:3]
-            digest = entry[3] if len(entry) > 3 else True
-            if channel_id in expected:
-                raise TransportError(
-                    f"send_epochs got channel {channel_id} more than once "
-                    f"in one call; a channel allows one open mux stream "
-                    f"at a time — ship its epochs in successive calls"
-                )
-            expected.add(channel_id)
-            per = [(0, frames.encode_frame(
-                frames.EPOCH,
-                frames.encode_epoch_header(
-                    channel_id, epoch,
-                    frame_bytes[0] if frame_bytes else 0),
-            ))]
-            for off in range(0, max(len(frame_bytes), 1),
-                             self.chunk_bytes):
-                chunk = frame_bytes[off:off + self.chunk_bytes]
-                per.append((0, frames.encode_frame(
-                    frames.MUX_DATA,
-                    frames.encode_mux_data(channel_id, chunk),
-                )))
-            chunks = len(per) - 1
-            per.append((channel_id, frames.encode_frame(
-                frames.MUX_TRAILER,
-                frames.encode_mux_trailer(
-                    channel_id, len(frame_bytes),
-                    zlib.crc32(frame_bytes), chunks, digest=digest),
-            )))
-            queues.append(per)
-        self._sync_registry()
-        self._send_trace_once()
-
-        results: Dict[int, dict] = {}
-        sent_at: Dict[int, float] = {}
-        out = bytearray()
-
-        def drain(timeout: float) -> None:
-            while True:
-                frame = self._recv_frame(timeout)
-                if frame is None:
-                    return
-                self._absorb_result(frame, results, sent_at)
-                timeout = 0.0  # drain whatever else is buffered
-
-        with obs.span("mux.send_epochs", channels=len(expected),
-                      destination=f"{self.host}:{self.port}"):
-            while queues:
-                if rng is not None:
-                    idx = rng.randrange(len(queues))
-                else:
-                    idx = 0
-                queue = queues[idx]
-                marker, data = queue.pop(0)
-                out.extend(data)
-                if not queue:
-                    # rotate finished queues out; round-robin rotates the
-                    # head to the back so channels interleave
-                    queues.pop(idx)
-                elif rng is None:
-                    queues.append(queues.pop(0))
-                if marker:
-                    # flush through the trailer so the latency clock
-                    # starts when the worker can actually see the stream
-                    self._send_raw(bytes(out))
-                    out.clear()
-                    sent_at[marker] = time.perf_counter()
-                    drain(0.0)
-                elif len(out) >= flush_bytes:
-                    self._send_raw(bytes(out))
-                    out.clear()
-                    drain(0.0)
-            if out:
-                self._send_raw(bytes(out))
-                out.clear()
-            while expected - set(results):
-                drain(self._read_timeout)
-        return results
-
-    def _absorb_result(self, frame: Tuple[int, bytes],
-                       results: Dict[int, dict],
-                       sent_at: Dict[int, float]) -> None:
-        ftype, payload = frame
-        if ftype == frames.ERROR:
-            kind, message = frames.decode_error(payload)
-            raise RemoteWorkerError(kind, message)
-        if ftype != frames.RESULT:
-            raise TransportClosed(
-                f"protocol violation: expected RESULT, peer sent "
-                f"{frames.frame_name(ftype)}"
-            )
-        result = frames.decode_json(payload, what="RESULT")
-        channel_id = result.get("channel_id")
-        if channel_id is None:
-            raise TransportClosed(
-                "mux RESULT carries no channel_id; cannot demultiplex"
-            )
-        now = time.perf_counter()
-        started = sent_at.get(channel_id)
-        results[channel_id] = {
-            "result": result,
-            "latency_s": (now - started) if started is not None else None,
-        }
-
-    def send_epoch(self, frame_bytes: bytes, channel_id: int,
-                   epoch: int, digest: bool = True) -> dict:
-        """The single-channel convenience (the exchange substrate's
-        via-mux path): one epoch, blocking, classic error semantics — an
-        ``ok=false`` result raises :class:`RemoteWorkerError` with the
-        remote kind, so :class:`DeltaStaleError` NACKs surface exactly as
-        they do on a classic connection (minus the connection teardown:
-        the mux socket survives, no reconnect needed)."""
-        outcome = self.send_epochs(
-            [(channel_id, epoch, frame_bytes, digest)]
-        )[channel_id]
-        result = outcome["result"]
-        if not result.get("ok", False):
-            raise RemoteWorkerError(
-                result.get("error_kind", "TransportError"),
-                result.get("error", "mux epoch failed"),
-            )
-        result.setdefault("latency_s", outcome["latency_s"])
-        return result
-
-    # -- classic ops over the mux socket -----------------------------------
-
-    def call_op(self, op: str, **params) -> dict:
-        """A plain CALL/RESULT op on the mux connection (idle state serves
-        the classic protocol unchanged) — ``stats`` is the usual guest."""
-        self._send_raw(frames.encode_frame(
-            frames.CALL, frames.encode_json({"op": op, **params})
-        ))
-        got = self._recv_frame(self._read_timeout)
-        ftype, payload = got
-        if ftype == frames.ERROR:
-            kind, message = frames.decode_error(payload)
-            raise RemoteWorkerError(kind, message)
-        if ftype != frames.RESULT:
-            raise TransportClosed(
-                f"protocol violation: expected RESULT, peer sent "
-                f"{frames.frame_name(ftype)}"
-            )
-        return frames.decode_json(payload, what="RESULT")
-
-    def stats(self) -> dict:
-        return self.call_op("stats")

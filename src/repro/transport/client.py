@@ -1,10 +1,12 @@
 """Driver-side handles: spawning workers and talking to them.
 
-:class:`WorkerHandle` owns a spawned worker *process* (start, port
-discovery, kill, reap).  :class:`WorkerClient` owns one framed *connection*
-to a worker: registry handshake, graph/blob sends through the chunk
-pipeline, and the conversion of every mid-stream failure into the typed
-error taxonomy.
+:class:`WorkerHandle` owns a spawned worker *process*.
+:class:`WorkerSession` owns one framed *connection* to a worker — connect
+with retry, registry handshake, TRACE propagation, plain CALL/RESULT ops,
+NACK recovery, obs-source registration, BYE.  Its subclasses add the two
+ways of moving bytes: :class:`WorkerClient` (one op at a time through the
+chunk pipeline, every mid-stream failure converted into the typed error
+taxonomy) and :class:`MuxEpochClient` (many channels' epochs interleaved).
 
 Byte accounting: a client constructed with ``account_node=`` routes the
 stream bytes each send delivers through
@@ -16,108 +18,77 @@ the simulated wire reports (Figure 3(b) stays one code path).
 from __future__ import annotations
 
 import itertools
-import multiprocessing
+import time
 import zlib
-from typing import Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro import obs
 from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectOutputStream
 from repro.net.cluster import Node
 from repro.transport import frames, registry_sync
-from repro.transport.connection import FrameConnection, connect_with_retry
-from repro.transport.errors import TransportError, WorkerStartupError
+from repro.transport.bootstrap import ProcessHandle
+from repro.transport.connection import (
+    FrameConnection,
+    connect_with_retry,
+    expect_payload,
+)
+from repro.transport.errors import (
+    RemoteWorkerError,
+    TransportClosed,
+    TransportError,
+)
 from repro.transport.metrics import TransportMetrics
 from repro.transport.pipeline import (
     DEFAULT_CHUNK_BYTES,
     DEFAULT_QUEUE_CHUNKS,
     ChunkPipeline,
 )
-from repro.transport.worker import WorkerSpec, worker_main
+from repro.transport.worker import worker_main
+
+#: Chunk size for multiplexed streams.  Smaller than the classic pipeline
+#: default on purpose: mux chunks are the interleaving quantum, and a
+#: thousand channels sharing one socket round-robin at this granularity.
+DEFAULT_MUX_CHUNK_BYTES = 32 * 1024
 
 
-class WorkerHandle:
+class WorkerHandle(ProcessHandle):
     """A spawned worker process and the port it listens on."""
 
-    def __init__(self, spec: WorkerSpec, process, port: int) -> None:
-        self.spec = spec
-        self.process = process
-        self.host = spec.host
-        self.port = port
-
-    @classmethod
-    def spawn(cls, spec: WorkerSpec, startup_timeout: float = 30.0) -> "WorkerHandle":
-        """Start the worker (``multiprocessing.spawn`` — a fresh
-        interpreter, like a fresh JVM) and wait for its listening port."""
-        ctx = multiprocessing.get_context("spawn")
-        parent_pipe, child_pipe = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=worker_main, args=(spec, child_pipe),
-            name=f"skyway-worker-{spec.name}", daemon=True,
-        )
-        process.start()
-        child_pipe.close()
-        try:
-            if not parent_pipe.poll(startup_timeout):
-                raise WorkerStartupError(
-                    f"worker {spec.name!r} reported no port within "
-                    f"{startup_timeout}s"
-                )
-            status, value = parent_pipe.recv()
-        except (EOFError, OSError) as exc:
-            process.terminate()
-            process.join(timeout=5)
-            raise WorkerStartupError(
-                f"worker {spec.name!r} died during startup: {exc}"
-            ) from exc
-        finally:
-            parent_pipe.close()
-        if status != "ok":
-            process.join(timeout=5)
-            raise WorkerStartupError(
-                f"worker {spec.name!r} failed to start: {value}"
-            )
-        return cls(spec, process, int(value))
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        """SIGKILL — the fault-injection path (worker dies mid-stream)."""
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(timeout=5)
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Terminate and reap (fixtures call this; no zombie workers)."""
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():  # pragma: no cover - last resort
-            self.process.kill()
-            self.process.join(timeout=timeout)
+    kind = "worker"
+    main = staticmethod(worker_main)
 
 
 _client_ids = itertools.count(1)
 
 
-class WorkerClient:
-    """One framed connection from a driver runtime to a worker."""
+def _fail_stream(conn: FrameConnection, pipeline: ChunkPipeline,
+                 exc: TransportError) -> None:
+    """A send failed mid-stream: tear down the chunk writer, then raise
+    the worker's pending ERROR frame (its explanation of *why* it hung
+    up) in preference to the local symptom."""
+    pipeline.abort()
+    remote = conn.pending_remote_error()
+    if remote is not None:
+        raise remote from exc
+    raise exc
+
+
+class WorkerSession:
+    """One framed connection from a driver runtime to a worker: everything
+    :class:`WorkerClient` and :class:`MuxEpochClient` have in common."""
 
     def __init__(
         self,
         runtime: SkywayRuntime,
         host: str,
         port: int,
-        node_name: str = "driver",
-        connect_timeout: float = 2.0,
-        connect_attempts: int = 1,
-        connect_backoff: float = 0.05,
-        read_timeout: float = 10.0,
-        metrics: Optional[TransportMetrics] = None,
-        account_node: Optional[Node] = None,
-        account_remote: bool = True,
+        node_name: str,
+        connect_timeout: float,
+        connect_attempts: int,
+        connect_backoff: float,
+        read_timeout: float,
+        metrics: Optional[TransportMetrics],
         connection_cls: Type[FrameConnection] = FrameConnection,
     ) -> None:
         self.runtime = runtime
@@ -125,11 +96,10 @@ class WorkerClient:
         self.port = port
         self.node_name = node_name
         self.metrics = metrics if metrics is not None else TransportMetrics()
-        self.account_node = account_node
-        self.account_remote = account_remote
-        self._connect_timeout = connect_timeout
-        self._connect_attempts = connect_attempts
-        self._connect_backoff = connect_backoff
+        self._connect_opts = dict(
+            connect_timeout=connect_timeout, attempts=connect_attempts,
+            backoff=connect_backoff, metrics=self.metrics,
+        )
         self._read_timeout = read_timeout
         self._connection_cls = connection_cls
         self._conn: Optional[FrameConnection] = None
@@ -143,15 +113,10 @@ class WorkerClient:
 
     # -- connection & handshake -------------------------------------------
 
-    def connect(self) -> "WorkerClient":
+    def connect(self):
         with self.metrics.phase("connect"):
-            sock = connect_with_retry(
-                self.host, self.port,
-                connect_timeout=self._connect_timeout,
-                attempts=self._connect_attempts,
-                backoff=self._connect_backoff,
-                metrics=self.metrics,
-            )
+            sock = connect_with_retry(self.host, self.port,
+                                      **self._connect_opts)
         self._conn = self._connection_cls(
             sock, read_timeout=self._read_timeout, metrics=self.metrics,
         )
@@ -197,6 +162,36 @@ class WorkerClient:
         self.peer_name = peer
         self._synced_names = frozenset(merged)
 
+    def recover_from_nack(self) -> None:
+        """Make the connection usable again after a ``DeltaStaleError``
+        NACK.  On a classic connection the worker closed after its ERROR
+        frame, so recovery is a reconnect."""
+        self.close()
+        self.connect()
+
+    def send_epoch(self, frame_bytes, channel_id, epoch, digest=True, **opts):
+        raise NotImplementedError  # how an epoch moves is each subclass's
+
+    def send_epoch_recovering(self, channel, frame: bytes, reframe,
+                              **send_opts) -> Tuple[dict, List[bytes]]:
+        """:meth:`send_epoch` for a ``DeltaSendChannel``, plus the NACK
+        protocol: a stale receiver's ``DeltaStaleError`` is answered by
+        :meth:`recover_from_nack`, a forced-FULL ``reframe()`` and one
+        resend.  Returns the RESULT and every frame shipped (the last is
+        the one applied; two means a NACK was recovered)."""
+        shipped = [frame]
+        try:
+            return self.send_epoch(frame, channel.channel_id, channel.epoch,
+                                   **send_opts), shipped
+        except RemoteWorkerError as exc:
+            if exc.kind != "DeltaStaleError":
+                raise
+        self.recover_from_nack()
+        channel.force_full_next()
+        shipped.append(reframe())
+        return self.send_epoch(shipped[-1], channel.channel_id,
+                               channel.epoch, **send_opts), shipped
+
     # -- ops ---------------------------------------------------------------
 
     def _send_trace(self, conn: FrameConnection) -> None:
@@ -213,18 +208,98 @@ class WorkerClient:
         The building block under ping/stats and the fleet control ops."""
         conn = self._require_conn()
         self._send_trace(conn)
-        conn.send_frame(
-            frames.CALL, frames.encode_json({"op": op, **params})
-        )
-        return frames.decode_json(
-            conn.expect_frame(frames.RESULT), what="RESULT"
-        )
-
-    def ping(self, echo=None) -> dict:
-        return self.call_op("ping", echo=echo)
+        return conn.call({"op": op, **params})
 
     def stats(self) -> dict:
         return self.call_op("stats")
+
+    def close(self) -> None:
+        if self._obs_source is not None:
+            obs.registry().deregister_source(self._obs_source)
+            self._obs_source = None
+        if self._conn is not None:
+            self._conn.close(bye=True)
+            self._conn = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class WorkerClient(WorkerSession):
+    """The classic endpoint: one op in flight per connection."""
+
+    def __init__(
+        self,
+        runtime: SkywayRuntime,
+        host: str,
+        port: int,
+        node_name: str = "driver",
+        connect_timeout: float = 2.0,
+        connect_attempts: int = 1,
+        connect_backoff: float = 0.05,
+        read_timeout: float = 10.0,
+        metrics: Optional[TransportMetrics] = None,
+        account_node: Optional[Node] = None,
+        account_remote: bool = True,
+        connection_cls: Type[FrameConnection] = FrameConnection,
+    ) -> None:
+        super().__init__(runtime, host, port, node_name, connect_timeout,
+                         connect_attempts, connect_backoff, read_timeout,
+                         metrics, connection_cls)
+        self.account_node = account_node
+        self.account_remote = account_remote
+
+    def _finish_stream(self, conn: FrameConnection, span,
+                       nbytes: int) -> dict:
+        """The tail of every data-bearing op: read the RESULT (an ERROR
+        frame raises the remote failure), graft the worker's spans under
+        ``span``, account the delivered bytes."""
+        result = frames.decode_json(
+            conn.expect_frame(frames.RESULT), what="RESULT"
+        )
+        if span is not None:
+            obs.absorb_remote(result, span)
+        if self.account_node is not None:
+            self.account_node.account_fetch(
+                nbytes, remote=self.account_remote
+            )
+        return result
+
+    def _send_bytes(self, name: str, call: dict, data: bytes,
+                    epoch_header: Optional[bytes] = None,
+                    verify_crc: bool = False, span_attrs=None,
+                    **pipeline_opts) -> dict:
+        """One data-bearing op whose payload is already in hand: CALL, an
+        optional EPOCH header, ``data`` as DATA chunks + TRAILER through a
+        :class:`ChunkPipeline`, then the RESULT.  A mid-stream failure
+        raises the worker's pending ERROR if it sent one."""
+        conn = self._require_conn()
+        with obs.span(f"wire.{name}", **(span_attrs or {}), bytes=len(data),
+                      destination=f"{self.host}:{self.port}") as sp:
+            self._send_trace(conn)
+            conn.send_frame(frames.CALL, frames.encode_json(call))
+            if epoch_header is not None:
+                conn.send_frame(frames.EPOCH, epoch_header)
+            pipeline = ChunkPipeline(conn, metrics=self.metrics,
+                                     **pipeline_opts)
+            try:
+                with self.metrics.phase("traverse+send"):
+                    pipeline.feed(data)
+                    pipeline.finish(len(data), zlib.crc32(data))
+            except TransportError as exc:
+                _fail_stream(conn, pipeline, exc)
+            result = self._finish_stream(conn, sp, len(data))
+        if verify_crc and result.get("crc32") != zlib.crc32(data):
+            raise TransportError(
+                "worker acknowledged a blob with a different CRC"
+            )
+        return result
+
+    def ping(self, echo=None) -> dict:
+        return self.call_op("ping", echo=echo)
 
     # -- fleet ops (repro.cluster) ----------------------------------------
 
@@ -237,66 +312,36 @@ class WorkerClient:
                  chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> dict:
         """Store opaque bytes under ``key`` on the worker (the fleet's
         shuffle-bucket mirror); the worker answers size + CRC."""
-        conn = self._require_conn()
-        with obs.span("wire.put_blob", key=key, bytes=len(data),
-                      destination=f"{self.host}:{self.port}") as sp:
-            self._send_trace(conn)
-            conn.send_frame(
-                frames.CALL,
-                frames.encode_json({"op": "put_blob", "key": key}),
-            )
-            pipeline = ChunkPipeline(
-                conn, chunk_bytes=chunk_bytes, metrics=self.metrics,
-            )
-            try:
-                with self.metrics.phase("traverse+send"):
-                    pipeline.feed(data)
-                    pipeline.finish(len(data), zlib.crc32(data))
-            except TransportError as exc:
-                pipeline.abort()
-                remote = conn.pending_remote_error()
-                if remote is not None:
-                    raise remote from exc
-                raise
-            result = frames.decode_json(
-                conn.expect_frame(frames.RESULT), what="RESULT"
-            )
+        return self._send_bytes(
+            "put_blob", {"op": "put_blob", "key": key}, data,
+            verify_crc=True, span_attrs={"key": key},
+            chunk_bytes=chunk_bytes,
+        )
+
+    def _traced_call(self, name: str, op_params: dict, **span_attrs) -> dict:
+        """A plain op under its own ``wire.<op>`` span, the worker's spans
+        grafted beneath it."""
+        with obs.span(f"wire.{name}", **span_attrs,
+                      via=f"{self.host}:{self.port}") as sp:
+            result = self.call_op(name, **op_params)
             obs.absorb_remote(result, sp)
-        if result.get("crc32") != zlib.crc32(data):
-            raise TransportError(
-                "worker acknowledged a blob with a different CRC"
-            )
-        if self.account_node is not None:
-            self.account_node.account_fetch(
-                len(data), remote=self.account_remote
-            )
         return result
 
     def send_peer(self, peer: str, peer_host: str, peer_port: int,
                   channel_id: int, roots) -> dict:
         """Ask *this* worker to clone ``roots`` (addresses on its heap)
         straight into another worker — the peer-to-peer shuffle route."""
-        with obs.span("wire.send_peer", peer=peer, channel=channel_id,
-                      via=f"{self.host}:{self.port}") as sp:
-            result = self.call_op(
-                "send_peer", peer=peer, peer_host=peer_host,
-                peer_port=peer_port, channel_id=channel_id,
-                roots=[int(r) for r in roots],
-            )
-            obs.absorb_remote(result, sp)
-        return result
+        return self._traced_call("send_peer", dict(
+            peer=peer, peer_host=peer_host, peer_port=peer_port,
+            channel_id=channel_id, roots=[int(r) for r in roots],
+        ), peer=peer, channel=channel_id)
 
     def send_blob_peer(self, key: str, peer: str, peer_host: str,
                        peer_port: int) -> dict:
         """Ask this worker to push its stored blob ``key`` to a peer."""
-        with obs.span("wire.send_blob_peer", peer=peer, key=key,
-                      via=f"{self.host}:{self.port}") as sp:
-            result = self.call_op(
-                "send_blob_peer", key=key, peer=peer,
-                peer_host=peer_host, peer_port=peer_port,
-            )
-            obs.absorb_remote(result, sp)
-        return result
+        return self._traced_call("send_blob_peer", dict(
+            key=key, peer=peer, peer_host=peer_host, peer_port=peer_port,
+        ), peer=peer, key=key)
 
     def begin_graph(
         self,
@@ -386,39 +431,10 @@ class WorkerClient:
     ) -> dict:
         """Ship opaque bytes (the Spark broadcast path) through the same
         chunk pipeline; the worker answers size + CRC."""
-        conn = self._require_conn()
-        with obs.span("wire.send_blob", bytes=len(data),
-                      destination=f"{self.host}:{self.port}") as sp:
-            self._send_trace(conn)
-            conn.send_frame(frames.CALL,
-                            frames.encode_json({"op": "recv_blob"}))
-            pipeline = ChunkPipeline(
-                conn, chunk_bytes=chunk_bytes,
-                store_and_forward=store_and_forward, metrics=self.metrics,
-            )
-            try:
-                with self.metrics.phase("traverse+send"):
-                    pipeline.feed(data)
-                    pipeline.finish(len(data), zlib.crc32(data))
-            except TransportError as exc:
-                pipeline.abort()
-                remote = conn.pending_remote_error()
-                if remote is not None:
-                    raise remote from exc
-                raise
-            result = frames.decode_json(
-                conn.expect_frame(frames.RESULT), what="RESULT"
-            )
-            obs.absorb_remote(result, sp)
-        if result.get("crc32") != zlib.crc32(data):
-            raise TransportError(
-                "worker acknowledged a blob with a different CRC"
-            )
-        if self.account_node is not None:
-            self.account_node.account_fetch(
-                len(data), remote=self.account_remote
-            )
-        return result
+        return self._send_bytes(
+            "send_blob", {"op": "recv_blob"}, data, verify_crc=True,
+            chunk_bytes=chunk_bytes, store_and_forward=store_and_forward,
+        )
 
     def send_epoch(
         self,
@@ -438,74 +454,223 @@ class WorkerClient:
         A stale receiver answers ERROR naming ``DeltaStaleError`` — raised
         here as :class:`RemoteWorkerError` with that ``kind`` (the NACK);
         the worker closes the connection afterwards, so recovery is
-        reconnect + forced-full resend.
+        :meth:`recover_from_nack` + forced-full resend.
         """
-        conn = self._require_conn()
         self._sync_registry()
         kind = frame_bytes[0] if frame_bytes else 0
-        with obs.span("wire.send_epoch", channel=channel_id, epoch=epoch,
-                      bytes=len(frame_bytes),
-                      destination=f"{self.host}:{self.port}") as sp:
-            self._send_trace(conn)
-            conn.send_frame(
-                frames.CALL,
-                frames.encode_json({"op": "recv_epoch", "digest": digest}),
-            )
-            conn.send_frame(
-                frames.EPOCH,
-                frames.encode_epoch_header(channel_id, epoch, kind),
-            )
-            pipeline = ChunkPipeline(
-                conn, chunk_bytes=chunk_bytes, queue_chunks=queue_chunks,
-                store_and_forward=store_and_forward,
-                throttle_mbps=throttle_mbps, metrics=self.metrics,
-            )
-            try:
-                with self.metrics.phase("traverse+send"):
-                    pipeline.feed(frame_bytes)
-                    pipeline.finish(len(frame_bytes),
-                                    zlib.crc32(frame_bytes))
-            except TransportError as exc:
-                pipeline.abort()
-                remote = conn.pending_remote_error()
-                if remote is not None:
-                    raise remote from exc
-                raise
-            result = frames.decode_json(
-                conn.expect_frame(frames.RESULT), what="RESULT"
-            )
-            obs.absorb_remote(result, sp)
-        if self.account_node is not None:
-            self.account_node.account_fetch(
-                len(frame_bytes), remote=self.account_remote
-            )
-        return result
-
-    def shutdown_worker(self) -> dict:
-        conn = self._require_conn()
-        conn.send_frame(frames.CALL, frames.encode_json({"op": "shutdown"}))
-        return frames.decode_json(
-            conn.expect_frame(frames.RESULT), what="RESULT"
+        return self._send_bytes(
+            "send_epoch", {"op": "recv_epoch", "digest": digest},
+            frame_bytes,
+            epoch_header=frames.encode_epoch_header(channel_id, epoch, kind),
+            span_attrs={"channel": channel_id, "epoch": epoch},
+            chunk_bytes=chunk_bytes, queue_chunks=queue_chunks,
+            store_and_forward=store_and_forward, throttle_mbps=throttle_mbps,
         )
 
-    def close(self) -> None:
-        if self._obs_source is not None:
-            obs.registry().deregister_source(self._obs_source)
-            self._obs_source = None
-        if self._conn is None:
-            return
-        try:
-            self._conn.send_frame(frames.BYE)
-        except TransportError:
-            pass
-        self._conn.close()
-        self._conn = None
+    def shutdown_worker(self) -> dict:
+        return self._require_conn().call({"op": "shutdown"})
 
-    def __enter__(self) -> "WorkerClient":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+class MuxEpochClient(WorkerSession):
+    """Driver-side endpoint of the multiplexed sub-protocol: one socket,
+    many concurrent channel streams.
+
+    ``send_epochs`` interleaves every channel's EPOCH header, MUX_DATA
+    chunks, and MUX_TRAILER on the single connection (round-robin by
+    default, caller-shuffled for the fuzz tests), draining RESULT frames
+    as they arrive — each result is matched back to its channel by the
+    ``channel_id`` the worker tags it with, and per-channel latency is
+    measured trailer-written → result-read.
+
+    Failures follow the mux taxonomy: a per-channel ``ok=false`` RESULT
+    is returned to the caller (or raised as :class:`RemoteWorkerError` by
+    the single-channel :meth:`send_epoch`), while an ERROR frame means
+    the connection is dead and raises immediately.
+    """
+
+    def __init__(
+        self,
+        runtime,
+        host: str,
+        port: int,
+        node_name: str = "driver",
+        connect_timeout: float = 2.0,
+        connect_attempts: int = 1,
+        connect_backoff: float = 0.05,
+        read_timeout: float = 60.0,
+        chunk_bytes: int = DEFAULT_MUX_CHUNK_BYTES,
+        metrics: Optional[TransportMetrics] = None,
+    ) -> None:
+        super().__init__(runtime, host, port, node_name, connect_timeout,
+                         connect_attempts, connect_backoff, read_timeout,
+                         metrics)
+        self.chunk_bytes = chunk_bytes
+        self._traced: Optional[FrameConnection] = None
+
+    def _send_trace(self, conn: FrameConnection) -> None:
+        """Once per connection: the worker keeps a mux connection's trace
+        context for every apply that follows."""
+        if conn is not self._traced and obs.enabled():
+            super()._send_trace(conn)
+            self._traced = conn
+
+    def recover_from_nack(self) -> None:
+        """Nothing to do: a mux NACK is a per-channel ``ok=false`` RESULT,
+        the connection survives and the forced-full resend goes straight
+        out."""
+
+    # -- the fan-in send ---------------------------------------------------
+
+    def send_epochs(
+        self,
+        epochs,
+        rng=None,
+        flush_bytes: int = 256 * 1024,
+    ) -> Dict[int, dict]:
+        """Ship many epochs concurrently over the one connection.
+
+        ``epochs`` is an iterable of ``(channel_id, epoch, frame_bytes)``
+        or ``(channel_id, epoch, frame_bytes, digest)`` tuples (``digest``
+        defaults to True and rides the MUX_TRAILER flags byte).  Frames
+        interleave round-robin across channels (in-order within each
+        channel — the only ordering the worker requires); pass an ``rng``
+        (anything with ``randrange``) to randomize the interleaving
+        instead, which is how the fuzz test splices.
+
+        Each channel may appear at most once per call: the worker allows
+        one open mux stream per channel, and results are keyed by channel
+        id — ship a channel's successive epochs in successive calls.
+
+        Returns ``{channel_id: {"result": <worker RESULT>,
+        "latency_s": <trailer-sent → result-read>}}``.  ``ok=false``
+        results are returned, not raised — per-channel failures are the
+        caller's to triage.
+        """
+        epochs = list(epochs)
+        queues: List[List[Tuple[int, bytes]]] = []
+        expected: set = set()
+        for entry in epochs:
+            channel_id, epoch, frame_bytes = entry[:3]
+            digest = entry[3] if len(entry) > 3 else True
+            if channel_id in expected:
+                raise TransportError(
+                    f"send_epochs got channel {channel_id} more than once "
+                    f"in one call; a channel allows one open mux stream "
+                    f"at a time — ship its epochs in successive calls"
+                )
+            expected.add(channel_id)
+            per = [(0, frames.encode_frame(
+                frames.EPOCH,
+                frames.encode_epoch_header(
+                    channel_id, epoch,
+                    frame_bytes[0] if frame_bytes else 0),
+            ))]
+            for off in range(0, max(len(frame_bytes), 1),
+                             self.chunk_bytes):
+                chunk = frame_bytes[off:off + self.chunk_bytes]
+                per.append((0, frames.encode_frame(
+                    frames.MUX_DATA,
+                    frames.encode_mux_data(channel_id, chunk),
+                )))
+            chunks = len(per) - 1
+            per.append((channel_id, frames.encode_frame(
+                frames.MUX_TRAILER,
+                frames.encode_mux_trailer(
+                    channel_id, len(frame_bytes),
+                    zlib.crc32(frame_bytes), chunks, digest=digest),
+            )))
+            queues.append(per)
+        conn = self._require_conn()
+        self._sync_registry()
+        self._send_trace(conn)
+
+        results: Dict[int, dict] = {}
+        sent_at: Dict[int, float] = {}
+        out = bytearray()
+
+        def flush() -> None:
+            conn.send_encoded(bytes(out), "mux frames")
+            out.clear()
+
+        def drain(block: bool = False) -> None:
+            """Absorb every RESULT already here; ``block`` waits (up to
+            the read timeout) for the first."""
+            frame = conn.recv_frame() if block else conn.poll_frame()
+            while frame is not None:
+                self._absorb_result(frame, results, sent_at)
+                frame = conn.poll_frame()
+
+        with obs.span("mux.send_epochs", channels=len(expected),
+                      destination=f"{self.host}:{self.port}"):
+            while queues:
+                if rng is not None:
+                    idx = rng.randrange(len(queues))
+                else:
+                    idx = 0
+                queue = queues[idx]
+                marker, data = queue.pop(0)
+                out.extend(data)
+                if not queue:
+                    # rotate finished queues out; round-robin rotates the
+                    # head to the back so channels interleave
+                    queues.pop(idx)
+                elif rng is None:
+                    queues.append(queues.pop(0))
+                if marker:
+                    # flush through the trailer so the latency clock
+                    # starts when the worker can actually see the stream
+                    flush()
+                    sent_at[marker] = time.perf_counter()
+                    drain()
+                elif len(out) >= flush_bytes:
+                    flush()
+                    drain()
+            if out:
+                flush()
+            while expected - set(results):
+                drain(block=True)
+        return results
+
+    def _absorb_result(self, frame: Tuple[int, bytes],
+                       results: Dict[int, dict],
+                       sent_at: Dict[int, float]) -> None:
+        result = frames.decode_json(
+            expect_payload(frame, frames.RESULT), what="RESULT"
+        )
+        channel_id = result.get("channel_id")
+        if channel_id is None:
+            raise TransportClosed(
+                "mux RESULT carries no channel_id; cannot demultiplex"
+            )
+        now = time.perf_counter()
+        started = sent_at.get(channel_id)
+        results[channel_id] = {
+            "result": result,
+            "latency_s": (now - started) if started is not None else None,
+        }
+
+    def send_epoch(self, frame_bytes: bytes, channel_id: int,
+                   epoch: int, digest: bool = True,
+                   **_pipeline_opts) -> dict:
+        """The single-channel convenience (the exchange substrate's
+        via-mux path): one epoch, blocking, classic error semantics — an
+        ``ok=false`` result raises :class:`RemoteWorkerError` with the
+        remote kind, so :class:`DeltaStaleError` NACKs surface exactly as
+        they do on a classic connection (minus the connection teardown:
+        the mux socket survives, no reconnect needed).  The classic
+        client's per-send chunk-pipeline knobs are accepted and unused:
+        mux chunking is this client's own, fixed at construction."""
+        outcome = self.send_epochs(
+            [(channel_id, epoch, frame_bytes, digest)]
+        )[channel_id]
+        result = outcome["result"]
+        if not result.get("ok", False):
+            raise RemoteWorkerError(
+                result.get("error_kind", "TransportError"),
+                result.get("error", "mux epoch failed"),
+            )
+        result.setdefault("latency_s", outcome["latency_s"])
+        return result
 
 
 class GraphSendStream:
@@ -556,19 +721,9 @@ class GraphSendStream:
             data = self._out.close()
         except TransportError as exc:
             self._fail(exc)
-        result = frames.decode_json(
-            self._conn.expect_frame(frames.RESULT), what="RESULT"
-        )
-        if self._wire_span is not None:
-            self._wire_span.set(stream_bytes=len(data))
-            obs.absorb_remote(result, self._wire_span)
-            obs.end_span(self._wire_span)
-            self._wire_span = None
-        client = self._client
-        if client.account_node is not None:
-            client.account_node.account_fetch(
-                len(data), remote=client.account_remote
-            )
+        result = self._client._finish_stream(self._conn, self._wire_span,
+                                             len(data))
+        self._end_wire_span(stream_bytes=len(data))
         return result, data
 
     def abort(self) -> None:
@@ -585,9 +740,5 @@ class GraphSendStream:
 
     def _fail(self, exc: TransportError) -> None:
         self._done = True
-        self._pipeline.abort()
         self._end_wire_span(error=type(exc).__name__)
-        remote = self._conn.pending_remote_error()
-        if remote is not None:
-            raise remote from exc
-        raise exc
+        _fail_stream(self._conn, self._pipeline, exc)

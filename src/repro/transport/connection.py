@@ -8,6 +8,8 @@ above this layer ever sees ``OSError``/``socket.timeout``/``struct.error``.
 
 from __future__ import annotations
 
+import contextlib
+import select
 import socket
 import time
 from typing import Optional, Tuple
@@ -16,6 +18,7 @@ from repro.transport import frames
 from repro.transport.errors import (
     RemoteWorkerError,
     TransportClosed,
+    TransportError,
     TransportTimeout,
 )
 from repro.transport.metrics import TransportMetrics
@@ -56,6 +59,22 @@ def connect_with_retry(
     )
 
 
+def expect_payload(frame: Tuple[int, bytes], ftype: int) -> bytes:
+    """The payload of a received frame that must be ``ftype``; an ERROR
+    frame raises the remote failure, anything else is a protocol
+    violation."""
+    got, payload = frame
+    if got == ftype:
+        return payload
+    if got == frames.ERROR:
+        kind, message = frames.decode_error(payload)
+        raise RemoteWorkerError(kind, message)
+    raise TransportClosed(
+        f"protocol violation: expected {frames.frame_name(ftype)}, "
+        f"peer sent {frames.frame_name(got)}"
+    )
+
+
 class FrameConnection:
     """send_frame/recv_frame over a socket, CRC-verified both ways."""
 
@@ -84,24 +103,36 @@ class FrameConnection:
     # -- sending -----------------------------------------------------------
 
     def send_frame(self, ftype: int, payload: bytes = b"") -> None:
-        data = frames.encode_frame(ftype, payload)
+        self.send_encoded(frames.encode_frame(ftype, payload),
+                          f"{frames.frame_name(ftype)} frame")
+
+    def send_encoded(self, data: bytes, what: str = "frames") -> None:
+        """One ``sendall`` of already-encoded frame bytes — a single frame,
+        or a batch the mux client coalesced (counted as one send)."""
         try:
             self._sock.sendall(data)
         except socket.timeout as exc:
-            raise TransportTimeout(
-                f"timed out sending {frames.frame_name(ftype)} frame"
-            ) from exc
+            raise TransportTimeout(f"timed out sending {what}") from exc
         except OSError as exc:
             raise TransportClosed(
-                f"peer closed while sending {frames.frame_name(ftype)} "
-                f"frame: {exc}"
+                f"peer closed while sending {what}: {exc}"
             ) from exc
         self.metrics.note_frame_sent(len(data))
 
     # -- receiving ---------------------------------------------------------
 
-    def recv_frame(self) -> Tuple[int, bytes]:
-        """The next complete frame, reading from the socket as needed."""
+    def poll_frame(self) -> Optional[Tuple[int, bytes]]:
+        """The next complete frame if one is buffered or readable right
+        now, else ``None``.  Readability is probed with ``select`` rather
+        than by zeroing the socket timeout: the socket must stay blocking
+        so that ``sendall`` survives a full kernel send buffer — the stall
+        a worker's backpressure deliberately creates — instead of raising
+        ``BlockingIOError`` after a partial write."""
+        return self.recv_frame(block=False)
+
+    def recv_frame(self, block: bool = True) -> Optional[Tuple[int, bytes]]:
+        """The next complete frame, reading from the socket as needed
+        (never ``None`` when blocking)."""
         while True:
             frame = self._decoder.next_frame()
             if frame is not None:
@@ -109,6 +140,8 @@ class FrameConnection:
                     frames.HEADER_BYTES + len(frame[1])
                 )
                 return frame
+            if not block and not select.select([self._sock], [], [], 0.0)[0]:
+                return None
             try:
                 data = self._sock.recv(_RECV_BYTES)
             except socket.timeout as exc:
@@ -124,18 +157,16 @@ class FrameConnection:
             self._decoder.feed(data)
 
     def expect_frame(self, ftype: int) -> bytes:
-        """Receive one frame that must be ``ftype``; an ERROR frame raises
-        the remote failure, anything else is a protocol violation."""
-        got, payload = self.recv_frame()
-        if got == ftype:
-            return payload
-        if got == frames.ERROR:
-            kind, message = frames.decode_error(payload)
-            raise RemoteWorkerError(kind, message)
-        raise TransportClosed(
-            f"protocol violation: expected {frames.frame_name(ftype)}, "
-            f"peer sent {frames.frame_name(got)}"
-        )
+        """Receive one frame that must be ``ftype`` and return its
+        payload (see :func:`expect_payload`)."""
+        return expect_payload(self.recv_frame(), ftype)
+
+    def call(self, call: dict) -> dict:
+        """One plain op: CALL out, the RESULT's JSON back (an ERROR frame
+        raises the remote failure)."""
+        self.send_frame(frames.CALL, frames.encode_json(call))
+        return frames.decode_json(self.expect_frame(frames.RESULT),
+                                  what="RESULT")
 
     def pending_remote_error(self, wait: float = 0.25) -> Optional[RemoteWorkerError]:
         """Best-effort peek for an ERROR frame after a send failed.
@@ -144,34 +175,37 @@ class FrameConnection:
         ERROR and closes; the driver's next ``sendall`` then fails with a
         reset *before* it has read that explanation.  This drains the
         socket briefly so the typed remote error wins over a generic
-        :class:`TransportClosed`."""
+        :class:`TransportClosed`.  The connection's own read timeout is
+        back in force afterwards, whatever the peek found."""
+        previous = self._sock.gettimeout()
         try:
             self._sock.settimeout(wait)
-        except OSError:
-            return None
-        try:
             while True:
                 ftype, payload = self.recv_frame()
                 if ftype == frames.ERROR:
                     kind, message = frames.decode_error(payload)
                     return RemoteWorkerError(kind, message)
-        except Exception:
+        except (TransportError, OSError):  # OSError: socket torn down
             return None
+        finally:
+            with contextlib.suppress(OSError):
+                self._sock.settimeout(previous)
 
     # -- lifecycle ---------------------------------------------------------
 
-    def close(self) -> None:
+    def close(self, bye: bool = False) -> None:
+        """Close the socket; ``bye`` first tells the peer (best effort)
+        that the conversation is over."""
         if self._closed:
             return
         self._closed = True
+        try:
+            if bye:
+                self.send_frame(frames.BYE)
+        except TransportError:
+            pass
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._sock.close()
-
-    def __enter__(self) -> "FrameConnection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

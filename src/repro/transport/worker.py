@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import os
 import threading
 import time
 import zlib
@@ -69,7 +68,11 @@ from repro.core.streams import IncrementalStreamDecoder
 from repro.delta.channel import DeltaReceiveEndpoint, DeltaSendChannel
 from repro.delta.wire import FRAME_DELTA, FRAME_FULL, DeltaFrame, parse_frame
 from repro.transport import frames, registry_sync
-from repro.transport.bootstrap import MB, bind_listener, build_runtime
+from repro.transport.bootstrap import (
+    MB,
+    build_runtime,
+    serve_reporting_port,
+)
 from repro.transport.digest import graph_digest, semantic_graph_digest
 from repro.transport.errors import RemoteWorkerError, TransportError
 from repro.transport.metrics import TransportMetrics
@@ -91,8 +94,8 @@ class WorkerSpec:
     #: default is far above ``bind_listener``'s conservative 8.
     listen_backlog: int = 128
     #: Fleet mode (repro.cluster): when set, the worker registers with the
-    #: coordinator at this address as it comes up and heartbeats from a
-    #: daemon thread until shutdown.
+    #: coordinator at this address as it comes up and heartbeats from its
+    #: event loop until shutdown.
     coordinator_host: Optional[str] = None
     coordinator_port: int = 0
     #: Fleet mode: reject EPOCH frames whose channel id the coordinator
@@ -129,7 +132,6 @@ class WorkerServer:
             young_bytes=spec.young_bytes, old_bytes=spec.old_bytes,
         )
         self.metrics = TransportMetrics()
-        self._running = True
         self.graphs_received = 0
         self.epochs_received = 0
         #: One lock guards every mutation of shared runtime state (heap,
@@ -149,15 +151,12 @@ class WorkerServer:
         self._peer_clients: Dict[Tuple[str, str, int], object] = {}
         self._peer_channels: Dict[Tuple[str, int], DeltaSendChannel] = {}
         self.peer_sends = 0
-        #: Set by worker_main in fleet mode; carries the generation the
-        #: coordinator assigned this incarnation.
-        self.membership = None
         #: The :class:`~repro.transport.aserve.AsyncWorkerServer` serving
         #: this core (it sets this on construction); ``stats`` reads its
-        #: counters.
+        #: counters, ``shutdown`` stops it.
         self.loop = None
         #: Structured, attributable diagnostics: one logger per worker id,
-        #: level picked up from REPRO_LOG_LEVEL in :func:`worker_main`.
+        #: level picked up from REPRO_LOG_LEVEL as the process starts.
         self.log = logging.getLogger(f"repro.worker.{spec.name}")
 
     # -- op handlers -------------------------------------------------------
@@ -400,27 +399,16 @@ class WorkerServer:
                         self.runtime.jvm, roots
                     )
                 frame = channel.send(roots)
-            nack = False
+
+            def reframe() -> bytes:
+                with self._state_lock:
+                    return channel.send(roots)
+
             try:
-                try:
-                    result = client.send_epoch(
-                        frame, channel.channel_id, channel.epoch,
-                    )
-                except RemoteWorkerError as exc:
-                    if exc.kind != "DeltaStaleError":
-                        raise
-                    # The peer dropped its channel state (restart, full
-                    # GC); same NACK recovery as the driver-side channel:
-                    # reconnect, force full, resend.
-                    nack = True
-                    client.close()
-                    client.connect()
-                    channel.force_full_next()
-                    with self._state_lock:
-                        frame = channel.send(roots)
-                    result = client.send_epoch(
-                        frame, channel.channel_id, channel.epoch,
-                    )
+                # A peer that dropped its channel state (restart, full GC)
+                # NACKs; same recovery as the driver-side channel.
+                result, shipped = client.send_epoch_recovering(
+                    channel, frame, reframe)
             except RemoteWorkerError:
                 raise  # the peer spoke: a typed op failure, not death
             except TransportError as exc:
@@ -428,6 +416,7 @@ class WorkerServer:
                 raise PeerGoneError(
                     peer, f"peer send failed mid-transfer: {exc}"
                 ) from exc
+            frame, nack = shipped[-1], len(shipped) > 1
             decision = channel.last_decision
             sp.set(mode=decision.mode if decision else "?",
                    epoch=channel.epoch, nack=nack)
@@ -455,11 +444,10 @@ class WorkerServer:
             "peer_sends": self.peer_sends,
             "blobs_stored": len(self._blobs),
             "channels_admitted": len(self._admitted),
-            "generation": (self.membership.generation
-                           if self.membership is not None else 0),
+            "generation": getattr(self.loop.membership, "generation", 0),
             "telemetry": self.spec.telemetry,
-            "telemetry_sent": (getattr(self.membership, "telemetry_sent", 0)
-                               if self.membership is not None else 0),
+            "telemetry_sent": getattr(self.loop.membership,
+                                      "telemetry_sent", 0),
             "runtime": {
                 k: v for k, v in self.runtime.stats().items()
                 if isinstance(v, (int, str, bool))
@@ -469,7 +457,7 @@ class WorkerServer:
         }
 
     def _op_shutdown(self, call: dict) -> dict:
-        self._running = False
+        self.loop.shutdown()
         return {"op": "shutdown", "ok": True}
 
     #: The ops answered straight from the CALL.  The data-bearing ops
@@ -510,37 +498,15 @@ class WorkerServer:
         )
 
 
-def configure_worker_logging() -> None:
-    """Structured logging for spawned workers: level from REPRO_LOG_LEVEL
-    (default WARNING), records tagged with the per-worker logger name."""
-    level_name = os.environ.get("REPRO_LOG_LEVEL", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level,
-        format="%(asctime)s %(levelname)s %(name)s [pid %(process)d] "
-               "%(message)s",
-    )
-
-
 def worker_main(spec: WorkerSpec, port_pipe) -> None:
-    """Entry point of the spawned process.  Binds (with the bounded
-    port-in-use retry — fleets spawn many workers on one host), reports
-    the actual port through ``port_pipe``, registers with the coordinator
-    when the spec names one, then serves every connection — heartbeats
-    included — from the one event loop until shutdown.
-    """
+    """Entry point of the spawned process: bind, register with the
+    coordinator when the spec names one, report the port through
+    ``port_pipe``, then serve every connection — heartbeats included —
+    from the one event loop until shutdown."""
     from repro.transport.aserve import AsyncWorkerServer  # aserve imports us
 
-    configure_worker_logging()
-    listener = None
-    membership = None
-    try:
+    def build(port: int) -> "AsyncWorkerServer":
         server = WorkerServer(spec)
-        listener = bind_listener(spec.host, spec.port,
-                                 backlog=spec.listen_backlog)
-        port = listener.getsockname()[1]
         recorder = None
         if spec.telemetry:
             # Flight recorder on from the first op: even a worker that
@@ -560,29 +526,15 @@ def worker_main(spec: WorkerSpec, port_pipe) -> None:
             if spec.telemetry:
                 from repro.obs.live import TelemetrySampler
 
-                membership.attach_telemetry(TelemetrySampler(
+                membership.sampler = TelemetrySampler(
                     obs.registry(), recorder=recorder,
-                ))
+                )
             # One process, one loop: register now (raises if the
             # coordinator is unreachable), then the event loop owns the
             # heartbeat cadence — no membership thread.
             membership.register()
             loop.attach_membership(membership)
-            server.membership = membership
-        server.log.info("listening on %s:%d", spec.host, port)
-        port_pipe.send(("ok", port))
-    except Exception as exc:  # noqa: BLE001 - parent re-raises as typed error
-        try:
-            port_pipe.send(("error", f"{type(exc).__name__}: {exc}"))
-        finally:
-            if listener is not None:
-                listener.close()
-        return
-    finally:
-        port_pipe.close()
-    try:
-        loop.serve_forever(listener)
-    finally:
-        if membership is not None:
-            membership.stop()
-        listener.close()
+        return loop
+
+    serve_reporting_port(port_pipe, spec.host, spec.port, build,
+                         backlog=spec.listen_backlog)

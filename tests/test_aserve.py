@@ -217,7 +217,8 @@ class TestMuxEpochs:
         try:
             mux.send_epochs([(6003, channel.epoch,
                               channel.send([head]))])
-            assert mux._sock.gettimeout() == mux._read_timeout
+            assert (mux._require_conn().raw_socket.gettimeout()
+                    == mux._read_timeout)
         finally:
             mux.close()
             handle.stop()
@@ -278,14 +279,14 @@ class TestMuxEpochs:
             mux.send_epoch(intruder.send([head]), 5151, intruder.epoch)
             intruder.close()
 
-            sock_before = mux._sock
+            conn_before = mux._require_conn()
             driver.jvm.set_field(head, "payload", 100)
             recovered = channel.send([head], digest=True)
             assert recovered.nack_recovered
             assert recovered.mode == "full"
             assert recovered.digest == semantic_graph_digest(
                 driver.jvm, [head])
-            assert mux._sock is sock_before  # no reconnect happened
+            assert mux._require_conn() is conn_before  # no reconnect happened
 
             driver.jvm.set_field(head, "payload", 101)
             assert channel.send([head]).mode == "delta"

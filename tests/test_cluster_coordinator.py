@@ -15,6 +15,7 @@ from repro.cluster import (
     ClusterProtocolError,
     CoordinatorClient,
     CoordinatorSpec,
+    CoordinatorUnavailableError,
     LocalCoordinator,
     PeerGoneError,
     WorkerMembership,
@@ -143,35 +144,93 @@ class TestTypedErrors:
 
 class TestCoordinatorRestart:
     def test_worker_reregisters_against_fresh_coordinator(self):
+        """Beats are driven explicitly — the unit the worker's event loop
+        calls — so the drill is deterministic: no heartbeat cadence to
+        sleep on."""
         spec = CoordinatorSpec(name="t-coordinator",
                                heartbeat_interval=0.05, miss_limit=2)
         first = LocalCoordinator(spec)
         membership = WorkerMembership(
-            "w0", "127.0.0.1", 12345, first.host, first.port)
+            "w0", "127.0.0.1", 12345, first.host, first.port,
+            connect_attempts=1)
         try:
-            membership.start()
-            first_generation = membership.generation
+            first_generation = membership.register()
             assert first_generation > 0
+            membership.beat_once()
+            assert membership.heartbeats_sent == 1
+            assert membership.reregistrations == 0
 
             # The coordinator dies and a fresh (empty) one takes over the
-            # same port: the worker's next heartbeat is "unknown", which
-            # must trigger a re-register rather than an error.
+            # same port.  The first beat finds the old connection dead and
+            # drops it; the next one reconnects and — unknown to the fresh
+            # incarnation — registers again rather than raising.
             port = first.port
             first.stop()
             replacement = LocalCoordinator(
                 CoordinatorSpec(name="t-coordinator-2", port=port,
                                 heartbeat_interval=0.05, miss_limit=2))
             try:
+                membership.beat_once()
+                membership.beat_once()
+                assert membership.reregistrations == 1
                 with CoordinatorClient(replacement.host,
                                        replacement.port) as probe:
-                    _wait(lambda: probe.call("lookup",
-                                             name="w0").get("alive") is True,
-                          timeout=10.0)
-                assert membership.reregistrations >= 1
+                    record = probe.call("lookup", name="w0")
+                assert record["alive"] is True
+                assert record["generation"] == membership.generation
             finally:
                 replacement.stop()
         finally:
             membership.stop()
+
+    def test_stop_deregisters_and_silences_later_beats(self, coordinator,
+                                                       client):
+        membership = WorkerMembership(
+            "w0", "127.0.0.1", 12345, coordinator.host, coordinator.port)
+        membership.register()
+        membership.stop()
+        assert client.call("lookup", name="w0")["alive"] is False
+        membership.beat_once()  # stopped: no reconnect, no re-register
+        assert membership.heartbeats_sent == 0
+        assert client.call("lookup", name="w0")["alive"] is False
+
+
+class TestStop:
+    def test_stop_returns_within_a_tick_with_a_client_connected(self):
+        """No accept poll to wait out and no per-connection thread to
+        join: the loop sees the flag on its next tick and hangs up."""
+        coord = LocalCoordinator(CoordinatorSpec(name="t-stop"))
+        client = CoordinatorClient(coord.host, coord.port)
+        assert client.call("ping")["op"] == "ping"
+        started = time.monotonic()
+        coord.stop()
+        assert time.monotonic() - started < 1.0
+        with pytest.raises(CoordinatorUnavailableError):
+            client.call("ping")
+        client.close()
+
+
+class TestBeatNeverRaises:
+    def test_unexpected_coordinator_error_costs_one_beat(self, coordinator,
+                                                         monkeypatch):
+        """An op that blows up at the coordinator answers an untyped ERROR
+        and hangs up; the beat that drew it must not propagate into the
+        worker's event loop — it drops the client and the next beat
+        reconnects."""
+        membership = WorkerMembership(
+            "w0", "127.0.0.1", 12345, coordinator.host, coordinator.port)
+        membership.register()
+
+        def boom(server, call):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(type(coordinator.loop)._OPS, "heartbeat", boom)
+        membership.beat_once()
+        assert membership.heartbeats_sent == 0
+        monkeypatch.undo()
+        membership.beat_once()
+        assert membership.heartbeats_sent == 1
+        membership.stop()
 
 
 class TestHeartbeatJitter:

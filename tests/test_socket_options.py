@@ -44,8 +44,8 @@ def test_every_transport_socket_sets_nodelay(transport_driver):
         assert all(_nodelay(c.sock) for c in local.loop._conns)
         client.close()
 
-        # And the mux client on its own raw socket.
+        # And the mux client, over the same session.
         mux = MuxEpochClient(
             transport_driver, local.host, local.port).connect()
-        assert _nodelay(mux._require_sock())
+        assert _nodelay(mux._require_conn().raw_socket)
         mux.close()
