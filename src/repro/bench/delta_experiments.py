@@ -11,7 +11,7 @@ Table 1 graph profiles:
   recording the epoch's wire bytes and the policy's full/delta decision;
   the high-mutation points document the automatic fallback.
 
-The baseline reuses the same broadcast machinery with a policy whose
+The baseline reuses the same send machinery with a policy whose
 crossover is below zero, so every epoch takes the full-send path — both
 modes charge identical application and bookkeeping costs, and the
 difference is purely the transfer strategy.
@@ -30,15 +30,15 @@ from repro.apps.incremental import (
 )
 from repro.core.runtime import attach_skyway
 from repro.datasets import GRAPH_PROFILES, generate_graph
-from repro.delta.policy import DeltaPolicy
 from repro.jvm.jvm import JVM
 from repro.net.cluster import Cluster
-from repro.spark.broadcast_delta import DeltaHeapBroadcast
+from repro.policy import CrossoverPolicy
+from repro.spark.send import PolicySend
 from repro.types.corelib import standard_classpath
 
 #: A crossover below zero makes every epoch fail the pre-encode gate:
 #: the policy degenerates to the paper's behaviour (full send per epoch).
-FULL_EVERY_EPOCH = DeltaPolicy(byte_crossover=-1.0)
+FULL_EVERY_EPOCH = CrossoverPolicy(byte_crossover=-1.0)
 
 
 @dataclasses.dataclass
@@ -69,7 +69,7 @@ def _run_mode(
     iterations: int,
     mutation: float,
     workers: int,
-    policy: Optional[DeltaPolicy],
+    policy,
     mode: str,
     seed: int = 42,
 ) -> IterativeRun:
@@ -78,7 +78,7 @@ def _run_mode(
     edges = generate_graph(GRAPH_PROFILES[graph_key], seed=seed, scale=scale)
     graph = build_vertex_graph(driver, edges)
     pagerank = IncrementalPageRank(driver, graph)
-    broadcast = DeltaHeapBroadcast(cluster, graph, policy=policy)
+    broadcast = PolicySend(cluster, graph, policy=policy)
 
     epoch_bytes: List[int] = []
     epoch_modes: List[str] = []
@@ -128,7 +128,7 @@ def run_delta_iterative(
     delta = _run_mode(
         graph_key=graph_key, scale=scale, iterations=iterations,
         mutation=mutation, workers=workers,
-        policy=None, mode="delta",
+        policy="crossover", mode="delta",
     )
     if full.final_ranks != delta.final_ranks:
         raise AssertionError("modes computed different rank vectors")
@@ -166,25 +166,22 @@ def run_mutation_sweep(
         edges = generate_graph(GRAPH_PROFILES[graph_key], scale=scale)
         graph = build_vertex_graph(driver, edges)
         pagerank = IncrementalPageRank(driver, graph)
-        broadcast = DeltaHeapBroadcast(cluster, graph)
+        broadcast = PolicySend(cluster, graph, policy="crossover")
 
         bootstrap = broadcast.push()
         pagerank.step(active_fraction=fraction)
         update = broadcast.push()
 
-        channel = next(iter(broadcast.channel_stats().values()))
-        decision = next(
-            iter(broadcast._channels.values())
-        ).last_decision
+        channel = next(iter(broadcast._channels.values()))
         rows.append({
             "mutation_fraction": fraction,
             "full_bytes": bootstrap.wire_bytes,
             "update_bytes": update.wire_bytes,
             "update_vs_full": update.wire_bytes / bootstrap.wire_bytes,
-            "mode": decision.mode,
-            "reason": decision.reason,
-            "objects_patched": channel.objects_patched,
-            "wasted_encode_bytes": channel.wasted_encode_bytes,
+            "mode": channel.last_plan.mode,
+            "reason": channel.last_plan.reason,
+            "objects_patched": channel.stats.objects_patched,
+            "wasted_encode_bytes": channel.stats.wasted_encode_bytes,
         })
         broadcast.close()
     return rows

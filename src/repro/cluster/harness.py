@@ -1,4 +1,4 @@
-"""Spawn-a-whole-fleet harness for tests and the B-FLEET benchmark.
+"""Spawn-a-whole-fleet harness for tests and the obs live-smoke gate.
 
 One :class:`FleetHarness` owns a coordinator process plus N strict-mode
 worker processes, waits for every worker's registration to land, and

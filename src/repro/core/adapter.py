@@ -9,26 +9,24 @@ so the Spark and Flink engines (and JSBS) can swap serializers by
 configuration, unchanged.
 
 The adapter holds no protocol logic of its own: writers are plain Skyway
-output streams or (in delta mode) unbound
-:class:`~repro.exchange.loopback.LoopbackGraphChannel` endpoints, and
-*every* reader comes from :func:`repro.exchange.dispatch.open_reader`,
-which routes epoch frames and plain streams by the leading byte — the
-sniffing that used to live here.
+output streams, and *every* reader comes from
+:func:`repro.exchange.dispatch.open_reader`, which routes epoch frames and
+plain streams by the leading byte.  Epoch-based incremental transfer is
+not a serializer mode: it goes through ``SparkContext.send(root,
+policy=...)`` or an exchange :class:`~repro.exchange.channel.GraphChannel`.
 
 Both JVMs involved must have a :class:`~repro.core.runtime.SkywayRuntime`
 attached (sharing one driver registry) — the same cluster-wide setup the
 paper requires.
 
-Exchange-layer imports happen lazily inside methods: this module loads
-during ``repro.core`` package init, before :mod:`repro.delta` /
-:mod:`repro.exchange` (which import back into ``repro.core``) can.
+The exchange-layer import happens lazily inside ``new_reader``: this
+module loads during ``repro.core`` package init, before
+:mod:`repro.exchange` (which imports back into ``repro.core``) can.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
-
-from repro.core.streams import SkywayObjectInputStream, SkywayObjectOutputStream
+from repro.core.streams import SkywayObjectOutputStream
 from repro.jvm.jvm import JVM
 from repro.serial.base import (
     DeserializationStream,
@@ -36,10 +34,6 @@ from repro.serial.base import (
     SerializationStream,
     Serializer,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.delta.policy import DeltaPolicy
-    from repro.exchange.channel import GraphChannel
 
 
 def _runtime_of(jvm: JVM):
@@ -54,77 +48,23 @@ def _runtime_of(jvm: JVM):
 
 class SkywaySerializer(Serializer):
     """The drop-in serializer; ``compress_headers`` enables the §5.2
-    future-work compact transfer encoding for every stream.
-
-    ``delta=True`` opts into epoch-based incremental transfer: streams for
-    the same ``(jvm, channel)`` pair share one unbound exchange channel,
-    so the first close ships the full graph and later closes ship only
-    what mutated since.  Channels hold a card table on the sender's write
-    barrier until released — callers that retire a channel key should call
-    :meth:`release_channel` (or :meth:`close` for all of them).
-    """
+    future-work compact transfer encoding for every stream."""
 
     name = "skyway"
 
     def __init__(self, thread_id: int = 0,
-                 compress_headers: bool = False,
-                 delta: bool = False,
-                 delta_policy: Optional["DeltaPolicy"] = None) -> None:
-        if delta:
-            from repro.policy.shims import warn_deprecated
-
-            warn_deprecated("SkywaySerializer(delta=True)")
+                 compress_headers: bool = False) -> None:
         self.thread_id = thread_id
         self.compress_headers = compress_headers
-        self.delta = delta
-        self.delta_policy = delta_policy
-        #: Per-(sender JVM, channel key) exchange channels, created lazily.
-        self._channels: Dict[Tuple[str, str], "GraphChannel"] = {}
 
-    def new_stream(self, jvm: JVM, thread_id: int = None,
-                   channel: str = "default"):
+    def new_stream(self, jvm: JVM, thread_id: int = None):
         tid = self.thread_id if thread_id is None else thread_id
-        if self.delta:
-            return ChannelSerializationStream(self.channel_for(jvm, channel))
         return SkywaySerializationStream(jvm, tid, self.compress_headers)
 
     def new_reader(self, jvm: JVM, data: bytes) -> DeserializationStream:
         from repro.exchange.dispatch import open_reader
 
         return open_reader(_runtime_of(jvm), data)
-
-    def channel_for(self, jvm: JVM, channel: str = "default") -> "GraphChannel":
-        """The (lazily created) exchange channel for one ``(jvm, key)``
-        pair — an unbound loopback endpoint: it frames epochs, the engine
-        moves the bytes."""
-        from repro.exchange.capabilities import ChannelCapabilities
-        from repro.exchange.loopback import LoopbackGraphChannel
-
-        runtime = _runtime_of(jvm)
-        key = (jvm.name, channel)
-        existing = self._channels.get(key)
-        if existing is None:
-            existing = LoopbackGraphChannel(
-                runtime,
-                destination=channel,
-                requested=ChannelCapabilities(kernel=True, delta=True),
-                policy=self.delta_policy,
-            )
-            self._channels[key] = existing
-        return existing
-
-    def release_channel(self, jvm: JVM, channel: str = "default") -> None:
-        """Close and drop one channel (detaching its card table from the
-        sender's write barrier); a later use of the key starts fresh."""
-        existing = self._channels.pop((jvm.name, channel), None)
-        if existing is not None:
-            existing.close()
-
-    def close(self) -> None:
-        """Release every channel this serializer created."""
-        for existing in self._channels.values():
-            existing.close()
-        self._channels.clear()
 
 
 class SkywaySerializationStream(SerializationStream):
@@ -152,31 +92,3 @@ class SkywaySerializationStream(SerializationStream):
     @property
     def bytes_written(self) -> int:
         return self._stream.bytes_written
-
-
-class ChannelSerializationStream(SerializationStream):
-    """Delta-mode writer: roots accumulate, close() ships one epoch
-    through the exchange channel and returns its framed bytes."""
-
-    def __init__(self, channel: "GraphChannel") -> None:
-        self._channel = channel
-        self._roots: list = []
-        self._frame_bytes = 0
-        self._closed = False
-
-    def write_object(self, root: int) -> None:
-        if self._closed:
-            raise SerializationError("delta stream is closed")
-        self._roots.append(root)
-
-    def close(self) -> bytes:
-        if self._closed:
-            raise SerializationError("delta stream already closed")
-        self._closed = True
-        receipt = self._channel.send(self._roots)
-        self._frame_bytes = len(receipt.frame)
-        return receipt.frame
-
-    @property
-    def bytes_written(self) -> int:
-        return self._frame_bytes

@@ -19,11 +19,11 @@ previously-shipped graph incremental:
 * :mod:`repro.delta.apply` — the receiver-side apply pass: patches the
   retained input buffer in place and re-marks the GC card table exactly as
   §4.3 requires for pointers introduced by a transfer;
-* :mod:`repro.delta.policy` — the **fallback policy**: measures the
-  mutation rate per epoch and auto-reverts to a full Skyway send past the
-  crossover where a delta would cost as much as resending everything;
 * :mod:`repro.delta.channel` — the channel API tying the above together
-  (``DeltaSendChannel.send(roots)`` / ``DeltaReceiveEndpoint.receive``).
+  (``DeltaSendChannel.send(roots)`` / ``DeltaReceiveEndpoint.receive``);
+  the **fallback policy** — revert to a full Skyway send past the
+  crossover where a delta would cost as much as resending everything —
+  is :class:`repro.policy.CrossoverPolicy`, the channel's default engine.
 
 Constraints: delta channels require a homogeneous cluster (PATCH records
 overwrite clones in place, so both sides must share one object layout) and
@@ -33,6 +33,7 @@ simulator's typed API *is* its compiled store).
 """
 
 from repro.delta.channel import (
+    ChannelStats,
     DeltaChannelError,
     DeltaReceiveEndpoint,
     DeltaSendChannel,
@@ -40,7 +41,6 @@ from repro.delta.channel import (
 )
 from repro.delta.dirty import DeltaTracker
 from repro.delta.epoch_cache import EpochCache, EpochRecord
-from repro.delta.policy import DeltaPolicy, EpochDecision
 from repro.delta.wire import (
     FRAME_DELTA,
     FRAME_FULL,
@@ -49,15 +49,14 @@ from repro.delta.wire import (
 )
 
 __all__ = [
+    "ChannelStats",
     "DeltaChannelError",
-    "DeltaPolicy",
     "DeltaReceiveEndpoint",
     "DeltaSendChannel",
     "DeltaStaleError",
     "DeltaTracker",
     "DeltaWireError",
     "EpochCache",
-    "EpochDecision",
     "EpochRecord",
     "FRAME_DELTA",
     "FRAME_FULL",

@@ -29,7 +29,6 @@ from repro.core.runtime import SkywayRuntime
 from repro.delta.apply import ApplyResult, DeltaApplier
 from repro.delta.dirty import DELTA_CARD_SIZE, DeltaTracker
 from repro.delta.epoch_cache import EpochCache, EpochRecord
-from repro.delta.policy import ChannelStats, EpochDecision
 from repro.policy import ChannelSignals, SendPlan, resolve_engine
 from repro.policy.plan import NON_FALLBACK_REASONS
 from repro.delta.wire import (
@@ -48,6 +47,29 @@ class DeltaChannelError(RuntimeError):
 
 class DeltaStaleError(DeltaChannelError):
     """Receiver-side state no longer matches the sender's epoch record."""
+
+
+@dataclasses.dataclass
+class ChannelStats:
+    """Per-channel transfer accounting across epochs."""
+
+    epochs: int = 0
+    full_sends: int = 0
+    delta_sends: int = 0
+    bytes_full: int = 0
+    bytes_delta: int = 0
+    objects_patched: int = 0
+    objects_new: int = 0
+    sameref_roots: int = 0
+    wasted_encode_bytes: int = 0
+    fallbacks: Dict[str, int] = dataclasses.field(default_factory=dict)
+
+    @property
+    def bytes_total(self) -> int:
+        return self.bytes_full + self.bytes_delta
+
+    def note_fallback(self, reason: str) -> None:
+        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
 
 
 _channel_ids = itertools.count(1)
@@ -78,8 +100,8 @@ class DeltaSendChannel:
         self.channel_id = (next(_channel_ids) if channel_id is None
                            else channel_id)
         #: Every ``policy=`` spelling (None, a name, a decision table, a
-        #: legacy DeltaPolicy, a shared PolicyEngine) normalizes onto one
-        #: engine — the only place a send mode is chosen.
+        #: shared PolicyEngine) normalizes onto one engine — the only
+        #: place a send mode is chosen.
         self.policy = policy
         self.engine = resolve_engine(policy)
         #: Negotiated capability bounds (the exchange layer passes its
@@ -107,7 +129,8 @@ class DeltaSendChannel:
             self.table = self.tracker.new_table()
         self.stats = ChannelStats()
         self.epoch = 0
-        self.last_decision: Optional[EpochDecision] = None
+        #: The plan the last epoch executed (after any post-encode
+        #: reversion): its mode/reason are why that epoch went full or delta.
         self.last_plan: Optional[SendPlan] = None
         self._force_full = False
         self._pending: Optional[Tuple[SendPlan, ChannelSignals]] = None
@@ -128,10 +151,8 @@ class DeltaSendChannel:
                       channel=self.channel_id,
                       destination=self.destination) as sp:
             frame = self._send_inner(roots, plan)
-            decision = self.last_decision
             sp.set(epoch=self.epoch, wire_bytes=len(frame),
-                   mode=decision.mode if decision else "?",
-                   reason=decision.reason if decision else "?")
+                   mode=self.last_plan.mode, reason=self.last_plan.reason)
         return frame
 
     def plan_next(self, roots: List[int]) -> SendPlan:
@@ -175,23 +196,15 @@ class DeltaSendChannel:
         if plan.mode == "delta":
             frame, plan = self._try_delta(roots, record, gc, plan, signals)
             if frame is not None:
-                self._finish(plan)
+                self.last_plan = plan
                 return frame
 
         if plan.reason not in NON_FALLBACK_REASONS:
             # delta_disabled / static_full are the channel's configured
             # mode, not a reversion worth counting against the policy.
             self.stats.note_fallback(plan.reason)
-        self._finish(plan)
-        return self._send_full(roots, gc, plan)
-
-    def _finish(self, plan: SendPlan) -> None:
         self.last_plan = plan
-        self.last_decision = EpochDecision(
-            mode=plan.mode, reason=plan.reason,
-            mutation_rate=plan.mutation_rate,
-            estimated_bytes=plan.estimated_bytes,
-        )
+        return self._send_full(roots, gc, plan)
 
     def force_full_next(self) -> None:
         """React to a receiver NACK (:class:`DeltaStaleError`)."""

@@ -21,8 +21,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.delta.channel import DeltaSendChannel
-from repro.delta.policy import ChannelStats, EpochDecision
+from repro.delta.channel import ChannelStats, DeltaSendChannel
 from repro.exchange.capabilities import ChannelCapabilities
 from repro.exchange.errors import ExchangeError
 from repro.exchange.metrics import ExchangeMetrics
@@ -35,7 +34,7 @@ class SendReceipt:
     """What one ``send()`` shipped and what the receiver now holds."""
 
     mode: str  # "full" | "delta"
-    reason: str  # the EpochDecision reason
+    reason: str  # the executed plan's reason
     epoch: int
     wire_bytes: int
     #: The framed epoch bytes as produced by the sender (the *last* frame
@@ -87,7 +86,7 @@ class GraphChannel:
         self._closed = False
         #: Feed this channel's ExchangeMetrics into the obs registry;
         #: deregistered on close() so no registry entry outlives the
-        #: channel (the PR 4 release_channel lifecycle, mirrored).
+        #: channel.
         self._obs_source = (
             f"exchange.{self.substrate}.{destination}"
             f"#{next(_obs_source_ids)}"
@@ -162,10 +161,6 @@ class GraphChannel:
     @property
     def epoch(self) -> int:
         return self._require_open().epoch
-
-    @property
-    def last_decision(self) -> Optional[EpochDecision]:
-        return self._require_open().last_decision
 
     @property
     def last_plan(self) -> Optional[SendPlan]:

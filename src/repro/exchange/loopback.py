@@ -2,8 +2,8 @@
 
 A :class:`LoopbackGraphChannel` frames epochs exactly like the socket
 substrate (same :class:`~repro.delta.channel.DeltaSendChannel`, same
-FULL/DELTA wire bytes — that identity is what B-EXCHANGE's parity gate
-checks) but delivers them by calling the receiving runtime's dispatch in
+FULL/DELTA wire bytes — that identity is what the cross-substrate parity
+test checks) but delivers them by calling the receiving runtime's dispatch in
 the same process.  Two binding modes:
 
 * **bound** — constructed with a ``receiver_runtime``: every ``send()``
@@ -85,7 +85,6 @@ class LoopbackGraphChannel(GraphChannel):
         started = time.perf_counter()
         with sender_clock.phase(Category.SERIALIZATION):
             frame = channel.send(roots, plan=plan)
-        decision = channel.last_decision
         wire_bytes = len(frame)
         received: List[int] = []
         nack = False
@@ -99,7 +98,6 @@ class LoopbackGraphChannel(GraphChannel):
                 channel.force_full_next()
                 with sender_clock.phase(Category.SERIALIZATION):
                     frame = channel.send(roots)
-                decision = channel.last_decision
                 wire_bytes += len(frame)
                 received = self._deliver(frame)
         channel.engine.observe_transfer(
@@ -111,10 +109,10 @@ class LoopbackGraphChannel(GraphChannel):
         executed = channel.last_plan
         if digest is None:
             # No explicit override: the plan decides.
-            digest = bool(executed.digest) if executed is not None else False
+            digest = bool(executed.digest)
         receipt = SendReceipt(
-            mode=decision.mode,
-            reason=decision.reason,
+            mode=executed.mode,
+            reason=executed.reason,
             epoch=channel.epoch,
             wire_bytes=wire_bytes,
             frame=frame,

@@ -3,10 +3,10 @@
 Before the exchange layer, three ledgers existed and never met: the
 simulated :class:`~repro.simtime.Breakdown` (what the cost model predicts),
 the measured :class:`~repro.transport.metrics.TransportMetrics` (what the
-wire did), and the delta :class:`~repro.delta.policy.ChannelStats` (what
+wire did), and the delta :class:`~repro.delta.channel.ChannelStats` (what
 the epoch protocol decided).  :class:`ExchangeMetrics` is the one snapshot
 merging all three for one channel — JSON-exportable, consumed by
-B-EXCHANGE and anything tracking send behavior across runs.
+anything tracking send behavior across runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import dataclasses
 import json
 from typing import Dict, Mapping, Optional
 
-from repro.delta.policy import ChannelStats
+from repro.delta.channel import ChannelStats
 from repro.simtime import Breakdown, Category
 
 

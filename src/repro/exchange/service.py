@@ -11,8 +11,8 @@ they hold an ``Exchange`` and ask it for what they need:
 Two constructors, two substrates: :meth:`Exchange.loopback` moves bytes by
 function call against the simulated cluster wire, :meth:`Exchange.socket`
 moves them through spawned worker processes over TCP.  Every call above
-works identically on both — that symmetry is the refactor's contract, and
-B-EXCHANGE's parity gate holds it.
+works identically on both — that symmetry is the layer's contract, and
+``tests/test_exchange_socket.py``'s parity test holds it.
 """
 
 from __future__ import annotations

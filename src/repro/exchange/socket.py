@@ -143,7 +143,6 @@ class SocketGraphChannel(GraphChannel):
         result, shipped = self.client.send_epoch_recovering(
             channel, frame, reframe, digest=digest, **self._send_opts)
         frame = shipped[-1]
-        decision = channel.last_decision
         executed = channel.last_plan
         # Feed the measured wire back into the engine: bandwidth from the
         # shipped bytes, queue wait from the pipeline's back-pressure
@@ -157,8 +156,8 @@ class SocketGraphChannel(GraphChannel):
         )
         self._note_sim(clock.since(snap))
         receipt = SendReceipt(
-            mode=decision.mode,
-            reason=decision.reason,
+            mode=executed.mode,
+            reason=executed.reason,
             epoch=channel.epoch,
             wire_bytes=sum(map(len, shipped)),
             frame=frame,

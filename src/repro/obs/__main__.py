@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("smoke", help="traced loopback+socket smoke run")
-    p.add_argument("--out", default="benchmarks/results",
+    p.add_argument("--out", default="benchmarks/results/smoke",
                    help="directory for trace/snapshot artifacts")
     p.add_argument("--vertices", type=int, default=600)
     p.set_defaults(func=_cmd_smoke)
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("live-smoke",
                        help="fleet telemetry end-to-end: straggler, "
                             "postmortem, export, overhead gate")
-    p.add_argument("--out", default="benchmarks/results",
+    p.add_argument("--out", default="benchmarks/results/smoke",
                    help="directory for telemetry artifacts")
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--epochs", type=int, default=6,

@@ -17,7 +17,8 @@ processes — what the CI ``obs-live-smoke`` job runs:
    vs off) runs the same epoch loop; the min-of-epochs wall time may
    differ by at most ``overhead_limit`` (3 % default).
 
-Artifacts land in ``benchmarks/results/live.{json,prom,txt}``.
+Artifacts land in ``<out_dir>/live.{json,prom}`` and ``live-top.txt``
+(the CLI defaults to the git-ignored ``benchmarks/results/smoke/``).
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import time
 from typing import Dict, List, Optional
 
 from repro.apps.incremental import IncrementalPageRank, build_vertex_graph
-from repro.bench.exchange_experiments import irregular_edges
 from repro.cluster.fleet import Fleet
 from repro.cluster.harness import FleetHarness
 from repro.obs.export import prometheus_text, validate_prometheus
 from repro.obs.live import render_top
 from repro.transport.bootstrap import MB, build_runtime
-from repro.transport.testing import SAMPLE_FACTORY
+from repro.transport.testing import SAMPLE_FACTORY, irregular_edges
 
 DEFAULT_WORKERS = 4
 DEFAULT_EPOCHS = 6

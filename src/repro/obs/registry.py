@@ -17,8 +17,7 @@ coordinator re-aggregates fleet-wide quantiles by summing them.
 
 Sources must deregister when their owner closes (channels do this in
 ``GraphChannel.close()``, clients in ``WorkerClient.close()``) so no entry
-outlives the object it reads — the lifecycle mirror of the serializer's
-``release_channel`` fix.
+outlives the object it reads.
 """
 
 from __future__ import annotations

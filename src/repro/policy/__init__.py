@@ -17,13 +17,6 @@ so every layer — ``repro.delta``, ``repro.exchange``, ``repro.spark``,
 """
 
 from repro.policy.engine import ChannelHistory, PolicyEngine, resolve_engine
-from repro.policy.legacy import (
-    DEFAULT_BYTE_CROSSOVER,
-    RECORD_OVERHEAD,
-    ChannelStats,
-    DeltaPolicy,
-    EpochDecision,
-)
 from repro.policy.plan import NON_FALLBACK_REASONS, SendPlan
 from repro.policy.policies import (
     AdaptivePolicy,
@@ -44,16 +37,11 @@ __all__ = [
     "AlwaysFull",
     "ChannelHistory",
     "ChannelSignals",
-    "ChannelStats",
     "CrossoverPolicy",
     "DecisionTable",
-    "DeltaPolicy",
-    "DEFAULT_BYTE_CROSSOVER",
-    "EpochDecision",
     "NON_FALLBACK_REASONS",
     "PolicyEngine",
     "PolicyError",
-    "RECORD_OVERHEAD",
     "Rule",
     "SendPlan",
     "guard_rules",

@@ -28,11 +28,7 @@ from typing import Dict, Optional
 
 from repro import obs
 from repro.policy.plan import SendPlan
-from repro.policy.policies import (
-    CrossoverPolicy,
-    DecisionTable,
-    resolve_policy,
-)
+from repro.policy.policies import DecisionTable, resolve_policy
 from repro.policy.signals import ChannelSignals
 
 #: Reasons that represent the policy's own steady-state choice; only
@@ -165,21 +161,10 @@ class PolicyEngine:
 
 
 def resolve_engine(policy=None, default: str = "crossover") -> PolicyEngine:
-    """Normalize every historical ``policy=`` spelling onto one engine.
-
-    Accepts None (→ ``default``), a policy name, a
-    :class:`~repro.policy.policies.DecisionTable`, an existing
-    :class:`PolicyEngine` (shared, returned as-is), or a legacy
-    :class:`~repro.policy.legacy.DeltaPolicy` (its crossover carries
-    over).
-    """
-    from repro.policy.legacy import DeltaPolicy
-
+    """Normalize every ``policy=`` spelling onto one engine: None
+    (→ ``default``), a policy name, a
+    :class:`~repro.policy.policies.DecisionTable`, or an existing
+    :class:`PolicyEngine` (shared, returned as-is)."""
     if isinstance(policy, PolicyEngine):
         return policy
-    if policy is None:
-        return PolicyEngine(default)
-    if isinstance(policy, DeltaPolicy):
-        return PolicyEngine(
-            CrossoverPolicy(byte_crossover=policy.byte_crossover))
-    return PolicyEngine(policy)
+    return PolicyEngine(default if policy is None else policy)

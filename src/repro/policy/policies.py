@@ -11,12 +11,11 @@ invariants hold whatever policy sits below them.
 Four policies behind the one protocol:
 
 * :class:`AlwaysFull` / :class:`AlwaysDelta` — the static corners, the
-  hand-picked baselines B-POLICY measures the adaptive engine against.
-* :class:`CrossoverPolicy` — the mutation-byte crossover that used to be
-  hardcoded in ``repro/delta/policy.py`` (§4.3's full-vs-delta argument),
-  now one table row.  Behavior-identical to the legacy ``DeltaPolicy``,
-  including the post-encode budget and the negative-crossover degenerate
-  case (``byte_crossover < 0`` forces full every epoch).
+  hand-picked baselines the adaptive engine is tested against.
+* :class:`CrossoverPolicy` — the mutation-byte crossover (§4.3's
+  full-vs-delta argument) as one table row, with the post-encode budget
+  and the negative-crossover degenerate case (``byte_crossover < 0``
+  forces full every epoch).
 * :class:`AdaptivePolicy` — the closed loop: EWMA-smoothed byte fraction
   with a hysteresis band (enter full above ``enter_full``, return to
   delta only below ``exit_full`` — oscillating workloads don't flap),
@@ -78,7 +77,7 @@ class DecisionTable:
 
 def _bare_full(_signals: ChannelSignals) -> SendPlan:
     """A guard-rule full: no mutation observation backs it, so it carries
-    the legacy zero rate/estimate (``EpochDecision`` parity)."""
+    a zero rate/estimate."""
     return SendPlan(mode="full")
 
 
@@ -148,7 +147,7 @@ class AlwaysDelta(DecisionTable):
 
 
 class CrossoverPolicy(DecisionTable):
-    """The legacy mutation-byte crossover as one table row."""
+    """The mutation-byte crossover as one table row."""
 
     def __init__(self, byte_crossover: float = 0.5) -> None:
         self.byte_crossover = byte_crossover

@@ -180,42 +180,6 @@ class SparkContext:
             workers=workers, requested=requested,
         )
 
-    def delta_broadcast(self, root: int, policy=None):
-        """Deprecated spelling of :meth:`send` with the legacy
-        mutation-crossover default (see
-        :mod:`repro.spark.broadcast_delta`)."""
-        from repro.policy.shims import warn_deprecated
-        from repro.spark.broadcast_delta import DeltaHeapBroadcast
-
-        warn_deprecated("SparkContext.delta_broadcast()")
-        return DeltaHeapBroadcast(
-            self.cluster, root, policy=policy, exchange=self.exchange
-        )
-
-    def parallel_send(
-        self,
-        worker_name: str,
-        roots: Sequence[int],
-        streams: Optional[int] = None,
-        retain: bool = False,
-        **knobs,
-    ):
-        """Deprecated: the policy plane picks stream counts now (a
-        ``parallel-N`` plan from :meth:`send` routes here by itself).
-        Still ships driver-heap roots to one worker over N parallel
-        Skyway streams (paper §4.2); ``streams`` defaults to
-        ``config.shuffle_threads``.  Returns a
-        :class:`repro.transport.parallel.ParallelSendReport` on either
-        substrate.
-        """
-        from repro.policy.shims import warn_deprecated
-
-        warn_deprecated("SparkContext.parallel_send()")
-        n = streams if streams is not None else max(1, self.config.shuffle_threads)
-        return self.exchange.parallel_send(
-            worker_name, roots, streams=n, retain=retain, **knobs
-        )
-
     def node_for_partition(self, partition: int) -> Node:
         workers = self.cluster.workers
         return workers[partition % len(workers)]

@@ -1,14 +1,12 @@
 """``SparkContext.send``'s engine: one policy-driven push to every worker.
 
 :class:`PolicySend` is the single front door for shipping driver-heap
-object graphs — it subsumes the old ``delta_broadcast`` (epoch channels)
-and ``parallel_send`` (multi-stream fulls) entry points.  The caller no
-longer picks a mode: per worker per push, the shared
-:class:`~repro.policy.engine.PolicyEngine` plans the epoch (full, delta,
-kernel traversal, stream count, digest) from that channel's live signals,
-and the dispatch here merely executes the plan — ``parallel-N`` plans
-route around the epoch channel to ``Exchange.parallel_send``, everything
-else goes down the channel with the plan attached.
+object graphs.  The caller does not pick a mode: per worker per push, the
+shared :class:`~repro.policy.engine.PolicyEngine` plans the epoch (full,
+delta, kernel traversal, stream count, digest) from that channel's live
+signals, and the dispatch here merely executes the plan — ``parallel-N``
+plans route around the epoch channel to ``Exchange.parallel_send``,
+everything else goes down the channel with the plan attached.
 """
 
 from __future__ import annotations
@@ -17,12 +15,12 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.delta.channel import ChannelStats
 from repro.exchange.capabilities import ChannelCapabilities, DEFAULT_REQUEST
 from repro.exchange.channel import GraphChannel
 from repro.exchange.service import Exchange
 from repro.net.cluster import Cluster, Node
 from repro.policy import resolve_engine
-from repro.delta.policy import ChannelStats
 
 
 @dataclasses.dataclass
@@ -52,7 +50,6 @@ class PolicySend:
         exchange: Optional[Exchange] = None,
         workers: Optional[Sequence[str]] = None,
         requested: Optional[ChannelCapabilities] = None,
-        default_policy: str = "adaptive",
     ) -> None:
         driver = cluster.driver
         if driver.jvm.skyway is None:
@@ -69,7 +66,7 @@ class PolicySend:
             raise ValueError("send() needs at least one root")
         #: One engine across every worker channel: per-channel history
         #: keeps a slow peer's bandwidth from polluting the others.
-        self.engine = resolve_engine(policy, default=default_policy)
+        self.engine = resolve_engine(policy, default="adaptive")
         self.requested = requested if requested is not None else SEND_REQUEST
         self._pins = [driver.jvm.pin(root) for root in self.roots]
         names = (list(workers) if workers is not None

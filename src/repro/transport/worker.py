@@ -90,7 +90,7 @@ class WorkerSpec:
     young_bytes: int = 4 * MB
     old_bytes: int = 64 * MB
     #: Listen backlog.  The event loop accepts thousands of near-
-    #: simultaneous connects (B-FANIN opens them in a burst), so the
+    #: simultaneous connects (a fan-in opens them in a burst), so the
     #: default is far above ``bind_listener``'s conservative 8.
     listen_backlog: int = 128
     #: Fleet mode (repro.cluster): when set, the worker registers with the
@@ -417,16 +417,15 @@ class WorkerServer:
                     peer, f"peer send failed mid-transfer: {exc}"
                 ) from exc
             frame, nack = shipped[-1], len(shipped) > 1
-            decision = channel.last_decision
-            sp.set(mode=decision.mode if decision else "?",
-                   epoch=channel.epoch, nack=nack)
+            mode = channel.last_plan.mode
+            sp.set(mode=mode, epoch=channel.epoch, nack=nack)
         self.peer_sends += 1
         return {
             "op": "send_peer",
             "peer": peer,
             "channel_id": channel.channel_id,
             "epoch": channel.epoch,
-            "mode": decision.mode if decision else "?",
+            "mode": mode,
             "wire_bytes": len(frame),
             "roots": result.get("roots", 0),
             "sender_digest": sender_digest,

@@ -79,19 +79,26 @@ class TestClassicParityOnAsync:
 
 class TestMuxEpochs:
     def test_concurrent_channels_full_then_delta(self, transport_driver):
-        """A dozen channels pipelined over one connection: every FULL
-        bootstraps, every DELTA applies, and each channel's worker-side
-        digest matches the digest of *that* channel's sender graph."""
-        driver = transport_driver
+        """A dozen channels, then 1,024 (the fan-in the loop must
+        sustain), pipelined over one connection: every FULL bootstraps,
+        every DELTA applies, every channel is acked, and each channel's
+        worker-side digest matches the digest of *that* channel's sender
+        graph."""
+        for count in (12, 1024):
+            self._full_then_delta(transport_driver, count)
+
+    def _full_then_delta(self, driver, count):
         handle = _spawn("mux-worker")
         mux = MuxEpochClient(driver, handle.host, handle.port).connect()
-        heads, channels, pins = [], [], []
-        for i in range(12):
-            head = make_list(driver.jvm, range(i * 100, i * 100 + 24))
-            pins.append(driver.jvm.pin(head))
-            heads.append(head)
-            channels.append(DeltaSendChannel(
-                driver, "mux-worker", channel_id=9000 + i))
+        # Chains first: every channel's card table is marked on every
+        # later heap write.
+        pins = [driver.jvm.pin(
+                    make_list(driver.jvm, range(i * 100, i * 100 + 24)))
+                for i in range(count)]
+        heads = [pin.address for pin in pins]
+        channels = [DeltaSendChannel(driver, "mux-worker",
+                                     channel_id=9000 + i)
+                    for i in range(count)]
         try:
             for expected_mode in ("full", "delta"):
                 jobs, want = [], {}
@@ -100,7 +107,7 @@ class TestMuxEpochs:
                     jobs.append((channel.channel_id, channel.epoch, frame))
                     want[channel.channel_id] = semantic_graph_digest(
                         driver.jvm, [head])
-                    assert channel.last_decision.mode == expected_mode
+                    assert channel.last_plan.mode == expected_mode
                 results = mux.send_epochs(jobs)
                 assert set(results) == set(want)
                 for channel_id, outcome in results.items():
@@ -134,7 +141,7 @@ class TestMuxEpochs:
             mux.send_epoch(channel.send([head]), 4242, channel.epoch)
             driver.jvm.set_field(head, "payload", 777)
             delta = channel.send([head])
-            assert channel.last_decision.mode == "delta"
+            assert channel.last_plan.mode == "delta"
             mux.send_epoch(delta, 4242, channel.epoch)
 
             with pytest.raises(RemoteWorkerError) as excinfo:

@@ -70,7 +70,7 @@ def test_shuffled_interleave_matches_sequential_per_channel(
                 jobs.append((channel.channel_id, channel.epoch, frame))
                 want[channel.channel_id] = semantic_graph_digest(
                     driver.jvm, [head])
-                modes.add(channel.last_decision.mode)
+                modes.add(channel.last_plan.mode)
             assert modes == ({"full"} if round_no == 0 else {"delta"})
 
             rng = random.Random(seed) if seed is not None else None

@@ -46,15 +46,17 @@ class TestFleetTransfers:
             digests = set(epoch2.digests().values())
             assert len(digests) == 1 and None not in digests
 
-            # Peer shuffle: w0 ships its copy straight to w1; the
-            # receiver's digest must equal the sender's own.
+            # Peer shuffle, all pairs: each worker ships its copy straight
+            # to the other; the receiver's digest must equal the sender's.
             w0, w1 = harness.worker_names
-            first = fleet.peer_transfer(w0, w1, epoch2.receipts[w0].roots)
-            assert first["mode"] == "full" and first["digest_match"]
-            again = fleet.peer_transfer(w0, w1, epoch2.receipts[w0].roots)
-            assert again["mode"] == "delta" and again["digest_match"]
-            assert first["digest"] == semantic_graph_digest(
-                transport_driver.jvm, [root])
+            expected = semantic_graph_digest(transport_driver.jvm, [root])
+            for src, dst in ((w0, w1), (w1, w0)):
+                roots = epoch2.receipts[src].roots
+                first = fleet.peer_transfer(src, dst, roots)
+                assert first["mode"] == "full" and first["digest_match"]
+                again = fleet.peer_transfer(src, dst, roots)
+                assert again["mode"] == "delta" and again["digest_match"]
+                assert first["digest"] == expected
         finally:
             fleet.close()
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.runtime import attach_skyway
 from repro.delta import (
+    ChannelStats,
     DeltaReceiveEndpoint,
     DeltaSendChannel,
     DeltaStaleError,
@@ -36,11 +37,11 @@ class TestEpochFlow:
     def test_full_then_delta_then_delta(self, pair):
         src, dst = pair
         channel, endpoint, head, roots = fresh_session(src, dst)
-        assert channel.last_decision.reason == "first_epoch"
+        assert channel.last_plan.reason == "first_epoch"
         for value in (10, 20):
             src.set_field(head.address, "payload", value)
             roots = endpoint.receive(channel.send([head.address]))
-            assert channel.last_decision.mode == "delta"
+            assert channel.last_plan.mode == "delta"
             assert read_list(dst, roots[0])[0] == value
         assert channel.stats.full_sends == 1
         assert channel.stats.delta_sends == 2
@@ -55,10 +56,26 @@ class TestEpochFlow:
             node = src.get_field(node, "next")
         frame = channel.send([head.address])
         assert isinstance(parse_frame(frame), FullFrame)
-        assert channel.last_decision.reason == "mutation_crossover"
+        assert channel.last_plan.reason == "mutation_crossover"
         assert channel.stats.fallbacks["mutation_crossover"] == 1
         roots = endpoint.receive(frame)
         assert read_list(dst, roots[0]) == [1] * 50
+
+    def test_encoded_overrun_reverts_to_full(self, pair):
+        """The post-encode gate: one dirty node passes the estimate, but
+        it now reaches a long new chain, so the frame blows the plan's
+        byte budget and the epoch ships FULL instead."""
+        src, dst = pair
+        channel, endpoint, head, roots = fresh_session(src, dst, n=10)
+        tail = src.pin(make_list(src, list(range(100, 200))))
+        src.set_field(head.address, "next", tail.address)
+        frame = channel.send([head.address])
+        assert isinstance(parse_frame(frame), FullFrame)
+        assert channel.last_plan.reason == "encoded_overrun"
+        assert channel.stats.wasted_encode_bytes > 0
+        assert channel.stats.fallbacks == {"encoded_overrun": 1}
+        roots = endpoint.receive(frame)
+        assert read_list(dst, roots[0]) == [0] + list(range(100, 200))
 
     def test_full_resend_frees_previous_buffer(self, pair):
         src, dst = pair
@@ -66,7 +83,7 @@ class TestEpochFlow:
         assert dst.skyway.retained_input_buffers == 1
         channel.force_full_next()
         endpoint.receive(channel.send([head.address]))
-        assert channel.last_decision.reason == "forced"
+        assert channel.last_plan.reason == "forced"
         assert dst.skyway.retained_input_buffers == 1  # old freed, new kept
 
     def test_sender_gc_invalidates_cache(self, pair):
@@ -74,7 +91,7 @@ class TestEpochFlow:
         channel, endpoint, head, roots = fresh_session(src, dst)
         src.gc.minor()
         frame = channel.send([head.address])
-        assert channel.last_decision.reason == "gc_moved"
+        assert channel.last_plan.reason == "gc_moved"
         roots = endpoint.receive(frame)
         assert read_list(dst, roots[0]) == list(range(50))
 
@@ -85,7 +102,7 @@ class TestEpochFlow:
         head = src.pin(make_list(src, range(50)))
         channel.send([head.address])
         channel.send([head.address])
-        assert channel.last_decision.reason == "heterogeneous"
+        assert channel.last_plan.reason == "heterogeneous"
         assert channel.stats.delta_sends == 0
 
     def test_channel_close_releases_table(self, pair):
@@ -132,7 +149,7 @@ class TestStaleness:
         # And the channel deltas again afterwards.
         src.set_field(head.address, "payload", 4)
         roots = endpoint.receive(channel.send([head.address]))
-        assert channel.last_decision.mode == "delta"
+        assert channel.last_plan.mode == "delta"
         assert read_list(dst, roots[0])[0] == 4
 
     def test_stale_state_is_dropped(self, pair):
@@ -155,11 +172,23 @@ class TestMultiChannel:
         roots_a = endpoint.receive(a.send([head.address]))
         src.set_field(head.address, "payload", 7)
         roots_b = endpoint.receive(b.send([head.address]))  # full (epoch 1)
-        assert b.last_decision.reason == "first_epoch"
+        assert b.last_plan.reason == "first_epoch"
         # Channel a still sees the mutation even though b sent in between
         # (per-channel card tables: b's bootstrap cleared only b's table).
         roots_a2 = endpoint.receive(a.send([head.address]))
-        assert a.last_decision.mode == "delta"
+        assert a.last_plan.mode == "delta"
         assert read_list(dst, roots_a2[0])[0] == 7
         assert read_list(dst, roots_b[0])[0] == 7
         assert roots_a2[0] != roots_b[0]  # distinct retained buffers
+
+
+class TestChannelStats:
+    def test_totals_and_fallback_accounting(self):
+        stats = ChannelStats()
+        stats.bytes_full += 1000
+        stats.bytes_delta += 50
+        assert stats.bytes_total == 1050
+        stats.note_fallback("mutation_crossover")
+        stats.note_fallback("mutation_crossover")
+        stats.note_fallback("gc_moved")
+        assert stats.fallbacks == {"mutation_crossover": 2, "gc_moved": 1}

@@ -133,7 +133,7 @@ class TestDeltaBroadcast:
         driver = cluster.driver.jvm
         graph = build_vertex_graph(driver, EDGES)
         cc = IncrementalConnectedComponents(driver, graph)
-        broadcast = sc.delta_broadcast(graph)
+        broadcast = sc.send(graph, policy="crossover")
 
         first = broadcast.push()
         assert set(first.modes.values()) == {"full"}
@@ -156,48 +156,10 @@ class TestDeltaBroadcast:
         edges = [(i, (i + 1) % 120) for i in range(120)]  # one big ring
         graph = build_vertex_graph(driver, edges)
         pagerank = IncrementalPageRank(driver, graph)
-        broadcast = sc.delta_broadcast(graph)
+        broadcast = sc.send(graph, policy="crossover")
         bootstrap = broadcast.push()
         pagerank.step(active_fraction=0.02)
         update = broadcast.push()
         assert set(update.modes.values()) == {"delta"}
         assert update.wire_bytes < bootstrap.wire_bytes / 5
         broadcast.close()
-
-
-class TestSerializerDeltaMode:
-    def test_delta_serializer_roundtrip_and_patch(self, classpath_delta):
-        src = JVM("ser-src", classpath=classpath_delta)
-        dst = JVM("ser-dst", classpath=classpath_delta)
-        attach_skyway(src, [dst])
-        serializer = SkywaySerializer(delta=True)
-        edges = [(i, (i + 1) % 80) for i in range(80)]  # big enough ring
-        graph = build_vertex_graph(src, edges)
-        pin = src.pin(graph)
-
-        first = serializer.serialize(src, graph)
-        remote = serializer.deserialize(dst, first)
-        assert read_ranks(dst, remote) == read_ranks(src, graph)
-
-        pagerank = IncrementalPageRank(src, graph)
-        pagerank.step(active_fraction=0.02)  # sparse mutation
-        second = serializer.serialize(src, graph)
-        remote2 = serializer.deserialize(dst, second)
-        assert remote2 == remote  # patched in place
-        assert len(second) < len(first) / 5
-        assert read_ranks(dst, remote2) == read_ranks(src, graph)
-        src.unpin(pin)
-
-    def test_plain_reader_still_handles_plain_frames(self, classpath_delta):
-        src = JVM("ser2-src", classpath=classpath_delta)
-        dst = JVM("ser2-dst", classpath=classpath_delta)
-        attach_skyway(src, [dst])
-        delta_serializer = SkywaySerializer(delta=True)
-        plain_serializer = SkywaySerializer()
-        graph = build_vertex_graph(src, EDGES)
-        pin = src.pin(graph)
-        data = plain_serializer.serialize(src, graph)
-        # A delta-enabled serializer must still route plain frames.
-        received = delta_serializer.deserialize(dst, data)
-        assert read_ranks(dst, received) == [1.0] * 7
-        src.unpin(pin)

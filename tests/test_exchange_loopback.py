@@ -1,6 +1,6 @@
 """The exchange layer on its in-process substrate: capability negotiation,
 full→delta epochs with receiver-value checks, the unified metrics snapshot,
-in-process NACK recovery, and the serializer adapter's channel lifecycle."""
+in-process NACK recovery, and unbound frames read through the serializer."""
 
 import json
 
@@ -74,7 +74,7 @@ class TestCapabilities:
         for _ in range(2):
             receipt = channel.send([head])
             assert receipt.mode == "full"
-        assert channel.last_decision.reason == "delta_disabled"
+        assert channel.last_plan.reason == "delta_disabled"
         assert channel.stats.fallbacks == {}  # configured, not a reversion
 
 
@@ -127,6 +127,26 @@ class TestLoopbackEpochs:
         assert receipt.roots == ()  # frames only; nothing delivered
         with pytest.raises(ExchangeConfigError, match="no receiver"):
             channel.receiver_digest([head])
+
+    def test_unbound_frames_read_through_the_serializer(self):
+        """An unbound channel only frames epochs; whoever moves the bytes
+        reads them with the plain serializer, which routes epoch frames
+        to the runtime's delta endpoint: the DELTA patches in place."""
+        cluster = make_cluster()
+        driver, worker = cluster.driver.jvm, cluster.workers[0].jvm
+        channel = LoopbackGraphChannel(driver.skyway, destination="nowhere")
+        reader = SkywaySerializer()
+        head = make_list(driver, range(50))
+        first = channel.send([head])
+        remote = reader.deserialize(worker, first.frame)
+        assert read_list(worker, remote) == list(range(50))
+        driver.set_field(head, "payload", 99)
+        second = channel.send([head])
+        assert second.mode == "delta"
+        assert second.wire_bytes < first.wire_bytes / 5
+        assert reader.deserialize(worker, second.frame) == remote
+        assert read_list(worker, remote)[0] == 99
+        channel.close()
 
 
 class TestNackRecovery:
@@ -193,36 +213,3 @@ class TestExchangeMetrics:
         assert worker.remote_bytes_fetched == 123
         with pytest.raises(ExchangeConfigError, match="no socket worker"):
             exchange.client_for(worker.name)
-
-
-class TestSerializerChannelLifecycle:
-    def test_release_channel_detaches_the_card_table(self):
-        cluster = make_cluster()
-        driver = cluster.driver.jvm
-        serializer = SkywaySerializer(delta=True)
-        stream = serializer.new_stream(driver)
-        stream.write_object(make_list(driver, range(4)))
-        stream.close()
-        tracker = driver.heap.delta_tracker
-        before = tracker.table_count
-        serializer.release_channel(driver)
-        assert tracker.table_count == before - 1
-        # The key starts fresh afterwards: first epoch is FULL again.
-        stream = serializer.new_stream(driver)
-        stream.write_object(make_list(driver, range(4)))
-        stream.close()
-        assert serializer.channel_for(driver).last_decision.reason == \
-            "first_epoch"
-        serializer.close()
-        assert tracker.table_count == before - 1
-        assert serializer._channels == {}
-
-    def test_distinct_channel_keys_are_independent(self):
-        cluster = make_cluster()
-        driver = cluster.driver.jvm
-        serializer = SkywaySerializer(delta=True)
-        a = serializer.channel_for(driver, "a")
-        b = serializer.channel_for(driver, "b")
-        assert a is not b
-        assert a is serializer.channel_for(driver, "a")
-        serializer.close()

@@ -21,6 +21,7 @@ from repro.transport.testing import SAMPLE_FACTORY, sample_worker_classpath
 from tests.conftest import make_list, sample_classpath
 
 DELTA_REQUEST = ChannelCapabilities(kernel=True, delta=True)
+FULL_REQUEST = ChannelCapabilities(kernel=True, delta=False)
 
 
 def _loopback_receiver(driver, tag):
@@ -32,43 +33,55 @@ def test_frame_and_digest_parity_across_substrates(
     spawned_worker, transport_driver
 ):
     """With pinned channel ids and one sender heap, the loopback and
-    socket channels must frame byte-identical epochs (FULL and DELTA) and
-    their receivers must agree digest-wise."""
+    socket channels must frame byte-identical epochs and their receivers
+    must agree digest-wise — on a delta pair (FULL then DELTA) and on a
+    full-only pair — and the low-mutation DELTA must undercut the FULL."""
     driver = transport_driver
     head = make_list(driver.jvm, range(30))
     pin = driver.jvm.pin(head)
     client = WorkerClient(
         driver, spawned_worker.host, spawned_worker.port,
     ).connect()
-    loop = LoopbackGraphChannel(
-        driver, destination="parity", requested=DELTA_REQUEST,
-        receiver_runtime=_loopback_receiver(driver, "a"), channel_id=7101,
-    )
-    sock = SocketGraphChannel(
-        driver, client, requested=DELTA_REQUEST, channel_id=7101,
-        destination="parity",
-    )
+    receiver = _loopback_receiver(driver, "a")
+    pairs = {
+        name: (
+            LoopbackGraphChannel(
+                driver, destination="parity", requested=requested,
+                receiver_runtime=receiver, channel_id=channel_id),
+            SocketGraphChannel(
+                driver, client, requested=requested, channel_id=channel_id,
+                destination="parity"),
+        )
+        for name, channel_id, requested in (
+            ("delta", 7101, DELTA_REQUEST), ("full", 7102, FULL_REQUEST))
+    }
+
+    def epoch(modes):
+        receipts = {}
+        for name, (loop, sock) in pairs.items():
+            on_loop = loop.send([head], digest=True)
+            on_sock = sock.send([head], digest=True)
+            assert on_loop.mode == on_sock.mode == modes[name]
+            assert on_loop.frame == on_sock.frame
+            assert on_loop.digest == on_sock.digest is not None
+            receipts[name] = on_loop
+        assert receipts["delta"].digest == receipts["full"].digest
+        return receipts
+
     try:
-        first = {"loop": loop.send([head], digest=True),
-                 "sock": sock.send([head], digest=True)}
-        assert first["loop"].mode == first["sock"].mode == "full"
-        assert first["loop"].frame == first["sock"].frame
-        assert first["loop"].digest == first["sock"].digest is not None
-
+        first = epoch({"delta": "full", "full": "full"})
         driver.jvm.set_field(head, "payload", 4242)
-        second = {"loop": loop.send([head], digest=True),
-                  "sock": sock.send([head], digest=True)}
-        assert second["loop"].mode == second["sock"].mode == "delta"
-        assert second["loop"].frame == second["sock"].frame
-        assert second["loop"].digest == second["sock"].digest is not None
-        assert second["loop"].digest != first["loop"].digest
+        second = epoch({"delta": "delta", "full": "full"})
+        assert second["delta"].digest != first["delta"].digest
+        assert len(second["delta"].frame) < len(second["full"].frame)
 
-        socket_metrics = sock.metrics().as_dict()
+        socket_metrics = pairs["delta"][1].metrics().as_dict()
         assert socket_metrics["substrate"] == "socket"
         assert socket_metrics["transport"] is not None  # wire counters
     finally:
-        loop.close()
-        sock.close()
+        for loop, sock in pairs.values():
+            loop.close()
+            sock.close()
         client.close()
         driver.jvm.unpin(pin)
 

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.delta.policy import ChannelStats
+from repro.delta import ChannelStats
 from repro.exchange.metrics import ExchangeMetrics
 from repro.simtime import Breakdown, Category
 from repro.transport.metrics import TransportMetrics

@@ -12,7 +12,6 @@ from repro.policy import (
     AlwaysFull,
     ChannelSignals,
     CrossoverPolicy,
-    DeltaPolicy,
     PolicyEngine,
     PolicyError,
     SendPlan,
@@ -77,7 +76,7 @@ class TestGuardRules:
 
 
 class TestCrossoverCells:
-    """The legacy mutation-byte crossover, cell by cell."""
+    """The mutation-byte crossover, cell by cell."""
 
     def test_below_crossover_is_delta_with_budget(self):
         plan = CrossoverPolicy(byte_crossover=0.5).decide(observed(0.2))
@@ -92,8 +91,8 @@ class TestCrossoverCells:
         assert plan.estimated_bytes == 8_000
 
     def test_negative_crossover_degenerates_to_always_full(self):
-        # Legacy DeltaPolicy parity: byte_crossover < 0 forces FULL even
-        # with zero mutation (0 > negative budget).
+        # byte_crossover < 0 forces FULL even with zero mutation
+        # (0 > negative budget).
         plan = CrossoverPolicy(byte_crossover=-1.0).decide(observed(0.0))
         assert (plan.mode, plan.reason) == ("full", "mutation_crossover")
 
@@ -283,11 +282,6 @@ class TestResolveEngine:
     def test_shared_engine_passes_through_identically(self):
         engine = PolicyEngine("adaptive")
         assert resolve_engine(engine) is engine
-
-    def test_legacy_delta_policy_carries_its_crossover(self):
-        engine = resolve_engine(DeltaPolicy(byte_crossover=0.25))
-        assert isinstance(engine.policy, CrossoverPolicy)
-        assert engine.policy.byte_crossover == 0.25
 
     def test_unknown_name_raises(self):
         with pytest.raises(PolicyError):

@@ -1,8 +1,6 @@
 """End-to-end policy plane: ``sc.send`` over the loopback cluster, the
-deprecation shims on the legacy entry points, and the per-channel
+adaptive engine against the static policies, and the per-channel
 mutation-rate / bytes-per-epoch gauges."""
-
-import warnings
 
 import pytest
 
@@ -15,10 +13,10 @@ from repro.apps.incremental import (
 )
 from repro.core.adapter import SkywaySerializer
 from repro.core.runtime import attach_skyway
+from repro.exchange import Exchange
 from repro.jvm.jvm import JVM
 from repro.net.cluster import Cluster
 from repro.policy import PolicyEngine
-from repro.policy.shims import reset_deprecation_warnings
 from repro.spark.context import SparkContext
 from repro.types.classdef import ClassPath
 from repro.types.corelib import install_core_classes
@@ -74,6 +72,37 @@ class TestPolicySend:
                 assert read_ranks(worker.jvm, local) == expected
         finally:
             send.close()
+
+    def test_adaptive_bytes_match_best_static_with_digest_parity(
+            self, classpath):
+        """At 1% and at 100% mutation the adaptive engine ships within
+        6% + 512 B of the cheapest other policy, and every policy's
+        receiver holds the same graph.  One worker per policy under one
+        pinned channel id, so the frames differ only by policy."""
+        policies = ("adaptive", "delta", "full", "crossover")
+        cluster, _ = make_context(classpath, workers=len(policies))
+        driver = cluster.driver.jvm
+        graph = build_vertex_graph(driver, EDGES)
+        pagerank = IncrementalPageRank(driver, graph)
+        exchange = Exchange.loopback(cluster)
+        channels = {
+            policy: exchange.channel_to(worker.name, policy=policy,
+                                        channel_id=7700)
+            for policy, worker in zip(policies, cluster.workers)
+        }
+        try:
+            for channel in channels.values():
+                assert channel.send([graph]).mode == "full"  # bootstrap
+            for fraction in (0.01, 1.0):
+                pagerank.step(active_fraction=fraction)
+                receipts = {policy: channel.send([graph], digest=True)
+                            for policy, channel in channels.items()}
+                assert len({r.digest for r in receipts.values()}) == 1
+                adaptive = receipts.pop("adaptive").wire_bytes
+                best = min(r.wire_bytes for r in receipts.values())
+                assert adaptive <= best * 1.06 + 512, (fraction, receipts)
+        finally:
+            exchange.close()
 
     def test_no_call_site_picks_a_mode(self, classpath):
         """Every epoch's mode comes out of the engine: the push reports
@@ -142,38 +171,3 @@ class TestChannelGauges:
             send.close()
         finally:
             obs.reset()
-
-
-class TestDeprecationShims:
-    def test_delta_broadcast_warns_once(self, classpath):
-        cluster, sc = make_context(classpath)
-        graph = build_vertex_graph(cluster.driver.jvm, EDGES)
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning,
-                          match=r"delta_broadcast.*send\(policy="):
-            first = sc.delta_broadcast(graph)
-        first.close()
-        # Warn-once: the second call is silent.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second = sc.delta_broadcast(graph)
-        second.close()
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_parallel_send_warns(self, classpath):
-        cluster, sc = make_context(classpath, workers=1)
-        driver = cluster.driver.jvm
-        roots = [build_vertex_graph(driver, [(0, 1), (1, 0)])
-                 for _ in range(2)]
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="parallel_send"):
-            report = sc.parallel_send(cluster.workers[0].name, roots,
-                                      streams=2)
-        assert len(report.streams) == 2
-
-    def test_serializer_delta_flag_warns(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning,
-                          match=r"SkywaySerializer\(delta=True\)"):
-            SkywaySerializer(delta=True)

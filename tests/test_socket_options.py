@@ -3,8 +3,8 @@ classic frame connections (client, worker, coordinator, and peer sides
 all go through ``FrameConnection``), the async loop's accepted sockets,
 and the mux client — must set ``TCP_NODELAY``.  Delta epochs are small
 frames on the latency path; Nagle batching them behind an unacked
-segment would put a 40 ms floor under exactly the p99 B-FANIN
-measures."""
+segment would put a 40 ms floor under exactly the p99 the ledger's
+``mux_fanin`` workload measures."""
 
 import socket
 
