@@ -309,7 +309,6 @@ class CoordinatorServer(FrameLoop):
             worker=call.get("worker"),
             include_window=bool(call.get("include_window", False)),
             alive=self._alive_names(),
-            include_workers=bool(call.get("include_workers", True)),
         )
         with self._lock:
             doc["alive"] = {name: r.alive

@@ -169,11 +169,10 @@ class Fleet:
 
     # -- membership views --------------------------------------------------
 
-    def workers(self, alive_only: bool = True) -> List[dict]:
+    def workers(self) -> List[dict]:
+        """The records of every worker the coordinator lists alive."""
         records = self.coordinator.call("workers")["workers"]
-        if alive_only:
-            records = [r for r in records if r["alive"]]
-        return records
+        return [r for r in records if r["alive"]]
 
     def lookup(self, worker: str) -> dict:
         record = self.coordinator.call("lookup", name=worker)
@@ -220,19 +219,6 @@ class Fleet:
             self._event_cursor = max(e["seq"] for e in events)
         return events
 
-    def refresh_fleet_context(self) -> Optional[dict]:
-        """Pull the fleet rollup (cheap: no per-worker series) and feed it
-        to the policy engine as optional context.  Best-effort — telemetry
-        must never fail a send path."""
-        try:
-            doc = self.coordinator.call(
-                "telemetry", include_workers=False)["telemetry"]
-        except Exception:  # noqa: BLE001 - telemetry is advisory
-            return None
-        rollup = doc.get("rollups")
-        self.engine.update_fleet_context(rollup)
-        return rollup
-
     # -- clients & channels ------------------------------------------------
 
     def _drop_client(self, worker: str) -> None:
@@ -276,10 +262,23 @@ class Fleet:
 
     def channel_to(self, worker: str,
                    requested: ChannelCapabilities = DEFAULT_REQUEST,
-                   policy=None, **channel_opts) -> FleetChannel:
-        """Open (or reuse) the driver→worker graph channel."""
+                   policy=None) -> FleetChannel:
+        """Open (or reuse) the driver→worker graph channel.  The cached
+        channel keeps what it was opened with, so asking for something
+        else is a configuration error, not a silent reuse."""
         cached = self._channels.get(worker)
         if cached is not None:
+            inner = cached.inner
+            if requested != inner.requested:
+                raise ClusterConfigError(
+                    f"channel to {worker!r} is open with {inner.requested}; "
+                    f"cannot reuse it for {requested}"
+                )
+            if policy is not None and policy is not inner.engine:
+                raise ClusterConfigError(
+                    f"channel to {worker!r} is open under policy engine "
+                    f"{inner.engine!r}; cannot reuse it under {policy!r}"
+                )
             return cached
         record = self.lookup(worker)
         client = self.client_to(worker)
@@ -288,7 +287,7 @@ class Fleet:
         inner = SocketGraphChannel(
             self.runtime, client, requested=requested,
             policy=policy if policy is not None else self.engine,
-            channel_id=channel_id, destination=worker, **channel_opts,
+            channel_id=channel_id, destination=worker,
         )
         channel = FleetChannel(self, worker, inner,
                                int(record["generation"]))
@@ -305,7 +304,6 @@ class Fleet:
         receipts: Dict[str, SendReceipt] = {}
         failures: Dict[str, PeerGoneError] = {}
         names = [r["name"] for r in self.workers()]
-        self.refresh_fleet_context()  # rollups → policy signals, advisory
         with obs.span("cluster.broadcast", workers=len(names)) as sp:
             for worker in names:
                 try:
@@ -434,7 +432,7 @@ class Fleet:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def close(self, shutdown_workers: bool = False) -> None:
+    def close(self) -> None:
         for channel in self._channels.values():
             try:
                 channel.close()
@@ -443,8 +441,6 @@ class Fleet:
         self._channels.clear()
         for _gen, client in self._clients.values():
             try:
-                if shutdown_workers:
-                    client.shutdown_worker()
                 client.close()
             except Exception:  # noqa: BLE001 - teardown best-effort
                 pass

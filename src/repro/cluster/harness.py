@@ -1,4 +1,4 @@
-"""Spawn-a-whole-fleet harness for tests and the obs live-smoke gate.
+"""Spawn-a-whole-fleet harness for tests.
 
 One :class:`FleetHarness` owns a coordinator process plus N strict-mode
 worker processes, waits for every worker's registration to land, and
@@ -42,9 +42,6 @@ class FleetHarness:
         young_bytes: int = 4 * MB,
         old_bytes: int = 64 * MB,
         startup_timeout: float = 30.0,
-        telemetry: bool = True,
-        straggler_factor: float = 3.0,
-        straggler_min_samples: int = 3,
     ) -> None:
         if size < 1:
             raise ClusterConfigError("a fleet needs at least one worker")
@@ -55,15 +52,12 @@ class FleetHarness:
         self._young_bytes = young_bytes
         self._old_bytes = old_bytes
         self._startup_timeout = startup_timeout
-        self._telemetry = telemetry
         self._stopped = False
         self.coordinator = CoordinatorHandle.spawn(
             CoordinatorSpec(
                 name=f"{name}-coordinator",
                 heartbeat_interval=heartbeat_interval,
                 miss_limit=miss_limit,
-                straggler_factor=straggler_factor,
-                straggler_min_samples=straggler_min_samples,
             ),
             startup_timeout=startup_timeout,
         )
@@ -90,7 +84,6 @@ class FleetHarness:
             coordinator_host=self.coordinator.host,
             coordinator_port=self.coordinator.port,
             strict_channels=True,
-            telemetry=self._telemetry,
         )
 
     @property

@@ -172,10 +172,6 @@ class InputBuffer:
         """End of stream: no more placements; translation becomes legal."""
         self._frozen = True
 
-    @property
-    def is_frozen(self) -> bool:
-        return self._frozen
-
     # ------------------------------------------------------------------
     # address translation (the §4.3 chunk arithmetic)
     # ------------------------------------------------------------------

@@ -63,16 +63,9 @@ class SegmentArena:
         if len(pool) < self.MAX_POOLED:
             pool.append(segment)
 
-    def pooled_segments(self) -> int:
-        return sum(len(p) for p in self._pools.values())
 
-
-#: Process-wide default arena shared by all output buffers.
-_DEFAULT_ARENA = SegmentArena()
-
-
-def default_arena() -> SegmentArena:
-    return _DEFAULT_ARENA
+#: The process-wide arena every output buffer shares.
+_ARENA = SegmentArena()
 
 
 class OutputBuffer:
@@ -83,13 +76,11 @@ class OutputBuffer:
         destination: str,
         capacity: int = 256 * 1024,
         sink: Optional[FlushSink] = None,
-        arena: Optional[SegmentArena] = None,
     ) -> None:
         if capacity < 64:
             raise ValueError("output buffer capacity too small")
         self.destination = destination
         self.capacity = capacity
-        self._arena = arena if arena is not None else _DEFAULT_ARENA
         #: Current physical segment (checked out lazily) and its fill level.
         self._seg: Optional[bytearray] = None
         self._fill = 0
@@ -180,7 +171,7 @@ class OutputBuffer:
     def _checkout(self, min_size: int) -> bytearray:
         """Attach a fresh physical segment sized for ``min_size`` bytes."""
         if min_size <= self.capacity:
-            seg = self._arena.acquire(self.capacity)
+            seg = _ARENA.acquire(self.capacity)
             self._seg_pooled = True
         else:
             seg = bytearray(min_size)
@@ -191,7 +182,7 @@ class OutputBuffer:
 
     def _recycle(self) -> None:
         if self._seg is not None and self._seg_pooled:
-            self._arena.release(self._seg)
+            _ARENA.release(self._seg)
         self._seg = None
         self._seg_pooled = False
         self._fill = 0

@@ -382,11 +382,6 @@ class ObjectGraphSender:
         if obj == NULL:
             return 0
         self.jvm.clock.charge(self.jvm.cost_model.traverse_word)
-        return self._resolve_uncharged(obj, gray)
-
-    def _resolve_uncharged(self, obj: int, gray: Deque[Tuple[int, int]]) -> int:
-        """:meth:`_resolve_reference` minus the null check and the clock
-        charge — the kernel path batches traversal charges per object."""
         heap = self.jvm.heap
         word = heap.read_baddr(obj)
         if baddr_sid(word) == (self.sid & _SID_MASK):

@@ -102,7 +102,6 @@ class Exchange:
         policy=None,
         channel_id: Optional[int] = None,
         src: Optional[Node] = None,
-        **send_opts,
     ) -> GraphChannel:
         """Open a graph channel from ``src`` (default: the driver) to the
         named cluster node, on this exchange's substrate."""
@@ -129,7 +128,6 @@ class Exchange:
                 policy=policy,
                 channel_id=channel_id,
                 destination=destination,
-                **send_opts,
             )
         self._channels.append(channel)
         return channel

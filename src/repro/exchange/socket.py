@@ -3,10 +3,11 @@
 A :class:`SocketGraphChannel` frames epochs with the same
 :class:`~repro.delta.channel.DeltaSendChannel` the loopback substrate uses
 and ships each frame through :meth:`WorkerClient.send_epoch` (CALL + EPOCH
-header + DATA chunks + TRAILER).  The worker applies it through *its*
-runtime's delta endpoint and answers with receiver roots and a semantic
-graph digest — the same handle the loopback receipt carries, so the two
-substrates are directly comparable.
+header + DATA chunks + TRAILER, written inline: the frame is already in
+hand, so there is no writer thread and no per-channel pipeline knob).  The
+worker applies it through *its* runtime's delta endpoint and answers with
+receiver roots and a semantic graph digest — the same handle the loopback
+receipt carries, so the two substrates are directly comparable.
 
 NACK recovery is the client session's
 (:meth:`~repro.transport.client.WorkerSession.send_epoch_recovering`): a
@@ -38,7 +39,6 @@ from repro.exchange.errors import ExchangeConfigError
 from repro.policy import SendPlan
 from repro.simtime import Category
 from repro.transport.client import WorkerSession
-from repro.transport.pipeline import DEFAULT_CHUNK_BYTES, DEFAULT_QUEUE_CHUNKS
 
 
 class SocketGraphChannel(GraphChannel):
@@ -56,10 +56,6 @@ class SocketGraphChannel(GraphChannel):
         policy=None,
         channel_id: Optional[int] = None,
         destination: Optional[str] = None,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        queue_chunks: int = DEFAULT_QUEUE_CHUNKS,
-        store_and_forward: bool = False,
-        throttle_mbps: Optional[float] = None,
     ) -> None:
         dest = destination if destination is not None else (
             client.peer_name or f"{client.host}:{client.port}"
@@ -72,10 +68,6 @@ class SocketGraphChannel(GraphChannel):
             )
         self.runtime = runtime
         self.client = client
-        self._send_opts = dict(
-            chunk_bytes=chunk_bytes, queue_chunks=queue_chunks,
-            store_and_forward=store_and_forward, throttle_mbps=throttle_mbps,
-        )
         self._channel = DeltaSendChannel(
             runtime,
             destination=dest,
@@ -128,7 +120,6 @@ class SocketGraphChannel(GraphChannel):
         if digest is None:
             # No explicit override: the plan decides.
             digest = bool(executed.digest) if executed is not None else False
-        stalls_before = self.client.metrics.stall_seconds
         started = time.perf_counter()
 
         def reframe() -> bytes:
@@ -138,22 +129,13 @@ class SocketGraphChannel(GraphChannel):
             started = time.perf_counter()  # time the frame that lands
             return fresh
 
-        # Classic client: the channel's chunk-pipeline knobs apply.  Mux
-        # client: it chunks by its own construction-time ``chunk_bytes``.
         result, shipped = self.client.send_epoch_recovering(
-            channel, frame, reframe, digest=digest, **self._send_opts)
+            channel, frame, reframe, digest=digest)
         frame = shipped[-1]
         executed = channel.last_plan
-        # Feed the measured wire back into the engine: bandwidth from the
-        # shipped bytes, queue wait from the pipeline's back-pressure
-        # stalls during this send.
+        # Feed the measured wire back into the engine's bandwidth EWMA.
         channel.engine.observe_transfer(
-            channel.channel_id, len(frame),
-            time.perf_counter() - started,
-            queue_wait_seconds=max(
-                0.0, self.client.metrics.stall_seconds - stalls_before
-            ),
-        )
+            channel.channel_id, len(frame), time.perf_counter() - started)
         self._note_sim(clock.since(snap))
         receipt = SendReceipt(
             mode=executed.mode,

@@ -17,7 +17,7 @@ that produces those breakdowns from live runs instead of ad-hoc ledgers:
   ``chrome://tracing``), a terminal phase-breakdown report in the paper's
   table style, and snapshot diffing;
 * ``python -m repro.obs`` — the CLI (``report`` / ``trace`` / ``diff`` /
-  ``smoke``).
+  ``top`` / ``export``).
 
 Import discipline: this package imports **stdlib only**, so every layer —
 ``repro.heap.gc`` included — can instrument itself without cycles.

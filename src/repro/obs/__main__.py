@@ -12,12 +12,11 @@
   (``--snapshot file``); ``--once`` prints one frame, ``--json`` dumps
   the raw document;
 * ``export --prometheus`` — Prometheus text exposition from an obs
-  snapshot or a live coordinator's telemetry document;
-* ``smoke [--out DIR]`` — run the end-to-end traced scenario (loopback +
-  socket epochs + broadcast), export trace/snapshot JSON, self-check;
-* ``live-smoke [--out DIR]`` — spin a real 4-worker fleet, induce a
-  straggler on a paced wire, verify detection / postmortem / export /
-  overhead; the CI ``obs-live-smoke`` job runs exactly this.
+  snapshot or a live coordinator's telemetry document.
+
+Every subcommand reads a file or a live coordinator; none runs a scenario
+(the end-to-end gates are tier-1 tests: ``tests/test_obs_propagation.py``,
+``tests/test_obs_live.py``, ``tests/test_obs_cli.py``).
 """
 
 from __future__ import annotations
@@ -100,19 +99,13 @@ def _fetch_telemetry(coordinator: tuple, include_window: bool = False) -> dict:
 
 
 def _telemetry_snapshot(path: str) -> dict:
-    """Load a telemetry document from disk, unwrapping known carriers.
-
-    Accepts either a raw ``fleet_telemetry`` document or an artifact
-    that embeds one (the live-smoke ``live.json`` keeps its frame under
-    ``telemetry_doc``), so every file the tooling writes round-trips.
-    """
+    """Load a telemetry document from disk: a raw ``fleet_telemetry``
+    document, or a saved ``telemetry`` RPC result that wraps one."""
     data = _load(path)
-    if data.get("kind") != "fleet_telemetry":
-        for key in ("telemetry_doc", "telemetry"):
-            inner = data.get(key)
-            if isinstance(inner, dict) and \
-                    inner.get("kind") == "fleet_telemetry":
-                return inner
+    inner = data.get("telemetry")
+    if data.get("kind") != "fleet_telemetry" and isinstance(inner, dict) \
+            and inner.get("kind") == "fleet_telemetry":
+        return inner
     return data
 
 
@@ -170,49 +163,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    from repro.obs.smoke import obs_checks_pass, run_obs_smoke
-
-    result = run_obs_smoke(out_dir=pathlib.Path(args.out),
-                           vertices=args.vertices)
-    print(render_phase_report(result.pop("snapshot")))
-    print()
-    for name, ok in result["checks"].items():
-        print(f"  {name}: {'pass' if ok else 'FAIL'}")
-    for problem in result["trace_errors"]:
-        print(f"  trace problem: {problem}")
-    print(f"  spans={result['spans']} worker_spans={result['worker_spans']} "
-          f"trace={result['trace_id']}")
-    if "trace_path" in result:
-        print(f"  wrote {result['trace_path']}")
-        print(f"  wrote {result['snapshot_path']}")
-    return 0 if obs_checks_pass(result) else 1
-
-
-def _cmd_live_smoke(args: argparse.Namespace) -> int:
-    from repro.obs.live_smoke import live_checks_pass, run_live_smoke
-
-    result = run_live_smoke(
-        out_dir=pathlib.Path(args.out),
-        workers=args.workers,
-        epochs=args.epochs,
-        overhead_epochs=args.overhead_epochs,
-        overhead_limit=args.overhead_limit,
-    )
-    for name, ok in result["checks"].items():
-        print(f"  {name}: {'pass' if ok else 'FAIL'}")
-    for line in result.get("notes", []):
-        print(f"  {line}")
-    for path in result.get("artifacts", []):
-        print(f"  wrote {path}")
-    return 0 if live_checks_pass(result) else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Observability reports, live fleet telemetry, trace "
-                    "validation, and the traced smoke runs.",
+        description="Observability reports, live fleet telemetry, and "
+                    "trace validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -258,27 +213,6 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None,
                    help="write exposition here instead of stdout")
     p.set_defaults(func=_cmd_export)
-
-    p = sub.add_parser("smoke", help="traced loopback+socket smoke run")
-    p.add_argument("--out", default="benchmarks/results/smoke",
-                   help="directory for trace/snapshot artifacts")
-    p.add_argument("--vertices", type=int, default=600)
-    p.set_defaults(func=_cmd_smoke)
-
-    p = sub.add_parser("live-smoke",
-                       help="fleet telemetry end-to-end: straggler, "
-                            "postmortem, export, overhead gate")
-    p.add_argument("--out", default="benchmarks/results/smoke",
-                   help="directory for telemetry artifacts")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=6,
-                   help="traced broadcasts before checking detection")
-    p.add_argument("--overhead-epochs", type=int, default=30,
-                   help="epochs per leg of the overhead A/B measure")
-    p.add_argument("--overhead-limit", type=float, default=0.03,
-                   help="allowed relative overhead of telemetry on the "
-                        "exchange path (default 3%%)")
-    p.set_defaults(func=_cmd_live_smoke)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -94,7 +94,7 @@ def validate_chrome_trace(doc: Any) -> List[str]:
 
     Checks structure, span-id uniqueness, parent resolution and
     containment, single-trace-id, and that every span is closed — the
-    invariants the CI smoke job gates on.
+    invariants ``tests/test_obs_propagation.py`` gates on.
     """
     problems: List[str] = []
     if not isinstance(doc, Mapping) or "traceEvents" not in doc:

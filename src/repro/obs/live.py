@@ -41,7 +41,7 @@ import statistics
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import (
@@ -77,6 +77,9 @@ LATENCY_SERIES = "worker.epoch_receive_seconds"
 BYTES_SERIES = "worker.epoch_bytes"
 EPOCHS_SERIES = "worker.epochs"
 
+#: Straggler/recovered events the coordinator's ring retains.
+EVENT_KEEP = 256
+
 #: Cap on recorder entries carried by one payload (merged retries could
 #: otherwise grow without bound during a long coordinator outage).
 MAX_RECORDER_ENTRIES = 512
@@ -107,7 +110,7 @@ def _flatten_numeric(prefix: str, value: Any, out: Dict[str, float]) -> None:
 
 
 class TelemetrySampler:
-    """Folds a registry (+ recorder + extras) into heartbeat-sized deltas.
+    """Folds a registry (+ recorder) into heartbeat-sized deltas.
 
     ``sample()`` returns the payload to piggyback; the caller reports the
     outcome with ``ack(seq)`` (delivered) or nothing (the next ``sample``
@@ -119,13 +122,9 @@ class TelemetrySampler:
         self,
         registry: MetricsRegistry,
         recorder: Optional[FlightRecorder] = None,
-        extra: Optional[Callable[[], Mapping[str, Any]]] = None,
-        include_sources: bool = True,
     ) -> None:
         self.registry = registry
         self.recorder = recorder
-        self.extra = extra
-        self.include_sources = include_sources
         self._lock = threading.Lock()
         self._seq = 0
         self._acked_seq = 0
@@ -141,19 +140,13 @@ class TelemetrySampler:
 
     def _gauge_view(self) -> Dict[str, float]:
         """Current gauges: registry gauges plus flattened numeric leaves
-        of every snapshot source and the extra callable."""
+        of every snapshot source."""
         snap = self.registry.snapshot()
         gauges: Dict[str, float] = {
             k: float(v) for k, v in snap["gauges"].items() if _is_num(v)
         }
-        if self.include_sources:
-            for name, value in snap["sources"].items():
-                _flatten_numeric(f"src.{name}", value, gauges)
-        if self.extra is not None:
-            try:
-                _flatten_numeric("", dict(self.extra()), gauges)
-            except Exception:  # noqa: BLE001 - extras are best-effort
-                pass
+        for name, value in snap["sources"].items():
+            _flatten_numeric(f"src.{name}", value, gauges)
         return gauges, snap
 
     def _hist_delta(self, key: str,
@@ -476,26 +469,6 @@ class WorkerTelemetry:
             "gc_collections": gc_collections,
         }
 
-    def series_points(self, series: str) -> List[List[float]]:
-        """``[t, value]`` points of one series across the window (counter
-        and histogram-sum deltas per sample; gauges verbatim)."""
-        points: List[List[float]] = []
-        for sample in self.window:
-            t = sample["t"]
-            if series in sample.get("c", {}):
-                points.append([t, sample["c"][series]])
-            elif series in sample.get("g", {}):
-                points.append([t, sample["g"][series]])
-            else:
-                d = sample.get("h", {}).get(series)
-                if d:
-                    points.append([t, d["sum"]])
-        return points
-
-    def series_names(self) -> List[str]:
-        names = set(self.counters) | set(self.gauges) | set(self.hists)
-        return sorted(names)
-
     def as_dict(self, include_window: bool = False) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "name": self.name,
@@ -529,7 +502,6 @@ class FleetTelemetry:
         straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
         straggler_min_samples: int = DEFAULT_STRAGGLER_MIN_SAMPLES,
         straggler_min_seconds: float = DEFAULT_STRAGGLER_MIN_SECONDS,
-        event_keep: int = 256,
     ) -> None:
         self.window = window
         self.recorder_keep = recorder_keep
@@ -538,7 +510,7 @@ class FleetTelemetry:
         self.straggler_min_seconds = straggler_min_seconds
         self._lock = threading.Lock()
         self._workers: Dict[str, WorkerTelemetry] = {}
-        self.events: deque = deque(maxlen=event_keep)
+        self.events: deque = deque(maxlen=EVENT_KEEP)
         self._event_seq = 0
         self.samples_ingested = 0
         self.payloads_rejected = 0
@@ -577,8 +549,7 @@ class FleetTelemetry:
     def fleet_rollup(self, alive: Optional[List[str]] = None
                      ) -> Dict[str, Any]:
         """Fleet-wide medians over the reporting (optionally alive-only)
-        workers — the context :class:`~repro.policy.engine.PolicyEngine`
-        can fold into its plans."""
+        workers."""
         with self._lock:
             states = [
                 s for name, s in self._workers.items()
@@ -674,16 +645,11 @@ class FleetTelemetry:
 
     def document(self, worker: Optional[str] = None,
                  include_window: bool = False,
-                 alive: Optional[List[str]] = None,
-                 include_workers: bool = True) -> Dict[str, Any]:
+                 alive: Optional[List[str]] = None) -> Dict[str, Any]:
         """The JSON telemetry doc the ``telemetry`` RPC answers and every
-        front end (top / prometheus / benches) renders.
-        ``include_workers=False`` answers rollups + events only — the
-        cheap form ``Fleet`` polls for policy context."""
+        front end (top / prometheus) renders."""
         with self._lock:
-            if not include_workers:
-                names: List[str] = []
-            elif worker is None:
+            if worker is None:
                 names = sorted(self._workers)
             else:
                 names = [worker] if worker in self._workers else []

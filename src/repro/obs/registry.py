@@ -42,9 +42,7 @@ DEFAULT_BUCKET_BOUNDS: Sequence[float] = tuple(
 )
 
 
-def quantile_from_buckets(hist: Mapping[str, Any], q: float,
-                          bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS,
-                          ) -> float:
+def quantile_from_buckets(hist: Mapping[str, Any], q: float) -> float:
     """Estimate the ``q``-quantile of one histogram dict (count/min/max +
     per-bucket counts) by linear interpolation inside the covering bucket,
     clamped to the observed min/max."""
@@ -57,6 +55,7 @@ def quantile_from_buckets(hist: Mapping[str, Any], q: float,
     if not buckets:
         # No bucket detail (a merged/legacy histogram): best effort.
         return lo_obs + (hi_obs - lo_obs) * q
+    bounds = DEFAULT_BUCKET_BOUNDS
     target = max(q, 0.0) * count
     cum = 0.0
     for i, c in enumerate(buckets):
@@ -76,11 +75,8 @@ def quantile_from_buckets(hist: Mapping[str, Any], q: float,
 class MetricsRegistry:
     """Thread-safe counters/gauges/histograms plus snapshot sources."""
 
-    def __init__(self,
-                 bucket_bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS,
-                 ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.bucket_bounds = tuple(bucket_bounds)
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Dict[str, Any]] = {}
@@ -102,10 +98,10 @@ class MetricsRegistry:
         # Linear scan beats bisect here: small values (the common case for
         # queue waits) exit within a few comparisons, and the ladder is
         # only 31 bounds long.
-        for i, bound in enumerate(self.bucket_bounds):
+        for i, bound in enumerate(DEFAULT_BUCKET_BOUNDS):
             if value <= bound:
                 return i
-        return len(self.bucket_bounds)
+        return len(DEFAULT_BUCKET_BOUNDS)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         key = series_key(name, labels)
@@ -115,7 +111,7 @@ class MetricsRegistry:
                 hist = self._histograms[key] = {
                     "count": 0.0, "sum": 0.0,
                     "min": float("inf"), "max": float("-inf"),
-                    "buckets": [0] * (len(self.bucket_bounds) + 1),
+                    "buckets": [0] * (len(DEFAULT_BUCKET_BOUNDS) + 1),
                 }
             hist["count"] += 1
             hist["sum"] += value
@@ -155,7 +151,7 @@ class MetricsRegistry:
             "buckets": list(hist["buckets"]),
         }
         for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-            view[label] = quantile_from_buckets(hist, q, self.bucket_bounds)
+            view[label] = quantile_from_buckets(hist, q)
         return view
 
     def snapshot(self) -> Dict[str, Any]:

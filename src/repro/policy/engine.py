@@ -3,9 +3,9 @@
 Every mode decision in the repo funnels through ``engine.plan(signals,
 capabilities)``:
 
-* the engine folds its per-channel history into the signals (mutation and
-  byte-fraction EWMAs, measured-bandwidth EWMA, the policy's last chosen
-  mode for hysteresis),
+* the engine folds its per-channel history into the signals (byte-fraction
+  EWMA, measured-bandwidth EWMA, the policy's last chosen mode for
+  hysteresis),
 * the policy's decision table emits a :class:`SendPlan`,
 * the negotiated capabilities clamp it,
 * and the decision is emitted as a ``policy.decide`` span plus a
@@ -41,12 +41,9 @@ _REGIME_REASONS = ("delta", "mutation_crossover", "static_full")
 class ChannelHistory:
     """What the engine remembers about one channel between epochs."""
 
-    mutation_ewma: Optional[float] = None
     byte_fraction_ewma: Optional[float] = None
     bandwidth_bps: Optional[float] = None
-    queue_wait_seconds: float = 0.0
     last_mode: Optional[str] = None
-    epochs_observed: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
@@ -63,10 +60,6 @@ class PolicyEngine:
         self.alpha = alpha
         self.decisions = 0
         self._history: Dict[int, ChannelHistory] = {}
-        #: Latest fleet-wide telemetry rollup (``Fleet`` feeds it from the
-        #: coordinator's telemetry document); optional context every
-        #: subsequent plan() folds into its signals.
-        self.fleet_context: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------
 
@@ -88,19 +81,11 @@ class PolicyEngine:
         """Decide one epoch: history in, clamped :class:`SendPlan` out."""
         hist = self.history(signals.channel_id)
         if signals.has_mutation_observation:
-            hist.mutation_ewma = self._ewma(
-                hist.mutation_ewma, signals.dirty_fraction)
             hist.byte_fraction_ewma = self._ewma(
                 hist.byte_fraction_ewma, signals.byte_fraction)
-            hist.epochs_observed += 1
-        signals.mutation_ewma = hist.mutation_ewma
         signals.byte_fraction_ewma = hist.byte_fraction_ewma
         signals.bandwidth_bps = hist.bandwidth_bps
-        signals.queue_wait_seconds = hist.queue_wait_seconds
         signals.last_mode = hist.last_mode
-        if self.fleet_context is not None:
-            signals.fleet_bandwidth_bps = self.fleet_context.get(
-                "fleet_median_bandwidth_bps")
 
         with obs.span("policy.decide", policy=self.policy.name,
                       channel=signals.channel_id,
@@ -117,7 +102,6 @@ class PolicyEngine:
                     round(signals.byte_fraction_ewma, 6)
                     if signals.byte_fraction_ewma is not None else None),
                 bandwidth_bps=signals.bandwidth_bps,
-                queue_wait_seconds=signals.queue_wait_seconds,
                 clamped=",".join(plan.clamped) or None,
             )
         if plan.reason in _REGIME_REASONS:
@@ -129,27 +113,18 @@ class PolicyEngine:
         )
         return plan
 
-    def update_fleet_context(self, rollup: Optional[Dict[str, object]]
-                             ) -> None:
-        """Adopt the latest fleet telemetry rollup (median bandwidth /
-        latency, straggler names) as optional decision context."""
-        self.fleet_context = dict(rollup) if rollup is not None else None
-
     def observe_transfer(self, channel_id: int, wire_bytes: int,
-                         seconds: float,
-                         queue_wait_seconds: float = 0.0) -> None:
+                         seconds: float) -> None:
         """Feed back one shipped frame's measured wire performance."""
         hist = self.history(channel_id)
         if wire_bytes > 0 and seconds > 1e-9:
             hist.bandwidth_bps = self._ewma(
                 hist.bandwidth_bps, wire_bytes / seconds)
-        hist.queue_wait_seconds = queue_wait_seconds
 
     def snapshot(self) -> Dict[str, object]:
         return {
             "policy": self.policy.name,
             "decisions": self.decisions,
-            "fleet_context": self.fleet_context,
             "channels": {
                 cid: hist.as_dict()
                 for cid, hist in sorted(self._history.items())

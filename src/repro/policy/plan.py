@@ -54,10 +54,6 @@ class SendPlan:
                 return "kernel-full"
         return self.mode
 
-    @property
-    def is_fallback(self) -> bool:
-        return self.reason not in NON_FALLBACK_REASONS
-
     def clamp(self, caps) -> "SendPlan":
         """Bound this plan by a negotiated capability set (anything with
         ``kernel`` / ``delta`` / ``compact_headers`` / ``parallel_streams``

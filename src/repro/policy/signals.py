@@ -4,9 +4,9 @@ The engine assembles one :class:`ChannelSignals` per epoch from ledgers
 that already exist — the delta card table's dirty set (via
 ``CardTable.snapshot()``/``dirty_ranges()`` intersected with the epoch
 record), the epoch cache (resident size, GC generation), measured wire
-bandwidth and chunk-queue wait fed back from the transport, and the
-engine's own per-channel history (EWMAs, last mode).  Policies are pure
-functions of this record; nothing else flows into a decision.
+bandwidth fed back from the transport, and the engine's own per-channel
+history (byte-fraction EWMA, last mode).  Policies are pure functions of
+this record; nothing else flows into a decision.
 """
 
 from __future__ import annotations
@@ -50,15 +50,6 @@ class ChannelSignals:
     #: EWMA of measured wire bandwidth (bytes/second), from
     #: ``PolicyEngine.observe_transfer``; None before the first transfer.
     bandwidth_bps: Optional[float] = None
-    #: Fleet-median effective bandwidth (bytes/second) from the telemetry
-    #: plane's rollups (``PolicyEngine.update_fleet_context``); None when
-    #: no fleet context has been fed.  Lets a policy judge *this*
-    #: channel's bandwidth against the fleet instead of in isolation.
-    fleet_bandwidth_bps: Optional[float] = None
-    #: Latest chunk-queue stall seconds ("traversal outran the wire").
-    queue_wait_seconds: float = 0.0
-    #: EWMA of the object-count mutation rate across observed epochs.
-    mutation_ewma: Optional[float] = None
     #: EWMA of the byte fraction (estimated delta bytes / resident bytes).
     byte_fraction_ewma: Optional[float] = None
     #: The mode the policy last chose on its own (hysteresis anchor);
@@ -106,9 +97,6 @@ class ChannelSignals:
             "heterogeneous": self.heterogeneous,
             "delta_capable": self.delta_capable,
             "bandwidth_bps": self.bandwidth_bps,
-            "fleet_bandwidth_bps": self.fleet_bandwidth_bps,
-            "queue_wait_seconds": self.queue_wait_seconds,
-            "mutation_ewma": self.mutation_ewma,
             "byte_fraction_ewma": self.byte_fraction_ewma,
             "last_mode": self.last_mode,
         }

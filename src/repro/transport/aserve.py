@@ -38,7 +38,8 @@ a frame *means*:
 * **One process, one loop.**  The cluster heartbeat
   (:meth:`WorkerMembership.beat_once`) fires from the loop's tick on the
   jittered cadence, and peer-mode ops (``send_peer``, blob routing) run on
-  the loop like any other op — a fleet worker has no second thread.
+  the loop like any other op: their payloads are in hand, so the client
+  writes them inline — a fleet worker has no second thread.
 
 Failure taxonomy: protocol-fatal conditions (CRC mismatch, unknown frame,
 trailer total/CRC/count mismatch, unknown op) take the loop's one ERROR
@@ -197,17 +198,13 @@ class AsyncWorkerServer(FrameLoop):
     def __init__(
         self,
         core: WorkerServer,
-        max_pending_epochs: int = MAX_PENDING_EPOCHS,
         high_water_bytes: int = HIGH_WATER_BYTES,
-        apply_batch: int = APPLY_BATCH,
         tick: float = 0.05,
     ) -> None:
         super().__init__(core.log, metrics=core.metrics, tick=tick,
                          read_timeout=core.spec.read_timeout)
         self.core = core
-        self.max_pending_epochs = max_pending_epochs
         self.high_water_bytes = high_water_bytes
-        self.apply_batch = apply_batch
         self.membership = None
         self._next_beat: Optional[float] = None
         #: Test hook: ``False`` parks the ready queues (reads still run
@@ -521,8 +518,7 @@ class AsyncWorkerServer(FrameLoop):
 
     def _over_pending_cap(self, conn: _AsyncConn) -> bool:
         pending = conn.pending_per_channel
-        return bool(pending) \
-            and max(pending.values()) >= self.max_pending_epochs
+        return bool(pending) and max(pending.values()) >= MAX_PENDING_EPOCHS
 
     def _maybe_pause(self, conn: _AsyncConn) -> None:
         if conn.paused or conn.closing or conn.closed:
@@ -549,11 +545,11 @@ class AsyncWorkerServer(FrameLoop):
             self._update_interest(conn)
 
     def _process_ready(self) -> None:
-        """Apply up to ``apply_batch`` queued epochs, round-robin across
+        """Apply up to ``APPLY_BATCH`` queued epochs, round-robin across
         connections.  This is the only place mux bytes touch the heap."""
         if not self.processing_enabled or not self._conns:
             return
-        budget = self.apply_batch
+        budget = APPLY_BATCH
         n = len(self._conns)
         for i in range(n):
             conn = self._conns[(self._rr + i) % n]

@@ -4,9 +4,11 @@
 :class:`WorkerSession` owns one framed *connection* to a worker — connect
 with retry, registry handshake, TRACE propagation, plain CALL/RESULT ops,
 NACK recovery, obs-source registration, BYE.  Its subclasses add the two
-ways of moving bytes: :class:`WorkerClient` (one op at a time through the
-chunk pipeline, every mid-stream failure converted into the typed error
-taxonomy) and :class:`MuxEpochClient` (many channels' epochs interleaved).
+ways of moving bytes: :class:`WorkerClient` (one op at a time — a graph
+traversal streams through the chunk pipeline's writer thread, a pre-framed
+epoch or blob goes out inline — every mid-stream failure converted into the
+typed error taxonomy) and :class:`MuxEpochClient` (many channels' epochs
+interleaved).
 
 Byte accounting: a client constructed with ``account_node=`` routes the
 stream bytes each send delivers through
@@ -50,6 +52,10 @@ from repro.transport.worker import worker_main
 #: default on purpose: mux chunks are the interleaving quantum, and a
 #: thousand channels sharing one socket round-robin at this granularity.
 DEFAULT_MUX_CHUNK_BYTES = 32 * 1024
+
+#: ``send_epochs`` coalesces interleaved mux frames into one ``sendall``
+#: per this many bytes (and always through each channel's trailer).
+MUX_FLUSH_BYTES = 256 * 1024
 
 
 class WorkerHandle(ProcessHandle):
@@ -169,11 +175,12 @@ class WorkerSession:
         self.close()
         self.connect()
 
-    def send_epoch(self, frame_bytes, channel_id, epoch, digest=True, **opts):
+    def send_epoch(self, frame_bytes, channel_id, epoch, digest=True):
         raise NotImplementedError  # how an epoch moves is each subclass's
 
     def send_epoch_recovering(self, channel, frame: bytes, reframe,
-                              **send_opts) -> Tuple[dict, List[bytes]]:
+                              digest: bool = True
+                              ) -> Tuple[dict, List[bytes]]:
         """:meth:`send_epoch` for a ``DeltaSendChannel``, plus the NACK
         protocol: a stale receiver's ``DeltaStaleError`` is answered by
         :meth:`recover_from_nack`, a forced-FULL ``reframe()`` and one
@@ -182,7 +189,7 @@ class WorkerSession:
         shipped = [frame]
         try:
             return self.send_epoch(frame, channel.channel_id, channel.epoch,
-                                   **send_opts), shipped
+                                   digest), shipped
         except RemoteWorkerError as exc:
             if exc.kind != "DeltaStaleError":
                 raise
@@ -190,7 +197,7 @@ class WorkerSession:
         channel.force_full_next()
         shipped.append(reframe())
         return self.send_epoch(shipped[-1], channel.channel_id,
-                               channel.epoch, **send_opts), shipped
+                               channel.epoch, digest), shipped
 
     # -- ops ---------------------------------------------------------------
 
@@ -270,12 +277,13 @@ class WorkerClient(WorkerSession):
 
     def _send_bytes(self, name: str, call: dict, data: bytes,
                     epoch_header: Optional[bytes] = None,
-                    verify_crc: bool = False, span_attrs=None,
-                    **pipeline_opts) -> dict:
+                    verify_crc: bool = False, span_attrs=None) -> dict:
         """One data-bearing op whose payload is already in hand: CALL, an
-        optional EPOCH header, ``data`` as DATA chunks + TRAILER through a
-        :class:`ChunkPipeline`, then the RESULT.  A mid-stream failure
-        raises the worker's pending ERROR if it sent one."""
+        optional EPOCH header, ``data`` as DATA chunks + TRAILER, then the
+        RESULT.  There is no traversal to overlap, so the chunks go out
+        inline through :class:`ChunkPipeline`'s store-and-forward arm — no
+        writer thread, no queue.  A mid-stream failure raises the worker's
+        pending ERROR if it sent one."""
         conn = self._require_conn()
         with obs.span(f"wire.{name}", **(span_attrs or {}), bytes=len(data),
                       destination=f"{self.host}:{self.port}") as sp:
@@ -283,8 +291,8 @@ class WorkerClient(WorkerSession):
             conn.send_frame(frames.CALL, frames.encode_json(call))
             if epoch_header is not None:
                 conn.send_frame(frames.EPOCH, epoch_header)
-            pipeline = ChunkPipeline(conn, metrics=self.metrics,
-                                     **pipeline_opts)
+            pipeline = ChunkPipeline(conn, store_and_forward=True,
+                                     metrics=self.metrics)
             try:
                 with self.metrics.phase("traverse+send"):
                     pipeline.feed(data)
@@ -308,14 +316,12 @@ class WorkerClient(WorkerSession):
         coordinator assigned it); required in strict-channels fleet mode."""
         return self.call_op("admit_channel", channel_id=channel_id)
 
-    def put_blob(self, key: str, data: bytes,
-                 chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> dict:
+    def put_blob(self, key: str, data: bytes) -> dict:
         """Store opaque bytes under ``key`` on the worker (the fleet's
         shuffle-bucket mirror); the worker answers size + CRC."""
         return self._send_bytes(
             "put_blob", {"op": "put_blob", "key": key}, data,
             verify_crc=True, span_attrs={"key": key},
-            chunk_bytes=chunk_bytes,
         )
 
     def _traced_call(self, name: str, op_params: dict, **span_attrs) -> dict:
@@ -423,18 +429,11 @@ class WorkerClient(WorkerSession):
                 stream.write_object(root)
             return stream.finish()
 
-    def send_blob(
-        self,
-        data: bytes,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        store_and_forward: bool = False,
-    ) -> dict:
-        """Ship opaque bytes (the Spark broadcast path) through the same
-        chunk pipeline; the worker answers size + CRC."""
+    def send_blob(self, data: bytes) -> dict:
+        """Ship opaque bytes (the Spark broadcast path) in the same DATA
+        chunk + TRAILER framing; the worker answers size + CRC."""
         return self._send_bytes(
-            "send_blob", {"op": "recv_blob"}, data, verify_crc=True,
-            chunk_bytes=chunk_bytes, store_and_forward=store_and_forward,
-        )
+            "send_blob", {"op": "recv_blob"}, data, verify_crc=True)
 
     def send_epoch(
         self,
@@ -442,10 +441,6 @@ class WorkerClient(WorkerSession):
         channel_id: int,
         epoch: int,
         digest: bool = True,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        queue_chunks: int = DEFAULT_QUEUE_CHUNKS,
-        store_and_forward: bool = False,
-        throttle_mbps: Optional[float] = None,
     ) -> dict:
         """Ship one already-framed FULL/DELTA epoch to the worker's delta
         endpoint: CALL, an EPOCH frame naming (channel, epoch, kind), then
@@ -463,8 +458,6 @@ class WorkerClient(WorkerSession):
             frame_bytes,
             epoch_header=frames.encode_epoch_header(channel_id, epoch, kind),
             span_attrs={"channel": channel_id, "epoch": epoch},
-            chunk_bytes=chunk_bytes, queue_chunks=queue_chunks,
-            store_and_forward=store_and_forward, throttle_mbps=throttle_mbps,
         )
 
     def shutdown_worker(self) -> dict:
@@ -521,12 +514,7 @@ class MuxEpochClient(WorkerSession):
 
     # -- the fan-in send ---------------------------------------------------
 
-    def send_epochs(
-        self,
-        epochs,
-        rng=None,
-        flush_bytes: int = 256 * 1024,
-    ) -> Dict[int, dict]:
+    def send_epochs(self, epochs, rng=None) -> Dict[int, dict]:
         """Ship many epochs concurrently over the one connection.
 
         ``epochs`` is an iterable of ``(channel_id, epoch, frame_bytes)``
@@ -622,7 +610,7 @@ class MuxEpochClient(WorkerSession):
                     flush()
                     sent_at[marker] = time.perf_counter()
                     drain()
-                elif len(out) >= flush_bytes:
+                elif len(out) >= MUX_FLUSH_BYTES:
                     flush()
                     drain()
             if out:
@@ -650,16 +638,13 @@ class MuxEpochClient(WorkerSession):
         }
 
     def send_epoch(self, frame_bytes: bytes, channel_id: int,
-                   epoch: int, digest: bool = True,
-                   **_pipeline_opts) -> dict:
+                   epoch: int, digest: bool = True) -> dict:
         """The single-channel convenience (the exchange substrate's
         via-mux path): one epoch, blocking, classic error semantics — an
         ``ok=false`` result raises :class:`RemoteWorkerError` with the
         remote kind, so :class:`DeltaStaleError` NACKs surface exactly as
         they do on a classic connection (minus the connection teardown:
-        the mux socket survives, no reconnect needed).  The classic
-        client's per-send chunk-pipeline knobs are accepted and unused:
-        mux chunking is this client's own, fixed at construction."""
+        the mux socket survives, no reconnect needed)."""
         outcome = self.send_epochs(
             [(channel_id, epoch, frame_bytes, digest)]
         )[channel_id]

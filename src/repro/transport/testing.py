@@ -41,11 +41,3 @@ def ring_edges(n: int, extra_chords: int = 0) -> List[Tuple[int, int]]:
     for i in range(extra_chords):
         edges.append((i % n, (i * 7 + 3) % n))
     return edges
-
-
-def irregular_edges(n: int) -> List[Tuple[int, int]]:
-    """A ring plus quadratic chords: deterministic, connected, and with
-    *varying* in-degrees — a uniform ring-and-permutation graph is already
-    PageRank's fixpoint, so nothing would ever mutate."""
-    return ([(i, (i + 1) % n) for i in range(n)]
-            + [(i, (i * i + 1) % n) for i in range(n)])

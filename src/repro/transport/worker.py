@@ -105,8 +105,8 @@ class WorkerSpec:
     #: Telemetry plane (repro.obs.live): when true, the worker enables
     #: its flight recorder, observes per-epoch receive/apply latency into
     #: the metrics registry, and (in fleet mode) piggybacks metric deltas
-    #: on every heartbeat.  Off = the zero-cost baseline the ≤3% overhead
-    #: gate in the live smoke compares against.
+    #: on every heartbeat.  Off = the zero-cost baseline a telemetry-tax
+    #: measurement compares against.
     telemetry: bool = True
 
 

@@ -9,8 +9,10 @@ coordinator never assigned (including the reserved id 0).
 
 import pytest
 
-from repro.cluster import Fleet, PeerGoneError
+from repro.cluster import ClusterConfigError, Fleet, PeerGoneError
 from repro.delta.channel import DeltaSendChannel
+from repro.exchange.capabilities import ChannelCapabilities
+from repro.policy import PolicyEngine
 from repro.transport.client import WorkerClient
 from repro.transport.errors import RemoteWorkerError
 from repro.transport.digest import semantic_graph_digest
@@ -57,6 +59,17 @@ class TestFleetTransfers:
                 again = fleet.peer_transfer(src, dst, roots)
                 assert again["mode"] == "delta" and again["digest_match"]
                 assert first["digest"] == expected
+
+            # The cached channels were opened delta-capable under the
+            # fleet's engine: asking for anything else is refused, not
+            # answered with the cached channel (and a DELTA).
+            with pytest.raises(ClusterConfigError, match="delta=False"):
+                fleet.broadcast(
+                    [root], requested=ChannelCapabilities(delta=False))
+            with pytest.raises(ClusterConfigError, match="policy engine"):
+                fleet.channel_to(w0, policy=PolicyEngine("always_full"))
+            assert fleet.channel_to(w0, policy=fleet.engine) \
+                is fleet.channel_to(w0)
         finally:
             fleet.close()
 

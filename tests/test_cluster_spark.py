@@ -14,7 +14,7 @@ from tests.conftest import sample_classpath
 
 
 @pytest.fixture
-def fleet_context(make_fleet, transport_driver):
+def fleet_spark(make_fleet, transport_driver):
     """A 3-node simulated cluster whose context routes through a live
     2-worker fleet (nodes map onto fleet workers round-robin)."""
     harness = make_fleet(2)
@@ -35,16 +35,16 @@ def _events(sc, kind):
 
 
 class TestFleetSeam:
-    def test_broadcast_lands_on_every_fleet_worker(self, fleet_context):
-        sc, harness = fleet_context
+    def test_broadcast_lands_on_every_fleet_worker(self, fleet_spark):
+        sc, harness = fleet_spark
         result = sc.broadcast({"lookup": [1, 2, 3]})
         assert result.value == {"lookup": [1, 2, 3]}
         assert result.fleet_delivered == 2
         (event,) = _events(sc, "fleet_broadcast")
         assert event["delivered"] == 2 and event["failed"] == []
 
-    def test_shuffle_routes_peer_to_peer(self, fleet_context):
-        sc, harness = fleet_context
+    def test_shuffle_routes_peer_to_peer(self, fleet_spark):
+        sc, harness = fleet_spark
         pairs = [(i % 5, i) for i in range(40)]
         out = dict(sc.parallelize(pairs).reduce_by_key(
             lambda a, b: a + b).collect())
@@ -59,8 +59,8 @@ class TestFleetSeam:
         # pairs and local fetches never touch the fabric.
         assert all(e["src"] != e["dst"] for e in routed)
 
-    def test_dead_fleet_worker_demotes_not_fails(self, fleet_context):
-        sc, harness = fleet_context
+    def test_dead_fleet_worker_demotes_not_fails(self, fleet_spark):
+        sc, harness = fleet_spark
         harness.kill_worker(harness.worker_names[-1])
         pairs = [(i % 5, i) for i in range(40)]
         out = dict(sc.parallelize(pairs).reduce_by_key(

@@ -8,6 +8,8 @@ import threading
 import pytest
 
 from repro.cluster.coordinator import CoordinatorServer, CoordinatorSpec
+from repro.obs.live import LATENCY_SERIES, TelemetrySampler
+from repro.obs.registry import MetricsRegistry
 from repro.transport import frames
 from repro.transport.loop import Connection
 
@@ -152,6 +154,54 @@ def test_tick_marks_a_silent_worker_dead_without_a_monitor_thread(
     [(_, looked_up)] = _exchange(server, conn, _call("lookup", name="w0"))
     assert looked_up["found"] and not looked_up["alive"]
     assert threading.active_count() == threads_before
+
+
+def test_tick_flags_exactly_the_slow_worker_edge_triggered():
+    """Real sampler payloads ride heartbeat CALLs; the loop tick runs the
+    detection; the ``events`` op is the driver's cursor-paged feed."""
+    # A 10 s heartbeat keeps every injected ``now`` inside the liveness
+    # deadline; a one-sample window makes each beat the whole series.
+    server = CoordinatorServer(CoordinatorSpec(
+        name="sm-coordinator", heartbeat_interval=10.0, telemetry_window=1))
+    conn = Connection(server, _DeadSocket())
+    server._conns.append(conn)
+    workers = {}
+    for name in ("w0", "w1", "w2", "w3"):
+        [(_, registered)] = _exchange(
+            server, conn, _call("register", name=name, port=7))
+        registry = MetricsRegistry()
+        workers[name] = (registered["generation"], registry,
+                         TelemetrySampler(registry))
+
+    def beat(**latency):
+        for name, (generation, registry, sampler) in workers.items():
+            for _ in range(server.spec.straggler_min_samples):
+                registry.observe(LATENCY_SERIES, latency.get(name, 0.002))
+            [(ftype, result)] = _exchange(server, conn, _call(
+                "heartbeat", name=name, generation=generation,
+                telemetry=sampler.sample()))
+            assert ftype == frames.RESULT
+            sampler.ack(result["telemetry_seq"])
+
+    def events(since=0):
+        [(_, result)] = _exchange(server, conn, _call("events", since=since))
+        return result["events"]
+
+    now = server._records["w0"].last_heartbeat
+    beat(w3=0.05)
+    server._tick(now=now)
+    [flagged] = events()
+    assert (flagged["event"], flagged["worker"]) == ("straggler", "w3")
+    assert events(since=flagged["seq"]) == []
+
+    server._tick(now=server._next_sweep)  # still slow: edge, not level
+    assert events(since=flagged["seq"]) == []
+
+    beat()
+    server._tick(now=server._next_sweep)
+    [recovered] = events(since=flagged["seq"])
+    assert (recovered["event"], recovered["worker"]) == ("recovered", "w3")
+    assert all(r.alive for r in server._records.values())
 
 
 def test_connection_stalled_mid_frame_times_out(server, conn):

@@ -436,6 +436,12 @@ def test_fleet_telemetry_end_to_end(make_fleet, transport_driver):
             doc = fleet.telemetry()
             assert doc["alive"][victim] is False
             assert doc["workers"][victim]["counters"]["worker.epochs"] == 3.0
+            # The front ends render the live document, dead worker included.
+            rows = {line.split()[0]: line.split()[1] for line
+                    in render_top(doc, alive=doc["alive"]).splitlines()
+                    if line.startswith(tuple(names))}
+            assert rows == {victim: "DOWN", survivor: "up"}
+            assert validate_prometheus(prometheus_text(doc)) == []
             assert _wait(lambda: fleet.telemetry()["workers"][survivor]
                          ["counters"]["worker.epochs"] >= 4)
         finally:

@@ -224,7 +224,6 @@ class TestPolicyEngine:
         assert plan.mode == "delta"
         hist = engine.history(7)
         assert hist.byte_fraction_ewma == pytest.approx(0.4)
-        assert hist.epochs_observed == 2
 
     def test_history_is_per_channel(self):
         engine = PolicyEngine("adaptive", alpha=1.0)
@@ -236,11 +235,8 @@ class TestPolicyEngine:
     def test_observe_transfer_feeds_bandwidth(self):
         engine = PolicyEngine("adaptive", alpha=0.5)
         engine.observe_transfer(7, wire_bytes=1000, seconds=1.0)
-        engine.observe_transfer(7, wire_bytes=3000, seconds=1.0,
-                                queue_wait_seconds=0.25)
-        hist = engine.history(7)
-        assert hist.bandwidth_bps == pytest.approx(2000.0)
-        assert hist.queue_wait_seconds == 0.25
+        engine.observe_transfer(7, wire_bytes=3000, seconds=1.0)
+        assert engine.history(7).bandwidth_bps == pytest.approx(2000.0)
         # Zero-byte or zero-second observations must not poison the EWMA.
         engine.observe_transfer(7, wire_bytes=0, seconds=1.0)
         assert engine.history(7).bandwidth_bps == pytest.approx(2000.0)

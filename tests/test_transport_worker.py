@@ -4,15 +4,21 @@ in-process receive), ops, and every injected fault surfacing as one typed
 transport error — corrupted chunk, worker killed mid-stream, connecting to
 a dead port, and recovery once a worker returns."""
 
+import inspect
 import threading
 import time
+import zlib
 
 import pytest
 
 from repro.apps.incremental import build_vertex_graph
+from repro.cluster.fleet import Fleet
 from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectInputStream
+from repro.delta.channel import DeltaSendChannel
+from repro.exchange import Exchange, SocketGraphChannel
 from repro.jvm.jvm import JVM
+from repro.policy import PolicyEngine
 from repro.transport import (
     FrameConnection,
     RemoteWorkerError,
@@ -24,6 +30,9 @@ from repro.transport import (
     frames,
     graph_digest,
 )
+from repro.transport.aserve import LocalAsyncWorker
+from repro.transport.client import MuxEpochClient
+from repro.transport.pipeline import DEFAULT_CHUNK_BYTES
 from repro.transport.testing import (
     SAMPLE_FACTORY,
     ring_edges,
@@ -211,3 +220,87 @@ def test_retry_recovers_when_worker_returns(transport_driver):
         spawner.join()
         if "handle" in replacement:
             replacement["handle"].stop()
+
+
+def test_writer_thread_only_under_a_traversal(transport_driver, monkeypatch):
+    """A payload already in hand goes out inline, on the driver and on a
+    worker's loop alike; only ``send_graph`` has a traversal for a writer
+    thread to overlap.  The frames are the pipeline's either way: CALL,
+    EPOCH, DATA cut at ``DEFAULT_CHUNK_BYTES``, TRAILER."""
+    started, wire = [], []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+
+    class Recording(FrameConnection):
+        def send_frame(self, ftype, payload=b""):
+            wire.append((ftype, bytes(payload)))
+            super().send_frame(ftype, payload)
+
+    head = make_list(transport_driver.jvm, range(4000))
+    channel = DeltaSendChannel(transport_driver, "inline-a", channel_id=4101)
+    frame = channel.send([head])
+    chunks = [frame[at:at + DEFAULT_CHUNK_BYTES]
+              for at in range(0, len(frame), DEFAULT_CHUNK_BYTES)]
+    assert len(chunks) > 1
+    specs = [WorkerSpec(name=name, classpath_factory=SAMPLE_FACTORY)
+             for name in ("inline-a", "inline-b")]
+    with LocalAsyncWorker(specs[0]) as near, LocalAsyncWorker(specs[1]) as far:
+        client = _connect(transport_driver, near, connection_cls=Recording)
+        try:
+            del wire[:]  # the HELLO
+            client.send_epoch(frame, 4101, channel.epoch)
+            assert wire == [
+                (frames.CALL, frames.encode_json(
+                    {"op": "recv_epoch", "digest": True})),
+                (frames.EPOCH, frames.encode_epoch_header(4101, 1, frame[0])),
+                *[(frames.DATA, chunk) for chunk in chunks],
+                (frames.TRAILER, frames.encode_trailer(
+                    len(frame), zlib.crc32(frame), len(chunks))),
+            ]
+            client.send_blob(b"b" * 100_000)
+            client.put_blob("bucket", b"p" * 100_000)
+            pushed = client.send_blob_peer("bucket", "inline-b",
+                                           far.host, far.port)
+            assert pushed["bytes"] == 100_000
+            assert "skyway-chunk-writer" not in started
+            client.send_graph([head])
+            assert started.count("skyway-chunk-writer") == 1
+
+            # The worker refuses channel 0 at the EPOCH header, with the
+            # DATA chunks still going out: its ERROR is what surfaces.
+            with pytest.raises(RemoteWorkerError) as excinfo:
+                client.send_epoch(frame, 0, 1)
+            assert excinfo.value.kind == "ClusterProtocolError"
+        finally:
+            channel.close()
+            client.close()
+
+
+def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
+    """The options left after the callerless ones went: a pre-framed send
+    is its payload and its routing, a channel is its endpoints, request
+    and policy.  (``send_graph`` keeps every pipeline knob.)"""
+    def params(func):
+        return list(inspect.signature(func).parameters)
+
+    assert params(WorkerClient.send_epoch) == [
+        "self", "frame_bytes", "channel_id", "epoch", "digest"]
+    assert params(MuxEpochClient.send_epoch) == params(WorkerClient.send_epoch)
+    assert params(WorkerClient.send_blob) == ["self", "data"]
+    assert params(WorkerClient.put_blob) == ["self", "key", "data"]
+    assert params(SocketGraphChannel.__init__) == [
+        "self", "runtime", "client", "requested", "policy", "channel_id",
+        "destination"]
+    assert params(PolicyEngine.observe_transfer) == [
+        "self", "channel_id", "wire_bytes", "seconds"]
+    for func in (Exchange.channel_to, Fleet.channel_to):
+        assert not any(
+            p.kind is p.VAR_KEYWORD
+            for p in inspect.signature(func).parameters.values())
+    assert {"chunk_bytes", "queue_chunks", "store_and_forward",
+            "throttle_mbps"} <= set(params(WorkerClient.send_graph))
