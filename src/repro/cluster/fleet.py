@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.cluster.errors import (
     ClusterConfigError,
+    ClusterError,
     ClusterProtocolError,
     PeerGoneError,
 )
@@ -317,7 +318,7 @@ class Fleet:
             sp.set(delivered=len(receipts), failed=len(failures))
         try:
             stragglers = self.new_stragglers()
-        except Exception:  # noqa: BLE001 - telemetry is advisory
+        except (ClusterError, TransportError):  # telemetry is advisory
             stragglers = []
         if stragglers:
             for event in stragglers:

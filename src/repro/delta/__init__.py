@@ -6,8 +6,8 @@ slice of a cached graph between supersteps, so most of those bytes are
 identical to the previous epoch.  This subsystem makes repeated sends of a
 previously-shipped graph incremental:
 
-* :mod:`repro.delta.epoch_cache` — the **send-epoch cache**: per
-  destination, the last shipped graph's source-address → receiver-buffer
+* :mod:`repro.delta.epoch_cache` — the **send-epoch record**: per
+  channel, the last shipped graph's source-address → receiver-buffer
   offset map (built from the sender's baddr/clone records);
 * :mod:`repro.delta.dirty` — **dirty-object discovery**: a write-barrier
   hook on heap field writes marks a dedicated delta card table (a second
@@ -40,7 +40,7 @@ from repro.delta.channel import (
     DeltaStaleError,
 )
 from repro.delta.dirty import DeltaTracker
-from repro.delta.epoch_cache import EpochCache, EpochRecord
+from repro.delta.epoch_cache import EpochRecord
 from repro.delta.wire import (
     FRAME_DELTA,
     FRAME_FULL,
@@ -56,7 +56,6 @@ __all__ = [
     "DeltaStaleError",
     "DeltaTracker",
     "DeltaWireError",
-    "EpochCache",
     "EpochRecord",
     "FRAME_DELTA",
     "FRAME_FULL",

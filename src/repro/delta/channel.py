@@ -28,7 +28,7 @@ from repro.core.streams import SkywayObjectInputStream, SkywayObjectOutputStream
 from repro.core.runtime import SkywayRuntime
 from repro.delta.apply import ApplyResult, DeltaApplier
 from repro.delta.dirty import DELTA_CARD_SIZE, DeltaTracker
-from repro.delta.epoch_cache import EpochCache, EpochRecord
+from repro.delta.epoch_cache import EpochRecord
 from repro.policy import ChannelSignals, SendPlan, resolve_engine
 from repro.policy.plan import NON_FALLBACK_REASONS
 from repro.delta.wire import (
@@ -121,7 +121,10 @@ class DeltaSendChannel:
         self.heterogeneous = (
             target_layout is not None and target_layout != runtime.jvm.layout
         )
-        self.cache = EpochCache()
+        #: What the receiver holds: rebuilt by every FULL epoch, merged
+        #: into by every DELTA.  None until the first FULL (and on a
+        #: full-only channel, always).
+        self.record: Optional[EpochRecord] = None
         self.tracker = None
         self.table = None
         if delta_enabled:
@@ -162,8 +165,7 @@ class DeltaSendChannel:
         next :meth:`send`; a caller that routes the epoch elsewhere
         (parallel streams) must call :meth:`discard_plan` instead."""
         gc = self.runtime.jvm.gc.stats
-        record = self.cache.get(self.destination)
-        plan, signals = self._plan(roots, record, gc, self.epoch + 1)
+        plan, signals = self._plan(roots, self.record, gc, self.epoch + 1)
         self._pending = (plan, signals)
         return plan
 
@@ -176,7 +178,7 @@ class DeltaSendChannel:
         self.epoch += 1
         self.stats.epochs += 1
         gc = self.runtime.jvm.gc.stats
-        record = self.cache.get(self.destination)
+        record = self.record
 
         pending, self._pending = self._pending, None
         if plan is None:
@@ -321,7 +323,7 @@ class DeltaSendChannel:
         if self.delta_enabled:
             # The epoch record only feeds delta decisions; a full-only
             # channel stays stateless.
-            self.cache.record_full_send(
+            self.record = EpochRecord.from_full_send(
                 self.destination, stream.sender.cloned,
                 gc.minor_collections, gc.full_collections,
                 epoch=self.epoch,
@@ -338,7 +340,7 @@ class DeltaSendChannel:
         if self.tracker is not None and self.table is not None:
             self.tracker.release_table(self.table)
             self.table = None
-        self.cache.invalidate(self.destination)
+        self.record = None
 
 
 class _ReceiverState:

@@ -1,4 +1,4 @@
-"""The send-epoch cache: what the receiver already holds, per destination.
+"""The send-epoch record: what the receiver already holds, per channel.
 
 After a full Skyway send, the sender knows — from the same baddr/clone
 bookkeeping Algorithm 2 already performs — exactly where every source
@@ -50,6 +50,36 @@ class EpochRecord:
     def __post_init__(self) -> None:
         if not self._sorted_addrs:
             self._sorted_addrs = sorted(self.addr_to_offset)
+
+    @classmethod
+    def from_full_send(
+        cls,
+        destination: str,
+        cloned: List[Tuple[int, int, int]],
+        minor_gcs: int,
+        full_gcs: int,
+        epoch: int = 1,
+    ) -> "EpochRecord":
+        """Build a fresh record from a sender's ``cloned`` list
+        (``(source_address, buffer_offset, payload_bytes)`` triples)."""
+        addr_to_offset: Dict[int, int] = {}
+        sizes: Dict[int, int] = {}
+        logical_end = LOGICAL_BASE
+        for source, offset, nbytes in cloned:
+            aligned = align_up(nbytes, OBJECT_ALIGNMENT)
+            addr_to_offset[source] = offset
+            sizes[source] = aligned
+            logical_end = max(logical_end, offset + aligned)
+        return cls(
+            destination=destination,
+            epoch=epoch,
+            addr_to_offset=addr_to_offset,
+            sizes=sizes,
+            logical_end=logical_end,
+            total_bytes=sum(sizes.values()),
+            minor_gcs=minor_gcs,
+            full_gcs=full_gcs,
+        )
 
     def __len__(self) -> int:
         return len(self.addr_to_offset)
@@ -104,50 +134,3 @@ class EpochRecord:
         self.full_gcs = full_gcs
         if new_members:
             self._sorted_addrs = sorted(self.addr_to_offset)
-
-
-class EpochCache:
-    """Per-destination epoch records for one sending runtime."""
-
-    def __init__(self) -> None:
-        self._records: Dict[str, EpochRecord] = {}
-
-    def get(self, destination: str) -> EpochRecord:
-        return self._records.get(destination)
-
-    def invalidate(self, destination: str) -> None:
-        self._records.pop(destination, None)
-
-    def record_full_send(
-        self,
-        destination: str,
-        cloned: List[Tuple[int, int, int]],
-        minor_gcs: int,
-        full_gcs: int,
-        epoch: int = 1,
-    ) -> EpochRecord:
-        """Build a fresh record from a sender's ``cloned`` list
-        (``(source_address, buffer_offset, payload_bytes)`` triples)."""
-        addr_to_offset: Dict[int, int] = {}
-        sizes: Dict[int, int] = {}
-        logical_end = LOGICAL_BASE
-        for source, offset, nbytes in cloned:
-            aligned = align_up(nbytes, OBJECT_ALIGNMENT)
-            addr_to_offset[source] = offset
-            sizes[source] = aligned
-            logical_end = max(logical_end, offset + aligned)
-        record = EpochRecord(
-            destination=destination,
-            epoch=epoch,
-            addr_to_offset=addr_to_offset,
-            sizes=sizes,
-            logical_end=logical_end,
-            total_bytes=sum(sizes.values()),
-            minor_gcs=minor_gcs,
-            full_gcs=full_gcs,
-        )
-        self._records[destination] = record
-        return record
-
-    def __len__(self) -> int:
-        return len(self._records)

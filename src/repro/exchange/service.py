@@ -167,8 +167,6 @@ class Exchange:
                         base.runtime, base.host, base.port,
                         node_name=base.node_name,
                         metrics=TransportMetrics(),
-                        account_node=base.account_node,
-                        account_remote=base.account_remote,
                     ).connect()
                 )
             sender = ParallelGraphSender([base] + extras)

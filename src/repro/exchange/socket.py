@@ -2,24 +2,22 @@
 
 A :class:`SocketGraphChannel` frames epochs with the same
 :class:`~repro.delta.channel.DeltaSendChannel` the loopback substrate uses
-and ships each frame through :meth:`WorkerClient.send_epoch` (CALL + EPOCH
-header + DATA chunks + TRAILER, written inline: the frame is already in
-hand, so there is no writer thread and no per-channel pipeline knob).  The
-worker applies it through *its* runtime's delta endpoint and answers with
-receiver roots and a semantic graph digest — the same handle the loopback
-receipt carries, so the two substrates are directly comparable.
+and ships each frame through :meth:`WorkerClient.send_epoch` (an EPOCH
+header, MUX_DATA chunks and a MUX_TRAILER tagged with the channel id,
+written inline: the frame is already in hand, so there is no writer thread
+and no per-channel pipeline knob; any number of channels share the
+client's one socket).  The worker applies it through *its* runtime's delta
+endpoint and answers with receiver roots and a semantic graph digest — the
+same handle the loopback receipt carries, so the two substrates are
+directly comparable.
 
-NACK recovery is the client session's
-(:meth:`~repro.transport.client.WorkerSession.send_epoch_recovering`): a
+NACK recovery is the client's
+(:meth:`~repro.transport.client.WorkerClient.send_epoch_recovering`): a
 stale receiver (worker restarted, full GC on the worker heap, epoch gap)
-answers ``DeltaStaleError``; the session recovers the connection, the
-channel forces the next epoch full, and the resend goes out — one
-``send()`` call, two wire frames, receipt flagged ``nack_recovered=True``.
-Over a :class:`~repro.transport.client.WorkerClient` the NACK is an ERROR
-frame and a closed connection, so recovery reconnects; over a
-:class:`~repro.transport.client.MuxEpochClient` (EPOCH + MUX_DATA +
-MUX_TRAILER on the shared socket) it is a per-channel ``ok=false`` RESULT,
-the connection survives, and recovery is just the forced-full resend.
+answers a per-channel ``ok=false`` RESULT naming ``DeltaStaleError``; the
+connection survives, the channel forces the next epoch full, and the
+resend goes out on the same socket — one ``send()`` call, two wire frames,
+receipt flagged ``nack_recovered=True``.
 """
 
 from __future__ import annotations
@@ -38,20 +36,19 @@ from repro.exchange.channel import GraphChannel, SendReceipt, collect_roots
 from repro.exchange.errors import ExchangeConfigError
 from repro.policy import SendPlan
 from repro.simtime import Category
-from repro.transport.client import WorkerSession
+from repro.transport.client import WorkerClient
 
 
 class SocketGraphChannel(GraphChannel):
-    """One sending endpoint bound to a worker connection — classic
-    (:class:`WorkerClient`, one op at a time) or multiplexed
-    (:class:`MuxEpochClient`, sharing the async worker's socket)."""
+    """One sending endpoint bound to a worker connection (which any
+    number of channels may share)."""
 
     substrate = "socket"
 
     def __init__(
         self,
         runtime: SkywayRuntime,
-        client: WorkerSession,
+        client: WorkerClient,
         requested: ChannelCapabilities = DEFAULT_REQUEST,
         policy=None,
         channel_id: Optional[int] = None,
@@ -78,7 +75,7 @@ class SocketGraphChannel(GraphChannel):
             capabilities=self.capabilities,
         )
 
-    def rebind(self, client: WorkerSession) -> None:
+    def rebind(self, client: WorkerClient) -> None:
         """Point this channel at a replacement connection (typically to a
         restarted worker).  The epoch record is kept: the next delta will
         draw the fresh worker's NACK and converge through the forced-full
@@ -91,7 +88,7 @@ class SocketGraphChannel(GraphChannel):
             )
         self.client = client
 
-    def recover(self, client: WorkerSession,
+    def recover(self, client: WorkerClient,
                 channel_id: Optional[int] = None) -> None:
         """Rebind to a replacement worker incarnation (the fleet restart
         path): point at the new connection and, when the coordinator

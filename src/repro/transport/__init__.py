@@ -10,7 +10,8 @@ wall-clock time — the paper's §4.2 streaming claim, made literal.
 Entry points:
 
 * :class:`WorkerHandle` / :class:`WorkerSpec` — spawn and reap workers;
-* :class:`WorkerClient` — connect, handshake, ``send_graph``/``send_blob``;
+* :class:`WorkerClient` — connect, handshake, ``send_graph``/``send_blob``,
+  ``send_epochs``;
 * :class:`ChunkPipeline` — the ``transport=`` seam for
   :class:`~repro.core.streams.SkywayObjectOutputStream`;
 * :class:`TransportMetrics` — measured bytes/chunks/stalls/phases,
@@ -19,7 +20,7 @@ Entry points:
 """
 
 from repro.transport.aserve import AsyncWorkerServer, LocalAsyncWorker
-from repro.transport.client import MuxEpochClient, WorkerClient, WorkerHandle
+from repro.transport.client import WorkerClient, WorkerHandle
 from repro.transport.connection import FrameConnection, connect_with_retry
 from repro.transport.digest import graph_digest, semantic_graph_digest
 from repro.transport.errors import (
@@ -42,6 +43,9 @@ from repro.transport.worker import (
     WorkerSpec,
     worker_main,
 )
+
+#: The name ``benchmarks/ledger`` imports the client under.
+MuxEpochClient = WorkerClient
 
 __all__ = [
     "AsyncWorkerServer",

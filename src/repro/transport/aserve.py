@@ -8,16 +8,16 @@ worker connection is therefore served from the one ``selectors`` loop of
 ERROR-then-close, stall timeouts); this module is the worker's half — what
 a frame *means*:
 
-* **Per-connection → per-channel state machine.**  The classic per-call
-  protocol (HELLO → TRACE? → CALL → DATA*/TRAILER → RESULT) runs one op
-  in flight per connection; a streaming op is armed at its CALL and
-  completed at its TRAILER through one table (``_STREAM_OPS``).
-  On top of it, a *multiplexed* mode: an EPOCH frame arriving with no
-  classic op active opens a per-channel stream, ``MUX_DATA`` frames
-  (channel id + chunk) interleave freely across channels on one socket,
-  and ``MUX_TRAILER`` completes a channel's stream.  Each completed epoch
-  answers its own RESULT tagged ``channel_id`` — possibly out of order
-  with other channels, which is the point.
+* **Per-connection → per-channel state machine.**  The per-call protocol
+  (HELLO → TRACE? → CALL → DATA*/TRAILER → RESULT) runs one op in flight
+  per connection; a streaming op (graph, blob) is armed at its CALL and
+  completed at its TRAILER through one table (``_STREAM_OPS``).  Epochs
+  have no CALL: an EPOCH frame arriving between calls opens a per-channel
+  stream, ``MUX_DATA`` frames (channel id + chunk) interleave freely
+  across channels on one socket, and ``MUX_TRAILER`` completes a channel's
+  stream.  Each completed epoch answers its own RESULT tagged
+  ``channel_id`` — possibly out of order with other channels, which is
+  the point.
 
 * **Bounded queues, real backpressure.**  Completed-but-unapplied epochs
   sit in a per-connection ready queue with per-channel pending caps and a
@@ -31,9 +31,10 @@ a frame *means*:
   reads throttle to apply progress rather than stopping outright.
 
 * **One way onto the heap.**  Every byte that mutates the heap goes
-  through the ``WorkerServer.complete_*`` methods under the state lock —
-  classic stream or mux channel, the digests, tallies, and clock
-  accounting come from the same code.
+  through the ``WorkerServer.complete_*`` methods under the state lock,
+  and every RESULT is answered by one body (:meth:`_answer`): under the
+  sender's trace when a TRACE frame announced one, its spans shipped back
+  inside the RESULT.
 
 * **One process, one loop.**  The cluster heartbeat
   (:meth:`WorkerMembership.beat_once`) fires from the loop's tick on the
@@ -42,11 +43,11 @@ a frame *means*:
   writes them inline — a fleet worker has no second thread.
 
 Failure taxonomy: protocol-fatal conditions (CRC mismatch, unknown frame,
-trailer total/CRC/count mismatch, unknown op) take the loop's one ERROR
-frame and close.  In mux mode a *per-channel* failure — above all
-:class:`DeltaStaleError`, the NACK — is answered as a RESULT with
-``ok=false`` naming the error kind, so one stale channel cannot kill the
-other thousand sharing the socket.
+trailer total/CRC/count mismatch, unknown op, any failure inside a CALL
+op) take the loop's one ERROR frame and close.  A *per-channel* epoch
+failure — above all :class:`DeltaStaleError`, the NACK — is answered as a
+RESULT with ``ok=false`` naming the error kind, so one stale channel
+cannot kill the other thousand sharing the socket.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ APPLY_BATCH = 16
 
 def _check_trailer(what: str, promised: Tuple[int, int, int],
                    received: Tuple[int, int, int]) -> None:
-    """The stream-trailer cross-check, classic TRAILER and MUX_TRAILER
+    """The stream-trailer cross-check, TRAILER and MUX_TRAILER
     alike: ``(total bytes, whole-stream CRC32, chunk count)`` as the sender
     promised them against what actually arrived.  A mismatch is
     protocol-fatal — the bytes already fed cannot be trusted."""
@@ -103,37 +104,34 @@ def _check_trailer(what: str, promised: Tuple[int, int, int],
 
 
 class _CallStream:
-    """The classic streaming op in flight on a connection: armed at its
-    CALL, fed by DATA frames, completed at its TRAILER."""
+    """The streaming op in flight on a connection: armed at its CALL, fed
+    by DATA frames, completed at its TRAILER."""
 
-    __slots__ = ("op", "call", "sink", "total", "crc", "chunks", "header",
-                 "started")
+    __slots__ = ("op", "call", "sink", "trace", "total", "crc", "chunks")
 
-    def __init__(self, op: str, call: dict, sink) -> None:
+    def __init__(self, op: str, call: dict, sink,
+                 trace: Optional[Tuple[str, str]]) -> None:
         self.op = op
         self.call = call
-        #: IncrementalStreamDecoder or _BlobSink; ``None`` while a
-        #: recv_epoch still waits for its EPOCH header.
-        self.sink = sink
+        self.sink = sink  # IncrementalStreamDecoder or _BlobSink
+        self.trace = trace
         self.total = 0
         self.crc = 0
         self.chunks = 0
-        #: recv_epoch only: ``(channel id, epoch, kind)`` from the EPOCH
-        #: header, and that header's arrival stamp.
-        self.header: Optional[Tuple[int, int, int]] = None
-        self.started = 0.0
 
 
 class _MuxStream:
     """One in-flight multiplexed channel stream on one connection."""
 
-    __slots__ = ("channel_id", "epoch", "kind", "buf", "crc", "chunks",
-                 "error", "started")
+    __slots__ = ("channel_id", "epoch", "kind", "trace", "buf", "crc",
+                 "chunks", "error", "started")
 
-    def __init__(self, channel_id: int, epoch: int, kind: int) -> None:
+    def __init__(self, channel_id: int, epoch: int, kind: int,
+                 trace: Optional[Tuple[str, str]]) -> None:
         self.channel_id = channel_id
         self.epoch = epoch
         self.kind = kind
+        self.trace = trace
         self.buf = bytearray()
         self.crc = 0
         self.chunks = 0
@@ -149,20 +147,19 @@ class _MuxStream:
 class _ReadyEpoch:
     """A reassembled epoch waiting for its turn on the heap."""
 
-    __slots__ = ("channel_id", "epoch", "kind", "data", "stream_bytes",
-                 "digest", "enqueued", "receive_s")
+    __slots__ = ("channel_id", "epoch", "kind", "trace", "data",
+                 "stream_bytes", "digest", "enqueued", "receive_s")
 
-    def __init__(self, channel_id: int, epoch: int, kind: int,
-                 data: bytes, stream_bytes: int, digest: bool,
-                 receive_s: Optional[float] = None) -> None:
-        self.channel_id = channel_id
-        self.epoch = epoch
-        self.kind = kind
-        self.data = data
-        self.stream_bytes = stream_bytes
+    def __init__(self, stream: _MuxStream, digest: bool) -> None:
+        self.channel_id = stream.channel_id
+        self.epoch = stream.epoch
+        self.kind = stream.kind
+        self.trace = stream.trace
+        self.data = bytes(stream.buf)
+        self.stream_bytes = len(self.data)
         self.digest = digest
         self.enqueued = time.perf_counter()
-        self.receive_s = receive_s
+        self.receive_s = time.monotonic() - stream.started
 
 
 class _AsyncConn(Connection):
@@ -172,12 +169,13 @@ class _AsyncConn(Connection):
     def __init__(self, server: "AsyncWorkerServer",
                  sock: socket.socket) -> None:
         super().__init__(server, sock)
-        # classic (one-op-at-a-time) state; ``stream is None`` = idle
+        #: The last TRACE frame's context.  A CALL consumes it; an EPOCH
+        #: header only reads it, so one TRACE covers a whole batch of
+        #: epoch streams.
+        self.trace: Optional[Tuple[str, str]] = None
+        # per-call (one-op-at-a-time) state; ``stream is None`` = idle
         self.stream: Optional[_CallStream] = None
-        self.trace_pending: Optional[Tuple[str, str]] = None
-        self.op_trace: Optional[Tuple[str, str]] = None
-        # multiplexed state
-        self.mux_trace: Optional[Tuple[str, str]] = None
+        # per-channel epoch streams
         self.mux_open: Dict[int, _MuxStream] = {}
         self.ready: deque = deque()
         self.pending_per_channel: Dict[int, int] = {}
@@ -278,29 +276,16 @@ class AsyncWorkerServer(FrameLoop):
         if ftype == frames.TRACE:
             # Record, don't enable: the tracer is process-global and the
             # loop serves many connections, so it is (re-)pointed at a
-            # connection's trace only around that connection's own work —
-            # a classic CALL at op time (:meth:`_finish_call`), a mux
-            # apply at apply time (:meth:`_apply_one`).  Queued applies
-            # from other traced connections keep their own trace ids.
-            conn.trace_pending = frames.decode_trace(payload)
-            conn.mux_trace = conn.trace_pending
+            # connection's trace only around that connection's own work
+            # (:meth:`_answer`) — a CALL at op time, an epoch at apply
+            # time.  Queued applies from other traced connections keep
+            # their own trace ids.
+            conn.trace = frames.decode_trace(payload)
             return
-        stream = conn.stream
-        if stream is not None and stream.sink is None:
-            if ftype != frames.EPOCH:
-                raise TransportError(
-                    f"protocol violation: expected EPOCH after a "
-                    f"recv_epoch CALL, peer sent {frames.frame_name(ftype)}"
-                )
-            stream.header = frames.decode_epoch_header(payload)
-            self.core._check_channel_id(stream.header[0])
-            stream.started = time.monotonic()
-            stream.sink = _BlobSink()
+        if conn.stream is not None:
+            self._on_stream_frame(conn, conn.stream, ftype, payload)
             return
-        if stream is not None:
-            self._on_stream_frame(conn, stream, ftype, payload)
-            return
-        # idle: a fresh classic CALL, or the multiplexed sub-protocol
+        # between calls: a fresh CALL, or a frame of an epoch stream
         handler = self._IDLE_FRAMES.get(ftype)
         if handler is None:
             raise TransportError(
@@ -317,18 +302,18 @@ class AsyncWorkerServer(FrameLoop):
         if handler is None and stream_op is None:
             raise TransportError(f"unknown op {op!r}")
         self.log.debug("serving op %s", op)
-        conn.op_trace, conn.trace_pending = conn.trace_pending, None
+        trace, conn.trace = conn.trace, None
         if handler is not None:
-            self._finish_call(conn, op, lambda: handler(self.core, call))
+            self._answer(conn, op, trace, lambda: handler(self.core, call))
             return
         # streaming op: arm the sink now, complete at the TRAILER
         make_sink, _complete = stream_op
-        conn.stream = _CallStream(op, call, make_sink(self, call))
+        conn.stream = _CallStream(op, call, make_sink(self, call), trace)
 
     @contextlib.contextmanager
     def _adopted(self, trace: Optional[Tuple[str, str]]):
         """Point the process-global tracer at one connection's trace for
-        the duration of that connection's own work (a classic op, a mux
+        the duration of that connection's own work (a CALL op, an epoch
         apply), so interleaved work from other traced connections does not
         land under it.  Yields the tracer, or ``None`` when the connection
         sent no TRACE."""
@@ -344,18 +329,18 @@ class AsyncWorkerServer(FrameLoop):
         finally:
             tracer.clear_remote()
 
-    def _finish_call(self, conn: _AsyncConn, op: str, run) -> None:
+    def _answer(self, conn: _AsyncConn, op: str,
+                trace: Optional[Tuple[str, str]], run, **attrs) -> None:
         """Run an op body (immediately for plain CALLs, at the TRAILER for
-        streaming ones) and answer the RESULT.  After a TRACE frame the op
-        runs inside a ``worker.<op>`` span and its spans ship back inside
-        the RESULT under ``"trace"``."""
-        trace, conn.op_trace = conn.op_trace, None
+        streaming ones, at apply time for an epoch) and answer its RESULT.
+        After a TRACE frame the body runs inside a ``worker.<op>`` span
+        and its spans ship back inside the RESULT under ``"trace"``."""
         with self._adopted(trace) as tracer:
             if tracer is None:
                 result = run()
             else:
                 mark = tracer.mark()
-                with tracer.span(f"worker.{op}",
+                with tracer.span(f"worker.{op}", **attrs,
                                  clock=self.core.runtime.jvm.clock):
                     result = run()
                 result["trace"] = tracer.export_payload(tracer.drain(mark))
@@ -380,19 +365,16 @@ class AsyncWorkerServer(FrameLoop):
                        (stream.total, stream.crc, stream.chunks))
         conn.stream = None
         _make_sink, complete = self._STREAM_OPS[stream.op]
-        attrs = {"stream_bytes": stream.total, "overlapped": True}
-        if stream.header is not None:
-            attrs["channel"], attrs["epoch"] = stream.header[:2]
 
         def run():
             # Arrival overlapped the loop chunk by chunk, so there is no
             # blocking receive to time: the span marks where it ended.
             with obs.span("recv.receive", clock=self.core.runtime.jvm.clock,
-                          **attrs):
+                          stream_bytes=stream.total, overlapped=True):
                 pass
             return complete(self, stream)
 
-        self._finish_call(conn, stream.op, run)
+        self._answer(conn, stream.op, stream.trace, run)
 
     # -- streaming ops: make the sink at the CALL, complete at the TRAILER --
 
@@ -407,9 +389,6 @@ class AsyncWorkerServer(FrameLoop):
             raise ClusterProtocolError("put_blob requires a non-empty key")
         return _BlobSink()
 
-    def _epoch_sink(self, call: dict):
-        return None  # armed by the EPOCH header that must come next
-
     def _complete_graph(self, stream: _CallStream) -> dict:
         return self.core.complete_recv_graph(
             stream.sink, stream.total,
@@ -422,23 +401,13 @@ class AsyncWorkerServer(FrameLoop):
         return self.core.complete_put_blob(
             stream.call.get("key"), bytes(stream.sink.data))
 
-    def _complete_epoch(self, stream: _CallStream) -> dict:
-        # DeltaStaleError propagates: on a classic stream the NACK is
-        # ERROR + close.
-        channel_id, epoch, kind = stream.header
-        return self.core.complete_recv_epoch(
-            channel_id, epoch, kind, bytes(stream.sink.data), stream.total,
-            digest=stream.call.get("digest", True),
-            receive_seconds=time.monotonic() - stream.started)
-
     _STREAM_OPS = {
         "recv_graph": (_graph_sink, _complete_graph),
         "recv_blob": (_blob_sink, _complete_blob),
         "put_blob": (_keyed_blob_sink, _complete_put_blob),
-        "recv_epoch": (_epoch_sink, _complete_epoch),
     }
 
-    # -- multiplexed streams -----------------------------------------------
+    # -- epoch streams: open at the EPOCH, ready at the MUX_TRAILER --------
 
     def _mux_open(self, conn: _AsyncConn, payload: bytes) -> None:
         channel_id, epoch, kind = frames.decode_epoch_header(payload)
@@ -447,10 +416,10 @@ class AsyncWorkerServer(FrameLoop):
                 f"protocol violation: channel {channel_id} opened a second "
                 f"mux stream before its trailer"
             )
-        stream = _MuxStream(channel_id, epoch, kind)
+        stream = _MuxStream(channel_id, epoch, kind, conn.trace)
         try:
             self.core._check_channel_id(channel_id)
-        except Exception as exc:  # noqa: BLE001 - per-channel, not fatal
+        except ClusterProtocolError as exc:  # per-channel, not fatal
             stream.error = (type(exc).__name__, str(exc))
         conn.mux_open[channel_id] = stream
 
@@ -481,23 +450,20 @@ class AsyncWorkerServer(FrameLoop):
             )
         del conn.mux_open[channel_id]
         if stream.error is not None:
-            conn.send_frame(frames.RESULT, frames.encode_json(
-                self._epoch_failed(channel_id, stream.epoch, *stream.error)))
+            self._answer(conn, "recv_epoch", stream.trace,
+                         lambda: self._epoch_failed(
+                             channel_id, stream.epoch, *stream.error),
+                         channel=channel_id, epoch=stream.epoch)
             return
-        received = len(stream.buf)
         _check_trailer(f"mux trailer for channel {channel_id}",
                        (total, crc, chunks),
-                       (received, stream.crc, stream.chunks))
-        conn.ready.append(_ReadyEpoch(
-            channel_id, stream.epoch, stream.kind, bytes(stream.buf),
-            received, digest,
-            receive_s=time.monotonic() - stream.started,
-        ))
+                       (len(stream.buf), stream.crc, stream.chunks))
+        conn.ready.append(_ReadyEpoch(stream, digest))
         conn.pending_per_channel[channel_id] = \
             conn.pending_per_channel.get(channel_id, 0) + 1
         self._maybe_pause(conn)
 
-    #: What an idle connection (no classic op in flight) may receive.
+    #: What a connection with no CALL op in flight may receive.
     _IDLE_FRAMES = {
         frames.CALL: _start_call,
         frames.EPOCH: _mux_open,
@@ -546,7 +512,7 @@ class AsyncWorkerServer(FrameLoop):
 
     def _process_ready(self) -> None:
         """Apply up to ``APPLY_BATCH`` queued epochs, round-robin across
-        connections.  This is the only place mux bytes touch the heap."""
+        connections.  This is the only place epoch bytes touch the heap."""
         if not self.processing_enabled or not self._conns:
             return
         budget = APPLY_BATCH
@@ -573,24 +539,26 @@ class AsyncWorkerServer(FrameLoop):
             conn.pending_per_channel[item.channel_id] = left
         else:
             conn.pending_per_channel.pop(item.channel_id, None)
-        try:
-            with self._adopted(conn.mux_trace), \
-                    obs.span("aserve.apply", channel=item.channel_id,
-                             epoch=item.epoch, queue_wait_s=wait,
-                             clock=self.core.runtime.jvm.clock):
+
+        def run() -> dict:
+            try:
                 result = self.core.complete_recv_epoch(
                     item.channel_id, item.epoch, item.kind, item.data,
                     item.stream_bytes, digest=item.digest,
                     receive_seconds=item.receive_s,
                 )
+            except Exception as exc:  # noqa: BLE001 - per-channel blast radius
+                return self._epoch_failed(item.channel_id, item.epoch,
+                                          type(exc).__name__, str(exc))
             result["ok"] = True
             result["queue_wait_s"] = wait
             self.epochs_applied += 1
-        except Exception as exc:  # noqa: BLE001 - per-channel blast radius
-            result = self._epoch_failed(item.channel_id, item.epoch,
-                                        type(exc).__name__, str(exc))
+            return result
+
         try:
-            conn.send_frame(frames.RESULT, frames.encode_json(result))
+            self._answer(conn, "recv_epoch", item.trace, run,
+                         channel=item.channel_id, epoch=item.epoch,
+                         queue_wait_s=wait)
         except TransportError:  # pragma: no cover - oversized result
             self._close_conn(conn)
 

@@ -1,20 +1,15 @@
 """Driver-side handles: spawning workers and talking to them.
 
 :class:`WorkerHandle` owns a spawned worker *process*.
-:class:`WorkerSession` owns one framed *connection* to a worker — connect
-with retry, registry handshake, TRACE propagation, plain CALL/RESULT ops,
-NACK recovery, obs-source registration, BYE.  Its subclasses add the two
-ways of moving bytes: :class:`WorkerClient` (one op at a time — a graph
-traversal streams through the chunk pipeline's writer thread, a pre-framed
-epoch or blob goes out inline — every mid-stream failure converted into the
-typed error taxonomy) and :class:`MuxEpochClient` (many channels' epochs
-interleaved).
-
-Byte accounting: a client constructed with ``account_node=`` routes the
-stream bytes each send delivers through
-:meth:`repro.net.cluster.Node.account_fetch`, so real-socket transfers
-land in the same ``local_bytes_fetched``/``remote_bytes_fetched`` counters
-the simulated wire reports (Figure 3(b) stays one code path).
+:class:`WorkerClient` owns one framed *connection* to a worker — connect
+with retry, registry handshake, TRACE propagation, obs-source registration,
+BYE — and the three ways bytes move over it: plain CALL/RESULT ops; one
+data-bearing op at a time (a graph traversal streams through the chunk
+pipeline's writer thread, a blob already in hand goes out inline); and
+channel-tagged epoch streams, any number interleaved
+(:meth:`WorkerClient.send_epochs`).  Every mid-stream failure is converted
+into the typed error taxonomy, the worker's ERROR frame preferred over the
+local symptom.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from typing import Dict, List, Optional, Tuple, Type
 from repro import obs
 from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectOutputStream
-from repro.net.cluster import Node
 from repro.transport import frames, registry_sync
 from repro.transport.bootstrap import ProcessHandle
 from repro.transport.connection import (
@@ -48,13 +42,13 @@ from repro.transport.pipeline import (
 )
 from repro.transport.worker import worker_main
 
-#: Chunk size for multiplexed streams.  Smaller than the classic pipeline
-#: default on purpose: mux chunks are the interleaving quantum, and a
+#: Chunk size of an epoch stream.  Smaller than the graph pipeline's
+#: default on purpose: these chunks are the interleaving quantum, and a
 #: thousand channels sharing one socket round-robin at this granularity.
 DEFAULT_MUX_CHUNK_BYTES = 32 * 1024
 
-#: ``send_epochs`` coalesces interleaved mux frames into one ``sendall``
-#: per this many bytes (and always through each channel's trailer).
+#: ``send_epochs`` coalesces interleaved frames into one ``sendall`` per
+#: this many bytes (and always through each channel's trailer).
 MUX_FLUSH_BYTES = 256 * 1024
 
 
@@ -68,33 +62,43 @@ class WorkerHandle(ProcessHandle):
 _client_ids = itertools.count(1)
 
 
-def _fail_stream(conn: FrameConnection, pipeline: ChunkPipeline,
-                 exc: TransportError) -> None:
-    """A send failed mid-stream: tear down the chunk writer, then raise
-    the worker's pending ERROR frame (its explanation of *why* it hung
-    up) in preference to the local symptom."""
-    pipeline.abort()
+def _fail_stream(conn: FrameConnection, exc: TransportError,
+                 pipeline: Optional[ChunkPipeline] = None) -> None:
+    """A send failed mid-stream: tear down the chunk writer (when the op
+    had one), then raise the worker's pending ERROR frame (its explanation
+    of *why* it hung up) in preference to the local symptom."""
+    if pipeline is not None:
+        pipeline.abort()
     remote = conn.pending_remote_error()
     if remote is not None:
         raise remote from exc
     raise exc
 
 
-class WorkerSession:
-    """One framed connection from a driver runtime to a worker: everything
-    :class:`WorkerClient` and :class:`MuxEpochClient` have in common."""
+def _read_result(frame: Tuple[int, bytes], span) -> dict:
+    """A received frame as the RESULT it must be (an ERROR frame raises
+    the remote failure), the worker's spans grafted under ``span``."""
+    result = frames.decode_json(
+        expect_payload(frame, frames.RESULT), what="RESULT"
+    )
+    obs.absorb_remote(result, span)
+    return result
+
+
+class WorkerClient:
+    """One framed connection from a driver runtime to a worker."""
 
     def __init__(
         self,
         runtime: SkywayRuntime,
         host: str,
         port: int,
-        node_name: str,
-        connect_timeout: float,
-        connect_attempts: int,
-        connect_backoff: float,
-        read_timeout: float,
-        metrics: Optional[TransportMetrics],
+        node_name: str = "driver",
+        connect_timeout: float = 2.0,
+        connect_attempts: int = 1,
+        connect_backoff: float = 0.05,
+        read_timeout: float = 10.0,
+        metrics: Optional[TransportMetrics] = None,
         connection_cls: Type[FrameConnection] = FrameConnection,
     ) -> None:
         self.runtime = runtime
@@ -168,58 +172,6 @@ class WorkerSession:
         self.peer_name = peer
         self._synced_names = frozenset(merged)
 
-    def recover_from_nack(self) -> None:
-        """Make the connection usable again after a ``DeltaStaleError``
-        NACK.  On a classic connection the worker closed after its ERROR
-        frame, so recovery is a reconnect."""
-        self.close()
-        self.connect()
-
-    def send_epoch(self, frame_bytes, channel_id, epoch, digest=True):
-        raise NotImplementedError  # how an epoch moves is each subclass's
-
-    def send_epoch_recovering(self, channel, frame: bytes, reframe,
-                              digest: bool = True
-                              ) -> Tuple[dict, List[bytes]]:
-        """:meth:`send_epoch` for a ``DeltaSendChannel``, plus the NACK
-        protocol: a stale receiver's ``DeltaStaleError`` is answered by
-        :meth:`recover_from_nack`, a forced-FULL ``reframe()`` and one
-        resend.  Returns the RESULT and every frame shipped (the last is
-        the one applied; two means a NACK was recovered)."""
-        shipped = [frame]
-        try:
-            return self.send_epoch(frame, channel.channel_id, channel.epoch,
-                                   digest), shipped
-        except RemoteWorkerError as exc:
-            if exc.kind != "DeltaStaleError":
-                raise
-        self.recover_from_nack()
-        channel.force_full_next()
-        shipped.append(reframe())
-        return self.send_epoch(shipped[-1], channel.channel_id,
-                               channel.epoch, digest), shipped
-
-    # -- ops ---------------------------------------------------------------
-
-    def _send_trace(self, conn: FrameConnection) -> None:
-        """Propagate the driver's trace context (TRACE frame, v2) so the
-        worker's spans for the next CALL stitch under the current span.
-        Not sent when tracing is disabled — zero wire overhead."""
-        if obs.enabled():
-            trace_id, span_id = obs.current_context()
-            conn.send_frame(frames.TRACE,
-                            frames.encode_trace(trace_id, span_id))
-
-    def call_op(self, op: str, **params) -> dict:
-        """One plain CALL/RESULT op (no DATA stream), trace-propagated.
-        The building block under ping/stats and the fleet control ops."""
-        conn = self._require_conn()
-        self._send_trace(conn)
-        return conn.call({"op": op, **params})
-
-    def stats(self) -> dict:
-        return self.call_op("stats")
-
     def close(self) -> None:
         if self._obs_source is not None:
             obs.registry().deregister_source(self._obs_source)
@@ -234,80 +186,33 @@ class WorkerSession:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    # -- plain ops ---------------------------------------------------------
 
-class WorkerClient(WorkerSession):
-    """The classic endpoint: one op in flight per connection."""
+    def _send_trace(self, conn: FrameConnection) -> None:
+        """Propagate the driver's trace context (TRACE frame) so the
+        worker's spans for the next CALL — or the next batch of epoch
+        streams — stitch under the current span.  Not sent when tracing is
+        disabled — zero wire overhead."""
+        if obs.enabled():
+            trace_id, span_id = obs.current_context()
+            conn.send_frame(frames.TRACE,
+                            frames.encode_trace(trace_id, span_id))
 
-    def __init__(
-        self,
-        runtime: SkywayRuntime,
-        host: str,
-        port: int,
-        node_name: str = "driver",
-        connect_timeout: float = 2.0,
-        connect_attempts: int = 1,
-        connect_backoff: float = 0.05,
-        read_timeout: float = 10.0,
-        metrics: Optional[TransportMetrics] = None,
-        account_node: Optional[Node] = None,
-        account_remote: bool = True,
-        connection_cls: Type[FrameConnection] = FrameConnection,
-    ) -> None:
-        super().__init__(runtime, host, port, node_name, connect_timeout,
-                         connect_attempts, connect_backoff, read_timeout,
-                         metrics, connection_cls)
-        self.account_node = account_node
-        self.account_remote = account_remote
-
-    def _finish_stream(self, conn: FrameConnection, span,
-                       nbytes: int) -> dict:
-        """The tail of every data-bearing op: read the RESULT (an ERROR
-        frame raises the remote failure), graft the worker's spans under
-        ``span``, account the delivered bytes."""
-        result = frames.decode_json(
-            conn.expect_frame(frames.RESULT), what="RESULT"
-        )
-        if span is not None:
-            obs.absorb_remote(result, span)
-        if self.account_node is not None:
-            self.account_node.account_fetch(
-                nbytes, remote=self.account_remote
-            )
-        return result
-
-    def _send_bytes(self, name: str, call: dict, data: bytes,
-                    epoch_header: Optional[bytes] = None,
-                    verify_crc: bool = False, span_attrs=None) -> dict:
-        """One data-bearing op whose payload is already in hand: CALL, an
-        optional EPOCH header, ``data`` as DATA chunks + TRAILER, then the
-        RESULT.  There is no traversal to overlap, so the chunks go out
-        inline through :class:`ChunkPipeline`'s store-and-forward arm — no
-        writer thread, no queue.  A mid-stream failure raises the worker's
-        pending ERROR if it sent one."""
+    def call_op(self, op: str, **params) -> dict:
+        """One plain CALL/RESULT op (no DATA stream), trace-propagated.
+        The building block under ping/stats and the fleet control ops."""
         conn = self._require_conn()
-        with obs.span(f"wire.{name}", **(span_attrs or {}), bytes=len(data),
-                      destination=f"{self.host}:{self.port}") as sp:
-            self._send_trace(conn)
-            conn.send_frame(frames.CALL, frames.encode_json(call))
-            if epoch_header is not None:
-                conn.send_frame(frames.EPOCH, epoch_header)
-            pipeline = ChunkPipeline(conn, store_and_forward=True,
-                                     metrics=self.metrics)
-            try:
-                with self.metrics.phase("traverse+send"):
-                    pipeline.feed(data)
-                    pipeline.finish(len(data), zlib.crc32(data))
-            except TransportError as exc:
-                _fail_stream(conn, pipeline, exc)
-            result = self._finish_stream(conn, sp, len(data))
-        if verify_crc and result.get("crc32") != zlib.crc32(data):
-            raise TransportError(
-                "worker acknowledged a blob with a different CRC"
-            )
-        return result
+        self._send_trace(conn)
+        return conn.call({"op": op, **params})
 
     def ping(self, echo=None) -> dict:
         return self.call_op("ping", echo=echo)
+
+    def stats(self) -> dict:
+        return self.call_op("stats")
+
+    def shutdown_worker(self) -> dict:
+        return self._require_conn().call({"op": "shutdown"})
 
     # -- fleet ops (repro.cluster) ----------------------------------------
 
@@ -315,14 +220,6 @@ class WorkerClient(WorkerSession):
         """Tell the worker to expect EPOCH frames on ``channel_id`` (the
         coordinator assigned it); required in strict-channels fleet mode."""
         return self.call_op("admit_channel", channel_id=channel_id)
-
-    def put_blob(self, key: str, data: bytes) -> dict:
-        """Store opaque bytes under ``key`` on the worker (the fleet's
-        shuffle-bucket mirror); the worker answers size + CRC."""
-        return self._send_bytes(
-            "put_blob", {"op": "put_blob", "key": key}, data,
-            verify_crc=True, span_attrs={"key": key},
-        )
 
     def _traced_call(self, name: str, op_params: dict, **span_attrs) -> dict:
         """A plain op under its own ``wire.<op>`` span, the worker's spans
@@ -348,6 +245,47 @@ class WorkerClient(WorkerSession):
         return self._traced_call("send_blob_peer", dict(
             key=key, peer=peer, peer_host=peer_host, peer_port=peer_port,
         ), peer=peer, key=key)
+
+    # -- data-bearing ops: CALL, DATA*, TRAILER, one at a time -------------
+
+    def _send_bytes(self, name: str, call: dict, data: bytes,
+                   **span_attrs) -> dict:
+        """One data-bearing op whose payload is already in hand: CALL,
+        ``data`` as DATA chunks + TRAILER, then the RESULT, whose CRC must
+        match.  There is no traversal to overlap, so the chunks go out
+        inline through :class:`ChunkPipeline`'s store-and-forward arm — no
+        writer thread, no queue.  A mid-stream failure raises the worker's
+        pending ERROR if it sent one."""
+        conn = self._require_conn()
+        with obs.span(f"wire.{name}", **span_attrs, bytes=len(data),
+                      destination=f"{self.host}:{self.port}") as sp:
+            self._send_trace(conn)
+            conn.send_frame(frames.CALL, frames.encode_json(call))
+            pipeline = ChunkPipeline(conn, store_and_forward=True,
+                                     metrics=self.metrics)
+            try:
+                with self.metrics.phase("traverse+send"):
+                    pipeline.feed(data)
+                    pipeline.finish(len(data), zlib.crc32(data))
+            except TransportError as exc:
+                _fail_stream(conn, exc, pipeline)
+            result = _read_result(conn.recv_frame(), sp)
+        if result.get("crc32") != zlib.crc32(data):
+            raise TransportError(
+                "worker acknowledged a blob with a different CRC"
+            )
+        return result
+
+    def send_blob(self, data: bytes) -> dict:
+        """Ship opaque bytes (the Spark broadcast path) in the same DATA
+        chunk + TRAILER framing; the worker answers size + CRC."""
+        return self._send_bytes("send_blob", {"op": "recv_blob"}, data)
+
+    def put_blob(self, key: str, data: bytes) -> dict:
+        """Store opaque bytes under ``key`` on the worker (the fleet's
+        shuffle-bucket mirror); the worker answers size + CRC."""
+        return self._send_bytes("put_blob", {"op": "put_blob", "key": key},
+                               data, key=key)
 
     def begin_graph(
         self,
@@ -402,7 +340,7 @@ class WorkerClient(WorkerSession):
             self.runtime, destination=f"socket:{self.host}:{self.port}",
             thread_id=thread_id, transport=pipeline,
         )
-        return GraphSendStream(self, conn, pipeline, out, wire_span)
+        return GraphSendStream(conn, pipeline, out, wire_span)
 
     def send_graph(
         self,
@@ -429,113 +367,36 @@ class WorkerClient(WorkerSession):
                 stream.write_object(root)
             return stream.finish()
 
-    def send_blob(self, data: bytes) -> dict:
-        """Ship opaque bytes (the Spark broadcast path) in the same DATA
-        chunk + TRAILER framing; the worker answers size + CRC."""
-        return self._send_bytes(
-            "send_blob", {"op": "recv_blob"}, data, verify_crc=True)
-
-    def send_epoch(
-        self,
-        frame_bytes: bytes,
-        channel_id: int,
-        epoch: int,
-        digest: bool = True,
-    ) -> dict:
-        """Ship one already-framed FULL/DELTA epoch to the worker's delta
-        endpoint: CALL, an EPOCH frame naming (channel, epoch, kind), then
-        the frame bytes as DATA chunks + TRAILER.
-
-        A stale receiver answers ERROR naming ``DeltaStaleError`` — raised
-        here as :class:`RemoteWorkerError` with that ``kind`` (the NACK);
-        the worker closes the connection afterwards, so recovery is
-        :meth:`recover_from_nack` + forced-full resend.
-        """
-        self._sync_registry()
-        kind = frame_bytes[0] if frame_bytes else 0
-        return self._send_bytes(
-            "send_epoch", {"op": "recv_epoch", "digest": digest},
-            frame_bytes,
-            epoch_header=frames.encode_epoch_header(channel_id, epoch, kind),
-            span_attrs={"channel": channel_id, "epoch": epoch},
-        )
-
-    def shutdown_worker(self) -> dict:
-        return self._require_conn().call({"op": "shutdown"})
-
-
-class MuxEpochClient(WorkerSession):
-    """Driver-side endpoint of the multiplexed sub-protocol: one socket,
-    many concurrent channel streams.
-
-    ``send_epochs`` interleaves every channel's EPOCH header, MUX_DATA
-    chunks, and MUX_TRAILER on the single connection (round-robin by
-    default, caller-shuffled for the fuzz tests), draining RESULT frames
-    as they arrive — each result is matched back to its channel by the
-    ``channel_id`` the worker tags it with, and per-channel latency is
-    measured trailer-written → result-read.
-
-    Failures follow the mux taxonomy: a per-channel ``ok=false`` RESULT
-    is returned to the caller (or raised as :class:`RemoteWorkerError` by
-    the single-channel :meth:`send_epoch`), while an ERROR frame means
-    the connection is dead and raises immediately.
-    """
-
-    def __init__(
-        self,
-        runtime,
-        host: str,
-        port: int,
-        node_name: str = "driver",
-        connect_timeout: float = 2.0,
-        connect_attempts: int = 1,
-        connect_backoff: float = 0.05,
-        read_timeout: float = 60.0,
-        chunk_bytes: int = DEFAULT_MUX_CHUNK_BYTES,
-        metrics: Optional[TransportMetrics] = None,
-    ) -> None:
-        super().__init__(runtime, host, port, node_name, connect_timeout,
-                         connect_attempts, connect_backoff, read_timeout,
-                         metrics)
-        self.chunk_bytes = chunk_bytes
-        self._traced: Optional[FrameConnection] = None
-
-    def _send_trace(self, conn: FrameConnection) -> None:
-        """Once per connection: the worker keeps a mux connection's trace
-        context for every apply that follows."""
-        if conn is not self._traced and obs.enabled():
-            super()._send_trace(conn)
-            self._traced = conn
-
-    def recover_from_nack(self) -> None:
-        """Nothing to do: a mux NACK is a per-channel ``ok=false`` RESULT,
-        the connection survives and the forced-full resend goes straight
-        out."""
-
-    # -- the fan-in send ---------------------------------------------------
+    # -- epochs: EPOCH, MUX_DATA*, MUX_TRAILER, any number interleaved -----
 
     def send_epochs(self, epochs, rng=None) -> Dict[int, dict]:
-        """Ship many epochs concurrently over the one connection.
+        """Ship many already-framed FULL/DELTA epochs concurrently over
+        the one connection.
 
         ``epochs`` is an iterable of ``(channel_id, epoch, frame_bytes)``
         or ``(channel_id, epoch, frame_bytes, digest)`` tuples (``digest``
-        defaults to True and rides the MUX_TRAILER flags byte).  Frames
-        interleave round-robin across channels (in-order within each
-        channel — the only ordering the worker requires); pass an ``rng``
-        (anything with ``randrange``) to randomize the interleaving
-        instead, which is how the fuzz test splices.
+        defaults to True and rides the MUX_TRAILER flags byte).  Each
+        channel's EPOCH header, MUX_DATA chunks and MUX_TRAILER interleave
+        round-robin with the others' (in-order within each channel — the
+        only ordering the worker requires); pass an ``rng`` (anything with
+        ``randrange``) to randomize the interleaving instead, which is how
+        the fuzz test splices.  RESULT frames are drained as they arrive
+        and matched back to their channel by the ``channel_id`` the worker
+        tags them with.
 
         Each channel may appear at most once per call: the worker allows
-        one open mux stream per channel, and results are keyed by channel
+        one open stream per channel, and results are keyed by channel
         id — ship a channel's successive epochs in successive calls.
 
         Returns ``{channel_id: {"result": <worker RESULT>,
-        "latency_s": <trailer-sent → result-read>}}``.  ``ok=false``
-        results are returned, not raised — per-channel failures are the
-        caller's to triage.
+        "latency_s": <trailer-sent → result-read>}}``.  A per-channel
+        failure — above all the ``DeltaStaleError`` NACK — is an
+        ``ok=false`` result, returned, not raised: the connection and its
+        other channels live, and triage is the caller's.  An ERROR frame
+        means the connection is dead and raises immediately.
         """
         epochs = list(epochs)
-        queues: List[List[Tuple[int, bytes]]] = []
+        queues: List[List[Tuple[Optional[int], bytes]]] = []
         expected: set = set()
         for entry in epochs:
             channel_id, epoch, frame_bytes = entry[:3]
@@ -543,20 +404,20 @@ class MuxEpochClient(WorkerSession):
             if channel_id in expected:
                 raise TransportError(
                     f"send_epochs got channel {channel_id} more than once "
-                    f"in one call; a channel allows one open mux stream "
-                    f"at a time — ship its epochs in successive calls"
+                    f"in one call; a channel allows one open stream at a "
+                    f"time — ship its epochs in successive calls"
                 )
             expected.add(channel_id)
-            per = [(0, frames.encode_frame(
+            per = [(None, frames.encode_frame(
                 frames.EPOCH,
                 frames.encode_epoch_header(
                     channel_id, epoch,
                     frame_bytes[0] if frame_bytes else 0),
             ))]
             for off in range(0, max(len(frame_bytes), 1),
-                             self.chunk_bytes):
-                chunk = frame_bytes[off:off + self.chunk_bytes]
-                per.append((0, frames.encode_frame(
+                             DEFAULT_MUX_CHUNK_BYTES):
+                chunk = frame_bytes[off:off + DEFAULT_MUX_CHUNK_BYTES]
+                per.append((None, frames.encode_frame(
                     frames.MUX_DATA,
                     frames.encode_mux_data(channel_id, chunk),
                 )))
@@ -570,26 +431,29 @@ class MuxEpochClient(WorkerSession):
             queues.append(per)
         conn = self._require_conn()
         self._sync_registry()
-        self._send_trace(conn)
 
         results: Dict[int, dict] = {}
         sent_at: Dict[int, float] = {}
         out = bytearray()
+        with obs.span("wire.send_epoch", channels=len(expected),
+                      destination=f"{self.host}:{self.port}") as sp:
 
-        def flush() -> None:
-            conn.send_encoded(bytes(out), "mux frames")
-            out.clear()
+            def flush() -> None:
+                try:
+                    conn.send_encoded(bytes(out), "epoch frames")
+                except TransportError as exc:
+                    _fail_stream(conn, exc)
+                out.clear()
 
-        def drain(block: bool = False) -> None:
-            """Absorb every RESULT already here; ``block`` waits (up to
-            the read timeout) for the first."""
-            frame = conn.recv_frame() if block else conn.poll_frame()
-            while frame is not None:
-                self._absorb_result(frame, results, sent_at)
-                frame = conn.poll_frame()
+            def drain(block: bool = False) -> None:
+                """Absorb every RESULT already here; ``block`` waits (up
+                to the read timeout) for the first."""
+                frame = conn.recv_frame() if block else conn.poll_frame()
+                while frame is not None:
+                    self._absorb_result(frame, results, sent_at, sp)
+                    frame = conn.poll_frame()
 
-        with obs.span("mux.send_epochs", channels=len(expected),
-                      destination=f"{self.host}:{self.port}"):
+            self._send_trace(conn)
             while queues:
                 if rng is not None:
                     idx = rng.randrange(len(queues))
@@ -604,7 +468,7 @@ class MuxEpochClient(WorkerSession):
                     queues.pop(idx)
                 elif rng is None:
                     queues.append(queues.pop(0))
-                if marker:
+                if marker is not None:
                     # flush through the trailer so the latency clock
                     # starts when the worker can actually see the stream
                     flush()
@@ -621,14 +485,12 @@ class MuxEpochClient(WorkerSession):
 
     def _absorb_result(self, frame: Tuple[int, bytes],
                        results: Dict[int, dict],
-                       sent_at: Dict[int, float]) -> None:
-        result = frames.decode_json(
-            expect_payload(frame, frames.RESULT), what="RESULT"
-        )
+                       sent_at: Dict[int, float], span) -> None:
+        result = _read_result(frame, span)
         channel_id = result.get("channel_id")
         if channel_id is None:
             raise TransportClosed(
-                "mux RESULT carries no channel_id; cannot demultiplex"
+                "epoch RESULT carries no channel_id; cannot demultiplex"
             )
         now = time.perf_counter()
         started = sent_at.get(channel_id)
@@ -639,12 +501,10 @@ class MuxEpochClient(WorkerSession):
 
     def send_epoch(self, frame_bytes: bytes, channel_id: int,
                    epoch: int, digest: bool = True) -> dict:
-        """The single-channel convenience (the exchange substrate's
-        via-mux path): one epoch, blocking, classic error semantics — an
-        ``ok=false`` result raises :class:`RemoteWorkerError` with the
-        remote kind, so :class:`DeltaStaleError` NACKs surface exactly as
-        they do on a classic connection (minus the connection teardown:
-        the mux socket survives, no reconnect needed)."""
+        """One epoch, blocking: :meth:`send_epochs` of one, with an
+        ``ok=false`` result raised as :class:`RemoteWorkerError` carrying
+        the remote kind — a stale receiver's ``DeltaStaleError`` (the
+        NACK) above all.  The connection survives either way."""
         outcome = self.send_epochs(
             [(channel_id, epoch, frame_bytes, digest)]
         )[channel_id]
@@ -652,30 +512,48 @@ class MuxEpochClient(WorkerSession):
         if not result.get("ok", False):
             raise RemoteWorkerError(
                 result.get("error_kind", "TransportError"),
-                result.get("error", "mux epoch failed"),
+                result.get("error", "epoch failed"),
             )
         result.setdefault("latency_s", outcome["latency_s"])
         return result
+
+    def send_epoch_recovering(self, channel, frame: bytes, reframe,
+                              digest: bool = True
+                              ) -> Tuple[dict, List[bytes]]:
+        """:meth:`send_epoch` for a ``DeltaSendChannel``, plus the NACK
+        protocol: a stale receiver's ``DeltaStaleError`` is answered by a
+        forced-FULL ``reframe()`` and one resend on the same connection.
+        Returns the RESULT and every frame shipped (the last is the one
+        applied; two means a NACK was recovered)."""
+        shipped = [frame]
+        try:
+            return self.send_epoch(frame, channel.channel_id, channel.epoch,
+                                   digest), shipped
+        except RemoteWorkerError as exc:
+            if exc.kind != "DeltaStaleError":
+                raise
+        channel.force_full_next()
+        shipped.append(reframe())
+        return self.send_epoch(shipped[-1], channel.channel_id,
+                               channel.epoch, digest), shipped
 
 
 class GraphSendStream:
     """One open ``recv_graph`` stream on one connection.
 
     Drive it with :meth:`write_object` per root, then :meth:`finish` to
-    flush the tail, read the worker's RESULT, and account the bytes.  Any
-    mid-stream transport failure aborts the pipeline and surfaces the
-    worker's ERROR frame if one is pending.
+    flush the tail and read the worker's RESULT.  Any mid-stream transport
+    failure aborts the pipeline and surfaces the worker's ERROR frame if
+    one is pending.
     """
 
     def __init__(
         self,
-        client: "WorkerClient",
         conn: FrameConnection,
         pipeline: ChunkPipeline,
         out: SkywayObjectOutputStream,
         wire_span=None,
     ) -> None:
-        self._client = client
         self._conn = conn
         self._pipeline = pipeline
         self._out = out
@@ -706,8 +584,7 @@ class GraphSendStream:
             data = self._out.close()
         except TransportError as exc:
             self._fail(exc)
-        result = self._client._finish_stream(self._conn, self._wire_span,
-                                             len(data))
+        result = _read_result(self._conn.recv_frame(), self._wire_span)
         self._end_wire_span(stream_bytes=len(data))
         return result, data
 
@@ -726,4 +603,4 @@ class GraphSendStream:
     def _fail(self, exc: TransportError) -> None:
         self._done = True
         self._end_wire_span(error=type(exc).__name__)
-        _fail_stream(self._conn, self._pipeline, exc)
+        _fail_stream(self._conn, exc, self._pipeline)

@@ -108,7 +108,7 @@ class FrameConnection:
 
     def send_encoded(self, data: bytes, what: str = "frames") -> None:
         """One ``sendall`` of already-encoded frame bytes — a single frame,
-        or a batch the mux client coalesced (counted as one send)."""
+        or a batch ``send_epochs`` coalesced (counted as one send)."""
         try:
             self._sock.sendall(data)
         except socket.timeout as exc:

@@ -16,14 +16,22 @@ Frame conversation (driver = client, worker = server)::
     HELLO      -> driver's registry snapshot {class name -> tID}
     HELLO_ACK  <- worker's extra class names (present there, absent here);
                   both sides then install the same merged mapping
-    TRACE      -> optional (v2): trace id + parent span id, so worker
-                  spans stitch under the driver's trace; worker spans
-                  return inside the RESULT JSON under "trace"
+    TRACE      -> optional: trace id + parent span id, so worker spans
+                  stitch under the driver's trace; worker spans return
+                  inside the RESULT JSON under "trace"
     CALL       -> JSON op request ("recv_graph", "recv_blob", ...)
     DATA*      -> fixed-size chunks of the Skyway framed stream
     TRAILER    -> total bytes + whole-stream CRC + chunk count
     RESULT     <- JSON op result   |   ERROR <- typed remote failure
     BYE        -> end of connection
+
+Between calls, any number of epoch streams, interleaved by channel::
+
+    EPOCH        -> channel id, epoch, FULL/DELTA kind: opens the stream
+    MUX_DATA*    -> channel id + a chunk of the delta-wire frame
+    MUX_TRAILER  -> channel id + totals + flags: completes the stream
+    RESULT       <- tagged "channel_id"; "ok": false confines a failure
+                    (the DeltaStaleError NACK) to that channel
 
 DATA chunks carry the *same bytes* ``SkywayObjectOutputStream`` produces
 in-process — the wire format stays byte-identical to the heap image (cf.
@@ -41,7 +49,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.net.streams import ByteInputStream, ByteOutputStream, StreamError
 from repro.transport.errors import FrameCorruptionError
 
-PROTOCOL_VERSION = 2
+#: v3: the ``recv_epoch`` CALL op left the protocol (every epoch is an
+#: EPOCH/MUX_DATA/MUX_TRAILER stream) and MUX_TRAILER's flags byte became
+#: mandatory; a mixed pair fails at HELLO with the typed mismatch.
+PROTOCOL_VERSION = 3
 
 #: Hard cap on one frame's payload; a corrupt length field beyond this is
 #: reported instead of allocated.
@@ -61,15 +72,16 @@ CALL = 6
 RESULT = 7
 BYE = 8
 #: Epoch announcement for a delta-capable graph channel: names the channel
-#: id, epoch number, and the delta-wire frame kind of the DATA stream that
-#: follows (FULL or DELTA); the worker routes the reassembled frame to its
-#: per-runtime :class:`~repro.delta.channel.DeltaReceiveEndpoint`.
+#: id, epoch number, and the delta-wire frame kind of the MUX_DATA stream
+#: that follows (FULL or DELTA); the worker routes the reassembled frame to
+#: its per-runtime :class:`~repro.delta.channel.DeltaReceiveEndpoint`.
 EPOCH = 9
-#: Optional trace-context announcement (protocol v2): carries the driver's
-#: trace id and current span id so worker-side spans stitch under the
-#: sender's trace.  Sent at most once per CALL, immediately before it; a
-#: worker that never sees one simply doesn't trace.  Worker spans travel
-#: back inside the RESULT JSON under the ``"trace"`` key.
+#: Optional trace-context announcement: carries the driver's trace id and
+#: current span id so worker-side spans stitch under the sender's trace.
+#: Sent at most once per CALL, immediately before it (the CALL consumes
+#: it), or once before a batch of epoch streams (every EPOCH opened under
+#: it); a worker that never sees one simply doesn't trace.  Worker spans
+#: travel back inside each RESULT JSON under the ``"trace"`` key.
 TRACE = 10
 #: Multiplexed stream chunk (async front-end): a varint channel id
 #: followed by raw stream bytes.  Unlike DATA, which belongs to *the*
@@ -241,9 +253,8 @@ def decode_mux_data(payload: bytes) -> Tuple[int, bytes]:
 
 
 #: MUX_TRAILER flags bit: the worker computes (and returns) the semantic
-#: digest of the applied epoch's roots.  The classic recv_epoch op carries
-#: the same choice in its CALL JSON; mux streams have no CALL, so the
-#: trailer is the carrier.
+#: digest of the applied epoch's roots.  Epoch streams have no CALL, so
+#: the trailer is the carrier.
 MUX_FLAG_DIGEST = 0x01
 
 
@@ -265,11 +276,8 @@ def decode_mux_trailer(payload: bytes) -> Tuple[int, int, int, int, bool]:
         total_bytes = inp.read_varint()
         stream_crc = inp.read_u32()
         chunks = inp.read_varint()
-        # Flags byte is optional on the wire: a trailer without one (an
-        # older sender) means digest, matching recv_epoch's default.
-        flags = inp.read_u8() if inp.remaining else MUX_FLAG_DIGEST
         return (channel_id, total_bytes, stream_crc, chunks,
-                bool(flags & MUX_FLAG_DIGEST))
+                bool(inp.read_u8() & MUX_FLAG_DIGEST))
     return _wrap_decode(parse, payload, "MUX_TRAILER")
 
 

@@ -38,7 +38,7 @@ _RECV_BYTES = 256 * 1024
 
 class Connection:
     """Per-connection transport state: decoder in, byte buffer out.
-    Protocol state (an op in flight, mux streams) is the subclass's."""
+    Protocol state (an op in flight, epoch streams) is the subclass's."""
 
     def __init__(self, server: "FrameLoop", sock: socket.socket) -> None:
         self._server = server

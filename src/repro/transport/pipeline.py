@@ -11,9 +11,9 @@ the wire is the bottleneck), an empty one idles the writer (traversal is).
 ``store_and_forward=True`` buffers the whole stream, then sends from the
 calling thread — no writer, no queue.  It is the baseline Skyway §4.2
 improves on (the ledger's ``transport.pipeline.overlap_gain_s`` compares
-the two), and it is how ``WorkerClient`` ships payloads that are already
-in hand (epochs, blobs): with nothing to overlap, a thread per send would
-only cost a hand-off.
+the two), and it is how ``WorkerClient`` ships blobs, which are already in
+hand: with nothing to overlap, a thread per send would only cost a
+hand-off.
 
 Both modes end with one TRAILER frame carrying total bytes, a
 whole-stream CRC32, and the chunk count, so the receiver can prove it

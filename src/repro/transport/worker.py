@@ -11,7 +11,10 @@ per connection:
    the worker treats any HELLO as a fresh merge.
 2. CALL frames carrying a JSON ``{"op": ...}``; data-bearing ops are
    followed by DATA chunks + TRAILER.  Each op answers RESULT or ERROR.
-3. BYE ends the connection; the worker keeps accepting new ones (this is
+3. Between calls, epoch streams: EPOCH + MUX_DATA chunks + MUX_TRAILER,
+   tagged by channel id, any number interleaved.  Each answers its own
+   RESULT — ``ok=false`` for a failure confined to that channel.
+4. BYE ends the connection; the worker keeps accepting new ones (this is
    what lets a driver's retry/backoff recover from a killed connection).
 
 A driver can hold N streams open at once (the multi-stream parallel
@@ -21,7 +24,7 @@ the registry, placement — runs under one server-wide lock taken per
 way the paper's per-thread output buffers interleave on the send side
 (§4.2).
 
-Any exception inside an op is reported as one ERROR frame naming the
+Any exception inside a CALL op is reported as one ERROR frame naming the
 exception type, then the connection closes — mid-stream state is
 unrecoverable, a fresh connection is not.
 
@@ -39,18 +42,19 @@ streaming-op table; their ``complete_*`` halves live here):
 ``recv_blob``
     Receive an opaque byte blob (the Spark broadcast path) and reply with
     its size and CRC.
-``recv_epoch``
-    Receive one FULL/DELTA epoch frame for a delta-capable graph channel:
-    an EPOCH frame announces (channel id, epoch, kind), DATA chunks carry
-    the delta-wire frame, and the worker routes it through the runtime's
-    :class:`~repro.delta.channel.DeltaReceiveEndpoint`.  A stale delta
-    (worker restarted, state dropped, epoch gap) answers an ERROR frame
-    naming ``DeltaStaleError`` — the cross-process NACK the sender reacts
-    to by forcing its next epoch full.
 ``stats``
     Runtime + transport + event-loop counters.
 ``shutdown``
     Acknowledge, then exit the loop.
+
+Not an op: one FULL/DELTA epoch frame for a delta-capable graph channel
+arrives as an epoch stream — the EPOCH frame announces (channel id, epoch,
+kind), MUX_DATA chunks carry the delta-wire frame — and
+:meth:`WorkerServer.complete_recv_epoch` routes it through the runtime's
+:class:`~repro.delta.channel.DeltaReceiveEndpoint`.  A stale delta (worker
+restarted, state dropped, epoch gap) answers ``ok=false`` naming
+``DeltaStaleError`` — the cross-process NACK the sender reacts to by
+forcing its next epoch full.
 """
 
 from __future__ import annotations
@@ -111,9 +115,9 @@ class WorkerSpec:
 
 
 class _BlobSink:
-    """A trivial decoder standing in for the stream decoder: blob and
-    epoch streams are opaque bytes (e.g. Java-serializer broadcast
-    payloads, delta-wire frames) reassembled before they are applied."""
+    """A trivial decoder standing in for the stream decoder: a blob is
+    opaque bytes (e.g. a Java-serializer broadcast payload) reassembled
+    before it is stored or acknowledged."""
 
     def __init__(self) -> None:
         self.data = bytearray()
@@ -242,10 +246,9 @@ class WorkerServer:
                             data: bytes, stream_bytes: int,
                             digest: bool = True,
                             receive_seconds: Optional[float] = None) -> dict:
-        """Apply one reassembled epoch frame (classic stream or mux
-        channel): header cross-check, delta endpoint routing, digest.  A
-        :class:`DeltaStaleError` propagates to the loop, which turns it
-        into the NACK the sender reacts to."""
+        """Apply one reassembled epoch frame: header cross-check, delta
+        endpoint routing, digest.  A :class:`DeltaStaleError` propagates
+        to the loop, which turns it into the NACK the sender reacts to."""
         apply_started = time.monotonic()
         with self._state_lock:
             frame = parse_frame(data)
@@ -260,8 +263,6 @@ class WorkerServer:
                     f"{actual_kind:#x}"
                 )
             endpoint = DeltaReceiveEndpoint.for_runtime(self.runtime)
-            # DeltaStaleError propagates to the loop, which answers the
-            # NACK (ERROR frame, or ok=false on a mux channel).
             roots = endpoint.receive(data)
             result = {
                 "op": "recv_epoch",
@@ -460,9 +461,8 @@ class WorkerServer:
         return {"op": "shutdown", "ok": True}
 
     #: The ops answered straight from the CALL.  The data-bearing ops
-    #: (``recv_graph``, ``recv_blob``, ``recv_epoch``, ``put_blob``) are in
-    #: the loop's streaming-op table, which ends in the ``complete_*``
-    #: methods above.
+    #: (``recv_graph``, ``recv_blob``, ``put_blob``) are in the loop's
+    #: streaming-op table, which ends in the ``complete_*`` methods above.
     _OPS = {
         "ping": _op_ping,
         "admit_channel": _op_admit_channel,

@@ -210,6 +210,21 @@ def read_list(jvm: JVM, head: int):
     return out
 
 
+def recording_connection():
+    """``(decoder, FrameConnection subclass)``: the decoder sees every frame
+    a client built with ``connection_cls=`` that class sends."""
+    from repro.transport import FrameConnection, frames
+
+    sent = frames.FrameDecoder()
+
+    class Recording(FrameConnection):
+        def send_encoded(self, data, what="frames"):
+            sent.feed(data)
+            super().send_encoded(data, what)
+
+    return sent, Recording
+
+
 def sent_segments(src: JVM, roots):
     """One fresh-phase send of ``roots`` straight off the sender: returns
     (flushed segments, top marks), no stream framing."""

@@ -1,12 +1,11 @@
-"""The worker's event loop over real sockets: the classic protocol, the
-multiplexed epoch sub-protocol, and per-channel failure isolation (a stale
+"""The worker's event loop over real sockets: the per-call ops, the
+channel-tagged epoch streams, and per-channel failure isolation (a stale
 delta NACKs one channel, the connection survives)."""
 
 import pytest
 
 from repro.transport import (
     LocalAsyncWorker,
-    MuxEpochClient,
     RemoteWorkerError,
     TransportError,
     WorkerClient,
@@ -31,8 +30,8 @@ def _spawn(name: str) -> WorkerHandle:
 
 class TestClassicParityOnAsync:
     def test_classic_ops_over_the_event_loop(self, transport_driver):
-        """A stock ``WorkerClient`` over the loop's classic protocol:
-        ping, graph send (digest-gated), and blob round-trip."""
+        """A stock ``WorkerClient`` over the loop: ping, an epoch
+        (digest-gated), and a blob round-trip on one connection."""
         handle = _spawn("async-worker")
         client = WorkerClient(
             transport_driver, handle.host, handle.port).connect()
@@ -89,7 +88,7 @@ class TestMuxEpochs:
 
     def _full_then_delta(self, driver, count):
         handle = _spawn("mux-worker")
-        mux = MuxEpochClient(driver, handle.host, handle.port).connect()
+        mux = WorkerClient(driver, handle.host, handle.port).connect()
         # Chains first: every channel's card table is marked on every
         # later heap write.
         pins = [driver.jvm.pin(
@@ -128,12 +127,12 @@ class TestMuxEpochs:
     def test_stale_channel_fails_alone_connection_survives(
             self, transport_driver):
         """Replaying an applied delta NACKs *that channel* as an
-        ``ok=false`` RESULT naming ``DeltaStaleError``; unlike the classic
-        protocol, the connection stays up — the same socket keeps serving
-        other channels and classic ops."""
+        ``ok=false`` RESULT naming ``DeltaStaleError``; unlike a failed
+        CALL op, the connection stays up — the same socket keeps serving
+        other channels and CALL ops."""
         driver = transport_driver
         handle = _spawn("nack-worker")
-        mux = MuxEpochClient(driver, handle.host, handle.port).connect()
+        mux = WorkerClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(24))
         pin = driver.jvm.pin(head)
         channel = DeltaSendChannel(driver, "nack-worker", channel_id=4242)
@@ -148,7 +147,7 @@ class TestMuxEpochs:
                 mux.send_epoch(delta, 4242, channel.epoch)
             assert excinfo.value.kind == "DeltaStaleError"
 
-            # Same connection, next breath: classic op and a fresh
+            # Same connection, next breath: a CALL op and a fresh
             # channel both still work.
             assert mux.call_op("ping")["worker"] == "nack-worker"
             other = DeltaSendChannel(driver, "nack-worker",
@@ -164,12 +163,12 @@ class TestMuxEpochs:
             driver.jvm.unpin(pin)
 
     def test_digest_false_rides_the_trailer_flag(self, transport_driver):
-        """``digest=False`` is honored over mux exactly as over a classic
-        connection: the worker skips the digest pass and the RESULT
-        carries no ``"digest"`` key."""
+        """``digest=False`` rides the MUX_TRAILER flags byte: the worker
+        skips the digest pass and the RESULT carries no ``"digest"``
+        key."""
         driver = transport_driver
         handle = _spawn("nodigest-worker")
-        mux = MuxEpochClient(driver, handle.host, handle.port).connect()
+        mux = WorkerClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(10))
         channel = DeltaSendChannel(driver, "nodigest-worker",
                                    channel_id=6001)
@@ -195,7 +194,7 @@ class TestMuxEpochs:
         any frame goes out, so the connection stays usable."""
         driver = transport_driver
         handle = _spawn("dup-worker")
-        mux = MuxEpochClient(driver, handle.host, handle.port).connect()
+        mux = WorkerClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(6))
         channel = DeltaSendChannel(driver, "dup-worker", channel_id=6002)
         try:
@@ -217,7 +216,7 @@ class TestMuxEpochs:
         ``BlockingIOError``."""
         driver = transport_driver
         handle = _spawn("blocking-worker")
-        mux = MuxEpochClient(driver, handle.host, handle.port).connect()
+        mux = WorkerClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(6))
         channel = DeltaSendChannel(driver, "blocking-worker",
                                    channel_id=6003)
@@ -242,7 +241,7 @@ class TestMuxEpochs:
             name="strict-mux-worker", classpath_factory=SAMPLE_FACTORY,
             strict_channels=True,
         ))
-        mux = MuxEpochClient(driver, handle.host, handle.port).connect()
+        mux = WorkerClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(6))
         channel = DeltaSendChannel(driver, "strict-mux-worker",
                                    channel_id=6004)
@@ -256,14 +255,43 @@ class TestMuxEpochs:
             handle.stop()
             channel.close()
 
+    def test_full_epoch_larger_than_the_high_water_mark_completes(
+            self, transport_driver):
+        """Every FULL rides an epoch stream, so one bigger than the
+        connection's byte mark must get through on the progress guard
+        (nothing is ready to apply until its trailer; only more reads
+        help) — and land whole."""
+        driver = transport_driver
+        spec = WorkerSpec(name="small-mark", classpath_factory=SAMPLE_FACTORY)
+        head = make_list(driver.jvm, range(6000))
+        pin = driver.jvm.pin(head)
+        with LocalAsyncWorker(spec, high_water_bytes=16 * 1024) as local:
+            client = WorkerClient(driver, local.host, local.port).connect()
+            channel = SocketGraphChannel(
+                driver, client, requested=DELTA_REQUEST, channel_id=5252,
+                destination="small-mark")
+            try:
+                receipt = channel.send([head], digest=True)
+                assert receipt.mode == "full"
+                assert receipt.wire_bytes > 8 * local.loop.high_water_bytes
+                assert receipt.digest == semantic_graph_digest(
+                    driver.jvm, [head])
+                assert read_list(
+                    local.loop.core.runtime.jvm, receipt.roots[0]
+                ) == list(range(6000))
+            finally:
+                channel.close()
+                client.close()
+                driver.jvm.unpin(pin)
+
     def test_exchange_channel_rides_mux_and_recovers_without_reconnect(
             self, transport_driver):
-        """``SocketGraphChannel`` over a ``MuxEpochClient``: FULL then
-        DELTA receipts as on a classic connection, and NACK recovery
-        resends forced-full *on the same socket* (no reconnect)."""
+        """``SocketGraphChannel`` over the client: FULL then DELTA
+        receipts, and NACK recovery resends forced-full *on the same
+        socket* (no reconnect)."""
         driver = transport_driver
         handle = _spawn("xchg-mux-worker")
-        mux = MuxEpochClient(driver, handle.host, handle.port).connect()
+        mux = WorkerClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(24))
         pin = driver.jvm.pin(head)
         channel = SocketGraphChannel(

@@ -5,7 +5,7 @@ Two properties the event loop must hold under hostile interleavings:
 * **order independence** — EPOCH/MUX_DATA/MUX_TRAILER frames from many
   channels spliced onto one connection in seeded-random order must
   reassemble to exactly the heaps a sequential, one-channel-at-a-time
-  classic sender produces (per-channel semantic digests agree three
+  sender produces (per-channel semantic digests agree three
   ways: shuffled receiver, sequential receiver, sender);
 * **bounded buffering** — a worker whose applier stalls must stop
   *reading* once the per-connection high-water mark is hit (real
@@ -22,12 +22,12 @@ import pytest
 from repro.delta.channel import DeltaSendChannel
 from repro.transport import (
     LocalAsyncWorker,
-    MuxEpochClient,
     WorkerClient,
     WorkerHandle,
     WorkerSpec,
     semantic_graph_digest,
 )
+from repro.transport import client as client_module
 from repro.transport.testing import SAMPLE_FACTORY
 
 from tests.conftest import make_list
@@ -37,11 +37,11 @@ NODES = 24
 
 
 def test_shuffled_interleave_matches_sequential_per_channel(
-        transport_driver):
+        transport_driver, monkeypatch):
     """One FULL round then three delta rounds, each spliced with a
-    different seed: for every channel and every round, the shuffled mux
-    receiver, a sequential classic receiver, and the sender agree on the
-    semantic digest."""
+    different seed: for every channel and every round, the shuffled
+    receiver, a sequential one-epoch-at-a-time receiver, and the sender
+    agree on the semantic digest."""
     driver = transport_driver
     shuffled = WorkerHandle.spawn(WorkerSpec(
         name="fuzz-shuffled", classpath_factory=SAMPLE_FACTORY,
@@ -51,10 +51,10 @@ def test_shuffled_interleave_matches_sequential_per_channel(
     ))
     # Tiny chunks: every channel's stream becomes many MUX_DATA frames,
     # so the shuffle actually interleaves mid-stream.
-    mux = MuxEpochClient(driver, shuffled.host, shuffled.port,
-                         chunk_bytes=96).connect()
-    classic = WorkerClient(driver, sequential.host,
-                           sequential.port).connect()
+    monkeypatch.setattr(client_module, "DEFAULT_MUX_CHUNK_BYTES", 96)
+    mux = WorkerClient(driver, shuffled.host, shuffled.port).connect()
+    one_by_one = WorkerClient(driver, sequential.host,
+                              sequential.port).connect()
     heads, pins, channels = [], [], []
     for i in range(CHANNELS):
         head = make_list(driver.jvm, range(i * 1000, i * 1000 + NODES))
@@ -82,7 +82,7 @@ def test_shuffled_interleave_matches_sequential_per_channel(
                     f"seed {seed}: shuffled digest diverged on "
                     f"channel {channel_id}"
                 )
-                seq = classic.send_epoch(frame, channel_id, epoch)
+                seq = one_by_one.send_epoch(frame, channel_id, epoch)
                 assert seq["digest"] == want[channel_id], (
                     f"seed {seed}: sequential digest diverged on "
                     f"channel {channel_id}"
@@ -92,7 +92,7 @@ def test_shuffled_interleave_matches_sequential_per_channel(
                 driver.jvm.set_field(head, "payload", value + 1)
     finally:
         mux.close()
-        classic.close()
+        one_by_one.close()
         shuffled.stop()
         sequential.stop()
         for channel in channels:
@@ -101,7 +101,8 @@ def test_shuffled_interleave_matches_sequential_per_channel(
             driver.jvm.unpin(pin)
 
 
-def test_stalled_applier_pauses_reads_then_drains(transport_driver):
+def test_stalled_applier_pauses_reads_then_drains(transport_driver,
+                                                  monkeypatch):
     """With heap application switched off, inbound mux bytes must stop at
     the connection's high-water mark — the loop deregisters the socket
     from READ instead of buffering without bound — and once application
@@ -115,9 +116,10 @@ def test_stalled_applier_pauses_reads_then_drains(transport_driver):
         # One chunk per stream: each channel's trailer lands right after
         # its data, so the ready queue fills (and the pause sticks) long
         # before the burst has been read.
-        mux = MuxEpochClient(driver, local.host, local.port,
-                             read_timeout=60.0,
-                             chunk_bytes=128 * 1024).connect()
+        monkeypatch.setattr(client_module, "DEFAULT_MUX_CHUNK_BYTES",
+                            128 * 1024)
+        mux = WorkerClient(driver, local.host, local.port,
+                           read_timeout=60.0).connect()
         heads, pins, channels, jobs = [], [], [], []
         want = {}
         for i in range(32):

@@ -2,10 +2,11 @@
 encoded frames go straight into a connection's decoder and the replies are
 read back out of its outbound buffer (``_update_interest`` no-ops without a
 selector).  Covers the stream-trailer cross-checks (total / chunk count /
-CRC) on both the classic DATA/TRAILER stream and the ``MUX_TRAILER`` path,
-their happy paths, and the mid-stream failures — each asserting the loop's
-failure contract: one ERROR frame naming the exception, the connection
-marked closing, nothing tracked on the heap."""
+CRC) on both the per-call DATA/TRAILER stream and the epoch stream's
+``MUX_TRAILER``, their happy paths, the mid-stream failures, and what v3
+took out of the protocol — each asserting the loop's failure contract: one
+ERROR frame naming the exception, the connection marked closing, nothing
+tracked on the heap."""
 
 import zlib
 
@@ -117,7 +118,7 @@ BAD_TRAILERS = pytest.mark.parametrize("trailer,expect", [
 
 
 # ---------------------------------------------------------------------------
-# classic stream: CALL, DATA*, TRAILER
+# per-call stream: CALL, DATA*, TRAILER
 # ---------------------------------------------------------------------------
 
 def test_classic_stream_happy_path(loop, conn):
@@ -146,15 +147,22 @@ def test_classic_stream_rejects_bad_trailers(loop, conn, trailer, expect):
     _assert_failed(loop, conn, "TransportClosed", expect)
 
 
-def test_classic_epoch_stream_rejects_a_bad_trailer(loop, conn):
-    """The EPOCH-headed classic stream shares the check: nothing reaches
-    the delta endpoint."""
+def test_epochs_are_not_a_call_op(loop, conn):
+    """``recv_epoch`` left the op tables with protocol v3: the CALL answers
+    the typed unknown-op error before any EPOCH header is looked at."""
+    assert "recv_epoch" not in {**loop._STREAM_OPS, **loop.core._OPS}
     _feed(loop, conn,
           _call("recv_epoch"),
-          (frames.EPOCH, frames.encode_epoch_header(CHANNEL, 1, 0)),
-          (frames.DATA, b"data"),
-          (frames.TRAILER, frames.encode_trailer(4, 0xBADBAD, 1)))
-    _assert_failed(loop, conn, "TransportClosed", "CRC mismatch")
+          (frames.EPOCH, frames.encode_epoch_header(CHANNEL, 1, 0)))
+    _assert_failed(loop, conn, "TransportError", "unknown op 'recv_epoch'")
+
+
+def test_a_v2_peer_fails_at_hello(loop, conn):
+    """A mixed pair never gets as far as an op one side no longer has."""
+    _feed(loop, conn, (frames.HELLO, frames.encode_hello(
+        "old-driver", {}, version=frames.PROTOCOL_VERSION - 1)))
+    _assert_failed(loop, conn, "TransportError",
+                   "protocol version mismatch: peer 'old-driver' speaks v2")
 
 
 def test_classic_stream_rejects_a_foreign_frame_mid_stream(loop, conn):
@@ -184,7 +192,7 @@ def test_stream_stalled_mid_op_times_out(loop, conn):
 
 
 # ---------------------------------------------------------------------------
-# multiplexed stream: EPOCH, MUX_DATA*, MUX_TRAILER
+# epoch stream: EPOCH, MUX_DATA*, MUX_TRAILER
 # ---------------------------------------------------------------------------
 
 def _mux_stream(data, total, crc, chunks, chunk_bytes=4096):
@@ -243,6 +251,18 @@ def test_mux_stream_rejects_out_of_protocol_frames(loop, conn, ftype,
           (frames.MUX_DATA, frames.encode_mux_data(CHANNEL, b"data")),
           (ftype, payload))
     _assert_failed(loop, conn, "TransportError", "protocol violation")
+
+
+def test_mux_trailer_without_its_flags_byte_is_corrupt(loop, conn):
+    """The flags byte is part of the trailer: a payload that stops short
+    of it is a short payload like any other."""
+    whole = frames.encode_mux_trailer(CHANNEL, 4, zlib.crc32(b"data"), 1)
+    _feed(loop, conn,
+          (frames.EPOCH, frames.encode_epoch_header(CHANNEL, 1, 0)),
+          (frames.MUX_DATA, frames.encode_mux_data(CHANNEL, b"data")),
+          (frames.MUX_TRAILER, whole[:-1]))
+    _assert_failed(loop, conn, "FrameCorruptionError",
+                   "malformed MUX_TRAILER payload")
 
 
 def test_mux_stream_peer_death_applies_nothing(loop, conn):

@@ -1,11 +1,12 @@
-"""The one client session under ``WorkerClient`` and ``MuxEpochClient``.
+"""``WorkerClient`` against a scripted server.
 
-A scripted server replays fixed transcripts — one scripted reply per frame
-the client sends — against both clients; whatever the session does with a
-transcript (succeed, or raise a typed error) must be identical for the two,
-message included.  Also here: the session's obs-source lifecycle, and
-``FrameConnection.pending_remote_error`` leaving the connection's read
-timeout as it found it."""
+The server replays fixed transcripts — one scripted reply per frame the
+client sends — and each transcript pins what the client does with it:
+succeed, or raise one typed error, message included.  Plain CALL ops
+first, then epoch streams (``ok=false``, an untagged RESULT, an ERROR in
+place of a RESULT, an ERROR and hang-up mid-write).  Also here: the
+client's obs-source lifecycle, and ``FrameConnection.pending_remote_error``
+leaving the connection's read timeout as it found it."""
 
 import socket
 import threading
@@ -13,9 +14,9 @@ import threading
 import pytest
 
 from repro import obs
+from repro.transport import client as client_module
 from repro.transport import (
     FrameConnection,
-    MuxEpochClient,
     RemoteWorkerError,
     TransportClosed,
     TransportTimeout,
@@ -34,6 +35,9 @@ ERROR = frames.encode_frame(
     frames.ERROR, frames.encode_error("Boom", "it broke"))
 WRONG = frames.encode_frame(frames.DATA, b"stray chunk")
 SILENCE = b""
+NACK = frames.encode_frame(frames.RESULT, frames.encode_json({
+    "op": "recv_epoch", "ok": False, "channel_id": 7, "epoch": 2,
+    "error_kind": "DeltaStaleError", "error": "retained epoch is 0"}))
 
 
 class ScriptedServer:
@@ -46,6 +50,11 @@ class ScriptedServer:
         self._replies = list(replies)
         self._hang_up = hang_up
         self._listener = socket.create_server(("127.0.0.1", 0))
+        # Inherited by the accepted socket: a client that writes on after
+        # the script has gone quiet fills the window and blocks, instead
+        # of parking megabytes in kernel buffers.
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
+                                  64 * 1024)
         self.port = self._listener.getsockname()[1]
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -69,20 +78,22 @@ class ScriptedServer:
         assert not self._thread.is_alive()
 
 
-def _run(client_cls, transport_driver, replies, hang_up=False):
-    """``connect()`` then one ``ping`` CALL against the transcript; returns
-    ``("ok", result, peer)`` or ``("raised", type, message)``."""
-    server = ScriptedServer(replies, hang_up)
-    client = client_cls(transport_driver, "127.0.0.1", server.port,
-                        read_timeout=READ_TIMEOUT)
-    try:
-        client.connect()
-        return "ok", client.call_op("ping", echo=7), client.peer_name
-    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
-        return "raised", type(exc), str(exc)
-    finally:
-        client.close()
-        server.close()
+@pytest.fixture
+def scripted(transport_driver):
+    """``scripted(replies, hang_up)`` -> a client (not yet connected) facing
+    a server that plays ``replies``; both are torn down after the test."""
+    opened = []
+
+    def make(replies, hang_up=False):
+        server = ScriptedServer(replies, hang_up)
+        client = WorkerClient(transport_driver, "127.0.0.1", server.port,
+                              read_timeout=READ_TIMEOUT)
+        opened.extend((client, server))
+        return client
+
+    yield make
+    for endpoint in opened:
+        endpoint.close()
 
 
 TRANSCRIPTS = {
@@ -118,17 +129,66 @@ TRANSCRIPTS = {
 
 
 @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
-def test_both_clients_read_a_transcript_identically(name, transport_driver):
+def test_both_clients_read_a_transcript_identically(name, scripted):
+    """``connect()`` then one ``ping`` CALL against the transcript."""
     replies, hang_up, expected = TRANSCRIPTS[name]
-    classic = _run(WorkerClient, transport_driver, replies, hang_up)
-    mux = _run(MuxEpochClient, transport_driver, replies, hang_up)
-    assert classic == mux == expected
+    client = scripted(replies, hang_up)
+    try:
+        outcome = ("ok", client.connect().call_op("ping", echo=7),
+                   client.peer_name)
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        outcome = "raised", type(exc), str(exc)
+    assert outcome == expected
 
 
-@pytest.mark.parametrize("client_cls", [WorkerClient, MuxEpochClient])
-def test_session_registers_its_obs_source_until_close(client_cls,
-                                                      transport_driver):
-    """Both clients' wall-clock ledgers show up in ``python -m repro.obs``
+# The handshake, then the two of a single-chunk epoch's three frames (EPOCH,
+# MUX_DATA, MUX_TRAILER) that draw no reply.
+EPOCH_SENT = [HELLO_ACK, SILENCE, SILENCE]
+
+
+def test_epoch_nack_is_typed_and_the_connection_lives(scripted):
+    """``ok=false`` raises the remote kind; the next op on the same
+    connection is answered."""
+    client = scripted([*EPOCH_SENT, NACK, RESULT]).connect()
+    conn = client._require_conn()
+    with pytest.raises(RemoteWorkerError) as excinfo:
+        client.send_epoch(b"\x02delta", 7, 2)
+    assert (excinfo.value.kind, excinfo.value.message) == (
+        "DeltaStaleError", "retained epoch is 0")
+    assert client.call_op("ping", echo=7) == {"op": "ping", "echo": 7}
+    assert client._require_conn() is conn
+
+
+def test_epoch_result_without_a_channel_id_cannot_be_demultiplexed(scripted):
+    client = scripted([*EPOCH_SENT, RESULT]).connect()
+    with pytest.raises(TransportClosed, match="carries no channel_id"):
+        client.send_epoch(b"\x01full", 7, 1)
+
+
+def test_error_in_place_of_an_epoch_result_is_raised_not_hung(scripted):
+    client = scripted([*EPOCH_SENT, ERROR]).connect()
+    with pytest.raises(RemoteWorkerError, match=r"\[Boom\]: it broke"):
+        client.send_epoch(b"\x01full", 7, 1)
+
+
+def test_error_then_hang_up_mid_write_raises_the_remote_error(
+        scripted, monkeypatch):
+    """The worker rejects the stream at its first chunk (bad CRC, say),
+    answers ERROR and closes while megabytes are still going out: the
+    write fails locally, and the worker's explanation wins over the
+    symptom."""
+    # One write for the whole stream, so the hang-up lands inside it and
+    # no between-writes poll can find the ERROR first.
+    monkeypatch.setattr(client_module, "MUX_FLUSH_BYTES", 1 << 30)
+    client = scripted([HELLO_ACK, SILENCE, ERROR], hang_up=True).connect()
+    with pytest.raises(RemoteWorkerError,
+                       match=r"\[Boom\]: it broke") as excinfo:
+        client.send_epoch(b"\x01" + bytes(8 * 1024 * 1024), 7, 1)
+    assert isinstance(excinfo.value.__cause__, TransportClosed)
+
+
+def test_session_registers_its_obs_source_until_close(transport_driver):
+    """The client's wall-clock ledger shows up in ``python -m repro.obs``
     snapshots while connected, and nothing outlives the connection."""
     server = ScriptedServer([HELLO_ACK])
 
@@ -137,8 +197,8 @@ def test_session_registers_its_obs_source_until_close(client_cls,
                 if name.startswith(
                     f"transport.src-probe->127.0.0.1:{server.port}#")]
 
-    client = client_cls(transport_driver, "127.0.0.1", server.port,
-                        node_name="src-probe")
+    client = WorkerClient(transport_driver, "127.0.0.1", server.port,
+                          node_name="src-probe")
     try:
         assert sources() == []
         client.connect()

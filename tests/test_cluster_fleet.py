@@ -9,7 +9,12 @@ coordinator never assigned (including the reserved id 0).
 
 import pytest
 
-from repro.cluster import ClusterConfigError, Fleet, PeerGoneError
+from repro.cluster import (
+    ClusterConfigError,
+    ClusterProtocolError,
+    Fleet,
+    PeerGoneError,
+)
 from repro.delta.channel import DeltaSendChannel
 from repro.exchange.capabilities import ChannelCapabilities
 from repro.policy import PolicyEngine
@@ -156,3 +161,31 @@ class TestStrictChannels:
         assert result["digest"] == semantic_graph_digest(
             transport_driver.jvm, [root])
         client.close()
+
+        # A fleet channel refused the same way raises the cluster's own
+        # type, and — the refusal being that channel's alone — sends its
+        # next admitted epoch on the connection it already had: no
+        # coordinator lookup, no redial.
+        fleet = Fleet.connect(transport_driver, harness.coordinator.host,
+                              harness.coordinator.port)
+        try:
+            channel = fleet.channel_to(worker)
+            admitted = channel.channel_id
+            assert channel.send([root]).mode == "full"
+            conn = channel.inner.client._require_conn()
+            rpcs = []
+            real_call = fleet.coordinator.call
+            fleet.coordinator.call = lambda op, **params: (
+                rpcs.append(op), real_call(op, **params))[1]
+            channel.inner.recover(channel.inner.client, channel_id=778)
+            with pytest.raises(ClusterProtocolError, match="never admitted"):
+                channel.send([root])
+            channel.inner.recover(channel.inner.client, channel_id=admitted)
+            receipt = channel.send([root], digest=True)
+            assert receipt.mode == "full"
+            assert receipt.digest == semantic_graph_digest(
+                transport_driver.jvm, [root])
+            assert channel.inner.client._require_conn() is conn
+            assert rpcs == []
+        finally:
+            fleet.close()

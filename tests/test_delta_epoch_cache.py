@@ -1,9 +1,9 @@
-"""Tests for the send-epoch cache (repro/delta/epoch_cache.py)."""
+"""Tests for the send-epoch record (repro/delta/epoch_cache.py)."""
 
 import pytest
 
 from repro.core.output_buffer import LOGICAL_BASE
-from repro.delta.epoch_cache import EpochCache, EpochRecord
+from repro.delta.epoch_cache import EpochRecord
 from repro.heap.layout import OBJECT_ALIGNMENT
 
 
@@ -23,10 +23,8 @@ def make_record(members, destination="dst", epoch=1):
 
 class TestRecordFullSend:
     def test_builds_mapping_from_cloned_triples(self):
-        cache = EpochCache()
         cloned = [(0x1000, 8, 24), (0x1040, 32, 30), (0x10A0, 64, 48)]
-        record = cache.record_full_send("dst", cloned, 2, 1)
-        assert cache.get("dst") is record
+        record = EpochRecord.from_full_send("dst", cloned, 2, 1)
         assert record.offset_of(0x1000) == 8
         assert record.offset_of(0x1040) == 32
         # Sizes are stored receiver-aligned.
@@ -35,23 +33,14 @@ class TestRecordFullSend:
         assert (record.minor_gcs, record.full_gcs) == (2, 1)
 
     def test_logical_end_past_last_clone(self):
-        cache = EpochCache()
-        record = cache.record_full_send("dst", [(0x1000, 8, 24)], 0, 0)
+        record = EpochRecord.from_full_send("dst", [(0x1000, 8, 24)], 0, 0)
         assert record.logical_end == 8 + 24
         assert record.total_bytes == 24
 
     def test_empty_send_ends_at_logical_base(self):
-        cache = EpochCache()
-        record = cache.record_full_send("dst", [], 0, 0)
+        record = EpochRecord.from_full_send("dst", [], 0, 0)
         assert record.logical_end == LOGICAL_BASE
         assert len(record) == 0
-
-    def test_invalidate(self):
-        cache = EpochCache()
-        cache.record_full_send("dst", [(0x1000, 8, 24)], 0, 0)
-        cache.invalidate("dst")
-        assert cache.get("dst") is None
-        cache.invalidate("never-recorded")  # no-op, no raise
 
 
 class TestMembersOverlapping:

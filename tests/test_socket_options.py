@@ -1,17 +1,15 @@
 """Transport socket options: every path that opens a TCP socket —
-classic frame connections (client, worker, coordinator, and peer sides
-all go through ``FrameConnection``), the async loop's accepted sockets,
-and the mux client — must set ``TCP_NODELAY``.  Delta epochs are small
-frames on the latency path; Nagle batching them behind an unacked
-segment would put a 40 ms floor under exactly the p99 the ledger's
-``mux_fanin`` workload measures."""
+frame connections (client, worker, coordinator, and peer sides all go
+through ``FrameConnection``) and the async loop's accepted sockets — must
+set ``TCP_NODELAY``.  Delta epochs are small frames on the latency path;
+Nagle batching them behind an unacked segment would put a 40 ms floor
+under exactly the p99 the ledger's ``mux_fanin`` workload measures."""
 
 import socket
 
 from repro.transport import (
     FrameConnection,
     LocalAsyncWorker,
-    MuxEpochClient,
     WorkerClient,
     WorkerSpec,
     connect_with_retry,
@@ -27,7 +25,7 @@ def test_every_transport_socket_sets_nodelay(transport_driver):
     spec = WorkerSpec(name="nodelay-worker",
                       classpath_factory=SAMPLE_FACTORY)
     with LocalAsyncWorker(spec) as local:
-        # The classic chokepoint: FrameConnection's constructor — the
+        # The chokepoint: FrameConnection's constructor — the
         # client, worker serve loop, coordinator RPC, and peer-transfer
         # sockets are all wrapped in one of these.
         conn = FrameConnection(connect_with_retry(local.host, local.port))
@@ -43,9 +41,3 @@ def test_every_transport_socket_sets_nodelay(transport_driver):
         assert local.loop._conns, "worker accepted no connection"
         assert all(_nodelay(c.sock) for c in local.loop._conns)
         client.close()
-
-        # And the mux client, over the same session.
-        mux = MuxEpochClient(
-            transport_driver, local.host, local.port).connect()
-        assert _nodelay(mux._require_conn().raw_socket)
-        mux.close()

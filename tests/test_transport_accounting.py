@@ -14,7 +14,7 @@ from repro.serial.java_serializer import JavaSerializer
 from repro.spark.context import SparkContext
 from repro.transport import WorkerClient
 
-from tests.conftest import make_list, sample_classpath
+from tests.conftest import sample_classpath
 
 
 def make_cluster(workers: int = 1) -> Cluster:
@@ -44,44 +44,6 @@ def test_cluster_transfer_routes_through_account_fetch():
     cluster.transfer(worker, worker, 50)  # self-fetch is a local read
     assert worker.local_bytes_fetched == 50
     assert worker.remote_bytes_fetched == 1000
-
-
-def test_socket_send_lands_in_node_counters(spawned_worker, transport_driver):
-    """A real-socket graph send accounts the framed stream bytes on the
-    given node, split by the client's local/remote designation."""
-    cluster = make_cluster()
-    node = cluster.workers[0]
-    client = WorkerClient(
-        transport_driver, spawned_worker.host, spawned_worker.port,
-        account_node=node,
-    ).connect()
-    try:
-        head = make_list(transport_driver.jvm, range(20))
-        _, data = client.send_graph([head])
-        assert node.remote_bytes_fetched == len(data)
-        assert node.local_bytes_fetched == 0
-
-        blob = b"x" * 4321
-        client.send_blob(blob)
-        assert node.remote_bytes_fetched == len(data) + len(blob)
-    finally:
-        client.close()
-
-
-def test_socket_send_can_account_as_local(spawned_worker, transport_driver):
-    cluster = make_cluster()
-    node = cluster.workers[0]
-    client = WorkerClient(
-        transport_driver, spawned_worker.host, spawned_worker.port,
-        account_node=node, account_remote=False,
-    ).connect()
-    try:
-        head = make_list(transport_driver.jvm, range(5))
-        _, data = client.send_graph([head])
-        assert node.local_bytes_fetched == len(data)
-        assert node.remote_bytes_fetched == 0
-    finally:
-        client.close()
 
 
 class _RecordingExchange(Exchange):

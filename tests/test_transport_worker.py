@@ -31,15 +31,14 @@ from repro.transport import (
     graph_digest,
 )
 from repro.transport.aserve import LocalAsyncWorker
-from repro.transport.client import MuxEpochClient
-from repro.transport.pipeline import DEFAULT_CHUNK_BYTES
+from repro.transport.client import DEFAULT_MUX_CHUNK_BYTES
 from repro.transport.testing import (
     SAMPLE_FACTORY,
     ring_edges,
     sample_worker_classpath,
 )
 
-from tests.conftest import make_date, make_list
+from tests.conftest import make_date, make_list, recording_connection
 
 
 def _connect(runtime, handle, **kwargs):
@@ -225,9 +224,10 @@ def test_retry_recovers_when_worker_returns(transport_driver):
 def test_writer_thread_only_under_a_traversal(transport_driver, monkeypatch):
     """A payload already in hand goes out inline, on the driver and on a
     worker's loop alike; only ``send_graph`` has a traversal for a writer
-    thread to overlap.  The frames are the pipeline's either way: CALL,
-    EPOCH, DATA cut at ``DEFAULT_CHUNK_BYTES``, TRAILER."""
-    started, wire = [], []
+    thread to overlap.  An epoch is a channel-tagged stream with no CALL:
+    EPOCH, MUX_DATA cut at ``DEFAULT_MUX_CHUNK_BYTES``, MUX_TRAILER."""
+    started = []
+    wire, recording = recording_connection()
     real_start = threading.Thread.start
 
     def counting_start(thread):
@@ -236,31 +236,26 @@ def test_writer_thread_only_under_a_traversal(transport_driver, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
 
-    class Recording(FrameConnection):
-        def send_frame(self, ftype, payload=b""):
-            wire.append((ftype, bytes(payload)))
-            super().send_frame(ftype, payload)
-
     head = make_list(transport_driver.jvm, range(4000))
     channel = DeltaSendChannel(transport_driver, "inline-a", channel_id=4101)
     frame = channel.send([head])
-    chunks = [frame[at:at + DEFAULT_CHUNK_BYTES]
-              for at in range(0, len(frame), DEFAULT_CHUNK_BYTES)]
+    chunks = [frame[at:at + DEFAULT_MUX_CHUNK_BYTES]
+              for at in range(0, len(frame), DEFAULT_MUX_CHUNK_BYTES)]
     assert len(chunks) > 1
     specs = [WorkerSpec(name=name, classpath_factory=SAMPLE_FACTORY)
              for name in ("inline-a", "inline-b")]
     with LocalAsyncWorker(specs[0]) as near, LocalAsyncWorker(specs[1]) as far:
-        client = _connect(transport_driver, near, connection_cls=Recording)
+        client = _connect(transport_driver, near, connection_cls=recording)
         try:
-            del wire[:]  # the HELLO
+            list(wire.frames())  # the HELLO
             client.send_epoch(frame, 4101, channel.epoch)
-            assert wire == [
-                (frames.CALL, frames.encode_json(
-                    {"op": "recv_epoch", "digest": True})),
+            assert list(wire.frames()) == [
                 (frames.EPOCH, frames.encode_epoch_header(4101, 1, frame[0])),
-                *[(frames.DATA, chunk) for chunk in chunks],
-                (frames.TRAILER, frames.encode_trailer(
-                    len(frame), zlib.crc32(frame), len(chunks))),
+                *[(frames.MUX_DATA, frames.encode_mux_data(4101, chunk))
+                  for chunk in chunks],
+                (frames.MUX_TRAILER, frames.encode_mux_trailer(
+                    4101, len(frame), zlib.crc32(frame),
+                    len(chunks), digest=True)),
             ]
             client.send_blob(b"b" * 100_000)
             client.put_blob("bucket", b"p" * 100_000)
@@ -271,11 +266,14 @@ def test_writer_thread_only_under_a_traversal(transport_driver, monkeypatch):
             client.send_graph([head])
             assert started.count("skyway-chunk-writer") == 1
 
-            # The worker refuses channel 0 at the EPOCH header, with the
-            # DATA chunks still going out: its ERROR is what surfaces.
+            # The worker refuses channel 0 at the EPOCH header and says so
+            # at the trailer, for that channel only: the connection lives.
+            conn = client._require_conn()
             with pytest.raises(RemoteWorkerError) as excinfo:
                 client.send_epoch(frame, 0, 1)
             assert excinfo.value.kind == "ClusterProtocolError"
+            assert client.ping(echo="still here")["echo"] == "still here"
+            assert client._require_conn() is conn
         finally:
             channel.close()
             client.close()
@@ -290,7 +288,10 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
 
     assert params(WorkerClient.send_epoch) == [
         "self", "frame_bytes", "channel_id", "epoch", "digest"]
-    assert params(MuxEpochClient.send_epoch) == params(WorkerClient.send_epoch)
+    assert params(WorkerClient.__init__) == [
+        "self", "runtime", "host", "port", "node_name", "connect_timeout",
+        "connect_attempts", "connect_backoff", "read_timeout", "metrics",
+        "connection_cls"]
     assert params(WorkerClient.send_blob) == ["self", "data"]
     assert params(WorkerClient.put_blob) == ["self", "key", "data"]
     assert params(SocketGraphChannel.__init__) == [
