@@ -5,10 +5,10 @@ per-worker clients and channels, and exposes the mesh as four verbs:
 
 ``channel_to(worker)``
     A capability-negotiated :class:`FleetChannel` — a
-    :class:`~repro.exchange.socket.SocketGraphChannel` whose channel id
-    came from the coordinator (admitted on the worker first, so strict
-    workers accept it) and whose failure handling is *fleet* policy, not
-    just wire policy (see below).
+    :class:`~repro.exchange.socket.SocketGraphChannel` subclass whose
+    channel id came from the coordinator (admitted on the worker first, so
+    strict workers accept it) and whose failure handling is *fleet* policy,
+    not just wire policy (see below).
 ``broadcast(roots)``
     The same epoch to every live worker, one channel each.  A dead worker
     does not fail the broadcast: survivors complete, and the dead peer is
@@ -64,29 +64,24 @@ def _retyped(exc: RemoteWorkerError, peer: str) -> Optional[Exception]:
     return None
 
 
-class FleetChannel:
+class FleetChannel(SocketGraphChannel):
     """One driver→worker graph channel with fleet-level failure policy."""
 
-    def __init__(self, fleet: "Fleet", worker: str,
-                 inner: SocketGraphChannel, generation: int) -> None:
+    def __init__(self, fleet: "Fleet", worker: str, client: WorkerClient,
+                 generation: int, requested: ChannelCapabilities,
+                 policy, channel_id: int) -> None:
+        super().__init__(fleet.runtime, client, requested=requested,
+                         policy=policy, channel_id=channel_id,
+                         destination=worker)
         self.fleet = fleet
         self.worker = worker
-        self.inner = inner
         self.generation = generation
         #: Forced-FULL resyncs taken after a worker restart (re-HELLO).
         self.resyncs = 0
 
-    @property
-    def channel_id(self) -> int:
-        return self.inner.channel_id
-
-    @property
-    def epoch(self) -> int:
-        return self.inner.epoch
-
     def send(self, roots: Sequence[int], **kwargs) -> SendReceipt:
         try:
-            return self.inner.send(roots, **kwargs)
+            return super().send(roots, **kwargs)
         except RemoteWorkerError as exc:
             typed = _retyped(exc, self.worker)
             if typed is not None:
@@ -112,7 +107,7 @@ class FleetChannel:
             client = fleet.client_to(self.worker)
             channel_id = fleet._alloc_channel(self.worker)
             client.admit_channel(channel_id)
-            self.inner.recover(client, channel_id)
+            self.recover(client, channel_id)
             self.generation = int(record["generation"])
             self.resyncs += 1
             with obs.span("cluster.resync", worker=self.worker,
@@ -120,8 +115,8 @@ class FleetChannel:
                 return self.send(roots, **kwargs)
         # Same incarnation: transient wire fault, one reconnect retry.
         try:
-            self.inner.client.close()
-            self.inner.client.connect()
+            self.client.close()
+            self.client.connect()
             return self.send(roots, **kwargs)
         except TransportError as exc:
             fleet.report_dead(self.worker, self.generation)
@@ -130,9 +125,6 @@ class FleetChannel:
                 f"coordinator still lists alive: {exc}",
                 generation=self.generation,
             ) from exc
-
-    def close(self) -> None:
-        self.inner.close()
 
 
 class Fleet:
@@ -269,29 +261,25 @@ class Fleet:
         else is a configuration error, not a silent reuse."""
         cached = self._channels.get(worker)
         if cached is not None:
-            inner = cached.inner
-            if requested != inner.requested:
+            if requested != cached.requested:
                 raise ClusterConfigError(
-                    f"channel to {worker!r} is open with {inner.requested}; "
+                    f"channel to {worker!r} is open with {cached.requested}; "
                     f"cannot reuse it for {requested}"
                 )
-            if policy is not None and policy is not inner.engine:
+            if policy is not None and policy is not cached.engine:
                 raise ClusterConfigError(
                     f"channel to {worker!r} is open under policy engine "
-                    f"{inner.engine!r}; cannot reuse it under {policy!r}"
+                    f"{cached.engine!r}; cannot reuse it under {policy!r}"
                 )
             return cached
         record = self.lookup(worker)
         client = self.client_to(worker)
         channel_id = self._alloc_channel(worker)
         client.admit_channel(channel_id)
-        inner = SocketGraphChannel(
-            self.runtime, client, requested=requested,
-            policy=policy if policy is not None else self.engine,
-            channel_id=channel_id, destination=worker,
+        channel = FleetChannel(
+            self, worker, client, int(record["generation"]), requested,
+            policy if policy is not None else self.engine, channel_id,
         )
-        channel = FleetChannel(self, worker, inner,
-                               int(record["generation"]))
         self._channels[worker] = channel
         return channel
 

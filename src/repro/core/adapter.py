@@ -9,24 +9,21 @@ so the Spark and Flink engines (and JSBS) can swap serializers by
 configuration, unchanged.
 
 The adapter holds no protocol logic of its own: writers are plain Skyway
-output streams, and *every* reader comes from
-:func:`repro.exchange.dispatch.open_reader`, which routes epoch frames and
-plain streams by the leading byte.  Epoch-based incremental transfer is
-not a serializer mode: it goes through ``SparkContext.send(root,
-policy=...)`` or an exchange :class:`~repro.exchange.channel.GraphChannel`.
+output streams, readers plain Skyway input streams.  Epoch-based
+incremental transfer is not a serializer mode: it goes through
+``SparkContext.send(root, policy=...)`` or an exchange
+:class:`~repro.exchange.channel.GraphChannel`, its frames are applied
+with :func:`repro.exchange.dispatch.receive_epoch`, and one handed to a
+serializer is a typed ``SkywayStreamError`` (unknown stream codec id).
 
 Both JVMs involved must have a :class:`~repro.core.runtime.SkywayRuntime`
 attached (sharing one driver registry) — the same cluster-wide setup the
 paper requires.
-
-The exchange-layer import happens lazily inside ``new_reader``: this
-module loads during ``repro.core`` package init, before
-:mod:`repro.exchange` (which imports back into ``repro.core``) can.
 """
 
 from __future__ import annotations
 
-from repro.core.streams import SkywayObjectOutputStream
+from repro.core.streams import SkywayObjectInputStream, SkywayObjectOutputStream
 from repro.jvm.jvm import JVM
 from repro.serial.base import (
     DeserializationStream,
@@ -62,9 +59,7 @@ class SkywaySerializer(Serializer):
         return SkywaySerializationStream(jvm, tid, self.compress_headers)
 
     def new_reader(self, jvm: JVM, data: bytes) -> DeserializationStream:
-        from repro.exchange.dispatch import open_reader
-
-        return open_reader(_runtime_of(jvm), data)
+        return SkywayDeserializationStream(jvm, data)
 
 
 class SkywaySerializationStream(SerializationStream):
@@ -92,3 +87,20 @@ class SkywaySerializationStream(SerializationStream):
     @property
     def bytes_written(self) -> int:
         return self._stream.bytes_written
+
+
+class SkywayDeserializationStream(DeserializationStream):
+    """Stateless reader over one plain Skyway stream frame."""
+
+    def __init__(self, jvm: JVM, data: bytes) -> None:
+        self._stream = SkywayObjectInputStream(_runtime_of(jvm))
+        self._stream.accept(data)
+
+    def read_object(self) -> int:
+        return self._stream.read_object()
+
+    def has_next(self) -> bool:
+        return self._stream.has_next()
+
+    def close(self) -> None:
+        self._stream.close()

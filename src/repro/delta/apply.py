@@ -11,6 +11,11 @@ the frame:
    object's tID is swapped back to the local klass word and every
    reference slot rewritten through the buffer's chunk arithmetic.
 
+A PATCH also fires the heap's mutation listeners — the same ``(address,
+nbytes)`` call the typed-write barrier makes — so a worker that relays a
+graph it received by DELTA frames the patched objects on its own outgoing
+channel; a heap with no delta tracker attached has no listeners to call.
+
 GC integration is the part §4.3 is explicit about — "update the card table
 appropriately to represent new pointers generated from each data
 transfer" — and it applies to *every* epoch, not just the first: patched
@@ -105,6 +110,12 @@ class DeltaApplier:
                         f"{expected}-byte object"
                     )
                 heap.write_bytes(address, record.payload)
+                # A PATCH is a mutation of this heap: fire the typed-write
+                # barrier's listeners, or a delta channel *out of* this
+                # heap (a relay) would see no dirty card and ship nothing.
+                # NEW objects need none: patched references reach them.
+                for listener in heap.mutation_listeners:
+                    listener(address, len(record.payload))
                 patched += 1
             else:  # pragma: no cover - parse_frame rejects unknown tags
                 raise DeltaWireError(f"unknown record tag {record.tag}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core.streams import SkywayObjectInputStream, SkywayObjectOutputStream
@@ -173,6 +173,23 @@ class DeltaSendChannel:
         """Drop a cached :meth:`plan_next` decision without executing it."""
         self._pending = None
 
+    def ship(self, roots: List[int], deliver: Callable[[bytes], Any],
+             plan: Optional[SendPlan] = None) -> Tuple[Any, List[bytes]]:
+        """Frame one epoch and hand it to ``deliver`` — the NACK protocol,
+        once, for every path an epoch can take.  A ``deliver`` that raises
+        :class:`DeltaStaleError` (the receiver retains nothing this frame
+        can patch) is answered by a forced-FULL reframe and one redelivery
+        on the same path; a second NACK, or any other failure, propagates.
+        Returns what ``deliver`` returned for the frame that landed, and
+        every frame shipped (two means a NACK was recovered)."""
+        frames = [self.send(roots, plan=plan)]
+        try:
+            return deliver(frames[0]), frames
+        except DeltaStaleError:
+            self.force_full_next()
+        frames.append(self.send(roots))
+        return deliver(frames[1]), frames
+
     def _send_inner(self, roots: List[int],
                     plan: Optional[SendPlan]) -> bytes:
         self.epoch += 1
@@ -283,8 +300,7 @@ class DeltaSendChannel:
             self.stats.wasted_encode_bytes += len(frame)
             return None, dataclasses.replace(
                 plan, mode="full", reason="encoded_overrun",
-                estimated_bytes=len(frame), streams=1,
-                compact_headers=False, byte_budget=None,
+                estimated_bytes=len(frame), streams=1, byte_budget=None,
             )
         record.merge_epoch(
             summary.new_members, summary.new_sizes, summary.logical_end,
@@ -312,10 +328,6 @@ class DeltaSendChannel:
             destination=f"delta:{self.channel_id}:{self.destination}",
             use_kernels=(self.use_kernels if plan.kernel is None
                          else plan.kernel),
-            # PATCH offsets address the uncompacted layout, so a compact
-            # FULL must never seed an epoch record — belt to the clamp's
-            # suspenders.
-            compress_headers=plan.compact_headers and not self.delta_enabled,
         )
         for root in roots:
             stream.write_object(root)

@@ -13,8 +13,10 @@ stack is::
                           └── managed heaps (repro.core / repro.heap)
 
 A :class:`GraphChannel` negotiates capabilities (kernel fast path, delta
-epochs, compact headers, parallel streams) against its substrate's offer
-and ships epochs; an :class:`Exchange` hands out channels, blob transfers
+epochs, parallel streams) against its substrate's offer and ships epochs
+through one send body — a substrate is only how a frame is delivered, and
+NACK recovery is :meth:`~repro.delta.channel.DeltaSendChannel.ship`'s on
+both; an :class:`Exchange` hands out channels, blob transfers
 and parallel sends for one cluster; :class:`ExchangeMetrics` merges the
 simulated breakdown, the delta ledger, and the measured transport counters
 into one JSON-exportable snapshot per channel.
@@ -27,7 +29,7 @@ from repro.exchange.capabilities import (
     SOCKET_OFFER,
 )
 from repro.exchange.channel import GraphChannel, SendReceipt
-from repro.exchange.dispatch import open_reader, receive_epoch
+from repro.exchange.dispatch import receive_epoch
 from repro.exchange.errors import (
     DeltaStaleError,
     ExchangeConfigError,
@@ -54,6 +56,5 @@ __all__ = [
     "SOCKET_OFFER",
     "SendReceipt",
     "SocketGraphChannel",
-    "open_reader",
     "receive_epoch",
 ]

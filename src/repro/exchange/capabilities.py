@@ -18,12 +18,6 @@ Capabilities:
     and a dirty card table, and frames DELTA epochs when the policy says
     they pay.  Offered by both substrates (the socket worker routes delta
     frames by channel id).
-``compact_headers``
-    The §5.2 compact transfer encoding.  Only the loopback substrate
-    offers it.  The grant is a *bound*, not a switch: per epoch,
-    :meth:`~repro.policy.plan.SendPlan.clamp` drops compact from any plan
-    on a delta-capable channel (PATCH offsets address the uncompacted
-    layout, so a compact FULL must never seed an epoch record).
 ``parallel_streams``
     Upper bound on concurrent streams a ``parallel-N`` plan (or a direct
     ``Exchange.parallel_send``) may use toward this destination.
@@ -45,14 +39,12 @@ class ChannelCapabilities:
 
     kernel: bool = True
     delta: bool = False
-    compact_headers: bool = False
     parallel_streams: int = 1
 
     def intersect(self, other: "ChannelCapabilities") -> "ChannelCapabilities":
         return ChannelCapabilities(
             kernel=self.kernel and other.kernel,
             delta=self.delta and other.delta,
-            compact_headers=self.compact_headers and other.compact_headers,
             parallel_streams=max(
                 1, min(self.parallel_streams, other.parallel_streams)
             ),
@@ -62,23 +54,21 @@ class ChannelCapabilities:
         return {
             "kernel": self.kernel,
             "delta": self.delta,
-            "compact_headers": self.compact_headers,
             "parallel_streams": self.parallel_streams,
         }
 
 
 #: What the in-process substrate can do.
 LOOPBACK_OFFER = ChannelCapabilities(
-    kernel=True, delta=True, compact_headers=True, parallel_streams=64,
+    kernel=True, delta=True, parallel_streams=64,
 )
 
-#: What the socket substrate can do (no compact: the worker's incremental
-#: decoder handles it, but the epoch wire path embeds plain full streams).
+#: What the socket substrate can do.
 SOCKET_OFFER = ChannelCapabilities(
-    kernel=True, delta=True, compact_headers=False, parallel_streams=16,
+    kernel=True, delta=True, parallel_streams=16,
 )
 
 #: The default request: every fast path on, sized for one stream.
 DEFAULT_REQUEST = ChannelCapabilities(
-    kernel=True, delta=True, compact_headers=False, parallel_streams=1,
+    kernel=True, delta=True, parallel_streams=1,
 )

@@ -1,30 +1,35 @@
 """The ``GraphChannel`` protocol: one stateful sender per destination.
 
 Every send mode in the repo — plain full streams, compiled-kernel clones,
-epoch deltas, compact headers — is a *capability* of one channel type, not
-a separate code path.  A channel is opened with requested capabilities,
-negotiates them against its substrate's offer, and its ``send(roots)``
-ships one epoch, returning a :class:`SendReceipt` that says what traveled
-(mode, bytes, receiver roots, digest) however it traveled.
+epoch deltas — is a *capability* of one channel type, not a separate code
+path.  A channel is opened with requested capabilities, negotiates them
+against its substrate's offer, and its ``send(roots)`` ships one epoch,
+returning a :class:`SendReceipt` that says what traveled (mode, bytes,
+receiver roots, digest) however it traveled.
 
-Both substrate implementations delegate the epoch protocol itself to
-:class:`~repro.delta.channel.DeltaSendChannel` — full-only channels are
-delta channels with the tracker disabled, so FULL framing, epoch numbering
-and channel-id routing stay one implementation across substrates (which is
-also what makes cross-substrate byte parity checkable at all).
+There is one send body, :meth:`GraphChannel._send_impl`, and a substrate
+is nothing but its ``_deliver(frame, digest)``.  The epoch protocol itself
+— framing, epoch numbering, channel-id routing and the NACK step — is
+:class:`~repro.delta.channel.DeltaSendChannel`'s (``ship``); full-only
+channels are delta channels with the tracker disabled, so it stays one
+implementation across substrates (which is also what makes
+cross-substrate byte parity checkable at all).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.core.runtime import SkywayRuntime
 from repro.delta.channel import ChannelStats, DeltaSendChannel
 from repro.exchange.capabilities import ChannelCapabilities
 from repro.exchange.errors import ExchangeError
 from repro.exchange.metrics import ExchangeMetrics
+from repro.heap.layout import HeapLayout
 from repro.policy import PolicyEngine, SendPlan
 from repro.simtime import Category
 
@@ -51,7 +56,7 @@ class SendReceipt:
     #: sockets; None on loopback).
     result: Optional[dict] = None
     #: The engine's (clamped) decision this send executed — mode, reason,
-    #: streams, digest/compact knobs and the signals that drove it.
+    #: streams, the digest knob and the signals that drove it.
     plan: Optional[SendPlan] = None
 
 
@@ -59,21 +64,27 @@ _obs_source_ids = itertools.count(1)
 
 
 class GraphChannel:
-    """Base of both substrate channels: negotiation + shared bookkeeping."""
+    """Base of both substrate channels: negotiation, the one send body,
+    shared bookkeeping.  A subclass adds how a frame is delivered."""
 
     substrate = "abstract"
 
     def __init__(
         self,
+        runtime: SkywayRuntime,
         destination: str,
         requested: ChannelCapabilities,
         offered: ChannelCapabilities,
+        policy=None,
+        channel_id: Optional[int] = None,
+        target_layout: Optional[HeapLayout] = None,
     ) -> None:
         # Negotiation grants the union of what both sides can do; whether
-        # a given epoch *uses* a capability (compact headers, kernels,
-        # parallel streams) is the policy plane's call — SendPlan.clamp()
-        # bounds each plan by these capabilities per epoch.
+        # a given epoch *uses* a capability (kernels, parallel streams) is
+        # the policy plane's call — SendPlan.clamp() bounds each plan by
+        # these capabilities per epoch.
         caps = requested.intersect(offered)
+        self.runtime = runtime
         self.destination = destination
         self.requested = requested
         self.offered = offered
@@ -82,9 +93,22 @@ class GraphChannel:
         self.wire_bytes = 0
         self.nack_recoveries = 0
         self._sim_totals: Dict[Category, float] = {}
-        self._channel: Optional[DeltaSendChannel] = None  # set by subclass
-        self._closed = False
-        #: Feed this channel's ExchangeMetrics into the obs registry;
+        #: The clocks whose charges land in this channel's sim breakdown
+        #: (a substrate that receives in-process appends the receiver's).
+        self._clocks = [runtime.jvm.clock]
+        self._channel = DeltaSendChannel(
+            runtime,
+            destination=destination,
+            policy=policy,
+            target_layout=target_layout,
+            channel_id=channel_id,
+            delta_enabled=caps.delta,
+            use_kernels=caps.kernel,
+            capabilities=caps,
+        )
+        self.closed = False
+        #: Feed this channel's ExchangeMetrics into the obs registry —
+        #: last, so a construction that raises registers nothing;
         #: deregistered on close() so no registry entry outlives the
         #: channel.
         self._obs_source = (
@@ -94,36 +118,86 @@ class GraphChannel:
         obs.registry().register_source(self._obs_source, self._obs_metrics)
 
     def _obs_metrics(self) -> Dict[str, object]:
-        if self._closed or self._channel is None:
+        if self.closed:
             return {"closed": True}
         return self.metrics().as_dict()
 
     # -- the protocol -------------------------------------------------------
 
-    def send(self, roots: Sequence[int], **kwargs) -> SendReceipt:
+    def send(self, roots: Sequence[int], digest: Optional[bool] = None,
+             plan: Optional[SendPlan] = None) -> SendReceipt:
+        """Ship one epoch carrying ``roots``.  ``digest=None`` lets the
+        executed plan decide; a ``plan`` from :meth:`plan_next` is
+        executed without re-deciding."""
         with obs.span("exchange.send", substrate=self.substrate,
                       destination=self.destination) as sp:
-            receipt = self._send_impl(roots, **kwargs)
+            receipt = self._send_impl(roots, digest, plan)
             sp.set(mode=receipt.mode, epoch=receipt.epoch,
                    wire_bytes=receipt.wire_bytes,
                    nack=receipt.nack_recovered)
         return receipt
 
-    def _send_impl(self, roots: Sequence[int], **kwargs) -> SendReceipt:
+    def _send_impl(self, roots: Sequence[int], digest: Optional[bool],
+                   plan: Optional[SendPlan]) -> SendReceipt:
+        channel = self._require_open()
+        roots = list(roots)
+        if not roots:
+            raise ExchangeError("send() needs at least one root")
+        snaps = [(clock, clock.snapshot()) for clock in self._clocks]
+
+        def deliver(frame: bytes):
+            executed = channel.last_plan
+            started = time.perf_counter()
+            delivered = self._deliver(
+                frame, bool(executed.digest) if digest is None else digest)
+            # Feed each frame that landed back into the engine's
+            # bandwidth EWMA: its bytes over its delivery seconds.
+            channel.engine.observe_transfer(
+                channel.channel_id, len(frame),
+                time.perf_counter() - started)
+            return delivered
+
+        # The phase labels the framing.  Delivery charges this clock
+        # nothing unlabelled: the simulated wire charges NETWORK by name,
+        # and an in-process receive runs under its own phase.
+        with self.runtime.jvm.clock.phase(Category.SERIALIZATION):
+            (received, receiver_digest, result), shipped = channel.ship(
+                roots, deliver, plan=plan)
+        for clock, snap in snaps:
+            self._note_sim(clock.since(snap))
+        executed = channel.last_plan
+        return self._account_send(SendReceipt(
+            mode=executed.mode,
+            reason=executed.reason,
+            epoch=channel.epoch,
+            wire_bytes=sum(map(len, shipped)),
+            frame=shipped[-1],
+            roots=tuple(received),
+            digest=receiver_digest,
+            nack_recovered=len(shipped) > 1,
+            result=result,
+            plan=executed,
+        ))
+
+    def _deliver(self, frame: bytes, digest: bool
+                 ) -> Tuple[Sequence[int], Optional[str], Optional[dict]]:
+        """Hand one framed epoch to the receiver: ``(receiver roots,
+        receiver digest when asked, the substrate's raw result)``.  A
+        stale receiver raises :class:`~repro.delta.channel.DeltaStaleError`
+        — the NACK ``DeltaSendChannel.ship`` recovers from."""
         raise NotImplementedError
 
     def close(self) -> None:
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
+        self.closed = True
         obs.registry().deregister_source(self._obs_source)
-        if self._channel is not None:
-            self._channel.close()
+        self._channel.close()
 
     # -- shared bookkeeping -------------------------------------------------
 
     def _require_open(self) -> DeltaSendChannel:
-        if self._closed or self._channel is None:
+        if self.closed:
             raise ExchangeError(
                 f"channel to {self.destination!r} is closed"
             )
@@ -207,10 +281,3 @@ class GraphChannel:
 
     def _transport_dict(self) -> Optional[Dict[str, object]]:
         return None
-
-
-def collect_roots(roots: Sequence[int]) -> List[int]:
-    out = list(roots)
-    if not out:
-        raise ExchangeError("send() needs at least one root")
-    return out

@@ -1,13 +1,11 @@
-"""Receiver-side dispatch: bytes in, heap roots out, one entry point.
+"""Receiver-side dispatch: epoch bytes in, heap roots out, one entry point.
 
-Every inbound payload in the repo is one of two shapes: a plain Skyway
-stream frame (stateless — decode, free when done) or an epoch frame
-(FULL/DELTA, ``0x10``/``0x11`` leading byte — stateful, routed by channel
-id through the runtime's :class:`~repro.delta.channel.DeltaReceiveEndpoint`
-which retains the buffer across epochs).  :func:`open_reader` sniffs the
-leading byte once, here, and returns the right
-:class:`~repro.serial.base.DeserializationStream`; nothing above this
-module inspects frame bytes.
+:func:`receive_epoch` applies one epoch frame (FULL/DELTA, ``0x10``/``0x11``
+leading byte — stateful, routed by channel id through the runtime's
+:class:`~repro.delta.channel.DeltaReceiveEndpoint`, which retains the
+buffer across epochs).  Plain Skyway stream frames are not this module's:
+:class:`~repro.core.adapter.SkywaySerializer` reads those itself, and an
+epoch frame handed to it is a typed ``SkywayStreamError``.
 
 Failure taxonomy: anything malformed (truncated frame, bit-flipped record,
 unparseable embedded stream) surfaces as
@@ -22,11 +20,8 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.runtime import SkywayRuntime
-from repro.core.streams import SkywayObjectInputStream
 from repro.delta.channel import DeltaReceiveEndpoint, DeltaStaleError
-from repro.delta.wire import is_delta_frame
 from repro.exchange.errors import ExchangeProtocolError
-from repro.serial.base import DeserializationStream, SerializationError
 
 
 def receive_epoch(runtime: SkywayRuntime, data: bytes) -> List[int]:
@@ -43,60 +38,3 @@ def receive_epoch(runtime: SkywayRuntime, data: bytes) -> List[int]:
         raise ExchangeProtocolError(
             f"cannot apply epoch frame ({type(exc).__name__}: {exc})"
         ) from exc
-
-
-def open_reader(runtime: SkywayRuntime, data: bytes) -> DeserializationStream:
-    """The one reader factory: epoch frames route through the runtime's
-    delta endpoint, plain Skyway streams through a stateless input
-    stream."""
-    if is_delta_frame(data):
-        return EpochDeserializationStream(runtime, data)
-    return PlainDeserializationStream(runtime, data)
-
-
-class PlainDeserializationStream(DeserializationStream):
-    """Stateless reader over one plain Skyway stream frame."""
-
-    def __init__(self, runtime: SkywayRuntime, data: bytes) -> None:
-        self._stream = SkywayObjectInputStream(runtime)
-        try:
-            self._stream.accept(data)
-        except ExchangeProtocolError:
-            raise
-        except Exception as exc:
-            raise ExchangeProtocolError(
-                f"cannot decode stream frame ({type(exc).__name__}: {exc})"
-            ) from exc
-
-    def read_object(self) -> int:
-        return self._stream.read_object()
-
-    def has_next(self) -> bool:
-        return self._stream.has_next()
-
-    def close(self) -> None:
-        self._stream.close()
-
-
-class EpochDeserializationStream(DeserializationStream):
-    """Reader over one epoch frame.  ``close()`` deliberately keeps the
-    input buffer alive: the retained buffer is *channel* state (the next
-    DELTA patches it in place); a later FULL frame on the same channel —
-    or releasing the channel — ends the retention."""
-
-    def __init__(self, runtime: SkywayRuntime, data: bytes) -> None:
-        self._roots = receive_epoch(runtime, data)
-        self._cursor = 0
-
-    def read_object(self) -> int:
-        if self._cursor >= len(self._roots):
-            raise SerializationError("no more objects in this epoch")
-        root = self._roots[self._cursor]
-        self._cursor += 1
-        return root
-
-    def has_next(self) -> bool:
-        return self._cursor < len(self._roots)
-
-    def close(self) -> None:
-        self._roots = []

@@ -129,6 +129,9 @@ class Exchange:
                 channel_id=channel_id,
                 destination=destination,
             )
+        # Forget what callers already closed: a long-lived exchange hands
+        # out channels per send and must not pin every one it ever opened.
+        self._channels = [c for c in self._channels if not c.closed]
         self._channels.append(channel)
         return channel
 

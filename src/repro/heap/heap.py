@@ -147,7 +147,8 @@ class ManagedHeap:
         #: subsystem registers one per tracked channel so mutations dirty a
         #: second card table.  Raw ``write_word``/``write_bytes`` (GC
         #: copying, receiver placement) deliberately bypass this barrier:
-        #: only *mutations through the typed field/element API* count.
+        #: only *mutations through the typed field/element API* count —
+        #: and a delta apply's in-place PATCH, which calls them itself.
         self.mutation_listeners: List[Callable[[int, int], None]] = []
         #: Allocation statistics.
         self.allocations = 0

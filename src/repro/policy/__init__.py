@@ -2,8 +2,8 @@
 
 One decision engine for every transfer-mode choice in the repo: full vs
 delta (§4.3's crossover), compiled-kernel vs interpreted traversal,
-single vs parallel streams (§4.2), digest and compact-header knobs.  Per
-channel per epoch, a :class:`PolicyEngine` turns live
+single vs parallel streams (§4.2), the digest knob.  Per channel per
+epoch, a :class:`PolicyEngine` turns live
 :class:`ChannelSignals` (card-table dirty fraction, measured wire
 bandwidth, chunk-queue wait, channel history) into a :class:`SendPlan`
 via a declarative :class:`DecisionTable`; capability negotiation clamps

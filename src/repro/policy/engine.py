@@ -96,7 +96,6 @@ class PolicyEngine:
             sp.set(
                 mode=plan.label, reason=plan.reason,
                 streams=plan.streams, digest=plan.digest,
-                compact=plan.compact_headers,
                 dirty_fraction=round(signals.dirty_fraction, 6),
                 byte_fraction_ewma=(
                     round(signals.byte_fraction_ewma, 6)

@@ -1,12 +1,10 @@
 """The :class:`SendPlan`: one decision, every knob, clamped by negotiation.
 
 A plan is what a policy *wants* for the next epoch — mode, stream count,
-digest, compact headers, the post-encode byte budget — and what every
-decision site consumes.  Nothing below the policy plane chooses a mode
-anymore: channels execute plans, and :meth:`SendPlan.clamp` is where
-capability negotiation bounds what the engine may choose (the old
-capability-composition rule, now a per-plan clamp instead of a second
-decision path).
+digest, the post-encode byte budget — and what every decision site
+consumes.  Nothing below the policy plane chooses a mode anymore:
+channels execute plans, and :meth:`SendPlan.clamp` is where
+capability negotiation bounds what the engine may choose.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ class SendPlan:
     kernel: Optional[bool] = None
     streams: int = 1
     digest: bool = False
-    compact_headers: bool = False
     byte_budget: Optional[float] = None
     mutation_rate: float = 0.0
     estimated_bytes: int = 0
@@ -56,9 +53,9 @@ class SendPlan:
 
     def clamp(self, caps) -> "SendPlan":
         """Bound this plan by a negotiated capability set (anything with
-        ``kernel`` / ``delta`` / ``compact_headers`` / ``parallel_streams``
-        attributes).  Negotiation *bounds* what the engine chose; it never
-        upgrades a plan."""
+        ``kernel`` / ``delta`` / ``parallel_streams`` attributes).
+        Negotiation *bounds* what the engine chose; it never upgrades a
+        plan."""
         clamped = []
         mode, reason, budget = self.mode, self.reason, self.byte_budget
         if mode == "delta" and not caps.delta:
@@ -73,13 +70,6 @@ class SendPlan:
             # The offer allows kernels; resolve "inherit" to the
             # negotiated value so the label is honest.
             kernel = True
-        compact = self.compact_headers
-        if compact and (not caps.compact_headers or caps.delta):
-            # PATCH records address the uncompacted buffer layout: a
-            # delta-capable channel must never cache a compact FULL as
-            # its epoch record, so the two capabilities do not compose.
-            compact = False
-            clamped.append("compact_headers")
         streams = self.streams
         limit = max(1, caps.parallel_streams) if mode == "full" else 1
         if streams > limit:
@@ -89,7 +79,7 @@ class SendPlan:
             return self
         return dataclasses.replace(
             self, mode=mode, reason=reason, kernel=kernel,
-            compact_headers=compact, streams=streams, byte_budget=budget,
+            streams=streams, byte_budget=budget,
             clamped=self.clamped + tuple(clamped),
         )
 
@@ -102,7 +92,6 @@ class SendPlan:
             "kernel": self.kernel,
             "streams": self.streams,
             "digest": self.digest,
-            "compact_headers": self.compact_headers,
             "byte_budget": self.byte_budget,
             "mutation_rate": self.mutation_rate,
             "estimated_bytes": self.estimated_bytes,

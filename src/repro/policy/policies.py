@@ -82,11 +82,9 @@ def _bare_full(_signals: ChannelSignals) -> SendPlan:
 
 
 def _measured_full(signals: ChannelSignals, streams: int = 1,
-                   digest: bool = False,
-                   compact: bool = False) -> SendPlan:
+                   digest: bool = False) -> SendPlan:
     return SendPlan(
         mode="full", streams=streams, digest=digest,
-        compact_headers=compact,
         mutation_rate=signals.dirty_fraction,
         estimated_bytes=signals.estimated_delta_bytes,
     )
@@ -123,16 +121,14 @@ def guard_rules(first_epoch_digest: bool = False) -> List[Rule]:
 class AlwaysFull(DecisionTable):
     """Static corner: every epoch FULL, optionally over N streams."""
 
-    def __init__(self, streams: int = 1, digest: bool = False,
-                 compact_headers: bool = False) -> None:
+    def __init__(self, streams: int = 1, digest: bool = False) -> None:
         self.streams = max(1, int(streams))
         name = "always_full" if self.streams == 1 \
             else f"always_full[{self.streams}]"
         super().__init__(name, guard_rules() + [
             Rule("static_full", lambda s: True,
                  lambda s: _measured_full(
-                     s, streams=self.streams, digest=digest,
-                     compact=compact_headers)),
+                     s, streams=self.streams, digest=digest)),
         ])
 
 

@@ -7,9 +7,10 @@ BYE — and the three ways bytes move over it: plain CALL/RESULT ops; one
 data-bearing op at a time (a graph traversal streams through the chunk
 pipeline's writer thread, a blob already in hand goes out inline); and
 channel-tagged epoch streams, any number interleaved
-(:meth:`WorkerClient.send_epochs`).  Every mid-stream failure is converted
-into the typed error taxonomy, the worker's ERROR frame preferred over the
-local symptom.
+(:meth:`WorkerClient.send_epochs`; :meth:`~WorkerClient.deliver_epoch` is
+the one-epoch form ``DeltaSendChannel.ship`` recovers NACKs through).
+Every mid-stream failure is converted into the typed error taxonomy, the
+worker's ERROR frame preferred over the local symptom.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Dict, List, Optional, Tuple, Type
 from repro import obs
 from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectOutputStream
+from repro.delta.channel import DeltaStaleError
 from repro.transport import frames, registry_sync
 from repro.transport.bootstrap import ProcessHandle
 from repro.transport.connection import (
@@ -517,25 +519,18 @@ class WorkerClient:
         result.setdefault("latency_s", outcome["latency_s"])
         return result
 
-    def send_epoch_recovering(self, channel, frame: bytes, reframe,
-                              digest: bool = True
-                              ) -> Tuple[dict, List[bytes]]:
-        """:meth:`send_epoch` for a ``DeltaSendChannel``, plus the NACK
-        protocol: a stale receiver's ``DeltaStaleError`` is answered by a
-        forced-FULL ``reframe()`` and one resend on the same connection.
-        Returns the RESULT and every frame shipped (the last is the one
-        applied; two means a NACK was recovered)."""
-        shipped = [frame]
+    def deliver_epoch(self, frame_bytes: bytes, channel_id: int,
+                      epoch: int, digest: bool = True) -> dict:
+        """:meth:`send_epoch` as a ``DeltaSendChannel.ship`` delivery: the
+        NACK comes back as its type, :class:`DeltaStaleError`, which is
+        what ``ship`` answers with a forced-FULL resend on this same
+        connection.  Every other failure keeps ``send_epoch``'s form."""
         try:
-            return self.send_epoch(frame, channel.channel_id, channel.epoch,
-                                   digest), shipped
+            return self.send_epoch(frame_bytes, channel_id, epoch, digest)
         except RemoteWorkerError as exc:
             if exc.kind != "DeltaStaleError":
                 raise
-        channel.force_full_next()
-        shipped.append(reframe())
-        return self.send_epoch(shipped[-1], channel.channel_id,
-                               channel.epoch, digest), shipped
+            raise DeltaStaleError(exc.message) from exc
 
 
 class GraphSendStream:

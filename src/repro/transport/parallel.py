@@ -12,8 +12,8 @@ after delivered to a remote node").
 Concurrency model: graph traversal is deterministic and runs on the
 caller thread, interleaving roots round-robin across the streams; each
 stream's chunk pipeline has its own writer thread pushing DATA frames, and
-the worker serves each connection on its own thread with placement
-serialized per chunk.  So stream i's traversal overlaps every stream's
+the worker's one event loop places whichever connection's chunk arrived,
+one chunk at a time.  So stream i's traversal overlaps every stream's
 socket I/O and the worker's placement of streams j != i — the wall-clock
 win — while the byte content of each stream stays a pure function of its
 root shard (the determinism the benchmark's digest-parity check relies

@@ -53,8 +53,11 @@ kind), MUX_DATA chunks carry the delta-wire frame — and
 :meth:`WorkerServer.complete_recv_epoch` routes it through the runtime's
 :class:`~repro.delta.channel.DeltaReceiveEndpoint`.  A stale delta (worker
 restarted, state dropped, epoch gap) answers ``ok=false`` naming
-``DeltaStaleError`` — the cross-process NACK the sender reacts to by
-forcing its next epoch full.
+``DeltaStaleError`` — the cross-process NACK the sender's
+``DeltaSendChannel.ship`` answers with a forced-FULL resend.  Peer mode
+(``send_peer``) is the same ``ship`` from this side: the worker keeps a
+``DeltaSendChannel`` per (peer, channel id) and delivers through its own
+:class:`~repro.transport.client.WorkerClient`.
 """
 
 from __future__ import annotations
@@ -367,9 +370,10 @@ class WorkerServer:
     def _op_send_peer(self, call: dict) -> dict:
         """Peer mode: clone a graph rooted on *this* heap straight into
         another worker — the shuffle route that never bounces through the
-        driver.  The state lock covers heap reads (digest + framing) but
-        not the wire, so two workers mid-exchange in both directions can
-        never deadlock on each other's receive paths."""
+        driver.  The state lock is held across the whole
+        :meth:`~repro.delta.channel.DeltaSendChannel.ship` (digest,
+        framing, wire, and a NACK's reframe): the loop is this worker's
+        only thread, so there is nothing to let in between."""
         peer = call.get("peer", "?")
         host = call.get("peer_host", "127.0.0.1")
         port = int(call.get("peer_port", 0))
@@ -399,24 +403,19 @@ class WorkerServer:
                     sender_digest = semantic_graph_digest(
                         self.runtime.jvm, roots
                     )
-                frame = channel.send(roots)
-
-            def reframe() -> bytes:
-                with self._state_lock:
-                    return channel.send(roots)
-
-            try:
-                # A peer that dropped its channel state (restart, full GC)
-                # NACKs; same recovery as the driver-side channel.
-                result, shipped = client.send_epoch_recovering(
-                    channel, frame, reframe)
-            except RemoteWorkerError:
-                raise  # the peer spoke: a typed op failure, not death
-            except TransportError as exc:
-                self._drop_peer(peer)
-                raise PeerGoneError(
-                    peer, f"peer send failed mid-transfer: {exc}"
-                ) from exc
+                try:
+                    # A peer that dropped its channel state (restart, full
+                    # GC) NACKs; same recovery as the driver-side channel.
+                    result, shipped = channel.ship(
+                        roots, lambda frame: client.deliver_epoch(
+                            frame, channel.channel_id, channel.epoch))
+                except RemoteWorkerError:
+                    raise  # the peer spoke: a typed op failure, not death
+                except TransportError as exc:
+                    self._drop_peer(peer)
+                    raise PeerGoneError(
+                        peer, f"peer send failed mid-transfer: {exc}"
+                    ) from exc
             frame, nack = shipped[-1], len(shipped) > 1
             mode = channel.last_plan.mode
             sp.set(mode=mode, epoch=channel.epoch, nack=nack)

@@ -172,20 +172,20 @@ class TestStrictChannels:
             channel = fleet.channel_to(worker)
             admitted = channel.channel_id
             assert channel.send([root]).mode == "full"
-            conn = channel.inner.client._require_conn()
+            conn = channel.client._require_conn()
             rpcs = []
             real_call = fleet.coordinator.call
             fleet.coordinator.call = lambda op, **params: (
                 rpcs.append(op), real_call(op, **params))[1]
-            channel.inner.recover(channel.inner.client, channel_id=778)
+            channel.recover(channel.client, channel_id=778)
             with pytest.raises(ClusterProtocolError, match="never admitted"):
                 channel.send([root])
-            channel.inner.recover(channel.inner.client, channel_id=admitted)
+            channel.recover(channel.client, channel_id=admitted)
             receipt = channel.send([root], digest=True)
             assert receipt.mode == "full"
             assert receipt.digest == semantic_graph_digest(
                 transport_driver.jvm, [root])
-            assert channel.inner.client._require_conn() is conn
+            assert channel.client._require_conn() is conn
             assert rpcs == []
         finally:
             fleet.close()

@@ -162,6 +162,64 @@ class TestStaleness:
         assert endpoint.state_of(channel.channel_id) is None
 
 
+class TestShip:
+    """``ship`` is the NACK protocol: frame, deliver, and on a
+    ``DeltaStaleError`` one forced-FULL reframe and redelivery."""
+
+    @staticmethod
+    def scripted(endpoint, failures):
+        """A ``deliver`` that raises ``failures`` in order before applying
+        for real, and the frames it was handed."""
+        failures = list(failures)
+        seen = []
+
+        def deliver(frame):
+            seen.append(frame)
+            if failures:
+                raise failures.pop(0)
+            return endpoint.receive(frame)
+
+        return deliver, seen
+
+    def test_one_nack_reframes_forced_full(self, pair):
+        src, dst = pair
+        channel, endpoint, head, roots = fresh_session(src, dst)
+        src.set_field(head.address, "payload", 3)
+        deliver, seen = self.scripted(endpoint, [DeltaStaleError("stale")])
+        delivered, frames = channel.ship([head.address], deliver)
+        assert frames == seen and len(frames) == 2
+        assert isinstance(parse_frame(frames[0]), DeltaFrame)
+        assert isinstance(parse_frame(frames[1]), FullFrame)
+        assert channel.last_plan.reason == "forced"
+        assert read_list(dst, delivered[0])[0] == 3
+        # The latch was consumed: the channel deltas again.
+        src.set_field(head.address, "payload", 4)
+        delivered, frames = channel.ship([head.address], deliver)
+        assert len(frames) == 1 and channel.last_plan.mode == "delta"
+        assert read_list(dst, delivered[0])[0] == 4
+
+    def test_second_nack_propagates(self, pair):
+        src, dst = pair
+        channel, endpoint, head, roots = fresh_session(src, dst)
+        src.set_field(head.address, "payload", 3)
+        deliver, seen = self.scripted(
+            endpoint, [DeltaStaleError("first"), DeltaStaleError("second")])
+        with pytest.raises(DeltaStaleError, match="second"):
+            channel.ship([head.address], deliver)
+        assert len(seen) == 2  # one retry, no loop
+
+    def test_other_failures_propagate_untouched(self, pair):
+        src, dst = pair
+        channel, endpoint, head, roots = fresh_session(src, dst)
+        src.set_field(head.address, "payload", 3)
+        deliver, seen = self.scripted(
+            endpoint, [ConnectionError("wire died")])
+        with pytest.raises(ConnectionError, match="wire died"):
+            channel.ship([head.address], deliver)
+        assert len(seen) == 1
+        assert not channel._force_full  # the latch is a NACK's, only
+
+
 class TestMultiChannel:
     def test_two_channels_one_heap_independent_epochs(self, pair):
         src, dst = pair

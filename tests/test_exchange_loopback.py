@@ -1,6 +1,7 @@
 """The exchange layer on its in-process substrate: capability negotiation,
 full→delta epochs with receiver-value checks, the unified metrics snapshot,
-in-process NACK recovery, and unbound frames read through the serializer."""
+in-process NACK recovery, unbound frames applied with ``receive_epoch``, and
+the exchange's closed-channel bookkeeping."""
 
 import json
 
@@ -8,17 +9,19 @@ import pytest
 
 from repro.core.adapter import SkywaySerializer
 from repro.core.runtime import attach_skyway
+from repro.core.streams import SkywayStreamError
 from repro.exchange import (
     ChannelCapabilities,
     Exchange,
     ExchangeConfigError,
     ExchangeError,
-    LOOPBACK_OFFER,
     LoopbackGraphChannel,
     SOCKET_OFFER,
+    receive_epoch,
 )
 from repro.jvm.jvm import JVM
 from repro.net.cluster import Cluster
+from repro.spark.context import SparkContext
 
 from tests.conftest import make_list, read_list, sample_classpath
 
@@ -35,34 +38,13 @@ def make_cluster(workers: int = 1) -> Cluster:
 class TestCapabilities:
     def test_intersect_ands_booleans_and_clamps_streams(self):
         requested = ChannelCapabilities(kernel=True, delta=True,
-                                        compact_headers=True,
                                         parallel_streams=8)
         granted = requested.intersect(SOCKET_OFFER)
         assert granted.kernel and granted.delta
-        assert not granted.compact_headers  # socket never offers it
         assert granted.parallel_streams == 8
         assert requested.intersect(
             ChannelCapabilities(parallel_streams=0)
         ).parallel_streams == 1
-
-    def test_delta_wins_over_compact_headers(self):
-        # Both granted by the loopback offer, but PATCH records address
-        # the uncompacted layout: the grant keeps both, and the per-epoch
-        # plan clamp drops compact — delta wins where it matters.
-        cluster = make_cluster()
-        channel = Exchange.loopback(cluster).channel_to(
-            cluster.workers[0].name,
-            requested=ChannelCapabilities(kernel=True, delta=True,
-                                          compact_headers=True),
-        )
-        assert channel.capabilities.delta
-        assert channel.capabilities.compact_headers  # the grant survives
-        assert LOOPBACK_OFFER.compact_headers  # the offer did include it
-        head = make_list(cluster.driver.jvm, range(10))
-        receipt = channel.send([head])
-        assert receipt.plan is not None
-        assert not receipt.plan.compact_headers
-        assert receipt.mode == "full"
 
     def test_declining_delta_forces_full_epochs(self):
         cluster = make_cluster()
@@ -130,22 +112,25 @@ class TestLoopbackEpochs:
 
     def test_unbound_frames_read_through_the_serializer(self):
         """An unbound channel only frames epochs; whoever moves the bytes
-        reads them with the plain serializer, which routes epoch frames
-        to the runtime's delta endpoint: the DELTA patches in place."""
+        applies them with ``receive_epoch``, which routes them to the
+        runtime's delta endpoint: the DELTA patches in place.  The plain
+        serializer is not an epoch reader — it refuses one, typed."""
         cluster = make_cluster()
         driver, worker = cluster.driver.jvm, cluster.workers[0].jvm
         channel = LoopbackGraphChannel(driver.skyway, destination="nowhere")
-        reader = SkywaySerializer()
         head = make_list(driver, range(50))
         first = channel.send([head])
-        remote = reader.deserialize(worker, first.frame)
+        [remote] = receive_epoch(worker.skyway, first.frame)
         assert read_list(worker, remote) == list(range(50))
         driver.set_field(head, "payload", 99)
         second = channel.send([head])
         assert second.mode == "delta"
         assert second.wire_bytes < first.wire_bytes / 5
-        assert reader.deserialize(worker, second.frame) == remote
+        assert receive_epoch(worker.skyway, second.frame) == [remote]
         assert read_list(worker, remote)[0] == 99
+        for frame in (first.frame, second.frame):
+            with pytest.raises(SkywayStreamError, match="codec id"):
+                SkywaySerializer().deserialize(worker, frame)
         channel.close()
 
 
@@ -204,6 +189,20 @@ class TestExchangeMetrics:
         assert d["transport"] is None  # no wire on this substrate
         assert d["breakdown"]["serialization"] > 0
         assert json.loads(snap.to_json()) == d
+
+    def test_exchange_forgets_closed_channels(self):
+        """Five ``sc.send(...).push(); .close()`` rounds on two workers
+        used to leave ten closed channels pinned in the exchange: closed
+        channels are dropped when the next one is opened."""
+        cluster = make_cluster(workers=2)
+        sc = SparkContext(cluster, SkywaySerializer())
+        head = make_list(cluster.driver.jvm, range(8))
+        for _ in range(5):
+            send = sc.send(head)
+            send.push()
+            assert [c.closed for c in sc.exchange._channels] == [False] * 2
+            send.close()
+        assert len(sc.exchange._channels) == 2
 
     def test_exchange_transfer_blob_rides_the_simulated_wire(self):
         cluster = make_cluster()

@@ -1,20 +1,28 @@
-"""The exchange layer on its socket substrate, against live worker
-processes: cross-substrate frame/digest parity, the worker-restart NACK
-recovery, the typed staleness error on a replayed epoch, and
-``Exchange.parallel_send`` with merged wire metrics."""
+"""The exchange layer on its socket substrate, against live workers:
+cross-substrate frame/digest/NACK parity, a refused construction leaving
+nothing behind, the worker-restart NACK recovery, the typed staleness error
+on a replayed epoch, and ``Exchange.parallel_send`` with merged wire
+metrics."""
 
 import pytest
 
+from repro import obs
 from repro.exchange import (
     ChannelCapabilities,
     Exchange,
+    ExchangeConfigError,
     LoopbackGraphChannel,
     SocketGraphChannel,
 )
 from repro.core.runtime import SkywayRuntime
 from repro.jvm.jvm import JVM
 from repro.net.cluster import Cluster
-from repro.transport import WorkerClient, WorkerHandle, WorkerSpec
+from repro.transport import (
+    LocalAsyncWorker,
+    WorkerClient,
+    WorkerHandle,
+    WorkerSpec,
+)
 from repro.transport.errors import RemoteWorkerError
 from repro.transport.testing import SAMPLE_FACTORY, sample_worker_classpath
 
@@ -29,19 +37,20 @@ def _loopback_receiver(driver, tag):
     return SkywayRuntime(jvm, driver.driver_registry, is_driver=False)
 
 
-def test_frame_and_digest_parity_across_substrates(
-    spawned_worker, transport_driver
-):
+def test_frame_and_digest_parity_across_substrates(transport_driver):
     """With pinned channel ids and one sender heap, the loopback and
     socket channels must frame byte-identical epochs and their receivers
     must agree digest-wise — on a delta pair (FULL then DELTA) and on a
-    full-only pair — and the low-mutation DELTA must undercut the FULL."""
+    full-only pair — the low-mutation DELTA must undercut the FULL, and a
+    forced NACK (both receivers compact their old generation) must recover
+    the same way on both.  The worker runs in-thread so the test can reach
+    its heap; the protocol still crosses a real socket."""
     driver = transport_driver
     head = make_list(driver.jvm, range(30))
     pin = driver.jvm.pin(head)
-    client = WorkerClient(
-        driver, spawned_worker.host, spawned_worker.port,
-    ).connect()
+    local = LocalAsyncWorker(WorkerSpec(
+        name="parity-worker", classpath_factory=SAMPLE_FACTORY)).start()
+    client = WorkerClient(driver, local.host, local.port).connect()
     receiver = _loopback_receiver(driver, "a")
     pairs = {
         name: (
@@ -64,6 +73,8 @@ def test_frame_and_digest_parity_across_substrates(
             assert on_loop.mode == on_sock.mode == modes[name]
             assert on_loop.frame == on_sock.frame
             assert on_loop.digest == on_sock.digest is not None
+            for field in ("reason", "nack_recovered", "wire_bytes"):
+                assert getattr(on_loop, field) == getattr(on_sock, field)
             receipts[name] = on_loop
         assert receipts["delta"].digest == receipts["full"].digest
         return receipts
@@ -75,6 +86,19 @@ def test_frame_and_digest_parity_across_substrates(
         assert second["delta"].digest != first["delta"].digest
         assert len(second["delta"].frame) < len(second["full"].frame)
 
+        # Compaction voids what each receiver retained: the next DELTA is
+        # stale on both, and one send() recovers with a forced FULL.
+        driver.jvm.set_field(head, "payload", 777)
+        receiver.jvm.gc.full()
+        worker = local.loop.core
+        with worker._state_lock:
+            worker.runtime.jvm.gc.full()
+        third = epoch({"delta": "full", "full": "full"})
+        assert third["delta"].nack_recovered
+        assert third["delta"].reason == "forced"
+        assert third["delta"].wire_bytes > len(third["delta"].frame)
+        assert not third["full"].nack_recovered
+
         socket_metrics = pairs["delta"][1].metrics().as_dict()
         assert socket_metrics["substrate"] == "socket"
         assert socket_metrics["transport"] is not None  # wire counters
@@ -83,7 +107,20 @@ def test_frame_and_digest_parity_across_substrates(
             loop.close()
             sock.close()
         client.close()
+        local.stop()
         driver.jvm.unpin(pin)
+
+
+def test_rejected_construction_registers_no_obs_source(transport_driver):
+    """A client speaking for another runtime is refused before the channel
+    registers anything: no ``exchange.socket.*`` source (and no half-built
+    channel pinned by it) outlives the ``ExchangeConfigError``."""
+    other = _loopback_receiver(transport_driver, "mismatch")
+    client = WorkerClient(other, "127.0.0.1", 1)  # never connected
+    before = obs.registry().source_names()
+    with pytest.raises(ExchangeConfigError, match="speaks for runtime"):
+        SocketGraphChannel(transport_driver, client, destination="refused")
+    assert obs.registry().source_names() == before
 
 
 def test_worker_restart_converges_through_forced_full(transport_driver):

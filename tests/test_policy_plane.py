@@ -128,18 +128,6 @@ class TestCapabilityClamp:
         clamped = plan.clamp(ChannelCapabilities(kernel=False))
         assert clamped.kernel is False and "kernel" in clamped.clamped
 
-    def test_compact_headers_never_compose_with_delta(self):
-        plan = SendPlan(mode="full", compact_headers=True)
-        caps = ChannelCapabilities(
-            kernel=True, delta=True, compact_headers=True)
-        clamped = plan.clamp(caps)
-        assert not clamped.compact_headers
-        assert "compact_headers" in clamped.clamped
-        # On a full-only channel the compact grant is usable.
-        full_only = ChannelCapabilities(
-            kernel=True, delta=False, compact_headers=True)
-        assert plan.clamp(full_only).compact_headers
-
     def test_streams_bounded_by_negotiated_cap(self):
         plan = SendPlan(mode="full", streams=8)
         caps = ChannelCapabilities(kernel=True, parallel_streams=2)

@@ -12,7 +12,7 @@ import zlib
 import pytest
 
 from repro.apps.incremental import build_vertex_graph
-from repro.cluster.fleet import Fleet
+from repro.cluster.fleet import Fleet, FleetChannel
 from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectInputStream
 from repro.delta.channel import DeltaSendChannel
@@ -29,6 +29,7 @@ from repro.transport import (
     WorkerSpec,
     frames,
     graph_digest,
+    semantic_graph_digest,
 )
 from repro.transport.aserve import LocalAsyncWorker
 from repro.transport.client import DEFAULT_MUX_CHUNK_BYTES
@@ -279,6 +280,60 @@ def test_writer_thread_only_under_a_traversal(transport_driver, monkeypatch):
             client.close()
 
 
+def test_relayed_delta_ships_the_patch_and_a_peer_nack_recovers(
+        transport_driver):
+    """Driver → A → B with two in-thread workers.  A graph A received by
+    DELTA is relayed to B as a non-empty DELTA (the apply fires A's write
+    barrier, so A's outgoing channel sees the PATCHed spans), and a B that
+    compacted its old generation NACKs the relay, which recovers inside
+    one ``send_peer`` — the peer-mode caller of ``DeltaSendChannel.ship``."""
+    driver = transport_driver
+    head = make_list(driver.jvm, range(200))
+    pin = driver.jvm.pin(head)
+    specs = [WorkerSpec(name=name, classpath_factory=SAMPLE_FACTORY)
+             for name in ("relay-a", "relay-b")]
+    with LocalAsyncWorker(specs[0]) as a, LocalAsyncWorker(specs[1]) as b:
+        client = _connect(driver, a)
+        channel = SocketGraphChannel(
+            driver, client, channel_id=5101, destination="relay-a")
+
+        def push(payload):
+            driver.jvm.set_field(head, "payload", payload)
+            receipt = channel.send([head])
+            assert receipt.mode == "delta"
+            return receipt.roots
+
+        def relay(roots):
+            result = client.send_peer("relay-b", b.host, b.port, 5102, roots)
+            assert result["digest_match"]
+            assert result["digest"] == semantic_graph_digest(
+                driver.jvm, [head])
+            return result
+
+        try:
+            first = channel.send([head])
+            assert first.mode == "full"
+            assert relay(first.roots)["mode"] == "full"
+            quiescent = relay(first.roots)
+            assert quiescent["mode"] == "delta"
+
+            relayed = relay(push(4242))
+            assert relayed["mode"] == "delta" and not relayed["nack_recovered"]
+            assert relayed["wire_bytes"] > quiescent["wire_bytes"]
+
+            peer = b.loop.core
+            with peer._state_lock:
+                peer.runtime.jvm.gc.full()
+            recovered = relay(push(4343))
+            assert recovered["nack_recovered"] and recovered["mode"] == "full"
+            after = relay(push(4444))
+            assert after["mode"] == "delta" and not after["nack_recovered"]
+        finally:
+            channel.close()
+            client.close()
+            driver.jvm.unpin(pin)
+
+
 def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     """The options left after the callerless ones went: a pre-framed send
     is its payload and its routing, a channel is its endpoints, request
@@ -297,6 +352,11 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     assert params(SocketGraphChannel.__init__) == [
         "self", "runtime", "client", "requested", "policy", "channel_id",
         "destination"]
+    assert params(FleetChannel.__init__) == [
+        "self", "fleet", "worker", "client", "generation", "requested",
+        "policy", "channel_id"]
+    assert params(DeltaSendChannel.ship) == [
+        "self", "roots", "deliver", "plan"]
     assert params(PolicyEngine.observe_transfer) == [
         "self", "channel_id", "wire_bytes", "seconds"]
     for func in (Exchange.channel_to, Fleet.channel_to):
