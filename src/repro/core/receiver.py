@@ -9,7 +9,10 @@
    segment is then copied into in-heap input-buffer chunks as one run.
 2. **Absolutization** (after end-of-stream): one linear scan rewrites each
    object's tID back to the local klass pointer and each relativized
-   reference to an absolute heap address via the chunk arithmetic.
+   reference to an absolute heap address via the chunk arithmetic.  The
+   scan is :meth:`ObjectGraphReceiver.absolutize`, the only one in the
+   tree: :meth:`~ObjectGraphReceiver.finish` runs it over every placed
+   object, a delta apply over exactly the objects its frame touched.
 3. **GC integration**: the freshly filled chunks are bulk-marked in the
    card table so the received pointers are visible to minor collections.
 4. Registered **update functions** (paper §3.3's ``registerUpdate``) run
@@ -22,7 +25,7 @@ from :meth:`finish`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.input_buffer import InputBuffer, InputBufferError
 from repro.core.kernels import (
@@ -108,7 +111,7 @@ class ObjectGraphReceiver:
                         f"null tID at segment offset {pos} (object "
                         f"#{self.objects_received + len(sizes)} of the stream)"
                     )
-                kernel = self._compile_kernel(tid)
+                kernel = self.kernel_for(tid)
             size = kernel.size
             if size is None:  # array: the size depends on the length slot
                 lo = pos + kernel.length_offset
@@ -130,11 +133,14 @@ class ObjectGraphReceiver:
         self.bytes_received += n
         self.jvm.clock.charge(self.jvm.cost_model.memcpy(n))
 
-    def _compile_kernel(self, tid: int) -> ReceiveKernel:
-        """tID -> this receiver's kernel for the local klass, loading the
-        class if it is missing here (paper: "Skyway instructs the class
-        loader to load the missing class since the type registry knows the
-        full class name")."""
+    def kernel_for(self, tid: int) -> ReceiveKernel:
+        """tID -> this receiver's kernel for the local klass (memoized),
+        loading the class if it is missing here (paper: "Skyway instructs
+        the class loader to load the missing class since the type registry
+        knows the full class name")."""
+        kernel = self._kernels.get(tid)
+        if kernel is not None:
+            return kernel
         klass = self.jvm.loader.load(self.view.name_for(tid))
         if klass.klass_id is None:  # pragma: no cover - loader invariant
             raise ReceiveError(f"klass {klass.name} not installed")
@@ -155,18 +161,30 @@ class ObjectGraphReceiver:
         self.buffer.freeze()
         heap = self.jvm.heap
         cost = self.jvm.cost_model
+        self.absolutize(zip(self.buffer.placed_objects, self._placed_kernels))
 
-        # One scan restores each klass word and absolutizes each reference
-        # straight against the heap's backing store; the scan's simulated
-        # cost is summed in a local and charged once.
+        # GC integration: make the new pointers card-table visible.
+        for chunk in self.buffer.chunks:
+            heap.card_table.mark_range(chunk.physical_start, chunk.filled)
+            self.jvm.clock.charge(cost.card_table_update)
+
+        self._apply_updates()
+        return [self.jvm.pin(self._root_address(off)) for off in root_offsets]
+
+    def absolutize(self, objects: Iterable[Tuple[int, ReceiveKernel]]) -> None:
+        """The linear scan over ``(address, kernel)`` pairs of placed wire
+        images: restore each klass word and absolutize each reference
+        straight against the heap's backing store.  The loop lives in here
+        so a caller pays one call per scan, and the scan's simulated cost
+        is summed in a local and charged once."""
+        heap = self.jvm.heap
         memory = heap.memory_view
         heap_base = heap.base
         translate = self.buffer.translate
         pack_word = WORD_STRUCT.pack_into
-        pointer_fixup = cost.skyway_pointer_fixup
+        pointer_fixup = self.jvm.cost_model.skyway_pointer_fixup
         scan_cost = 0.0
-        for address, kernel in zip(self.buffer.placed_objects,
-                                   self._placed_kernels):
+        for address, kernel in objects:
             at = address - heap_base
             pack_word(memory, at + KLASS_OFFSET, kernel.klass_id)
             ref_unpack = kernel.ref_unpack
@@ -194,14 +212,6 @@ class ObjectGraphReceiver:
                     scan_cost += slots * pointer_fixup
             scan_cost += kernel.finish_cost
         self.jvm.clock.charge(scan_cost)
-
-        # GC integration: make the new pointers card-table visible.
-        for chunk in self.buffer.chunks:
-            heap.card_table.mark_range(chunk.physical_start, chunk.filled)
-            self.jvm.clock.charge(cost.card_table_update)
-
-        self._apply_updates()
-        return [self.jvm.pin(self._root_address(off)) for off in root_offsets]
 
     def _root_address(self, logical_offset: int) -> int:
         if logical_offset == 0:

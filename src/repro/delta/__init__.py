@@ -41,12 +41,7 @@ from repro.delta.channel import (
 )
 from repro.delta.dirty import DeltaTracker
 from repro.delta.epoch_cache import EpochRecord
-from repro.delta.wire import (
-    FRAME_DELTA,
-    FRAME_FULL,
-    DeltaWireError,
-    is_delta_frame,
-)
+from repro.delta.wire import FRAME_DELTA, FRAME_FULL, DeltaWireError
 
 __all__ = [
     "ChannelStats",
@@ -59,5 +54,4 @@ __all__ = [
     "EpochRecord",
     "FRAME_DELTA",
     "FRAME_FULL",
-    "is_delta_frame",
 ]

@@ -1,15 +1,21 @@
 """Receiver-side delta apply: patch the retained input buffer in place.
 
 The receive path mirrors §4.3's two passes, restricted to the records in
-the frame:
+the frame, with a check in front because a PATCH overwrites live objects:
 
+0. **Validation**, before any byte is written: each payload's tID resolves
+   through the receiver's tID -> :class:`~repro.core.kernels.ReceiveKernel`
+   memo, the payload must be exactly as long as that kernel says (array
+   length from the payload), NEW offsets must continue the append cursor,
+   and a PATCH must name a resident object of the *same* class (and array
+   length) — the resident klass word is compared with the kernel's.
 1. **Placement**: NEW payloads are appended to the retained
    :class:`~repro.core.input_buffer.InputBuffer` (the logical cursor
    continues where the previous epoch stopped, so sender-assigned offsets
    land exactly); PATCH payloads overwrite their clone's bytes in place.
-2. **Absolutization**: after all NEW objects exist, every placed/patched
-   object's tID is swapped back to the local klass word and every
-   reference slot rewritten through the buffer's chunk arithmetic.
+2. **Absolutization**: after all NEW objects exist, exactly the touched
+   objects go through :meth:`ObjectGraphReceiver.absolutize` — the scan a
+   full receive runs over the whole buffer; there is no second copy here.
 
 A PATCH also fires the heap's mutation listeners — the same ``(address,
 nbytes)`` call the typed-write barrier makes — so a worker that relays a
@@ -27,9 +33,15 @@ re-marked in the (old-generation) GC card table.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.input_buffer import InputBufferError
+from repro.core.kernels import (
+    KLASS_WORD_END,
+    LENGTH_STRUCT,
+    WORD_STRUCT,
+    ReceiveKernel,
+)
 from repro.core.output_buffer import LOGICAL_BASE
 from repro.core.receiver import ObjectGraphReceiver
 from repro.delta.wire import (
@@ -39,7 +51,7 @@ from repro.delta.wire import (
     DeltaFrame,
     DeltaWireError,
 )
-from repro.heap.layout import KLASS_OFFSET, OBJECT_ALIGNMENT, align_up
+from repro.heap.layout import KLASS_OFFSET
 from repro.jvm.jvm import JVM
 
 
@@ -60,10 +72,12 @@ class ApplyResult:
 class DeltaApplier:
     """Applies DELTA frames onto one retained receive buffer."""
 
-    def __init__(self, jvm: JVM, receiver: ObjectGraphReceiver, registry_view) -> None:
+    def __init__(self, jvm: JVM, receiver: ObjectGraphReceiver) -> None:
         self.jvm = jvm
         self.receiver = receiver
-        self.view = registry_view
+        #: The heap's backing store (valid for the heap's lifetime).
+        self._memory = jvm.heap.memory_view
+        self._heap_base = jvm.heap.base
 
     def apply(self, frame: DeltaFrame) -> ApplyResult:
         jvm = self.jvm
@@ -78,92 +92,119 @@ class DeltaApplier:
                 f"{frame.base_logical_end:#x}, buffer ends at {resident_end:#x}"
             )
 
-        # Pass 1 — placement.  NEW objects must land at the sender-assigned
-        # offsets; PATCH payloads overwrite in place (klass slot still holds
-        # the wire tID until pass 2).
-        to_absolutize: List[Tuple[int, bytes]] = []  # (physical, payload)
+        # Pass 0 — validation; nothing is written until every record passed.
+        #: (PATCH target address or None for NEW, payload, kernel)
+        plan: List[Tuple[Optional[int], bytes, ReceiveKernel]] = []
         cursor = resident_end
-        patched = 0
-        placed = 0
         for record in frame.records:
             if record.tag == REC_SAMEREF:
                 self._translate(record.offset)  # validates the reference
                 continue
+            payload = record.payload
+            kernel = self._payload_kernel(record.offset, payload)
             if record.tag == REC_NEW:
                 if record.offset != cursor:
                     raise DeltaApplyError(
                         f"NEW record at {record.offset:#x} but append "
                         f"cursor is at {cursor:#x}"
                     )
-                address = buffer.append(record.payload)
-                cursor += align_up(len(record.payload), OBJECT_ALIGNMENT)
-                placed += 1
+                cursor += len(payload)
+                plan.append((None, payload, kernel))
             elif record.tag == REC_PATCH:
                 address = self._translate(record.offset)
-                expected = heap.object_size(address)
-                if align_up(len(record.payload), OBJECT_ALIGNMENT) != align_up(
-                    expected, OBJECT_ALIGNMENT
-                ):
-                    raise DeltaApplyError(
-                        f"PATCH at {record.offset:#x} carries "
-                        f"{len(record.payload)} bytes for a "
-                        f"{expected}-byte object"
-                    )
-                heap.write_bytes(address, record.payload)
-                # A PATCH is a mutation of this heap: fire the typed-write
-                # barrier's listeners, or a delta channel *out of* this
-                # heap (a relay) would see no dirty card and ship nothing.
-                # NEW objects need none: patched references reach them.
-                for listener in heap.mutation_listeners:
-                    listener(address, len(record.payload))
-                patched += 1
+                self._check_resident(record.offset, address, payload, kernel)
+                plan.append((address, payload, kernel))
             else:  # pragma: no cover - parse_frame rejects unknown tags
                 raise DeltaWireError(f"unknown record tag {record.tag}")
-            jvm.clock.charge(cost.memcpy(len(record.payload)))
-            to_absolutize.append((address, record.payload))
         if cursor != frame.new_logical_end:
             raise DeltaApplyError(
                 f"frame promised logical end {frame.new_logical_end:#x}, "
                 f"append cursor reached {cursor:#x}"
             )
 
-        # Pass 2 — absolutization over exactly the touched objects.
+        # Pass 1 — placement.  NEW objects land at the sender-assigned
+        # offsets; PATCH payloads overwrite in place (klass slot holds the
+        # wire tID until pass 2).  §4.3's GC integration, per epoch: each
+        # patched/appended span carries pointers the card table has never
+        # seen, so each is re-marked.
+        touched: List[Tuple[int, ReceiveKernel]] = []
+        listeners = heap.mutation_listeners
+        mark_range = heap.card_table.mark_range
+        epoch_cost = 0.0
         cards_marked = 0
-        for address, payload in to_absolutize:
-            jvm.clock.charge(cost.skyway_receive_object)
-            tid = int.from_bytes(payload[KLASS_OFFSET : KLASS_OFFSET + 8], "little")
-            klass = jvm.loader.load(self.view.name_for(tid))
-            if klass.klass_id is None:  # pragma: no cover - loader invariant
-                raise DeltaApplyError(f"klass {klass.name} not installed")
-            heap.write_klass_word(address, klass.klass_id)
-            for offset in heap.reference_offsets(address):
-                relative = heap.read_word(address + offset)
-                jvm.clock.charge(cost.skyway_pointer_fixup)
-                if relative == 0:
-                    continue
-                heap.write_word(address + offset, self._translate(relative))
-            # §4.3 GC integration, per epoch: the patched/appended span
-            # carries pointers the card table has never seen.
-            span = heap.object_size(address)
-            heap.card_table.mark_range(address, span)
-            jvm.clock.charge(cost.card_table_update)
-            cards_marked += span
+        patched = 0
+        for address, payload, kernel in plan:
+            size = len(payload)
+            if address is None:
+                address = buffer.append(payload)
+            else:
+                heap.write_bytes(address, payload)
+                # A PATCH is a mutation of this heap: fire the typed-write
+                # barrier's listeners, or a delta channel *out of* this
+                # heap (a relay) would see no dirty card and ship nothing.
+                # NEW objects need none: patched references reach them.
+                for listener in listeners:
+                    listener(address, size)
+                patched += 1
+            mark_range(address, size)
+            cards_marked += size
+            epoch_cost += cost.memcpy(size) + cost.card_table_update
+            touched.append((address, kernel))
+        jvm.clock.charge(epoch_cost)
 
-        roots = [self._root_address(offset) for offset in frame.roots]
+        # Pass 2 — absolutization over exactly the touched objects.
+        try:
+            self.receiver.absolutize(touched)
+        except InputBufferError as exc:
+            raise DeltaApplyError(f"bad reference in a payload: {exc}") from exc
+
         return ApplyResult(
-            root_addresses=roots,
+            root_addresses=[
+                self._translate(offset) if offset else 0
+                for offset in frame.roots
+            ],
             patched_objects=patched,
-            new_objects=placed,
+            new_objects=len(plan) - patched,
             cards_marked_bytes=cards_marked,
         )
+
+    def _payload_kernel(self, offset: int, payload: bytes) -> ReceiveKernel:
+        """The receive kernel the payload's tID names, after checking the
+        payload is exactly one object of that class."""
+        size = len(payload)
+        if size >= KLASS_WORD_END:
+            tid = WORD_STRUCT.unpack_from(payload, KLASS_OFFSET)[0]
+            kernel = self.receiver.kernel_for(tid)
+            expected = kernel.size
+            if expected is None and size >= kernel.length_offset + 4:
+                expected = kernel.array_size(
+                    LENGTH_STRUCT.unpack_from(payload, kernel.length_offset)[0]
+                )
+            if size == expected:
+                return kernel
+        raise DeltaApplyError(
+            f"record at {offset:#x} carries {size} bytes, not one whole object"
+        )
+
+    def _check_resident(self, offset: int, address: int, payload: bytes,
+                        kernel: ReceiveKernel) -> None:
+        """A PATCH may only overwrite an object of its own class and size."""
+        memory = self._memory
+        at = address - self._heap_base
+        same = at + len(payload) <= len(memory) and kernel.klass_id == (
+            WORD_STRUCT.unpack_from(memory, at + KLASS_OFFSET)[0]
+        )
+        if same and kernel.size is None:
+            lo = kernel.length_offset
+            same = payload[lo : lo + 4] == memory[at + lo : at + lo + 4]
+        if not same:
+            raise DeltaApplyError(
+                f"PATCH at {offset:#x} carries a {kernel.klass.name} of "
+                f"{len(payload)} bytes; the resident object is not one"
+            )
 
     def _translate(self, logical: int) -> int:
         try:
             return self.receiver.buffer.translate(logical)
         except InputBufferError as exc:
             raise DeltaApplyError(f"bad buffer offset {logical:#x}") from exc
-
-    def _root_address(self, logical: int) -> int:
-        if logical == 0:
-            return 0
-        return self._translate(logical)

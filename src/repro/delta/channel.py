@@ -417,9 +417,7 @@ class DeltaReceiveEndpoint:
             stream=stream,
             token=stream.buffer_token,
             full_gcs=self.runtime.jvm.gc.stats.full_collections,
-            applier=DeltaApplier(
-                self.runtime.jvm, stream.receiver, self.runtime.view
-            ),
+            applier=DeltaApplier(self.runtime.jvm, stream.receiver),
         )
         state.pinned_roots.update(r for r in roots if r)
         self._states[frame.channel_id] = state

@@ -133,4 +133,8 @@ class EpochRecord:
         self.minor_gcs = minor_gcs
         self.full_gcs = full_gcs
         if new_members:
-            self._sorted_addrs = sorted(self.addr_to_offset)
+            # The epoch's NEW addresses are a second ascending run behind
+            # the index; sorting two runs is one merge pass, not a
+            # comparison sort over every member.
+            self._sorted_addrs.extend(sorted(new_members))
+            self._sorted_addrs.sort()

@@ -20,13 +20,16 @@ trailer of root offsets, a logical-size check word), one frame per epoch:
     varint new_logical_end
 
 Record payloads are exactly Algorithm 2 clones — mark word reset, klass
-word replaced by the tID, references relativized — except that reference
-slots are relativized against the *receiver's* retained buffer: a cached
-referent keeps the offset recorded in the epoch cache, a new referent is
-assigned the next aligned offset past the buffer's end (NEW records are
-emitted in assignment order, so the receiver's append cursor reproduces
-the same offsets).  PATCH offsets point at the previous clone, which the
-receiver overwrites in place — same klass, same size, by construction.
+word replaced by the tID, references relativized — built from the same
+per-class :class:`~repro.core.kernels.CloneKernel` a full send reads (one
+slice off the heap, one header pack, one batched pointer unpack), except
+that reference slots are relativized against the *receiver's* retained
+buffer: a cached referent keeps the offset recorded in the epoch cache, a
+new referent is assigned the next aligned offset past the buffer's end
+(NEW records are emitted in assignment order, so the receiver's append
+cursor reproduces the same offsets).  PATCH offsets point at the previous
+clone, which the receiver overwrites in place — same klass, same size, by
+construction (and checked there before a byte is written).
 
 A new object is only reachable through a written reference slot, and every
 written slot dirtied its card — so encoding starts from the dirty set and
@@ -37,12 +40,20 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
+from repro.core.kernels import (
+    HEADER3_STRUCT,
+    LENGTH_STRUCT,
+    WORD_STRUCT,
+    CloneKernel,
+    clone_kernel_for,
+    ref_run_struct,
+)
 from repro.delta.epoch_cache import EpochRecord
 from repro.heap import markword
 from repro.heap.heap import NULL
-from repro.heap.layout import KLASS_OFFSET, MARK_OFFSET, OBJECT_ALIGNMENT, align_up
+from repro.heap.layout import KLASS_OFFSET, MARK_OFFSET
 from repro.jvm.jvm import JVM
 from repro.net.streams import ByteInputStream, ByteOutputStream
 
@@ -57,11 +68,6 @@ REC_SAMEREF = 3
 
 class DeltaWireError(RuntimeError):
     pass
-
-
-def is_delta_frame(data: bytes) -> bool:
-    """Whether ``data`` is a Skyway-Delta frame (vs. a plain stream)."""
-    return bool(data) and data[0] in (FRAME_FULL, FRAME_DELTA)
 
 
 def frame_full(channel_id: int, epoch: int, embedded: bytes) -> bytes:
@@ -170,53 +176,97 @@ class DeltaEncoder:
     ) -> Tuple[bytes, EpochSummary]:
         heap = self.jvm.heap
         cost = self.jvm.cost_model
+        layout = self.jvm.layout
         record = self.record
         summary = EpochSummary()
 
-        #: source address -> receiver offset, cached plus this epoch's NEW.
-        offset_of = dict(record.addr_to_offset)
+        mem = heap.memory_view
+        hbase = heap.base
+        klass_at = heap.klass_resolver
+        length_offset = layout.array_length_offset
+        unpack_word = WORD_STRUCT.unpack_from
+        pack_word = WORD_STRUCT.pack_into
+        unpack_length = LENGTH_STRUCT.unpack_from
+        reset_mark = markword.reset_for_transfer
+        traverse_word = cost.traverse_word
+
+        #: source address -> receiver offset: the record's table, overlaid
+        #: by this epoch's NEW objects (never a copy of the table).
+        cached = record.addr_to_offset
+        new_members = summary.new_members
+        new_sizes = summary.new_sizes
         logical_cursor = record.logical_end
-        new_queue: Deque[int] = deque()
+        new_queue: Deque[Tuple[int, CloneKernel, int]] = deque()
+        clock_cost = 0.0
 
-        def resolve(address: int) -> int:
-            nonlocal logical_cursor
-            if address == NULL:
-                return 0
-            self.jvm.clock.charge(cost.traverse_word)
-            known = offset_of.get(address)
-            if known is not None:
-                return known
-            size = align_up(heap.object_size(address), OBJECT_ALIGNMENT)
-            offset = logical_cursor
-            logical_cursor += size
-            offset_of[address] = offset
-            summary.new_members[address] = offset
-            summary.new_sizes[address] = size
-            new_queue.append(address)
-            return offset
-
-        def clone(address: int) -> bytes:
-            payload = bytearray(heap.read_bytes(address, heap.object_size(address)))
-            mark = int.from_bytes(payload[MARK_OFFSET : MARK_OFFSET + 8], "little")
-            clean = markword.reset_for_transfer(mark)
-            payload[MARK_OFFSET : MARK_OFFSET + 8] = clean.to_bytes(8, "little")
-            klass = heap.klass_of(address)
+        def recipe(address: int) -> Tuple[CloneKernel, int]:
+            """The object's compiled clone kernel and its byte size."""
+            at = address - hbase
+            klass = klass_at(unpack_word(mem, at + KLASS_OFFSET)[0])
             if klass.tid is None:
                 raise DeltaWireError(
                     f"class {klass.name} has no global type ID — is the "
                     f"Skyway type registry attached to this JVM?"
                 )
-            payload[KLASS_OFFSET : KLASS_OFFSET + 8] = klass.tid.to_bytes(8, "little")
-            if self.jvm.layout.has_baddr:
-                off = self.jvm.layout.baddr_offset
-                payload[off : off + 8] = bytes(8)
-            for off in heap.reference_offsets(address):
-                target = heap.read_word(address + off)
-                payload[off : off + 8] = resolve(target).to_bytes(8, "little")
-                self.jvm.clock.charge(cost.skyway_pointer_fixup)
-            self.jvm.clock.charge(cost.skyway_header_fixup)
-            self.jvm.clock.charge(cost.memcpy(len(payload)))
-            return bytes(payload)
+            kernel = clone_kernel_for(klass, layout, cost)
+            size = kernel.size
+            if size is None:
+                size = kernel.array_size(
+                    unpack_length(mem, at + length_offset)[0]
+                )
+            return kernel, size
+
+        def resolve(address: int) -> int:
+            """Receiver offset of a non-null referent; a first-seen one is
+            assigned the next offset and queued as a NEW record."""
+            nonlocal logical_cursor
+            known = cached.get(address)
+            if known is None:
+                known = new_members.get(address)
+                if known is None:
+                    kernel, size = recipe(address)
+                    known = logical_cursor
+                    logical_cursor += size
+                    new_members[address] = known
+                    new_sizes[address] = size
+                    new_queue.append((address, kernel, size))
+            return known
+
+        def clone(address: int, kernel: CloneKernel, size: int) -> bytearray:
+            nonlocal clock_cost
+            at = address - hbase
+            payload = bytearray(mem[at : at + size])
+            mark = reset_mark(unpack_word(payload, MARK_OFFSET)[0])
+            if kernel.header_struct is HEADER3_STRUCT:
+                HEADER3_STRUCT.pack_into(payload, 0, mark, kernel.tid, 0)
+            else:
+                kernel.header_struct.pack_into(payload, 0, mark, kernel.tid)
+            nonnull = 0
+            if kernel.is_array:
+                slots = 0
+                if kernel.has_ref_elements:
+                    slots = unpack_length(payload, length_offset)[0]
+                if slots:
+                    run = ref_run_struct(slots)
+                    relativized = [
+                        resolve(ref) if ref != NULL else 0
+                        for ref in run.unpack_from(payload, kernel.elem_base)
+                    ]
+                    run.pack_into(payload, kernel.elem_base, *relativized)
+                    # Receiver offsets start at LOGICAL_BASE: 0 is null.
+                    nonnull = slots - relativized.count(0)
+                clock_cost += kernel.array_cost(size, slots)
+            else:
+                if kernel.ref_unpack is not None:
+                    for slot, ref in zip(
+                        kernel.ref_offsets, kernel.ref_unpack.unpack_from(payload)
+                    ):
+                        if ref != NULL:  # a null slot is already the wire's 0
+                            nonnull += 1
+                            pack_word(payload, slot, resolve(ref))
+                clock_cost += kernel.base_cost
+            clock_cost += nonnull * traverse_word
+            return payload
 
         out = ByteOutputStream()
         out.write_u8(FRAME_DELTA)
@@ -226,10 +276,10 @@ class DeltaEncoder:
 
         # PATCH records for the dirty subset (offset order: deterministic
         # frames and sequential receiver writes).
-        for address in sorted(dirty, key=record.offset_of):
-            payload = clone(address)
+        for offset, address in sorted((cached[a], a) for a in dirty):
+            payload = clone(address, *recipe(address))
             out.write_u8(REC_PATCH)
-            out.write_varint(record.offset_of(address))
+            out.write_varint(offset)
             out.write_varint(len(payload))
             out.write_bytes(payload)
             summary.patched_objects += 1
@@ -240,21 +290,26 @@ class DeltaEncoder:
         dirty_set = set(dirty)
         root_offsets: List[int] = []
         for root in roots:
+            if root == NULL:
+                root_offsets.append(0)
+                continue
+            clock_cost += traverse_word
             offset = resolve(root)
             root_offsets.append(offset)
-            if root != NULL and root in record and root not in dirty_set:
+            if root in cached and root not in dirty_set:
                 out.write_u8(REC_SAMEREF)
                 out.write_varint(offset)
                 summary.sameref_roots += 1
         while new_queue:
-            address = new_queue.popleft()
-            payload = clone(address)
+            address, kernel, size = new_queue.popleft()
+            payload = clone(address, kernel, size)
             out.write_u8(REC_NEW)
-            out.write_varint(offset_of[address])
-            out.write_varint(len(payload))
+            out.write_varint(new_members[address])
+            out.write_varint(size)
             out.write_bytes(payload)
             summary.new_objects += 1
-            summary.new_bytes += len(payload)
+            summary.new_bytes += size
+        self.jvm.clock.charge(clock_cost)
 
         out.write_u8(REC_END)
         out.write_varint(len(root_offsets))

@@ -121,20 +121,3 @@ class TestMemoryAndBytes:
             pytest.approx(1.0)
         assert comp["headers"] > comp["pointers"]
 
-
-class TestCli:
-    def test_cli_table1(self, capsys):
-        from repro.bench.__main__ import main
-        assert main(["table1", "--scale", "0.02"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out and "LiveJournal" in out
-
-    def test_cli_memory(self, capsys):
-        from repro.bench.__main__ import main
-        assert main(["memory", "--scale", "0.05"]) == 0
-        assert "baddr" in capsys.readouterr().out
-
-    def test_cli_rejects_unknown(self):
-        from repro.bench.__main__ import main
-        with pytest.raises(SystemExit):
-            main(["nope"])

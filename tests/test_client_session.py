@@ -129,7 +129,7 @@ TRANSCRIPTS = {
 
 
 @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
-def test_both_clients_read_a_transcript_identically(name, scripted):
+def test_client_reads_a_transcript(name, scripted):
     """``connect()`` then one ``ping`` CALL against the transcript."""
     replies, hang_up, expected = TRANSCRIPTS[name]
     client = scripted(replies, hang_up)

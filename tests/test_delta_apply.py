@@ -6,8 +6,10 @@ from repro.core.runtime import attach_skyway
 from repro.delta import DeltaReceiveEndpoint, DeltaSendChannel
 from repro.delta.apply import DeltaApplyError
 from repro.delta.wire import DeltaFrame, parse_frame
+from repro.heap.layout import KLASS_OFFSET
 from repro.heap.verify import verify_heap
 from repro.jvm.jvm import JVM
+from repro.transport.digest import semantic_graph_digest
 
 from tests.conftest import make_list, read_list
 
@@ -139,3 +141,42 @@ class TestApplyErrors:
         applier = endpoint.state_of(channel.channel_id).applier
         with pytest.raises(DeltaApplyError):
             applier.apply(frame)
+
+    def _untouched(self, session, frame):
+        """``frame`` must be refused with the receiver heap as it was."""
+        src, dst, channel, endpoint, head, roots = session
+        before = semantic_graph_digest(dst, roots)
+        applier = endpoint.state_of(channel.channel_id).applier
+        with pytest.raises(DeltaApplyError):
+            applier.apply(frame)
+        verify_heap(dst.heap)
+        assert semantic_graph_digest(dst, roots) == before
+        assert read_list(dst, roots[0]) == list(range(50))
+
+    def test_patch_of_another_class_of_the_same_size_rejected(
+        self, session, classpath
+    ):
+        """A PATCH whose tID names a different 40-byte class used to be
+        applied silently, retyping the resident ListNode."""
+        src, dst, channel, endpoint, head, roots = session
+        classpath.define("TwoLongs", [("a", "J"), ("b", "J")])
+        impostor = src.loader.load("TwoLongs")
+        assert impostor.object_size() == src.loader.load("ListNode").object_size()
+        frame = self._delta_frame(session)
+        patch = next(r for r in frame.records if r.tag == 1)
+        forged = bytearray(patch.payload)
+        forged[KLASS_OFFSET : KLASS_OFFSET + 8] = impostor.tid.to_bytes(8, "little")
+        patch.payload = bytes(forged)
+        self._untouched(session, frame)
+        assert dst.klass_of(roots[0]).name == "ListNode"
+
+    def test_bad_record_after_a_good_one_writes_nothing(self, session):
+        """Every record is checked before the first byte lands: a frame
+        whose *second* PATCH is truncated must not apply its first."""
+        src, dst, channel, endpoint, head, roots = session
+        src.set_field(src.get_field(head.address, "next"), "payload", 5)
+        frame = self._delta_frame(session)
+        patches = [r for r in frame.records if r.tag == 1]
+        assert len(patches) >= 2
+        patches[-1].payload = patches[-1].payload[:-8]
+        self._untouched(session, frame)

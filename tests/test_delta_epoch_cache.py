@@ -90,3 +90,40 @@ class TestMergeEpoch:
         record.merge_epoch({}, {}, record.logical_end, 0, 0)
         assert record.epoch == 2
         assert len(record) == 1
+
+    @pytest.mark.parametrize("per_gap", [1, 40], ids=["few", "many"])
+    def test_index_after_merge_matches_a_brute_force_scan(self, per_gap):
+        """NEW members below, between and above the resident ones: the
+        merged index must answer exactly what a scan over every member
+        answers."""
+        resident = [(0x4000 + i * 0x100, 8 + i * 32, 32) for i in range(100)]
+        record = make_record(resident)
+        gaps = [0x1000, 0x4020, 0x5F40, 0xB000]  # below, between x2, above
+        fresh = [
+            gap + j * 0x10 for gap in gaps for j in range(per_gap)
+            if not any(a <= gap + j * 0x10 < a + s for a, _, s in resident)
+        ]
+        assert min(fresh) < resident[0][0] < max(fresh) > resident[-1][0]
+        end = record.logical_end
+        record.merge_epoch(
+            {a: end + i * 16 for i, a in enumerate(fresh)},
+            {a: 16 for a in fresh},
+            end + 16 * len(fresh), 0, 0,
+        )
+        assert record._sorted_addrs == sorted(record.addr_to_offset)
+        assert len(record) == len(resident) + len(fresh)
+
+        def brute(start, stop):
+            return sorted(
+                a for a, size in record.sizes.items()
+                if a < stop and a + size > start
+            )
+
+        for start, stop in [
+            (0, 0x1000), (0x1000, 0x1001), (0x0FF8, 0x1008), (0x4010, 0x4030),
+            (0x4020, 0x4100), (0x5F00, 0x6100), (0xA2F0, 0xB008),
+            (0xB000 + 16 * per_gap, 0xFFFF), (0, 0xFFFF),
+        ]:
+            assert list(record.members_overlapping([(start, stop)])) == (
+                brute(start, stop)
+            ), (hex(start), hex(stop))

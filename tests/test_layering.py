@@ -9,6 +9,9 @@ Three rules, the ones the package docstrings promise:
 * ``policy`` and ``obs`` import only the stdlib and ``repro.obs`` (their
   "import discipline": every layer may consume them without a cycle);
 * ``transport`` imports nothing from ``exchange``, ``spark`` or ``cluster``.
+
+And one rule about calls rather than imports: ``repro.delta`` holds no
+per-object interpreter — it reads the compiled kernels of ``repro.core``.
 """
 
 import ast
@@ -90,3 +93,24 @@ def test_no_layer_imports_upward():
 def test_allow_list_only_shrinks():
     stale = ALLOWED - _back_edges()
     assert not stale, f"no longer imported, delete from ALLOWED: {stale}"
+
+
+#: What a per-slot / per-object interpreter is made of.  ``repro.delta``
+#: encodes through ``CloneKernel`` and applies through the receiver's
+#: ``kernel_for`` / ``absolutize``; none of these may come back.
+INTERPRETER_CALLS = {"reference_offsets", "klass_of", "read_word",
+                     "write_word", "write_klass_word", "name_for"}
+
+
+def test_delta_calls_no_per_object_interpreter():
+    found = []
+    for path in sorted((SRC / "delta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            name, owner = node.func.attr, node.func.value
+            owner = getattr(owner, "attr", getattr(owner, "id", None))
+            if name in INTERPRETER_CALLS or (name, owner) == ("load", "loader"):
+                found.append(f"{path.name}:{node.lineno} calls .{name}()")
+    assert not found, "\n".join(found)
