@@ -16,17 +16,11 @@ itself, one channel between them.  This package turns that into a mesh:
   that never bounces through the driver);
 * :mod:`repro.cluster.harness` — spawn-a-whole-fleet test/bench harness
   with kill/restart fault injection.
-
-Import discipline: :mod:`repro.transport.worker` imports this package's
-``errors`` module (workers raise :class:`ClusterProtocolError` and
-:class:`PeerGoneError` themselves), while ``fleet``/``harness`` import the
-transport and exchange layers.  Only ``errors`` is imported eagerly here;
-everything else resolves lazily via PEP 562 so the cycle never closes.
 """
 
 from __future__ import annotations
 
-from repro.cluster.errors import (
+from repro.transport.errors import (
     ClusterConfigError,
     ClusterError,
     ClusterProtocolError,

@@ -28,6 +28,12 @@ and allocator:
     A peer found dead under a send (connection refused, mid-stream reset)
     is reported so the whole fleet converges immediately instead of
     waiting out the heartbeat window.
+``telemetry`` / ``postmortem`` / ``events``
+    The fleet telemetry plane's read side: the document ``repro.obs top``
+    renders, one worker's retained series and flight-recorder dump (dead
+    workers included), and the straggler event feed.  Heartbeats carry
+    the samples in; the window, recorder and straggler bounds are the
+    constants of :mod:`repro.obs.live`.
 
 The loop's tick marks workers dead after ``miss_limit`` missed
 heartbeats — there is no monitor thread.  Dead records are kept (not
@@ -44,7 +50,6 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.cluster.errors import ClusterProtocolError, PeerGoneError
 from repro.obs.live import FleetTelemetry, TelemetryError
 from repro.transport import frames
 from repro.transport.bootstrap import (
@@ -52,6 +57,7 @@ from repro.transport.bootstrap import (
     ThreadHost,
     serve_reporting_port,
 )
+from repro.transport.errors import ClusterProtocolError, PeerGoneError
 from repro.transport.loop import Connection, FrameLoop
 
 #: Channel id 0 is reserved coordinator-wide: it can never be allocated,
@@ -73,17 +79,6 @@ class CoordinatorSpec:
     #: Consecutive missed heartbeats before a worker is marked dead.
     miss_limit: int = 3
     read_timeout: float = 10.0
-    #: Telemetry plane: per-worker bounded sample window (heartbeats kept)
-    #: and flight-recorder entries retained for postmortems.
-    telemetry_window: int = 120
-    recorder_keep: int = 256
-    #: Straggler rule: flag a worker whose windowed mean epoch-receive
-    #: latency exceeds ``straggler_factor`` × the fleet median (with at
-    #: least ``straggler_min_samples`` epochs in its window and a median
-    #: above ``straggler_min_seconds`` so idle jitter can't flag anyone).
-    straggler_factor: float = 3.0
-    straggler_min_samples: int = 3
-    straggler_min_seconds: float = 1e-3
 
 
 @dataclasses.dataclass
@@ -135,13 +130,7 @@ class CoordinatorServer(FrameLoop):
         #: The fleet telemetry store: per-worker bounded series + recorder
         #: rings (kept after death — that is the postmortem), fleet
         #: rollups, and edge-triggered straggler events.
-        self.telemetry = FleetTelemetry(
-            window=spec.telemetry_window,
-            recorder_keep=spec.recorder_keep,
-            straggler_factor=spec.straggler_factor,
-            straggler_min_samples=spec.straggler_min_samples,
-            straggler_min_seconds=spec.straggler_min_seconds,
-        )
+        self.telemetry = FleetTelemetry()
 
     # -- membership --------------------------------------------------------
 
@@ -305,11 +294,8 @@ class CoordinatorServer(FrameLoop):
             return [r.name for r in self._records.values() if r.alive]
 
     def _op_telemetry(self, call: dict) -> dict:
-        doc = self.telemetry.document(
-            worker=call.get("worker"),
-            include_window=bool(call.get("include_window", False)),
-            alive=self._alive_names(),
-        )
+        doc = self.telemetry.document(worker=call.get("worker"),
+                                      alive=self._alive_names())
         with self._lock:
             doc["alive"] = {name: r.alive
                             for name, r in self._records.items()}

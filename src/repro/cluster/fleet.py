@@ -39,12 +39,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.cluster.errors import (
-    ClusterConfigError,
-    ClusterError,
-    ClusterProtocolError,
-    PeerGoneError,
-)
 from repro.cluster.membership import CoordinatorClient
 from repro.core.runtime import SkywayRuntime
 from repro.exchange.capabilities import ChannelCapabilities, DEFAULT_REQUEST
@@ -52,7 +46,14 @@ from repro.exchange.channel import SendReceipt
 from repro.exchange.socket import SocketGraphChannel
 from repro.policy import resolve_engine
 from repro.transport.client import WorkerClient
-from repro.transport.errors import RemoteWorkerError, TransportError
+from repro.transport.errors import (
+    ClusterConfigError,
+    ClusterError,
+    ClusterProtocolError,
+    PeerGoneError,
+    RemoteWorkerError,
+    TransportError,
+)
 
 
 def _retyped(exc: RemoteWorkerError, peer: str) -> Optional[Exception]:
@@ -184,14 +185,11 @@ class Fleet:
 
     # -- telemetry views ---------------------------------------------------
 
-    def telemetry(self, worker: Optional[str] = None,
-                  include_window: bool = False) -> dict:
+    def telemetry(self, worker: Optional[str] = None) -> dict:
         """The coordinator's fleet telemetry document: per-worker series
         totals + rollups + straggler events (what ``repro.obs top``
         renders)."""
-        return self.coordinator.call(
-            "telemetry", worker=worker, include_window=include_window,
-        )["telemetry"]
+        return self.coordinator.call("telemetry", worker=worker)["telemetry"]
 
     def postmortem(self, worker: str) -> Optional[dict]:
         """Everything the coordinator still holds for ``worker`` — final

@@ -20,10 +20,9 @@ import time
 from typing import Dict, List, Optional
 
 from repro.cluster.coordinator import CoordinatorHandle, CoordinatorSpec
-from repro.cluster.errors import ClusterConfigError
 from repro.transport.bootstrap import MB
 from repro.transport.client import WorkerHandle
-from repro.transport.errors import WorkerStartupError
+from repro.transport.errors import ClusterConfigError, WorkerStartupError
 from repro.transport.testing import SAMPLE_FACTORY
 from repro.transport.worker import WorkerSpec
 

@@ -34,14 +34,15 @@ import threading
 from typing import Optional
 
 from repro import obs
-from repro.cluster.errors import (
+from repro.transport.connection import FrameConnection, connect_with_retry
+from repro.transport.errors import (
     ClusterError,
     ClusterProtocolError,
     CoordinatorUnavailableError,
     PeerGoneError,
+    RemoteWorkerError,
+    TransportError,
 )
-from repro.transport.connection import FrameConnection, connect_with_retry
-from repro.transport.errors import RemoteWorkerError, TransportError
 
 
 def _raise_typed(exc: RemoteWorkerError) -> None:

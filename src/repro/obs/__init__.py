@@ -16,8 +16,11 @@ that produces those breakdowns from live runs instead of ad-hoc ledgers:
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto /
   ``chrome://tracing``), a terminal phase-breakdown report in the paper's
   table style, and snapshot diffing;
+* :mod:`repro.obs.live` and :mod:`repro.obs.recorder` — the fleet
+  telemetry plane and its flight recorder, run only by a worker that has
+  a coordinator to read them;
 * ``python -m repro.obs`` — the CLI (``report`` / ``trace`` / ``diff`` /
-  ``top`` / ``export``).
+  ``top``).
 
 Import discipline: this package imports **stdlib only**, so every layer —
 ``repro.heap.gc`` included — can instrument itself without cycles.
@@ -36,7 +39,6 @@ from repro.obs.recorder import (
     enable_recorder,
     get_recorder,
     record,
-    recorder_enabled,
 )
 from repro.obs.registry import MetricsRegistry, registry
 from repro.obs.tracer import (
@@ -71,7 +73,6 @@ __all__ = [
     "get_recorder",
     "get_tracer",
     "record",
-    "recorder_enabled",
     "registry",
     "reset",
     "snapshot",

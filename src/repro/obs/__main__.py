@@ -10,9 +10,7 @@
 * ``top`` — the live fleet table: polls a coordinator's ``telemetry`` op
   (``--coordinator host:port``) or renders a saved telemetry document
   (``--snapshot file``); ``--once`` prints one frame, ``--json`` dumps
-  the raw document;
-* ``export --prometheus`` — Prometheus text exposition from an obs
-  snapshot or a live coordinator's telemetry document.
+  the raw document.
 
 Every subcommand reads a file or a live coordinator; none runs a scenario
 (the end-to-end gates are tier-1 tests: ``tests/test_obs_propagation.py``,
@@ -30,11 +28,9 @@ import time
 from repro.obs.export import (
     diff_data,
     phase_report_data,
-    prometheus_text,
     render_diff,
     render_phase_report,
     validate_chrome_trace,
-    validate_prometheus,
 )
 
 
@@ -88,14 +84,13 @@ def _parse_hostport(value: str) -> tuple:
     return host, int(port)
 
 
-def _fetch_telemetry(coordinator: tuple, include_window: bool = False) -> dict:
+def _fetch_telemetry(coordinator: tuple) -> dict:
     """One ``telemetry`` RPC round-trip (document + alive map)."""
     from repro.cluster.membership import CoordinatorClient
 
     host, port = coordinator
     with CoordinatorClient(host, port) as client:
-        result = client.call("telemetry", include_window=include_window)
-    return result["telemetry"]
+        return client.call("telemetry")["telemetry"]
 
 
 def _telemetry_snapshot(path: str) -> dict:
@@ -141,28 +136,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    if (args.coordinator is None) == (args.snapshot is None):
-        print("export: give exactly one of --coordinator or --snapshot",
-              file=sys.stderr)
-        return 2
-    if args.snapshot is not None:
-        doc = _telemetry_snapshot(args.snapshot)
-    else:
-        doc = _fetch_telemetry(args.coordinator)
-    text = prometheus_text(doc)
-    problems = validate_prometheus(text)
-    if args.out:
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out} "
-              f"({len(text.splitlines())} lines)", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    for problem in problems:
-        print(f"INVALID: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -201,18 +174,6 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true",
                    help="dump the raw telemetry document")
     p.set_defaults(func=_cmd_top)
-
-    p = sub.add_parser("export", help="Prometheus text exposition")
-    p.add_argument("--prometheus", action="store_true",
-                   help="(the only format; accepted for clarity)")
-    p.add_argument("--coordinator", type=_parse_hostport, default=None,
-                   metavar="HOST:PORT",
-                   help="export a live coordinator's telemetry document")
-    p.add_argument("--snapshot", default=None,
-                   help="export a saved obs snapshot / telemetry document")
-    p.add_argument("--out", default=None,
-                   help="write exposition here instead of stdout")
-    p.set_defaults(func=_cmd_export)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -1,4 +1,4 @@
-"""Exporters: Chrome traces, terminal reports, diffs, Prometheus text.
+"""Exporters: Chrome traces, terminal reports, snapshot diffs.
 
 The Chrome format is the ``chrome://tracing`` / Perfetto "JSON Array
 Format": a ``traceEvents`` list of ``"X"`` (complete) events with ``ts``
@@ -16,8 +16,7 @@ itself, which is how the report agrees with the ledger to the byte/µs.
 from __future__ import annotations
 
 import json
-import re
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 
 def _span_dict(span: Any) -> Dict[str, Any]:
@@ -329,168 +328,3 @@ def phase_report_data(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
                     for k, v in (metrics.get("sources") or {}).items()},
     }
 
-
-# ---------------------------------------------------------------------------
-# Prometheus text exposition
-# ---------------------------------------------------------------------------
-
-_PROM_NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_PROM_LINE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"                      # metric name
-    r"(\{[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"\n]*\""         # first label
-    r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"[^\"\n]*\")*\})?"    # more labels
-    r" [^ \n]+( [0-9]+)?$"                            # value [timestamp]
-)
-
-
-def _prom_name(key: str) -> Tuple[str, Dict[str, str]]:
-    """Split a registry series key (``name{k=v,...}``) and sanitize the
-    name into the Prometheus charset (dots and dashes become ``_``)."""
-    labels: Dict[str, str] = {}
-    name = key
-    if "{" in key and key.endswith("}"):
-        name, _, inner = key.partition("{")
-        for pair in inner[:-1].split(","):
-            if "=" in pair:
-                k, _, v = pair.partition("=")
-                labels[re.sub(r"[^a-zA-Z0-9_]", "_", k.strip())] = v
-    name = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    if not _PROM_NAME_OK.match(name):
-        name = f"_{name}"
-    return name, labels
-
-
-def _prom_escape(value: str) -> str:
-    return (str(value).replace("\\", r"\\").replace("\n", r"\n")
-            .replace('"', r'\"'))
-
-
-def _prom_line(name: str, labels: Mapping[str, str], value: float) -> str:
-    if labels:
-        inner = ",".join(f'{k}="{_prom_escape(labels[k])}"'
-                         for k in sorted(labels))
-        return f"{name}{{{inner}}} {value:g}"
-    return f"{name} {value:g}"
-
-
-class _PromWriter:
-    """Accumulates exposition lines with one TYPE header per family."""
-
-    def __init__(self, prefix: str = "repro") -> None:
-        self.prefix = prefix
-        self.lines: List[str] = []
-        self._typed: Dict[str, str] = {}
-
-    def add(self, key: str, value: Any, kind: str = "gauge",
-            extra_labels: Optional[Mapping[str, str]] = None,
-            suffix: str = "") -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return
-        name, labels = _prom_name(key)
-        if extra_labels:
-            labels.update(extra_labels)
-        family = f"{self.prefix}_{name}{suffix}"
-        seen = self._typed.get(family)
-        if seen is None:
-            self._typed[family] = kind
-            self.lines.append(f"# TYPE {family} {kind}")
-        elif seen != kind:
-            return  # one family, one type — skip the contradiction
-        self.lines.append(_prom_line(family, labels, float(value)))
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n" if self.lines else ""
-
-
-def _prom_metrics(writer: _PromWriter, metrics: Mapping[str, Any],
-                  extra_labels: Optional[Mapping[str, str]] = None) -> None:
-    for key, value in (metrics.get("counters") or {}).items():
-        writer.add(key, value, "counter", extra_labels, suffix="_total")
-    for key, value in (metrics.get("gauges") or {}).items():
-        writer.add(key, value, "gauge", extra_labels)
-    for key, hist in (metrics.get("histograms") or {}).items():
-        if not isinstance(hist, Mapping):
-            continue
-        writer.add(key, hist.get("count"), "counter", extra_labels,
-                   suffix="_count")
-        writer.add(key, hist.get("sum"), "counter", extra_labels,
-                   suffix="_sum")
-        for q, quantile in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")):
-            if q in hist:
-                labels = dict(extra_labels or {})
-                labels["quantile"] = quantile
-                writer.add(key, hist[q], "gauge", labels)
-
-
-def prometheus_text(doc: Mapping[str, Any], prefix: str = "repro") -> str:
-    """Render a document as Prometheus text exposition.
-
-    Accepts either an obs snapshot (``{"metrics": {...}}`` — one process)
-    or a fleet telemetry document (``{"kind": "fleet_telemetry"}`` — the
-    coordinator's per-worker totals become ``worker``-labelled series and
-    the fleet rollups become ``repro_fleet_*`` gauges).
-    """
-    writer = _PromWriter(prefix)
-    if doc.get("kind") == "fleet_telemetry":
-        for worker in sorted(doc.get("workers") or {}):
-            w = doc["workers"][worker]
-            labels = {"worker": worker}
-            _prom_metrics(writer, w, labels)
-            writer.add("telemetry.samples", w.get("samples"), "counter",
-                       labels, suffix="_total")
-            writer.add("telemetry.gaps", w.get("gaps"), "counter",
-                       labels, suffix="_total")
-            writer.add("telemetry.straggler",
-                       1.0 if w.get("straggler") else 0.0, "gauge", labels)
-            for key, value in (w.get("rollup") or {}).items():
-                writer.add(f"rollup.{key}", value, "gauge", labels)
-        for key, value in (doc.get("rollups") or {}).items():
-            writer.add(f"fleet.{key}", value, "gauge")
-        stats = doc.get("stats") or {}
-        writer.add("fleet.samples_ingested", stats.get("samples_ingested"),
-                   "counter", suffix="_total")
-        writer.add("fleet.payloads_rejected", stats.get("payloads_rejected"),
-                   "counter", suffix="_total")
-        writer.add("fleet.straggler_events",
-                   len(doc.get("events") or []), "counter", suffix="_total")
-    else:
-        _prom_metrics(writer, doc.get("metrics") or doc)
-    return writer.text()
-
-
-def validate_prometheus(text: str) -> List[str]:
-    """Line-validate Prometheus exposition text (empty == valid): every
-    non-comment line must parse as ``name[{labels}] value``, every sample
-    must follow a TYPE header for its family, values must be numbers."""
-    problems: List[str] = []
-    typed: set = set()
-    samples = 0
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split()
-            if len(parts) != 4 or parts[3] not in (
-                    "counter", "gauge", "histogram", "summary", "untyped"):
-                problems.append(f"line {i}: malformed TYPE header: {line!r}")
-            else:
-                typed.add(parts[2])
-            continue
-        if line.startswith("#"):
-            continue
-        if not _PROM_LINE.match(line):
-            problems.append(f"line {i}: not a valid sample line: {line!r}")
-            continue
-        samples += 1
-        name = re.split(r"[{ ]", line, maxsplit=1)[0]
-        if name not in typed:
-            problems.append(f"line {i}: sample {name!r} has no TYPE header")
-        value = line.rsplit(" ", 1)[-1] if "}" in line \
-            else line.split(" ", 1)[1].split(" ")[0]
-        try:
-            float(value)
-        except ValueError:
-            problems.append(f"line {i}: value {value!r} is not a number")
-    if samples == 0:
-        problems.append("exposition contains no samples")
-    return problems

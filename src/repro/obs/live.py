@@ -25,10 +25,14 @@ connections and bounded memory everywhere:
 * **Straggler detection** — :meth:`FleetTelemetry.detect` computes each
   worker's windowed mean epoch-receive latency and bytes/sec bandwidth,
   takes the fleet median, and flags workers beyond
-  ``straggler_factor`` × median (with an absolute floor so microsecond
+  :data:`STRAGGLER_FACTOR` × median (with an absolute floor so microsecond
   jitter can't flag an idle fleet).  Flags are edge-triggered: one
   ``straggler`` event on the way up, one ``recovered`` on the way down,
   into a bounded event ring the driver reads.
+
+The plane runs only in fleet mode: a worker samples, records and observes
+per-epoch series only while it has a coordinator to read them.  Its
+bounds and the straggler rule are the module constants below.
 
 Import discipline: stdlib only, like the rest of :mod:`repro.obs` — the
 cluster layer imports *this*, never the reverse.
@@ -56,18 +60,19 @@ TELEMETRY_VERSION = 1
 
 #: Per-worker bounded sample window at the coordinator: 120 samples at
 #: the default 0.2 s heartbeat ≈ the last 24 s of fleet history.
-DEFAULT_WINDOW = 120
+WINDOW = 120
 
 #: Flight-recorder entries kept per worker at the coordinator.
-DEFAULT_RECORDER_KEEP = 256
+RECORDER_KEEP = 256
 
-#: Straggler rule defaults: flagged when windowed mean epoch-receive
-#: latency exceeds ``factor`` × fleet median, the median is meaningful
-#: (>= ``min_seconds``), and at least ``min_samples`` epochs landed in
-#: the window.  ``factor`` also gates recovery (drop back under it).
-DEFAULT_STRAGGLER_FACTOR = 3.0
-DEFAULT_STRAGGLER_MIN_SAMPLES = 3
-DEFAULT_STRAGGLER_MIN_SECONDS = 1e-3
+#: Straggler rule: flagged when windowed mean epoch-receive latency
+#: exceeds ``STRAGGLER_FACTOR`` × fleet median, the threshold is at least
+#: ``STRAGGLER_MIN_SECONDS``, and at least ``STRAGGLER_MIN_SAMPLES``
+#: epochs landed in the window.  The factor also gates recovery (drop
+#: back under it).
+STRAGGLER_FACTOR = 3.0
+STRAGGLER_MIN_SAMPLES = 3
+STRAGGLER_MIN_SECONDS = 1e-3
 
 #: The histogram series straggler latency is read from (observed by the
 #: worker around each epoch's receive — wire arrival included, so a paced
@@ -127,14 +132,11 @@ class TelemetrySampler:
         self.recorder = recorder
         self._lock = threading.Lock()
         self._seq = 0
-        self._acked_seq = 0
         self._last_counters: Dict[str, float] = {}
         self._last_gauges: Dict[str, float] = {}
         self._last_hists: Dict[str, Dict[str, Any]] = {}
         self._rec_seq = 0
         self._pending: Optional[Dict[str, Any]] = None
-        self.samples_taken = 0
-        self.recorder_dropped = 0
 
     # -- collection --------------------------------------------------------
 
@@ -155,21 +157,15 @@ class TelemetrySampler:
         d_count = hist["count"] - (prev["count"] if prev else 0.0)
         if d_count <= 0:
             return None
-        delta = {
+        buckets = hist["buckets"]
+        return {
             "count": d_count,
             "sum": hist["sum"] - (prev["sum"] if prev else 0.0),
             "min": hist["min"],
             "max": hist["max"],
+            "buckets": (list(buckets) if prev is None else
+                        [b - p for b, p in zip(buckets, prev["buckets"])]),
         }
-        buckets = hist.get("buckets")
-        if buckets:
-            prev_buckets = prev.get("buckets") if prev else None
-            if prev_buckets and len(prev_buckets) == len(buckets):
-                delta["buckets"] = [b - p for b, p
-                                    in zip(buckets, prev_buckets)]
-            else:
-                delta["buckets"] = list(buckets)
-        return delta
 
     def sample(self) -> Dict[str, Any]:
         """One delta payload since the last *acked* sample."""
@@ -203,7 +199,6 @@ class TelemetrySampler:
             self._last_gauges = dict(gauges)
             self._last_hists = {k: dict(v) for k, v in hists.items()}
             self._seq += 1
-            self.samples_taken += 1
 
             payload: Dict[str, Any] = {
                 "v": TELEMETRY_VERSION, "seq": self._seq, "t": time.time(),
@@ -249,20 +244,13 @@ class TelemetrySampler:
             prev["sum"] += d["sum"]
             prev["min"] = min(prev["min"], d["min"])
             prev["max"] = max(prev["max"], d["max"])
-            if "buckets" in d and "buckets" in prev \
-                    and len(prev["buckets"]) == len(d["buckets"]):
-                prev["buckets"] = [a + b for a, b
-                                   in zip(prev["buckets"], d["buckets"])]
-            elif "buckets" in d:
-                prev["buckets"] = list(d["buckets"])
+            prev["buckets"] = [a + b for a, b
+                               in zip(prev["buckets"], d["buckets"])]
         if h:
             merged["h"] = h
         rec = list(old.get("rec", [])) + list(new.get("rec", []))
-        if len(rec) > MAX_RECORDER_ENTRIES:
-            self.recorder_dropped += len(rec) - MAX_RECORDER_ENTRIES
-            rec = rec[-MAX_RECORDER_ENTRIES:]
         if rec:
-            merged["rec"] = rec
+            merged["rec"] = rec[-MAX_RECORDER_ENTRIES:]
         return merged
 
     def ack(self, seq: int) -> None:
@@ -270,7 +258,6 @@ class TelemetrySampler:
         with self._lock:
             if self._pending is not None and self._pending["seq"] <= seq:
                 self._pending = None
-            self._acked_seq = max(self._acked_seq, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +315,20 @@ def validate_telemetry(payload: Any) -> Dict[str, Any]:
                 entry[field] = float(value)
             _require(entry["count"] > 0,
                      f"histogram {key!r} carries no observations")
+            # One count per rung of the shared ladder, summing to
+            # ``count``: anything else would corrupt the fleet totals the
+            # quantiles are read from.
             buckets = hist.get("buckets")
-            if buckets is not None:
-                _require(isinstance(buckets, (list, tuple))
-                         and len(buckets) <= len(DEFAULT_BUCKET_BOUNDS) + 1,
-                         f"histogram {key!r}.buckets malformed")
-                checked: List[float] = []
-                for b in buckets:
-                    _require(_is_num(b),
-                             f"histogram {key!r} bucket count not finite")
-                    checked.append(float(b))
-                entry["buckets"] = checked
+            _require(isinstance(buckets, (list, tuple))
+                     and len(buckets) == len(DEFAULT_BUCKET_BOUNDS) + 1,
+                     f"histogram {key!r}.buckets is not one count per "
+                     f"bucket of the ladder")
+            _require(all(_is_num(b) and b >= 0 for b in buckets),
+                     f"histogram {key!r} bucket count is not a finite, "
+                     f"non-negative number")
+            entry["buckets"] = [float(b) for b in buckets]
+            _require(sum(entry["buckets"]) == entry["count"],
+                     f"histogram {key!r} bucket counts do not sum to count")
             hists[key] = entry
         out["h"] = hists
     if "rec" in payload:
@@ -369,13 +359,11 @@ class WorkerTelemetry:
     of flight-recorder entries.  Kept after the worker dies — this *is*
     the postmortem."""
 
-    def __init__(self, name: str, generation: int,
-                 window: int = DEFAULT_WINDOW,
-                 recorder_keep: int = DEFAULT_RECORDER_KEEP) -> None:
+    def __init__(self, name: str, generation: int) -> None:
         self.name = name
         self.generation = generation
-        self.window: deque = deque(maxlen=window)
-        self.recorder: deque = deque(maxlen=recorder_keep)
+        self.window: deque = deque(maxlen=WINDOW)
+        self.recorder: deque = deque(maxlen=RECORDER_KEEP)
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.hists: Dict[str, Dict[str, Any]] = {}
@@ -405,23 +393,14 @@ class WorkerTelemetry:
         for k, d in payload.get("h", {}).items():
             total = self.hists.get(k)
             if total is None:
-                self.hists[k] = {
-                    "count": d["count"], "sum": d["sum"],
-                    "min": d["min"], "max": d["max"],
-                    "buckets": list(d.get("buckets", [])),
-                }
+                self.hists[k] = dict(d)
             else:
                 total["count"] += d["count"]
                 total["sum"] += d["sum"]
                 total["min"] = min(total["min"], d["min"])
                 total["max"] = max(total["max"], d["max"])
-                buckets = d.get("buckets")
-                if buckets:
-                    if len(total["buckets"]) == len(buckets):
-                        total["buckets"] = [a + b for a, b
-                                            in zip(total["buckets"], buckets)]
-                    else:
-                        total["buckets"] = list(buckets)
+                total["buckets"] = [a + b for a, b
+                                    in zip(total["buckets"], d["buckets"])]
         self.window.append(payload)
         for entry in payload.get("rec", []):
             self.recorder.append(entry)
@@ -469,8 +448,8 @@ class WorkerTelemetry:
             "gc_collections": gc_collections,
         }
 
-    def as_dict(self, include_window: bool = False) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+    def as_dict(self) -> Dict[str, Any]:
+        return {
             "name": self.name,
             "generation": self.generation,
             "last_seq": self.last_seq,
@@ -487,27 +466,12 @@ class WorkerTelemetry:
             "straggler": self.straggler_since is not None,
             "straggler_since": self.straggler_since,
         }
-        if include_window:
-            out["window"] = [dict(s) for s in self.window]
-        return out
 
 
 class FleetTelemetry:
     """All workers' telemetry plus fleet rollups and straggler state."""
 
-    def __init__(
-        self,
-        window: int = DEFAULT_WINDOW,
-        recorder_keep: int = DEFAULT_RECORDER_KEEP,
-        straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-        straggler_min_samples: int = DEFAULT_STRAGGLER_MIN_SAMPLES,
-        straggler_min_seconds: float = DEFAULT_STRAGGLER_MIN_SECONDS,
-    ) -> None:
-        self.window = window
-        self.recorder_keep = recorder_keep
-        self.straggler_factor = straggler_factor
-        self.straggler_min_samples = straggler_min_samples
-        self.straggler_min_seconds = straggler_min_seconds
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._workers: Dict[str, WorkerTelemetry] = {}
         self.events: deque = deque(maxlen=EVENT_KEEP)
@@ -530,9 +494,7 @@ class FleetTelemetry:
             state = self._workers.get(worker)
             if state is None:
                 state = self._workers[worker] = WorkerTelemetry(
-                    worker, generation, window=self.window,
-                    recorder_keep=self.recorder_keep,
-                )
+                    worker, generation)
             state.ingest(checked, generation)
             self.samples_ingested += 1
 
@@ -600,17 +562,15 @@ class FleetTelemetry:
             rollups = {s.name: s.rollup() for s in states}
             eligible = {
                 name: roll for name, roll in rollups.items()
-                if roll["epoch_samples_window"] >= self.straggler_min_samples
+                if roll["epoch_samples_window"] >= STRAGGLER_MIN_SAMPLES
             }
             emitted: List[Dict[str, Any]] = []
             if len(eligible) >= 2:
                 median = statistics.median(
                     r["epoch_receive_mean_s"] for r in eligible.values()
                 )
-                threshold = max(
-                    self.straggler_factor * median,
-                    self.straggler_min_seconds,
-                )
+                threshold = max(STRAGGLER_FACTOR * median,
+                                STRAGGLER_MIN_SECONDS)
                 for s in states:
                     roll = eligible.get(s.name)
                     if roll is None:
@@ -623,7 +583,7 @@ class FleetTelemetry:
                                 "straggler", s.name,
                                 metric="epoch_receive_mean_s",
                                 value=value, median=median,
-                                factor=self.straggler_factor,
+                                factor=STRAGGLER_FACTOR,
                                 generation=s.generation,
                             ))
                     elif s.straggler_since is not None:
@@ -644,26 +604,21 @@ class FleetTelemetry:
     # -- documents ---------------------------------------------------------
 
     def document(self, worker: Optional[str] = None,
-                 include_window: bool = False,
                  alive: Optional[List[str]] = None) -> Dict[str, Any]:
-        """The JSON telemetry doc the ``telemetry`` RPC answers and every
-        front end (top / prometheus) renders."""
+        """The JSON telemetry doc the ``telemetry`` RPC answers and
+        ``repro.obs top`` renders."""
         with self._lock:
             if worker is None:
                 names = sorted(self._workers)
             else:
                 names = [worker] if worker in self._workers else []
-            workers = {
-                name: self._workers[name].as_dict(
-                    include_window=include_window)
-                for name in names
-            }
+            workers = {name: self._workers[name].as_dict() for name in names}
             events = [dict(e) for e in self.events]
             stats = {
                 "samples_ingested": self.samples_ingested,
                 "payloads_rejected": self.payloads_rejected,
-                "window": self.window,
-                "straggler_factor": self.straggler_factor,
+                "window": WINDOW,
+                "straggler_factor": STRAGGLER_FACTOR,
             }
         return {
             "kind": "fleet_telemetry",
@@ -682,7 +637,8 @@ class FleetTelemetry:
             state = self._workers.get(worker)
             if state is None:
                 return None
-            out = state.as_dict(include_window=True)
+            out = state.as_dict()
+            out["window"] = [dict(s) for s in state.window]
             out["recorder"] = [dict(e) for e in state.recorder]
             return out
 

@@ -21,8 +21,9 @@ Three producers feed it:
   duration, attrs), so a traced run's recorder dump is a poor man's
   trace of the final seconds.
 
-The module-level fast path mirrors :mod:`repro.obs.tracer`: with no
-recorder enabled, :func:`record` costs one global load and one ``None``
+Only a fleet worker enables a recorder (its heartbeats are the one
+reader).  The module-level fast path mirrors :mod:`repro.obs.tracer`: with
+no recorder enabled, :func:`record` costs one global load and one ``None``
 check — nothing allocates, nothing locks.  Entries carry a process-wide
 monotonic ``seq`` so incremental drains (``drain_since``) and
 coordinator-side dedup are exact even across re-registrations.
@@ -35,26 +36,18 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
-#: Default ring capacity.  256 entries at ~120 bytes JSON each keeps a
-#: full dump under ~32 KiB — comfortably inside one heartbeat CALL frame.
-DEFAULT_CAPACITY = 256
+#: Ring capacity.  256 entries at ~120 bytes JSON each keeps a full dump
+#: under ~32 KiB — comfortably inside one heartbeat CALL frame.
+CAPACITY = 256
 
 
 class FlightRecorder:
     """A bounded, thread-safe ring of recent events."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 span_tap: bool = True) -> None:
-        if capacity < 1:
-            raise ValueError("flight recorder capacity must be >= 1")
-        self.capacity = capacity
-        #: When true (the default) the tracer's ``finish`` appends every
-        #: closed span as a ``"span"`` entry.
-        self.span_tap = span_tap
-        self._ring: deque = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._ring: deque = deque(maxlen=CAPACITY)
         self._lock = threading.Lock()
         self._seq = 0
-        self.recorded = 0
 
     # -- writing -----------------------------------------------------------
 
@@ -69,7 +62,6 @@ class FlightRecorder:
                 if key not in entry:  # seq/t_s/kind stay authoritative
                     entry[key] = value
             self._ring.append(entry)
-            self.recorded += 1
         return seq
 
     def record_span(self, span) -> None:
@@ -87,11 +79,6 @@ class FlightRecorder:
 
     # -- reading -----------------------------------------------------------
 
-    @property
-    def last_seq(self) -> int:
-        with self._lock:
-            return self._seq
-
     def dump(self) -> List[Dict[str, Any]]:
         """Everything currently in the ring, oldest first (a copy)."""
         with self._lock:
@@ -104,14 +91,6 @@ class FlightRecorder:
         with self._lock:
             return [dict(e) for e in self._ring if e["seq"] > seq]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
-
 
 # ---------------------------------------------------------------------------
 # module-level fast path (mirrors tracer's enable/disable discipline)
@@ -121,21 +100,16 @@ _state_lock = threading.Lock()
 _recorder: Optional[FlightRecorder] = None
 
 
-def recorder_enabled() -> bool:
-    return _recorder is not None
-
-
 def get_recorder() -> Optional[FlightRecorder]:
     return _recorder
 
 
-def enable_recorder(capacity: int = DEFAULT_CAPACITY,
-                    span_tap: bool = True) -> FlightRecorder:
+def enable_recorder() -> FlightRecorder:
     """Turn the process-global recorder on (idempotent)."""
     global _recorder
     with _state_lock:
         if _recorder is None:
-            _recorder = FlightRecorder(capacity=capacity, span_tap=span_tap)
+            _recorder = FlightRecorder()
         return _recorder
 
 

@@ -1,7 +1,7 @@
 """One metrics registry the existing ledgers feed.
 
 Counters, gauges and histograms carry labels (encoded into the series key
-Prometheus-style: ``name{k=v,...}``); *sources* are the bridge to the
+``name{k=v,...}``); *sources* are the bridge to the
 ledgers that already exist — a registered callable is evaluated at
 :meth:`MetricsRegistry.snapshot` time, so ``ExchangeMetrics.as_dict()``,
 ``TransportMetrics.as_dict()``, ``EventLog.as_dicts()`` and GC stats all

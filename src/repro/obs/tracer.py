@@ -236,7 +236,7 @@ class Tracer:
         # load and one None check — the ring only sees spans when both a
         # tracer *and* a recorder are on.
         rec = _recorder_mod._recorder
-        if rec is not None and rec.span_tap:
+        if rec is not None:
             rec.record_span(span)
         return span
 

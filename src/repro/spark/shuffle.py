@@ -166,7 +166,7 @@ class ShuffleService:
         worker = sc.fleet_worker_for(node)
         if worker is None:
             return
-        from repro.cluster.errors import ClusterError
+        from repro.transport.errors import ClusterError
 
         try:
             sc.fleet.put_blob(worker, filename, data)
@@ -200,7 +200,7 @@ class ShuffleService:
         if src_worker is None or dst_worker is None \
                 or src_worker == dst_worker:
             return
-        from repro.cluster.errors import ClusterError
+        from repro.transport.errors import ClusterError
 
         try:
             result = sc.fleet.peer_blob(src_worker, dst_worker, filename)

@@ -60,10 +60,13 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.cluster.errors import ClusterProtocolError
 from repro.transport import frames
 from repro.transport.bootstrap import ThreadHost
-from repro.transport.errors import TransportClosed, TransportError
+from repro.transport.errors import (
+    ClusterProtocolError,
+    TransportClosed,
+    TransportError,
+)
 from repro.transport.loop import Connection, FrameLoop
 from repro.transport.worker import WorkerServer, WorkerSpec, _BlobSink
 
@@ -532,7 +535,6 @@ class AsyncWorkerServer(FrameLoop):
         self.queue_waits.append(wait)
         if len(self.queue_waits) > 8192:
             del self.queue_waits[:4096]
-        obs.registry().observe("aserve.queue_wait_seconds", wait)
         conn.queued_bytes -= item.stream_bytes
         left = conn.pending_per_channel.get(item.channel_id, 1) - 1
         if left > 0:

@@ -6,6 +6,14 @@ worker — surfaces at the driver as one of these types, never as a bare
 ``OSError``/``struct.error``.  Drivers can therefore write policy
 (retry, re-queue, fail the task) against a stable taxonomy, which is what
 the paper's "Skyway runtime" does for its TCP channel failures.
+
+The fleet's membership failures live here too (:class:`ClusterError` and
+its family): workers raise them themselves, so they sit below both the
+worker and :mod:`repro.cluster`.  :class:`PeerGoneError` carries the dead
+peer's name, so a broadcast can finish on survivors while naming exactly
+who vanished; :class:`ClusterProtocolError` is the mis-route guard (a
+reserved or unadmitted channel id on an EPOCH frame is rejected, never
+placed into the wrong channel state).
 """
 
 from __future__ import annotations
@@ -47,3 +55,37 @@ class RemoteWorkerError(TransportError):
         super().__init__(f"remote worker error [{kind}]: {message}")
         self.kind = kind
         self.message = message
+
+
+class ClusterError(RuntimeError):
+    """Base of every fleet membership failure: who is in the fleet, and is
+    the peer still the process the coordinator registered?"""
+
+
+class ClusterConfigError(ClusterError):
+    """The fleet was asked for something its configuration lacks
+    (unknown worker name, no coordinator, malformed spec)."""
+
+
+class ClusterProtocolError(ClusterError):
+    """A coordinator/fleet protocol violation: a reserved or unassigned
+    channel id on an EPOCH frame, a malformed coordinator RPC, or a blob
+    key the peer never stored."""
+
+
+class CoordinatorUnavailableError(ClusterError):
+    """The coordinator could not be reached (down or unreachable); fleet
+    membership answers are unavailable until it returns."""
+
+
+class PeerGoneError(ClusterError):
+    """A fleet worker is dead (missed heartbeats, or found dead under a
+    send).  Carries the peer's name and, when known, the generation the
+    failing channel was bound to."""
+
+    def __init__(self, peer: str, message: str = "",
+                 generation: int = 0) -> None:
+        detail = message or "worker is gone (marked dead by the coordinator)"
+        super().__init__(f"peer {peer!r}: {detail}")
+        self.peer = peer
+        self.generation = generation

@@ -58,6 +58,11 @@ restarted, state dropped, epoch gap) answers ``ok=false`` naming
 (``send_peer``) is the same ``ship`` from this side: the worker keeps a
 ``DeltaSendChannel`` per (peer, channel id) and delivers through its own
 :class:`~repro.transport.client.WorkerClient`.
+
+Telemetry (:mod:`repro.obs.live`) runs only in fleet mode: a worker with a
+coordinator keeps a flight recorder, per-epoch ``worker.*`` series and a
+heartbeat sampler; a worker without one writes none of them, because
+nothing would read them.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ import zlib
 from typing import Dict, Optional, Set, Tuple
 
 from repro import obs
-from repro.cluster.errors import ClusterProtocolError, PeerGoneError
 from repro.core.streams import IncrementalStreamDecoder
 from repro.delta.channel import DeltaReceiveEndpoint, DeltaSendChannel
 from repro.delta.wire import FRAME_DELTA, FRAME_FULL, DeltaFrame, parse_frame
@@ -81,7 +85,12 @@ from repro.transport.bootstrap import (
     serve_reporting_port,
 )
 from repro.transport.digest import graph_digest, semantic_graph_digest
-from repro.transport.errors import RemoteWorkerError, TransportError
+from repro.transport.errors import (
+    ClusterProtocolError,
+    PeerGoneError,
+    RemoteWorkerError,
+    TransportError,
+)
 from repro.transport.metrics import TransportMetrics
 
 
@@ -101,20 +110,15 @@ class WorkerSpec:
     #: default is far above ``bind_listener``'s conservative 8.
     listen_backlog: int = 128
     #: Fleet mode (repro.cluster): when set, the worker registers with the
-    #: coordinator at this address as it comes up and heartbeats from its
-    #: event loop until shutdown.
+    #: coordinator at this address as it comes up, heartbeats from its
+    #: event loop until shutdown, and runs the telemetry plane those
+    #: heartbeats carry.
     coordinator_host: Optional[str] = None
     coordinator_port: int = 0
     #: Fleet mode: reject EPOCH frames whose channel id the coordinator
     #: (via ``admit_channel``) never told this worker to expect.  Channel
     #: id 0 is rejected unconditionally, strict or not.
     strict_channels: bool = False
-    #: Telemetry plane (repro.obs.live): when true, the worker enables
-    #: its flight recorder, observes per-epoch receive/apply latency into
-    #: the metrics registry, and (in fleet mode) piggybacks metric deltas
-    #: on every heartbeat.  Off = the zero-cost baseline a telemetry-tax
-    #: measurement compares against.
-    telemetry: bool = True
 
 
 class _BlobSink:
@@ -228,17 +232,16 @@ class WorkerServer:
     def observe_epoch(self, channel_id: int, stream_bytes: int,
                       receive_seconds: Optional[float],
                       apply_seconds: float) -> None:
-        """The telemetry plane's per-epoch observation point.
-        ``receive_seconds`` covers
+        """The telemetry plane's per-epoch observation point, live only
+        while a coordinator reads it.  ``receive_seconds`` covers
         EPOCH-header-to-last-chunk *as this worker saw it arrive* — a
         paced or congested wire stretches it, which is exactly the series
         the coordinator's straggler rule reads."""
-        if not self.spec.telemetry:
+        if self.loop.membership is None:
             return
         reg = obs.registry()
         reg.counter("worker.epochs")
         reg.counter("worker.epoch_bytes", stream_bytes)
-        reg.observe("worker.epoch_apply_seconds", apply_seconds)
         if receive_seconds is not None:
             reg.observe("worker.epoch_receive_seconds", receive_seconds)
         obs.record("epoch", channel=channel_id, bytes=stream_bytes,
@@ -444,7 +447,6 @@ class WorkerServer:
             "blobs_stored": len(self._blobs),
             "channels_admitted": len(self._admitted),
             "generation": getattr(self.loop.membership, "generation", 0),
-            "telemetry": self.spec.telemetry,
             "telemetry_sent": getattr(self.loop.membership,
                                       "telemetry_sent", 0),
             "runtime": {
@@ -505,28 +507,25 @@ def worker_main(spec: WorkerSpec, port_pipe) -> None:
 
     def build(port: int) -> "AsyncWorkerServer":
         server = WorkerServer(spec)
-        recorder = None
-        if spec.telemetry:
-            # Flight recorder on from the first op: even a worker that
-            # dies before its first heartbeat records what it was doing.
+        loop = AsyncWorkerServer(server)
+        if spec.coordinator_host:
+            from repro.cluster.membership import WorkerMembership
+            from repro.obs.live import TelemetrySampler
+
+            # The telemetry plane, for the coordinator that reads it.  The
+            # recorder is on from the first op: even a worker that dies
+            # before its first heartbeat records what it was doing.
             recorder = obs.enable_recorder()
             obs.registry().register_source(
                 f"transport.{spec.name}", server.metrics.as_dict
             )
-        loop = AsyncWorkerServer(server)
-        if spec.coordinator_host:
-            from repro.cluster.membership import WorkerMembership
-
             membership = WorkerMembership(
                 spec.name, spec.host, port,
                 spec.coordinator_host, spec.coordinator_port,
             )
-            if spec.telemetry:
-                from repro.obs.live import TelemetrySampler
-
-                membership.sampler = TelemetrySampler(
-                    obs.registry(), recorder=recorder,
-                )
+            membership.sampler = TelemetrySampler(
+                obs.registry(), recorder=recorder,
+            )
             # One process, one loop: register now (raises if the
             # coordinator is unreachable), then the event loop owns the
             # heartbeat cadence — no membership thread.

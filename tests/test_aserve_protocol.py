@@ -43,7 +43,7 @@ class _DeadSocket:
 @pytest.fixture
 def loop():
     return AsyncWorkerServer(WorkerServer(WorkerSpec(
-        name="sm-worker", classpath_factory=SAMPLE_FACTORY, telemetry=False,
+        name="sm-worker", classpath_factory=SAMPLE_FACTORY,
     )))
 
 

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.cluster.coordinator import CoordinatorServer, CoordinatorSpec
+from repro.obs import live
 from repro.obs.live import LATENCY_SERIES, TelemetrySampler
 from repro.obs.registry import MetricsRegistry
 from repro.transport import frames
@@ -156,13 +157,14 @@ def test_tick_marks_a_silent_worker_dead_without_a_monitor_thread(
     assert threading.active_count() == threads_before
 
 
-def test_tick_flags_exactly_the_slow_worker_edge_triggered():
+def test_tick_flags_exactly_the_slow_worker_edge_triggered(monkeypatch):
     """Real sampler payloads ride heartbeat CALLs; the loop tick runs the
     detection; the ``events`` op is the driver's cursor-paged feed."""
     # A 10 s heartbeat keeps every injected ``now`` inside the liveness
     # deadline; a one-sample window makes each beat the whole series.
+    monkeypatch.setattr(live, "WINDOW", 1)
     server = CoordinatorServer(CoordinatorSpec(
-        name="sm-coordinator", heartbeat_interval=10.0, telemetry_window=1))
+        name="sm-coordinator", heartbeat_interval=10.0))
     conn = Connection(server, _DeadSocket())
     server._conns.append(conn)
     workers = {}
@@ -175,7 +177,7 @@ def test_tick_flags_exactly_the_slow_worker_edge_triggered():
 
     def beat(**latency):
         for name, (generation, registry, sampler) in workers.items():
-            for _ in range(server.spec.straggler_min_samples):
+            for _ in range(live.STRAGGLER_MIN_SAMPLES):
                 registry.observe(LATENCY_SERIES, latency.get(name, 0.002))
             [(ftype, result)] = _exchange(server, conn, _call(
                 "heartbeat", name=name, generation=generation,

@@ -34,8 +34,6 @@ TRANSPORT_MAY_NOT = {"exchange", "spark", "cluster"}
 #: may only shrink: remove an entry with the import it excuses (a stale
 #: entry fails the test below), and never add one.
 ALLOWED = {
-    ("repro.transport.aserve", "repro.cluster.errors"),
-    ("repro.transport.worker", "repro.cluster.errors"),
     ("repro.transport.worker", "repro.cluster.membership"),
     ("repro.obs.__main__", "repro.cluster.membership"),
 }

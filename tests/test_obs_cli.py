@@ -46,7 +46,7 @@ def test_report_and_diff_read_obs_snapshots(tmp_path, capsys):
     assert "cli.sends" in capsys.readouterr().out
 
 
-def test_top_and_export_read_a_fleet_document(tmp_path, capsys):
+def test_top_reads_a_fleet_document(tmp_path, capsys):
     registry = MetricsRegistry()
     registry.observe(LATENCY_SERIES, 0.004)
     fleet = FleetTelemetry()
@@ -54,16 +54,14 @@ def test_top_and_export_read_a_fleet_document(tmp_path, capsys):
     doc = _dump(tmp_path / "telemetry.json", fleet.document())
     assert main(["top", "--snapshot", doc, "--once"]) == 0
     assert "w0" in capsys.readouterr().out
-    assert main(["export", "--prometheus", "--snapshot", doc]) == 0
-    assert 'worker="w0"' in capsys.readouterr().out
-    for command in (["top", "--once"], ["export", "--prometheus"]):
-        both = command + ["--snapshot", doc, "--coordinator", "127.0.0.1:1"]
-        assert main(command) == main(both) == 2  # neither source; both
+    command = ["top", "--once"]
+    both = command + ["--snapshot", doc, "--coordinator", "127.0.0.1:1"]
+    assert main(command) == main(both) == 2  # neither source; both
     assert "exactly one of" in capsys.readouterr().err
 
 
-def test_help_lists_exactly_the_five_subcommands(capsys):
+def test_help_lists_exactly_the_four_subcommands(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
     assert exit_info.value.code == 0
-    assert "{report,trace,diff,top,export}" in capsys.readouterr().out
+    assert "{report,trace,diff,top}" in capsys.readouterr().out
