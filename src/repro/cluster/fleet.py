@@ -141,8 +141,8 @@ class Fleet:
         self.name = name
         self.read_timeout = read_timeout
         #: One policy engine shared by every driver→worker channel (the
-        #: fleet's send modes are one decision plane); per-channel history
-        #: inside the engine isolates a slow peer's bandwidth signal.
+        #: fleet's send modes are one decision plane); history is per
+        #: channel and goes when the channel closes or takes a new id.
         self.engine = resolve_engine(policy)
         #: worker name -> (generation, client)
         self._clients: Dict[str, Tuple[int, WorkerClient]] = {}

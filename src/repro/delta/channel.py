@@ -147,9 +147,8 @@ class DeltaSendChannel:
         """Frame one epoch carrying ``roots``; mode per the engine's plan.
 
         Callers normally pass no plan and let the engine decide; a caller
-        that already called :meth:`plan_next` may hand that plan back to
-        execute it without re-deciding (the dispatch layer does this to
-        route ``parallel-N`` plans around the channel)."""
+        that timed the decision on its own through :meth:`plan_next` hands
+        that plan back to execute it without re-deciding."""
         with obs.span("send.epoch", clock=self.runtime.jvm.clock,
                       channel=self.channel_id,
                       destination=self.destination) as sp:
@@ -159,22 +158,18 @@ class DeltaSendChannel:
         return frame
 
     def plan_next(self, roots: List[int]) -> SendPlan:
-        """Decide the upcoming epoch without executing it.
-
-        The plan (with its card-table scan) is cached and consumed by the
-        next :meth:`send`; a caller that routes the epoch elsewhere
-        (parallel streams) must call :meth:`discard_plan` instead."""
+        """Decide the upcoming epoch without executing it — a timing seam
+        that separates the decision (signals, card-table scan, policy)
+        from the encode, not a routing one: every plan still executes
+        through :meth:`send`.  The plan and its signals are cached and
+        consumed by the next :meth:`send`."""
         gc = self.runtime.jvm.gc.stats
         plan, signals = self._plan(roots, self.record, gc, self.epoch + 1)
         self._pending = (plan, signals)
         return plan
 
-    def discard_plan(self) -> None:
-        """Drop a cached :meth:`plan_next` decision without executing it."""
-        self._pending = None
-
-    def ship(self, roots: List[int], deliver: Callable[[bytes], Any],
-             plan: Optional[SendPlan] = None) -> Tuple[Any, List[bytes]]:
+    def ship(self, roots: List[int],
+             deliver: Callable[[bytes], Any]) -> Tuple[Any, List[bytes]]:
         """Frame one epoch and hand it to ``deliver`` — the NACK protocol,
         once, for every path an epoch can take.  A ``deliver`` that raises
         :class:`DeltaStaleError` (the receiver retains nothing this frame
@@ -182,7 +177,7 @@ class DeltaSendChannel:
         on the same path; a second NACK, or any other failure, propagates.
         Returns what ``deliver`` returned for the frame that landed, and
         every frame shipped (two means a NACK was recovered)."""
-        frames = [self.send(roots, plan=plan)]
+        frames = [self.send(roots)]
         try:
             return deliver(frames[0]), frames
         except DeltaStaleError:
@@ -223,7 +218,7 @@ class DeltaSendChannel:
             # mode, not a reversion worth counting against the policy.
             self.stats.note_fallback(plan.reason)
         self.last_plan = plan
-        return self._send_full(roots, gc, plan)
+        return self._send_full(roots, gc)
 
     def force_full_next(self) -> None:
         """React to a receiver NACK (:class:`DeltaStaleError`)."""
@@ -234,7 +229,9 @@ class DeltaSendChannel:
         """Adopt a fresh channel id (a coordinator re-assignment after the
         receiving worker restarted).  The epoch counter keeps counting —
         receivers accept a FULL at any epoch — but the next epoch is
-        forced FULL: no receiver retains state under the new id."""
+        forced FULL: no receiver retains state under the new id.  The
+        engine forgets the old id's history."""
+        self.engine.forget(self.channel_id)
         self.channel_id = channel_id
         self._force_full = True
         self._pending = None
@@ -251,7 +248,6 @@ class DeltaSendChannel:
             channel_id=self.channel_id,
             destination=self.destination,
             epoch=epoch,
-            root_count=len(roots),
             forced_full=self._force_full,
             heterogeneous=self.heterogeneous,
             delta_capable=self.delta_enabled,
@@ -300,7 +296,7 @@ class DeltaSendChannel:
             self.stats.wasted_encode_bytes += len(frame)
             return None, dataclasses.replace(
                 plan, mode="full", reason="encoded_overrun",
-                estimated_bytes=len(frame), streams=1, byte_budget=None,
+                estimated_bytes=len(frame), byte_budget=None,
             )
         record.merge_epoch(
             summary.new_members, summary.new_sizes, summary.logical_end,
@@ -314,20 +310,18 @@ class DeltaSendChannel:
         self.stats.sameref_roots += summary.sameref_roots
         return frame, plan
 
-    def _send_full(self, roots: List[int], gc, plan: SendPlan) -> bytes:
+    def _send_full(self, roots: List[int], gc) -> bytes:
         with obs.span("send.full", clock=self.runtime.jvm.clock):
-            return self._send_full_inner(roots, gc, plan)
+            return self._send_full_inner(roots, gc)
 
-    def _send_full_inner(self, roots: List[int], gc,
-                         plan: SendPlan) -> bytes:
+    def _send_full_inner(self, roots: List[int], gc) -> bytes:
         # A fresh shuffling phase invalidates stale baddrs (paper §3.3);
         # the epoch record, unlike baddrs, survives into later phases.
         self.runtime.shuffle_start()
         stream = SkywayObjectOutputStream(
             self.runtime,
             destination=f"delta:{self.channel_id}:{self.destination}",
-            use_kernels=(self.use_kernels if plan.kernel is None
-                         else plan.kernel),
+            use_kernels=self.use_kernels,
         )
         for root in roots:
             stream.write_object(root)
@@ -348,7 +342,9 @@ class DeltaSendChannel:
         return frame
 
     def close(self) -> None:
-        """Detach this channel's table from the write barrier."""
+        """Detach this channel's table from the write barrier and drop its
+        history from the (possibly shared) policy engine."""
+        self.engine.forget(self.channel_id)
         if self.tracker is not None and self.table is not None:
             self.tracker.release_table(self.table)
             self.table = None

@@ -13,11 +13,11 @@ stack is::
                           └── managed heaps (repro.core / repro.heap)
 
 A :class:`GraphChannel` negotiates capabilities (kernel fast path, delta
-epochs, parallel streams) against its substrate's offer and ships epochs
-through one send body — a substrate is only how a frame is delivered, and
-NACK recovery is :meth:`~repro.delta.channel.DeltaSendChannel.ship`'s on
-both; an :class:`Exchange` hands out channels, blob transfers
-and parallel sends for one cluster; :class:`ExchangeMetrics` merges the
+epochs) against its substrate's offer and ships every epoch through one
+send body — a substrate is only how a frame is delivered, and NACK
+recovery is :meth:`~repro.delta.channel.DeltaSendChannel.ship`'s on
+both; an :class:`Exchange` hands out channels and blob transfers for one
+cluster; :class:`ExchangeMetrics` merges the
 simulated breakdown, the delta ledger, and the measured transport counters
 into one JSON-exportable snapshot per channel.
 """

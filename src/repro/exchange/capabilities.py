@@ -18,13 +18,11 @@ Capabilities:
     and a dirty card table, and frames DELTA epochs when the policy says
     they pay.  Offered by both substrates (the socket worker routes delta
     frames by channel id).
-``parallel_streams``
-    Upper bound on concurrent streams a ``parallel-N`` plan (or a direct
-    ``Exchange.parallel_send``) may use toward this destination.
 
-Negotiation answers *what the channel could do*; the policy plane's
+Negotiation answers *what the channel could do*: ``kernel`` fixes the
+channel's clone engine once, and the policy plane's
 :class:`~repro.policy.engine.PolicyEngine` decides *what each epoch does*
-within those bounds.
+(full or delta) within the ``delta`` bound.
 """
 
 from __future__ import annotations
@@ -39,36 +37,22 @@ class ChannelCapabilities:
 
     kernel: bool = True
     delta: bool = False
-    parallel_streams: int = 1
 
     def intersect(self, other: "ChannelCapabilities") -> "ChannelCapabilities":
         return ChannelCapabilities(
             kernel=self.kernel and other.kernel,
             delta=self.delta and other.delta,
-            parallel_streams=max(
-                1, min(self.parallel_streams, other.parallel_streams)
-            ),
         )
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "kernel": self.kernel,
-            "delta": self.delta,
-            "parallel_streams": self.parallel_streams,
-        }
+        return dataclasses.asdict(self)
 
 
 #: What the in-process substrate can do.
-LOOPBACK_OFFER = ChannelCapabilities(
-    kernel=True, delta=True, parallel_streams=64,
-)
+LOOPBACK_OFFER = ChannelCapabilities(kernel=True, delta=True)
 
 #: What the socket substrate can do.
-SOCKET_OFFER = ChannelCapabilities(
-    kernel=True, delta=True, parallel_streams=16,
-)
+SOCKET_OFFER = ChannelCapabilities(kernel=True, delta=True)
 
-#: The default request: every fast path on, sized for one stream.
-DEFAULT_REQUEST = ChannelCapabilities(
-    kernel=True, delta=True, parallel_streams=1,
-)
+#: The default request: every fast path on.
+DEFAULT_REQUEST = ChannelCapabilities(kernel=True, delta=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import time
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro import obs
@@ -56,7 +55,7 @@ class SendReceipt:
     #: sockets; None on loopback).
     result: Optional[dict] = None
     #: The engine's (clamped) decision this send executed — mode, reason,
-    #: streams, the digest knob and the signals that drove it.
+    #: the digest knob and the estimates that drove it.
     plan: Optional[SendPlan] = None
 
 
@@ -79,10 +78,9 @@ class GraphChannel:
         channel_id: Optional[int] = None,
         target_layout: Optional[HeapLayout] = None,
     ) -> None:
-        # Negotiation grants the union of what both sides can do; whether
-        # a given epoch *uses* a capability (kernels, parallel streams) is
-        # the policy plane's call — SendPlan.clamp() bounds each plan by
-        # these capabilities per epoch.
+        # Negotiation grants what both sides can do: ``kernel`` fixes this
+        # channel's clone engine, and SendPlan.clamp() bounds each epoch's
+        # full-or-delta plan by ``delta``.
         caps = requested.intersect(offered)
         self.runtime = runtime
         self.destination = destination
@@ -124,21 +122,20 @@ class GraphChannel:
 
     # -- the protocol -------------------------------------------------------
 
-    def send(self, roots: Sequence[int], digest: Optional[bool] = None,
-             plan: Optional[SendPlan] = None) -> SendReceipt:
-        """Ship one epoch carrying ``roots``.  ``digest=None`` lets the
-        executed plan decide; a ``plan`` from :meth:`plan_next` is
-        executed without re-deciding."""
+    def send(self, roots: Sequence[int],
+             digest: Optional[bool] = None) -> SendReceipt:
+        """Ship one epoch carrying ``roots``, mode per the engine's plan.
+        ``digest=None`` lets the executed plan decide."""
         with obs.span("exchange.send", substrate=self.substrate,
                       destination=self.destination) as sp:
-            receipt = self._send_impl(roots, digest, plan)
+            receipt = self._send_impl(roots, digest)
             sp.set(mode=receipt.mode, epoch=receipt.epoch,
                    wire_bytes=receipt.wire_bytes,
                    nack=receipt.nack_recovered)
         return receipt
 
-    def _send_impl(self, roots: Sequence[int], digest: Optional[bool],
-                   plan: Optional[SendPlan]) -> SendReceipt:
+    def _send_impl(self, roots: Sequence[int],
+                   digest: Optional[bool]) -> SendReceipt:
         channel = self._require_open()
         roots = list(roots)
         if not roots:
@@ -146,23 +143,16 @@ class GraphChannel:
         snaps = [(clock, clock.snapshot()) for clock in self._clocks]
 
         def deliver(frame: bytes):
-            executed = channel.last_plan
-            started = time.perf_counter()
-            delivered = self._deliver(
-                frame, bool(executed.digest) if digest is None else digest)
-            # Feed each frame that landed back into the engine's
-            # bandwidth EWMA: its bytes over its delivery seconds.
-            channel.engine.observe_transfer(
-                channel.channel_id, len(frame),
-                time.perf_counter() - started)
-            return delivered
+            return self._deliver(
+                frame,
+                bool(channel.last_plan.digest) if digest is None else digest)
 
         # The phase labels the framing.  Delivery charges this clock
         # nothing unlabelled: the simulated wire charges NETWORK by name,
         # and an in-process receive runs under its own phase.
         with self.runtime.jvm.clock.phase(Category.SERIALIZATION):
             (received, receiver_digest, result), shipped = channel.ship(
-                roots, deliver, plan=plan)
+                roots, deliver)
         for clock, snap in snaps:
             self._note_sim(clock.since(snap))
         executed = channel.last_plan
@@ -247,15 +237,6 @@ class GraphChannel:
     @property
     def stats(self) -> ChannelStats:
         return self._require_open().stats
-
-    def plan_next(self, roots: Sequence[int]) -> SendPlan:
-        """Decide (and cache) the next epoch's plan without sending —
-        the dispatch hook that lets a caller route ``parallel-N`` plans
-        to the multi-stream sender instead."""
-        return self._require_open().plan_next(list(roots))
-
-    def discard_plan(self) -> None:
-        self._require_open().discard_plan()
 
     def force_full_next(self) -> None:
         self._require_open().force_full_next()

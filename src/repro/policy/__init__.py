@@ -1,15 +1,16 @@
 """repro.policy — the adaptive send-policy plane.
 
 One decision engine for every transfer-mode choice in the repo: full vs
-delta (§4.3's crossover), compiled-kernel vs interpreted traversal,
-single vs parallel streams (§4.2), the digest knob.  Per channel per
-epoch, a :class:`PolicyEngine` turns live
-:class:`ChannelSignals` (card-table dirty fraction, measured wire
-bandwidth, chunk-queue wait, channel history) into a :class:`SendPlan`
-via a declarative :class:`DecisionTable`; capability negotiation clamps
-the plan, channels execute it, and the decision lands in the
-:class:`~repro.exchange.channel.SendReceipt` and the trace
-(``policy.decide`` spans + ``policy.decisions`` counters).
+delta (§4.3's crossover), the digest knob and the post-encode byte
+budget.  Per channel per epoch, a :class:`PolicyEngine` turns live
+:class:`ChannelSignals` (card-table dirty fraction, resident size, GC
+and protocol flags, channel history) into a :class:`SendPlan` via a
+declarative :class:`DecisionTable`; capability negotiation clamps the
+plan, the channel's one send body executes it, and the decision lands in
+the :class:`~repro.exchange.channel.SendReceipt` and the trace
+(``policy.decide`` spans + ``policy.decisions`` counters).  How an epoch
+is traversed (compiled kernels or the interpreted spec) is the channel's
+negotiated configuration, not a per-epoch choice.
 
 Import discipline: this package imports :mod:`repro.obs` and stdlib only,
 so every layer — ``repro.delta``, ``repro.exchange``, ``repro.spark``,

@@ -4,8 +4,7 @@ Every mode decision in the repo funnels through ``engine.plan(signals,
 capabilities)``:
 
 * the engine folds its per-channel history into the signals (byte-fraction
-  EWMA, measured-bandwidth EWMA, the policy's last chosen mode for
-  hysteresis),
+  EWMA, the policy's last chosen mode for hysteresis),
 * the policy's decision table emits a :class:`SendPlan`,
 * the negotiated capabilities clamp it,
 * and the decision is emitted as a ``policy.decide`` span plus a
@@ -13,12 +12,9 @@ capabilities)``:
   the way it did.
 
 One engine may serve many channels (``Fleet`` shares one across all
-broadcast receivers): history is keyed by channel id, so a slow peer's
-bandwidth EWMA degrades only its own channel's plans.
-
-Transport layers close the loop through :meth:`observe_transfer` — the
-measured wire seconds of each shipped frame feed the bandwidth EWMA that
-drives the adaptive policy's stream-count choice.
+broadcast receivers): history is keyed by channel id, so one channel's
+mutation rate steers only its own plans, and a channel that closes (or
+takes a new id) is forgotten through :meth:`PolicyEngine.forget`.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ class ChannelHistory:
     """What the engine remembers about one channel between epochs."""
 
     byte_fraction_ewma: Optional[float] = None
-    bandwidth_bps: Optional[float] = None
     last_mode: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
@@ -69,6 +64,11 @@ class PolicyEngine:
             hist = self._history[channel_id] = ChannelHistory()
         return hist
 
+    def forget(self, channel_id: int) -> None:
+        """Drop one channel's history (the channel closed, or adopted a
+        new id): a shared engine holds only channels that can still send."""
+        self._history.pop(channel_id, None)
+
     def _ewma(self, previous: Optional[float], value: float) -> float:
         if previous is None:
             return value
@@ -84,7 +84,6 @@ class PolicyEngine:
             hist.byte_fraction_ewma = self._ewma(
                 hist.byte_fraction_ewma, signals.byte_fraction)
         signals.byte_fraction_ewma = hist.byte_fraction_ewma
-        signals.bandwidth_bps = hist.bandwidth_bps
         signals.last_mode = hist.last_mode
 
         with obs.span("policy.decide", policy=self.policy.name,
@@ -94,13 +93,11 @@ class PolicyEngine:
             if capabilities is not None:
                 plan = plan.clamp(capabilities)
             sp.set(
-                mode=plan.label, reason=plan.reason,
-                streams=plan.streams, digest=plan.digest,
+                mode=plan.mode, reason=plan.reason, digest=plan.digest,
                 dirty_fraction=round(signals.dirty_fraction, 6),
                 byte_fraction_ewma=(
                     round(signals.byte_fraction_ewma, 6)
                     if signals.byte_fraction_ewma is not None else None),
-                bandwidth_bps=signals.bandwidth_bps,
                 clamped=",".join(plan.clamped) or None,
             )
         if plan.reason in _REGIME_REASONS:
@@ -108,17 +105,9 @@ class PolicyEngine:
         self.decisions += 1
         obs.registry().counter(
             "policy.decisions", policy=self.policy.name,
-            mode=plan.label, reason=plan.reason,
+            mode=plan.mode, reason=plan.reason,
         )
         return plan
-
-    def observe_transfer(self, channel_id: int, wire_bytes: int,
-                         seconds: float) -> None:
-        """Feed back one shipped frame's measured wire performance."""
-        hist = self.history(channel_id)
-        if wire_bytes > 0 and seconds > 1e-9:
-            hist.bandwidth_bps = self._ewma(
-                hist.bandwidth_bps, wire_bytes / seconds)
 
     def snapshot(self) -> Dict[str, object]:
         return {

@@ -18,10 +18,7 @@ Four policies behind the one protocol:
   forces full every epoch).
 * :class:`AdaptivePolicy` — the closed loop: EWMA-smoothed byte fraction
   with a hysteresis band (enter full above ``enter_full``, return to
-  delta only below ``exit_full`` — oscillating workloads don't flap),
-  and measured-bandwidth stream selection (a full resync whose estimated
-  wire time exceeds ``parallel_wire_seconds`` asks for ``max_streams``;
-  the capability clamp bounds it).
+  delta only below ``exit_full`` — oscillating workloads don't flap).
 """
 
 from __future__ import annotations
@@ -81,20 +78,18 @@ def _bare_full(_signals: ChannelSignals) -> SendPlan:
     return SendPlan(mode="full")
 
 
-def _measured_full(signals: ChannelSignals, streams: int = 1,
-                   digest: bool = False) -> SendPlan:
+def _measured_full(signals: ChannelSignals) -> SendPlan:
     return SendPlan(
-        mode="full", streams=streams, digest=digest,
+        mode="full",
         mutation_rate=signals.dirty_fraction,
         estimated_bytes=signals.estimated_delta_bytes,
     )
 
 
 def _delta(signals: ChannelSignals,
-           byte_budget: Optional[float] = None,
-           digest: bool = False) -> SendPlan:
+           byte_budget: Optional[float] = None) -> SendPlan:
     return SendPlan(
-        mode="delta", digest=digest, byte_budget=byte_budget,
+        mode="delta", byte_budget=byte_budget,
         mutation_rate=signals.dirty_fraction,
         estimated_bytes=signals.estimated_delta_bytes,
     )
@@ -119,16 +114,11 @@ def guard_rules(first_epoch_digest: bool = False) -> List[Rule]:
 # ---------------------------------------------------------------------------
 
 class AlwaysFull(DecisionTable):
-    """Static corner: every epoch FULL, optionally over N streams."""
+    """Static corner: every epoch FULL."""
 
-    def __init__(self, streams: int = 1, digest: bool = False) -> None:
-        self.streams = max(1, int(streams))
-        name = "always_full" if self.streams == 1 \
-            else f"always_full[{self.streams}]"
-        super().__init__(name, guard_rules() + [
-            Rule("static_full", lambda s: True,
-                 lambda s: _measured_full(
-                     s, streams=self.streams, digest=digest)),
+    def __init__(self) -> None:
+        super().__init__("always_full", guard_rules() + [
+            Rule("static_full", lambda s: True, _measured_full),
         ])
 
 
@@ -159,14 +149,12 @@ class CrossoverPolicy(DecisionTable):
 
 
 class AdaptivePolicy(DecisionTable):
-    """The closed loop: EWMA byte fraction + hysteresis + bandwidth."""
+    """The closed loop: EWMA byte fraction + hysteresis."""
 
     def __init__(
         self,
         enter_full: float = 0.5,
         exit_full: float = 0.35,
-        max_streams: int = 4,
-        parallel_wire_seconds: float = 0.25,
         digest_bootstrap: bool = True,
     ) -> None:
         if exit_full > enter_full:
@@ -176,13 +164,11 @@ class AdaptivePolicy(DecisionTable):
             )
         self.enter_full = enter_full
         self.exit_full = exit_full
-        self.max_streams = max(1, int(max_streams))
-        self.parallel_wire_seconds = parallel_wire_seconds
         super().__init__(
             "adaptive",
             guard_rules(first_epoch_digest=digest_bootstrap) + [
                 Rule("mutation_crossover", self._in_full_regime,
-                     self._full_plan),
+                     _measured_full),
                 Rule("delta", lambda s: True,
                      lambda s: _delta(
                          s, byte_budget=self.enter_full * s.resident_bytes)),
@@ -201,15 +187,6 @@ class AdaptivePolicy(DecisionTable):
             # rate straddling one threshold cannot flap the mode.
             return fraction > self.exit_full
         return fraction > self.enter_full
-
-    def _full_plan(self, signals: ChannelSignals) -> SendPlan:
-        streams = 1
-        if (self.max_streams > 1 and signals.root_count > 1
-                and signals.bandwidth_bps):
-            wire_seconds = signals.resident_bytes / signals.bandwidth_bps
-            if wire_seconds > self.parallel_wire_seconds:
-                streams = self.max_streams
-        return _measured_full(signals, streams=streams)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 The engine assembles one :class:`ChannelSignals` per epoch from ledgers
 that already exist — the delta card table's dirty set (via
 ``CardTable.snapshot()``/``dirty_ranges()`` intersected with the epoch
-record), the epoch cache (resident size, GC generation), measured wire
-bandwidth fed back from the transport, and the engine's own per-channel
-history (byte-fraction EWMA, last mode).  Policies are pure functions of
-this record; nothing else flows into a decision.
+record), the epoch cache (resident size, GC generation), and the
+engine's own per-channel history (byte-fraction EWMA, last mode).
+Policies are pure functions of this record; nothing else flows into a
+decision.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class ChannelSignals:
     #: The epoch being planned (1-based; the channel's counter after the
     #: frame ships).
     epoch: int = 0
-    root_count: int = 1
 
     # -- epoch-record state (what the receiver holds) ----------------------
     resident_objects: int = 0
@@ -46,10 +45,7 @@ class ChannelSignals:
     heterogeneous: bool = False
     delta_capable: bool = True
 
-    # -- measured transport + engine history -------------------------------
-    #: EWMA of measured wire bandwidth (bytes/second), from
-    #: ``PolicyEngine.observe_transfer``; None before the first transfer.
-    bandwidth_bps: Optional[float] = None
+    # -- engine history ----------------------------------------------------
     #: EWMA of the byte fraction (estimated delta bytes / resident bytes).
     byte_fraction_ewma: Optional[float] = None
     #: The mode the policy last chose on its own (hysteresis anchor);
@@ -85,7 +81,6 @@ class ChannelSignals:
             "channel_id": self.channel_id,
             "destination": self.destination,
             "epoch": self.epoch,
-            "root_count": self.root_count,
             "resident_objects": self.resident_objects,
             "resident_bytes": self.resident_bytes,
             "dirty_count": self.dirty_count,
@@ -96,7 +91,6 @@ class ChannelSignals:
             "forced_full": self.forced_full,
             "heterogeneous": self.heterogeneous,
             "delta_capable": self.delta_capable,
-            "bandwidth_bps": self.bandwidth_bps,
             "byte_fraction_ewma": self.byte_fraction_ewma,
             "last_mode": self.last_mode,
         }

@@ -79,8 +79,8 @@ class SparkContext:
         self.serializer = serializer
         #: The data-movement substrate.  Default: the in-process loopback
         #: exchange over the simulated wire; pass
-        #: ``Exchange.socket(cluster, clients)`` to move broadcast blobs,
-        #: epochs and parallel streams through real worker processes.
+        #: ``Exchange.socket(cluster, clients)`` to move broadcast blobs
+        #: and epochs through real worker processes.
         self.exchange = (exchange if exchange is not None
                          else Exchange.loopback(cluster))
         #: The N-node fabric seam (:class:`repro.cluster.fleet.Fleet`).
@@ -166,9 +166,9 @@ class SparkContext:
 
     def send(self, roots, policy=None, workers=None, requested=None):
         """Ship driver-heap object graphs to the workers, mode per the
-        policy plane: each ``push()`` plans every worker's epoch (full,
-        delta, kernel traversal, parallel streams, digest) from that
-        channel's live signals — no per-call mode flags.  ``policy``
+        policy plane: each ``push()`` plans every worker's epoch (full or
+        delta, digest) from that channel's live signals — no per-call mode
+        flags.  ``policy``
         accepts a name (``"adaptive"``, ``"crossover"``, ``"full"``,
         ``"delta"``), a :class:`~repro.policy.policies.DecisionTable`, or
         a shared :class:`~repro.policy.engine.PolicyEngine`; default

@@ -4,8 +4,7 @@ Every task execution and shuffle file movement appends a structured event;
 tests and debugging tools read them to check *how* a job executed (task
 placement, shuffle fan-out, cache hits), not just what it produced.
 
-Emission is thread-safe: ``ParallelGraphSender`` worker threads emit
-concurrently, so ``emit`` appends under a lock and every reader
+Emission is thread-safe: ``emit`` appends under a lock and every reader
 (iteration, ``of_kind``, summaries, ``as_dicts``) works on a snapshot
 taken under the same lock.
 """

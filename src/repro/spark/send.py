@@ -2,17 +2,14 @@
 
 :class:`PolicySend` is the single front door for shipping driver-heap
 object graphs.  The caller does not pick a mode: per worker per push, the
-shared :class:`~repro.policy.engine.PolicyEngine` plans the epoch (full,
-delta, kernel traversal, stream count, digest) from that channel's live
-signals, and the dispatch here merely executes the plan — ``parallel-N``
-plans route around the epoch channel to ``Exchange.parallel_send``,
-everything else goes down the channel with the plan attached.
+shared :class:`~repro.policy.engine.PolicyEngine` plans the epoch (full or
+delta, digest) from that channel's live signals inside the channel's one
+send body, and this module only fans the push out and totals what it cost.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.delta.channel import ChannelStats
@@ -29,14 +26,8 @@ class PushReport:
 
     epoch: int
     wire_bytes: int
-    modes: Dict[str, str]  # worker name -> "full" | "delta" | "parallel-N"
+    modes: Dict[str, str]  # worker name -> "full" | "delta"
     resends: int  # stale-channel full resends this push
-
-
-#: What ``send()`` requests per worker: every fast path on, enough stream
-#: headroom for the engine's ``parallel-N`` plans (the substrate's offer
-#: still clamps).
-SEND_REQUEST = dataclasses.replace(DEFAULT_REQUEST, parallel_streams=4)
 
 
 class PolicySend:
@@ -64,10 +55,10 @@ class PolicySend:
                                  else list(roots))
         if not self.roots:
             raise ValueError("send() needs at least one root")
-        #: One engine across every worker channel: per-channel history
-        #: keeps a slow peer's bandwidth from polluting the others.
+        #: One engine across every worker channel, history per channel.
         self.engine = resolve_engine(policy, default="adaptive")
-        self.requested = requested if requested is not None else SEND_REQUEST
+        self.requested = (requested if requested is not None
+                          else DEFAULT_REQUEST)
         self._pins = [driver.jvm.pin(root) for root in self.roots]
         names = (list(workers) if workers is not None
                  else [w.name for w in cluster.workers])
@@ -95,13 +86,7 @@ class PolicySend:
         resends = 0
         epoch = 0
         for name, channel in self._channels.items():
-            plan = channel.plan_next(self.roots)
-            if plan.mode == "full" and plan.streams > 1 and len(self.roots) > 1:
-                total += self._push_parallel(name, channel, plan.streams)
-                modes[name] = plan.label
-                epoch = channel.epoch
-                continue
-            receipt = channel.send(self.roots, digest=digest, plan=plan)
+            receipt = channel.send(self.roots, digest=digest)
             if receipt.nack_recovered:
                 resends += 1
             total += receipt.wire_bytes
@@ -114,24 +99,6 @@ class PolicySend:
         )
         self.pushes.append(report)
         return report
-
-    def _push_parallel(self, name: str, channel: GraphChannel,
-                       streams: int) -> int:
-        """Execute a ``parallel-N`` plan: route the roots around the epoch
-        channel as N interleaved streams.  The receiver's retained channel
-        state is bypassed, so the next channel epoch is forced FULL and
-        any channel-delivered root address is invalidated."""
-        channel.discard_plan()
-        started = time.perf_counter()
-        report = self.exchange.parallel_send(name, self.roots,
-                                             streams=streams)
-        wire = sum(s.result["stream_bytes"] for s in report.streams)
-        channel.engine.observe_transfer(
-            channel.channel_id, wire, time.perf_counter() - started
-        )
-        channel.force_full_next()
-        self._worker_roots.pop(name, None)
-        return wire
 
     # ------------------------------------------------------------------
     # reading / accounting

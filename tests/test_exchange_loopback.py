@@ -37,14 +37,15 @@ def make_cluster(workers: int = 1) -> Cluster:
 
 class TestCapabilities:
     def test_intersect_ands_booleans_and_clamps_streams(self):
-        requested = ChannelCapabilities(kernel=True, delta=True,
-                                        parallel_streams=8)
+        requested = ChannelCapabilities(kernel=True, delta=True)
         granted = requested.intersect(SOCKET_OFFER)
         assert granted.kernel and granted.delta
-        assert granted.parallel_streams == 8
         assert requested.intersect(
-            ChannelCapabilities(parallel_streams=0)
-        ).parallel_streams == 1
+            ChannelCapabilities(kernel=False, delta=True)
+        ) == ChannelCapabilities(kernel=False, delta=True)
+        assert requested.intersect(
+            ChannelCapabilities(kernel=True, delta=False)
+        ) == ChannelCapabilities(kernel=True, delta=False)
 
     def test_declining_delta_forces_full_epochs(self):
         cluster = make_cluster()

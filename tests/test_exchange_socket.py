@@ -1,22 +1,19 @@
 """The exchange layer on its socket substrate, against live workers:
 cross-substrate frame/digest/NACK parity, a refused construction leaving
-nothing behind, the worker-restart NACK recovery, the typed staleness error
-on a replayed epoch, and ``Exchange.parallel_send`` with merged wire
-metrics."""
+nothing behind, the worker-restart NACK recovery, and the typed staleness
+error on a replayed epoch."""
 
 import pytest
 
 from repro import obs
 from repro.exchange import (
     ChannelCapabilities,
-    Exchange,
     ExchangeConfigError,
     LoopbackGraphChannel,
     SocketGraphChannel,
 )
 from repro.core.runtime import SkywayRuntime
 from repro.jvm.jvm import JVM
-from repro.net.cluster import Cluster
 from repro.transport import (
     LocalAsyncWorker,
     WorkerClient,
@@ -26,7 +23,7 @@ from repro.transport import (
 from repro.transport.errors import RemoteWorkerError
 from repro.transport.testing import SAMPLE_FACTORY, sample_worker_classpath
 
-from tests.conftest import make_list, sample_classpath
+from tests.conftest import make_list
 
 DELTA_REQUEST = ChannelCapabilities(kernel=True, delta=True)
 FULL_REQUEST = ChannelCapabilities(kernel=True, delta=False)
@@ -193,29 +190,3 @@ def test_replayed_delta_epoch_draws_typed_nack(
         channel.close()
         client.close()
         driver.jvm.unpin(pin)
-
-
-def test_exchange_parallel_send_merges_wire_metrics(
-    spawned_worker, transport_driver
-):
-    """``Exchange.parallel_send`` on the socket substrate shards roots
-    over real connections and the report carries merged wire counters."""
-    cluster = Cluster(
-        lambda name: JVM(name, classpath=sample_classpath()), worker_count=1,
-    )
-    client = WorkerClient(
-        transport_driver, spawned_worker.host, spawned_worker.port,
-    ).connect()
-    exchange = Exchange.socket(cluster, {"worker-0": client})
-    try:
-        roots = [make_list(transport_driver.jvm, range(6))
-                 for _ in range(4)]
-        report = exchange.parallel_send("worker-0", roots, streams=2)
-        assert len(report.streams) == 2
-        assert sum(s.roots for s in report.streams) == 4
-        assert report.transport is not None
-        merged = report.transport.as_dict()
-        assert merged["bytes_sent"] > 0
-        assert report.as_dict()["transport"] == merged
-    finally:
-        exchange.close()  # also closes the registered client

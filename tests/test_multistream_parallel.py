@@ -4,7 +4,8 @@ In-process tests cover the baddr crossover mechanics (two streams with
 distinct thread_ids reaching one shared subgraph, each getting its own
 clone through the per-stream shared table) and the 5-byte relative-address
 ceiling; one spawned-worker test proves N concurrent socket streams land
-the same object graphs as a serial send, kernels on or off.
+the same object graphs as a serial send, kernels on or off, with the
+streams' wire counters merged into the report.
 """
 
 import pytest
@@ -144,8 +145,9 @@ class TestParallelGraphSender:
     def test_parallel_matches_serial_and_interpreted(self, spawned_worker,
                                                      transport_driver):
         """Three streams to one worker: per-stream digests must be stable
-        across kernel/interpreted senders, and the shared chain is cloned
-        once per stream (roots + 3 x chain = total objects)."""
+        across kernel/interpreted senders, the shared chain is cloned
+        once per stream (roots + 3 x chain = total objects), and each
+        report carries the streams' wire counters merged into one."""
         from repro.transport.client import WorkerClient
 
         runtime = transport_driver
@@ -181,5 +183,9 @@ class TestParallelGraphSender:
             assert report.total_objects == 9 + 3 * 50
             assert [s.thread_id for s in report.streams] == [0, 1, 2]
             assert [s.roots for s in report.streams] == [3, 3, 3]
+            assert report.transport is not None
+            merged = report.transport.as_dict()
+            assert merged["bytes_sent"] > 0
+            assert report.as_dict()["transport"] == merged
         assert kernel_report.digests == interp_report.digests
         assert len(set(kernel_report.digests)) == 3  # distinct root shards

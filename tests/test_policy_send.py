@@ -13,6 +13,7 @@ from repro.apps.incremental import (
 )
 from repro.core.adapter import SkywaySerializer
 from repro.core.runtime import attach_skyway
+from repro.delta.channel import DeltaSendChannel
 from repro.exchange import Exchange
 from repro.jvm.jvm import JVM
 from repro.net.cluster import Cluster
@@ -140,6 +141,29 @@ class TestPolicySend:
         finally:
             a.close()
             b.close()
+        # Closed channels leave nothing behind in the shared engine.
+        assert engine.snapshot()["channels"] == {}
+
+    def test_reassign_forgets_the_old_channel_id(self, classpath):
+        """A channel that adopts a fresh id (worker restart) drops the old
+        id's history; its next epoch is a forced FULL under the new id."""
+        cluster, _ = make_context(classpath, workers=1)
+        driver = cluster.driver.jvm
+        graph = build_vertex_graph(driver, EDGES)
+        engine = PolicyEngine("adaptive")
+        channel = DeltaSendChannel(driver.skyway, "worker-0",
+                                   policy=engine, channel_id=9001)
+        try:
+            channel.send([graph])
+            assert list(engine.snapshot()["channels"]) == [9001]
+            channel.reassign(9002)
+            assert engine.snapshot()["channels"] == {}
+            channel.send([graph])
+            assert channel.last_plan.reason == "forced"
+            assert list(engine.snapshot()["channels"]) == [9002]
+        finally:
+            channel.close()
+        assert engine.snapshot()["channels"] == {}
 
     def test_send_requires_skyway(self, classpath):
         cluster = Cluster(lambda name: JVM(name, classpath=classpath),

@@ -4,6 +4,7 @@ in-process receive), ops, and every injected fault surfacing as one typed
 transport error — corrupted chunk, worker killed mid-stream, connecting to
 a dead port, and recovery once a worker returns."""
 
+import dataclasses
 import inspect
 import threading
 import time
@@ -16,9 +17,14 @@ from repro.cluster.fleet import Fleet, FleetChannel
 from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectInputStream
 from repro.delta.channel import DeltaSendChannel
-from repro.exchange import Exchange, SocketGraphChannel
+from repro.exchange import (
+    ChannelCapabilities,
+    Exchange,
+    GraphChannel,
+    SocketGraphChannel,
+)
 from repro.jvm.jvm import JVM
-from repro.policy import PolicyEngine
+from repro.policy import SendPlan
 from repro.transport import (
     FrameConnection,
     RemoteWorkerError,
@@ -337,7 +343,9 @@ def test_relayed_delta_ships_the_patch_and_a_peer_nack_recovers(
 def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     """The options left after the callerless ones went: a pre-framed send
     is its payload and its routing, a channel is its endpoints, request
-    and policy.  (``send_graph`` keeps every pipeline knob.)"""
+    and policy, and a plan is full or delta — no stream count, no kernel
+    flag, no bandwidth feedback, no route around the channel's one send
+    body.  (``send_graph`` keeps every pipeline knob.)"""
     def params(func):
         return list(inspect.signature(func).parameters)
 
@@ -355,10 +363,14 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     assert params(FleetChannel.__init__) == [
         "self", "fleet", "worker", "client", "generation", "requested",
         "policy", "channel_id"]
-    assert params(DeltaSendChannel.ship) == [
-        "self", "roots", "deliver", "plan"]
-    assert params(PolicyEngine.observe_transfer) == [
-        "self", "channel_id", "wire_bytes", "seconds"]
+    assert params(DeltaSendChannel.ship) == ["self", "roots", "deliver"]
+    assert params(GraphChannel.send) == ["self", "roots", "digest"]
+    assert [f.name for f in dataclasses.fields(SendPlan)] == [
+        "mode", "reason", "policy", "digest", "byte_budget",
+        "mutation_rate", "estimated_bytes", "clamped"]
+    assert [f.name for f in dataclasses.fields(ChannelCapabilities)] == [
+        "kernel", "delta"]
+    assert not hasattr(Exchange, "parallel_send")
     for func in (Exchange.channel_to, Fleet.channel_to):
         assert not any(
             p.kind is p.VAR_KEYWORD
