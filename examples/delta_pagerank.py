@@ -6,8 +6,10 @@ the workers through the one send front door — ``sc.send(graph)`` — and
 runs incremental PageRank.  Nobody picks a transfer mode here: the policy
 plane plans each worker's epoch from live signals.  The first push goes
 FULL (no receiver state), each ~2%-mutation superstep ships DELTA (only
-what the write barrier saw change), and when the last step mutates every
-vertex the adaptive policy reverts to a plain full send on its own.
+the objects the write barrier saw written), a full rank sweep still rides
+DELTA (it writes vertex objects, not the adjacency arrays), and when the
+last step rewrites every vertex and adjacency list the policy reverts to
+a plain full send on its own.
 
 Run:  python examples/delta_pagerank.py
 """
@@ -57,15 +59,34 @@ def main() -> None:
               f"({'+'.join(sorted(set(report.modes.values())))}, "
               f"{written} vertices written)")
 
-    # 4. Saturate the mutation rate: the policy falls back on its own.
+    # 4. A full rank sweep writes only the vertex objects' rank slots:
+    #    the epoch still ships just those objects, a fraction of the graph.
+    written = pagerank.step(active_fraction=1.0)
+    report = broadcast.push()
+    print(f"epoch {report.epoch} rank sweep: {report.wire_bytes:>7} bytes "
+          f"({'+'.join(sorted(set(report.modes.values())))}, "
+          f"{written} vertices written)")
+    assert set(report.modes.values()) == {"delta"}
+
+    # 5. Saturate the mutation rate: another sweep plus a pass that
+    #    rewrites every adjacency list in sorted order (the out-neighbour
+    #    order PageRank ignores).  The policy falls back on its own.
     pagerank.step(active_fraction=1.0)
+    heap = driver.heap
+    vertices = driver.get_field(graph, "vertices")
+    for v in range(driver.get_field(graph, "n")):
+        adj = driver.get_field(heap.read_element(vertices, v), "adj")
+        out = sorted(heap.read_element(adj, i)
+                     for i in range(heap.array_length(adj)))
+        for i, dst in enumerate(out):
+            heap.write_element(adj, i, dst)
     report = broadcast.push()
     print(f"epoch {report.epoch} saturated : {report.wire_bytes:>7} bytes "
           f"({'+'.join(sorted(set(report.modes.values())))} — "
           f"automatic fallback)")
     assert set(report.modes.values()) == {"full"}
 
-    # 5. Every worker holds the driver's exact rank vector, at the same
+    # 6. Every worker holds the driver's exact rank vector, at the same
     #    local address across all delta epochs (patch-in-place).
     expected = read_ranks(driver, graph)
     for worker in cluster.workers:

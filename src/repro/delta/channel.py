@@ -27,7 +27,7 @@ from repro import obs
 from repro.core.streams import SkywayObjectInputStream, SkywayObjectOutputStream
 from repro.core.runtime import SkywayRuntime
 from repro.delta.apply import ApplyResult, DeltaApplier
-from repro.delta.dirty import DELTA_CARD_SIZE, DeltaTracker
+from repro.delta.dirty import DeltaTracker
 from repro.delta.epoch_cache import EpochRecord
 from repro.policy import ChannelSignals, SendPlan, resolve_engine
 from repro.policy.plan import NON_FALLBACK_REASONS
@@ -84,7 +84,6 @@ class DeltaSendChannel:
         destination: str,
         policy=None,
         target_layout: Optional[HeapLayout] = None,
-        card_size: int = DELTA_CARD_SIZE,
         channel_id: Optional[int] = None,
         delta_enabled: bool = True,
         use_kernels: Optional[bool] = None,
@@ -128,7 +127,7 @@ class DeltaSendChannel:
         self.tracker = None
         self.table = None
         if delta_enabled:
-            self.tracker = DeltaTracker.attach(runtime.jvm.heap, card_size)
+            self.tracker = DeltaTracker.attach(runtime.jvm.heap)
             self.table = self.tracker.new_table()
         self.stats = ChannelStats()
         self.epoch = 0
@@ -302,7 +301,9 @@ class DeltaSendChannel:
             summary.new_members, summary.new_sizes, summary.logical_end,
             gc.minor_collections, gc.full_collections,
         )
-        self.table.clear()
+        # NEW members may lie outside the old span: later writes into them
+        # must dirty this table too.
+        self.table.respan(*record.span)
         self.stats.delta_sends += 1
         self.stats.bytes_delta += len(frame)
         self.stats.objects_patched += summary.patched_objects
@@ -335,7 +336,7 @@ class DeltaSendChannel:
                 epoch=self.epoch,
             )
         if self.table is not None:
-            self.table.clear()
+            self.table.respan(*self.record.span)
         frame = frame_full(self.channel_id, self.epoch, embedded)
         self.stats.full_sends += 1
         self.stats.bytes_full += len(frame)

@@ -6,45 +6,52 @@ scans dirty cards instead of the whole old generation.  Skyway-Delta reuses
 the exact same machinery for a different consumer — *transfer* instead of
 *collection*: every typed field/element write on the tracked heap marks a
 dedicated delta :class:`~repro.heap.cardtable.CardTable` (a second
-instance, covering the whole heap rather than just the old generation, and
-marking *all* writes rather than just reference stores — a mutated ``rank``
-field must reship the object even though no pointer changed).
+instance, marking *all* writes rather than just reference stores — a
+mutated ``rank`` field must reship the object even though no pointer
+changed).
+
+A delta card is one word, the unit of every typed write, so a dirty card
+names one written slot and never an unwritten neighbour object: the dirty
+set is exactly the written objects.
 
 Each delta channel owns its own table: channels clear their table after
 consuming an epoch, and a shared table would lose one channel's dirt when
-another clears.  The barrier fans one write out to every registered table
-(one table in the common single-destination case).
+another clears.  A table spans only its channel's epoch record — empty
+until the first FULL, re-spanned whenever the record changes — and the
+barrier marks only the tables whose span a write lands in.  A write
+outside every record needs no mark: a NEW object is cloned whole, it is
+reached through a written slot that does lie inside a record, and any GC
+since the record was taken forces the next epoch FULL anyway.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List
 
 from repro.heap.cardtable import CardTable
 from repro.heap.heap import ManagedHeap
+from repro.heap.layout import WORD
 
-#: Delta cards are finer than GC cards (512): precision directly buys
-#: bytes — every false neighbour on a dirty card gets re-shipped.
-DELTA_CARD_SIZE = 128
+#: One word: the unit of every typed write the barrier sees.
+DELTA_CARD_SIZE = WORD
 
 
 class DeltaTracker:
     """The write-barrier hook and its per-channel delta card tables."""
 
-    def __init__(self, heap: ManagedHeap, card_size: int = DELTA_CARD_SIZE) -> None:
+    def __init__(self, heap: ManagedHeap) -> None:
         self.heap = heap
-        self.card_size = card_size
         self._tables: List[CardTable] = []
         #: Total barrier invocations (diagnostics / overhead accounting).
         self.writes_seen = 0
         heap.mutation_listeners.append(self._on_write)
 
     @classmethod
-    def attach(cls, heap: ManagedHeap, card_size: int = DELTA_CARD_SIZE) -> "DeltaTracker":
+    def attach(cls, heap: ManagedHeap) -> "DeltaTracker":
         """The one tracker for ``heap``, created on first use."""
         tracker = getattr(heap, "delta_tracker", None)
         if tracker is None:
-            tracker = cls(heap, card_size)
+            tracker = cls(heap)
             heap.delta_tracker = tracker
         return tracker
 
@@ -54,18 +61,22 @@ class DeltaTracker:
 
     def _on_write(self, slot_address: int, nbytes: int) -> None:
         self.writes_seen += 1
+        end = slot_address + nbytes
         for table in self._tables:
-            table.mark_range(slot_address, nbytes)
+            if table.start < end and slot_address < table.end:
+                start = max(slot_address, table.start)
+                table.mark_range(start, min(end, table.end) - start)
 
     # ------------------------------------------------------------------
     # per-channel tables
     # ------------------------------------------------------------------
 
     def new_table(self) -> CardTable:
-        """A fresh delta card table spanning the whole heap, registered
-        with the barrier.  The owning channel clears it per epoch."""
-        heap = self.heap
-        table = CardTable(heap.base, heap.old.end, self.card_size)
+        """A fresh, empty-span delta card table registered with the
+        barrier.  The owning channel re-spans it over its epoch record
+        and clears it per epoch."""
+        base = self.heap.base
+        table = CardTable(base, base, DELTA_CARD_SIZE)
         self._tables.append(table)
         return table
 
@@ -75,8 +86,3 @@ class DeltaTracker:
     @property
     def table_count(self) -> int:
         return len(self._tables)
-
-    @staticmethod
-    def dirty_ranges(table: CardTable) -> Iterator[Tuple[int, int]]:
-        """Coalesced ``[start, end)`` dirty spans of one channel table."""
-        return table.dirty_ranges()

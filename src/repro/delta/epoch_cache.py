@@ -90,6 +90,15 @@ class EpochRecord:
     def offset_of(self, address: int) -> int:
         return self.addr_to_offset[address]
 
+    @property
+    def span(self) -> Tuple[int, int]:
+        """``[first member, last member end)``: the heap range a write
+        must land in to dirty a member (empty for an empty record)."""
+        addrs = self._sorted_addrs
+        if not addrs:
+            return (0, 0)
+        return (addrs[0], addrs[-1] + self.sizes[addrs[-1]])
+
     def members_overlapping(
         self, ranges: Iterable[Tuple[int, int]]
     ) -> Iterator[int]:
@@ -98,9 +107,8 @@ class EpochRecord:
         This is the sender's whole dirty-discovery pass: the delta card
         table yields coalesced dirty ranges, and a bisect over the sorted
         member addresses finds the affected clones — no graph traversal.
-        Card granularity makes this a superset of the truly mutated set
-        (neighbours sharing a card are swept in); that costs bytes, never
-        correctness.
+        Delta cards are one word and objects are word-aligned, so a dirty
+        range overlaps exactly the objects written into.
         """
         addrs = self._sorted_addrs
         seen_upto = -1  # avoid double-yield when ranges touch one object

@@ -86,6 +86,14 @@ class CardTable:
     def clear(self) -> None:
         self._dirty.clear()
 
+    def respan(self, start: int, end: int) -> None:
+        """Cover ``[start, end)`` from now on, with no card dirty."""
+        if end < start:
+            raise ValueError("end before start")
+        self.start = start
+        self.end = end
+        self._dirty.clear()
+
     def snapshot(self) -> FrozenSet[int]:
         """The dirty set as an immutable value (the GC undo log's card
         checkpoint); O(dirty cards), not O(heap)."""

@@ -1,7 +1,13 @@
 """Tests for delta channel orchestration: epochs, fallbacks, staleness."""
 
+import random
+
 import pytest
 
+from repro.apps.incremental import (
+    build_vertex_graph,
+    install_incremental_classes,
+)
 from repro.core.runtime import attach_skyway
 from repro.delta import (
     ChannelStats,
@@ -9,9 +15,10 @@ from repro.delta import (
     DeltaSendChannel,
     DeltaStaleError,
 )
-from repro.delta.wire import DeltaFrame, FullFrame, parse_frame
+from repro.delta.wire import REC_PATCH, DeltaFrame, FullFrame, parse_frame
 from repro.heap.layout import HeapLayout
 from repro.jvm.jvm import JVM
+from repro.transport.digest import semantic_graph_digest
 
 from tests.conftest import make_list, read_list
 
@@ -238,6 +245,81 @@ class TestMultiChannel:
         assert read_list(dst, roots_a2[0])[0] == 7
         assert read_list(dst, roots_b[0])[0] == 7
         assert roots_a2[0] != roots_b[0]  # distinct retained buffers
+
+
+class TestExactDirt:
+    """Word-exact delta cards over per-channel spans: an epoch patches
+    exactly the objects written, and a channel's table sees only the
+    writes into its own epoch record."""
+
+    def test_patches_exactly_the_reranked_vertices(self, classpath):
+        install_incremental_classes(classpath)
+        src = JVM("exact-src", classpath=classpath)
+        dst = JVM("exact-dst", classpath=classpath)
+        attach_skyway(src, [dst])
+        n = 500
+        ring = [(v, (v + 1) % n) for v in range(n)]
+        chords = [(v, (v * 7 + 3) % n) for v in range(0, n, 5)]
+        graph = src.pin(build_vertex_graph(src, ring + chords))
+        channel = DeltaSendChannel(src.skyway, "dst")
+        endpoint = DeltaReceiveEndpoint.for_runtime(dst.skyway)
+        endpoint.receive(channel.send([graph.address]))
+        rng = random.Random(28)
+        for epoch in range(5):
+            vertices = src.get_field(graph.address, "vertices")
+            picks = rng.sample(range(n), n // 100)
+            for v in picks:
+                src.set_field(src.heap.read_element(vertices, v), "rank",
+                              10.0 + epoch + rng.random())
+            before = channel.stats.objects_patched
+            roots = endpoint.receive(channel.send([graph.address]))
+            assert channel.last_plan.mode == "delta"
+            assert channel.stats.objects_patched - before == len(picks)
+            assert semantic_graph_digest(dst, roots) == (
+                semantic_graph_digest(src, [graph.address]))
+
+    def test_each_channel_table_sees_only_its_own_chain(self, pair):
+        src, dst = pair
+        endpoint = DeltaReceiveEndpoint.for_runtime(dst.skyway)
+        heads = [src.pin(make_list(src, range(8))) for _ in range(64)]
+        channels = [DeltaSendChannel(src.skyway, "dst") for _ in heads]
+        for channel, head in zip(channels, heads):
+            endpoint.receive(channel.send([head.address]))
+        for value in (100, 200):
+            for head in heads:
+                src.set_field(src.get_field(head.address, "next"),
+                              "payload", value)
+            assert [c.table.dirty_count for c in channels] == [1] * 64
+            for channel, head in zip(channels, heads):
+                before = channel.stats.objects_patched
+                roots = endpoint.receive(channel.send([head.address]))
+                assert channel.last_plan.mode == "delta"
+                assert channel.stats.objects_patched - before == 1
+                assert read_list(dst, roots[0])[1] == value
+
+    def test_object_shipped_new_is_patched_when_written(self, pair):
+        """The table re-spans after a DELTA adds NEW members: a write into
+        an object first shipped NEW must dirty the channel's table."""
+        src, dst = pair
+        channel, endpoint, head, roots = fresh_session(src, dst, n=20)
+        tail = head.address
+        while src.get_field(tail, "next"):
+            tail = src.get_field(tail, "next")
+        appended = src.pin(make_list(src, [500, 501]))
+        src.set_field(tail, "next", appended.address)
+        endpoint.receive(channel.send([head.address]))
+        assert channel.last_plan.mode == "delta"
+        assert appended.address in channel.record
+
+        src.set_field(appended.address, "payload", 999)
+        frame = channel.send([head.address])
+        roots = endpoint.receive(frame)
+        patched = [r.offset for r in parse_frame(frame).records
+                   if r.tag == REC_PATCH]
+        assert patched == [channel.record.offset_of(appended.address)]
+        assert read_list(dst, roots[0]) == list(range(20)) + [999, 501]
+        assert semantic_graph_digest(dst, roots) == (
+            semantic_graph_digest(src, [head.address]))
 
 
 class TestChannelStats:

@@ -12,6 +12,19 @@ def tracker(jvm):
     return DeltaTracker.attach(jvm.heap)
 
 
+def heap_table(tracker, jvm):
+    """A registered table re-spanned over the whole heap (a channel spans
+    only its epoch record; these tests exercise the barrier itself)."""
+    table = tracker.new_table()
+    table.respan(jvm.heap.base, jvm.heap.old.end)
+    return table
+
+
+def slot(jvm, address, name):
+    """The heap address of field ``name`` of the object at ``address``."""
+    return address + jvm.klass_of(address).field(name).offset
+
+
 class TestAttach:
     def test_attach_is_idempotent(self, jvm):
         first = DeltaTracker.attach(jvm.heap)
@@ -26,24 +39,26 @@ class TestAttach:
 
 class TestBarrier:
     def test_reference_write_marks_table(self, jvm, tracker):
-        table = tracker.new_table()
+        table = heap_table(tracker, jvm)
         a = jvm.new_instance("ListNode")
         b = jvm.new_instance("ListNode")
         table.clear()
         jvm.set_field(a, "next", b)
-        assert table.is_dirty(a)
+        assert table.is_dirty(slot(jvm, a, "next"))
+        assert table.dirty_count == 1
 
     def test_primitive_write_marks_table(self, jvm, tracker):
         """Unlike the GC barrier, delta tracks *all* writes: a mutated
         primitive field must reship the object."""
-        table = tracker.new_table()
+        table = heap_table(tracker, jvm)
         node = jvm.new_instance("ListNode")
         table.clear()
         jvm.set_field(node, "payload", 7)
-        assert table.is_dirty(node)
+        assert table.is_dirty(slot(jvm, node, "payload"))
+        assert table.dirty_count == 1
 
     def test_array_element_write_marks_table(self, jvm, tracker):
-        table = tracker.new_table()
+        table = heap_table(tracker, jvm)
         arr = jvm.new_array("J", 64)
         table.clear()
         jvm.heap.write_element(arr, 63, 5)
@@ -54,7 +69,7 @@ class TestBarrier:
     def test_raw_word_write_bypasses_barrier(self, jvm, tracker):
         """GC relocation and receiver placement use raw writes; they must
         not pollute the delta dirty set."""
-        table = tracker.new_table()
+        table = heap_table(tracker, jvm)
         node = jvm.new_instance("ListNode")
         table.clear()
         seen = tracker.writes_seen
@@ -70,23 +85,25 @@ class TestBarrier:
 
 class TestPerChannelTables:
     def test_each_table_sees_every_write(self, jvm, tracker):
-        t1, t2 = tracker.new_table(), tracker.new_table()
+        t1, t2 = heap_table(tracker, jvm), heap_table(tracker, jvm)
         node = jvm.new_instance("ListNode")
         t1.clear()
         t2.clear()
         jvm.set_field(node, "payload", 1)
-        assert t1.is_dirty(node) and t2.is_dirty(node)
+        written = slot(jvm, node, "payload")
+        assert t1.is_dirty(written) and t2.is_dirty(written)
 
     def test_clearing_one_table_keeps_anothers_dirt(self, jvm, tracker):
-        t1, t2 = tracker.new_table(), tracker.new_table()
+        t1, t2 = heap_table(tracker, jvm), heap_table(tracker, jvm)
         node = jvm.new_instance("ListNode")
         jvm.set_field(node, "payload", 1)
+        written = slot(jvm, node, "payload")
         t1.clear()
-        assert not t1.is_dirty(node)
-        assert t2.is_dirty(node)
+        assert not t1.is_dirty(written)
+        assert t2.is_dirty(written)
 
     def test_release_table_stops_marking(self, jvm, tracker):
-        table = tracker.new_table()
+        table = heap_table(tracker, jvm)
         count = tracker.table_count
         tracker.release_table(table)
         assert tracker.table_count == count - 1
@@ -94,6 +111,35 @@ class TestPerChannelTables:
         table.clear()
         jvm.set_field(node, "payload", 1)
         assert table.dirty_count == 0
+
+    def test_new_table_is_empty_until_respanned(self, jvm, tracker):
+        table = tracker.new_table()
+        node = jvm.new_instance("ListNode")
+        jvm.set_field(node, "payload", 1)
+        assert table.dirty_count == 0
+
+    def test_table_marks_only_writes_inside_its_span(self, jvm, tracker):
+        inside = jvm.new_instance("ListNode")
+        outside = jvm.new_instance("ListNode")
+        table = tracker.new_table()
+        table.respan(inside, outside)
+        jvm.set_field(outside, "payload", 1)
+        assert table.dirty_count == 0
+        jvm.set_field(inside, "payload", 1)
+        assert list(table.dirty_ranges()) == [
+            (slot(jvm, inside, "payload"), slot(jvm, inside, "payload") + 8)]
+
+    def test_object_span_write_marks_every_word_clamped(self, jvm, tracker):
+        """A delta apply's PATCH reports the whole object to the barrier;
+        a span straddling the table's edge is clamped to it."""
+        node = jvm.new_instance("ListNode")
+        size = jvm.heap.object_size(node)
+        table = tracker.new_table()
+        table.respan(node, node + size)
+        for listener in jvm.heap.mutation_listeners:
+            listener(node - 8, size + 16)
+        assert list(table.dirty_ranges()) == [(node, node + size)]
+        assert table.dirty_count == size // DELTA_CARD_SIZE
 
     def test_delta_cards_finer_than_gc_cards(self, jvm, tracker):
         table = tracker.new_table()

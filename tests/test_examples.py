@@ -57,7 +57,7 @@ class TestExamples:
         load_example("delta_pagerank").main()
         out = capsys.readouterr().out
         assert "bootstrap" in out and "delta" in out
-        assert "automatic fallback" in out
+        assert "rank sweep" in out and "automatic fallback" in out
         assert "rank vectors identical on 2 workers: True" in out
 
     @pytest.mark.slow

@@ -17,6 +17,7 @@ from repro.cluster.fleet import Fleet, FleetChannel
 from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectInputStream
 from repro.delta.channel import DeltaSendChannel
+from repro.delta.dirty import DeltaTracker
 from repro.exchange import (
     ChannelCapabilities,
     Exchange,
@@ -345,7 +346,8 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     is its payload and its routing, a channel is its endpoints, request
     and policy, and a plan is full or delta — no stream count, no kernel
     flag, no bandwidth feedback, no route around the channel's one send
-    body.  (``send_graph`` keeps every pipeline knob.)"""
+    body, no delta card size.  (``send_graph`` keeps every pipeline
+    knob.)"""
     def params(func):
         return list(inspect.signature(func).parameters)
 
@@ -364,6 +366,12 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
         "self", "fleet", "worker", "client", "generation", "requested",
         "policy", "channel_id"]
     assert params(DeltaSendChannel.ship) == ["self", "roots", "deliver"]
+    assert params(DeltaSendChannel.__init__) == [
+        "self", "runtime", "destination", "policy", "target_layout",
+        "channel_id", "delta_enabled", "use_kernels", "capabilities"]
+    assert params(DeltaTracker.__init__) == ["self", "heap"]
+    assert params(DeltaTracker.attach) == ["heap"]
+    assert not hasattr(DeltaTracker, "dirty_ranges")
     assert params(GraphChannel.send) == ["self", "roots", "digest"]
     assert [f.name for f in dataclasses.fields(SendPlan)] == [
         "mode", "reason", "policy", "digest", "byte_budget",
