@@ -8,8 +8,8 @@ itself, one channel between them.  This package turns that into a mesh:
   lookups, tracks liveness via heartbeats (its own process, same CRC32
   frame protocol as the workers);
 * :mod:`repro.cluster.membership` — the client side of the coordinator
-  protocol: an RPC client plus the worker-side register-and-heartbeat
-  loop;
+  protocol: an RPC client, the worker-side register-and-heartbeat loop,
+  and the fleet worker process that runs it;
 * :mod:`repro.cluster.fleet` — the driver front-end: ``Fleet.connect``,
   ``Fleet.channel_to(worker)``, ``Fleet.broadcast``, and peer-to-peer
   transfers (worker A clones straight into worker B — a shuffle fetch

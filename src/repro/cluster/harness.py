@@ -20,11 +20,14 @@ import time
 from typing import Dict, List, Optional
 
 from repro.cluster.coordinator import CoordinatorHandle, CoordinatorSpec
+from repro.cluster.membership import (
+    CoordinatorClient,
+    FleetWorkerHandle,
+    FleetWorkerSpec,
+)
 from repro.transport.bootstrap import MB
-from repro.transport.client import WorkerHandle
 from repro.transport.errors import ClusterConfigError, WorkerStartupError
 from repro.transport.testing import SAMPLE_FACTORY
-from repro.transport.worker import WorkerSpec
 
 
 class FleetHarness:
@@ -60,11 +63,11 @@ class FleetHarness:
             ),
             startup_timeout=startup_timeout,
         )
-        self.workers: Dict[str, WorkerHandle] = {}
+        self.workers: Dict[str, FleetWorkerHandle] = {}
         try:
             for index in range(size):
                 worker = f"{name}-w{index}"
-                self.workers[worker] = WorkerHandle.spawn(
+                self.workers[worker] = FleetWorkerHandle.spawn(
                     self._worker_spec(worker),
                     startup_timeout=startup_timeout,
                 )
@@ -73,8 +76,8 @@ class FleetHarness:
             self.stop()
             raise
 
-    def _worker_spec(self, worker: str) -> WorkerSpec:
-        return WorkerSpec(
+    def _worker_spec(self, worker: str) -> FleetWorkerSpec:
+        return FleetWorkerSpec(
             name=worker,
             classpath_factory=self._classpath_factory,
             read_timeout=self._read_timeout,
@@ -96,8 +99,6 @@ class FleetHarness:
         """Block until every named worker is registered and alive at the
         coordinator (registration is in the worker's startup path, so this
         converges in one heartbeat round)."""
-        from repro.cluster.membership import CoordinatorClient
-
         wanted = set(names if names is not None else self.workers)
         deadline = time.monotonic() + (
             timeout if timeout is not None else self._startup_timeout
@@ -117,8 +118,6 @@ class FleetHarness:
                 time.sleep(0.05)
 
     def generation_of(self, worker: str) -> int:
-        from repro.cluster.membership import CoordinatorClient
-
         with CoordinatorClient(self.coordinator.host,
                                self.coordinator.port) as client:
             record = client.call("lookup", name=worker)
@@ -132,14 +131,14 @@ class FleetHarness:
         self.workers[worker].kill()
 
     def restart_worker(self, worker: str,
-                       timeout: Optional[float] = None) -> WorkerHandle:
+                       timeout: Optional[float] = None) -> FleetWorkerHandle:
         """A fresh process under the same name.  Returns once the new
         incarnation's registration (a *newer* generation) has landed."""
         old_generation = self.generation_of(worker)
         handle = self.workers[worker]
         if handle.process.is_alive():
             handle.kill()
-        new_handle = WorkerHandle.spawn(
+        new_handle = FleetWorkerHandle.spawn(
             self._worker_spec(worker),
             startup_timeout=self._startup_timeout,
         )

@@ -1,6 +1,6 @@
 """Client-side membership: talking to the coordinator, and staying alive.
 
-Two pieces live here, both used from *inside* other processes:
+Three pieces live here, all used from *inside* other processes:
 
 :class:`CoordinatorClient`
     A thin RPC client over one frame connection.  Every call is an
@@ -24,16 +24,24 @@ Two pieces live here, both used from *inside* other processes:
     A restarted *worker* needs no special casing here: its fresh process
     simply registers, which bumps the generation — the signal every fleet
     front-end uses to re-open channels and force FULL resyncs.
+
+:class:`FleetWorkerHandle`
+    A worker process that joins a fleet: the plain
+    :class:`~repro.transport.worker.WorkerServer`, plus the telemetry
+    plane and a :class:`WorkerMembership` its event loop heartbeats.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import threading
 from typing import Optional
 
 from repro import obs
+from repro.obs.live import TelemetrySampler
+from repro.transport.bootstrap import serve_reporting_port
 from repro.transport.connection import FrameConnection, connect_with_retry
 from repro.transport.errors import (
     ClusterError,
@@ -43,6 +51,7 @@ from repro.transport.errors import (
     RemoteWorkerError,
     TransportError,
 )
+from repro.transport.worker import WorkerHandle, WorkerServer, WorkerSpec
 
 
 def _raise_typed(exc: RemoteWorkerError) -> None:
@@ -250,3 +259,52 @@ class WorkerMembership:
             except (ClusterError, TransportError):  # teardown best-effort
                 pass
         self._drop_client()
+
+
+@dataclasses.dataclass
+class FleetWorkerSpec(WorkerSpec):
+    """A :class:`WorkerSpec` plus the coordinator the worker registers
+    with as it comes up, heartbeats until shutdown, and runs the telemetry
+    plane for."""
+
+    coordinator_host: str = "127.0.0.1"
+    coordinator_port: int = 0
+
+
+def fleet_worker_main(spec: FleetWorkerSpec, port_pipe) -> None:
+    """Entry point of a spawned fleet worker: bind, build the worker,
+    register with the coordinator (startup fails if it is unreachable),
+    report the port, then serve — heartbeats included — from the one
+    event loop until shutdown."""
+
+    def build(port: int) -> WorkerServer:
+        server = WorkerServer(spec)
+        # The telemetry plane, for the coordinator that reads it.  The
+        # recorder is on from the first op: even a worker that dies
+        # before its first heartbeat records what it was doing.
+        recorder = obs.enable_recorder()
+        obs.registry().register_source(
+            f"transport.{spec.name}", server.metrics.as_dict
+        )
+        membership = WorkerMembership(
+            spec.name, spec.host, port,
+            spec.coordinator_host, spec.coordinator_port,
+        )
+        membership.sampler = TelemetrySampler(
+            obs.registry(), recorder=recorder,
+        )
+        # One process, one loop: register now (raises if the coordinator
+        # is unreachable), then the event loop owns the heartbeat cadence
+        # — no membership thread.
+        membership.register()
+        server.attach_membership(membership)
+        return server
+
+    serve_reporting_port(port_pipe, spec.host, spec.port, build,
+                         backlog=spec.listen_backlog)
+
+
+class FleetWorkerHandle(WorkerHandle):
+    """A spawned fleet worker (:func:`fleet_worker_main`)."""
+
+    main = staticmethod(fleet_worker_main)

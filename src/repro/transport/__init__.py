@@ -19,8 +19,7 @@ Entry points:
 * the typed error taxonomy in :mod:`repro.transport.errors`.
 """
 
-from repro.transport.aserve import AsyncWorkerServer, LocalAsyncWorker
-from repro.transport.client import WorkerClient, WorkerHandle
+from repro.transport.client import WorkerClient
 from repro.transport.connection import FrameConnection, connect_with_retry
 from repro.transport.digest import graph_digest, semantic_graph_digest
 from repro.transport.errors import (
@@ -39,6 +38,8 @@ from repro.transport.pipeline import (
     ChunkPipeline,
 )
 from repro.transport.worker import (
+    LocalAsyncWorker,
+    WorkerHandle,
     WorkerServer,
     WorkerSpec,
     worker_main,
@@ -48,7 +49,6 @@ from repro.transport.worker import (
 MuxEpochClient = WorkerClient
 
 __all__ = [
-    "AsyncWorkerServer",
     "ChunkPipeline",
     "DEFAULT_CHUNK_BYTES",
     "DEFAULT_QUEUE_CHUNKS",

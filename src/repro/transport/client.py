@@ -1,6 +1,5 @@
-"""Driver-side handles: spawning workers and talking to them.
+"""The driver side of the worker protocol: talking to a worker.
 
-:class:`WorkerHandle` owns a spawned worker *process*.
 :class:`WorkerClient` owns one framed *connection* to a worker — connect
 with retry, registry handshake, TRACE propagation, obs-source registration,
 BYE — and the three ways bytes move over it: plain CALL/RESULT ops; one
@@ -25,7 +24,6 @@ from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectOutputStream
 from repro.delta.channel import DeltaStaleError
 from repro.transport import frames, registry_sync
-from repro.transport.bootstrap import ProcessHandle
 from repro.transport.connection import (
     FrameConnection,
     connect_with_retry,
@@ -42,7 +40,6 @@ from repro.transport.pipeline import (
     DEFAULT_QUEUE_CHUNKS,
     ChunkPipeline,
 )
-from repro.transport.worker import worker_main
 
 #: Chunk size of an epoch stream.  Smaller than the graph pipeline's
 #: default on purpose: these chunks are the interleaving quantum, and a
@@ -52,13 +49,6 @@ DEFAULT_MUX_CHUNK_BYTES = 32 * 1024
 #: ``send_epochs`` coalesces interleaved frames into one ``sendall`` per
 #: this many bytes (and always through each channel's trailer).
 MUX_FLUSH_BYTES = 256 * 1024
-
-
-class WorkerHandle(ProcessHandle):
-    """A spawned worker process and the port it listens on."""
-
-    kind = "worker"
-    main = staticmethod(worker_main)
 
 
 _client_ids = itertools.count(1)

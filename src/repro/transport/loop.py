@@ -1,7 +1,7 @@
 """The one server loop of the framed protocol.
 
 Every process that *serves* CALL/RESULT/ERROR frames — a worker
-(:class:`~repro.transport.aserve.AsyncWorkerServer`), the fleet
+(:class:`~repro.transport.worker.WorkerServer`), the fleet
 coordinator (:class:`~repro.cluster.coordinator.CoordinatorServer`) — is a
 :class:`FrameLoop` subclass.  The loop owns everything that touches a
 socket: accept, non-blocking ``recv`` into a per-connection

@@ -15,6 +15,7 @@ from repro.transport import (
 )
 from repro.delta.channel import DeltaSendChannel
 from repro.exchange import ChannelCapabilities, SocketGraphChannel
+from repro.transport import worker as worker_module
 from repro.transport.testing import SAMPLE_FACTORY
 
 from tests.conftest import make_list, read_list
@@ -256,7 +257,7 @@ class TestMuxEpochs:
             channel.close()
 
     def test_full_epoch_larger_than_the_high_water_mark_completes(
-            self, transport_driver):
+            self, transport_driver, monkeypatch):
         """Every FULL rides an epoch stream, so one bigger than the
         connection's byte mark must get through on the progress guard
         (nothing is ready to apply until its trailer; only more reads
@@ -265,7 +266,8 @@ class TestMuxEpochs:
         spec = WorkerSpec(name="small-mark", classpath_factory=SAMPLE_FACTORY)
         head = make_list(driver.jvm, range(6000))
         pin = driver.jvm.pin(head)
-        with LocalAsyncWorker(spec, high_water_bytes=16 * 1024) as local:
+        monkeypatch.setattr(worker_module, "HIGH_WATER_BYTES", 16 * 1024)
+        with LocalAsyncWorker(spec) as local:
             client = WorkerClient(driver, local.host, local.port).connect()
             channel = SocketGraphChannel(
                 driver, client, requested=DELTA_REQUEST, channel_id=5252,
@@ -273,11 +275,11 @@ class TestMuxEpochs:
             try:
                 receipt = channel.send([head], digest=True)
                 assert receipt.mode == "full"
-                assert receipt.wire_bytes > 8 * local.loop.high_water_bytes
+                assert receipt.wire_bytes > 8 * worker_module.HIGH_WATER_BYTES
                 assert receipt.digest == semantic_graph_digest(
                     driver.jvm, [head])
                 assert read_list(
-                    local.loop.core.runtime.jvm, receipt.roots[0]
+                    local.loop.runtime.jvm, receipt.roots[0]
                 ) == list(range(6000))
             finally:
                 channel.close()

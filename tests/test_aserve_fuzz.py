@@ -28,6 +28,7 @@ from repro.transport import (
     semantic_graph_digest,
 )
 from repro.transport import client as client_module
+from repro.transport import worker as worker_module
 from repro.transport.testing import SAMPLE_FACTORY
 
 from tests.conftest import make_list
@@ -111,7 +112,8 @@ def test_stalled_applier_pauses_reads_then_drains(transport_driver,
     high_water = 64 * 1024
     spec = WorkerSpec(name="slow-reader", classpath_factory=SAMPLE_FACTORY,
                       read_timeout=60.0)
-    with LocalAsyncWorker(spec, high_water_bytes=high_water) as local:
+    monkeypatch.setattr(worker_module, "HIGH_WATER_BYTES", high_water)
+    with LocalAsyncWorker(spec) as local:
         local.loop.processing_enabled = False
         # One chunk per stream: each channel's trailer lands right after
         # its data, so the ready queue fills (and the pause sticks) long

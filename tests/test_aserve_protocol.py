@@ -14,14 +14,13 @@ import pytest
 
 from repro.delta.channel import DeltaSendChannel
 from repro.transport import (
-    AsyncWorkerServer,
     WorkerServer,
     WorkerSpec,
     frames,
     registry_sync,
     semantic_graph_digest,
 )
-from repro.transport.aserve import _AsyncConn
+from repro.transport.worker import _AsyncConn
 from repro.transport.testing import SAMPLE_FACTORY
 
 from tests.conftest import make_list
@@ -42,9 +41,9 @@ class _DeadSocket:
 
 @pytest.fixture
 def loop():
-    return AsyncWorkerServer(WorkerServer(WorkerSpec(
+    return WorkerServer(WorkerSpec(
         name="sm-worker", classpath_factory=SAMPLE_FACTORY,
-    )))
+    ))
 
 
 @pytest.fixture
@@ -101,12 +100,11 @@ def _assert_failed(loop, conn, kind, match):
 
 
 def _assert_heap_untouched(loop, conn):
-    core = loop.core
     assert not conn.ready
     assert loop.epochs_applied == 0
-    assert core.graphs_received == core.epochs_received == 0
-    assert core._blobs == {}
-    assert core.runtime.retained_input_buffers == 0
+    assert loop.graphs_received == 0
+    assert loop._blobs == {}
+    assert loop.runtime.retained_input_buffers == 0
 
 
 # (trailer fields as (total, crc, chunks), the message the check must give)
@@ -133,7 +131,7 @@ def test_classic_stream_happy_path(loop, conn):
     assert ftype == frames.RESULT
     result = frames.decode_json(payload, what="RESULT")
     assert (result["bytes"], result["crc32"]) == (len(data), zlib.crc32(data))
-    assert loop.core._blobs == {"bucket": data}
+    assert loop._blobs == {"bucket": data}
     assert conn.stream is None and not conn.closing
 
 
@@ -150,7 +148,7 @@ def test_classic_stream_rejects_bad_trailers(loop, conn, trailer, expect):
 def test_epochs_are_not_a_call_op(loop, conn):
     """``recv_epoch`` left the op tables with protocol v3: the CALL answers
     the typed unknown-op error before any EPOCH header is looked at."""
-    assert "recv_epoch" not in {**loop._STREAM_OPS, **loop.core._OPS}
+    assert "recv_epoch" not in {**loop._STREAM_OPS, **loop._OPS}
     _feed(loop, conn,
           _call("recv_epoch"),
           (frames.EPOCH, frames.encode_epoch_header(CHANNEL, 1, 0)))
@@ -184,9 +182,31 @@ def test_classic_stream_peer_death_tracks_nothing(loop, conn):
     _assert_heap_untouched(loop, conn)
 
 
+class _PeerClient:
+    """A cached peer connection whose ``close`` raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def close(self):
+        raise self.error
+
+
+def test_dropping_a_peer_absorbs_only_its_socket_close(loop):
+    """A peer whose socket close fails is forgotten silently; anything
+    else a close raises is a bug, and propagates."""
+    loop._peer_clients[("gone", "127.0.0.1", 1)] = _PeerClient(OSError())
+    loop._drop_peer("gone")
+    assert loop._peer_clients == {}
+    loop._peer_clients[("broken", "127.0.0.1", 1)] = _PeerClient(
+        RuntimeError("not a socket error"))
+    with pytest.raises(RuntimeError, match="not a socket error"):
+        loop._drop_peer("broken")
+
+
 def test_stream_stalled_mid_op_times_out(loop, conn):
     _feed(loop, conn, _call("recv_blob"), (frames.DATA, b"data"))
-    conn.last_activity -= loop.core.spec.read_timeout + 1.0
+    conn.last_activity -= loop.spec.read_timeout + 1.0
     loop._reap_stalled()
     _assert_failed(loop, conn, "TransportTimeout", "stalled")
 
@@ -224,7 +244,7 @@ def test_mux_stream_happy_path(loop, conn, transport_driver):
     assert result["ok"] and result["channel_id"] == CHANNEL
     assert result["stream_bytes"] == len(data)
     assert result["digest"] == semantic_graph_digest(driver.jvm, [head])
-    assert loop.epochs_applied == loop.core.epochs_received == 1
+    assert loop.epochs_applied == 1
     assert not conn.closing
     channel.close()
 

@@ -87,7 +87,7 @@ def test_frame_and_digest_parity_across_substrates(transport_driver):
         # stale on both, and one send() recovers with a forced FULL.
         driver.jvm.set_field(head, "payload", 777)
         receiver.jvm.gc.full()
-        worker = local.loop.core
+        worker = local.loop
         with worker._state_lock:
             worker.runtime.jvm.gc.full()
         third = epoch({"delta": "full", "full": "full"})

@@ -10,7 +10,9 @@ Three rules, the ones the package docstrings promise:
   "import discipline": every layer may consume them without a cycle);
 * ``transport`` imports nothing from ``exchange``, ``spark`` or ``cluster``.
 
-And one rule about calls rather than imports: ``repro.delta`` holds no
+And two rules about where code goes rather than what it imports:
+``repro.transport`` imports ``repro.*`` only at module top (a deferred
+import only ever dodged a cycle or a layer), and ``repro.delta`` holds no
 per-object interpreter — it reads the compiled kernels of ``repro.core``.
 """
 
@@ -34,7 +36,6 @@ TRANSPORT_MAY_NOT = {"exchange", "spark", "cluster"}
 #: may only shrink: remove an entry with the import it excuses (a stale
 #: entry fails the test below), and never add one.
 ALLOWED = {
-    ("repro.transport.worker", "repro.cluster.membership"),
     ("repro.obs.__main__", "repro.cluster.membership"),
 }
 
@@ -91,6 +92,26 @@ def test_no_layer_imports_upward():
 def test_allow_list_only_shrinks():
     stale = ALLOWED - _back_edges()
     assert not stale, f"no longer imported, delete from ALLOWED: {stale}"
+
+
+def test_transport_defers_no_repro_import():
+    found = set()
+    for path in sorted((SRC / "transport").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found.update(f"{path.name}:{node.lineno} imports {name}"
+                             for name in names
+                             if name.split(".")[0] == "repro")
+    assert not found, "\n".join(sorted(found))
 
 
 #: What a per-slot / per-object interpreter is made of.  ``repro.delta``

@@ -28,17 +28,18 @@ from repro.jvm.jvm import JVM
 from repro.policy import SendPlan
 from repro.transport import (
     FrameConnection,
+    LocalAsyncWorker,
     RemoteWorkerError,
     TransportClosed,
     TransportTimeout,
     WorkerClient,
     WorkerHandle,
+    WorkerServer,
     WorkerSpec,
     frames,
     graph_digest,
     semantic_graph_digest,
 )
-from repro.transport.aserve import LocalAsyncWorker
 from repro.transport.client import DEFAULT_MUX_CHUNK_BYTES
 from repro.transport.testing import (
     SAMPLE_FACTORY,
@@ -328,7 +329,7 @@ def test_relayed_delta_ships_the_patch_and_a_peer_nack_recovers(
             assert relayed["mode"] == "delta" and not relayed["nack_recovered"]
             assert relayed["wire_bytes"] > quiescent["wire_bytes"]
 
-            peer = b.loop.core
+            peer = b.loop
             with peer._state_lock:
                 peer.runtime.jvm.gc.full()
             recovered = relay(push(4343))
@@ -346,8 +347,8 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     is its payload and its routing, a channel is its endpoints, request
     and policy, and a plan is full or delta — no stream count, no kernel
     flag, no bandwidth feedback, no route around the channel's one send
-    body, no delta card size.  (``send_graph`` keeps every pipeline
-    knob.)"""
+    body, no delta card size; a worker is its spec, its loop's mark and
+    tick constants.  (``send_graph`` keeps every pipeline knob.)"""
     def params(func):
         return list(inspect.signature(func).parameters)
 
@@ -357,6 +358,8 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
         "self", "runtime", "host", "port", "node_name", "connect_timeout",
         "connect_attempts", "connect_backoff", "read_timeout", "metrics",
         "connection_cls"]
+    assert params(WorkerServer.__init__) == ["self", "spec"]
+    assert params(LocalAsyncWorker.__init__) == ["self", "spec"]
     assert params(WorkerClient.send_blob) == ["self", "data"]
     assert params(WorkerClient.put_blob) == ["self", "key", "data"]
     assert params(SocketGraphChannel.__init__) == [
