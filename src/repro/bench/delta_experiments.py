@@ -11,10 +11,10 @@ Table 1 graph profiles:
   recording the epoch's wire bytes and the policy's full/delta decision;
   the high-mutation points document the automatic fallback.
 
-The baseline reuses the same send machinery with a policy whose
-crossover is below zero, so every epoch takes the full-send path — both
-modes charge identical application and bookkeeping costs, and the
-difference is purely the transfer strategy.
+The baseline reuses the same send machinery under :class:`AlwaysFull`,
+so every epoch takes the full-send path — both modes charge identical
+application and bookkeeping costs, and the difference is purely the
+transfer strategy.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from repro.core.runtime import attach_skyway
 from repro.datasets import GRAPH_PROFILES, generate_graph
 from repro.jvm.jvm import JVM
 from repro.net.cluster import Cluster
-from repro.policy import CrossoverPolicy
+from repro.policy import AlwaysFull
 from repro.spark.send import PolicySend
 from repro.types.corelib import standard_classpath
 
-#: A crossover below zero makes every epoch fail the pre-encode gate:
-#: the policy degenerates to the paper's behaviour (full send per epoch).
-FULL_EVERY_EPOCH = CrossoverPolicy(byte_crossover=-1.0)
+#: The paper's behaviour: a full send every epoch.
+FULL_EVERY_EPOCH = AlwaysFull()
 
 
 @dataclasses.dataclass

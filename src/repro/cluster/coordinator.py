@@ -29,11 +29,11 @@ and allocator:
     is reported so the whole fleet converges immediately instead of
     waiting out the heartbeat window.
 ``telemetry`` / ``postmortem`` / ``events``
-    The fleet telemetry plane's read side: the document ``repro.obs top``
-    renders, one worker's retained series and flight-recorder dump (dead
-    workers included), and the straggler event feed.  Heartbeats carry
-    the samples in; the window, recorder and straggler bounds are the
-    constants of :mod:`repro.obs.live`.
+    The fleet telemetry plane's read side: the document
+    ``repro.cluster top`` renders, one worker's retained series and
+    flight-recorder dump (dead workers included), and the straggler event
+    feed.  Heartbeats carry the samples in; the window, recorder and
+    straggler bounds are the constants of :mod:`repro.obs.live`.
 
 The loop's tick marks workers dead after ``miss_limit`` missed
 heartbeats — there is no monitor thread.  Dead records are kept (not

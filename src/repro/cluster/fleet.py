@@ -44,7 +44,7 @@ from repro.core.runtime import SkywayRuntime
 from repro.exchange.capabilities import ChannelCapabilities, DEFAULT_REQUEST
 from repro.exchange.channel import SendReceipt
 from repro.exchange.socket import SocketGraphChannel
-from repro.policy import resolve_engine
+from repro.policy import resolve_policy
 from repro.transport.client import WorkerClient
 from repro.transport.errors import (
     ClusterConfigError,
@@ -140,10 +140,10 @@ class Fleet:
         self.coordinator = coordinator
         self.name = name
         self.read_timeout = read_timeout
-        #: One policy engine shared by every driver→worker channel (the
-        #: fleet's send modes are one decision plane); history is per
-        #: channel and goes when the channel closes or takes a new id.
-        self.engine = resolve_engine(policy)
+        #: One policy shared by every driver→worker channel (the fleet's
+        #: send modes are one decision plane); each channel keeps its own
+        #: history, restarted when it takes a new id.
+        self.policy = resolve_policy(policy)
         #: worker name -> (generation, client)
         self._clients: Dict[str, Tuple[int, WorkerClient]] = {}
         #: worker name -> FleetChannel (driver→worker broadcast channels)
@@ -187,7 +187,7 @@ class Fleet:
 
     def telemetry(self, worker: Optional[str] = None) -> dict:
         """The coordinator's fleet telemetry document: per-worker series
-        totals + rollups + straggler events (what ``repro.obs top``
+        totals + rollups + straggler events (what ``repro.cluster top``
         renders)."""
         return self.coordinator.call("telemetry", worker=worker)["telemetry"]
 
@@ -220,7 +220,7 @@ class Fleet:
         if cached is not None:
             try:
                 cached[1].close()
-            except Exception:  # noqa: BLE001 - connection already dead
+            except OSError:  # the socket was already dead
                 pass
 
     def client_to(self, worker: str) -> WorkerClient:
@@ -264,10 +264,12 @@ class Fleet:
                     f"channel to {worker!r} is open with {cached.requested}; "
                     f"cannot reuse it for {requested}"
                 )
-            if policy is not None and policy is not cached.engine:
+            if (policy is not None
+                    and resolve_policy(policy).name != cached.policy.name):
                 raise ClusterConfigError(
-                    f"channel to {worker!r} is open under policy engine "
-                    f"{cached.engine!r}; cannot reuse it under {policy!r}"
+                    f"channel to {worker!r} is open under policy "
+                    f"{cached.policy.name!r}; cannot reuse it under "
+                    f"{policy!r}"
                 )
             return cached
         record = self.lookup(worker)
@@ -276,7 +278,7 @@ class Fleet:
         client.admit_channel(channel_id)
         channel = FleetChannel(
             self, worker, client, int(record["generation"]), requested,
-            policy if policy is not None else self.engine, channel_id,
+            policy if policy is not None else self.policy, channel_id,
         )
         self._channels[worker] = channel
         return channel
@@ -429,7 +431,7 @@ class Fleet:
         for _gen, client in self._clients.values():
             try:
                 client.close()
-            except Exception:  # noqa: BLE001 - teardown best-effort
+            except OSError:  # the socket was already dead
                 pass
         self._clients.clear()
         self._routes.clear()

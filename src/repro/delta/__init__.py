@@ -23,7 +23,7 @@ previously-shipped graph incremental:
   (``DeltaSendChannel.send(roots)`` / ``DeltaReceiveEndpoint.receive``);
   the **fallback policy** — revert to a full Skyway send past the
   crossover where a delta would cost as much as resending everything —
-  is :class:`repro.policy.CrossoverPolicy`, the channel's default engine.
+  is :class:`repro.policy.CrossoverPolicy`, the channel's default policy.
 
 Constraints: delta channels require a homogeneous cluster (PATCH records
 overwrite clones in place, so both sides must share one object layout) and

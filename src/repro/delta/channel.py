@@ -29,7 +29,13 @@ from repro.core.runtime import SkywayRuntime
 from repro.delta.apply import ApplyResult, DeltaApplier
 from repro.delta.dirty import DeltaTracker
 from repro.delta.epoch_cache import EpochRecord
-from repro.policy import ChannelSignals, SendPlan, resolve_engine
+from repro.policy import (
+    EWMA_WEIGHT,
+    REGIME_REASONS,
+    ChannelSignals,
+    SendPlan,
+    resolve_policy,
+)
 from repro.policy.plan import NON_FALLBACK_REASONS
 from repro.delta.wire import (
     DeltaEncoder,
@@ -98,11 +104,10 @@ class DeltaSendChannel:
         #: this id, so pinned ids must be unique per receiving runtime.
         self.channel_id = (next(_channel_ids) if channel_id is None
                            else channel_id)
-        #: Every ``policy=`` spelling (None, a name, a decision table, a
-        #: shared PolicyEngine) normalizes onto one engine — the only
-        #: place a send mode is chosen.
-        self.policy = policy
-        self.engine = resolve_engine(policy)
+        #: Every ``policy=`` spelling (None, a name, a policy instance)
+        #: normalizes onto one stateless policy — the only place a send
+        #: mode is chosen; the history it reads is this channel's own.
+        self.policy = resolve_policy(policy)
         #: Negotiated capability bounds (the exchange layer passes its
         #: :class:`~repro.exchange.capabilities.ChannelCapabilities`);
         #: every plan is clamped by them before execution.
@@ -134,6 +139,11 @@ class DeltaSendChannel:
         #: The plan the last epoch executed (after any post-encode
         #: reversion): its mode/reason are why that epoch went full or delta.
         self.last_plan: Optional[SendPlan] = None
+        #: This channel's decision history, folded into every epoch's
+        #: signals: the EWMA of the observed byte fraction, and the mode
+        #: the policy last chose on its own (the hysteresis anchor).
+        self.byte_fraction_ewma: Optional[float] = None
+        self.regime: Optional[str] = None
         self._force_full = False
         self._pending: Optional[Tuple[SendPlan, ChannelSignals]] = None
 
@@ -143,9 +153,9 @@ class DeltaSendChannel:
 
     def send(self, roots: List[int],
              plan: Optional[SendPlan] = None) -> bytes:
-        """Frame one epoch carrying ``roots``; mode per the engine's plan.
+        """Frame one epoch carrying ``roots``; mode per the policy's plan.
 
-        Callers normally pass no plan and let the engine decide; a caller
+        Callers normally pass no plan and let the policy decide; a caller
         that timed the decision on its own through :meth:`plan_next` hands
         that plan back to execute it without re-deciding."""
         with obs.span("send.epoch", clock=self.runtime.jvm.clock,
@@ -229,16 +239,50 @@ class DeltaSendChannel:
         receiving worker restarted).  The epoch counter keeps counting —
         receivers accept a FULL at any epoch — but the next epoch is
         forced FULL: no receiver retains state under the new id.  The
-        engine forgets the old id's history."""
-        self.engine.forget(self.channel_id)
+        decision history restarts with it."""
         self.channel_id = channel_id
+        self.byte_fraction_ewma = None
+        self.regime = None
         self._force_full = True
         self._pending = None
 
     def _plan(self, roots: List[int], record: Optional[EpochRecord],
               gc, epoch: int) -> Tuple[SendPlan, ChannelSignals]:
+        """Decide one epoch: history in, clamped :class:`SendPlan` out, and
+        the decision emitted as a ``policy.decide`` span plus a
+        ``policy.decisions`` counter — so a trace says *why* each epoch
+        shipped the way it did."""
         signals = self._signals(roots, record, gc, epoch)
-        plan = self.engine.plan(signals, self.capabilities)
+        if signals.has_mutation_observation:
+            fraction = signals.byte_fraction
+            self.byte_fraction_ewma = (
+                fraction if self.byte_fraction_ewma is None
+                else EWMA_WEIGHT * fraction
+                + (1.0 - EWMA_WEIGHT) * self.byte_fraction_ewma)
+        signals.byte_fraction_ewma = self.byte_fraction_ewma
+        signals.last_mode = self.regime
+
+        policy = self.policy
+        with obs.span("policy.decide", policy=policy.name,
+                      channel=signals.channel_id,
+                      destination=signals.destination) as sp:
+            plan = policy.decide(signals)
+            if self.capabilities is not None:
+                plan = plan.clamp(self.capabilities)
+            sp.set(
+                mode=plan.mode, reason=plan.reason, digest=plan.digest,
+                dirty_fraction=round(signals.dirty_fraction, 6),
+                byte_fraction_ewma=(
+                    round(signals.byte_fraction_ewma, 6)
+                    if signals.byte_fraction_ewma is not None else None),
+                clamped=",".join(plan.clamped) or None,
+            )
+        if plan.reason in REGIME_REASONS:
+            self.regime = plan.mode
+        obs.registry().counter(
+            "policy.decisions", policy=policy.name,
+            mode=plan.mode, reason=plan.reason,
+        )
         return plan, signals
 
     def _signals(self, roots: List[int], record: Optional[EpochRecord],
@@ -343,9 +387,7 @@ class DeltaSendChannel:
         return frame
 
     def close(self) -> None:
-        """Detach this channel's table from the write barrier and drop its
-        history from the (possibly shared) policy engine."""
-        self.engine.forget(self.channel_id)
+        """Detach this channel's table from the write barrier."""
         if self.tracker is not None and self.table is not None:
             self.tracker.release_table(self.table)
             self.table = None

@@ -20,9 +20,8 @@ Capabilities:
     frames by channel id).
 
 Negotiation answers *what the channel could do*: ``kernel`` fixes the
-channel's clone engine once, and the policy plane's
-:class:`~repro.policy.engine.PolicyEngine` decides *what each epoch does*
-(full or delta) within the ``delta`` bound.
+channel's clone engine once, and the policy plane (:mod:`repro.policy`)
+decides *what each epoch does* (full or delta) within the ``delta`` bound.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.exchange.capabilities import ChannelCapabilities
 from repro.exchange.errors import ExchangeError
 from repro.exchange.metrics import ExchangeMetrics
 from repro.heap.layout import HeapLayout
-from repro.policy import PolicyEngine, SendPlan
+from repro.policy import SendPlan
 from repro.simtime import Category
 
 
@@ -231,8 +231,8 @@ class GraphChannel:
         return self._require_open().last_plan
 
     @property
-    def engine(self) -> PolicyEngine:
-        return self._require_open().engine
+    def policy(self):
+        return self._require_open().policy
 
     @property
     def stats(self) -> ChannelStats:

@@ -266,15 +266,6 @@ class DataSet:
             out.append([tuple(row[i] for i in indices) for row in rows])
         return DataSet(self.env, new_type, out)
 
-    def map_rows(
-        self, fn: Callable[[Row], Row], new_type: RowType
-    ) -> "DataSet":
-        out = []
-        for p, rows in enumerate(self.partitions):
-            self.env.charge_compute(self.env.node_for(p), len(rows))
-            out.append([fn(row) for row in rows])
-        return DataSet(self.env, new_type, out)
-
     # -- wide ops ----------------------------------------------------------------
 
     def join(

@@ -29,15 +29,6 @@ class FieldKind(enum.Enum):
     STRING = "string"
     DATE = "date"  # stored as int32 days since epoch
 
-    @property
-    def fixed_size(self) -> Optional[int]:
-        return {
-            FieldKind.LONG: 8,
-            FieldKind.INT: 4,
-            FieldKind.DOUBLE: 8,
-            FieldKind.DATE: 4,
-            FieldKind.STRING: None,
-        }[self]
 
 
 @dataclasses.dataclass(frozen=True)

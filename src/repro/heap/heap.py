@@ -349,15 +349,6 @@ class ManagedHeap:
         self._format_object(address, klass, array_length)
         return address
 
-    def allocate_into(
-        self, region: Region, klass: Klass, array_length: Optional[int] = None
-    ) -> int:
-        """Allocation into an explicit region (used by the GC)."""
-        size = klass.object_size(array_length)
-        address = self._bump(region, size)
-        self._format_object(address, klass, array_length)
-        return address
-
     def _bump(self, region: Region, size: int) -> int:
         size = align_up(size, OBJECT_ALIGNMENT)
         if region.free < size:
@@ -436,12 +427,6 @@ class ManagedHeap:
     def regions(self) -> Tuple[Region, Region, Region, Region]:
         return (self.eden, self.survivor_from, self.survivor_to, self.old)
 
-    def region_of(self, address: int) -> Region:
-        for region in self.regions():
-            if region.contains(address):
-                return region
-        raise SegfaultError(f"address {address:#x} in no region")
-
     def is_young(self, address: int) -> bool:
         return (
             self.eden.contains(address)
@@ -474,10 +459,3 @@ class ManagedHeap:
             hashcode = 1  # 0 means "not computed"
         self.write_mark(address, markword.set_hash(mark, hashcode))
         return hashcode
-
-
-def copy_object_bytes(
-    src_heap: ManagedHeap, src: int, dst_heap: ManagedHeap, dst: int, size: int
-) -> None:
-    """memcpy between heaps (or within one), used by GC and tests."""
-    dst_heap.write_bytes(dst, src_heap.read_bytes(src, size))

@@ -145,9 +145,6 @@ class Klass:
         except KeyError:
             raise KeyError(f"{self.name} has no field {name!r}") from None
 
-    def has_field(self, name: str) -> bool:
-        return name in self._fields_by_name
-
     def object_size(self, array_length: Optional[int] = None) -> int:
         """Total byte size of an instance (arrays need their length)."""
         if self.is_array:

@@ -10,7 +10,6 @@ reference-type fields (paper §5.1).
 from __future__ import annotations
 
 import random
-from typing import List
 
 from repro.jvm.jvm import JVM
 from repro.jvm.marshal import Obj, to_heap
@@ -99,8 +98,3 @@ def make_media_content(jvm: JVM, index: int, seed: int = 2018) -> int:
     """Materialize one MediaContent graph on ``jvm``'s heap."""
     install_media_classes(jvm.classpath)
     return to_heap(jvm, media_content_value(index, seed))
-
-
-def make_dataset(jvm: JVM, count: int, seed: int = 2018) -> List[int]:
-    """``count`` pinned MediaContent roots (caller unpins via handles)."""
-    return [make_media_content(jvm, i, seed) for i in range(count)]

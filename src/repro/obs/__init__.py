@@ -19,8 +19,8 @@ that produces those breakdowns from live runs instead of ad-hoc ledgers:
 * :mod:`repro.obs.live` and :mod:`repro.obs.recorder` — the fleet
   telemetry plane and its flight recorder, run only by a worker that has
   a coordinator to read them;
-* ``python -m repro.obs`` — the CLI (``report`` / ``trace`` / ``diff`` /
-  ``top``).
+* ``python -m repro.obs`` — the CLI (``report`` / ``trace`` / ``diff``;
+  the live fleet table is ``python -m repro.cluster top``).
 
 Import discipline: this package imports **stdlib only**, so every layer —
 ``repro.heap.gc`` included — can instrument itself without cycles.

@@ -606,7 +606,7 @@ class FleetTelemetry:
     def document(self, worker: Optional[str] = None,
                  alive: Optional[List[str]] = None) -> Dict[str, Any]:
         """The JSON telemetry doc the ``telemetry`` RPC answers and
-        ``repro.obs top`` renders."""
+        ``repro.cluster top`` renders."""
         with self._lock:
             if worker is None:
                 names = sorted(self._workers)
@@ -644,7 +644,7 @@ class FleetTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# terminal rendering (the `repro.obs top` table)
+# terminal rendering (the `repro.cluster top` table)
 # ---------------------------------------------------------------------------
 
 def _fmt_rate(bps: float) -> str:

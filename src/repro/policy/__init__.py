@@ -1,33 +1,34 @@
 """repro.policy — the adaptive send-policy plane.
 
-One decision engine for every transfer-mode choice in the repo: full vs
+One decision point for every transfer-mode choice in the repo: full vs
 delta (§4.3's crossover), the digest knob and the post-encode byte
-budget.  Per channel per epoch, a :class:`PolicyEngine` turns live
-:class:`ChannelSignals` (card-table dirty fraction, resident size, GC
-and protocol flags, channel history) into a :class:`SendPlan` via a
-declarative :class:`DecisionTable`; capability negotiation clamps the
-plan, the channel's one send body executes it, and the decision lands in
-the :class:`~repro.exchange.channel.SendReceipt` and the trace
+budget.  Per channel per epoch, the channel folds its own history
+(byte-fraction EWMA, last regime) into live :class:`ChannelSignals`
+(card-table dirty fraction, resident size, GC and protocol flags) and a
+stateless policy's ``decide(signals)`` returns a :class:`SendPlan`;
+capability negotiation clamps the plan, the channel's one send body
+executes it, and the decision lands in the
+:class:`~repro.exchange.channel.SendReceipt` and the trace
 (``policy.decide`` spans + ``policy.decisions`` counters).  How an epoch
 is traversed (compiled kernels or the interpreted spec) is the channel's
 negotiated configuration, not a per-epoch choice.
 
-Import discipline: this package imports :mod:`repro.obs` and stdlib only,
-so every layer — ``repro.delta``, ``repro.exchange``, ``repro.spark``,
-``repro.cluster`` — can consume plans without cycles.
+Import discipline: this package imports only the stdlib, so every layer
+— ``repro.delta``, ``repro.exchange``, ``repro.spark``, ``repro.cluster``
+— can consume plans without cycles.
 """
 
-from repro.policy.engine import ChannelHistory, PolicyEngine, resolve_engine
 from repro.policy.plan import NON_FALLBACK_REASONS, SendPlan
 from repro.policy.policies import (
+    BYTE_CROSSOVER,
+    EWMA_WEIGHT,
+    EXIT_FULL,
+    REGIME_REASONS,
     AdaptivePolicy,
     AlwaysDelta,
     AlwaysFull,
     CrossoverPolicy,
-    DecisionTable,
     PolicyError,
-    Rule,
-    guard_rules,
     resolve_policy,
 )
 from repro.policy.signals import ChannelSignals
@@ -36,16 +37,14 @@ __all__ = [
     "AdaptivePolicy",
     "AlwaysDelta",
     "AlwaysFull",
-    "ChannelHistory",
+    "BYTE_CROSSOVER",
     "ChannelSignals",
     "CrossoverPolicy",
-    "DecisionTable",
+    "EWMA_WEIGHT",
+    "EXIT_FULL",
     "NON_FALLBACK_REASONS",
-    "PolicyEngine",
     "PolicyError",
-    "Rule",
+    "REGIME_REASONS",
     "SendPlan",
-    "guard_rules",
-    "resolve_engine",
     "resolve_policy",
 ]

@@ -4,7 +4,7 @@ A plan is what a policy *wants* for the next epoch — full or delta, the
 digest knob, the post-encode byte budget — and what every decision site
 consumes.  Nothing below the policy plane chooses a mode: channels
 execute plans, and :meth:`SendPlan.clamp` is where capability
-negotiation bounds what the engine may choose.
+negotiation bounds what the policy may choose.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class SendPlan:
     def clamp(self, caps) -> "SendPlan":
         """Bound this plan by a negotiated capability set (anything with a
         ``delta`` attribute): a delta plan on a delta-incapable channel
-        goes full.  Negotiation *bounds* what the engine chose; it never
+        goes full.  Negotiation *bounds* what the policy chose; it never
         upgrades a plan."""
         if self.mode != "delta" or caps.delta:
             return self

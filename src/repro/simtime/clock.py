@@ -53,10 +53,6 @@ class SimClock:
         cat = category if category is not None else self._stack[-1]
         self._totals[cat] += seconds
 
-    @property
-    def current_category(self) -> Category:
-        return self._stack[-1]
-
     def push(self, category: Category) -> None:
         self._stack.append(category)
 

@@ -168,10 +168,9 @@ class SparkContext:
         """Ship driver-heap object graphs to the workers, mode per the
         policy plane: each ``push()`` plans every worker's epoch (full or
         delta, digest) from that channel's live signals — no per-call mode
-        flags.  ``policy``
-        accepts a name (``"adaptive"``, ``"crossover"``, ``"full"``,
-        ``"delta"``), a :class:`~repro.policy.policies.DecisionTable`, or
-        a shared :class:`~repro.policy.engine.PolicyEngine`; default
+        flags.  ``policy`` accepts a name (``"adaptive"``,
+        ``"crossover"``, ``"always_full"``, ``"always_delta"``) or a
+        policy instance, which every channel may share; default
         adaptive.  Returns a :class:`~repro.spark.send.PolicySend`."""
         from repro.spark.send import PolicySend
 

@@ -2,9 +2,9 @@
 
 :class:`PolicySend` is the single front door for shipping driver-heap
 object graphs.  The caller does not pick a mode: per worker per push, the
-shared :class:`~repro.policy.engine.PolicyEngine` plans the epoch (full or
-delta, digest) from that channel's live signals inside the channel's one
-send body, and this module only fans the push out and totals what it cost.
+shared stateless policy plans the epoch (full or delta, digest) from that
+channel's live signals and history inside the channel's one send body,
+and this module only fans the push out and totals what it cost.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.exchange.capabilities import ChannelCapabilities, DEFAULT_REQUEST
 from repro.exchange.channel import GraphChannel
 from repro.exchange.service import Exchange
 from repro.net.cluster import Cluster, Node
-from repro.policy import resolve_engine
+from repro.policy import resolve_policy
 
 
 @dataclasses.dataclass
@@ -55,8 +55,9 @@ class PolicySend:
                                  else list(roots))
         if not self.roots:
             raise ValueError("send() needs at least one root")
-        #: One engine across every worker channel, history per channel.
-        self.engine = resolve_engine(policy, default="adaptive")
+        #: One policy across every worker channel; each channel keeps its
+        #: own history.
+        self.policy = resolve_policy(policy, default="adaptive")
         self.requested = (requested if requested is not None
                           else DEFAULT_REQUEST)
         self._pins = [driver.jvm.pin(root) for root in self.roots]
@@ -64,7 +65,7 @@ class PolicySend:
                  else [w.name for w in cluster.workers])
         self._channels: Dict[str, GraphChannel] = {
             name: self.exchange.channel_to(
-                name, requested=self.requested, policy=self.engine
+                name, requested=self.requested, policy=self.policy
             )
             for name in names
         }

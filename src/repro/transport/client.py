@@ -203,9 +203,6 @@ class WorkerClient:
     def stats(self) -> dict:
         return self.call_op("stats")
 
-    def shutdown_worker(self) -> dict:
-        return self._require_conn().call({"op": "shutdown"})
-
     # -- fleet ops (repro.cluster) ----------------------------------------
 
     def admit_channel(self, channel_id: int) -> dict:

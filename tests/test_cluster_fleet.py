@@ -17,7 +17,7 @@ from repro.cluster import (
 )
 from repro.delta.channel import DeltaSendChannel
 from repro.exchange.capabilities import ChannelCapabilities
-from repro.policy import PolicyEngine
+from repro.policy import AlwaysFull
 from repro.transport.client import WorkerClient
 from repro.transport.errors import RemoteWorkerError
 from repro.transport.digest import semantic_graph_digest
@@ -66,16 +66,54 @@ class TestFleetTransfers:
                 assert first["digest"] == expected
 
             # The cached channels were opened delta-capable under the
-            # fleet's engine: asking for anything else is refused, not
+            # fleet's policy: asking for anything else is refused, not
             # answered with the cached channel (and a DELTA).
             with pytest.raises(ClusterConfigError, match="delta=False"):
                 fleet.broadcast(
                     [root], requested=ChannelCapabilities(delta=False))
-            with pytest.raises(ClusterConfigError, match="policy engine"):
-                fleet.channel_to(w0, policy=PolicyEngine("always_full"))
-            assert fleet.channel_to(w0, policy=fleet.engine) \
+            with pytest.raises(ClusterConfigError, match="under policy"):
+                fleet.channel_to(w0, policy=AlwaysFull())
+            assert fleet.channel_to(w0, policy=fleet.policy) \
                 is fleet.channel_to(w0)
         finally:
+            fleet.close()
+
+
+class _ClosingClient:
+    """A cached client whose ``close`` raises ``exc``."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def close(self):
+        raise self.exc
+
+
+class _Coordinator:
+    def close(self):
+        pass
+
+
+class TestFleetTeardown:
+    """Dropping a client absorbs only a dead socket's ``OSError``; any
+    other failure in ``WorkerClient.close`` is a bug and propagates."""
+
+    def test_drop_client_absorbs_only_oserror(self):
+        fleet = Fleet(None, _Coordinator())
+        fleet._clients["w0"] = (1, _ClosingClient(OSError("reset")))
+        fleet._drop_client("w0")
+        assert "w0" not in fleet._clients
+        fleet._clients["w1"] = (1, _ClosingClient(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
+            fleet._drop_client("w1")
+
+    def test_close_absorbs_only_oserror(self):
+        fleet = Fleet(None, _Coordinator())
+        fleet._clients["w0"] = (1, _ClosingClient(OSError("reset")))
+        fleet.close()
+        assert not fleet._clients
+        fleet._clients["w1"] = (1, _ClosingClient(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
             fleet.close()
 
 

@@ -35,9 +35,7 @@ TRANSPORT_MAY_NOT = {"exchange", "spark", "cluster"}
 #: The back-edges that exist today, ``(importer, imported)``.  This list
 #: may only shrink: remove an entry with the import it excuses (a stale
 #: entry fails the test below), and never add one.
-ALLOWED = {
-    ("repro.obs.__main__", "repro.cluster.membership"),
-}
+ALLOWED = set()
 
 
 def _imports():

@@ -7,8 +7,6 @@ import pytest
 from repro import obs
 from repro.obs.__main__ import main
 from repro.obs.export import to_chrome_trace
-from repro.obs.live import FleetTelemetry, LATENCY_SERIES, TelemetrySampler
-from repro.obs.registry import MetricsRegistry
 
 
 def _dump(path, doc):
@@ -46,22 +44,8 @@ def test_report_and_diff_read_obs_snapshots(tmp_path, capsys):
     assert "cli.sends" in capsys.readouterr().out
 
 
-def test_top_reads_a_fleet_document(tmp_path, capsys):
-    registry = MetricsRegistry()
-    registry.observe(LATENCY_SERIES, 0.004)
-    fleet = FleetTelemetry()
-    fleet.ingest("w0", 1, TelemetrySampler(registry).sample())
-    doc = _dump(tmp_path / "telemetry.json", fleet.document())
-    assert main(["top", "--snapshot", doc, "--once"]) == 0
-    assert "w0" in capsys.readouterr().out
-    command = ["top", "--once"]
-    both = command + ["--snapshot", doc, "--coordinator", "127.0.0.1:1"]
-    assert main(command) == main(both) == 2  # neither source; both
-    assert "exactly one of" in capsys.readouterr().err
-
-
-def test_help_lists_exactly_the_four_subcommands(capsys):
+def test_help_lists_exactly_the_three_subcommands(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
     assert exit_info.value.code == 0
-    assert "{report,trace,diff,top}" in capsys.readouterr().out
+    assert "{report,trace,diff}" in capsys.readouterr().out

@@ -1,23 +1,26 @@
-"""The policy plane: decision-table cells, the capability clamp, the
-engine's history folding, and the adaptive policy's hysteresis band —
-every mode decision in the repo funnels through these."""
+"""The policy plane: decision cells, the capability clamp, the channel's
+history folding, and the adaptive policy's hysteresis band — every mode
+decision in the repo funnels through these."""
 
 import pytest
 
 from repro import obs
+from repro.delta.channel import DeltaSendChannel
 from repro.exchange.capabilities import ChannelCapabilities
 from repro.policy import (
+    BYTE_CROSSOVER,
+    EXIT_FULL,
+    REGIME_REASONS,
     AdaptivePolicy,
     AlwaysDelta,
     AlwaysFull,
     ChannelSignals,
     CrossoverPolicy,
-    PolicyEngine,
     PolicyError,
     SendPlan,
-    resolve_engine,
     resolve_policy,
 )
+from repro.policy import policies
 
 
 def observed(fraction, *, resident=10_000, **kwargs):
@@ -34,15 +37,28 @@ def observed(fraction, *, resident=10_000, **kwargs):
     )
 
 
+GUARDS = ("forced_full", "delta_capable", "heterogeneous", "first_epoch",
+          "gc_moved")
+
+
 class TestGuardRules:
-    """The shared guard prefix fires before any policy-specific row, in
-    protocol-invariant order, for every table."""
+    """The shared guard fires before any policy's own choice, in
+    protocol-invariant order, for every policy."""
 
     @pytest.mark.parametrize("policy", [
         CrossoverPolicy(), AdaptivePolicy(), AlwaysFull(), AlwaysDelta(),
     ])
     def test_guards_shared_by_every_table(self, policy):
-        assert policy.rule_reasons()[:5] == [
+        # Trip the guards from the last to the first: each added flag
+        # takes over the reason, so the earlier guard wins.
+        reasons = []
+        tripped = {}
+        for flag in reversed(GUARDS):
+            tripped[flag] = flag != "delta_capable"
+            plan = policy.decide(observed(0.0, **tripped))
+            assert (plan.mode, plan.policy) == ("full", policy.name)
+            reasons.append(plan.reason)
+        assert reasons[::-1] == [
             "forced", "delta_disabled", "heterogeneous", "first_epoch",
             "gc_moved",
         ]
@@ -71,29 +87,34 @@ class TestGuardRules:
     def test_adaptive_bootstraps_with_digest(self):
         signals = ChannelSignals(epoch=1, first_epoch=True)
         assert AdaptivePolicy().decide(signals).digest
-        assert not AdaptivePolicy(digest_bootstrap=False).decide(
-            signals).digest
+        assert not CrossoverPolicy().decide(signals).digest
 
 
 class TestCrossoverCells:
     """The mutation-byte crossover, cell by cell."""
 
+    @pytest.fixture(autouse=True)
+    def _crossover(self, monkeypatch):
+        monkeypatch.setattr(policies, "BYTE_CROSSOVER", 0.5)
+
     def test_below_crossover_is_delta_with_budget(self):
-        plan = CrossoverPolicy(byte_crossover=0.5).decide(observed(0.2))
+        plan = CrossoverPolicy().decide(observed(0.2))
         assert (plan.mode, plan.reason) == ("delta", "delta")
         assert plan.byte_budget == 0.5 * 10_000
         assert plan.policy == "crossover"
 
     def test_above_crossover_is_full(self):
-        plan = CrossoverPolicy(byte_crossover=0.5).decide(observed(0.8))
+        plan = CrossoverPolicy().decide(observed(0.8))
         assert (plan.mode, plan.reason) == ("full", "mutation_crossover")
         assert plan.mutation_rate == pytest.approx(0.0)  # object fraction
         assert plan.estimated_bytes == 8_000
 
-    def test_negative_crossover_degenerates_to_always_full(self):
-        # byte_crossover < 0 forces FULL even with zero mutation
+    def test_negative_crossover_degenerates_to_always_full(
+            self, monkeypatch):
+        # BYTE_CROSSOVER < 0 forces FULL even with zero mutation
         # (0 > negative budget).
-        plan = CrossoverPolicy(byte_crossover=-1.0).decide(observed(0.0))
+        monkeypatch.setattr(policies, "BYTE_CROSSOVER", -1.0)
+        plan = CrossoverPolicy().decide(observed(0.0))
         assert (plan.mode, plan.reason) == ("full", "mutation_crossover")
 
 
@@ -122,20 +143,30 @@ class TestCapabilityClamp:
 
 
 class TestAdaptiveHysteresis:
-    def _engine(self, **kwargs):
-        kwargs.setdefault("enter_full", 0.5)
-        kwargs.setdefault("exit_full", 0.35)
-        # alpha=1.0: the EWMA tracks the raw fraction, so the test drives
-        # the band directly.
-        return PolicyEngine(AdaptivePolicy(**kwargs), alpha=1.0)
+    """Pure ``decide`` cells: the smoothed fraction and the regime are set
+    on the signals, as a channel folds them in."""
 
-    def _modes(self, engine, fractions):
-        return [engine.plan(observed(f)).mode for f in fractions]
+    @pytest.fixture(autouse=True)
+    def _band(self, monkeypatch):
+        monkeypatch.setattr(policies, "BYTE_CROSSOVER", 0.5)
+        monkeypatch.setattr(policies, "EXIT_FULL", 0.35)
+
+    def _modes(self, policy, fractions):
+        """Each epoch's smoothed fraction given outright (EWMA weight 1),
+        the regime threaded from one cell's plan into the next."""
+        modes, last_mode = [], None
+        for fraction in fractions:
+            plan = policy.decide(observed(
+                fraction, byte_fraction_ewma=fraction, last_mode=last_mode))
+            if plan.reason in REGIME_REASONS:
+                last_mode = plan.mode
+            modes.append(plan.mode)
+        return modes
 
     def test_oscillation_across_one_threshold_does_not_flap(self):
-        # 0.40/0.62 straddles enter_full=0.5 every epoch.  Without the
+        # 0.40/0.62 straddles the 0.5 crossover every epoch.  Without the
         # band the mode would flip 7 times; with it, exactly once.
-        modes = self._modes(self._engine(),
+        modes = self._modes(AdaptivePolicy(),
                             [0.40, 0.62, 0.40, 0.62, 0.40, 0.62, 0.40])
         assert modes == ["delta", "full", "full", "full", "full", "full",
                          "full"]
@@ -144,53 +175,83 @@ class TestAdaptiveHysteresis:
 
     def test_crossover_without_band_flaps(self):
         # The contrast case: the memoryless crossover flips every epoch.
-        engine = PolicyEngine(CrossoverPolicy(byte_crossover=0.5),
-                              alpha=1.0)
-        modes = self._modes(engine, [0.40, 0.62, 0.40, 0.62])
+        modes = self._modes(CrossoverPolicy(), [0.40, 0.62, 0.40, 0.62])
         assert modes == ["delta", "full", "delta", "full"]
 
     def test_sustained_drop_below_exit_returns_to_delta(self):
-        engine = self._engine()
-        assert self._modes(engine, [0.62, 0.40, 0.34]) == \
+        assert self._modes(AdaptivePolicy(), [0.62, 0.40, 0.34]) == \
             ["full", "full", "delta"]
+        # The band's cells one by one: in the full regime 0.40 stays
+        # full, below the band it returns; outside it 0.40 is delta.
+        policy = AdaptivePolicy()
+        assert policy.decide(observed(
+            0.40, byte_fraction_ewma=0.40, last_mode="full")).mode == "full"
+        assert policy.decide(observed(
+            0.34, byte_fraction_ewma=0.34, last_mode="full")).mode == "delta"
+        assert policy.decide(observed(
+            0.40, byte_fraction_ewma=0.40, last_mode="delta")).mode == \
+            "delta"
 
     def test_forced_full_does_not_enter_the_full_regime(self):
-        # A guard-rule FULL is not the policy's own choice: the next
-        # observed epoch still decides against enter_full, not exit_full.
-        engine = self._engine()
-        engine.plan(observed(0.40, forced_full=True))
-        assert engine.plan(observed(0.40)).mode == "delta"
+        # A guard's FULL is not the policy's own choice: it leaves the
+        # regime unset, so the next observed epoch still decides against
+        # the crossover, not the bottom of the band.
+        policy = AdaptivePolicy()
+        forced = policy.decide(observed(0.40, forced_full=True))
+        assert forced.reason not in REGIME_REASONS
+        assert self._modes(policy, [0.40]) == ["delta"]
 
     def test_inverted_band_is_rejected(self):
-        with pytest.raises(PolicyError):
-            AdaptivePolicy(enter_full=0.3, exit_full=0.5)
+        assert EXIT_FULL <= BYTE_CROSSOVER
+
+
+class ScriptedChannel(DeltaSendChannel):
+    """A channel whose signals are scripted, so the history its ``_plan``
+    folds in is driven cell by cell."""
+
+    def __init__(self, runtime, script, **kwargs):
+        super().__init__(runtime, "scripted", delta_enabled=False, **kwargs)
+        self.script = list(script)
+
+    def _signals(self, roots, record, gc, epoch):
+        return self.script.pop(0)
 
 
 class TestPolicyEngine:
-    def test_ewma_folds_history_into_signals(self):
-        engine = PolicyEngine("adaptive", alpha=0.5)
-        engine.plan(observed(0.2))
-        plan = engine.plan(observed(0.6))
-        # Seeded at 0.2, then 0.5*0.6 + 0.5*0.2 = 0.4 < enter_full=0.5:
+    """The decision point: each channel folds its own history into the
+    signals, asks its (stateless, shareable) policy, and emits the
+    decision."""
+
+    def test_ewma_folds_history_into_signals(self, transport_driver):
+        channel = ScriptedChannel(transport_driver,
+                                  [observed(0.2), observed(0.6)],
+                                  policy="adaptive")
+        channel.plan_next([])
+        plan = channel.plan_next([])
+        # Seeded at 0.2, then 0.5*0.6 + 0.5*0.2 = 0.4 < the 0.5 crossover:
         # the raw 0.6 would go full, the smoothed fraction stays delta.
         assert plan.mode == "delta"
-        hist = engine.history(7)
-        assert hist.byte_fraction_ewma == pytest.approx(0.4)
+        assert channel.byte_fraction_ewma == pytest.approx(0.4)
+        assert channel.regime == "delta"
 
-    def test_history_is_per_channel(self):
-        engine = PolicyEngine("adaptive", alpha=1.0)
-        engine.plan(observed(0.9, channel_id=1))
-        assert engine.plan(observed(0.9, channel_id=1)).mode == "full"
-        # Channel 2's history is untouched by channel 1's regime.
-        assert engine.history(2).byte_fraction_ewma is None
+    def test_history_is_per_channel(self, transport_driver):
+        shared = AdaptivePolicy()
+        one = ScriptedChannel(transport_driver,
+                              [observed(0.9), observed(0.9)], policy=shared)
+        two = ScriptedChannel(transport_driver, [], policy=shared)
+        one.plan_next([])
+        assert one.plan_next([]).mode == "full"
+        # Channel two's history is untouched by channel one's regime.
+        assert (two.byte_fraction_ewma, two.regime) == (None, None)
 
-    def test_every_decision_emits_span_and_counter(self):
+    def test_every_decision_emits_span_and_counter(self, transport_driver):
         obs.reset()
         obs.enable(process="test")
         try:
-            engine = PolicyEngine("crossover")
-            engine.plan(observed(0.2), ChannelCapabilities(
-                kernel=True, delta=True))
+            channel = ScriptedChannel(
+                transport_driver, [observed(0.2)], policy="crossover",
+                capabilities=ChannelCapabilities(kernel=True, delta=True))
+            channel.plan_next([])
             spans = [s for s in obs.get_tracer().spans()
                      if s.name == "policy.decide"]
             assert len(spans) == 1
@@ -200,27 +261,29 @@ class TestPolicyEngine:
             key = ("policy.decisions{mode=delta,policy=crossover,"
                    "reason=delta}")
             assert counters[key] == 1.0
-            assert engine.decisions == 1
         finally:
             obs.reset()
 
 
 class TestResolveEngine:
+    """``resolve_policy``: every ``policy=`` spelling onto one policy."""
+
     def test_none_resolves_to_default(self):
-        assert resolve_engine(None).policy.name == "crossover"
-        assert resolve_engine(None, default="adaptive").policy.name == \
-            "adaptive"
+        assert resolve_policy(None).name == "crossover"
+        assert resolve_policy(None, default="adaptive").name == "adaptive"
 
     def test_names_resolve(self):
-        for name, expected in [("adaptive", "adaptive"),
-                               ("crossover", "crossover"),
-                               ("full", "always_full"),
-                               ("delta", "always_delta")]:
-            assert resolve_engine(name).policy.name == expected
+        for name in ("adaptive", "crossover", "always_full",
+                     "always_delta"):
+            assert resolve_policy(name).name == name
+        # One name per policy: the old short aliases are gone.
+        for alias in ("full", "delta"):
+            with pytest.raises(PolicyError):
+                resolve_policy(alias)
 
     def test_shared_engine_passes_through_identically(self):
-        engine = PolicyEngine("adaptive")
-        assert resolve_engine(engine) is engine
+        policy = AdaptivePolicy()
+        assert resolve_policy(policy) is policy
 
     def test_unknown_name_raises(self):
         with pytest.raises(PolicyError):

@@ -1,5 +1,5 @@
 """End-to-end policy plane: ``sc.send`` over the loopback cluster, the
-adaptive engine against the static policies, and the per-channel
+adaptive policy against the static policies, and the per-channel
 mutation-rate / bytes-per-epoch gauges."""
 
 import pytest
@@ -17,7 +17,7 @@ from repro.delta.channel import DeltaSendChannel
 from repro.exchange import Exchange
 from repro.jvm.jvm import JVM
 from repro.net.cluster import Cluster
-from repro.policy import PolicyEngine
+from repro.policy import AdaptivePolicy
 from repro.spark.context import SparkContext
 from repro.types.classdef import ClassPath
 from repro.types.corelib import install_core_classes
@@ -88,7 +88,7 @@ class TestPolicySend:
     def test_adaptive_bytes_match_best_static_with_digest_parity(
             self, classpath):
         """At 1% mutation and at saturation (every vertex's rank and
-        adjacency written) the adaptive engine ships within 6% + 512 B of
+        adjacency written) the adaptive policy ships within 6% + 512 B of
         the cheapest other policy, and every policy's receiver holds the
         same graph.  One worker per policy under one pinned channel id, so
         the frames differ only by policy.
@@ -99,7 +99,7 @@ class TestPolicySend:
         12,230 B), yet both crossover policies still go FULL: crossover
         because the estimate exceeds half the resident bytes, adaptive
         because the encoded frame overruns that half as its budget."""
-        policies = ("adaptive", "delta", "full", "crossover")
+        policies = ("adaptive", "always_delta", "always_full", "crossover")
         cluster, _ = make_context(classpath, workers=len(policies))
         driver = cluster.driver.jvm
         graph = build_vertex_graph(driver, EDGES)
@@ -124,8 +124,9 @@ class TestPolicySend:
                 if step == "rank_sweep":
                     assert {receipts[p].mode for p in
                             ("adaptive", "crossover")} == {"full"}, receipts
-                    assert (receipts["delta"].wire_bytes
-                            < 0.6 * receipts["full"].wire_bytes), receipts
+                    assert (receipts["always_delta"].wire_bytes
+                            < 0.6 * receipts["always_full"].wire_bytes), \
+                        receipts
                     continue
                 adaptive = receipts.pop("adaptive").wire_bytes
                 best = min(r.wire_bytes for r in receipts.values())
@@ -134,7 +135,7 @@ class TestPolicySend:
             exchange.close()
 
     def test_no_call_site_picks_a_mode(self, classpath):
-        """Every epoch's mode comes out of the engine: the push reports
+        """Every epoch's mode comes out of the policy: the push reports
         and the channel's last_plan agree, and the decision count equals
         pushes x workers."""
         cluster, sc = make_context(classpath)
@@ -144,7 +145,10 @@ class TestPolicySend:
         try:
             send.push()
             send.push()
-            assert send.engine.decisions == 2 * len(cluster.workers)
+            counters = obs.registry().snapshot()["counters"]
+            assert sum(v for k, v in counters.items()
+                       if k.startswith("policy.decisions{")) == \
+                2 * len(cluster.workers)
             for name, metrics in send.metrics().items():
                 plan = metrics["last_plan"]
                 assert plan is not None
@@ -154,44 +158,68 @@ class TestPolicySend:
             send.close()
 
     def test_shared_engine_across_sends(self, classpath):
-        cluster, sc = make_context(classpath)
-        driver = cluster.driver.jvm
-        engine = PolicyEngine("adaptive")
-        a = sc.send(build_vertex_graph(driver, EDGES), policy=engine)
-        b = sc.send(build_vertex_graph(driver, EDGES), policy=engine)
-        try:
-            assert a.engine is engine and b.engine is engine
-            a.push()
-            b.push()
-            # One engine, distinct per-channel histories.
-            assert len(engine.snapshot()["channels"]) == \
-                2 * len(cluster.workers)
-        finally:
-            a.close()
-            b.close()
-        # Closed channels leave nothing behind in the shared engine.
-        assert engine.snapshot()["channels"] == {}
+        """One stateless policy shared by two sends' channels: pushes
+        interleave at different mutation rates, and each channel's
+        (mode, reason) sequence equals the one it produces alone."""
+        def run(shared, which):
+            cluster, sc = make_context(classpath, workers=1)
+            driver = cluster.driver.jvm
+            graphs = [build_vertex_graph(driver, EDGES) for _ in range(2)]
+            ranks = [IncrementalPageRank(driver, g) for g in graphs]
+            sends = [sc.send(g, policy=shared) for g in graphs]
+            seen = {0: [], 1: []}
+            try:
+                assert all(s.policy is shared for s in sends)
+                for rates in ((0.0, 0.0), (0.02, 1.0), (1.0, 0.02),
+                              (0.02, 0.02), (1.0, 1.0)):
+                    for i in which:
+                        if rates[i]:
+                            ranks[i].step(active_fraction=rates[i])
+                        sends[i].push()
+                        (plan,) = [m["last_plan"] for m in
+                                   sends[i].metrics().values()]
+                        seen[i].append((plan["mode"], plan["reason"]))
+            finally:
+                for send in sends:
+                    send.close()
+            return seen
+
+        together = run(AdaptivePolicy(), (0, 1))
+        assert together[0] != together[1]
+        assert together[0] == run(AdaptivePolicy(), (0,))[0]
+        assert together[1] == run(AdaptivePolicy(), (1,))[1]
 
     def test_reassign_forgets_the_old_channel_id(self, classpath):
-        """A channel that adopts a fresh id (worker restart) drops the old
-        id's history; its next epoch is a forced FULL under the new id."""
+        """A channel that adopts a fresh id (worker restart) restarts its
+        history: the next observation seeds the EWMA and the regime is
+        unset; its next epoch is a forced FULL under the new id."""
         cluster, _ = make_context(classpath, workers=1)
         driver = cluster.driver.jvm
         graph = build_vertex_graph(driver, EDGES)
-        engine = PolicyEngine("adaptive")
+        pagerank = IncrementalPageRank(driver, graph)
         channel = DeltaSendChannel(driver.skyway, "worker-0",
-                                   policy=engine, channel_id=9001)
+                                   policy="adaptive", channel_id=9001)
         try:
             channel.send([graph])
-            assert list(engine.snapshot()["channels"]) == [9001]
+            pagerank.step(active_fraction=0.02)
+            channel.send([graph])
+            assert channel.last_plan.reason == "delta"
+            assert channel.byte_fraction_ewma is not None
+            assert channel.regime == "delta"
             channel.reassign(9002)
-            assert engine.snapshot()["channels"] == {}
+            assert (channel.byte_fraction_ewma, channel.regime) == \
+                (None, None)
             channel.send([graph])
             assert channel.last_plan.reason == "forced"
-            assert list(engine.snapshot()["channels"]) == [9002]
+            assert channel.channel_id == 9002
+            pagerank.step(active_fraction=0.02)
+            plan = channel.plan_next([graph])
+            # Seeded by this one observation, not blended with the old id's.
+            assert channel.byte_fraction_ewma == (
+                plan.estimated_bytes / channel.record.total_bytes)
+            assert plan.reason == "delta" and channel.regime == "delta"
         finally:
             channel.close()
-        assert engine.snapshot()["channels"] == {}
 
     def test_send_requires_skyway(self, classpath):
         cluster = Cluster(lambda name: JVM(name, classpath=classpath),

@@ -25,7 +25,15 @@ from repro.exchange import (
     SocketGraphChannel,
 )
 from repro.jvm.jvm import JVM
-from repro.policy import SendPlan
+from repro import policy as policy_plane
+from repro.policy import (
+    AdaptivePolicy,
+    AlwaysDelta,
+    AlwaysFull,
+    ChannelSignals,
+    CrossoverPolicy,
+    SendPlan,
+)
 from repro.transport import (
     FrameConnection,
     LocalAsyncWorker,
@@ -348,7 +356,9 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     and policy, and a plan is full or delta — no stream count, no kernel
     flag, no bandwidth feedback, no route around the channel's one send
     body, no delta card size; a worker is its spec, its loop's mark and
-    tick constants.  (``send_graph`` keeps every pipeline knob.)"""
+    tick constants; a policy is a stateless decision whose crossover,
+    band, EWMA weight and record overhead are constants.  (``send_graph``
+    keeps every pipeline knob.)"""
     def params(func):
         return list(inspect.signature(func).parameters)
 
@@ -388,3 +398,11 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
             for p in inspect.signature(func).parameters.values())
     assert {"chunk_bytes", "queue_chunks", "store_and_forward",
             "throttle_mbps"} <= set(params(WorkerClient.send_graph))
+    for cls in (CrossoverPolicy, AdaptivePolicy, AlwaysFull, AlwaysDelta):
+        assert params(cls) == []  # the constructor takes only self
+        with pytest.raises(TypeError):
+            cls(0.5)
+    assert "record_overhead" not in {
+        f.name for f in dataclasses.fields(ChannelSignals)}
+    assert not hasattr(policy_plane, "PolicyEngine")
+    assert not hasattr(policy_plane, "resolve_engine")
