@@ -40,8 +40,8 @@ class SegmentArena:
 
     Buffers check segments out lazily and return them on :meth:`clear`
     (the shuffle-phase boundary), so consecutive phases — and the N
-    per-thread buffers of a multi-stream send — recycle the same handful
-    of ``bytearray`` windows instead of reallocating them.
+    per-thread buffers of a multi-threaded shuffle — recycle the same
+    handful of ``bytearray`` windows instead of reallocating them.
     """
 
     #: At most this many idle segments are retained per capacity class.

@@ -7,9 +7,10 @@ they hold an ``Exchange`` and ask it for what they need:
 * :meth:`channel_to` — a :class:`~repro.exchange.channel.GraphChannel` to
   a node (full/delta epochs, kernel fast path, unified metrics).
 
-(§4.2's multi-stream send is the transport mechanism
-:class:`~repro.transport.parallel.ParallelGraphSender`, driven over
-connected worker clients directly; no plan routes to it.)
+(§4.2's sending threads live in :mod:`repro.core`: one output buffer per
+(destination, thread), the baddr thread field and the per-stream shared
+table, which ``SparkConfig.shuffle_threads`` drives; no plan routes to
+them.)
 
 Two constructors, two substrates: :meth:`Exchange.loopback` moves bytes by
 function call against the simulated cluster wire, :meth:`Exchange.socket`

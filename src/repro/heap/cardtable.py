@@ -35,10 +35,6 @@ class CardTable:
         self._dirty: set = set()
         self.marks = 0
 
-    def _card_count(self) -> int:
-        span = self.end - self.start
-        return (span + self.card_size - 1) // self.card_size
-
     def card_index(self, address: int) -> int:
         if not self.start <= address < self.end:
             raise ValueError(f"address {address:#x} outside card-table span")

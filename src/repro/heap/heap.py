@@ -412,7 +412,7 @@ class ManagedHeap:
         """:meth:`register_object` for an ascending run of addresses: one
         bulk extend when the run lies above everything registered so far
         (streaming placement), per-object sorted inserts when it does not
-        (a parallel stream interleaved its own chunks)."""
+        (another connection's chunks interleaved)."""
         starts = self.old.object_starts
         if addresses and (not starts or addresses[0] > starts[-1]):
             starts.extend(addresses)

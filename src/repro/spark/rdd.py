@@ -2,7 +2,7 @@
 
 Narrow transformations (map/filter/flatMap/mapValues/mapPartitions) pipeline
 within a stage on the partition's executor node.  Wide transformations
-(reduceByKey/groupByKey/join/distinct/partitionBy) introduce a shuffle
+(reduceByKey/groupByKey/join/distinct/sortByKey) introduce a shuffle
 dependency: computing a reduce partition forces every parent partition's map
 output first (a stage boundary).  ``cache()`` keeps computed partitions on
 their executor, as iterative workloads (PageRank) rely on.
@@ -84,11 +84,6 @@ class RDD:
         self._cached = True
         return self
 
-    def unpersist(self) -> "RDD":
-        self._cached = False
-        self._cache_store.clear()
-        return self
-
     # -- narrow transformations --------------------------------------------------
 
     def map(self, fn: Callable[[Record], Record], name: str = "map") -> "RDD":
@@ -114,9 +109,6 @@ class RDD:
     ) -> "RDD":
         return MappedRDD(self, fn, name, ops_per_record=1)
 
-    def key_by(self, fn: Callable[[Record], Any]) -> "RDD":
-        return self.map(lambda x: (fn(x), x), name="keyBy")
-
     # -- wide transformations ---------------------------------------------------
 
     def reduce_by_key(
@@ -137,10 +129,6 @@ class RDD:
 
     def union(self, other: "RDD") -> "RDD":
         return UnionRDD(self, other)
-
-    def partition_by(self, num_partitions: int) -> "RDD":
-        return ShuffledRDD(self, num_partitions, combiner=None,
-                           op_name="partitionBy", flatten_groups=True)
 
     def aggregate_by_key(
         self,

@@ -279,41 +279,27 @@ class WorkerClient:
     def begin_graph(
         self,
         retain: bool = False,
-        thread_id: int = 0,
-        fresh_phase: bool = True,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         queue_chunks: int = DEFAULT_QUEUE_CHUNKS,
         store_and_forward: bool = False,
         throttle_mbps: Optional[float] = None,
     ) -> "GraphSendStream":
         """Open a ``recv_graph`` stream and return a handle the caller
-        drives root by root.
-
-        This is the building block under both :meth:`send_graph` (one
-        stream, all roots) and the multi-stream parallel send (N clients,
-        each with its own ``thread_id``, interleaving roots).  With
-        ``fresh_phase=False`` the caller owns the shuffling phase —
-        parallel streams must share one ``shuffle_start`` so their baddr
-        words carry the same sID and foreign-stream baddrs resolve through
-        the §4.2 shared-object crossover instead of being rejected as
-        stale.
+        drives root by root (the building block under :meth:`send_graph`).
         """
         conn = self._require_conn()
         self._sync_registry()
-        if fresh_phase:
-            # Each socket send is its own shuffling phase: bumping the sID
-            # invalidates baddr words left in driver-heap objects by
-            # earlier sends (including aborted ones) — without this,
-            # re-sending a graph emits references into a buffer that no
-            # longer exists.
-            self.runtime.shuffle_start()
+        # Each socket send is its own shuffling phase: bumping the sID
+        # invalidates baddr words left in driver-heap objects by earlier
+        # sends (including aborted ones) — without this, re-sending a
+        # graph emits references into a buffer that no longer exists.
+        self.runtime.shuffle_start()
         # The wire span stays open for the whole stream: write_object
         # traversal spans nest under it on this thread, pipeline writer
         # spans parent to it explicitly, and the worker's spans graft
         # under it at finish().
         wire_span = obs.start_span(
             "wire.send_graph", destination=f"{self.host}:{self.port}",
-            thread_id=thread_id,
         )
         self._send_trace(conn)
         conn.send_frame(
@@ -327,7 +313,7 @@ class WorkerClient:
         )
         out = SkywayObjectOutputStream(
             self.runtime, destination=f"socket:{self.host}:{self.port}",
-            thread_id=thread_id, transport=pipeline,
+            transport=pipeline,
         )
         return GraphSendStream(conn, pipeline, out, wire_span)
 
@@ -542,14 +528,6 @@ class GraphSendStream:
         self._done = False
         self._wire_span = wire_span
 
-    @property
-    def thread_id(self) -> int:
-        return self._out.sender.thread_id
-
-    @property
-    def objects_sent(self) -> int:
-        return self._out.sender.objects_sent
-
     def write_object(self, root: int) -> int:
         """Traverse-and-stream one root; returns its stream offset."""
         try:
@@ -569,12 +547,6 @@ class GraphSendStream:
         result = _read_result(self._conn.recv_frame(), self._wire_span)
         self._end_wire_span(stream_bytes=len(data))
         return result, data
-
-    def abort(self) -> None:
-        """Tear down the writer without a TRAILER (stream abandoned)."""
-        self._done = True
-        self._pipeline.abort()
-        self._end_wire_span(error="aborted")
 
     def _end_wire_span(self, **attrs) -> None:
         if self._wire_span is not None:

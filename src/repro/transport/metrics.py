@@ -8,11 +8,10 @@ clock says what the *model* predicts, these counters say what the wire
 
 Thread safety: one metrics object is mutated from several threads at once —
 the traversal thread feeds the chunk pipeline while its writer thread sends
-DATA frames, and a multi-stream parallel send runs N connections against N
-per-stream objects that later merge into one report.  Every mutation goes
-through a ``note_*`` method holding the object's lock, and ``merge``/
-``merged`` lock both sides (in a stable order) so aggregate counts are
-exact, not racy ``+=`` approximations.
+DATA frames, and a snapshot (``as_dict``) may be taken from any thread
+meanwhile.  Every mutation goes through a ``note_*`` method holding the
+object's lock, and ``as_dict`` reads under it, so counts are exact and
+snapshots consistent, not racy ``+=`` approximations.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Sequence
+from typing import Dict, Iterator
 
 
 class TransportMetrics:
@@ -86,43 +85,6 @@ class TransportMetrics:
     def add_phase(self, name: str, seconds: float) -> None:
         with self._lock:
             self.phases[name] = self.phases.get(name, 0.0) + seconds
-
-    # -- merging ------------------------------------------------------------
-
-    def merge(self, other: "TransportMetrics") -> None:
-        """Fold ``other``'s counters into this object, exactly once each.
-
-        Both locks are taken (in a stable ``id`` order, so two concurrent
-        cross-merges cannot deadlock); the snapshot of ``other`` is
-        therefore consistent even if its connection threads are still
-        running.
-        """
-        if other is self:
-            raise ValueError("cannot merge a TransportMetrics into itself")
-        first, second = sorted((self, other), key=id)
-        with first._lock, second._lock:
-            self.bytes_sent += other.bytes_sent
-            self.bytes_received += other.bytes_received
-            self.frames_sent += other.frames_sent
-            self.frames_received += other.frames_received
-            self.chunks_sent += other.chunks_sent
-            self.chunks_received += other.chunks_received
-            self.connect_attempts += other.connect_attempts
-            self.retries += other.retries
-            self.queue_full_stalls += other.queue_full_stalls
-            self.stall_seconds += other.stall_seconds
-            for name, seconds in other.phases.items():
-                self.phases[name] = self.phases.get(name, 0.0) + seconds
-
-    @classmethod
-    def merged(cls, parts: Sequence["TransportMetrics"]) -> "TransportMetrics":
-        """A deterministic aggregate: a fresh object folding ``parts`` in
-        the given order (the parallel sender passes streams in thread-id
-        order, so two identical runs report identical aggregates)."""
-        total = cls()
-        for part in parts:
-            total.merge(part)
-        return total
 
     def as_dict(self) -> Dict[str, object]:
         with self._lock:

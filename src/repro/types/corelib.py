@@ -74,7 +74,7 @@ def _specialized_defs():
     return defs
 
 
-def core_class_defs() -> list:
+def _core_class_defs() -> tuple:
     """Definitions for the simulated JDK core library."""
     defs = [
         ClassDef.define(STRING, [("value", "[C"), ("hash", "I")]),
@@ -121,12 +121,17 @@ def core_class_defs() -> list:
             )
         )
     defs.extend(_specialized_defs())
-    return defs
+    return tuple(defs)
+
+
+#: Built once at import: every definition is frozen and ``ClassPath.add``
+#: compares by value, so every class path can share these objects.
+CORE_CLASS_DEFS = _core_class_defs()
 
 
 def install_core_classes(classpath: ClassPath) -> ClassPath:
     """Add the core library to ``classpath`` (idempotent)."""
-    for d in core_class_defs():
+    for d in CORE_CLASS_DEFS:
         if d.name not in classpath:
             classpath.add(d)
     return classpath
@@ -155,7 +160,7 @@ __all__ = [
     "tuple_class_name",
     "specialized_tuple_name",
     "SPECIALIZED_ARITY_LIMIT",
-    "core_class_defs",
+    "CORE_CLASS_DEFS",
     "install_core_classes",
     "standard_classpath",
 ]

@@ -86,6 +86,14 @@ class TestPageRank:
         r2 = page_rank(make_context("kryo"), edges, iterations=2)
         assert r1 == r2
 
+    def test_pagerank_iteration_shuffle_count(self):
+        sc = make_context("kryo")
+        # Two iterations over a toy graph: lineage accumulates shuffles.
+        edges = [(1, 2), (2, 1)]
+        page_rank(sc, edges, iterations=2)
+        # (executed fine; shuffle count checked through the service)
+        assert sc.shuffle.records_shuffled > 0
+
 
 class TestConnectedComponents:
     def test_two_components(self):

@@ -10,10 +10,12 @@ Three rules, the ones the package docstrings promise:
   "import discipline": every layer may consume them without a cycle);
 * ``transport`` imports nothing from ``exchange``, ``spark`` or ``cluster``.
 
-And two rules about where code goes rather than what it imports:
+And three rules about where code goes rather than what it imports:
 ``repro.transport`` imports ``repro.*`` only at module top (a deferred
-import only ever dodged a cycle or a layer), and ``repro.delta`` holds no
-per-object interpreter — it reads the compiled kernels of ``repro.core``.
+import only ever dodged a cycle or a layer), ``repro.delta`` holds no
+per-object interpreter — it reads the compiled kernels of ``repro.core`` —
+and every module under ``src/repro`` is reached from production: the
+benchmarks, the examples or a ``python -m`` entry point.
 """
 
 import ast
@@ -24,6 +26,7 @@ import sys
 import repro
 
 SRC = pathlib.Path(repro.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 LOWER = {"heap", "types", "simtime", "jvm", "net", "serial", "core", "delta",
          "policy"}
@@ -131,3 +134,98 @@ def test_delta_calls_no_per_object_interpreter():
             if name in INTERPRETER_CALLS or (name, owner) == ("load", "loader"):
                 found.append(f"{path.name}:{node.lineno} calls .{name}()")
     assert not found, "\n".join(found)
+
+
+#: What production runs: every benchmark and example, and the two CLIs.
+ENTRY_DIRS = ("benchmarks", "examples")
+ENTRY_MODULES = ("repro.obs.__main__", "repro.cluster.__main__")
+
+#: Modules no entry point reaches.  This list may only shrink: give a
+#: module a production caller or delete it (a stale entry fails the test
+#: below), and never add one.
+UNREACHED_ALLOWED = {
+    # Wait for the ledger's fleet_shuffle workload (ROADMAP item 7).
+    "repro.cluster.coordinator",
+    "repro.cluster.fleet",
+    "repro.cluster.harness",
+    # The heap checker the tests use.
+    "repro.heap.verify",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _modules():
+    """``{module name: path}`` for every module under ``src/repro``."""
+    found = {}
+    for path in SRC.rglob("*.py"):
+        parts = ("repro",) + path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        found[".".join(parts)] = path
+    return found
+
+
+def _lazy_exports(modules):
+    """Each package's ``_LAZY`` map, name -> the module its ``__getattr__``
+    imports (``from repro.cluster import Fleet`` runs ``cluster.fleet``)."""
+    lazy = {}
+    for module, path in modules.items():
+        for node in _tree(path).body:
+            if (isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "_LAZY"):
+                lazy[module] = ast.literal_eval(node.value)
+    return lazy
+
+
+def _reached(path, modules, lazy):
+    """The ``repro`` modules importing ``path`` runs (function-level
+    imports included; importing ``a.b.c`` runs ``a`` and ``a.b`` too)."""
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            for alias in node.names:
+                names.add(f"{node.module}.{alias.name}")
+                names.add(lazy.get(node.module, {}).get(alias.name,
+                                                        node.module))
+    prefixes = set()
+    for name in names:
+        parts = name.split(".")
+        prefixes.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    return prefixes & modules.keys()
+
+
+@functools.lru_cache(maxsize=None)
+def _unreached():
+    modules = _modules()
+    lazy = _lazy_exports(modules)
+    roots = [path for entry in ENTRY_DIRS
+             for path in (ROOT / entry).rglob("*.py")]
+    roots += [modules[module] for module in ENTRY_MODULES]
+    seen = set(ENTRY_MODULES)
+    todo = set()
+    for path in roots:
+        todo |= _reached(path, modules, lazy)
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo |= _reached(modules[module], modules, lazy)
+    return frozenset(modules.keys() - seen)
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    unexpected = _unreached() - UNREACHED_ALLOWED
+    assert not unexpected, "no entry point imports:\n" + "\n".join(
+        sorted(unexpected))
+
+
+def test_unreached_allow_list_only_shrinks():
+    stale = UNREACHED_ALLOWED - _unreached()
+    assert not stale, f"now reached, delete from UNREACHED_ALLOWED: {stale}"

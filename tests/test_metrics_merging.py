@@ -1,11 +1,9 @@
 """Ledger edge cases the obs snapshot leans on: loopback ExchangeMetrics
-(no transport), concurrent TransportMetrics merging, and zero-baseline
-Breakdown normalization."""
+(no transport), TransportMetrics snapshots taken while a writer thread
+updates it, and zero-baseline Breakdown normalization."""
 
 import json
 import threading
-
-import pytest
 
 from repro.delta import ChannelStats
 from repro.exchange.metrics import ExchangeMetrics
@@ -46,25 +44,6 @@ class TestExchangeMetricsLoopback:
 
 
 class TestTransportMetricsMerge:
-    def test_concurrent_merges_are_exact(self):
-        target = TransportMetrics()
-        parts = []
-        for _ in range(8):
-            part = TransportMetrics()
-            for _ in range(100):
-                part.note_frame_sent(3)
-            part.add_phase("send", 0.001)
-            parts.append(part)
-        threads = [threading.Thread(target=target.merge, args=(p,))
-                   for p in parts]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert target.frames_sent == 800
-        assert target.bytes_sent == 2400
-        assert target.phases["send"] == pytest.approx(0.008)
-
     def test_merge_while_source_still_updating(self):
         src = TransportMetrics()
         total = 5000
@@ -77,16 +56,11 @@ class TestTransportMetricsMerge:
         t.start()
         seen = 0
         while t.is_alive():
-            agg = TransportMetrics.merged([src])
-            assert agg.chunks_sent >= seen  # consistent, monotone snapshots
-            seen = agg.chunks_sent
+            chunks = src.as_dict()["chunks_sent"]
+            assert chunks >= seen  # consistent, monotone snapshots
+            seen = chunks
         t.join()
-        assert TransportMetrics.merged([src]).chunks_sent == total
-
-    def test_merge_into_self_rejected(self):
-        metrics = TransportMetrics()
-        with pytest.raises(ValueError):
-            metrics.merge(metrics)
+        assert src.as_dict()["chunks_sent"] == total
 
 
 class TestBreakdownZeroBaseline:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.runtime import attach_skyway
 from repro.core.sender import (
+    _REL_BITS,
     ObjectGraphSender,
     baddr_relative,
     baddr_sid,
@@ -104,6 +105,79 @@ class TestMultiThreadSending:
         again = sender.write_object(date)
         assert first == again
         assert sender.objects_sent == 4  # Date + 3 leaves, no re-copy
+
+
+class TestTwoStreamCrossover:
+    @pytest.fixture
+    def setup(self, classpath):
+        src = JVM("ms-src", classpath=classpath)
+        dst = JVM("ms-dst", classpath=classpath)
+        attach_skyway(src, [dst])
+        return src, dst
+
+    def test_shared_subgraph_cloned_once_per_stream(self, setup):
+        """Roots on two streams share a chain: stream 2 sees stream 1's
+        baddrs (foreign thread, same sID), routes every shared node through
+        its hash table, and ships its own complete copy."""
+        src, _ = setup
+        shared = make_list(src, range(20))
+        r1 = src.new_instance("ListNode")
+        src.set_field(r1, "payload", 101)
+        src.set_field(r1, "next", shared)
+        r2 = src.new_instance("ListNode")
+        src.set_field(r2, "payload", 202)
+        src.set_field(r2, "next", shared)
+
+        src.skyway.shuffle_start()
+        s1 = src.skyway.new_sender("a", thread_id=1)
+        s1.write_object(r1)
+        s2 = src.skyway.new_sender("b", thread_id=2)
+        s2.write_object(r2)
+
+        # Both streams carry root + all 20 shared nodes: one clone each.
+        assert s1.objects_sent == 21
+        assert s2.objects_sent == 21
+        # Stream 1 owns every baddr; stream 2 fell back for the 20 shared
+        # nodes (its own root was unclaimed and stamped normally).
+        assert len(s1._shared_table) == 0
+        assert len(s2._shared_table) == 20
+
+    def test_foreign_baddr_not_mistaken_for_backref(self, setup):
+        """A root already claimed by stream 1 still serializes fully on
+        stream 2 — the thread field of the baddr word keeps the streams'
+        backward references apart."""
+        src, _ = setup
+        head = make_list(src, [7, 8, 9])
+        src.skyway.shuffle_start()
+        s1 = src.skyway.new_sender("a", thread_id=1)
+        s1.write_object(head)
+        word = src.heap.read_baddr(head)
+        assert baddr_thread(word) == 1 and baddr_sid(word) == src.skyway.sid
+        s2 = src.skyway.new_sender("b", thread_id=2)
+        s2.write_object(head)
+        assert s2.objects_sent == 3
+        # Second visit on stream 2 is now a shared-table hit, not a clone.
+        again = s2.write_object(head)
+        assert again == s2._shared_table[head]
+        assert s2.objects_sent == 3
+
+
+class TestComposeBaddrOverflow:
+    def test_roundtrip_across_the_range(self):
+        # Probe the whole 40-bit range including both edges: every field
+        # must survive composition unscathed.
+        for rel in (0, 1, 0xFF, 0x10000, (1 << 39), (1 << _REL_BITS) - 1):
+            for thread in (0, 1, 0xFF):
+                for sid in (1, 0x7FFF, 0xFFFF):
+                    word = compose_baddr(sid, thread, rel)
+                    assert baddr_sid(word) == sid
+                    assert baddr_thread(word) == thread
+                    assert baddr_relative(word) == rel
+
+    def test_five_byte_overflow_rejected(self):
+        for excess in (1 << _REL_BITS, (1 << _REL_BITS) + 8, 1 << 63):
+            with pytest.raises(ValueError, match="5 bytes"):
+                compose_baddr(1, 1, excess)
 
 
 class TestHeterogeneousTransfer:

@@ -39,6 +39,7 @@ from repro.transport import (
     LocalAsyncWorker,
     RemoteWorkerError,
     TransportClosed,
+    TransportMetrics,
     TransportTimeout,
     WorkerClient,
     WorkerHandle,
@@ -48,7 +49,7 @@ from repro.transport import (
     graph_digest,
     semantic_graph_digest,
 )
-from repro.transport.client import DEFAULT_MUX_CHUNK_BYTES
+from repro.transport.client import DEFAULT_MUX_CHUNK_BYTES, GraphSendStream
 from repro.transport.testing import (
     SAMPLE_FACTORY,
     ring_edges,
@@ -357,8 +358,10 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     flag, no bandwidth feedback, no route around the channel's one send
     body, no delta card size; a worker is its spec, its loop's mark and
     tick constants; a policy is a stateless decision whose crossover,
-    band, EWMA weight and record overhead are constants.  (``send_graph``
-    keeps every pipeline knob.)"""
+    band, EWMA weight and record overhead are constants; a graph stream is
+    one connection's own shuffle phase, with no thread id to pick and no
+    per-stream metrics to merge.  (``send_graph`` keeps every pipeline
+    knob.)"""
     def params(func):
         return list(inspect.signature(func).parameters)
 
@@ -398,6 +401,12 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
             for p in inspect.signature(func).parameters.values())
     assert {"chunk_bytes", "queue_chunks", "store_and_forward",
             "throttle_mbps"} <= set(params(WorkerClient.send_graph))
+    assert not {"thread_id", "fresh_phase"} & set(
+        params(WorkerClient.begin_graph))
+    for name in ("merge", "merged"):
+        assert not hasattr(TransportMetrics, name)
+    for name in ("thread_id", "objects_sent", "abort"):
+        assert not hasattr(GraphSendStream, name)
     for cls in (CrossoverPolicy, AdaptivePolicy, AlwaysFull, AlwaysDelta):
         assert params(cls) == []  # the constructor takes only self
         with pytest.raises(TypeError):
