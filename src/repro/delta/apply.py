@@ -93,52 +93,101 @@ class DeltaApplier:
             )
 
         # Pass 0 — validation; nothing is written until every record passed.
-        #: (PATCH target address or None for NEW, payload, kernel)
-        plan: List[Tuple[Optional[int], bytes, ReceiveKernel]] = []
+        #: (PATCH target address, or None for a NEW object, and its kernel)
+        touched: List[Tuple[Optional[int], ReceiveKernel]] = []
+        memory = self._memory
+        heap_base = self._heap_base
+        heap_size = len(memory)
+        translate = buffer.translate
+        kernel_for = self.receiver.kernel_for
+        unpack_word = WORD_STRUCT.unpack_from
+        unpack_length = LENGTH_STRUCT.unpack_from
         cursor = resident_end
         for record in frame.records:
-            if record.tag == REC_SAMEREF:
-                self._translate(record.offset)  # validates the reference
+            tag = record.tag
+            offset = record.offset
+            if tag == REC_SAMEREF:
+                self._translate(offset)  # validates the reference
                 continue
+            # The payload must be exactly one object of the class its tID
+            # names (an array's length is read from the payload).
             payload = record.payload
-            kernel = self._payload_kernel(record.offset, payload)
-            if record.tag == REC_NEW:
-                if record.offset != cursor:
+            size = len(payload)
+            kernel = expected = None
+            if size >= KLASS_WORD_END:
+                kernel = kernel_for(unpack_word(payload, KLASS_OFFSET)[0])
+                expected = kernel.size
+                if expected is None and size >= kernel.length_offset + 4:
+                    expected = kernel.array_size(
+                        unpack_length(payload, kernel.length_offset)[0])
+            if size != expected:
+                raise DeltaApplyError(
+                    f"record at {offset:#x} carries {size} bytes, not one "
+                    f"whole object"
+                )
+            if tag == REC_NEW:
+                if offset != cursor:
                     raise DeltaApplyError(
-                        f"NEW record at {record.offset:#x} but append "
-                        f"cursor is at {cursor:#x}"
+                        f"NEW record at {offset:#x} but append cursor is "
+                        f"at {cursor:#x}"
                     )
-                cursor += len(payload)
-                plan.append((None, payload, kernel))
-            elif record.tag == REC_PATCH:
-                address = self._translate(record.offset)
-                self._check_resident(record.offset, address, payload, kernel)
-                plan.append((address, payload, kernel))
+                cursor += size
+                touched.append((None, kernel))
+            elif tag == REC_PATCH:
+                # A PATCH may only overwrite an object of its own class
+                # and size: the resident klass word (and array length)
+                # must match the payload's.
+                try:
+                    address = translate(offset)
+                except InputBufferError as exc:
+                    raise DeltaApplyError(
+                        f"bad buffer offset {offset:#x}") from exc
+                at = address - heap_base
+                same = at + size <= heap_size and kernel.klass_id == (
+                    unpack_word(memory, at + KLASS_OFFSET)[0])
+                if same and kernel.size is None:
+                    lo = kernel.length_offset
+                    same = payload[lo : lo + 4] == memory[at + lo : at + lo + 4]
+                if not same:
+                    raise DeltaApplyError(
+                        f"PATCH at {offset:#x} carries a {kernel.klass.name} "
+                        f"of {size} bytes; the resident object is not one"
+                    )
+                touched.append((address, kernel))
             else:  # pragma: no cover - parse_frame rejects unknown tags
-                raise DeltaWireError(f"unknown record tag {record.tag}")
+                raise DeltaWireError(f"unknown record tag {tag}")
         if cursor != frame.new_logical_end:
             raise DeltaApplyError(
                 f"frame promised logical end {frame.new_logical_end:#x}, "
                 f"append cursor reached {cursor:#x}"
             )
 
-        # Pass 1 — placement.  NEW objects land at the sender-assigned
-        # offsets; PATCH payloads overwrite in place (klass slot holds the
-        # wire tID until pass 2).  §4.3's GC integration, per epoch: each
-        # patched/appended span carries pointers the card table has never
-        # seen, so each is re-marked.
-        touched: List[Tuple[int, ReceiveKernel]] = []
+        # Pass 1 — placement, over the validated records.  NEW objects land
+        # at the sender-assigned offsets; PATCH payloads overwrite in place
+        # (klass slot holds the wire tID until pass 2).  §4.3's GC
+        # integration, per epoch: each patched/appended span carries
+        # pointers the card table has never seen, so each is re-marked.
         listeners = heap.mutation_listeners
         mark_range = heap.card_table.mark_range
+        append = buffer.append
+        memcpy = cost.memcpy
+        card_table_update = cost.card_table_update
         epoch_cost = 0.0
         cards_marked = 0
         patched = 0
-        for address, payload, kernel in plan:
+        payloads = (
+            record.payload for record in frame.records
+            if record.tag != REC_SAMEREF
+        )
+        for i, payload in enumerate(payloads):
+            address, kernel = touched[i]
             size = len(payload)
             if address is None:
-                address = buffer.append(payload)
+                address = append(payload)
+                touched[i] = (address, kernel)
             else:
-                heap.write_bytes(address, payload)
+                at = address - heap_base
+                memory[at : at + size] = payload
                 # A PATCH is a mutation of this heap: fire the typed-write
                 # barrier's listeners, or a delta channel *out of* this
                 # heap (a relay) would see no dirty card and ship nothing.
@@ -148,8 +197,7 @@ class DeltaApplier:
                 patched += 1
             mark_range(address, size)
             cards_marked += size
-            epoch_cost += cost.memcpy(size) + cost.card_table_update
-            touched.append((address, kernel))
+            epoch_cost += memcpy(size) + card_table_update
         jvm.clock.charge(epoch_cost)
 
         # Pass 2 — absolutization over exactly the touched objects.
@@ -164,44 +212,9 @@ class DeltaApplier:
                 for offset in frame.roots
             ],
             patched_objects=patched,
-            new_objects=len(plan) - patched,
+            new_objects=len(touched) - patched,
             cards_marked_bytes=cards_marked,
         )
-
-    def _payload_kernel(self, offset: int, payload: bytes) -> ReceiveKernel:
-        """The receive kernel the payload's tID names, after checking the
-        payload is exactly one object of that class."""
-        size = len(payload)
-        if size >= KLASS_WORD_END:
-            tid = WORD_STRUCT.unpack_from(payload, KLASS_OFFSET)[0]
-            kernel = self.receiver.kernel_for(tid)
-            expected = kernel.size
-            if expected is None and size >= kernel.length_offset + 4:
-                expected = kernel.array_size(
-                    LENGTH_STRUCT.unpack_from(payload, kernel.length_offset)[0]
-                )
-            if size == expected:
-                return kernel
-        raise DeltaApplyError(
-            f"record at {offset:#x} carries {size} bytes, not one whole object"
-        )
-
-    def _check_resident(self, offset: int, address: int, payload: bytes,
-                        kernel: ReceiveKernel) -> None:
-        """A PATCH may only overwrite an object of its own class and size."""
-        memory = self._memory
-        at = address - self._heap_base
-        same = at + len(payload) <= len(memory) and kernel.klass_id == (
-            WORD_STRUCT.unpack_from(memory, at + KLASS_OFFSET)[0]
-        )
-        if same and kernel.size is None:
-            lo = kernel.length_offset
-            same = payload[lo : lo + 4] == memory[at + lo : at + lo + 4]
-        if not same:
-            raise DeltaApplyError(
-                f"PATCH at {offset:#x} carries a {kernel.klass.name} of "
-                f"{len(payload)} bytes; the resident object is not one"
-            )
 
     def _translate(self, logical: int) -> int:
         try:

@@ -306,24 +306,23 @@ class DeltaSendChannel:
         )
         if (self.delta_enabled and not self._force_full
                 and not self.heterogeneous):
-            dirty = self._dirty_members(record)
+            dirty, dirty_bytes = self._dirty_members(record)
             signals.dirty_members = dirty
             signals.dirty_count = len(dirty)
-            signals.dirty_bytes = sum(record.sizes[a] for a in dirty)
+            signals.dirty_bytes = dirty_bytes
         return signals
 
-    def _dirty_members(self, record: EpochRecord) -> List[int]:
-        cost = self.runtime.jvm.cost_model
-        with obs.span("delta.diff", clock=self.runtime.jvm.clock) as sp:
-            members = list(
-                record.members_overlapping(self.table.dirty_ranges())
-            )
-            # Card intersection cost: one traversal word per candidate found.
-            self.runtime.jvm.clock.charge(
-                cost.traverse_word * max(1, len(members))
-            )
+    def _dirty_members(self, record: EpochRecord) -> Tuple[List[int], int]:
+        """The members this epoch's writes landed in, and their bytes."""
+        jvm = self.runtime.jvm
+        with obs.span("delta.diff", clock=jvm.clock) as sp:
+            members, dirty_bytes = record.members_written(
+                self.table.dirty_card_starts())
+            # Discovery cost: one traversal word per member found.
+            jvm.clock.charge(
+                jvm.cost_model.traverse_word * max(1, len(members)))
             sp.set(dirty=len(members))
-        return members
+        return members, dirty_bytes
 
     def _try_delta(self, roots, record, gc, plan: SendPlan,
                    signals: ChannelSignals):
@@ -427,7 +426,12 @@ class DeltaReceiveEndpoint:
 
     def receive(self, data: bytes) -> List[int]:
         """Apply one framed epoch; returns the epoch's root addresses."""
-        frame = parse_frame(data)
+        return self.receive_frame(parse_frame(data))
+
+    def receive_frame(self, frame) -> List[int]:
+        """Apply one already-parsed epoch (:class:`FullFrame` or
+        :class:`DeltaFrame`) — the entry for a caller that parsed the frame
+        itself, so no epoch is parsed twice."""
         with obs.span("recv.epoch", clock=self.runtime.jvm.clock,
                       channel=frame.channel_id, epoch=frame.epoch,
                       kind=("full" if isinstance(frame, FullFrame)

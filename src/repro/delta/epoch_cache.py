@@ -8,17 +8,16 @@ are invalidated by the next ``shuffle_start``; the record is not), so a
 later epoch can refer to a receiver-resident clone by offset instead of
 reshipping it.
 
-The record is also the dirty-discovery index: its address-sorted object
-spans are intersected with the delta card table's dirty ranges to find the
-mutated subset without touching the graph (see
-:meth:`EpochRecord.members_overlapping`).
+The record is also the dirty-discovery index: each dirty delta card is
+bisected into its address-sorted members to find the mutated subset
+without touching the graph (see :meth:`EpochRecord.members_written`).
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.output_buffer import LOGICAL_BASE
 from repro.heap.layout import OBJECT_ALIGNMENT, align_up
@@ -44,7 +43,7 @@ class EpochRecord:
     #: cached source objects, so the record must be rebuilt via a full send.
     minor_gcs: int
     full_gcs: int
-    #: Address-sorted object starts (the dirty-intersection index).
+    #: Address-sorted object starts (the dirty-discovery index).
     _sorted_addrs: List[int] = dataclasses.field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -99,30 +98,34 @@ class EpochRecord:
             return (0, 0)
         return (addrs[0], addrs[-1] + self.sizes[addrs[-1]])
 
-    def members_overlapping(
-        self, ranges: Iterable[Tuple[int, int]]
-    ) -> Iterator[int]:
-        """Cached objects whose span overlaps any ``[start, end)`` range.
+    def members_written(self, cards: Iterable[int]) -> Tuple[List[int], int]:
+        """The members the given dirty cards lie in, and their total bytes.
 
-        This is the sender's whole dirty-discovery pass: the delta card
-        table yields coalesced dirty ranges, and a bisect over the sorted
-        member addresses finds the affected clones — no graph traversal.
-        Delta cards are one word and objects are word-aligned, so a dirty
-        range overlaps exactly the objects written into.
+        This is the sender's whole dirty-discovery pass — no graph
+        traversal.  ``cards`` are the ascending start addresses of the
+        delta card table's dirty cards.  A delta card is one word and
+        members are word-aligned, so each card lies inside at most one
+        member: one bisect per card finds it, and a card still inside the
+        member just found needs none.
         """
         addrs = self._sorted_addrs
-        seen_upto = -1  # avoid double-yield when ranges touch one object
-        for start, end in ranges:
-            # The object covering ``start`` may begin before it.
-            i = bisect.bisect_right(addrs, start) - 1
-            if i >= 0 and addrs[i] + self.sizes[addrs[i]] <= start:
-                i += 1
-            i = max(i, 0)
-            while i < len(addrs) and addrs[i] < end:
-                if i > seen_upto:
-                    yield addrs[i]
-                    seen_upto = i
-                i += 1
+        sizes = self.sizes
+        members: List[int] = []
+        total = 0
+        member_end = -1  # end of the last member found
+        for card in cards:
+            if card < member_end:
+                continue  # another word of the member just found
+            i = bisect.bisect_right(addrs, card) - 1
+            if i < 0:
+                continue
+            address = addrs[i]
+            size = sizes[address]
+            if card < address + size:
+                members.append(address)
+                total += size
+                member_end = address + size
+        return members, total
 
     def merge_epoch(
         self,

@@ -18,7 +18,7 @@ barrier is already a method call, so the sparse form is strictly better.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, Tuple
+from typing import FrozenSet, Iterator, List, Tuple
 
 
 class CardTable:
@@ -50,9 +50,18 @@ class CardTable:
         the receive-side bulk update for a freshly filled input buffer."""
         if nbytes <= 0:
             return
-        first = self.card_index(address)
-        last = self.card_index(min(address + nbytes - 1, self.end - 1))
-        self._dirty.update(range(first, last + 1))
+        start, end = self.start, self.end
+        if not start <= address < end:
+            raise ValueError(f"address {address:#x} outside card-table span")
+        stop = address + nbytes
+        if stop > end:
+            stop = end
+        first = (address - start) // self.card_size
+        last = (stop - 1 - start) // self.card_size
+        if first == last:  # the common case: a word, a small object
+            self._dirty.add(first)
+        else:
+            self._dirty.update(range(first, last + 1))
         self.marks += last - first + 1
 
     def is_dirty(self, address: int) -> bool:
@@ -72,6 +81,11 @@ class CardTable:
                 run_start = run_end = i
         if run_start is not None:
             yield self._range_of(run_start, run_end)
+
+    def dirty_card_starts(self) -> List[int]:
+        """The start address of every dirty card, ascending."""
+        start, size = self.start, self.card_size
+        return [start + i * size for i in sorted(self._dirty)]
 
     def _range_of(self, first: int, last: int) -> Tuple[int, int]:
         return (

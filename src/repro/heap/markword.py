@@ -38,6 +38,10 @@ MAX_AGE = _AGE_BITS
 #: A fresh object's mark word: unlocked, no hash, age 0.
 FRESH_MARK = LOCK_UNLOCKED
 
+#: The hashcode bits: a transfer keeps exactly these of the source mark,
+#: ``reset_for_transfer(mark) == FRESH_MARK | (mark & HASH_MASK)``.
+HASH_MASK = _HASH_BITS << _HASH_SHIFT
+
 
 def get_lock_bits(mark: int) -> int:
     return (mark >> _LOCK_SHIFT) & _LOCK_BITS

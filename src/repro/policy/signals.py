@@ -1,9 +1,8 @@
 """Channel signals: everything a policy may look at, in one record.
 
 A channel assembles one :class:`ChannelSignals` per epoch from ledgers
-that already exist — the delta card table's dirty set (via
-``CardTable.snapshot()``/``dirty_ranges()`` intersected with the epoch
-record), the epoch cache (resident size, GC generation), and the
+that already exist — the delta card table's dirty set (each dirty card
+bisected into the epoch record's members), the epoch cache (resident size, GC generation), and the
 channel's own history (byte-fraction EWMA, last regime).  Policies are
 pure functions of this record; nothing else flows into a decision.
 """

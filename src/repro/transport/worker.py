@@ -710,24 +710,26 @@ class WorkerServer(FrameLoop):
 
     def _apply_epoch(self, item: _ReadyEpoch) -> dict:
         """Apply one reassembled epoch frame: header cross-check, delta
-        endpoint routing, digest.  A :class:`DeltaStaleError` propagates
-        to :meth:`_apply_one`, which turns it into the NACK the sender
-        reacts to."""
+        endpoint routing (timed as the ``receive`` phase), digest.  The
+        frame is parsed once, here; the endpoint applies the parsed form.
+        A :class:`DeltaStaleError` propagates to :meth:`_apply_one`, which
+        turns it into the NACK the sender reacts to."""
         apply_started = time.monotonic()
         with self._state_lock:
-            frame = parse_frame(item.data)
-            actual_kind = (FRAME_DELTA if isinstance(frame, DeltaFrame)
-                           else FRAME_FULL)
-            if (frame.channel_id, frame.epoch, actual_kind) \
-                    != (item.channel_id, item.epoch, item.kind):
-                raise TransportError(
-                    f"EPOCH header announced channel {item.channel_id} "
-                    f"epoch {item.epoch} kind {item.kind:#x}, frame carries "
-                    f"channel {frame.channel_id} epoch {frame.epoch} kind "
-                    f"{actual_kind:#x}"
-                )
-            endpoint = DeltaReceiveEndpoint.for_runtime(self.runtime)
-            roots = endpoint.receive(item.data)
+            with self.metrics.phase("receive"):
+                frame = parse_frame(item.data)
+                actual_kind = (FRAME_DELTA if isinstance(frame, DeltaFrame)
+                               else FRAME_FULL)
+                if (frame.channel_id, frame.epoch, actual_kind) \
+                        != (item.channel_id, item.epoch, item.kind):
+                    raise TransportError(
+                        f"EPOCH header announced channel {item.channel_id} "
+                        f"epoch {item.epoch} kind {item.kind:#x}, frame "
+                        f"carries channel {frame.channel_id} epoch "
+                        f"{frame.epoch} kind {actual_kind:#x}"
+                    )
+                endpoint = DeltaReceiveEndpoint.for_runtime(self.runtime)
+                roots = endpoint.receive_frame(frame)
             result = {
                 "op": "recv_epoch",
                 "channel_id": item.channel_id,

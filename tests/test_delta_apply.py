@@ -5,8 +5,8 @@ import pytest
 from repro.core.runtime import attach_skyway
 from repro.delta import DeltaReceiveEndpoint, DeltaSendChannel
 from repro.delta.apply import DeltaApplyError
-from repro.delta.wire import DeltaFrame, parse_frame
-from repro.heap.layout import KLASS_OFFSET
+from repro.delta.wire import REC_PATCH, DeltaFrame, parse_frame
+from repro.heap.layout import KLASS_OFFSET, OBJECT_ALIGNMENT, align_up
 from repro.heap.verify import verify_heap
 from repro.jvm.jvm import JVM
 from repro.transport.digest import semantic_graph_digest
@@ -180,3 +180,35 @@ class TestApplyErrors:
         assert len(patches) >= 2
         patches[-1].payload = patches[-1].payload[:-8]
         self._untouched(session, frame)
+
+    @pytest.mark.parametrize("descriptor, length", [
+        ("LListNode;", 6), ("J", 10), ("B", 6),
+    ])
+    def test_patch_of_an_array_of_another_length_rejected(
+        self, pair, descriptor, length
+    ):
+        """A PATCH naming a resident array must carry that array's length:
+        a forged payload, self-consistent for one element fewer (for
+        ``byte[6]`` and ``byte[5]`` even the same size), is refused."""
+        src, dst = pair
+        channel = DeltaSendChannel(src.skyway, "dst")
+        endpoint = DeltaReceiveEndpoint.for_runtime(dst.skyway)
+        head = src.pin(make_list(src, list(range(50))))
+        array = src.pin(src.new_array(descriptor, length))
+        roots = endpoint.receive(channel.send([head.address, array.address]))
+        value = head.address if descriptor.startswith("L") else 1
+        src.heap.write_element(array.address, 0, value)
+        frame = parse_frame(channel.send([head.address, array.address]))
+        (patch,) = [r for r in frame.records if r.tag == REC_PATCH]
+        shorter = length - 1
+        size = align_up(
+            src.layout.array_payload_offset(descriptor)
+            + src.klass_of(array.address).element_size * shorter,
+            OBJECT_ALIGNMENT,
+        )
+        lo = src.layout.array_length_offset
+        forged = bytearray(patch.payload[:size])
+        forged[lo : lo + 4] = shorter.to_bytes(4, "little")
+        patch.payload = bytes(forged)
+        self._untouched((src, dst, channel, endpoint, head, roots), frame)
+        assert dst.heap.array_length(roots[1]) == length

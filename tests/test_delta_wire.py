@@ -22,6 +22,7 @@ from repro.delta.wire import (
     parse_frame,
 )
 from repro.jvm.jvm import JVM
+from repro.net.streams import StreamError
 from repro.transport.digest import semantic_graph_digest
 
 from tests.conftest import make_list
@@ -46,6 +47,38 @@ class TestFraming:
     def test_parse_rejects_foreign_bytes(self):
         with pytest.raises(DeltaWireError):
             parse_frame(bytes([0x42, 1, 2, 3]))
+
+    def test_full_frame_with_trailing_bytes_rejected(self):
+        frame = frame_full(7, 3, b"embedded-bytes")
+        with pytest.raises(DeltaWireError, match="trailing"):
+            parse_frame(frame + b"\x00")
+        with pytest.raises(DeltaWireError, match="trailing"):
+            parse_frame(frame + b"junk")
+
+    def test_delta_frame_with_trailing_bytes_rejected(self, pair):
+        src, dst = pair
+        channel = DeltaSendChannel(src.skyway, "dst")
+        endpoint = DeltaReceiveEndpoint.for_runtime(dst.skyway)
+        head = src.pin(make_list(src, range(20)))
+        endpoint.receive(channel.send([head.address]))
+        src.set_field(head.address, "payload", 5)
+        frame = channel.send([head.address])
+        assert isinstance(parse_frame(frame), DeltaFrame)
+        for junk in (b"\x00", b"\x01\x02"):
+            with pytest.raises(DeltaWireError, match="trailing"):
+                parse_frame(frame + junk)
+            with pytest.raises(DeltaWireError):
+                endpoint.receive(frame + junk)
+        # Refused before any state moved: the untouched frame still applies.
+        roots = endpoint.receive(frame)
+        assert src.get_field(head.address, "payload") == 5
+        assert dst.get_field(roots[0], "payload") == 5
+
+    def test_underflow_is_a_stream_error(self):
+        frame = frame_full(7, 3, b"embedded-bytes")
+        for cut in range(len(frame)):
+            with pytest.raises(StreamError):
+                parse_frame(frame[:cut])
 
 
 class TestEncodedEpochs:

@@ -16,6 +16,7 @@ from repro.apps.incremental import build_vertex_graph
 from repro.cluster.fleet import Fleet, FleetChannel
 from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectInputStream
+from repro.delta import FRAME_DELTA, FRAME_FULL
 from repro.delta.channel import DeltaSendChannel
 from repro.delta.dirty import DeltaTracker
 from repro.exchange import (
@@ -349,6 +350,50 @@ def test_relayed_delta_ships_the_patch_and_a_peer_nack_recovers(
             channel.close()
             client.close()
             driver.jvm.unpin(pin)
+
+
+def test_worker_parses_each_epoch_frame_once(transport_driver, monkeypatch):
+    """The worker parses an epoch's frame once: the EPOCH-header
+    cross-check and the delta endpoint share the parsed frame.  Counted
+    on the worker's own thread, for a FULL and then a DELTA."""
+    import repro.delta.channel as delta_channel
+    import repro.transport.worker as worker_module
+
+    real_parse = worker_module.parse_frame
+    calls = []
+
+    def counting_parse(data):
+        calls.append(threading.current_thread().name)
+        return real_parse(data)
+
+    monkeypatch.setattr(worker_module, "parse_frame", counting_parse)
+    monkeypatch.setattr(delta_channel, "parse_frame", counting_parse)
+
+    driver = transport_driver
+    head = make_list(driver.jvm, range(40))
+    pin = driver.jvm.pin(head)
+    spec = WorkerSpec(name="parse-once", classpath_factory=SAMPLE_FACTORY)
+    channel = DeltaSendChannel(driver, "parse-once", channel_id=5201)
+    with LocalAsyncWorker(spec) as local:
+        client = _connect(driver, local)
+        try:
+            full = channel.send([head])
+            assert full[0] == FRAME_FULL
+            client.send_epoch(full, 5201, channel.epoch, digest=True)
+            driver.jvm.set_field(head, "payload", 777)
+            delta = channel.send([head])
+            assert delta[0] == FRAME_DELTA
+            result = client.send_epoch(delta, 5201, channel.epoch,
+                                       digest=True)
+            assert result["kind"] == "delta"
+            assert result["digest"] == semantic_graph_digest(
+                driver.jvm, [head])
+        finally:
+            channel.close()
+            client.close()
+            driver.jvm.unpin(pin)
+    worker_calls = [name for name in calls if name == "worker-parse-once"]
+    assert len(worker_calls) == 2, calls
 
 
 def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
