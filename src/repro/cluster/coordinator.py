@@ -61,7 +61,7 @@ from repro.transport.errors import ClusterProtocolError, PeerGoneError
 from repro.transport.loop import Connection, FrameLoop
 
 #: Channel id 0 is reserved coordinator-wide: it can never be allocated,
-#: and every receiving worker rejects an EPOCH frame naming it with a
+#: and every receiving worker refuses an epoch stream naming it with a
 #: typed :class:`ClusterProtocolError` (a zeroed header field must never
 #: silently route into real channel state).
 RESERVED_CHANNEL_ID = 0

@@ -4,8 +4,8 @@ A :class:`SocketGraphChannel` is the shared
 :class:`~repro.exchange.channel.GraphChannel` send body (same
 :class:`~repro.delta.channel.DeltaSendChannel` as the loopback substrate)
 plus a ``_deliver`` that ships each frame through
-:meth:`WorkerClient.deliver_epoch` (an EPOCH header, MUX_DATA chunks and a
-MUX_TRAILER tagged with the channel id, written inline: the frame is
+:meth:`WorkerClient.deliver_epoch` (one stream whose id is the channel id — STREAM opener, DATA chunks,
+TRAILER — written inline: the frame is
 already in hand, so there is no writer thread and no per-channel pipeline
 knob; any number of channels share the client's one socket).  The worker
 applies it through *its* runtime's delta endpoint and answers with

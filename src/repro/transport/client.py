@@ -2,13 +2,15 @@
 
 :class:`WorkerClient` owns one framed *connection* to a worker — connect
 with retry, registry handshake, TRACE propagation, obs-source registration,
-BYE — and the three ways bytes move over it: plain CALL/RESULT ops; one
-data-bearing op at a time (a graph traversal streams through the chunk
-pipeline's writer thread, a blob already in hand goes out inline); and
-channel-tagged epoch streams, any number interleaved
-(:meth:`WorkerClient.send_epochs`; :meth:`~WorkerClient.deliver_epoch` is
-the one-epoch form ``DeltaSendChannel.ship`` recovers NACKs through).
-Every mid-stream failure is converted into the typed error taxonomy, the
+BYE — and the two ways bytes move over it: plain CALL/RESULT control ops,
+and streams (STREAM + DATA* + TRAILER, :mod:`~repro.transport.frames`).
+A graph streams through the chunk pipeline's writer thread while the
+traversal runs; a payload already in hand — a blob, or any number of
+channel-tagged epochs interleaved (:meth:`WorkerClient.send_epochs`;
+:meth:`~WorkerClient.deliver_epoch` is the one-epoch form
+``DeltaSendChannel.ship`` recovers NACKs through) — is framed and written
+inline by the one in-hand writer, :func:`_write_streams`.  Every
+mid-stream failure is converted into the typed error taxonomy, the
 worker's ERROR frame preferred over the local symptom.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import time
 import zlib
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 from repro import obs
 from repro.core.runtime import SkywayRuntime
@@ -30,6 +32,7 @@ from repro.transport.connection import (
     expect_payload,
 )
 from repro.transport.errors import (
+    ClusterProtocolError,
     RemoteWorkerError,
     TransportClosed,
     TransportError,
@@ -41,30 +44,71 @@ from repro.transport.pipeline import (
     ChunkPipeline,
 )
 
-#: Chunk size of an epoch stream.  Smaller than the graph pipeline's
-#: default on purpose: these chunks are the interleaving quantum, and a
-#: thousand channels sharing one socket round-robin at this granularity.
+#: Chunk size of a stream already in hand (an epoch, a blob).  Smaller
+#: than the graph pipeline's default on purpose: these chunks are the
+#: interleaving quantum, and a thousand channels sharing one socket
+#: round-robin at this granularity.
 DEFAULT_MUX_CHUNK_BYTES = 32 * 1024
 
-#: ``send_epochs`` coalesces interleaved frames into one ``sendall`` per
-#: this many bytes (and always through each channel's trailer).
+#: In-hand streams' frames coalesce into one ``sendall`` per this many
+#: bytes (and always through each stream's trailer).
 MUX_FLUSH_BYTES = 256 * 1024
 
 
 _client_ids = itertools.count(1)
 
 
-def _fail_stream(conn: FrameConnection, exc: TransportError,
-                 pipeline: Optional[ChunkPipeline] = None) -> None:
-    """A send failed mid-stream: tear down the chunk writer (when the op
-    had one), then raise the worker's pending ERROR frame (its explanation
-    of *why* it hung up) in preference to the local symptom."""
-    if pipeline is not None:
-        pipeline.abort()
+def _fail_stream(conn: FrameConnection, exc: TransportError) -> None:
+    """A send failed mid-stream: raise the worker's pending ERROR frame
+    (its explanation of *why* it hung up) in preference to the local
+    symptom."""
     remote = conn.pending_remote_error()
     if remote is not None:
         raise remote from exc
     raise exc
+
+
+def _write_streams(conn: FrameConnection, streams, rng=None,
+                   on_flush=None) -> None:
+    """The in-hand writer.  Each ``(StreamHeader, data)`` stream is its
+    STREAM opener, ``DEFAULT_MUX_CHUNK_BYTES`` DATA chunks (one at least)
+    and TRAILER; streams interleave round-robin (in order within each — the
+    only ordering the worker requires), or in ``rng``'s order (anything
+    with ``randrange``; how the fuzz tests splice).  Frames coalesce into
+    one ``sendall`` per ``MUX_FLUSH_BYTES`` and always through each
+    trailer, after which ``on_flush`` runs with the id of the stream whose
+    trailer went out (``None`` after a size flush).  A failed write raises
+    the worker's pending ERROR if it sent one."""
+    queues = []
+    for header, data in streams:
+        sid, view, step = header.stream_id, memoryview(data), \
+            DEFAULT_MUX_CHUNK_BYTES
+        queue = [frames.encode_frame(frames.STREAM,
+                                     frames.encode_stream(header))]
+        queue += [frames.data_frame(sid, view[off:off + step])
+                  for off in range(0, max(len(data), 1), step)]
+        queue.append(frames.encode_frame(frames.TRAILER, frames.encode_trailer(
+            sid, len(data), zlib.crc32(data), len(queue) - 1)))
+        queues.append((sid, queue))
+    out = bytearray()
+    while queues:
+        idx = rng.randrange(len(queues)) if rng is not None else 0
+        sid, queue = queues[idx]
+        out.extend(queue.pop(0))
+        if not queue:
+            queues.pop(idx)
+        elif rng is None:
+            # round-robin rotates the head to the back
+            queues.append(queues.pop(0))
+        if queue and len(out) < MUX_FLUSH_BYTES:
+            continue
+        try:
+            conn.send_encoded(bytes(out), "stream frames")
+        except TransportError as exc:
+            _fail_stream(conn, exc)
+        out.clear()
+        if on_flush is not None:
+            on_flush(None if queue else sid)
 
 
 def _read_result(frame: Tuple[int, bytes], span) -> dict:
@@ -206,7 +250,7 @@ class WorkerClient:
     # -- fleet ops (repro.cluster) ----------------------------------------
 
     def admit_channel(self, channel_id: int) -> dict:
-        """Tell the worker to expect EPOCH frames on ``channel_id`` (the
+        """Tell the worker to expect epoch streams on ``channel_id`` (the
         coordinator assigned it); required in strict-channels fleet mode."""
         return self.call_op("admit_channel", channel_id=channel_id)
 
@@ -235,29 +279,20 @@ class WorkerClient:
             key=key, peer=peer, peer_host=peer_host, peer_port=peer_port,
         ), peer=peer, key=key)
 
-    # -- data-bearing ops: CALL, DATA*, TRAILER, one at a time -------------
+    # -- streams: STREAM, DATA*, TRAILER ---------------------------------
 
-    def _send_bytes(self, name: str, call: dict, data: bytes,
-                   **span_attrs) -> dict:
-        """One data-bearing op whose payload is already in hand: CALL,
-        ``data`` as DATA chunks + TRAILER, then the RESULT, whose CRC must
-        match.  There is no traversal to overlap, so the chunks go out
-        inline through :class:`ChunkPipeline`'s store-and-forward arm — no
-        writer thread, no queue.  A mid-stream failure raises the worker's
-        pending ERROR if it sent one."""
+    def _send_blob(self, key: str, data: bytes) -> dict:
+        """One blob stream (the bulk stream, in hand): its frames, then the
+        RESULT, whose CRC must match.  A key stores the blob under it."""
         conn = self._require_conn()
-        with obs.span(f"wire.{name}", **span_attrs, bytes=len(data),
+        header = frames.StreamHeader(frames.BULK_STREAM, frames.STREAM_BLOB,
+                                     key=key)
+        with obs.span("wire.put_blob" if key else "wire.send_blob",
+                      **({"key": key} if key else {}), bytes=len(data),
                       destination=f"{self.host}:{self.port}") as sp:
             self._send_trace(conn)
-            conn.send_frame(frames.CALL, frames.encode_json(call))
-            pipeline = ChunkPipeline(conn, store_and_forward=True,
-                                     metrics=self.metrics)
-            try:
-                with self.metrics.phase("traverse+send"):
-                    pipeline.feed(data)
-                    pipeline.finish(len(data), zlib.crc32(data))
-            except TransportError as exc:
-                _fail_stream(conn, exc, pipeline)
+            with self.metrics.phase("traverse+send"):
+                _write_streams(conn, [(header, data)])
             result = _read_result(conn.recv_frame(), sp)
         if result.get("crc32") != zlib.crc32(data):
             raise TransportError(
@@ -266,15 +301,16 @@ class WorkerClient:
         return result
 
     def send_blob(self, data: bytes) -> dict:
-        """Ship opaque bytes (the Spark broadcast path) in the same DATA
-        chunk + TRAILER framing; the worker answers size + CRC."""
-        return self._send_bytes("send_blob", {"op": "recv_blob"}, data)
+        """Ship opaque bytes (the Spark broadcast path) as a blob stream;
+        the worker answers size + CRC."""
+        return self._send_blob("", data)
 
     def put_blob(self, key: str, data: bytes) -> dict:
         """Store opaque bytes under ``key`` on the worker (the fleet's
         shuffle-bucket mirror); the worker answers size + CRC."""
-        return self._send_bytes("put_blob", {"op": "put_blob", "key": key},
-                               data, key=key)
+        if not key:
+            raise ClusterProtocolError("put_blob requires a non-empty key")
+        return self._send_blob(key, data)
 
     def begin_graph(
         self,
@@ -284,9 +320,8 @@ class WorkerClient:
         store_and_forward: bool = False,
         throttle_mbps: Optional[float] = None,
     ) -> "GraphSendStream":
-        """Open a ``recv_graph`` stream and return a handle the caller
-        drives root by root (the building block under :meth:`send_graph`).
-        """
+        """Open a graph stream and return a handle the caller drives root
+        by root (the building block under :meth:`send_graph`)."""
         conn = self._require_conn()
         self._sync_registry()
         # Each socket send is its own shuffling phase: bumping the sID
@@ -302,10 +337,9 @@ class WorkerClient:
             "wire.send_graph", destination=f"{self.host}:{self.port}",
         )
         self._send_trace(conn)
-        conn.send_frame(
-            frames.CALL,
-            frames.encode_json({"op": "recv_graph", "retain": retain}),
-        )
+        conn.send_frame(frames.STREAM, frames.encode_stream(
+            frames.StreamHeader(frames.BULK_STREAM, frames.STREAM_GRAPH,
+                                retain=retain)))
         pipeline = ChunkPipeline(
             conn, chunk_bytes=chunk_bytes, queue_chunks=queue_chunks,
             store_and_forward=store_and_forward, throttle_mbps=throttle_mbps,
@@ -342,26 +376,23 @@ class WorkerClient:
                 stream.write_object(root)
             return stream.finish()
 
-    # -- epochs: EPOCH, MUX_DATA*, MUX_TRAILER, any number interleaved -----
+    # -- epochs: one stream per channel, any number interleaved -----------
 
-    def send_epochs(self, epochs, rng=None) -> Dict[int, dict]:
+    def send_epochs(self, epochs) -> Dict[int, dict]:
         """Ship many already-framed FULL/DELTA epochs concurrently over
         the one connection.
 
         ``epochs`` is an iterable of ``(channel_id, epoch, frame_bytes)``
         or ``(channel_id, epoch, frame_bytes, digest)`` tuples (``digest``
-        defaults to True and rides the MUX_TRAILER flags byte).  Each
-        channel's EPOCH header, MUX_DATA chunks and MUX_TRAILER interleave
-        round-robin with the others' (in-order within each channel — the
-        only ordering the worker requires); pass an ``rng`` (anything with
-        ``randrange``) to randomize the interleaving instead, which is how
-        the fuzz test splices.  RESULT frames are drained as they arrive
-        and matched back to their channel by the ``channel_id`` the worker
-        tags them with.
+        defaults to True and rides the stream's opener).  Each epoch is
+        one stream whose id is its channel id, interleaved with the others
+        by :func:`_write_streams`.  RESULT frames are drained as they
+        arrive and matched back to their channel by the ``channel_id`` the
+        worker tags them with.
 
         Each channel may appear at most once per call: the worker allows
-        one open stream per channel, and results are keyed by channel
-        id — ship a channel's successive epochs in successive calls.
+        one open stream per id, and results are keyed by channel id —
+        ship a channel's successive epochs in successive calls.
 
         Returns ``{channel_id: {"result": <worker RESULT>,
         "latency_s": <trailer-sent → result-read>}}``.  A per-channel
@@ -370,8 +401,7 @@ class WorkerClient:
         other channels live, and triage is the caller's.  An ERROR frame
         means the connection is dead and raises immediately.
         """
-        epochs = list(epochs)
-        queues: List[List[Tuple[Optional[int], bytes]]] = []
+        streams = []
         expected: set = set()
         for entry in epochs:
             channel_id, epoch, frame_bytes = entry[:3]
@@ -383,96 +413,46 @@ class WorkerClient:
                     f"time — ship its epochs in successive calls"
                 )
             expected.add(channel_id)
-            per = [(None, frames.encode_frame(
-                frames.EPOCH,
-                frames.encode_epoch_header(
-                    channel_id, epoch,
-                    frame_bytes[0] if frame_bytes else 0),
-            ))]
-            for off in range(0, max(len(frame_bytes), 1),
-                             DEFAULT_MUX_CHUNK_BYTES):
-                chunk = frame_bytes[off:off + DEFAULT_MUX_CHUNK_BYTES]
-                per.append((None, frames.encode_frame(
-                    frames.MUX_DATA,
-                    frames.encode_mux_data(channel_id, chunk),
-                )))
-            chunks = len(per) - 1
-            per.append((channel_id, frames.encode_frame(
-                frames.MUX_TRAILER,
-                frames.encode_mux_trailer(
-                    channel_id, len(frame_bytes),
-                    zlib.crc32(frame_bytes), chunks, digest=digest),
-            )))
-            queues.append(per)
+            streams.append((frames.StreamHeader(
+                channel_id, frames.STREAM_EPOCH, epoch=epoch,
+                frame_kind=frame_bytes[0] if frame_bytes else 0,
+                digest=digest), frame_bytes))
         conn = self._require_conn()
         self._sync_registry()
 
         results: Dict[int, dict] = {}
         sent_at: Dict[int, float] = {}
-        out = bytearray()
         with obs.span("wire.send_epoch", channels=len(expected),
                       destination=f"{self.host}:{self.port}") as sp:
-
-            def flush() -> None:
-                try:
-                    conn.send_encoded(bytes(out), "epoch frames")
-                except TransportError as exc:
-                    _fail_stream(conn, exc)
-                out.clear()
 
             def drain(block: bool = False) -> None:
                 """Absorb every RESULT already here; ``block`` waits (up
                 to the read timeout) for the first."""
                 frame = conn.recv_frame() if block else conn.poll_frame()
                 while frame is not None:
-                    self._absorb_result(frame, results, sent_at, sp)
+                    result = _read_result(frame, sp)
+                    channel_id = result.get("channel_id")
+                    if channel_id is None:
+                        raise TransportClosed("epoch RESULT carries no "
+                                              "channel_id; cannot demultiplex")
+                    started = sent_at.get(channel_id)
+                    results[channel_id] = {"result": result, "latency_s": (
+                        time.perf_counter() - started
+                        if started is not None else None)}
                     frame = conn.poll_frame()
 
+            def on_flush(done: Optional[int]) -> None:
+                # Each trailer is flushed before its clock starts, so the
+                # latency counts from when the worker can see the stream.
+                if done is not None:
+                    sent_at[done] = time.perf_counter()
+                drain()
+
             self._send_trace(conn)
-            while queues:
-                if rng is not None:
-                    idx = rng.randrange(len(queues))
-                else:
-                    idx = 0
-                queue = queues[idx]
-                marker, data = queue.pop(0)
-                out.extend(data)
-                if not queue:
-                    # rotate finished queues out; round-robin rotates the
-                    # head to the back so channels interleave
-                    queues.pop(idx)
-                elif rng is None:
-                    queues.append(queues.pop(0))
-                if marker is not None:
-                    # flush through the trailer so the latency clock
-                    # starts when the worker can actually see the stream
-                    flush()
-                    sent_at[marker] = time.perf_counter()
-                    drain()
-                elif len(out) >= MUX_FLUSH_BYTES:
-                    flush()
-                    drain()
-            if out:
-                flush()
+            _write_streams(conn, streams, on_flush=on_flush)
             while expected - set(results):
                 drain(block=True)
         return results
-
-    def _absorb_result(self, frame: Tuple[int, bytes],
-                       results: Dict[int, dict],
-                       sent_at: Dict[int, float], span) -> None:
-        result = _read_result(frame, span)
-        channel_id = result.get("channel_id")
-        if channel_id is None:
-            raise TransportClosed(
-                "epoch RESULT carries no channel_id; cannot demultiplex"
-            )
-        now = time.perf_counter()
-        started = sent_at.get(channel_id)
-        results[channel_id] = {
-            "result": result,
-            "latency_s": (now - started) if started is not None else None,
-        }
 
     def send_epoch(self, frame_bytes: bytes, channel_id: int,
                    epoch: int, digest: bool = True) -> dict:
@@ -507,7 +487,7 @@ class WorkerClient:
 
 
 class GraphSendStream:
-    """One open ``recv_graph`` stream on one connection.
+    """One open graph stream (the connection's bulk stream).
 
     Drive it with :meth:`write_object` per root, then :meth:`finish` to
     flush the tail and read the worker's RESULT.  Any mid-stream transport
@@ -541,10 +521,14 @@ class GraphSendStream:
             raise TransportError("finish() called twice on a graph stream")
         self._done = True
         try:
-            data = self._out.close()
-        except TransportError as exc:
-            self._fail(exc)
-        result = _read_result(self._conn.recv_frame(), self._wire_span)
+            try:
+                data = self._out.close()
+            except TransportError as exc:
+                self._fail(exc)
+            result = _read_result(self._conn.recv_frame(), self._wire_span)
+        except BaseException as exc:  # the span ends on every exit path
+            self._end_wire_span(error=type(exc).__name__)
+            raise
         self._end_wire_span(stream_bytes=len(data))
         return result, data
 
@@ -557,4 +541,5 @@ class GraphSendStream:
     def _fail(self, exc: TransportError) -> None:
         self._done = True
         self._end_wire_span(error=type(exc).__name__)
-        _fail_stream(self._conn, exc, self._pipeline)
+        self._pipeline.abort()
+        _fail_stream(self._conn, exc)

@@ -12,7 +12,7 @@ its family): workers raise them themselves, so they sit below both the
 worker and :mod:`repro.cluster`.  :class:`PeerGoneError` carries the dead
 peer's name, so a broadcast can finish on survivors while naming exactly
 who vanished; :class:`ClusterProtocolError` is the mis-route guard (a
-reserved or unadmitted channel id on an EPOCH frame is rejected, never
+reserved or unadmitted channel id on an epoch stream is refused, never
 placed into the wrong channel state).
 """
 
@@ -69,7 +69,7 @@ class ClusterConfigError(ClusterError):
 
 class ClusterProtocolError(ClusterError):
     """A coordinator/fleet protocol violation: a reserved or unassigned
-    channel id on an EPOCH frame, a malformed coordinator RPC, or a blob
+    channel id on an epoch stream, a malformed coordinator RPC, or a blob
     key the peer never stored."""
 
 

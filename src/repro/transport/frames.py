@@ -19,19 +19,21 @@ Frame conversation (driver = client, worker = server)::
     TRACE      -> optional: trace id + parent span id, so worker spans
                   stitch under the driver's trace; worker spans return
                   inside the RESULT JSON under "trace"
-    CALL       -> JSON op request ("recv_graph", "recv_blob", ...)
-    DATA*      -> fixed-size chunks of the Skyway framed stream
-    TRAILER    -> total bytes + whole-stream CRC + chunk count
+    CALL       -> JSON control op ("ping", "stats", ...)
     RESULT     <- JSON op result   |   ERROR <- typed remote failure
+    STREAM     -> stream id + kind + the kind's fields: opens a stream
+    DATA*      -> stream id + one chunk of that stream's bytes
+    TRAILER    -> stream id + total bytes + whole-stream CRC + chunk count
+    RESULT     <- one per completed stream; an epoch's is tagged
+                  "channel_id", and "ok": false confines a failure (the
+                  DeltaStaleError NACK) to that channel
     BYE        -> end of connection
 
-Between calls, any number of epoch streams, interleaved by channel::
-
-    EPOCH        -> channel id, epoch, FULL/DELTA kind: opens the stream
-    MUX_DATA*    -> channel id + a chunk of the delta-wire frame
-    MUX_TRAILER  -> channel id + totals + flags: completes the stream
-    RESULT       <- tagged "channel_id"; "ok": false confines a failure
-                    (the DeltaStaleError NACK) to that channel
+Every data-bearing transfer is a stream, and any number interleave on one
+socket; stream ids are unique among a connection's open streams.  An
+epoch stream's id is its channel id; a graph or a blob uses
+``BULK_STREAM`` (0, which no channel may take), so one bulk transfer at a
+time per connection follows from the uniqueness rule.
 
 DATA chunks carry the *same bytes* ``SkywayObjectOutputStream`` produces
 in-process — the wire format stays byte-identical to the heap image (cf.
@@ -44,15 +46,15 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.net.streams import ByteInputStream, ByteOutputStream, StreamError
 from repro.transport.errors import FrameCorruptionError
 
-#: v3: the ``recv_epoch`` CALL op left the protocol (every epoch is an
-#: EPOCH/MUX_DATA/MUX_TRAILER stream) and MUX_TRAILER's flags byte became
-#: mandatory; a mixed pair fails at HELLO with the typed mismatch.
-PROTOCOL_VERSION = 3
+#: v4: graph, blob and epoch transfers are all STREAM/DATA/TRAILER streams
+#: keyed by stream id, and CALL carries control ops only; a mixed pair
+#: fails at HELLO with the typed mismatch.
+PROTOCOL_VERSION = 4
 
 #: Hard cap on one frame's payload; a corrupt length field beyond this is
 #: reported instead of allocated.
@@ -71,36 +73,32 @@ ERROR = 5
 CALL = 6
 RESULT = 7
 BYE = 8
-#: Epoch announcement for a delta-capable graph channel: names the channel
-#: id, epoch number, and the delta-wire frame kind of the MUX_DATA stream
-#: that follows (FULL or DELTA); the worker routes the reassembled frame to
-#: its per-runtime :class:`~repro.delta.channel.DeltaReceiveEndpoint`.
-EPOCH = 9
+#: Opens a stream: its id, its kind and the kind's fields
+#: (:class:`StreamHeader`).
+STREAM = 9
 #: Optional trace-context announcement: carries the driver's trace id and
 #: current span id so worker-side spans stitch under the sender's trace.
-#: Sent at most once per CALL, immediately before it (the CALL consumes
-#: it), or once before a batch of epoch streams (every EPOCH opened under
-#: it); a worker that never sees one simply doesn't trace.  Worker spans
-#: travel back inside each RESULT JSON under the ``"trace"`` key.
+#: Sent at most once per CALL or bulk stream, immediately before it (which
+#: consumes it), or once before a batch of epoch streams (every epoch
+#: opened under it); a worker that never sees one simply doesn't trace.
+#: Worker spans travel back inside each RESULT JSON under ``"trace"``.
 TRACE = 10
-#: Multiplexed stream chunk (async front-end): a varint channel id
-#: followed by raw stream bytes.  Unlike DATA, which belongs to *the*
-#: op in flight on the connection, MUX_DATA frames are self-describing —
-#: chunks from many channels interleave freely on one socket and the
-#: worker's per-channel state machine reassembles each stream.
-MUX_DATA = 11
-#: Completes one multiplexed stream: channel id + the same totals a
-#: TRAILER carries (total bytes, whole-stream CRC, chunk count).  The
-#: worker answers each completed channel with its own RESULT (tagged
-#: ``channel_id``), possibly out of order with other channels.
-MUX_TRAILER = 12
 
 FRAME_NAMES = {
     HELLO: "HELLO", HELLO_ACK: "HELLO_ACK", DATA: "DATA",
     TRAILER: "TRAILER", ERROR: "ERROR", CALL: "CALL",
-    RESULT: "RESULT", BYE: "BYE", EPOCH: "EPOCH", TRACE: "TRACE",
-    MUX_DATA: "MUX_DATA", MUX_TRAILER: "MUX_TRAILER",
+    RESULT: "RESULT", BYE: "BYE", STREAM: "STREAM", TRACE: "TRACE",
 }
+
+#: Stream kinds.  A graph's chunks feed the worker's stream decoder as
+#: they land; a blob's and an epoch's reassemble.
+STREAM_GRAPH = 1
+STREAM_EPOCH = 2
+STREAM_BLOB = 3
+
+#: The stream id of a graph or a blob.  Channel id 0 is reserved
+#: fabric-wide, so a bulk stream never collides with an epoch's.
+BULK_STREAM = 0
 
 
 def frame_name(ftype: int) -> str:
@@ -108,12 +106,27 @@ def frame_name(ftype: int) -> str:
 
 
 def encode_frame(ftype: int, payload: bytes) -> bytes:
-    if len(payload) > MAX_FRAME_BYTES:
+    return _frame(ftype, b"", payload)
+
+
+def data_frame(stream_id: int, chunk) -> bytes:
+    """One whole encoded DATA frame; ``chunk`` (bytes or a memoryview) is
+    copied once, as :func:`encode_frame` copies a payload."""
+    out = ByteOutputStream()
+    out.write_varint(stream_id)
+    return _frame(DATA, out.getvalue(), chunk)
+
+
+def _frame(ftype: int, head: bytes, body) -> bytes:
+    """Header + ``head`` + ``body`` in one join; the payload is the two."""
+    length = len(head) + len(body)
+    if length > MAX_FRAME_BYTES:
         raise FrameCorruptionError(
-            f"frame payload of {len(payload)} bytes exceeds the "
+            f"frame payload of {length} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
-    return HEADER.pack(len(payload), ftype, zlib.crc32(payload)) + payload
+    crc = zlib.crc32(body, zlib.crc32(head))
+    return b"".join((HEADER.pack(length, ftype, crc), head, body))
 
 
 class FrameDecoder:
@@ -210,75 +223,74 @@ def decode_hello_ack(payload: bytes) -> Tuple[str, List[str]]:
     return _wrap_decode(parse, payload, "HELLO_ACK")
 
 
-def encode_trailer(total_bytes: int, stream_crc: int, chunks: int) -> bytes:
+class StreamHeader(NamedTuple):
+    """A STREAM frame's fields.  Each kind reads only its own: a graph its
+    ``retain`` flag; an epoch its number, its FULL/DELTA frame kind and
+    whether the worker digests it; a blob its ``key`` (empty: received
+    and acknowledged, not stored)."""
+
+    stream_id: int
+    kind: int
+    retain: bool = False
+    epoch: int = 0
+    frame_kind: int = 0
+    digest: bool = True
+    key: str = ""
+
+
+def encode_stream(header: StreamHeader) -> bytes:
     out = ByteOutputStream()
+    out.write_varint(header.stream_id)
+    out.write_u8(header.kind)
+    if header.kind == STREAM_GRAPH:
+        out.write_u8(int(header.retain))
+    elif header.kind == STREAM_EPOCH:
+        out.write_varint(header.epoch)
+        out.write_u8(header.frame_kind)
+        out.write_u8(int(header.digest))
+    else:
+        out.write_utf(header.key)
+    return out.getvalue()
+
+
+def decode_stream(payload: bytes) -> StreamHeader:
+    def parse(inp: ByteInputStream):
+        stream_id, kind = inp.read_varint(), inp.read_u8()
+        if kind == STREAM_GRAPH:
+            return StreamHeader(stream_id, kind, retain=bool(inp.read_u8()))
+        if kind == STREAM_EPOCH:
+            return StreamHeader(stream_id, kind, epoch=inp.read_varint(),
+                                frame_kind=inp.read_u8(),
+                                digest=bool(inp.read_u8()))
+        if kind == STREAM_BLOB:
+            return StreamHeader(stream_id, kind, key=inp.read_utf())
+        raise ValueError(f"unknown stream kind {kind}")
+    return _wrap_decode(parse, payload, "STREAM")
+
+
+def decode_data(payload: bytes) -> Tuple[int, memoryview]:
+    """A DATA payload as ``(stream id, chunk)``; the chunk is a view of
+    ``payload``, not a copy."""
+    def parse(inp: ByteInputStream):
+        return inp.read_varint(), memoryview(payload)[inp.position:]
+    return _wrap_decode(parse, payload, "DATA")
+
+
+def encode_trailer(stream_id: int, total_bytes: int, stream_crc: int,
+                   chunks: int) -> bytes:
+    out = ByteOutputStream()
+    out.write_varint(stream_id)
     out.write_varint(total_bytes)
     out.write_u32(stream_crc)
     out.write_varint(chunks)
     return out.getvalue()
 
 
-def decode_trailer(payload: bytes) -> Tuple[int, int, int]:
+def decode_trailer(payload: bytes) -> Tuple[int, int, int, int]:
     def parse(inp: ByteInputStream):
-        return inp.read_varint(), inp.read_u32(), inp.read_varint()
+        return (inp.read_varint(), inp.read_varint(), inp.read_u32(),
+                inp.read_varint())
     return _wrap_decode(parse, payload, "TRAILER")
-
-
-def encode_epoch_header(channel_id: int, epoch: int, kind: int) -> bytes:
-    out = ByteOutputStream()
-    out.write_varint(channel_id)
-    out.write_varint(epoch)
-    out.write_u8(kind)
-    return out.getvalue()
-
-
-def decode_epoch_header(payload: bytes) -> Tuple[int, int, int]:
-    def parse(inp: ByteInputStream):
-        return inp.read_varint(), inp.read_varint(), inp.read_u8()
-    return _wrap_decode(parse, payload, "EPOCH")
-
-
-def encode_mux_data(channel_id: int, chunk: bytes) -> bytes:
-    out = ByteOutputStream()
-    out.write_varint(channel_id)
-    out.write_bytes(chunk)
-    return out.getvalue()
-
-
-def decode_mux_data(payload: bytes) -> Tuple[int, bytes]:
-    def parse(inp: ByteInputStream):
-        channel_id = inp.read_varint()
-        return channel_id, inp.read_bytes(inp.remaining)
-    return _wrap_decode(parse, payload, "MUX_DATA")
-
-
-#: MUX_TRAILER flags bit: the worker computes (and returns) the semantic
-#: digest of the applied epoch's roots.  Epoch streams have no CALL, so
-#: the trailer is the carrier.
-MUX_FLAG_DIGEST = 0x01
-
-
-def encode_mux_trailer(channel_id: int, total_bytes: int,
-                       stream_crc: int, chunks: int,
-                       digest: bool = True) -> bytes:
-    out = ByteOutputStream()
-    out.write_varint(channel_id)
-    out.write_varint(total_bytes)
-    out.write_u32(stream_crc)
-    out.write_varint(chunks)
-    out.write_u8(MUX_FLAG_DIGEST if digest else 0)
-    return out.getvalue()
-
-
-def decode_mux_trailer(payload: bytes) -> Tuple[int, int, int, int, bool]:
-    def parse(inp: ByteInputStream):
-        channel_id = inp.read_varint()
-        total_bytes = inp.read_varint()
-        stream_crc = inp.read_u32()
-        chunks = inp.read_varint()
-        return (channel_id, total_bytes, stream_crc, chunks,
-                bool(inp.read_u8() & MUX_FLAG_DIGEST))
-    return _wrap_decode(parse, payload, "MUX_TRAILER")
 
 
 def encode_trace(trace_id: str, span_id: str) -> bytes:

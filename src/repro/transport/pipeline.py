@@ -4,20 +4,21 @@
 traversing the graph": here that is literal.  The sender's stream bytes
 arrive via ``feed()`` on the *traversal* thread, get cut into fixed-size
 chunks, and go into a bounded queue drained by a writer thread that pushes
-DATA frames down the socket.  Traversal and socket I/O overlap in measured
+the graph stream's DATA frames down the socket.  Traversal and socket I/O overlap in measured
 wall-clock time; a full queue blocks the traversal (counted as a stall —
 the wire is the bottleneck), an empty one idles the writer (traversal is).
 
 ``store_and_forward=True`` buffers the whole stream, then sends from the
 calling thread — no writer, no queue.  It is the baseline Skyway §4.2
 improves on (the ledger's ``transport.pipeline.overlap_gain_s`` compares
-the two), and it is how ``WorkerClient`` ships blobs, which are already in
-hand: with nothing to overlap, a thread per send would only cost a
-hand-off.
+the two).  A payload already in hand (a blob, an epoch) has nothing to
+overlap and never comes here: ``WorkerClient`` writes its frames inline.
 
 Both modes end with one TRAILER frame carrying total bytes, a
 whole-stream CRC32, and the chunk count, so the receiver can prove it
-reassembled exactly what the sender traversed.
+reassembled exactly what the sender traversed.  The stream is the
+connection's bulk stream (``frames.BULK_STREAM``), opened by the caller's
+STREAM frame.
 """
 
 from __future__ import annotations
@@ -113,10 +114,8 @@ class ChunkPipeline:
             self._queue.put(_CLOSE)
             self._writer.join()
             self._raise_writer_error()
-        self._conn.send_frame(
-            frames.TRAILER,
-            frames.encode_trailer(total_bytes, stream_crc, self._chunks),
-        )
+        self._conn.send_frame(frames.TRAILER, frames.encode_trailer(
+            frames.BULK_STREAM, total_bytes, stream_crc, self._chunks))
 
     def abort(self) -> None:
         """Tear down the writer without sending a TRAILER (caller is
@@ -158,7 +157,8 @@ class ChunkPipeline:
         started = time.perf_counter()
         with obs.span("wire.write", parent=self._obs_parent,
                       bytes=len(chunk)):
-            self._conn.send_frame(frames.DATA, chunk)
+            self._conn.send_encoded(
+                frames.data_frame(frames.BULK_STREAM, chunk), "DATA frame")
         self.metrics.note_chunk_sent()
         if self._pace:
             budget = len(chunk) / self._pace

@@ -15,30 +15,30 @@ loop and no second thread.  The protocol per connection:
 1. HELLO / HELLO_ACK — registry convergence (:mod:`registry_sync`).  A
    driver may re-HELLO on the same connection after loading new classes;
    the worker treats any HELLO as a fresh merge.
-2. TRACE, optionally — the sender's trace context.  A CALL consumes it;
-   an EPOCH header only reads it, so one TRACE covers a batch of epochs.
-3. CALL frames carrying a JSON ``{"op": ...}``, one op in flight per
-   connection; a data-bearing op is armed at its CALL, fed by DATA
-   chunks and completed at its TRAILER (``_STREAM_OPS``).  Each op
-   answers RESULT or ERROR.
-4. Between calls, epoch streams: EPOCH + MUX_DATA chunks + MUX_TRAILER,
-   tagged by channel id, any number interleaved on one socket.  Each
-   completed epoch answers its own RESULT tagged ``channel_id`` —
-   possibly out of order with other channels, which is the point.
+2. TRACE, optionally — the sender's trace context.  A CALL or a bulk
+   stream consumes it; an epoch's opener only reads it, so one TRACE
+   covers a batch of epochs.
+3. CALL frames carrying a JSON ``{"op": ...}`` control op, answered
+   RESULT or ERROR straight away (``_OPS``): ``ping`` (echo),
+   ``admit_channel``, ``send_peer``, ``send_blob_peer``, ``stats``
+   (runtime + transport + event-loop counters) and ``shutdown``.
+4. Streams, any number interleaved on one socket: STREAM opens one (id,
+   kind, the kind's fields), DATA chunks feed it, TRAILER completes it,
+   every frame tagged by stream id (``_FRAMES``).  The kind picks the
+   sink and the answer.  A graph (``recv_graph``) feeds this heap chunk
+   by chunk, placement overlapping arrival, and answers root count,
+   object/byte tallies and the position-independent
+   :func:`~repro.transport.digest.graph_digest` at its trailer —
+   ``retain`` false unpins the roots after digesting so repeated
+   benchmark sends don't exhaust the heap.  A blob (``recv_blob``, or
+   ``put_blob`` when it has a key: the Spark broadcast path, the fleet's
+   named shuffle-bucket mirror) answers size and CRC at its trailer.  An
+   epoch's stream id is its channel id; it is queued at its trailer and
+   answered at apply time by a RESULT tagged ``channel_id`` — possibly
+   out of order with other channels, which is the point.  Graphs and
+   blobs use stream 0, which no channel may take.
 5. BYE ends the connection; the worker keeps accepting new ones (this is
    what lets a driver's retry/backoff recover from a killed connection).
-
-Ops answered straight from the CALL (``_OPS``): ``ping`` (echo),
-``admit_channel``, ``send_peer``, ``send_blob_peer``, ``stats`` (runtime
-+ transport + event-loop counters) and ``shutdown``.  Data-bearing ops:
-``recv_graph`` receives one Skyway object stream into this heap
-(placement overlapping arrival), absolutizes it, and answers root count,
-object/byte tallies and the position-independent
-:func:`~repro.transport.digest.graph_digest` — ``retain=false`` (default)
-unpins the roots after digesting so repeated benchmark sends don't
-exhaust the heap; ``recv_blob`` and ``put_blob`` take opaque bytes (the
-Spark broadcast path; the fleet's named shuffle-bucket mirror) and
-answer size and CRC.
 
 An epoch is not an op: a reassembled FULL/DELTA frame is routed through
 the runtime's :class:`~repro.delta.channel.DeltaReceiveEndpoint`.  A
@@ -69,7 +69,7 @@ rather than stopping outright.
 
 Failure taxonomy: protocol-fatal conditions (CRC mismatch, unknown frame,
 trailer total/CRC/count mismatch, unknown op, any failure inside a CALL
-op) take the loop's one ERROR frame and close — mid-stream state is
+op or a graph or blob stream) take the loop's one ERROR frame and close — mid-stream state is
 unrecoverable, a fresh connection is not.  A *per-channel* epoch failure
 — above all the NACK — is answered as a RESULT with ``ok=false`` naming
 the error kind, so one stale channel cannot kill the other thousand
@@ -150,7 +150,7 @@ class WorkerSpec:
     #: simultaneous connects (a fan-in opens them in a burst), so the
     #: default is far above ``bind_listener``'s conservative 8.
     listen_backlog: int = 128
-    #: Fleet mode: reject EPOCH frames whose channel id the coordinator
+    #: Fleet mode: refuse epoch streams whose channel id the coordinator
     #: (via ``admit_channel``) never told this worker to expect.  Channel
     #: id 0 is rejected unconditionally, strict or not.
     strict_channels: bool = False
@@ -158,10 +158,10 @@ class WorkerSpec:
 
 def _check_trailer(what: str, promised: Tuple[int, int, int],
                    received: Tuple[int, int, int]) -> None:
-    """The stream-trailer cross-check, TRAILER and MUX_TRAILER
-    alike: ``(total bytes, whole-stream CRC32, chunk count)`` as the sender
-    promised them against what actually arrived.  A mismatch is
-    protocol-fatal — the bytes already fed cannot be trusted."""
+    """The stream-trailer cross-check: ``(total bytes, whole-stream CRC32,
+    chunk count)`` as the sender promised them against what actually
+    arrived.  A mismatch is protocol-fatal — the bytes already fed cannot
+    be trusted."""
     (total, crc, chunks), (got_total, got_crc, got_chunks) = promised, received
     if got_total != total:
         raise TransportClosed(
@@ -178,75 +178,30 @@ def _check_trailer(what: str, promised: Tuple[int, int, int],
         )
 
 
-class _BlobSink:
-    """A trivial decoder standing in for the stream decoder: a blob is
-    opaque bytes (e.g. a Java-serializer broadcast payload) reassembled
-    before it is stored or acknowledged."""
+class _Stream:
+    """One open stream on one connection: opened by its STREAM frame, fed
+    by DATA frames, completed at its TRAILER.  The sink is the graph's
+    :class:`IncrementalStreamDecoder`, or the bytes a blob or an epoch
+    reassembles."""
 
-    def __init__(self) -> None:
-        self.data = bytearray()
+    __slots__ = ("header", "trace", "sink", "total", "crc", "chunks",
+                 "error", "started", "enqueued")
 
-    def feed(self, chunk: bytes) -> None:
-        self.data.extend(chunk)
-
-
-class _CallStream:
-    """The streaming op in flight on a connection: armed at its CALL, fed
-    by DATA frames, completed at its TRAILER."""
-
-    __slots__ = ("op", "call", "sink", "trace", "total", "crc", "chunks")
-
-    def __init__(self, op: str, call: dict, sink,
+    def __init__(self, header: frames.StreamHeader, sink,
                  trace: Optional[Tuple[str, str]]) -> None:
-        self.op = op
-        self.call = call
-        self.sink = sink  # IncrementalStreamDecoder or _BlobSink
+        self.header = header
+        self.sink = sink
         self.trace = trace
         self.total = 0
         self.crc = 0
         self.chunks = 0
-
-
-class _MuxStream:
-    """One in-flight multiplexed channel stream on one connection."""
-
-    __slots__ = ("channel_id", "epoch", "kind", "trace", "buf", "crc",
-                 "chunks", "error", "started")
-
-    def __init__(self, channel_id: int, epoch: int, kind: int,
-                 trace: Optional[Tuple[str, str]]) -> None:
-        self.channel_id = channel_id
-        self.epoch = epoch
-        self.kind = kind
-        self.trace = trace
-        self.buf = bytearray()
-        self.crc = 0
-        self.chunks = 0
-        #: EPOCH-header arrival stamp; trailer-minus-this is the stream's
-        #: receive duration — the telemetry series straggler detection
-        #: reads (a paced wire stretches the chunk arrivals in between).
-        self.started = time.monotonic()
-        #: Set when admission failed at the EPOCH header: chunks are then
-        #: counted but discarded, and the trailer answers ok=false.
+        #: Opener arrival stamp; ``enqueued`` (the trailer's) minus this is
+        #: an epoch's receive duration — the telemetry series straggler
+        #: detection reads (a paced wire stretches the chunk arrivals).
+        self.started = self.enqueued = time.perf_counter()
+        #: Set when an epoch's admission failed at its opener: chunks are
+        #: then counted but discarded, and the trailer answers ok=false.
         self.error: Optional[Tuple[str, str]] = None
-
-
-class _ReadyEpoch:
-    """A reassembled epoch waiting for its turn on the heap."""
-
-    __slots__ = ("channel_id", "epoch", "kind", "trace", "data",
-                 "stream_bytes", "digest", "enqueued", "receive_s")
-
-    def __init__(self, stream: _MuxStream, digest: bool) -> None:
-        self.channel_id = stream.channel_id
-        self.epoch = stream.epoch
-        self.kind = stream.kind
-        self.trace = stream.trace
-        self.data = bytes(stream.buf)
-        self.stream_bytes = len(self.data)
-        self.digest = digest
-        self.enqueued = time.perf_counter()
-        self.receive_s = time.monotonic() - stream.started
 
 
 class _AsyncConn(Connection):
@@ -256,14 +211,12 @@ class _AsyncConn(Connection):
     def __init__(self, server: "WorkerServer",
                  sock: socket.socket) -> None:
         super().__init__(server, sock)
-        #: The last TRACE frame's context.  A CALL consumes it; an EPOCH
-        #: header only reads it, so one TRACE covers a whole batch of
-        #: epoch streams.
+        #: The last TRACE frame's context.  A CALL or a bulk stream
+        #: consumes it; an epoch's opener only reads it, so one TRACE covers
+        #: a whole batch of epoch streams.
         self.trace: Optional[Tuple[str, str]] = None
-        # per-call (one-op-at-a-time) state; ``stream is None`` = idle
-        self.stream: Optional[_CallStream] = None
-        # per-channel epoch streams
-        self.mux_open: Dict[int, _MuxStream] = {}
+        #: Open streams by stream id.
+        self.streams: Dict[int, _Stream] = {}
         self.ready: deque = deque()
         self.pending_per_channel: Dict[int, int] = {}
         self.queued_bytes = 0
@@ -294,7 +247,7 @@ class WorkerServer(FrameLoop):
         #: is what lets an in-thread host's caller reach the heap too.
         self._state_lock = threading.Lock()
         #: Channel ids the coordinator admitted on this worker
-        #: (``admit_channel``); consulted at every EPOCH header in strict mode.
+        #: (``admit_channel``); consulted at every epoch opener in strict mode.
         self._admitted: Set[int] = set()
         #: Named blob store (``put_blob`` / ``send_blob_peer``): the
         #: fleet's shuffle-bucket mirror.
@@ -348,8 +301,7 @@ class WorkerServer(FrameLoop):
             self._next_beat = time.monotonic() + self.membership.next_wait()
 
     def _mid_op(self, conn: _AsyncConn) -> bool:
-        return (conn.stream is not None or bool(conn.mux_open)) \
-            and not conn.paused
+        return bool(conn.streams) and not conn.paused
 
     def _on_exit(self) -> None:
         if self.membership is not None:
@@ -359,29 +311,22 @@ class WorkerServer(FrameLoop):
 
     def _handle_frame(self, conn: _AsyncConn, ftype: int,
                       payload: bytes) -> None:
-        if ftype == frames.HELLO:
-            self._handshake(conn, payload)
-            return
-        if ftype == frames.TRACE:
-            # Record, don't enable: the tracer is process-global and the
-            # loop serves many connections, so it is (re-)pointed at a
-            # connection's trace only around that connection's own work
-            # (:meth:`_answer`) — a CALL at op time, an epoch at apply
-            # time.  Queued applies from other traced connections keep
-            # their own trace ids.
-            conn.trace = frames.decode_trace(payload)
-            return
-        if conn.stream is not None:
-            self._on_stream_frame(conn, conn.stream, ftype, payload)
-            return
-        # between calls: a fresh CALL, or a frame of an epoch stream
-        handler = self._IDLE_FRAMES.get(ftype)
+        handler = self._FRAMES.get(ftype)
         if handler is None:
             raise TransportError(
                 f"protocol violation: unexpected {frames.frame_name(ftype)} "
-                f"frame between calls"
+                f"frame"
             )
         handler(self, conn, payload)
+
+    def _record_trace(self, conn: _AsyncConn, payload: bytes) -> None:
+        # Record, don't enable: the tracer is process-global and the loop
+        # serves many connections, so it is (re-)pointed at a connection's
+        # trace only around that connection's own work (:meth:`_answer`) —
+        # an op or a bulk stream as it completes, an epoch at apply time.
+        # Queued applies from other traced connections keep their own
+        # trace ids.
+        conn.trace = frames.decode_trace(payload)
 
     def _handshake(self, conn: _AsyncConn, payload: bytes) -> None:
         version, peer, driver_map = frames.decode_hello(payload)
@@ -409,17 +354,11 @@ class WorkerServer(FrameLoop):
         call = frames.decode_json(payload, what="CALL")
         op = call.get("op")
         handler = self._OPS.get(op)
-        stream_op = self._STREAM_OPS.get(op)
-        if handler is None and stream_op is None:
+        if handler is None:
             raise TransportError(f"unknown op {op!r}")
         self.log.debug("serving op %s", op)
         trace, conn.trace = conn.trace, None
-        if handler is not None:
-            self._answer(conn, op, trace, lambda: handler(self, call))
-            return
-        # streaming op: arm the sink now, complete at the TRAILER
-        make_sink, _complete = stream_op
-        conn.stream = _CallStream(op, call, make_sink(self, call), trace)
+        self._answer(conn, op, trace, lambda: handler(self, call))
 
     @contextlib.contextmanager
     def _adopted(self, trace: Optional[Tuple[str, str]]):
@@ -457,54 +396,104 @@ class WorkerServer(FrameLoop):
                 result["trace"] = tracer.export_payload(tracer.drain(mark))
         conn.send_frame(frames.RESULT, frames.encode_json(result))
 
-    def _on_stream_frame(self, conn: _AsyncConn, stream: _CallStream,
-                         ftype: int, payload: bytes) -> None:
-        if ftype == frames.DATA:
-            stream.chunks += 1
-            stream.total += len(payload)
-            stream.crc = zlib.crc32(payload, stream.crc)
-            self.metrics.note_chunk_received()
-            with self.metrics.phase("receive"), self._state_lock:
-                stream.sink.feed(payload)
-            return
-        if ftype != frames.TRAILER:
+    # -- streams: open at STREAM, fed by DATA, complete at TRAILER ---------
+
+    def _open_stream(self, conn: _AsyncConn, payload: bytes) -> None:
+        header = frames.decode_stream(payload)
+        sid, kind = header.stream_id, header.kind
+        if sid in conn.streams:
             raise TransportError(
-                f"protocol violation: expected DATA/TRAILER mid-stream, "
-                f"peer sent {frames.frame_name(ftype)}"
+                f"protocol violation: stream {sid} opened again before its "
+                f"trailer"
             )
-        _check_trailer("trailer", frames.decode_trailer(payload),
+        trace, error = conn.trace, None
+        if kind == frames.STREAM_EPOCH:
+            sink, error = bytearray(), self._refusal(sid)
+        elif sid != frames.BULK_STREAM:
+            raise TransportError(
+                f"protocol violation: a graph or blob stream must use id "
+                f"{frames.BULK_STREAM}, not {sid}"
+            )
+        elif kind == frames.STREAM_GRAPH:
+            conn.trace = None
+            with self._state_lock:
+                sink = IncrementalStreamDecoder(self.runtime)
+        else:
+            conn.trace, sink = None, bytearray()
+        stream = conn.streams[sid] = _Stream(header, sink, trace)
+        stream.error = error
+
+    def _stream_of(self, conn: _AsyncConn, sid: int,
+                   ftype: int) -> _Stream:
+        stream = conn.streams.get(sid)
+        if stream is None:
+            raise TransportError(
+                f"protocol violation: {frames.frame_name(ftype)} for stream "
+                f"{sid} with no open stream"
+            )
+        return stream
+
+    def _on_data(self, conn: _AsyncConn, payload: bytes) -> None:
+        sid, chunk = frames.decode_data(payload)
+        stream = self._stream_of(conn, sid, frames.DATA)
+        stream.chunks += 1
+        stream.total += len(chunk)
+        stream.crc = zlib.crc32(chunk, stream.crc)
+        self.metrics.note_chunk_received()
+        if stream.error is not None:
+            return
+        if stream.header.kind == frames.STREAM_GRAPH:
+            with self.metrics.phase("receive"), self._state_lock:
+                stream.sink.feed(chunk)
+            return
+        stream.sink.extend(chunk)
+        if stream.header.kind == frames.STREAM_EPOCH:
+            conn.queued_bytes += len(chunk)
+            self._maybe_pause(conn)
+
+    def _on_trailer(self, conn: _AsyncConn, payload: bytes) -> None:
+        sid, total, crc, chunks = frames.decode_trailer(payload)
+        stream = self._stream_of(conn, sid, frames.TRAILER)
+        del conn.streams[sid]
+        # Every trailer is checked, a refused epoch's too: its bytes were
+        # discarded, but counted.
+        _check_trailer(f"trailer of stream {sid}", (total, crc, chunks),
                        (stream.total, stream.crc, stream.chunks))
-        conn.stream = None
-        _make_sink, complete = self._STREAM_OPS[stream.op]
+        header = stream.header
+        if stream.error is not None:
+            self._answer(conn, "recv_epoch", stream.trace,
+                         lambda: self._epoch_failed(
+                             sid, header.epoch, *stream.error),
+                         channel=sid, epoch=header.epoch)
+        elif header.kind == frames.STREAM_EPOCH:
+            stream.sink = bytes(stream.sink)
+            stream.enqueued = time.perf_counter()
+            conn.ready.append(stream)
+            conn.pending_per_channel[sid] = \
+                conn.pending_per_channel.get(sid, 0) + 1
+            self._maybe_pause(conn)
+        else:
+            graph = header.kind == frames.STREAM_GRAPH
+            op = "recv_graph" if graph else (
+                "put_blob" if header.key else "recv_blob")
 
-        def run():
-            # Arrival overlapped the loop chunk by chunk, so there is no
-            # blocking receive to time: the span marks where it ended.
-            with obs.span("recv.receive", clock=self.runtime.jvm.clock,
-                          stream_bytes=stream.total, overlapped=True):
-                pass
-            return complete(self, stream)
+            def run():
+                # Arrival overlapped the loop chunk by chunk, so there is
+                # no blocking receive to time: the span marks where it
+                # ended.
+                with obs.span("recv.receive", clock=self.runtime.jvm.clock,
+                              stream_bytes=stream.total, overlapped=True):
+                    pass
+                if graph:
+                    return self._complete_recv_graph(stream)
+                return self._complete_blob(op, stream)
 
-        self._answer(conn, stream.op, stream.trace, run)
+            self._answer(conn, op, stream.trace, run)
 
-    # -- streaming ops: make the sink at the CALL, complete at the TRAILER --
-
-    def _graph_decoder(self, call: dict) -> IncrementalStreamDecoder:
-        with self._state_lock:
-            return IncrementalStreamDecoder(self.runtime)
-
-    def _blob_sink(self, call: dict) -> _BlobSink:
-        return _BlobSink()
-
-    def _keyed_blob_sink(self, call: dict) -> _BlobSink:
-        if not call.get("key"):
-            raise ClusterProtocolError("put_blob requires a non-empty key")
-        return _BlobSink()
-
-    def _complete_recv_graph(self, stream: _CallStream) -> dict:
+    def _complete_recv_graph(self, stream: _Stream) -> dict:
         """Everything after the last chunk: finish placement, digest,
         tally, unpin."""
-        retain = bool(stream.call.get("retain", False))
+        retain = stream.header.retain
         with self._state_lock:
             roots = stream.sink.finish()
             receiver = stream.sink.receiver
@@ -526,100 +515,42 @@ class WorkerServer(FrameLoop):
                 self.runtime.free_input_buffer(token)
         return result
 
-    def _complete_recv_blob(self, stream: _CallStream) -> dict:
-        data = bytes(stream.sink.data)
-        return {"op": "recv_blob", "bytes": len(data),
-                "crc32": zlib.crc32(data)}
-
-    def _complete_put_blob(self, stream: _CallStream) -> dict:
-        key, data = stream.call.get("key"), bytes(stream.sink.data)
-        with self._state_lock:
-            self._blobs[key] = data
-        return {"op": "put_blob", "key": key, "bytes": len(data),
-                "crc32": zlib.crc32(data)}
-
-    _STREAM_OPS = {
-        "recv_graph": (_graph_decoder, _complete_recv_graph),
-        "recv_blob": (_blob_sink, _complete_recv_blob),
-        "put_blob": (_keyed_blob_sink, _complete_put_blob),
-    }
-
-    # -- epoch streams: open at the EPOCH, ready at the MUX_TRAILER --------
+    def _complete_blob(self, op: str, stream: _Stream) -> dict:
+        """A blob is opaque bytes (a Java-serializer broadcast payload, a
+        shuffle bucket): acknowledged by size and CRC, and stored under
+        its key when it has one."""
+        key, data = stream.header.key, bytes(stream.sink)
+        result = {"op": op, "bytes": len(data), "crc32": zlib.crc32(data)}
+        if key:
+            with self._state_lock:
+                self._blobs[key] = data
+            result["key"] = key
+        return result
 
     def _refusal(self, channel_id: int) -> Optional[Tuple[str, str]]:
-        """The mis-route guard, checked at the EPOCH header *before* any
+        """The mis-route guard, checked at an epoch's opener *before* any
         stream byte is buffered, so nothing lands on this heap: a typed
         per-channel rejection beats a silent placement into the wrong
         channel state.  ``None`` admits the stream."""
         if channel_id == 0:
-            why = ("channel id 0 is reserved coordinator-wide; an EPOCH "
-                   "frame naming it can only be a corrupted or misrouted "
+            why = ("channel id 0 is reserved coordinator-wide; an epoch "
+                   "stream naming it can only be a corrupted or misrouted "
                    "header")
         elif self.spec.strict_channels and channel_id not in self._admitted:
-            why = (f"EPOCH frame names channel {channel_id}, which the "
+            why = (f"epoch stream names channel {channel_id}, which the "
                    f"coordinator never admitted on worker "
                    f"{self.spec.name!r}")
         else:
             return None
         return ClusterProtocolError.__name__, why
 
-    def _mux_open(self, conn: _AsyncConn, payload: bytes) -> None:
-        channel_id, epoch, kind = frames.decode_epoch_header(payload)
-        if channel_id in conn.mux_open:
-            raise TransportError(
-                f"protocol violation: channel {channel_id} opened a second "
-                f"mux stream before its trailer"
-            )
-        stream = _MuxStream(channel_id, epoch, kind, conn.trace)
-        stream.error = self._refusal(channel_id)
-        conn.mux_open[channel_id] = stream
-
-    def _mux_data(self, conn: _AsyncConn, payload: bytes) -> None:
-        channel_id, chunk = frames.decode_mux_data(payload)
-        stream = conn.mux_open.get(channel_id)
-        if stream is None:
-            raise TransportError(
-                f"protocol violation: MUX_DATA for channel {channel_id} "
-                f"with no open stream"
-            )
-        stream.chunks += 1
-        stream.crc = zlib.crc32(chunk, stream.crc)
-        self.metrics.note_chunk_received()
-        if stream.error is None:
-            stream.buf.extend(chunk)
-            conn.queued_bytes += len(chunk)
-            self._maybe_pause(conn)
-
-    def _mux_trailer(self, conn: _AsyncConn, payload: bytes) -> None:
-        channel_id, total, crc, chunks, digest = \
-            frames.decode_mux_trailer(payload)
-        stream = conn.mux_open.get(channel_id)
-        if stream is None:
-            raise TransportError(
-                f"protocol violation: MUX_TRAILER for channel "
-                f"{channel_id} with no open stream"
-            )
-        del conn.mux_open[channel_id]
-        if stream.error is not None:
-            self._answer(conn, "recv_epoch", stream.trace,
-                         lambda: self._epoch_failed(
-                             channel_id, stream.epoch, *stream.error),
-                         channel=channel_id, epoch=stream.epoch)
-            return
-        _check_trailer(f"mux trailer for channel {channel_id}",
-                       (total, crc, chunks),
-                       (len(stream.buf), stream.crc, stream.chunks))
-        conn.ready.append(_ReadyEpoch(stream, digest))
-        conn.pending_per_channel[channel_id] = \
-            conn.pending_per_channel.get(channel_id, 0) + 1
-        self._maybe_pause(conn)
-
-    #: What a connection with no CALL op in flight may receive.
-    _IDLE_FRAMES = {
+    _FRAMES = {
+        frames.HELLO: _handshake,
+        frames.TRACE: _record_trace,
         frames.CALL: _start_call,
-        frames.EPOCH: _mux_open,
-        frames.MUX_DATA: _mux_data,
-        frames.MUX_TRAILER: _mux_trailer,
+        frames.STREAM: _open_stream,
+        frames.DATA: _on_data,
+        frames.TRAILER: _on_trailer,
     }
 
     def _epoch_failed(self, channel_id: int, epoch: int, kind: str,
@@ -678,24 +609,25 @@ class WorkerServer(FrameLoop):
                 break
         self._rr = (self._rr + 1) % max(1, len(self._conns))
 
-    def _apply_one(self, conn: _AsyncConn, item: _ReadyEpoch) -> None:
+    def _apply_one(self, conn: _AsyncConn, item: _Stream) -> None:
+        cid, epoch = item.header.stream_id, item.header.epoch
         wait = time.perf_counter() - item.enqueued
         self.queue_waits.append(wait)
         if len(self.queue_waits) > 8192:
             del self.queue_waits[:4096]
-        conn.queued_bytes -= item.stream_bytes
-        left = conn.pending_per_channel.get(item.channel_id, 1) - 1
+        conn.queued_bytes -= item.total
+        left = conn.pending_per_channel.get(cid, 1) - 1
         if left > 0:
-            conn.pending_per_channel[item.channel_id] = left
+            conn.pending_per_channel[cid] = left
         else:
-            conn.pending_per_channel.pop(item.channel_id, None)
+            conn.pending_per_channel.pop(cid, None)
 
         def run() -> dict:
             try:
                 result = self._apply_epoch(item)
             except Exception as exc:  # noqa: BLE001 - per-channel blast radius
-                return self._epoch_failed(item.channel_id, item.epoch,
-                                          type(exc).__name__, str(exc))
+                return self._epoch_failed(cid, epoch, type(exc).__name__,
+                                          str(exc))
             result["ok"] = True
             result["queue_wait_s"] = wait
             self.epochs_applied += 1
@@ -703,60 +635,58 @@ class WorkerServer(FrameLoop):
 
         try:
             self._answer(conn, "recv_epoch", item.trace, run,
-                         channel=item.channel_id, epoch=item.epoch,
-                         queue_wait_s=wait)
+                         channel=cid, epoch=epoch, queue_wait_s=wait)
         except TransportError:  # pragma: no cover - oversized result
             self._close_conn(conn)
 
-    def _apply_epoch(self, item: _ReadyEpoch) -> dict:
-        """Apply one reassembled epoch frame: header cross-check, delta
+    def _apply_epoch(self, item: _Stream) -> dict:
+        """Apply one reassembled epoch frame: opener cross-check, delta
         endpoint routing (timed as the ``receive`` phase), digest.  The
         frame is parsed once, here; the endpoint applies the parsed form.
         A :class:`DeltaStaleError` propagates to :meth:`_apply_one`, which
         turns it into the NACK the sender reacts to."""
+        header = item.header
+        announced = (header.stream_id, header.epoch, header.frame_kind)
         apply_started = time.monotonic()
         with self._state_lock:
             with self.metrics.phase("receive"):
-                frame = parse_frame(item.data)
+                frame = parse_frame(item.sink)
                 actual_kind = (FRAME_DELTA if isinstance(frame, DeltaFrame)
                                else FRAME_FULL)
-                if (frame.channel_id, frame.epoch, actual_kind) \
-                        != (item.channel_id, item.epoch, item.kind):
+                if (frame.channel_id, frame.epoch, actual_kind) != announced:
                     raise TransportError(
-                        f"EPOCH header announced channel {item.channel_id} "
-                        f"epoch {item.epoch} kind {item.kind:#x}, frame "
-                        f"carries channel {frame.channel_id} epoch "
-                        f"{frame.epoch} kind {actual_kind:#x}"
-                    )
+                        "stream opener announced channel %d epoch %d kind "
+                        "%#x, frame carries channel %d epoch %d kind %#x"
+                        % (*announced, frame.channel_id, frame.epoch,
+                           actual_kind))
                 endpoint = DeltaReceiveEndpoint.for_runtime(self.runtime)
                 roots = endpoint.receive_frame(frame)
             result = {
                 "op": "recv_epoch",
-                "channel_id": item.channel_id,
-                "epoch": item.epoch,
+                "channel_id": header.stream_id,
+                "epoch": header.epoch,
                 "kind": "delta" if actual_kind == FRAME_DELTA else "full",
                 "roots": len(roots),
                 "root_addresses": list(roots),
-                "stream_bytes": item.stream_bytes,
+                "stream_bytes": item.total,
             }
-            if item.digest:
+            if header.digest:
                 with self.metrics.phase("digest"), obs.span("recv.digest"):
                     result["digest"] = semantic_graph_digest(
                         self.runtime.jvm, roots
                     )
         if self.membership is not None:
             # The telemetry plane's per-epoch observation point.  The
-            # receive time covers EPOCH-header-to-last-chunk *as this
-            # worker saw it arrive* — a paced or congested wire stretches
-            # it, which is exactly the series the coordinator's straggler
-            # rule reads.
+            # receive time covers opener-to-last-chunk *as this worker saw
+            # it arrive* — a paced or congested wire stretches it, which is
+            # exactly the series the coordinator's straggler rule reads.
+            receive_s = item.enqueued - item.started
             reg = obs.registry()
             reg.counter("worker.epochs")
-            reg.counter("worker.epoch_bytes", item.stream_bytes)
-            reg.observe("worker.epoch_receive_seconds", item.receive_s)
-            obs.record("epoch", channel=item.channel_id,
-                       bytes=item.stream_bytes,
-                       recv_s=round(item.receive_s, 6),
+            reg.counter("worker.epoch_bytes", item.total)
+            reg.observe("worker.epoch_receive_seconds", receive_s)
+            obs.record("epoch", channel=header.stream_id, bytes=item.total,
+                       recv_s=round(receive_s, 6),
                        apply_s=round(time.monotonic() - apply_started, 6))
         return result
 

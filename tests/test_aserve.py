@@ -164,7 +164,7 @@ class TestMuxEpochs:
             driver.jvm.unpin(pin)
 
     def test_digest_false_rides_the_trailer_flag(self, transport_driver):
-        """``digest=False`` rides the MUX_TRAILER flags byte: the worker
+        """``digest=False`` rides the epoch stream's opener: the worker
         skips the digest pass and the RESULT carries no ``"digest"``
         key."""
         driver = transport_driver
@@ -233,8 +233,8 @@ class TestMuxEpochs:
 
     def test_admission_failure_counts_as_epoch_failure(
             self, transport_driver):
-        """A strict worker refusing an unadmitted channel at the EPOCH
-        header answers ``ok=false`` at the trailer *and* counts it in
+        """A strict worker refusing an unadmitted channel at the stream
+        opener answers ``ok=false`` at the trailer *and* counts it in
         ``stats()["aserve"]["epoch_failures"]``, same as an apply-time
         failure."""
         driver = transport_driver

@@ -2,11 +2,12 @@
 
 Two properties the event loop must hold under hostile interleavings:
 
-* **order independence** — EPOCH/MUX_DATA/MUX_TRAILER frames from many
-  channels spliced onto one connection in seeded-random order must
-  reassemble to exactly the heaps a sequential, one-channel-at-a-time
+* **order independence** — STREAM/DATA/TRAILER frames from many epoch
+  channels and a blob spliced onto one connection in seeded-random order
+  must reassemble to exactly the heaps a sequential, one-channel-at-a-time
   sender produces (per-channel semantic digests agree three
-  ways: shuffled receiver, sequential receiver, sender);
+  ways: shuffled receiver, sequential receiver, sender), and to the
+  blob's bytes;
 * **bounded buffering** — a worker whose applier stalls must stop
   *reading* once the per-connection high-water mark is hit (real
   backpressure, not an unbounded inbound queue), then drain to a fully
@@ -16,6 +17,7 @@ Two properties the event loop must hold under hostile interleavings:
 import random
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.transport import (
     WorkerClient,
     WorkerHandle,
     WorkerSpec,
+    frames,
     semantic_graph_digest,
 )
 from repro.transport import client as client_module
@@ -37,12 +40,37 @@ CHANNELS = 16
 NODES = 24
 
 
+def _splice(client, jobs, blob, rng):
+    """``send_epochs``' splice with a blob stream in it: the client's
+    in-hand writer interleaves the blob's frames with every epoch's, in
+    ``rng``'s order.  Returns the epochs' RESULTs by channel id and the
+    blob's, the one RESULT no channel id tags."""
+    streams = [(frames.StreamHeader(
+        channel_id, frames.STREAM_EPOCH, epoch=epoch, frame_kind=frame[0]),
+        frame) for channel_id, epoch, frame in jobs]
+    streams.append((frames.StreamHeader(frames.BULK_STREAM,
+                                        frames.STREAM_BLOB), blob))
+    conn = client._require_conn()
+    client._sync_registry()
+    client_module._write_streams(conn, streams, rng)
+    results, blob_result = {}, None
+    while len(results) < len(jobs) or blob_result is None:
+        result = frames.decode_json(conn.expect_frame(frames.RESULT),
+                                    what="RESULT")
+        if "channel_id" in result:
+            results[result["channel_id"]] = result
+        else:
+            blob_result = result
+    return results, blob_result
+
+
 def test_shuffled_interleave_matches_sequential_per_channel(
         transport_driver, monkeypatch):
     """One FULL round then three delta rounds, each spliced with a
-    different seed: for every channel and every round, the shuffled
-    receiver, a sequential one-epoch-at-a-time receiver, and the sender
-    agree on the semantic digest."""
+    different seed and a blob stream among the epochs: for every channel
+    and every round, the shuffled receiver, a sequential
+    one-epoch-at-a-time receiver, and the sender agree on the semantic
+    digest, and the blob arrives whole."""
     driver = transport_driver
     shuffled = WorkerHandle.spawn(WorkerSpec(
         name="fuzz-shuffled", classpath_factory=SAMPLE_FACTORY,
@@ -50,7 +78,7 @@ def test_shuffled_interleave_matches_sequential_per_channel(
     sequential = WorkerHandle.spawn(WorkerSpec(
         name="fuzz-sequential", classpath_factory=SAMPLE_FACTORY,
     ))
-    # Tiny chunks: every channel's stream becomes many MUX_DATA frames,
+    # Tiny chunks: every stream becomes many DATA frames,
     # so the shuffle actually interleaves mid-stream.
     monkeypatch.setattr(client_module, "DEFAULT_MUX_CHUNK_BYTES", 96)
     mux = WorkerClient(driver, shuffled.host, shuffled.port).connect()
@@ -75,11 +103,14 @@ def test_shuffled_interleave_matches_sequential_per_channel(
             assert modes == ({"full"} if round_no == 0 else {"delta"})
 
             rng = random.Random(seed) if seed is not None else None
-            results = mux.send_epochs(jobs, rng=rng)
+            blob = random.Random(round_no).randbytes(3000)
+            results, blob_result = _splice(mux, jobs, blob, rng)
+            assert (blob_result["bytes"], blob_result["crc32"]) == (
+                len(blob), zlib.crc32(blob))
             for channel_id, epoch, frame in jobs:
-                outcome = results[channel_id]
-                assert outcome["result"]["ok"], outcome
-                assert outcome["result"]["digest"] == want[channel_id], (
+                result = results[channel_id]
+                assert result["ok"], result
+                assert result["digest"] == want[channel_id], (
                     f"seed {seed}: shuffled digest diverged on "
                     f"channel {channel_id}"
                 )

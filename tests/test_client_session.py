@@ -141,8 +141,8 @@ def test_client_reads_a_transcript(name, scripted):
     assert outcome == expected
 
 
-# The handshake, then the two of a single-chunk epoch's three frames (EPOCH,
-# MUX_DATA, MUX_TRAILER) that draw no reply.
+# The handshake, then the two of a single-chunk epoch's three frames
+# (STREAM, DATA, TRAILER) that draw no reply.
 EPOCH_SENT = [HELLO_ACK, SILENCE, SILENCE]
 
 

@@ -179,7 +179,7 @@ class TestStrictChannels:
         assert excinfo.value.kind == "ClusterProtocolError"
         client.close()
 
-        # An EPOCH on a channel the coordinator never assigned must be
+        # An epoch on a channel the coordinator never assigned must be
         # refused before any payload is consumed.
         for channel_id in (0, 777):
             channel = DeltaSendChannel(transport_driver, worker,

@@ -10,12 +10,13 @@ Three rules, the ones the package docstrings promise:
   "import discipline": every layer may consume them without a cycle);
 * ``transport`` imports nothing from ``exchange``, ``spark`` or ``cluster``.
 
-And three rules about where code goes rather than what it imports:
+And four rules about where code goes rather than what it imports:
 ``repro.transport`` imports ``repro.*`` only at module top (a deferred
 import only ever dodged a cycle or a layer), ``repro.delta`` holds no
 per-object interpreter — it reads the compiled kernels of ``repro.core`` —
-and every module under ``src/repro`` is reached from production: the
-benchmarks, the examples or a ``python -m`` entry point.
+every module under ``src/repro`` is reached from production: the
+benchmarks, the examples or a ``python -m`` entry point — and every wire
+frame type is spoken by some module besides the one defining it.
 """
 
 import ast
@@ -229,3 +230,21 @@ def test_every_module_is_reached_from_an_entry_point():
 def test_unreached_allow_list_only_shrinks():
     stale = UNREACHED_ALLOWED - _unreached()
     assert not stale, f"now reached, delete from UNREACHED_ALLOWED: {stale}"
+
+
+def test_every_frame_type_is_spoken_outside_frames():
+    """Every frame type in ``frames.FRAME_NAMES`` is named (``frames.X``)
+    by some ``src/repro`` module other than ``frames.py``: a type nothing
+    sends or handles is a dead framing waiting to become a second one."""
+    from repro.transport import frames
+
+    spoken = set()
+    for path in SRC.rglob("*.py"):
+        if path == SRC / "transport" / "frames.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) == "frames"):
+                spoken.add(node.attr)
+    unspoken = set(frames.FRAME_NAMES.values()) - spoken
+    assert not unspoken, f"frame types no module speaks: {sorted(unspoken)}"

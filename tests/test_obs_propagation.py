@@ -1,6 +1,8 @@
 """Cross-process trace propagation: worker spans ship back in RESULT
 payloads and stitch under the driver's trace (TRACE wire frame)."""
 
+import pytest
+
 from repro import obs
 from repro.core.runtime import SkywayRuntime
 from repro.delta.channel import DeltaSendChannel
@@ -9,8 +11,15 @@ from repro.exchange.loopback import LoopbackGraphChannel
 from repro.exchange.socket import SocketGraphChannel
 from repro.jvm.jvm import JVM
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
-from repro.transport import WorkerClient, frames
-from repro.transport.testing import sample_worker_classpath
+from repro.transport import (
+    FrameConnection,
+    LocalAsyncWorker,
+    RemoteWorkerError,
+    WorkerClient,
+    WorkerSpec,
+    frames,
+)
+from repro.transport.testing import SAMPLE_FACTORY, sample_worker_classpath
 
 from tests.conftest import make_list, recording_connection
 
@@ -39,6 +48,40 @@ def test_graph_send_stitches_worker_spans(spawned_worker, transport_driver):
     for s in root_remote:
         assert s.start_us >= wire.start_us - 2.0
         assert s.end_us <= wire.end_us + 2.0
+
+
+class _SpoiledTrailer(FrameConnection):
+    """Flips one bit of every TRAILER's whole-stream CRC before sending."""
+
+    def send_frame(self, ftype, payload=b""):
+        if ftype == frames.TRAILER:
+            *head, crc, chunks = frames.decode_trailer(payload)
+            payload = frames.encode_trailer(*head, crc ^ 1, chunks)
+        super().send_frame(ftype, payload)
+
+
+def test_failed_graph_send_ends_its_wire_span(transport_driver):
+    """The worker refuses a graph whose trailer lies, and ``send_graph``
+    raises its ERROR — with the ``wire.send_graph`` span ended, not left
+    open to parent the next span on this thread."""
+    tracer = obs.enable("driver")
+    spec = WorkerSpec(name="spoiled", classpath_factory=SAMPLE_FACTORY)
+    with LocalAsyncWorker(spec) as local:
+        client = WorkerClient(transport_driver, local.host, local.port,
+                              connection_cls=_SpoiledTrailer).connect()
+        try:
+            head = make_list(transport_driver.jvm, range(12))
+            with pytest.raises(RemoteWorkerError, match="CRC mismatch"):
+                client.send_graph([head])
+        finally:
+            client.close()
+    assert not tracer.open_spans()
+    with obs.span("after.failure"):
+        pass
+    [wire] = [s for s in tracer.spans() if s.name == "wire.send_graph"]
+    [after] = [s for s in tracer.spans() if s.name == "after.failure"]
+    assert wire.attrs["error"] == "RemoteWorkerError"
+    assert after.parent_id != wire.span_id
 
 
 def test_blob_send_traced_and_valid(spawned_worker, transport_driver):
@@ -126,7 +169,7 @@ def test_epoch_send_traced_end_to_end(spawned_worker, transport_driver):
     assert validate_chrome_trace(doc) == []
 
     assert batch_sent.count(frames.TRACE) == 1
-    assert batch_sent.count(frames.EPOCH) == 2
+    assert batch_sent.count(frames.STREAM) == 2
     batch = [s for s in spans[batch_mark:] if s.name == "wire.send_epoch"]
     assert [s.attrs["channels"] for s in batch] == [2]
     applied = [s for s in spans[batch_mark:] if s.name == "worker.recv_epoch"]

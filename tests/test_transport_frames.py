@@ -82,8 +82,27 @@ def test_hello_ack_payload_roundtrip():
 
 
 def test_trailer_payload_roundtrip():
-    payload = frames.encode_trailer(123456, 0xDEADBEEF, 42)
-    assert frames.decode_trailer(payload) == (123456, 0xDEADBEEF, 42)
+    payload = frames.encode_trailer(300, 123456, 0xDEADBEEF, 42)
+    assert frames.decode_trailer(payload) == (300, 123456, 0xDEADBEEF, 42)
+
+
+@pytest.mark.parametrize("header", [
+    frames.StreamHeader(frames.BULK_STREAM, frames.STREAM_GRAPH, retain=True),
+    frames.StreamHeader(300, frames.STREAM_EPOCH, epoch=7, frame_kind=0x11,
+                        digest=False),
+    frames.StreamHeader(frames.BULK_STREAM, frames.STREAM_BLOB, key="bucket"),
+], ids=["graph", "epoch", "blob"])
+def test_stream_header_roundtrip(header):
+    assert frames.decode_stream(frames.encode_stream(header)) == header
+
+
+def test_data_frame_carries_its_stream_id_before_the_chunk():
+    decoder = frames.FrameDecoder()
+    decoder.feed(frames.data_frame(300, memoryview(b"chunk bytes")))
+    ftype, payload = decoder.next_frame()
+    assert ftype == frames.DATA
+    sid, chunk = frames.decode_data(payload)
+    assert (sid, bytes(chunk)) == (300, b"chunk bytes")
 
 
 def test_error_payload_roundtrip():
@@ -95,6 +114,8 @@ def test_error_payload_roundtrip():
     (frames.decode_hello, "HELLO"),
     (frames.decode_hello_ack, "HELLO_ACK"),
     (frames.decode_trailer, "TRAILER"),
+    (frames.decode_stream, "STREAM"),
+    (frames.decode_data, "DATA"),
     (frames.decode_error, "ERROR"),
 ])
 def test_malformed_payloads_are_typed(decode, what):

@@ -37,6 +37,12 @@ class RecordingConnection:
             time.sleep(self.delay_per_frame)
         self.frames.append((ftype, bytes(payload)))
 
+    def send_encoded(self, data, what="frames"):
+        decoder = frames.FrameDecoder()
+        decoder.feed(data)
+        for ftype, payload in decoder.frames():
+            self.send_frame(ftype, payload)
+
 
 def _run(conn, payload_pieces, total, chunk_bytes=4096, **kwargs):
     pipeline = ChunkPipeline(conn, chunk_bytes=chunk_bytes, **kwargs)
@@ -58,11 +64,13 @@ def test_exact_chunking_and_trailer(store):
                     store_and_forward=store)
     types = [t for t, _ in conn.frames]
     assert types == [frames.DATA, frames.DATA, frames.DATA, frames.TRAILER]
-    bodies = [p for t, p in conn.frames if t == frames.DATA]
-    assert [len(b) for b in bodies] == [4096, 4096, 2048]
-    assert b"".join(bodies) == data
+    chunks = [frames.decode_data(p) for t, p in conn.frames
+              if t == frames.DATA]
+    assert {sid for sid, _chunk in chunks} == {frames.BULK_STREAM}
+    assert [len(chunk) for _sid, chunk in chunks] == [4096, 4096, 2048]
+    assert b"".join(chunk for _sid, chunk in chunks) == data
     assert frames.decode_trailer(conn.frames[-1][1]) == \
-        (len(data), zlib.crc32(data), 3)
+        (frames.BULK_STREAM, len(data), zlib.crc32(data), 3)
     assert pipeline.chunks == 3
 
 

@@ -81,16 +81,14 @@ class CorruptingConnection(FrameConnection):
         super().__init__(*args, **kwargs)
         self._data_frames = 0
 
-    def send_frame(self, ftype, payload=b""):
-        if ftype == frames.DATA:
+    def send_encoded(self, data, what="frames"):
+        if data[4] == frames.DATA:  # the type byte of a one-frame write
             self._data_frames += 1
             if self._data_frames == 2:
-                raw = bytearray(frames.encode_frame(ftype, payload))
-                raw[frames.HEADER_BYTES + len(payload) // 2] ^= 0x40
-                self._sock.sendall(bytes(raw))
-                self.metrics.frames_sent += 1
-                return
-        super().send_frame(ftype, payload)
+                raw = bytearray(data)
+                raw[(frames.HEADER_BYTES + len(raw)) // 2] ^= 0x40
+                data = bytes(raw)
+        super().send_encoded(data, what)
 
 
 def test_round_trip_matches_in_process_receive(
@@ -243,8 +241,9 @@ def test_retry_recovers_when_worker_returns(transport_driver):
 def test_writer_thread_only_under_a_traversal(transport_driver, monkeypatch):
     """A payload already in hand goes out inline, on the driver and on a
     worker's loop alike; only ``send_graph`` has a traversal for a writer
-    thread to overlap.  An epoch is a channel-tagged stream with no CALL:
-    EPOCH, MUX_DATA cut at ``DEFAULT_MUX_CHUNK_BYTES``, MUX_TRAILER."""
+    thread to overlap.  An epoch is the stream whose id is its channel id:
+    STREAM, DATA cut at ``DEFAULT_MUX_CHUNK_BYTES`` (each after the id's
+    varint, 4101 = ``85 20``), TRAILER."""
     started = []
     wire, recording = recording_connection()
     real_start = threading.Thread.start
@@ -269,12 +268,13 @@ def test_writer_thread_only_under_a_traversal(transport_driver, monkeypatch):
             list(wire.frames())  # the HELLO
             client.send_epoch(frame, 4101, channel.epoch)
             assert list(wire.frames()) == [
-                (frames.EPOCH, frames.encode_epoch_header(4101, 1, frame[0])),
-                *[(frames.MUX_DATA, frames.encode_mux_data(4101, chunk))
+                (frames.STREAM, frames.encode_stream(frames.StreamHeader(
+                    4101, frames.STREAM_EPOCH, epoch=1,
+                    frame_kind=frame[0], digest=True))),
+                *[(frames.DATA, b"\x85\x20" + chunk)
                   for chunk in chunks],
-                (frames.MUX_TRAILER, frames.encode_mux_trailer(
-                    4101, len(frame), zlib.crc32(frame),
-                    len(chunks), digest=True)),
+                (frames.TRAILER, frames.encode_trailer(
+                    4101, len(frame), zlib.crc32(frame), len(chunks))),
             ]
             client.send_blob(b"b" * 100_000)
             client.put_blob("bucket", b"p" * 100_000)
@@ -285,7 +285,7 @@ def test_writer_thread_only_under_a_traversal(transport_driver, monkeypatch):
             client.send_graph([head])
             assert started.count("skyway-chunk-writer") == 1
 
-            # The worker refuses channel 0 at the EPOCH header and says so
+            # The worker refuses channel 0 at the stream opener and says so
             # at the trailer, for that channel only: the connection lives.
             conn = client._require_conn()
             with pytest.raises(RemoteWorkerError) as excinfo:
@@ -353,7 +353,7 @@ def test_relayed_delta_ships_the_patch_and_a_peer_nack_recovers(
 
 
 def test_worker_parses_each_epoch_frame_once(transport_driver, monkeypatch):
-    """The worker parses an epoch's frame once: the EPOCH-header
+    """The worker parses an epoch's frame once: the opener
     cross-check and the delta endpoint share the parsed frame.  Counted
     on the worker's own thread, for a FULL and then a DELTA."""
     import repro.delta.channel as delta_channel
@@ -405,8 +405,8 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     tick constants; a policy is a stateless decision whose crossover,
     band, EWMA weight and record overhead are constants; a graph stream is
     one connection's own shuffle phase, with no thread id to pick and no
-    per-stream metrics to merge.  (``send_graph`` keeps every pipeline
-    knob.)"""
+    per-stream metrics to merge; a stream is a stream whatever it carries.
+    (``send_graph`` keeps every pipeline knob.)"""
     def params(func):
         return list(inspect.signature(func).parameters)
 
@@ -458,5 +458,14 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
             cls(0.5)
     assert "record_overhead" not in {
         f.name for f in dataclasses.fields(ChannelSignals)}
+    # One stream framing: graph, blob and epoch share STREAM/DATA/TRAILER,
+    # so the epoch-only frame types, the CALL-armed stream ops and the
+    # blob-only send body are gone, and an epoch batch has one order.
+    for name in ("EPOCH", "MUX_DATA", "MUX_TRAILER"):
+        assert not hasattr(frames, name)
+    assert len(frames.FRAME_NAMES) == 10
+    assert not hasattr(WorkerServer, "_STREAM_OPS")
+    assert not hasattr(WorkerClient, "_send_bytes")
+    assert params(WorkerClient.send_epochs) == ["self", "epochs"]
     assert not hasattr(policy_plane, "PolicyEngine")
     assert not hasattr(policy_plane, "resolve_engine")
