@@ -343,7 +343,6 @@ class WorkerClient:
         pipeline = ChunkPipeline(
             conn, chunk_bytes=chunk_bytes, queue_chunks=queue_chunks,
             store_and_forward=store_and_forward, throttle_mbps=throttle_mbps,
-            metrics=self.metrics,
         )
         out = SkywayObjectOutputStream(
             self.runtime, destination=f"socket:{self.host}:{self.port}",

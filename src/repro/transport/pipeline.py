@@ -32,7 +32,6 @@ from repro import obs
 from repro.transport import frames
 from repro.transport.connection import FrameConnection
 from repro.transport.errors import TransportClosed, TransportError
-from repro.transport.metrics import TransportMetrics
 
 DEFAULT_CHUNK_BYTES = 64 * 1024
 DEFAULT_QUEUE_CHUNKS = 8
@@ -54,7 +53,6 @@ class ChunkPipeline:
         queue_chunks: int = DEFAULT_QUEUE_CHUNKS,
         store_and_forward: bool = False,
         throttle_mbps: Optional[float] = None,
-        metrics: Optional[TransportMetrics] = None,
     ) -> None:
         if chunk_bytes < 1:
             raise ValueError("chunk_bytes must be >= 1")
@@ -66,7 +64,7 @@ class ChunkPipeline:
         #: Applied per chunk in BOTH modes — it is the wire's speed, not
         #: the writer thread's.
         self._pace = throttle_mbps * 1e6 / 8.0 if throttle_mbps else None
-        self.metrics = metrics if metrics is not None else connection.metrics
+        self.metrics = connection.metrics
         self._staging = bytearray()
         self._held: list = []  # store-and-forward chunk list
         self._chunks = 0

@@ -51,6 +51,7 @@ from repro.transport import (
     semantic_graph_digest,
 )
 from repro.transport.client import DEFAULT_MUX_CHUNK_BYTES, GraphSendStream
+from repro.transport.pipeline import ChunkPipeline
 from repro.transport.testing import (
     SAMPLE_FACTORY,
     ring_edges,
@@ -467,5 +468,8 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     assert not hasattr(WorkerServer, "_STREAM_OPS")
     assert not hasattr(WorkerClient, "_send_bytes")
     assert params(WorkerClient.send_epochs) == ["self", "epochs"]
+    assert params(ChunkPipeline.__init__) == [
+        "self", "connection", "chunk_bytes", "queue_chunks",
+        "store_and_forward", "throttle_mbps"]  # metrics: the connection's
     assert not hasattr(policy_plane, "PolicyEngine")
     assert not hasattr(policy_plane, "resolve_engine")
