@@ -1,7 +1,7 @@
 """The managed-heap substrate: a byte-addressed simulated JVM heap.
 
 This package stands in for HotSpot in the reproduction (see DESIGN.md):
-objects live at addresses inside ``bytearray``-backed generations with real
+objects live at addresses inside mmap-backed generations with real
 mark/klass headers, HotSpot-like field alignment and padding, a card table,
 and a generational garbage collector.  Skyway's sender/receiver operate on
 these bytes directly, exactly as the paper's JVM modification operates on

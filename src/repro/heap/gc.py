@@ -206,7 +206,7 @@ class GarbageCollector:
         new_address = region.top
         region.top += aligned
         region.object_starts.append(new_address)
-        heap.write_bytes(new_address, heap.read_bytes(address, size))
+        heap.copy_bytes(new_address, address, size)
         return new_address
 
     def _scan_from(self, region: Region, cursor: List[int]) -> bool:
@@ -302,7 +302,7 @@ class GarbageCollector:
 
         # 3. Install the new old generation and reset young spaces.
         heap.old.reset()
-        heap.write_bytes(heap.old.start, bytes(staging))
+        heap.write_bytes(heap.old.start, staging)
         heap.old.top = heap.old.start + len(staging)
         heap.old.object_starts = new_starts
         heap.eden.reset()

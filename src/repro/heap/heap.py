@@ -1,6 +1,6 @@
 """The byte-addressed managed heap.
 
-One :class:`ManagedHeap` models one JVM's heap: a ``bytearray`` carved into
+One :class:`ManagedHeap` models one JVM's heap, mmap-backed, carved into
 an eden, two survivor semispaces, and an old generation, with bump-pointer
 allocation.  Objects are real byte ranges — headers, aligned fields, padding
 — and references are absolute simulated addresses, so Skyway's cloning and
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import mmap
 import struct
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -128,7 +129,7 @@ class ManagedHeap:
         total = eden_bytes + 2 * survivor_bytes + align_up(old_bytes, WORD)
         #: Disjoint address space per heap (bit 44+ identifies the heap).
         self.base = next(_heap_counter) << 44
-        self._memory = bytearray(total)
+        self._memory = mmap.mmap(-1, total, flags=mmap.MAP_PRIVATE)
         self._memory_view: Optional[memoryview] = None
 
         cursor = self.base
@@ -180,8 +181,8 @@ class ManagedHeap:
     def memory_view(self) -> memoryview:
         """A zero-copy view of the heap's backing store.
 
-        The backing ``bytearray`` is allocated once and never resized, so
-        the view stays valid for the heap's lifetime.
+        The mmap-backed store is mapped once and never resized, so the
+        view stays valid for the heap's lifetime.
         """
         view = self._memory_view
         if view is None:
@@ -198,11 +199,17 @@ class ManagedHeap:
 
     def read_bytes(self, address: int, nbytes: int) -> bytes:
         i = self._index(address, nbytes)
-        return bytes(self._memory[i : i + nbytes])
+        return self._memory[i : i + nbytes]
 
     def write_bytes(self, address: int, data: bytes) -> None:
         i = self._index(address, len(data))
         self._memory[i : i + len(data)] = data
+
+    def copy_bytes(self, dest: int, source: int, nbytes: int) -> None:
+        """Copy ``nbytes`` from ``source`` to ``dest`` inside the heap."""
+        self._memory.move(
+            self._index(dest, nbytes), self._index(source, nbytes), nbytes
+        )
 
     def read_word(self, address: int) -> int:
         i = self._index(address, WORD)

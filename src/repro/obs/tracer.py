@@ -282,7 +282,9 @@ class Tracer:
 
         Timestamps are rebased by (my now − their now-at-export), then
         clamped into ``parent``'s interval — the two wall clocks need not
-        agree for the stitched trace to nest.
+        agree for the stitched trace to nest.  A ``parent`` that is not a
+        :class:`Span` (the no-op span of a send made while tracing was
+        off) grafts as if there were none.
         """
         local_now = self.now_us()
         remote_now = float(payload.get("now_us", 0.0) or 0.0)
@@ -296,7 +298,7 @@ class Tracer:
             if span.sim_start_us is not None and span.sim_end_us is None:
                 span.sim_end_us = span.sim_start_us
             spans.append(span)
-        if parent is not None:
+        if isinstance(parent, Span):
             lo, hi = parent.start_us, local_now
             for span in spans:
                 span.start_us = min(max(span.start_us, lo), hi)

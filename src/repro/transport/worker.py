@@ -17,7 +17,8 @@ loop and no second thread.  The protocol per connection:
    the worker treats any HELLO as a fresh merge.
 2. TRACE, optionally — the sender's trace context.  A CALL or a bulk
    stream consumes it; an epoch's opener only reads it, so one TRACE
-   covers a batch of epochs.
+   covers a batch of epochs, and the trailer that leaves no stream open
+   (a batch writes every opener before any trailer) clears it.
 3. CALL frames carrying a JSON ``{"op": ...}`` control op, answered
    RESULT or ERROR straight away (``_OPS``): ``ping`` (echo),
    ``admit_channel``, ``send_peer``, ``send_blob_peer``, ``stats``
@@ -213,7 +214,7 @@ class _AsyncConn(Connection):
         super().__init__(server, sock)
         #: The last TRACE frame's context.  A CALL or a bulk stream
         #: consumes it; an epoch's opener only reads it, so one TRACE covers
-        #: a whole batch of epoch streams.
+        #: a whole batch of epoch streams, until the batch's last trailer.
         self.trace: Optional[Tuple[str, str]] = None
         #: Open streams by stream id.
         self.streams: Dict[int, _Stream] = {}
@@ -455,6 +456,8 @@ class WorkerServer(FrameLoop):
         sid, total, crc, chunks = frames.decode_trailer(payload)
         stream = self._stream_of(conn, sid, frames.TRAILER)
         del conn.streams[sid]
+        if not conn.streams:
+            conn.trace = None  # the batch's TRACE covers no later epoch
         # Every trailer is checked, a refused epoch's too: its bytes were
         # discarded, but counted.
         _check_trailer(f"trailer of stream {sid}", (total, crc, chunks),

@@ -1,9 +1,19 @@
 """Tests for the managed heap: allocation, field access, regions, barriers."""
 
+import ctypes
+import mmap
+import sys
+
 import pytest
 
-from repro.heap.heap import NULL, OutOfMemoryError, SegfaultError
-from repro.heap.layout import SKYWAY_LAYOUT
+from repro.heap.heap import (
+    MB,
+    NULL,
+    ManagedHeap,
+    OutOfMemoryError,
+    SegfaultError,
+)
+from repro.heap.layout import SKYWAY_LAYOUT, WORD
 from repro.jvm.jvm import JVM
 
 from tests.conftest import make_date, make_list, read_date, read_list
@@ -162,3 +172,59 @@ class TestLinkedStructures:
         jvm.heap.register_object(addr)
         with pytest.raises(Exception):
             jvm.heap.register_object(addr)  # must be ascending
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * mmap.PAGESIZE
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="reads /proc/self")
+
+
+class TestBackingMapping:
+    """A heap's capacity is reserved, not paid for: its store is a private
+    anonymous mapping whose pages cost nothing until they are touched."""
+
+    @linux_only
+    def test_untouched_capacity_is_not_resident(self):
+        before = _resident_bytes()
+        heap = ManagedHeap(SKYWAY_LAYOUT, old_bytes=256 * MB)
+        grown = _resident_bytes() - before
+        assert heap.old.capacity == 256 * MB
+        assert grown < 16 * MB
+
+    def test_fresh_memory_reads_as_zero(self):
+        heap = ManagedHeap(SKYWAY_LAYOUT, old_bytes=256 * MB)
+        for address in (heap.old.start + 128 * MB, heap.old.end - WORD):
+            assert heap.read_word(address) == 0
+        chunk = heap.reserve_raw_old(64 * 1024)
+        assert heap.read_bytes(chunk, 64 * 1024) == bytes(64 * 1024)
+
+    @linux_only
+    def test_backing_store_is_a_private_mapping(self):
+        heap = ManagedHeap(SKYWAY_LAYOUT, old_bytes=8 * MB)
+        address = ctypes.addressof(ctypes.c_char.from_buffer(heap.memory_view))
+        assert address % mmap.PAGESIZE == 0  # a mapping of its own
+        with open("/proc/self/maps") as maps:
+            for line in maps:
+                span, perms = line.split()[:2]
+                lo, hi = (int(end, 16) for end in span.split("-"))
+                if lo <= address < hi:
+                    break
+            else:
+                pytest.fail(f"no mapping holds {address:#x}")
+        assert address + len(heap.memory_view) <= hi
+        assert perms == "rw-p"
+
+    def test_copy_bytes_moves_within_bounds(self):
+        heap = ManagedHeap(SKYWAY_LAYOUT, old_bytes=1 * MB)
+        source, dest = heap.old.start, heap.old.start + 4096
+        heap.write_bytes(source, b"skyway!!")
+        heap.copy_bytes(dest, source, 8)
+        assert heap.read_bytes(dest, 8) == b"skyway!!"
+        with pytest.raises(SegfaultError):
+            heap.copy_bytes(heap.old.end - 4, source, 8)
+        with pytest.raises(SegfaultError):
+            heap.copy_bytes(dest, heap.old.end - 4, 8)

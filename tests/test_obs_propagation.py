@@ -177,6 +177,46 @@ def test_epoch_send_traced_end_to_end(spawned_worker, transport_driver):
     assert {s.parent_id for s in applied} == {batch[0].span_id}
 
 
+class _RecordingReplies(FrameConnection):
+    """Keeps every frame the client reads, before ``absorb_remote`` pops
+    the worker's ``"trace"`` payload off a RESULT."""
+
+    def recv_frame(self, block=True):
+        frame = super().recv_frame(block)
+        if frame is not None:
+            self.replies.append(frame)
+        return frame
+
+
+def test_trace_covers_only_the_batch_it_precedes(transport_driver):
+    """A traced epoch, then an untraced one, on one connection to an
+    in-thread worker: the untraced epoch runs untraced on the worker (the
+    process-global tracer stays off) and its RESULT carries no trace."""
+    _RecordingReplies.replies = replies = []
+    spec = WorkerSpec(name="trace-batch", classpath_factory=SAMPLE_FACTORY)
+    channel = DeltaSendChannel(transport_driver, "trace-batch",
+                               channel_id=8820)
+    head = make_list(transport_driver.jvm, range(5))
+    with LocalAsyncWorker(spec) as local:
+        client = WorkerClient(transport_driver, local.host, local.port,
+                              connection_cls=_RecordingReplies).connect()
+        try:
+            obs.enable("driver")
+            client.send_epoch(channel.send([head]), 8820, channel.epoch)
+            obs.disable()
+            del replies[:]
+            untraced = client.send_epoch(channel.send([head]), 8820,
+                                         channel.epoch)
+        finally:
+            channel.close()
+            client.close()
+    assert not obs.enabled()
+    [(ftype, payload)] = replies
+    assert ftype == frames.RESULT
+    assert "trace" not in frames.decode_json(payload)
+    assert "trace" not in untraced and untraced["ok"]
+
+
 def test_disabled_tracing_ships_no_trace_frame(spawned_worker,
                                                transport_driver):
     """With no tracer enabled the client sends no TRACE frame, the worker

@@ -156,6 +156,18 @@ class TestDrainAndGraft:
         assert grafted.end_us <= parent.end_us
         assert grafted in driver.spans()
 
+    def test_absorb_remote_under_noop_parent_grafts_unparented(self):
+        """A span opened while tracing was off is the no-op span; a
+        payload absorbed under it grafts as if there were no parent."""
+        tracer = obs.enable()
+        worker = Tracer(process="worker:w0", trace_id=tracer.trace_id)
+        with worker.span("worker.op"):
+            pass
+        result = {"trace": worker.export_payload(worker.spans())}
+        obs.absorb_remote(result, parent=NOOP_SPAN)
+        assert "trace" not in result
+        assert [s.name for s in tracer.spans()] == ["worker.op"]
+
     def test_absorb_remote_pops_payload(self):
         tracer = obs.enable()
         worker = Tracer(process="worker:w0", trace_id=tracer.trace_id)
