@@ -9,16 +9,15 @@ that to class-load time: each :class:`~repro.heap.klass.Klass` compiles
 once into an immutable :class:`CloneKernel` (sender side) and
 :class:`ReceiveKernel` (receiver side) holding
 
-* the reference-offset tuple and a cached :class:`struct.Struct` that
-  unpacks every pointer slot in one call (pad bytes skip primitive
-  fields — unpack only: ``pack_into`` would zero the pads, so writes go
-  per slot);
+* the reference slots as word indexes (``ref_words``), which the sender's
+  word-indexed loop reads and writes one index at a time, and a cached
+  :class:`struct.Struct` that unpacks every pointer slot in one call for
+  the receiver, the digest and delta encoding (pad bytes skip primitive
+  fields, so it is unpack only);
 * a cached header pack (mark word, tID, zeroed baddr) per layout;
-* the fixed ``object_size`` for non-arrays, so placement is a dict hit
-  plus one slice;
-* an array fast path that relativizes/absolutizes reference arrays with
-  one ``unpack_from``/``pack_into`` pair over ``"<nQ"`` instead of a
-  per-element loop;
+* the fixed ``object_size`` for non-arrays, and the element geometry
+  (``elem_base``, ``elem_word``, ``elem_size``) an array's size and slot
+  range come from;
 * the per-object simulated-time charge, pre-added so the clock is charged
   once per object (scaled by the non-null reference count) instead of
   once per pointer.
@@ -101,8 +100,9 @@ class CloneKernel:
 
     __slots__ = (
         "klass", "tid", "layout", "cost", "is_array", "has_ref_elements",
-        "size", "ref_offsets", "n_refs", "ref_unpack", "header_struct",
-        "elem_base", "elem_size", "base_cost", "array_header_bytes",
+        "size", "ref_offsets", "ref_words", "n_refs", "ref_unpack",
+        "header_struct", "elem_base", "elem_word", "elem_size", "base_cost",
+        "array_header_bytes",
         "header_bytes", "pointer_bytes", "data_bytes", "padding_bytes",
     )
 
@@ -118,9 +118,11 @@ class CloneKernel:
         if self.is_array:
             elem = klass.element_descriptor or ""
             self.elem_base = layout.array_payload_offset(elem)
+            self.elem_word = self.elem_base >> 3
             self.elem_size = klass.element_size
             self.size = None
             self.ref_offsets = ()
+            self.ref_words = None
             self.n_refs = 0
             self.ref_unpack = None
             self.base_cost = 0.0
@@ -129,10 +131,12 @@ class CloneKernel:
             self.header_bytes = self.pointer_bytes = 0
             self.data_bytes = self.padding_bytes = 0
         else:
-            self.elem_base = self.elem_size = 0
+            self.elem_base = self.elem_word = self.elem_size = 0
             self.array_header_bytes = 0
             self.size = klass.object_size()
             self.ref_offsets = klass.oop_offsets
+            #: Reference slots as word indexes from the object's first word.
+            self.ref_words = tuple(offset >> 3 for offset in self.ref_offsets)
             self.n_refs = len(self.ref_offsets)
             self.ref_unpack = _scattered_unpack(self.ref_offsets)
             self.base_cost = (

@@ -11,13 +11,13 @@ logical addresses keep growing monotonically (Algorithm 2's
 
 The physical window is a fixed-size ``bytearray`` *segment* checked out of
 a process-wide :class:`SegmentArena` and returned on :meth:`clear` (i.e. at
-``shuffleStart``), so steady-state sending allocates no buffer memory.  The
-clone fast path (:meth:`begin_clone`) hands the caller the raw segment and
-a write offset, letting kernels copy an object image straight from the
-heap's ``memoryview`` into the outgoing segment — one copy, no intermediate
-``bytearray``/``bytes`` round-trips.  :meth:`write_object` (the interpreted
-path) is a thin wrapper over the same primitive and keeps its historical
-eager-flush timing.
+``shuffleStart``), so steady-state sending allocates no buffer memory.
+:meth:`begin_clone` hands the caller the raw segment and a write offset.
+The kernel sender then copies a run of object images straight from the
+heap into that segment and reports how far it got with :meth:`commit`, so
+the buffer is called once per segment, not once per object.
+:meth:`write_object` (the interpreted path) is a thin wrapper over
+:meth:`begin_clone` and keeps its historical eager-flush timing.
 
 Logical address 0 is reserved for null references; the logical space
 therefore starts at one word.
@@ -120,17 +120,12 @@ class OutputBuffer:
                 f"logical address {logical_addr} was already flushed"
             )
         offset = logical_addr - self.flushed_bytes
+        if offset < self._fill:
+            raise ValueError(
+                f"logical address {logical_addr} is below the fill mark of "
+                f"the resident segment ({self.flushed_bytes + self._fill})"
+            )
         seg = self._seg
-        if seg is not None and offset < self._fill:
-            # Out-of-order completion within the resident window (can
-            # happen for padding differences) — plain in-place write.
-            end = offset + size
-            if end > len(seg):
-                seg.extend(bytes(end - len(seg)))
-                self._seg_pooled = False  # grown: no longer capacity-sized
-            if end > self._fill:
-                self._fill = end
-            return seg, offset
         if seg is None or offset + size > len(seg):
             self.flush()
             offset = logical_addr - self.flushed_bytes
@@ -153,20 +148,11 @@ class OutputBuffer:
         if self._fill >= self.capacity:
             self.flush()
 
-    def patch_word(self, logical_addr: int, value: int) -> bool:
-        """Rewrite one word if it is still resident; returns False if that
-        region was already flushed (the caller must have relativized it
-        before commit — this is why Algorithm 2 fills references when the
-        *referencing* object is cloned, not later)."""
-        offset = logical_addr - self.flushed_bytes
-        if offset < 0:
-            return False
-        if offset + WORD > self._fill or self._seg is None:
-            return False
-        self._seg[offset : offset + WORD] = (value & (2**64 - 1)).to_bytes(
-            8, "little"
-        )
-        return True
+    def commit(self, fill: int) -> None:
+        """Record that the caller filled the resident segment up to byte
+        ``fill``: the kernel sender writes a run of clones past the last
+        :meth:`begin_clone` window in place, and reports the run once."""
+        self._fill = fill
 
     def _checkout(self, min_size: int) -> bytearray:
         """Attach a fresh physical segment sized for ``min_size`` bytes."""

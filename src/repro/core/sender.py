@@ -7,7 +7,9 @@ things per clone and nothing else:
 * the **mark word** — GC age / lock / bias bits reset, cached hashcode
   preserved (so hash structures need no rehash on the receiver);
 * the **klass word** — replaced by the global type ID (tID);
-* **reference fields** — relativized to logical output-buffer addresses.
+* **reference fields** — relativized to logical output-buffer addresses,
+  when the *referencing* object is cloned: its segment may stream out
+  before the target's clone is written, so nothing is patched later.
 
 The ``baddr`` header word of the *source* object records where its clone
 lives in the buffer so later references to a shared object reuse the
@@ -36,17 +38,12 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.heap import markword
-from repro.heap.heap import NULL, ManagedHeap
+from repro.heap.heap import NULL
 from repro.heap.klass import Klass
-from repro.heap.layout import HeapLayout, KLASS_OFFSET, MARK_OFFSET, OBJECT_ALIGNMENT, align_up
+from repro.heap.layout import HeapLayout, KLASS_OFFSET, MARK_OFFSET
+from repro.heap.markword import FRESH_MARK, HASH_MASK
 from repro.jvm.jvm import JVM
-from repro.core.kernels import (
-    HEADER3_STRUCT as _HEADER3,
-    CloneKernel,
-    WORD_STRUCT,
-    clone_kernel_for,
-    ref_run_struct,
-)
+from repro.core.kernels import CloneKernel, clone_kernel_for
 from repro.core.output_buffer import OutputBuffer
 from repro.types import descriptors
 from repro.types.loader import ClassLoader
@@ -56,6 +53,8 @@ _REL_MASK = (1 << _REL_BITS) - 1
 _THREAD_BITS = 8
 _THREAD_MASK = (1 << _THREAD_BITS) - 1
 _SID_MASK = 0xFFFF
+#: The 4-byte array length slot, read as the low half of its word.
+_LENGTH_MASK = 0xFFFFFFFF
 
 
 def compose_baddr(sid: int, thread_id: int, relative: int) -> int:
@@ -194,182 +193,167 @@ class ObjectGraphSender:
             heap.write_baddr(obj, compose_baddr(self.sid, self.thread_id, addr))
         return addr
 
-    def _send_graph_kernel(self, root: int) -> int:
-        """The compiled-kernel BFS: Algorithm 2 with every per-object step
-        precomputed at class-load time and every hot accessor hoisted to a
-        local.
+    def _kernel_for(self, obj: int) -> CloneKernel:
+        """``obj``'s class, checked for a tID, as its clone kernel."""
+        klass = self._typed_klass(obj)
+        return clone_kernel_for(klass, self.target_layout, self.jvm.cost_model)
 
-        Per object this loop performs ONE klass resolution (a dict hit on
-        the cached kernel), ONE slice copy heap→segment, ONE header pack,
-        and one batched pointer unpack — versus the interpreted path's
-        per-field reads, per-pointer charges, and three klass resolutions.
-        Baddr words are read/written with a compiled ``struct`` directly
-        against the heap's backing store; byte tallies and the simulated
-        clock cost accumulate in locals and flush once per root.
+    def _typed_klass(self, obj: int) -> Klass:
+        klass = self.jvm.heap.klass_of(obj)
+        if klass.tid is None:
+            raise SendError(
+                f"class {klass.name} has no global type ID — is the Skyway "
+                f"type registry attached to this JVM?"
+            )
+        return klass
+
+    def _send_graph_kernel(self, root: int) -> int:
+        """The compiled-kernel BFS: Algorithm 2 as one word-indexed loop.
+
+        Heap and segment are read and written through 64-bit word views,
+        so the baddr, klass word, mark word and every reference slot is
+        one index operation.  Each class is checked once per call (a memo
+        keyed by the raw klass word); a claim bumps a local allocation
+        pointer and appends ``(source, address, size)`` to the gray list,
+        which is also the call's clone record.  Objects go into the open
+        segment at a local cursor, and the buffer is only asked for a new
+        window when the next object does not fit, so flushes land exactly
+        where :meth:`OutputBuffer.begin_clone` puts them.  Byte tallies and
+        the simulated clock cost accumulate in locals, in per-object order,
+        and are applied once per root.
         """
         heap = self.jvm.heap
-        cost = self.jvm.cost_model
+        words = heap.word_view
         mem = heap.memory_view
         hbase = heap.base
-        boff = heap.layout.baddr_offset
-        aoff = heap.layout.array_length_offset
-        resolver = heap.klass_resolver
-        if resolver is None:
-            heap.klass_of(root)  # raises the canonical HeapError
-        layout = self.target_layout
+        bw = heap.layout.baddr_offset >> 3
+        lw = heap.layout.array_length_offset >> 3
+        cost = self.jvm.cost_model
+        hf = cost.skyway_header_fixup
+        mpb = cost.memcpy_per_byte
+        pf = cost.skyway_pointer_fixup
+        tw = cost.traverse_word
         sid_tag = self.sid & _SID_MASK
         thread_id = self.thread_id
         #: The constant high bits of every baddr this stream stamps.
         claim_bits = (sid_tag << 48) | (thread_id << _REL_BITS)
-        reserve = self.buffer.reserve
-        begin_clone = self.buffer.begin_clone
+        buffer = self.buffer
         shared = self._shared_table
-        traverse_word = cost.traverse_word
-        unpack_word = WORD_STRUCT.unpack_from
-        pack_word = WORD_STRUCT.pack_into
-        reset_mark = markword.reset_for_transfer
-        cloned_append = self.cloned.append
-        gray: Deque[Tuple[int, int, CloneKernel, int, int]] = deque()
+        kernels: Dict[int, CloneKernel] = {}
+        gray: List[Tuple[int, int, int]] = []
         gray_append = gray.append
-        gray_pop = gray.popleft
+        bump = buffer.allocable_addr
 
-        objects = 0
-        bytes_out = 0
-        clock_cost = 0.0
+        # Claim the root.  write_object already handled "claimed by this
+        # stream"; a matching sID here means another thread holds the baddr.
+        rw = (root - hbase) >> 3
+        kernel = kernels[words[rw + 1]] = self._kernel_for(root)
+        size = kernel.size
+        if size is None:
+            size = (kernel.elem_base + kernel.elem_size
+                    * (words[rw + lw] & _LENGTH_MASK) + 7) & -8
+        root_addr = bump
+        if root_addr > _REL_MASK:
+            raise ValueError(f"relative address exceeds 5 bytes: {root_addr:#x}")
+        bump += size
+        if words[rw + bw] >> 48 == sid_tag:
+            shared[root] = root_addr
+        else:
+            words[rw + bw] = claim_bits | root_addr
+        gray_append((root, root_addr, size))
+
+        seg_base = seg_end = 0
+        segw = None
         header_b = pointer_b = data_b = padding_b = 0
+        clock_cost = 0.0
+        try:
+            # Appending to ``gray`` while iterating it is the BFS queue.
+            for source, addr, size in gray:
+                sw = (source - hbase) >> 3
+                kernel = kernels[words[sw + 1]]
+                if addr + size > seg_end:
+                    if segw is not None:
+                        buffer.commit(addr - seg_base)
+                    seg, o = buffer.begin_clone(addr, size)
+                    seg_base = addr - o
+                    seg_end = seg_base + len(seg)
+                    segw = memoryview(seg)[: len(seg) & -8].cast("Q")
+                o = addr - seg_base
+                soff = sw << 3
+                seg[o : o + size] = mem[soff : soff + size]
+                ow = o >> 3
+                segw[ow] = FRESH_MARK | (words[sw] & HASH_MASK)
+                segw[ow + 1] = kernel.tid
+                segw[ow + bw] = 0
 
-        def claim(obj: int, off: int, foreign: bool) -> int:
-            """Resolve class once, reserve, stamp/table the baddr, queue."""
-            klass = resolver(unpack_word(mem, off + KLASS_OFFSET)[0])
-            if klass.tid is None:
-                raise SendError(
-                    f"class {klass.name} has no global type ID — is the "
-                    f"Skyway type registry attached to this JVM?"
-                )
-            kernel = klass.clone_kernel
-            if (
-                kernel is None
-                or kernel.tid != klass.tid
-                or kernel.layout is not layout
-                or kernel.cost is not cost
-            ):
-                kernel = clone_kernel_for(klass, layout, cost)
-            size = kernel.size
-            if size is None:
-                length = int.from_bytes(mem[off + aoff : off + aoff + 4], "little")
-                size = kernel.array_size(length)
-            else:
-                length = 0
-            addr = reserve(size)
-            if addr > _REL_MASK:
-                raise ValueError(
-                    f"relative address exceeds 5 bytes: {addr:#x}"
-                )
-            if foreign:
-                shared[obj] = addr
-            else:
-                pack_word(mem, off + boff, claim_bits | addr)
-            gray_append((obj, addr, kernel, size, length))
-            return addr
-
-        root_off = root - hbase
-        root_word = unpack_word(mem, root_off + boff)[0]
-        # write_object already handled "claimed by this stream"; a matching
-        # sID here can only mean another thread holds the baddr.
-        root_addr = claim(root, root_off, (root_word >> 48) == sid_tag)
-
-        while gray:
-            source, addr, kernel, size, length = gray_pop()
-            soff = source - hbase
-
-            # CLONEINBUFFER: one slice assignment heap→segment.
-            seg, off = begin_clone(addr, size)
-            seg[off : off + size] = mem[soff : soff + size]
-
-            # Header fixup in one pack: mark reset (hashcode preserved),
-            # tID klass word, zeroed baddr.
-            mark = reset_mark(unpack_word(seg, off)[0])
-            header_struct = kernel.header_struct
-            if header_struct is _HEADER3:
-                header_struct.pack_into(seg, off, mark, kernel.tid, 0)
-            else:
-                header_struct.pack_into(seg, off, mark, kernel.tid)
-
-            # Reference relativization off the kernel's precomputed slots.
-            nonnull = 0
-            if kernel.is_array:
-                if kernel.has_ref_elements and length:
-                    run = ref_run_struct(length)
-                    elem_off = off + kernel.elem_base
-                    relativized = []
-                    rel_append = relativized.append
-                    for ref in run.unpack_from(seg, elem_off):
-                        if ref == NULL:
-                            rel_append(0)
-                            continue
-                        nonnull += 1
-                        roff = ref - hbase
-                        word = unpack_word(mem, roff + boff)[0]
-                        if (word >> 48) == sid_tag:
-                            if ((word >> _REL_BITS) & _THREAD_MASK) == thread_id:
-                                rel_append(word & _REL_MASK)
-                                continue
-                            existing = shared.get(ref)
-                            if existing is not None:
-                                rel_append(existing)
-                                continue
-                            rel_append(claim(ref, roff, True))
-                        else:
-                            rel_append(claim(ref, roff, False))
-                    run.pack_into(seg, elem_off, *relativized)
-                    ref_slots = length
-                    pointer_b += length * 8
+                slots = kernel.ref_words
+                if slots is None:  # an array: costs as kernel.array_cost
+                    length = words[sw + lw] & _LENGTH_MASK
+                    payload = length * kernel.elem_size
+                    header_b += kernel.array_header_bytes
+                    padding_b += size - kernel.array_header_bytes - payload
+                    if kernel.has_ref_elements:
+                        pointer_b += payload
+                        slots = range(kernel.elem_word, kernel.elem_word + length)
+                        object_cost = hf + size * mpb + length * pf
+                    else:
+                        data_b += payload
+                        slots = ()
+                        object_cost = hf + size * mpb
                 else:
-                    ref_slots = 0
-                    data_b += length * kernel.elem_size
-                header_b += kernel.array_header_bytes
-                padding_b += max(
-                    0,
-                    size - kernel.array_header_bytes
-                    - length * (8 if ref_slots else kernel.elem_size),
-                )
-                clock_cost += (kernel.array_cost(size, ref_slots)
-                               + nonnull * traverse_word)
-            else:
-                ref_unpack = kernel.ref_unpack
-                if ref_unpack is not None:
-                    for slot, ref in zip(
-                        kernel.ref_offsets, ref_unpack.unpack_from(seg, off)
-                    ):
-                        if ref == NULL:
-                            relative = 0
-                        else:
-                            nonnull += 1
-                            roff = ref - hbase
-                            word = unpack_word(mem, roff + boff)[0]
-                            if (word >> 48) == sid_tag:
-                                if ((word >> _REL_BITS) & _THREAD_MASK) == thread_id:
-                                    relative = word & _REL_MASK
-                                else:
-                                    relative = shared.get(ref)
-                                    if relative is None:
-                                        relative = claim(ref, roff, True)
-                            else:
-                                relative = claim(ref, roff, False)
-                        pack_word(seg, off + slot, relative)
-                header_b += kernel.header_bytes
-                pointer_b += kernel.pointer_bytes
-                data_b += kernel.data_bytes
-                padding_b += kernel.padding_bytes
-                clock_cost += kernel.base_cost + nonnull * traverse_word
+                    header_b += kernel.header_bytes
+                    pointer_b += kernel.pointer_bytes
+                    data_b += kernel.data_bytes
+                    padding_b += kernel.padding_bytes
+                    object_cost = kernel.base_cost
 
-            cloned_append((source, addr, size))
-            objects += 1
-            bytes_out += size
+                nonnull = 0
+                for i in slots:
+                    ref = words[sw + i]
+                    if not ref:
+                        continue
+                    nonnull += 1
+                    rw = (ref - hbase) >> 3
+                    word = words[rw + bw]
+                    if word >> 48 == sid_tag:
+                        if (word >> _REL_BITS) & _THREAD_MASK == thread_id:
+                            segw[ow + i] = word & _REL_MASK
+                            continue
+                        if ref in shared:
+                            segw[ow + i] = shared[ref]
+                            continue
+                        foreign = True
+                    else:
+                        foreign = False
+                    # First visit this phase: claim at the bump pointer.
+                    kw = words[rw + 1]
+                    try:
+                        target = kernels[kw]
+                    except KeyError:
+                        target = kernels[kw] = self._kernel_for(ref)
+                    claimed = target.size
+                    if claimed is None:
+                        claimed = (target.elem_base + target.elem_size
+                                   * (words[rw + lw] & _LENGTH_MASK) + 7) & -8
+                    if bump > _REL_MASK:
+                        raise ValueError(
+                            f"relative address exceeds 5 bytes: {bump:#x}")
+                    if foreign:
+                        shared[ref] = bump
+                    else:
+                        words[rw + bw] = claim_bits | bump
+                    gray_append((ref, bump, claimed))
+                    segw[ow + i] = bump
+                    bump += claimed
+                clock_cost += object_cost + nonnull * tw
+        finally:
+            buffer.allocable_addr = bump
+        buffer.commit(bump - seg_base)
 
         self.jvm.clock.charge(clock_cost)
-        self.objects_sent += objects
-        self.bytes_sent += bytes_out
+        self.cloned.extend(gray)
+        self.objects_sent += len(gray)
+        self.bytes_sent += bump - root_addr
         self.header_bytes += header_b
         self.pointer_bytes += pointer_b
         self.data_bytes += data_b
@@ -406,12 +390,7 @@ class ObjectGraphSender:
         object (Algorithm 2 lines 10–27)."""
         heap = self.jvm.heap
         cost = self.jvm.cost_model
-        klass = heap.klass_of(source)
-        if klass.tid is None:
-            raise SendError(
-                f"class {klass.name} has no global type ID — is the Skyway "
-                f"type registry attached to this JVM?"
-            )
+        klass = self._typed_klass(source)
         if self.heterogeneous:
             payload = self._convert_format(source, klass, gray)
         else:

@@ -23,6 +23,7 @@ import bisect
 import itertools
 import mmap
 import struct
+import sys
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.heap import markword
@@ -131,6 +132,7 @@ class ManagedHeap:
         self.base = next(_heap_counter) << 44
         self._memory = mmap.mmap(-1, total, flags=mmap.MAP_PRIVATE)
         self._memory_view: Optional[memoryview] = None
+        self._word_view: Optional[memoryview] = None
 
         cursor = self.base
         self.eden = Region("eden", cursor, cursor + eden_bytes)
@@ -187,6 +189,20 @@ class ManagedHeap:
         view = self._memory_view
         if view is None:
             view = self._memory_view = memoryview(self._memory)
+        return view
+
+    @property
+    def word_view(self) -> memoryview:
+        """:attr:`memory_view` cast to 64-bit words: word ``i`` is the
+        8 bytes at byte offset ``8 * i``.  Objects are word-aligned, so
+        every header word and reference slot is one index away.  The cast
+        is native-endian, which matches the heap's little-endian words
+        only on a little-endian host."""
+        view = self._word_view
+        if view is None:
+            if sys.byteorder != "little":
+                raise HeapError("word view needs a little-endian host")
+            view = self._word_view = self.memory_view.cast("Q")
         return view
 
     def unpack_from(self, codec: struct.Struct, address: int):

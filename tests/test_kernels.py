@@ -6,12 +6,17 @@ clones, same relativized references, same charges on the simulated clock.
 Kernels may only change how fast the Python gets there.
 """
 
+import random
+import sys
+
 import pytest
 
+from repro.apps.incremental import build_vertex_graph, install_incremental_classes
 from repro.core.kernels import clone_kernel_for
+from repro.core.output_buffer import OutputBuffer
 from repro.core.receiver import ReceiveError
 from repro.core.runtime import attach_skyway
-from repro.core.sender import SendError
+from repro.core.sender import ObjectGraphSender, SendError
 from repro.core.streams import SkywayObjectInputStream, SkywayObjectOutputStream
 from repro.heap.layout import BASELINE_LAYOUT
 from repro.jvm.jvm import JVM
@@ -127,6 +132,136 @@ class TestKernelByteParity:
             inp = roundtrip(dst, data)
             assert read_list(dst, inp.read_object()) == list(range(50))
         assert times[True] == pytest.approx(times[False], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# seeded parity on the word-indexed loop's edges
+# ---------------------------------------------------------------------------
+
+_PRIMITIVES = ("J", "I", "B", "D", "S")
+
+
+def random_graph(src, rng, capacity):
+    """Seeded random objects with random references between them: linked
+    nodes, ``Mixed`` instances, Dates, primitive arrays, one primitive
+    array larger than ``capacity``, and reference arrays holding nulls
+    and repeated targets.  Returns every object's address."""
+    objs = [make_date(src, rng.randrange(3000), 1, 2) for _ in range(3)]
+    for _ in range(rng.randrange(20, 60)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            obj = src.new_instance("ListNode")
+            src.set_field(obj, "payload", rng.getrandbits(63))
+        elif kind == 1:
+            obj = src.new_instance("Mixed")
+            src.set_field(obj, "j", rng.getrandbits(63))
+        elif kind == 2:
+            desc = rng.choice(_PRIMITIVES)
+            obj = src.new_array(desc, rng.randrange(0, 40))
+        else:
+            obj = src.new_array("Ljava.lang.Object;", rng.randrange(0, 24))
+        objs.append(obj)
+    objs.append(src.new_array("J", capacity // 8 + rng.randrange(1, 16)))
+    nodes = [o for o in objs if src.heap.klass_of(o).name == "ListNode"]
+    for obj in objs:
+        name = src.heap.klass_of(obj).name
+        if name == "ListNode" and rng.random() < 0.8:
+            src.set_field(obj, "next", rng.choice(nodes))
+        elif name == "Mixed" and rng.random() < 0.8:
+            src.set_field(obj, "ref", rng.choice(objs))
+        elif name == "[Ljava.lang.Object;":
+            pool = rng.sample(objs, 3)  # few targets: slots repeat them
+            for i in range(src.heap.array_length(obj)):
+                if rng.random() < 0.75:
+                    src.heap.write_element(obj, i, rng.choice(pool))
+    return objs
+
+
+def send_record(src, roots, foreign, capacity, use_kernels):
+    """One shuffle phase: thread 1 claims ``foreign`` first, then thread 0
+    sends ``roots`` into a ``capacity``-byte buffer.  Returns everything
+    the two paths must agree on."""
+    sid = src.skyway.shuffle_start()
+    other = ObjectGraphSender(
+        src, OutputBuffer("other", capacity=capacity, sink=lambda s: None),
+        sid=sid, thread_id=1, use_kernels=use_kernels,
+    )
+    for obj in foreign:
+        other.write_object(obj)
+    segments = []
+    buffer = OutputBuffer("parity", capacity=capacity, sink=segments.append)
+    sender = ObjectGraphSender(src, buffer, sid=sid, thread_id=0,
+                               use_kernels=use_kernels)
+    assert sender.use_kernels is use_kernels
+    before = src.clock.total()
+    for root in roots:
+        sender.write_object(root)
+    charged = src.clock.total() - before
+    buffer.flush()
+    return {
+        "segments": segments,
+        "flushes": buffer.flush_count,
+        "composition": (sender.header_bytes, sender.pointer_bytes,
+                        sender.data_bytes, sender.padding_bytes),
+        "cloned": sender.cloned,
+        "top_marks": sender.top_marks,
+        "shared": sender._shared_table,
+    }, charged
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_matches_interpreted_on_random_graphs(pair, seed):
+    src, _ = pair
+    rng = random.Random(seed)
+    capacity = rng.choice((64, 72, 200, 512, 1000, 4096))
+    minor_gcs = src.gc.stats.minor_collections
+    objs = random_graph(src, rng, capacity)
+    big = objs[-1]  # larger than the buffer: a one-off segment
+    roots = rng.sample(objs, 4) + [0, big, objs[0]]
+    # Another thread owns one root and a few interior objects.
+    foreign = [roots[1]] + rng.sample(objs, 3)
+    kernel, kernel_clock = send_record(src, roots, foreign, capacity, True)
+    interp, interp_clock = send_record(src, roots, foreign, capacity, False)
+    assert src.gc.stats.minor_collections == minor_gcs  # addresses held
+    assert kernel == interp
+    assert kernel_clock == pytest.approx(interp_clock, rel=1e-9)
+    assert kernel["flushes"] > 1
+    assert kernel["shared"]
+
+
+def test_sender_makes_no_call_per_object():
+    """A deterministic speed gate: the kernel loop's Python calls on a
+    2,000-vertex ring-plus-chords graph, counted with ``sys.setprofile``.
+    The loop appends to its gray list once per object; anything above a
+    handful per object means a per-object call crept back in."""
+    classpath = install_incremental_classes(install_core_classes(ClassPath()))
+    src = JVM("calls-src", classpath=classpath)
+    dst = JVM("calls-dst", classpath=classpath)
+    attach_skyway(src, [dst])
+    rng = random.Random(2018)
+    n = 2000
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    edges += [(v, rng.randrange(n)) for v in range(n)]
+    root = src.pin(build_vertex_graph(src, edges)).address
+    framed(src, [root], True)  # compile and cache the kernels
+
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    src.skyway.shuffle_start()
+    out = SkywayObjectOutputStream(src.skyway, destination="kernel-test")
+    sys.setprofile(count)
+    try:
+        out.write_object(root)
+    finally:
+        sys.setprofile(None)
+    objects = out.sender.objects_sent
+    assert objects == 2 * n + 2
+    assert calls / objects <= 6, f"{calls / objects:.2f} calls per object"
 
 
 # ---------------------------------------------------------------------------

@@ -91,9 +91,16 @@ class TestWriteAndFlush:
         assert buf.reserve(8) == LOGICAL_BASE
         assert buf.logical_size == 8
 
-    def test_patch_word_resident(self):
+    def test_clone_below_fill_mark_rejected(self):
+        """An address inside the resident segment's filled bytes can only
+        come from a sender bug: it must not overwrite an earlier clone."""
         buf = OutputBuffer("d", capacity=1024)
         a = buf.reserve(32)
-        buf.write_object(a, bytes(32))
-        assert buf.patch_word(a, 0xDEAD)
-        assert not buf.patch_word(a + 4096, 0)
+        buf.write_object(a, b"a" * 32)
+        b = buf.reserve(32)
+        buf.write_object(b, b"b" * 32)
+        with pytest.raises(ValueError, match="below the fill mark"):
+            buf.begin_clone(a, 32)
+        assert buf.resident_bytes == 64
+        buf.flush()
+        assert buf.drain_segments() == [b"a" * 32 + b"b" * 32]
