@@ -4,8 +4,8 @@ A :class:`Fleet` holds one coordinator connection plus cached
 per-worker clients and channels, and exposes the mesh as four verbs:
 
 ``channel_to(worker)``
-    A capability-negotiated :class:`FleetChannel` — a
-    :class:`~repro.exchange.socket.SocketGraphChannel` subclass whose
+    A :class:`FleetChannel` — a
+    :class:`~repro.exchange.channel.GraphChannel` subclass whose
     channel id came from the coordinator (admitted on the worker first, so
     strict workers accept it) and whose failure handling is *fleet* policy,
     not just wire policy (see below).
@@ -30,8 +30,10 @@ fleet asks the coordinator what happened to the peer.
 * alive with a *new* generation → the worker restarted and re-HELLOed:
   reconnect, take a fresh channel id, force the next epoch FULL, retry
   once — the per-channel NACK recovery lifted to fleet scope;
-* alive, same generation → transient: reconnect and retry once, then
-  report dead.
+* alive, same generation → transient: reconnect and retry once.
+
+Either retry is one attempt that does not recover again: a second wire
+failure reports the worker dead and raises :class:`PeerGoneError`.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.cluster.membership import CoordinatorClient
 from repro.core.runtime import SkywayRuntime
-from repro.exchange.capabilities import ChannelCapabilities, DEFAULT_REQUEST
-from repro.exchange.channel import SendReceipt
-from repro.exchange.socket import SocketGraphChannel
+from repro.exchange.channel import GraphChannel, SendReceipt
 from repro.policy import resolve_policy
 from repro.transport.client import WorkerClient
 from repro.transport.errors import (
@@ -65,34 +65,50 @@ def _retyped(exc: RemoteWorkerError, peer: str) -> Optional[Exception]:
     return None
 
 
-class FleetChannel(SocketGraphChannel):
+class FleetChannel(GraphChannel):
     """One driver→worker graph channel with fleet-level failure policy."""
 
     def __init__(self, fleet: "Fleet", worker: str, client: WorkerClient,
-                 generation: int, requested: ChannelCapabilities,
-                 policy, channel_id: int) -> None:
-        super().__init__(fleet.runtime, client, requested=requested,
-                         policy=policy, channel_id=channel_id,
-                         destination=worker)
+                 generation: int, policy, channel_id: int) -> None:
+        super().__init__(fleet.runtime, client, policy=policy,
+                         channel_id=channel_id, destination=worker)
         self.fleet = fleet
         self.worker = worker
         self.generation = generation
         #: Forced-FULL resyncs taken after a worker restart (re-HELLO).
         self.resyncs = 0
 
-    def send(self, roots: Sequence[int], **kwargs) -> SendReceipt:
+    def send(self, roots: Sequence[int],
+             digest: Optional[bool] = None) -> SendReceipt:
         try:
-            return super().send(roots, **kwargs)
+            return self._send_once(roots, digest)
+        except RemoteWorkerError:
+            raise  # the worker answered: an op failure, not a dead wire
+        except TransportError as exc:
+            return self._recover_send(exc, roots, digest)
+
+    def _send_once(self, roots: Sequence[int],
+                   digest: Optional[bool]) -> SendReceipt:
+        """One attempt, no recovery; a worker-side cluster error comes
+        back as its own type."""
+        try:
+            return super().send(roots, digest)
         except RemoteWorkerError as exc:
             typed = _retyped(exc, self.worker)
             if typed is not None:
                 raise typed from exc
             raise
-        except TransportError as exc:
-            return self._recover_send(exc, roots, **kwargs)
+
+    def recover(self, client: WorkerClient, channel_id: int) -> None:
+        """Rebind to a replacement worker incarnation under the fresh
+        channel id the coordinator assigned.  The next epoch is forced
+        FULL — a restarted worker retains nothing, and waiting for its
+        NACK would cost an extra round trip."""
+        self.rebind(client)
+        self._channel.reassign(channel_id)
 
     def _recover_send(self, cause: TransportError, roots: Sequence[int],
-                      **kwargs) -> SendReceipt:
+                      digest: Optional[bool]) -> SendReceipt:
         """The wire died under a send; coordinator decides what it means."""
         fleet = self.fleet
         record = fleet.coordinator.call("lookup", name=self.worker)
@@ -102,7 +118,8 @@ class FleetChannel(SocketGraphChannel):
                 self.worker, f"send failed and the coordinator confirms the "
                 f"worker is gone: {cause}", generation=self.generation,
             ) from cause
-        if record["generation"] != self.generation:
+        restarted = record["generation"] != self.generation
+        if restarted:
             # Restarted and re-HELLOed: fresh connection, fresh
             # coordinator-assigned channel id, forced-FULL resync.
             client = fleet.client_to(self.worker)
@@ -111,19 +128,22 @@ class FleetChannel(SocketGraphChannel):
             self.recover(client, channel_id)
             self.generation = int(record["generation"])
             self.resyncs += 1
-            with obs.span("cluster.resync", worker=self.worker,
-                          channel=channel_id):
-                return self.send(roots, **kwargs)
-        # Same incarnation: transient wire fault, one reconnect retry.
         try:
-            self.client.close()
-            self.client.connect()
-            return self.send(roots, **kwargs)
+            if restarted:
+                with obs.span("cluster.resync", worker=self.worker,
+                              channel=self.channel_id):
+                    return self._send_once(roots, digest)
+            # Same incarnation: transient wire fault, one reconnect retry.
+            self.substrate.close()
+            self.substrate.connect()
+            return self._send_once(roots, digest)
+        except RemoteWorkerError:
+            raise
         except TransportError as exc:
             fleet.report_dead(self.worker, self.generation)
             raise PeerGoneError(
-                self.worker, f"send failed twice to a worker the "
-                f"coordinator still lists alive: {exc}",
+                self.worker, f"send failed again after recovery to a "
+                f"worker the coordinator still lists alive: {exc}",
                 generation=self.generation,
             ) from exc
 
@@ -251,19 +271,12 @@ class Fleet:
         )
         return int(result["channel_ids"][0])
 
-    def channel_to(self, worker: str,
-                   requested: ChannelCapabilities = DEFAULT_REQUEST,
-                   policy=None) -> FleetChannel:
+    def channel_to(self, worker: str, policy=None) -> FleetChannel:
         """Open (or reuse) the driver→worker graph channel.  The cached
-        channel keeps what it was opened with, so asking for something
-        else is a configuration error, not a silent reuse."""
+        channel keeps the policy it was opened under, so asking for
+        another is a configuration error, not a silent reuse."""
         cached = self._channels.get(worker)
         if cached is not None:
-            if requested != cached.requested:
-                raise ClusterConfigError(
-                    f"channel to {worker!r} is open with {cached.requested}; "
-                    f"cannot reuse it for {requested}"
-                )
             if (policy is not None
                     and resolve_policy(policy).name != cached.policy.name):
                 raise ClusterConfigError(
@@ -277,7 +290,7 @@ class Fleet:
         channel_id = self._alloc_channel(worker)
         client.admit_channel(channel_id)
         channel = FleetChannel(
-            self, worker, client, int(record["generation"]), requested,
+            self, worker, client, int(record["generation"]),
             policy if policy is not None else self.policy, channel_id,
         )
         self._channels[worker] = channel
@@ -285,8 +298,8 @@ class Fleet:
 
     # -- fleet verbs -------------------------------------------------------
 
-    def broadcast(self, roots: Sequence[int], digest: bool = True,
-                  requested: ChannelCapabilities = DEFAULT_REQUEST) -> "BroadcastResult":
+    def broadcast(self, roots: Sequence[int],
+                  digest: bool = True) -> "BroadcastResult":
         """One epoch to every live worker.  Survivors complete even when a
         peer dies mid-broadcast; each casualty is recorded as its typed
         :class:`PeerGoneError` instead of failing the call."""
@@ -296,7 +309,7 @@ class Fleet:
         with obs.span("cluster.broadcast", workers=len(names)) as sp:
             for worker in names:
                 try:
-                    channel = self.channel_to(worker, requested=requested)
+                    channel = self.channel_to(worker)
                     receipts[worker] = channel.send(roots, digest=digest)
                 except PeerGoneError as exc:
                     # The channel object stays cached: if the worker comes

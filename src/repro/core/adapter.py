@@ -12,9 +12,10 @@ The adapter holds no protocol logic of its own: writers are plain Skyway
 output streams, readers plain Skyway input streams.  Epoch-based
 incremental transfer is not a serializer mode: it goes through
 ``SparkContext.send(root, policy=...)`` or an exchange
-:class:`~repro.exchange.channel.GraphChannel`, its frames are applied
-with :func:`repro.exchange.dispatch.receive_epoch`, and one handed to a
-serializer is a typed ``SkywayStreamError`` (unknown stream codec id).
+:class:`~repro.exchange.channel.GraphChannel`, its frames are applied by
+a substrate's ``deliver_epoch`` (in-process:
+:meth:`repro.exchange.loopback.Loopback.deliver_epoch`), and one handed to
+a serializer is a typed ``SkywayStreamError`` (unknown stream codec id).
 
 Both JVMs involved must have a :class:`~repro.core.runtime.SkywayRuntime`
 attached (sharing one driver registry) — the same cluster-wide setup the

@@ -108,16 +108,16 @@ class DeltaSendChannel:
         #: normalizes onto one stateless policy — the only place a send
         #: mode is chosen; the history it reads is this channel's own.
         self.policy = resolve_policy(policy)
-        #: Negotiated capability bounds (the exchange layer passes its
-        #: :class:`~repro.exchange.capabilities.ChannelCapabilities`);
-        #: every plan is clamped by them before execution.
+        #: Capability bounds (anything with a ``delta`` attribute, such as
+        #: :class:`~repro.exchange.channel.ChannelCapabilities`); every
+        #: plan is clamped by them before execution.
         self.capabilities = capabilities
         #: A channel with delta disabled frames every epoch FULL and skips
         #: the write barrier entirely (no card table attached) — the plain
         #: full-send mode of the exchange layer, on the same wire format.
         self.delta_enabled = delta_enabled
         #: None inherits the runtime's clone engine; the exchange layer
-        #: passes the negotiated capability explicitly.
+        #: passes its channel's ``kernel`` capability explicitly.
         self.use_kernels = use_kernels
         #: PATCH overwrites clones in place, so the destination must share
         #: this JVM's object layout; heterogeneous destinations always

@@ -2,26 +2,16 @@
 
 :class:`ExchangeError` is the base; :class:`ExchangeProtocolError` wraps
 every malformed-epoch failure (truncated or bit-flipped FULL/DELTA frames,
-unparseable embedded streams) so consumers of
-:func:`~repro.exchange.dispatch.receive_epoch` catch one type instead of
-the union of wire/stream/apply errors underneath.
-
-:class:`~repro.delta.channel.DeltaStaleError` is re-exported rather than
-wrapped: staleness is the NACK of the epoch protocol — control flow, not
-corruption — and channels react to it (force the next epoch full), so it
-must stay distinguishable from a damaged frame.
+unparseable embedded streams) so callers of
+:meth:`~repro.exchange.loopback.Loopback.deliver_epoch` catch one type.
+:class:`~repro.delta.channel.DeltaStaleError` is re-exported, not wrapped:
+staleness is the epoch protocol's NACK — control flow the channel answers
+with a forced FULL, not corruption.
 """
 
 from __future__ import annotations
 
-from repro.delta.channel import DeltaStaleError
-
-__all__ = [
-    "DeltaStaleError",
-    "ExchangeConfigError",
-    "ExchangeError",
-    "ExchangeProtocolError",
-]
+from repro.delta.channel import DeltaStaleError  # re-exported
 
 
 class ExchangeError(RuntimeError):

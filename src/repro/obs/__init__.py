@@ -11,8 +11,8 @@ that produces those breakdowns from live runs instead of ad-hoc ledgers:
   driver's trace via the TRACE wire frame);
 * :mod:`repro.obs.registry` — one metrics registry (counters / gauges /
   histograms with labels) that the existing ledgers *feed* as snapshot
-  sources: ``ExchangeMetrics``, ``TransportMetrics``, ``EventLog``, GC
-  stats;
+  sources: ``GraphChannel.metrics``, ``TransportMetrics``, ``EventLog``,
+  GC stats;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto /
   ``chrome://tracing``), a terminal phase-breakdown report in the paper's
   table style, and snapshot diffing;

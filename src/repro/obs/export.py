@@ -9,7 +9,7 @@ shows epoch / mode / wire bytes per span.
 ``render_phase_report`` is the paper-style table: spans rolled up by name
 (count, wall time, simulated time) followed by the per-channel exchange
 breakdown straight out of the registry sources — the wire-byte and
-simulated-clock columns are read from ``ExchangeMetrics.as_dict()``
+simulated-clock columns are read from ``GraphChannel.metrics()``
 itself, which is how the report agrees with the ledger to the byte/µs.
 """
 

@@ -3,7 +3,7 @@
 Counters, gauges and histograms carry labels (encoded into the series key
 ``name{k=v,...}``); *sources* are the bridge to the
 ledgers that already exist — a registered callable is evaluated at
-:meth:`MetricsRegistry.snapshot` time, so ``ExchangeMetrics.as_dict()``,
+:meth:`MetricsRegistry.snapshot` time, so ``GraphChannel.metrics()``,
 ``TransportMetrics.as_dict()``, ``EventLog.as_dicts()`` and GC stats all
 land in one JSON document without being rewritten.
 

@@ -6,12 +6,11 @@ budget.  Per channel per epoch, the channel folds its own history
 (byte-fraction EWMA, last regime) into live :class:`ChannelSignals`
 (card-table dirty fraction, resident size, GC and protocol flags) and a
 stateless policy's ``decide(signals)`` returns a :class:`SendPlan`;
-capability negotiation clamps the plan, the channel's one send body
-executes it, and the decision lands in the
+the channel's one send body executes it, and the decision lands in the
 :class:`~repro.exchange.channel.SendReceipt` and the trace
 (``policy.decide`` spans + ``policy.decisions`` counters).  How an epoch
 is traversed (compiled kernels or the interpreted spec) is the channel's
-negotiated configuration, not a per-epoch choice.
+configuration, not a per-epoch choice.
 
 Import discipline: this package imports only the stdlib, so every layer
 — ``repro.delta``, ``repro.exchange``, ``repro.spark``, ``repro.cluster``

@@ -1,10 +1,10 @@
-"""The :class:`SendPlan`: one decision, clamped by negotiation.
+"""The :class:`SendPlan`: one decision, optionally clamped by capabilities.
 
 A plan is what a policy *wants* for the next epoch — full or delta, the
 digest knob, the post-encode byte budget — and what every decision site
 consumes.  Nothing below the policy plane chooses a mode: channels
-execute plans, and :meth:`SendPlan.clamp` is where capability
-negotiation bounds what the policy may choose.
+execute plans, and :meth:`SendPlan.clamp` is where a channel's
+capabilities, when it was given any, bound what the policy may choose.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class SendPlan:
     clamped: Tuple[str, ...] = ()
 
     def clamp(self, caps) -> "SendPlan":
-        """Bound this plan by a negotiated capability set (anything with a
+        """Bound this plan by a capability set (anything with a
         ``delta`` attribute): a delta plan on a delta-incapable channel
-        goes full.  Negotiation *bounds* what the policy chose; it never
+        goes full.  A clamp *bounds* what the policy chose; it never
         upgrades a plan."""
         if self.mode != "delta" or caps.delta:
             return self

@@ -79,10 +79,10 @@ class SparkContext:
         self.serializer = serializer
         #: The data-movement substrate.  Default: the in-process loopback
         #: exchange over the simulated wire; pass
-        #: ``Exchange.socket(cluster, clients)`` to move broadcast blobs
+        #: ``Exchange(cluster, clients)`` to move broadcast blobs
         #: and epochs through real worker processes.
         self.exchange = (exchange if exchange is not None
-                         else Exchange.loopback(cluster))
+                         else Exchange(cluster))
         #: The N-node fabric seam (:class:`repro.cluster.fleet.Fleet`).
         #: When set, broadcast payloads fan out to every registered fleet
         #: worker and remote shuffle fetches route peer-to-peer between
@@ -164,7 +164,7 @@ class SparkContext:
                 )
         return Broadcast(value, len(data), fleet_delivered)
 
-    def send(self, roots, policy=None, workers=None, requested=None):
+    def send(self, roots, policy=None, workers=None):
         """Ship driver-heap object graphs to the workers, mode per the
         policy plane: each ``push()`` plans every worker's epoch (full or
         delta, digest) from that channel's live signals — no per-call mode
@@ -174,10 +174,8 @@ class SparkContext:
         adaptive.  Returns a :class:`~repro.spark.send.PolicySend`."""
         from repro.spark.send import PolicySend
 
-        return PolicySend(
-            self.cluster, roots, policy=policy, exchange=self.exchange,
-            workers=workers, requested=requested,
-        )
+        return PolicySend(self.cluster, roots, policy=policy,
+                          exchange=self.exchange, workers=workers)
 
     def node_for_partition(self, partition: int) -> Node:
         workers = self.cluster.workers

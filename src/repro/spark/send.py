@@ -13,7 +13,6 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.delta.channel import ChannelStats
-from repro.exchange.capabilities import ChannelCapabilities, DEFAULT_REQUEST
 from repro.exchange.channel import GraphChannel
 from repro.exchange.service import Exchange
 from repro.net.cluster import Cluster, Node
@@ -40,7 +39,6 @@ class PolicySend:
         policy=None,
         exchange: Optional[Exchange] = None,
         workers: Optional[Sequence[str]] = None,
-        requested: Optional[ChannelCapabilities] = None,
     ) -> None:
         driver = cluster.driver
         if driver.jvm.skyway is None:
@@ -50,7 +48,7 @@ class PolicySend:
             )
         self.cluster = cluster
         self.exchange = (exchange if exchange is not None
-                         else Exchange.loopback(cluster))
+                         else Exchange(cluster))
         self.roots: List[int] = ([roots] if isinstance(roots, int)
                                  else list(roots))
         if not self.roots:
@@ -58,15 +56,11 @@ class PolicySend:
         #: One policy across every worker channel; each channel keeps its
         #: own history.
         self.policy = resolve_policy(policy, default="adaptive")
-        self.requested = (requested if requested is not None
-                          else DEFAULT_REQUEST)
         self._pins = [driver.jvm.pin(root) for root in self.roots]
         names = (list(workers) if workers is not None
                  else [w.name for w in cluster.workers])
         self._channels: Dict[str, GraphChannel] = {
-            name: self.exchange.channel_to(
-                name, requested=self.requested, policy=self.policy
-            )
+            name: self.exchange.channel_to(name, policy=self.policy)
             for name in names
         }
         self._worker_roots: Dict[str, int] = {}
@@ -124,8 +118,7 @@ class PolicySend:
 
     def metrics(self) -> Dict[str, dict]:
         """Per-worker unified exchange metrics (one snapshot each)."""
-        return {name: ch.metrics().as_dict()
-                for name, ch in self._channels.items()}
+        return {name: ch.metrics() for name, ch in self._channels.items()}
 
     def close(self) -> None:
         """Unpin the driver copy and detach every channel's card table."""

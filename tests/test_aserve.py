@@ -14,13 +14,12 @@ from repro.transport import (
     semantic_graph_digest,
 )
 from repro.delta.channel import DeltaSendChannel
-from repro.exchange import ChannelCapabilities, SocketGraphChannel
+from repro.exchange import GraphChannel
 from repro.transport import worker as worker_module
 from repro.transport.testing import SAMPLE_FACTORY
 
 from tests.conftest import make_list, read_list
 
-DELTA_REQUEST = ChannelCapabilities(kernel=True, delta=True)
 
 
 def _spawn(name: str) -> WorkerHandle:
@@ -269,8 +268,8 @@ class TestMuxEpochs:
         monkeypatch.setattr(worker_module, "HIGH_WATER_BYTES", 16 * 1024)
         with LocalAsyncWorker(spec) as local:
             client = WorkerClient(driver, local.host, local.port).connect()
-            channel = SocketGraphChannel(
-                driver, client, requested=DELTA_REQUEST, channel_id=5252,
+            channel = GraphChannel(
+                driver, client, channel_id=5252,
                 destination="small-mark")
             try:
                 receipt = channel.send([head], digest=True)
@@ -288,7 +287,7 @@ class TestMuxEpochs:
 
     def test_exchange_channel_rides_mux_and_recovers_without_reconnect(
             self, transport_driver):
-        """``SocketGraphChannel`` over the client: FULL then DELTA
+        """``GraphChannel`` over the client: FULL then DELTA
         receipts, and NACK recovery resends forced-full *on the same
         socket* (no reconnect)."""
         driver = transport_driver
@@ -296,8 +295,8 @@ class TestMuxEpochs:
         mux = WorkerClient(driver, handle.host, handle.port).connect()
         head = make_list(driver.jvm, range(24))
         pin = driver.jvm.pin(head)
-        channel = SocketGraphChannel(
-            driver, mux, requested=DELTA_REQUEST, channel_id=5151,
+        channel = GraphChannel(
+            driver, mux, channel_id=5151,
             destination="xchg-mux",
         )
         try:

@@ -16,10 +16,10 @@ from repro.cluster import (
     PeerGoneError,
 )
 from repro.delta.channel import DeltaSendChannel
-from repro.exchange.capabilities import ChannelCapabilities
+from repro.cluster.fleet import FleetChannel
 from repro.policy import AlwaysFull
 from repro.transport.client import WorkerClient
-from repro.transport.errors import RemoteWorkerError
+from repro.transport.errors import RemoteWorkerError, TransportError
 from repro.transport.digest import semantic_graph_digest
 
 
@@ -65,14 +65,12 @@ class TestFleetTransfers:
                 assert again["mode"] == "delta" and again["digest_match"]
                 assert first["digest"] == expected
 
-            # The cached channels were opened delta-capable under the
-            # fleet's policy: asking for anything else is refused, not
-            # answered with the cached channel (and a DELTA).
-            with pytest.raises(ClusterConfigError, match="delta=False"):
-                fleet.broadcast(
-                    [root], requested=ChannelCapabilities(delta=False))
-            with pytest.raises(ClusterConfigError, match="under policy"):
-                fleet.channel_to(w0, policy=AlwaysFull())
+            # The cached channels were opened under the fleet's policy:
+            # asking for another is refused, not answered with the cached
+            # channel (and a DELTA).
+            for other in ("always_full", AlwaysFull()):
+                with pytest.raises(ClusterConfigError, match="under policy"):
+                    fleet.channel_to(w0, policy=other)
             assert fleet.channel_to(w0, policy=fleet.policy) \
                 is fleet.channel_to(w0)
         finally:
@@ -115,6 +113,93 @@ class TestFleetTeardown:
         fleet._clients["w1"] = (1, _ClosingClient(RuntimeError("bug")))
         with pytest.raises(RuntimeError, match="bug"):
             fleet.close()
+
+
+class _DeadWireClient:
+    """Connects fine; every epoch delivery dies on the wire."""
+
+    def __init__(self, runtime):
+        self.runtime = runtime
+        self.deliveries = self.reconnects = 0
+        self.admitted = []
+
+    def deliver_epoch(self, frame, channel_id, epoch, digest=True):
+        self.deliveries += 1
+        raise TransportError("connection reset")
+
+    def close(self):
+        pass
+
+    def connect(self):
+        self.reconnects += 1
+        return self
+
+    def admit_channel(self, channel_id):
+        self.admitted.append(channel_id)
+
+
+class _AliveCoordinator:
+    """Lists the worker alive at ``generation``; records what is asked."""
+
+    def __init__(self, generation):
+        self.generation = generation
+        self.calls = []
+
+    def call(self, op, **params):
+        self.calls.append(op)
+        if op == "lookup":
+            return {"found": True, "alive": True,
+                    "generation": self.generation}
+        if op == "alloc_channels":
+            return {"channel_ids": [4243]}
+        return {}
+
+
+class TestFleetChannelRetry:
+    """One ``FleetChannel.send`` recovers at most once: a worker that
+    accepts the reconnect but drops every send ends as ``PeerGoneError``
+    after ``report_dead``, with no second recovery (in-process fakes)."""
+
+    def _channel(self, runtime, coordinator):
+        fleet = Fleet(runtime, coordinator)
+        client = _DeadWireClient(runtime)
+        channel = FleetChannel(fleet, "w0", client, generation=1,
+                               policy=None, channel_id=4242)
+        return fleet, client, channel
+
+    def test_same_generation_retries_once(self, transport_driver):
+        coordinator = _AliveCoordinator(generation=1)
+        _, client, channel = self._channel(transport_driver, coordinator)
+        root = _graph(transport_driver, range(5))
+        try:
+            with pytest.raises(PeerGoneError, match="again after recovery"):
+                channel.send([root])
+            assert client.reconnects == 1
+            assert client.deliveries == 2
+            assert coordinator.calls == ["lookup", "report_dead"]
+        finally:
+            channel.close()
+
+    def test_restarted_generation_resyncs_once(self, transport_driver):
+        coordinator = _AliveCoordinator(generation=2)
+        fleet, client, channel = self._channel(transport_driver, coordinator)
+        replacement = _DeadWireClient(transport_driver)
+        fleet._clients["w0"] = (2, replacement)
+        root = _graph(transport_driver, range(5))
+        try:
+            with pytest.raises(PeerGoneError) as excinfo:
+                channel.send([root])
+            assert excinfo.value.generation == 2
+            assert channel.resyncs == 1
+            assert channel.substrate is replacement
+            assert replacement.admitted == [4243]
+            assert channel.channel_id == 4243
+            assert (client.deliveries, replacement.deliveries) == (1, 1)
+            assert client.reconnects == replacement.reconnects == 0
+            assert coordinator.calls == [
+                "lookup", "lookup", "alloc_channels", "report_dead"]
+        finally:
+            channel.close()
 
 
 class TestFleetFailures:
@@ -210,20 +295,20 @@ class TestStrictChannels:
             channel = fleet.channel_to(worker)
             admitted = channel.channel_id
             assert channel.send([root]).mode == "full"
-            conn = channel.client._require_conn()
+            conn = channel.substrate._require_conn()
             rpcs = []
             real_call = fleet.coordinator.call
             fleet.coordinator.call = lambda op, **params: (
                 rpcs.append(op), real_call(op, **params))[1]
-            channel.recover(channel.client, channel_id=778)
+            channel.recover(channel.substrate, channel_id=778)
             with pytest.raises(ClusterProtocolError, match="never admitted"):
                 channel.send([root])
-            channel.recover(channel.client, channel_id=admitted)
+            channel.recover(channel.substrate, channel_id=admitted)
             receipt = channel.send([root], digest=True)
             assert receipt.mode == "full"
             assert receipt.digest == semantic_graph_digest(
                 transport_driver.jvm, [root])
-            assert channel.client._require_conn() is conn
+            assert channel.substrate._require_conn() is conn
             assert rpcs == []
         finally:
             fleet.close()

@@ -1,7 +1,8 @@
-"""The exchange layer on its in-process substrate: capability negotiation,
-full→delta epochs with receiver-value checks, the unified metrics snapshot,
-in-process NACK recovery, unbound frames applied with ``receive_epoch``, and
-the exchange's closed-channel bookkeeping."""
+"""The exchange layer on its in-process substrate: channel capabilities,
+full→delta epochs with receiver-value checks, the channel's obs-source
+dict, in-process NACK recovery, frames applied with the loopback
+substrate's ``deliver_epoch``, and the exchange's closed-channel
+bookkeeping."""
 
 import json
 
@@ -10,18 +11,20 @@ import pytest
 from repro.core.adapter import SkywaySerializer
 from repro.core.runtime import attach_skyway
 from repro.core.streams import SkywayStreamError
+from repro.delta.channel import DeltaSendChannel
 from repro.exchange import (
     ChannelCapabilities,
+    DeltaStaleError,
     Exchange,
-    ExchangeConfigError,
     ExchangeError,
-    LoopbackGraphChannel,
+    GraphChannel,
+    Loopback,
     SOCKET_OFFER,
-    receive_epoch,
 )
 from repro.jvm.jvm import JVM
 from repro.net.cluster import Cluster
 from repro.spark.context import SparkContext
+from repro.transport.digest import semantic_graph_digest
 
 from tests.conftest import make_list, read_list, sample_classpath
 
@@ -49,8 +52,9 @@ class TestCapabilities:
 
     def test_declining_delta_forces_full_epochs(self):
         cluster = make_cluster()
-        channel = Exchange.loopback(cluster).channel_to(
-            cluster.workers[0].name,
+        worker = cluster.workers[0].jvm
+        channel = GraphChannel(
+            cluster.driver.jvm.skyway, Loopback(worker.skyway),
             requested=ChannelCapabilities(kernel=True, delta=False),
         )
         head = make_list(cluster.driver.jvm, range(10))
@@ -66,7 +70,7 @@ class TestLoopbackEpochs:
         cluster = make_cluster()
         driver = cluster.driver.jvm
         worker = cluster.workers[0]
-        exchange = Exchange.loopback(cluster)
+        exchange = Exchange(cluster)
         channel = exchange.channel_to(worker.name)
 
         head = make_list(driver, range(20))
@@ -83,12 +87,13 @@ class TestLoopbackEpochs:
         assert read_list(worker.jvm, second.roots[0])[0] == 999
         assert second.wire_bytes < first.wire_bytes
         assert second.digest != first.digest
-        assert second.digest == channel.receiver_digest(second.roots)
+        assert second.digest == semantic_graph_digest(worker.jvm,
+                                                      second.roots)
         driver.unpin(pin)
 
     def test_send_after_close_is_typed(self):
         cluster = make_cluster()
-        channel = Exchange.loopback(cluster).channel_to(
+        channel = Exchange(cluster).channel_to(
             cluster.workers[0].name)
         channel.close()
         with pytest.raises(ExchangeError, match="closed"):
@@ -96,42 +101,56 @@ class TestLoopbackEpochs:
 
     def test_empty_roots_rejected(self):
         cluster = make_cluster()
-        channel = Exchange.loopback(cluster).channel_to(
+        channel = Exchange(cluster).channel_to(
             cluster.workers[0].name)
         with pytest.raises(ExchangeError, match="at least one root"):
             channel.send([])
 
-    def test_unbound_channel_has_no_receiver_digest(self):
-        cluster = make_cluster()
-        runtime = cluster.driver.jvm.skyway
-        channel = LoopbackGraphChannel(runtime, destination="nowhere")
-        head = make_list(cluster.driver.jvm, range(3))
-        receipt = channel.send([head])
-        assert receipt.roots == ()  # frames only; nothing delivered
-        with pytest.raises(ExchangeConfigError, match="no receiver"):
-            channel.receiver_digest([head])
-
     def test_unbound_frames_read_through_the_serializer(self):
-        """An unbound channel only frames epochs; whoever moves the bytes
-        applies them with ``receive_epoch``, which routes them to the
-        runtime's delta endpoint: the DELTA patches in place.  The plain
-        serializer is not an epoch reader — it refuses one, typed."""
+        """Frames made by a bare ``DeltaSendChannel`` (no substrate bound)
+        are applied by whoever moves the bytes, here the loopback
+        substrate's ``deliver_epoch``, which routes them to the runtime's
+        delta endpoint: the DELTA patches in place.  The plain serializer
+        is not an epoch reader — it refuses one, typed."""
         cluster = make_cluster()
         driver, worker = cluster.driver.jvm, cluster.workers[0].jvm
-        channel = LoopbackGraphChannel(driver.skyway, destination="nowhere")
+        channel = DeltaSendChannel(driver.skyway, "nowhere")
+        loopback = Loopback(worker.skyway)
         head = make_list(driver, range(50))
         first = channel.send([head])
-        [remote] = receive_epoch(worker.skyway, first.frame)
+        [remote] = loopback.deliver_epoch(
+            first, channel.channel_id, channel.epoch)["root_addresses"]
         assert read_list(worker, remote) == list(range(50))
         driver.set_field(head, "payload", 99)
         second = channel.send([head])
-        assert second.mode == "delta"
-        assert second.wire_bytes < first.wire_bytes / 5
-        assert receive_epoch(worker.skyway, second.frame) == [remote]
+        assert channel.last_plan.mode == "delta"
+        assert len(second) < len(first) / 5
+        result = loopback.deliver_epoch(second, channel.channel_id,
+                                        channel.epoch, digest=False)
+        assert result == {"root_addresses": [remote], "digest": None}
         assert read_list(worker, remote)[0] == 99
-        for frame in (first.frame, second.frame):
+        for frame in (first, second):
             with pytest.raises(SkywayStreamError, match="codec id"):
                 SkywaySerializer().deserialize(worker, frame)
+        channel.close()
+
+    def test_delta_to_a_fresh_loopback_is_the_nack(self):
+        """A DELTA for a channel the receiver holds nothing of raises
+        ``DeltaStaleError`` out of ``deliver_epoch``, as
+        ``WorkerClient.deliver_epoch`` does for a worker's NACK."""
+        cluster = make_cluster(workers=2)
+        driver = cluster.driver.jvm
+        first, fresh = (w.jvm.skyway for w in cluster.workers)
+        channel = DeltaSendChannel(driver.skyway, "nowhere")
+        head = make_list(driver, range(10))
+        Loopback(first).deliver_epoch(channel.send([head]),
+                                      channel.channel_id, channel.epoch)
+        driver.set_field(head, "payload", 7)
+        delta = channel.send([head])
+        assert channel.last_plan.mode == "delta"
+        with pytest.raises(DeltaStaleError):
+            Loopback(fresh).deliver_epoch(delta, channel.channel_id,
+                                          channel.epoch)
         channel.close()
 
 
@@ -140,7 +159,7 @@ class TestNackRecovery:
         cluster = make_cluster()
         driver = cluster.driver.jvm
         worker = cluster.workers[0]
-        channel = Exchange.loopback(cluster).channel_to(worker.name)
+        channel = Exchange(cluster).channel_to(worker.name)
 
         head = make_list(driver, range(15))
         pin = driver.pin(head)
@@ -170,7 +189,7 @@ class TestExchangeMetrics:
     def test_snapshot_merges_all_three_ledgers(self):
         cluster = make_cluster()
         driver = cluster.driver.jvm
-        channel = Exchange.loopback(cluster).channel_to(
+        channel = Exchange(cluster).channel_to(
             cluster.workers[0].name)
         head = make_list(driver, range(12))
         pin = driver.pin(head)
@@ -179,17 +198,16 @@ class TestExchangeMetrics:
         channel.send([head])
         driver.unpin(pin)
 
-        snap = channel.metrics()
-        d = snap.as_dict()
+        d = channel.metrics()
         assert d["substrate"] == "loopback"
         assert d["sends"] == 2
         assert d["wire_bytes"] == channel.wire_bytes
-        assert d["capabilities"]["delta"] is True
         assert d["delta"]["full_sends"] == 1
         assert d["delta"]["delta_sends"] == 1
         assert d["transport"] is None  # no wire on this substrate
         assert d["breakdown"]["serialization"] > 0
-        assert json.loads(snap.to_json()) == d
+        assert d["last_plan"]["mode"] == "delta"
+        assert json.loads(json.dumps(d)) == d
 
     def test_exchange_forgets_closed_channels(self):
         """Five ``sc.send(...).push(); .close()`` rounds on two workers
@@ -207,9 +225,10 @@ class TestExchangeMetrics:
 
     def test_exchange_transfer_blob_rides_the_simulated_wire(self):
         cluster = make_cluster()
-        exchange = Exchange.loopback(cluster)
+        exchange = Exchange(cluster)
         worker = cluster.workers[0]
         exchange.transfer_blob(cluster.driver, worker, b"x" * 123)
         assert worker.remote_bytes_fetched == 123
-        with pytest.raises(ExchangeConfigError, match="no socket worker"):
-            exchange.client_for(worker.name)
+        substrate = exchange.substrate_for(worker.name)
+        assert isinstance(substrate, Loopback)
+        assert substrate.receiver is worker.jvm.skyway

@@ -6,12 +6,7 @@ error on a replayed epoch."""
 import pytest
 
 from repro import obs
-from repro.exchange import (
-    ChannelCapabilities,
-    ExchangeConfigError,
-    LoopbackGraphChannel,
-    SocketGraphChannel,
-)
+from repro.exchange import ExchangeConfigError, GraphChannel, Loopback
 from repro.core.runtime import SkywayRuntime
 from repro.jvm.jvm import JVM
 from repro.transport import (
@@ -25,10 +20,6 @@ from repro.transport.testing import SAMPLE_FACTORY, sample_worker_classpath
 
 from tests.conftest import make_list
 
-DELTA_REQUEST = ChannelCapabilities(kernel=True, delta=True)
-FULL_REQUEST = ChannelCapabilities(kernel=True, delta=False)
-
-
 def _loopback_receiver(driver, tag):
     jvm = JVM(f"parity-recv-{tag}", classpath=sample_worker_classpath())
     return SkywayRuntime(jvm, driver.driver_registry, is_driver=False)
@@ -37,8 +28,8 @@ def _loopback_receiver(driver, tag):
 def test_frame_and_digest_parity_across_substrates(transport_driver):
     """With pinned channel ids and one sender heap, the loopback and
     socket channels must frame byte-identical epochs and their receivers
-    must agree digest-wise — on a delta pair (FULL then DELTA) and on a
-    full-only pair — the low-mutation DELTA must undercut the FULL, and a
+    must agree digest-wise — on a delta pair (FULL then DELTA) and on an
+    ``always_full`` pair — the low-mutation DELTA must undercut the FULL, and a
     forced NACK (both receivers compact their old generation) must recover
     the same way on both.  The worker runs in-thread so the test can reach
     its heap; the protocol still crosses a real socket."""
@@ -50,16 +41,12 @@ def test_frame_and_digest_parity_across_substrates(transport_driver):
     client = WorkerClient(driver, local.host, local.port).connect()
     receiver = _loopback_receiver(driver, "a")
     pairs = {
-        name: (
-            LoopbackGraphChannel(
-                driver, destination="parity", requested=requested,
-                receiver_runtime=receiver, channel_id=channel_id),
-            SocketGraphChannel(
-                driver, client, requested=requested, channel_id=channel_id,
-                destination="parity"),
-        )
-        for name, channel_id, requested in (
-            ("delta", 7101, DELTA_REQUEST), ("full", 7102, FULL_REQUEST))
+        name: tuple(
+            GraphChannel(driver, substrate, policy=policy,
+                         channel_id=channel_id, destination="parity")
+            for substrate in (Loopback(receiver), client))
+        for name, channel_id, policy in (
+            ("delta", 7101, None), ("full", 7102, "always_full"))
     }
 
     def epoch(modes):
@@ -96,7 +83,7 @@ def test_frame_and_digest_parity_across_substrates(transport_driver):
         assert third["delta"].wire_bytes > len(third["delta"].frame)
         assert not third["full"].nack_recovered
 
-        socket_metrics = pairs["delta"][1].metrics().as_dict()
+        socket_metrics = pairs["delta"][1].metrics()
         assert socket_metrics["substrate"] == "socket"
         assert socket_metrics["transport"] is not None  # wire counters
     finally:
@@ -116,7 +103,7 @@ def test_rejected_construction_registers_no_obs_source(transport_driver):
     client = WorkerClient(other, "127.0.0.1", 1)  # never connected
     before = obs.registry().source_names()
     with pytest.raises(ExchangeConfigError, match="speaks for runtime"):
-        SocketGraphChannel(transport_driver, client, destination="refused")
+        GraphChannel(transport_driver, client, destination="refused")
     assert obs.registry().source_names() == before
 
 
@@ -130,9 +117,7 @@ def test_worker_restart_converges_through_forced_full(transport_driver):
     spec = WorkerSpec(name="restart-worker", classpath_factory=SAMPLE_FACTORY)
     handle = WorkerHandle.spawn(spec)
     client = WorkerClient(driver, handle.host, handle.port).connect()
-    channel = SocketGraphChannel(
-        driver, client, requested=DELTA_REQUEST, destination="restart",
-    )
+    channel = GraphChannel(driver, client, destination="restart")
     try:
         assert channel.send([head]).mode == "full"
         driver.jvm.set_field(head, "payload", 1)
@@ -174,9 +159,7 @@ def test_replayed_delta_epoch_draws_typed_nack(
     client = WorkerClient(
         driver, spawned_worker.host, spawned_worker.port,
     ).connect()
-    channel = SocketGraphChannel(
-        driver, client, requested=DELTA_REQUEST, destination="replay",
-    )
+    channel = GraphChannel(driver, client, destination="replay")
     try:
         channel.send([head])
         driver.jvm.set_field(head, "payload", 9)

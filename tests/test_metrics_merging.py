@@ -1,46 +1,51 @@
-"""Ledger edge cases the obs snapshot leans on: loopback ExchangeMetrics
-(no transport), TransportMetrics snapshots taken while a writer thread
-updates it, and zero-baseline Breakdown normalization."""
+"""Ledger edge cases the obs snapshot leans on: a loopback channel's
+registry source (no transport), TransportMetrics snapshots taken while a
+writer thread updates it, and zero-baseline Breakdown normalization."""
 
 import json
 import threading
 
-from repro.delta import ChannelStats
-from repro.exchange.metrics import ExchangeMetrics
-from repro.simtime import Breakdown, Category
+from repro import obs
+from repro.core.runtime import attach_skyway
+from repro.exchange import GraphChannel, Loopback
+from repro.jvm.jvm import JVM
+from repro.simtime import Breakdown
 from repro.transport.metrics import TransportMetrics
 
+from tests.conftest import make_list, sample_classpath
 
-class TestExchangeMetricsLoopback:
-    def test_build_with_no_transport(self):
-        metrics = ExchangeMetrics.build(
-            substrate="loopback",
-            destination="worker-0",
-            channel_id=7,
-            capabilities={"delta": True, "kernel": True},
-            sends=2,
-            wire_bytes=123,
-            nack_recoveries=0,
-            sim_totals={Category.SERIALIZATION: 0.5,
-                        Category.DESERIALIZATION: 0.25},
-            stats=ChannelStats(epochs=2, full_sends=1, delta_sends=1),
-            transport=None,
-        )
-        d = metrics.as_dict()
+
+class TestChannelObsSource:
+    def test_loopback_source_is_json_safe(self):
+        """The dict a channel registers is what the snapshot exports,
+        JSON-safe as-is; on loopback it has no transport counters, and
+        its breakdown carries both clocks' charges and the wire bytes."""
+        sender = JVM("obs-src-send", classpath=sample_classpath())
+        receiver = JVM("obs-src-recv", classpath=sample_classpath())
+        attach_skyway(sender, [receiver])
+        channel = GraphChannel(sender.skyway, Loopback(receiver.skyway),
+                               destination="obs-src")
+        try:
+            fresh = channel.metrics()
+            assert fresh["sends"] == fresh["wire_bytes"] == 0
+            assert fresh["last_plan"] is None
+            head = make_list(sender, range(8))
+            channel.send([head])
+            sender.set_field(head, "payload", 3)
+            channel.send([head])
+            d = channel.metrics()
+            assert obs.registry().snapshot()["sources"][
+                channel._obs_source] == d
+        finally:
+            channel.close()
+        assert json.loads(json.dumps(d)) == d
         assert d["transport"] is None
-        assert d["breakdown"]["serialization"] == 0.5
-        assert d["breakdown"]["total"] == 0.75
-        assert d["breakdown"]["bytes_written"] == 123.0
+        breakdown = d["breakdown"]
+        assert breakdown["serialization"] > 0
+        assert breakdown["deserialization"] > 0
+        assert breakdown["bytes_written"] == d["wire_bytes"] > 0
         assert d["delta"]["epochs"] == 2
-        json.dumps(d)  # the registry source must be JSON-safe as-is
-
-    def test_to_json_round_trips(self):
-        metrics = ExchangeMetrics.build(
-            substrate="loopback", destination="d", channel_id=1,
-            capabilities={}, sends=0, wire_bytes=0, nack_recoveries=0,
-            sim_totals={}, stats=ChannelStats(),
-        )
-        assert json.loads(metrics.to_json())["wire_bytes"] == 0
+        assert d["delta"]["bytes_total"] == d["wire_bytes"]
 
 
 class TestTransportMetricsMerge:

@@ -29,7 +29,7 @@ def test_channel_close_deregisters_source():
     cluster = make_cluster()
     attach_skyway(cluster.driver.jvm, [w.jvm for w in cluster.workers],
                   cluster=cluster)
-    exchange = Exchange.loopback(cluster)
+    exchange = Exchange(cluster)
     assert exchange_sources() == []
     channel = exchange.channel_to("worker-0")
     (name,) = exchange_sources()
@@ -45,7 +45,7 @@ def test_exchange_close_deregisters_all_channels():
     cluster = make_cluster(workers=2)
     attach_skyway(cluster.driver.jvm, [w.jvm for w in cluster.workers],
                   cluster=cluster)
-    exchange = Exchange.loopback(cluster)
+    exchange = Exchange(cluster)
     exchange.channel_to("worker-0")
     exchange.channel_to("worker-1")
     assert len(exchange_sources()) == 2

@@ -6,9 +6,7 @@ import pytest
 from repro import obs
 from repro.core.runtime import SkywayRuntime
 from repro.delta.channel import DeltaSendChannel
-from repro.exchange.capabilities import ChannelCapabilities
-from repro.exchange.loopback import LoopbackGraphChannel
-from repro.exchange.socket import SocketGraphChannel
+from repro.exchange import GraphChannel, Loopback
 from repro.jvm.jvm import JVM
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
 from repro.transport import (
@@ -114,16 +112,12 @@ def test_epoch_send_traced_end_to_end(spawned_worker, transport_driver):
         transport_driver, spawned_worker.host, spawned_worker.port,
         connection_cls=recording,
     ).connect()
-    request = ChannelCapabilities(kernel=True, delta=True)
     receiver = SkywayRuntime(
         JVM("obs-recv", classpath=sample_worker_classpath()),
         transport_driver.driver_registry, is_driver=False)
-    channels = [
-        LoopbackGraphChannel(transport_driver, destination="obs-prop",
-                             requested=request, receiver_runtime=receiver),
-        SocketGraphChannel(transport_driver, client, requested=request,
-                           destination="obs-prop"),
-    ]
+    channels = [GraphChannel(transport_driver, substrate,
+                             destination="obs-prop")
+                for substrate in (Loopback(receiver), client)]
     try:
         head = jvm.pin(make_list(jvm, range(200))).address
         receipts = [[ch.send([head], digest=True)] for ch in channels]
@@ -150,7 +144,7 @@ def test_epoch_send_traced_end_to_end(spawned_worker, transport_driver):
                for sent in receipts)
     ledger = {src["substrate"]: src["wire_bytes"]
               for name, src in sources.items() if name.startswith("exchange.")}
-    assert ledger == {ch.substrate: sum(r.wire_bytes for r in sent)
+    assert ledger == {ch.kind: sum(r.wire_bytes for r in sent)
                       for ch, sent in zip(channels, receipts)}
     assert all("trace" not in out["result"] and out["result"]["ok"]
                for out in results.values())

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.delta.channel import DeltaSendChannel
-from repro.exchange.capabilities import ChannelCapabilities
+from repro.exchange import ChannelCapabilities
 from repro.policy import (
     BYTE_CROSSOVER,
     EXIT_FULL,

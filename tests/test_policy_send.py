@@ -104,7 +104,7 @@ class TestPolicySend:
         driver = cluster.driver.jvm
         graph = build_vertex_graph(driver, EDGES)
         pagerank = IncrementalPageRank(driver, graph)
-        exchange = Exchange.loopback(cluster)
+        exchange = Exchange(cluster)
         channels = {
             policy: exchange.channel_to(worker.name, policy=policy,
                                         channel_id=7700)

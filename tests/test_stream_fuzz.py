@@ -18,10 +18,9 @@ from repro.core.streams import (
     SkywayObjectOutputStream,
     SkywayStreamError,
 )
-from repro.exchange import ChannelCapabilities, LoopbackGraphChannel
-from repro.exchange.dispatch import receive_epoch
+from repro.exchange import Loopback
 from repro.exchange.errors import ExchangeProtocolError
-from repro.delta.channel import DeltaStaleError
+from repro.delta.channel import DeltaSendChannel, DeltaStaleError
 from repro.jvm.jvm import JVM
 
 from tests.conftest import make_date, make_list, sample_classpath
@@ -140,6 +139,7 @@ def test_error_reports_byte_offset():
 #: wrapped, and staleness is the epoch protocol's NACK (a bit flip landing
 #: in the channel-id or epoch varint legitimately looks stale).
 EPOCH_ERRORS = (ExchangeProtocolError, DeltaStaleError)
+EPOCH_CHANNEL = 7321
 
 
 @pytest.fixture(scope="module")
@@ -149,15 +149,12 @@ def epoch_frames():
     for building receivers."""
     src = JVM("fuzz-epoch-src", classpath=sample_classpath())
     attach_skyway(src, [])
-    channel = LoopbackGraphChannel(
-        src.skyway, destination="fuzz-epoch",
-        requested=ChannelCapabilities(kernel=True, delta=True),
-        channel_id=7321,
-    )
+    channel = DeltaSendChannel(src.skyway, "fuzz-epoch",
+                               channel_id=EPOCH_CHANNEL)
     date = make_date(src, 2018, 3, 28)
     head = make_list(src, range(30))
     full = channel.send([date, head])
-    assert full.mode == "full"
+    assert channel.last_plan.mode == "full"
     # One field patched, one fresh node spliced in: PATCH + NEW records.
     src.set_field(head, "payload", 777)
     node = src.new_instance("ListNode")
@@ -165,17 +162,19 @@ def epoch_frames():
     src.set_field(node, "next", src.get_field(head, "next"))
     src.set_field(head, "next", node)
     delta = channel.send([date, head])
-    assert delta.mode == "delta"
-    return src, full.frame, delta.frame
+    assert channel.last_plan.mode == "delta"
+    return src, full, delta
 
 
 def _apply_epoch(src, data, prime=None):
     """Apply an epoch frame on a fresh receiver (optionally primed with an
     earlier frame to hold channel state); returns the root count."""
-    runtime = _fresh_receiver_runtime(src)
+    receiver = Loopback(_fresh_receiver_runtime(src))
     if prime is not None:
-        receive_epoch(runtime, prime)
-    return len(receive_epoch(runtime, data))
+        receiver.deliver_epoch(prime, EPOCH_CHANNEL, 1, digest=False)
+    return len(receiver.deliver_epoch(
+        data, EPOCH_CHANNEL, 2 if prime is not None else 1,
+        digest=False)["root_addresses"])
 
 
 def test_epoch_frames_apply_cleanly(epoch_frames):

@@ -75,7 +75,7 @@ def test_spark_broadcast_routes_through_exchange():
 def test_spark_broadcast_default_path_unchanged():
     cluster = make_cluster(workers=2)
     sc = SparkContext(cluster, JavaSerializer())
-    assert sc.exchange.substrate == "loopback"
+    assert sc.exchange.clients is None  # in-process, simulated wire
     broadcast = sc.broadcast([1, 2, 3])
     for worker in cluster.workers:
         assert worker.remote_bytes_fetched == broadcast.wire_bytes
@@ -93,7 +93,7 @@ def test_socket_exchange_broadcast_end_to_end(
         transport_driver, spawned_worker.host, spawned_worker.port,
     ).connect()
     try:
-        exchange = Exchange.socket(cluster, {node.name: client})
+        exchange = Exchange(cluster, {node.name: client})
         sc = SparkContext(cluster, JavaSerializer(), exchange=exchange)
         broadcast = sc.broadcast("a broadcast value" * 100)
         assert node.remote_bytes_fetched == broadcast.wire_bytes

@@ -23,9 +23,10 @@ from repro.exchange import (
     ChannelCapabilities,
     Exchange,
     GraphChannel,
-    SocketGraphChannel,
 )
 from repro.jvm.jvm import JVM
+from repro.spark.context import SparkContext
+from repro.spark.send import PolicySend
 from repro import policy as policy_plane
 from repro.policy import (
     AdaptivePolicy,
@@ -313,7 +314,7 @@ def test_relayed_delta_ships_the_patch_and_a_peer_nack_recovers(
              for name in ("relay-a", "relay-b")]
     with LocalAsyncWorker(specs[0]) as a, LocalAsyncWorker(specs[1]) as b:
         client = _connect(driver, a)
-        channel = SocketGraphChannel(
+        channel = GraphChannel(
             driver, client, channel_id=5101, destination="relay-a")
 
         def push(payload):
@@ -421,12 +422,17 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
     assert params(LocalAsyncWorker.__init__) == ["self", "spec"]
     assert params(WorkerClient.send_blob) == ["self", "data"]
     assert params(WorkerClient.put_blob) == ["self", "key", "data"]
-    assert params(SocketGraphChannel.__init__) == [
-        "self", "runtime", "client", "requested", "policy", "channel_id",
+    assert params(GraphChannel.__init__) == [
+        "self", "runtime", "substrate", "requested", "policy", "channel_id",
         "destination"]
     assert params(FleetChannel.__init__) == [
-        "self", "fleet", "worker", "client", "generation", "requested",
-        "policy", "channel_id"]
+        "self", "fleet", "worker", "client", "generation", "policy",
+        "channel_id"]
+    assert params(Exchange.channel_to) == [
+        "self", "destination", "policy", "channel_id"]
+    assert params(Fleet.channel_to) == ["self", "worker", "policy"]
+    for func in (Fleet.broadcast, PolicySend.__init__, SparkContext.send):
+        assert "requested" not in params(func)
     assert params(DeltaSendChannel.ship) == ["self", "roots", "deliver"]
     assert params(DeltaSendChannel.__init__) == [
         "self", "runtime", "destination", "policy", "target_layout",
