@@ -13,7 +13,11 @@ Because each chunk is filled sequentially with whole objects, the mapping
 from *logical* (sender buffer) addresses to *physical* heap addresses is a
 short run table — the chunk arithmetic of §4.3: find the chunk ``i`` a
 relative address falls in, take its offset within the chunk, and add the
-chunk's start address.
+chunk's start address.  A chunk that cannot fit the next object gives its
+unused tail back when it is still the old generation's last reservation,
+so a stream that nothing interleaves with lands as chunks that abut: one
+``physical - logical`` :attr:`InputBuffer.offset` for the whole buffer,
+and logical -> physical is one add.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
+import hashlib
 import itertools
 import operator
 from typing import List, Optional, Sequence
@@ -65,7 +70,9 @@ class InputBuffer:
         self.placed_objects: List[int] = []
         self._logical_cursor = LOGICAL_BASE
         self._starts_index: List[int] = []  # logical_start per chunk (bisect)
-        self._last_chunk: Optional[Chunk] = None  # translate() locality cache
+        #: ``physical - logical`` of every chunk while each abuts the one
+        #: before; None before the first chunk and once one does not.
+        self.offset: Optional[int] = None
         self.total_bytes = 0
         self._frozen = False
 
@@ -155,10 +162,21 @@ class InputBuffer:
         return address
 
     def _chunk_for(self, size: int) -> Chunk:
-        if self.chunks and self.chunks[-1].free >= size:
-            return self.chunks[-1]
+        if self.chunks:
+            last = self.chunks[-1]
+            if last.free >= size:
+                return last
+            if self.heap.release_raw_old(
+                last.physical_start + last.filled, last.free
+            ):
+                last.capacity = last.filled
         capacity = max(self.chunk_size, size)  # oversized objects
         physical = self.heap.reserve_raw_old(capacity)
+        offset = physical - self._logical_cursor
+        if not self.chunks:
+            self.offset = offset
+        elif offset != self.offset:
+            self.offset = None
         chunk = Chunk(
             physical_start=physical,
             capacity=capacity,
@@ -188,13 +206,8 @@ class InputBuffer:
                 f"relative address {logical:#x} outside buffer "
                 f"[{LOGICAL_BASE:#x}, {self._logical_cursor:#x})"
             )
-        # Absolutization scans objects in logical order, so consecutive
-        # lookups overwhelmingly hit the same chunk — check it first.
-        chunk = self._last_chunk
-        if chunk is not None:
-            offset = logical - chunk.logical_start
-            if 0 <= offset < chunk.filled:
-                return chunk.physical_start + offset
+        if self.offset is not None:  # abutting chunks: one add
+            return logical + self.offset
         i = bisect.bisect_right(self._starts_index, logical) - 1
         chunk = self.chunks[i]
         offset = logical - chunk.logical_start
@@ -202,8 +215,23 @@ class InputBuffer:
             raise InputBufferError(
                 f"relative address {logical:#x} falls in chunk {i} padding"
             )
-        self._last_chunk = chunk
         return chunk.physical_start + offset
+
+    def landing_offset(self) -> Optional[int]:
+        """The :attr:`offset` of a run placed now, if it abuts."""
+        if self.chunks:
+            return self.offset
+        return self.heap.old.top - self._logical_cursor
+
+    def fingerprint(self) -> bytes:
+        """SHA-256 of the chunk layout, the object count and the bytes."""
+        layout = [(c.physical_start, c.logical_start, c.filled)
+                  for c in self.chunks]
+        digest = hashlib.sha256(repr((len(self), layout)).encode())
+        for chunk in self.chunks:
+            digest.update(self.heap.read_bytes(chunk.physical_start,
+                                               chunk.filled))
+        return digest.digest()
 
     @property
     def logical_size(self) -> int:

@@ -10,9 +10,9 @@ once into an immutable :class:`CloneKernel` (sender side) and
 :class:`ReceiveKernel` (receiver side) holding
 
 * the reference slots as word indexes (``ref_words``), which the sender's
-  word-indexed loop reads and writes one index at a time, and a cached
-  :class:`struct.Struct` that unpacks every pointer slot in one call for
-  the receiver, the digest and delta encoding (pad bytes skip primitive
+  loop, the receive pass and the digest read and write one index at a
+  time, and for delta encoding a cached :class:`struct.Struct` that
+  unpacks every pointer slot in one call (pad bytes skip primitive
   fields, so it is unpack only);
 * a cached header pack (mark word, tID, zeroed baddr) per layout;
 * the fixed ``object_size`` for non-arrays, and the element geometry
@@ -118,6 +118,7 @@ class CloneKernel:
         if self.is_array:
             elem = klass.element_descriptor or ""
             self.elem_base = layout.array_payload_offset(elem)
+            #: First element's word index (a reference payload is aligned).
             self.elem_word = self.elem_base >> 3
             self.elem_size = klass.element_size
             self.size = None
@@ -197,9 +198,9 @@ class ReceiveKernel:
 
     __slots__ = (
         "klass", "klass_id", "layout", "cost", "is_array",
-        "has_ref_elements", "size", "length_offset", "elem_base",
-        "elem_size", "ref_offsets", "n_refs", "ref_unpack", "finish_cost",
-        "object_cost",
+        "has_ref_elements", "size", "length_offset", "length_word",
+        "elem_base", "elem_word", "elem_size", "ref_words", "finish_cost",
+        "hash_prefix",
     )
 
     def __init__(self, klass: Klass, layout: HeapLayout, cost) -> None:
@@ -210,26 +211,30 @@ class ReceiveKernel:
         self.is_array = klass.is_array
         self.has_ref_elements = klass.has_reference_elements
         self.length_offset = layout.array_length_offset
+        self.length_word = self.length_offset >> 3
         #: Per-object share of the linear scan (size decode + klass patch).
-        self.object_cost = cost.skyway_receive_object
+        object_cost = cost.skyway_receive_object
+        #: What the digest hashes ahead of each image: the class name, and
+        #: for a fixed-size class its 8-byte size too.
+        self.hash_prefix = klass.name.encode("utf-8")
         if self.is_array:
             elem = klass.element_descriptor or ""
             self.elem_base = layout.array_payload_offset(elem)
+            #: First element's word index (a reference payload is aligned).
+            self.elem_word = self.elem_base >> 3
             self.elem_size = klass.element_size
             self.size = None
-            self.ref_offsets = ()
-            self.n_refs = 0
-            self.ref_unpack = None
-            self.finish_cost = self.object_cost
+            self.ref_words = None
+            self.finish_cost = object_cost
         else:
-            self.elem_base = self.elem_size = 0
+            self.elem_base = self.elem_word = self.elem_size = 0
             self.size = klass.object_size()
-            self.ref_offsets = klass.oop_offsets
-            self.n_refs = len(self.ref_offsets)
-            self.ref_unpack = _scattered_unpack(self.ref_offsets)
+            #: Reference slots as word indexes from the object's first word.
+            self.ref_words = tuple(offset >> 3 for offset in klass.oop_offsets)
             self.finish_cost = (
-                self.object_cost + self.n_refs * cost.skyway_pointer_fixup
+                object_cost + len(self.ref_words) * cost.skyway_pointer_fixup
             )
+            self.hash_prefix += self.size.to_bytes(8, "little")
 
     def array_size(self, length: int) -> int:
         return align_up(

@@ -15,7 +15,8 @@ the frame, with a check in front because a PATCH overwrites live objects:
    land exactly); PATCH payloads overwrite their clone's bytes in place.
 2. **Absolutization**: after all NEW objects exist, exactly the touched
    objects go through :meth:`ObjectGraphReceiver.absolutize` — the scan a
-   full receive runs over the whole buffer; there is no second copy here.
+   full receive runs when its stream left the receive pass; there is no
+   second copy here.
 
 A PATCH also fires the heap's mutation listeners — the same ``(address,
 nbytes)`` call the typed-write barrier makes — so a worker that relays a

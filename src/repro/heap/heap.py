@@ -413,6 +413,16 @@ class ManagedHeap:
         self.old.top += nbytes
         return address
 
+    def release_raw_old(self, address: int, nbytes: int) -> bool:
+        """Give back ``[address, address + nbytes)``, the unused tail of a
+        :meth:`reserve_raw_old` reservation, when nothing was reserved or
+        allocated in the old generation after it; False (nothing released)
+        otherwise."""
+        if address + nbytes != self.old.top:
+            return False
+        self.old.top = address
+        return True
+
     def register_object(self, address: int) -> None:
         """Add an externally-placed object (input-buffer content) to the
         old generation's parse index, keeping it address-sorted.

@@ -16,13 +16,18 @@ normalizes exactly those two word kinds:
 
 Two receivers that placed and absolutized the same stream produce the same
 digest, whatever their heaps looked like beforehand.
+
+While a stream's chunks abut, the receiver absolutizes each segment as it
+lands, not at end-of-stream, and hashes it read back from the heap;
+``finish``, still the only source of roots, records that digest with a
+fingerprint of the buffer.  Any other buffer is hashed here.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, Dict, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Sequence
 
 from repro.core.kernels import (
     KLASS_WORD_END,
@@ -30,7 +35,6 @@ from repro.core.kernels import (
     ReceiveKernel,
     WORD_STRUCT,
     receive_kernel_for,
-    ref_run_struct,
 )
 from repro.core.receiver import ObjectGraphReceiver
 from repro.heap.layout import KLASS_OFFSET, MARK_OFFSET
@@ -51,10 +55,11 @@ def _hash_objects(
     each object at ``addresses``.
 
     Per object: the klass word resolves through one dict hit to the class's
-    cached :class:`ReceiveKernel` (size and reference slots precomputed),
-    the image is copied once out of the heap's backing store, the header
-    words at ``zeroed_offsets`` are cleared and every non-null reference
-    word is rewritten to ``normalize(pointer)`` in that copy.
+    cached :class:`ReceiveKernel` (size, reference slots and hash prefix
+    precomputed), the image is copied once out of the heap's backing
+    store, the header words at ``zeroed_offsets`` are cleared and every
+    non-null reference word is rewritten to ``normalize(pointer)`` in that
+    copy.
     """
     heap = jvm.heap
     layout = jvm.layout
@@ -63,11 +68,10 @@ def _hash_objects(
     heap_base = heap.base
     heap_bytes = len(memory)
     unpack_word = WORD_STRUCT.unpack_from
-    pack_word = WORD_STRUCT.pack_into
     unpack_length = LENGTH_STRUCT.unpack_from
-    #: klass word -> (class name bytes, kernel); fixed-size classes carry
-    #: their 8-byte size suffix on the name already.
-    classes: Dict[int, Tuple[bytes, ReceiveKernel]] = {}
+    zeroed_words = [offset >> 3 for offset in zeroed_offsets]
+    #: klass word -> the class's receive kernel.
+    classes: Dict[int, ReceiveKernel] = {}
     batch = []
     batched = 0
     for address in addresses:
@@ -75,46 +79,29 @@ def _hash_objects(
         if at < 0 or at + KLASS_WORD_END > heap_bytes:
             heap.index_of(address, KLASS_WORD_END)  # raises the canonical error
         klass_word = unpack_word(memory, at + KLASS_OFFSET)[0]
-        entry = classes.get(klass_word)
-        if entry is None:
-            klass = heap.klass_of(address)
-            kernel = receive_kernel_for(klass, layout, cost)
-            prefix = klass.name.encode("utf-8")
-            if kernel.size is not None:
-                prefix += kernel.size.to_bytes(8, "little")
-            entry = classes[klass_word] = (prefix, kernel)
-        prefix, kernel = entry
+        kernel = classes.get(klass_word)
+        if kernel is None:
+            kernel = classes[klass_word] = receive_kernel_for(
+                heap.klass_of(address), layout, cost)
+        prefix = kernel.hash_prefix
         size = kernel.size
-        ref_elements = 0
+        slots = kernel.ref_words
         if size is None:
             length = unpack_length(memory, at + kernel.length_offset)[0]
             size = kernel.array_size(length)
-            if kernel.has_ref_elements:
-                ref_elements = length
+            slots = range(kernel.elem_word, kernel.elem_word
+                          + (length if kernel.has_ref_elements else 0))
             batch.append(prefix)
             prefix = size.to_bytes(8, "little")
         if at + size > heap_bytes:
             heap.index_of(address, size)
         image = bytearray(memory[at : at + size])
-        for offset in zeroed_offsets:
-            pack_word(image, offset, 0)
-        ref_unpack = kernel.ref_unpack
-        if ref_unpack is not None:
-            for slot, pointer in zip(
-                kernel.ref_offsets, ref_unpack.unpack_from(image)
-            ):
-                if pointer:
-                    pack_word(image, slot, normalize(pointer))
-        elif ref_elements:
-            run = ref_run_struct(ref_elements)
-            run.pack_into(
-                image,
-                kernel.elem_base,
-                *[
-                    normalize(pointer) if pointer else 0
-                    for pointer in run.unpack_from(image, kernel.elem_base)
-                ],
-            )
+        words = memoryview(image).cast("Q")
+        for word in zeroed_words:
+            words[word] = 0
+        for i in slots:
+            if words[i]:
+                words[i] = normalize(words[i])
         batch.append(prefix)
         batch.append(image)
         batched += size
@@ -126,7 +113,14 @@ def _hash_objects(
 
 
 def graph_digest(jvm: JVM, receiver: ObjectGraphReceiver) -> str:
-    """SHA-256 over the received buffer in logical coordinates."""
+    """SHA-256 over the received buffer in logical coordinates: the
+    receive pass's digest while a fresh fingerprint of the buffer matches
+    the one ``finish`` recorded with it, else hashed again here (a delta
+    epoch, a ``registerUpdate`` hook or a stray write since)."""
+    recorded = receiver.pass_digest
+    if (recorded is not None and jvm is receiver.jvm
+            and recorded[1] == receiver.buffer.fingerprint()):
+        return recorded[0]
     # Chunks sorted by physical start; a pointer's chunk is found by bisect,
     # after a look at the chunk the previous pointer fell in.
     spans = sorted(
