@@ -289,8 +289,7 @@ class TestDigestNegativeControls:
 
         skewed = dst.skyway.new_receiver()
         skewed.feed(segments[0])
-        skewed._offset += 8
-        skewed.buffer.offset += 8
+        skewed.buffer.offset += 8  # the pass takes its offset from here
         for segment in segments[1:]:
             skewed.feed(segment)
         if len(skewed.buffer.chunks) == 1:
