@@ -274,11 +274,12 @@ class IncrementalStreamDecoder:
                 if self._pos + seg_len > len(self._buf):
                     self._pos = saved  # wait for the whole segment
                     return
-                segment = bytes(self._buf[self._pos : self._pos + seg_len])
+                # The receiver copies it: a view, released before a trim.
+                start = self._pos
                 self._pos += seg_len
-                if self._codec is not None:
-                    segment = self._codec.decompress(segment)
-                self.receiver.feed(segment)
+                with memoryview(self._buf)[start : self._pos] as segment:
+                    self.receiver.feed(segment if self._codec is None else
+                                       self._codec.decompress(bytes(segment)))
                 self.segments_decoded += 1
             elif self._state == self._MARK_COUNT:
                 count = self._bounded_varint("top-mark count")

@@ -66,6 +66,8 @@ class ApplyResult:
 
     root_addresses: List[int]
     patched_objects: int
+    #: Where each PATCH landed, in record order (what an epoch digest re-reads).
+    patched_addresses: List[int]
     new_objects: int
     cards_marked_bytes: int
 
@@ -175,7 +177,7 @@ class DeltaApplier:
         card_table_update = cost.card_table_update
         epoch_cost = 0.0
         cards_marked = 0
-        patched = 0
+        patched: List[int] = []
         payloads = (
             record.payload for record in frame.records
             if record.tag != REC_SAMEREF
@@ -195,7 +197,7 @@ class DeltaApplier:
                 # NEW objects need none: patched references reach them.
                 for listener in listeners:
                     listener(address, size)
-                patched += 1
+                patched.append(address)
             mark_range(address, size)
             cards_marked += size
             epoch_cost += memcpy(size) + card_table_update
@@ -212,8 +214,9 @@ class DeltaApplier:
                 self._translate(offset) if offset else 0
                 for offset in frame.roots
             ],
-            patched_objects=patched,
-            new_objects=len(touched) - patched,
+            patched_objects=len(patched),
+            patched_addresses=patched,
+            new_objects=len(touched) - len(patched),
             cards_marked_bytes=cards_marked,
         )
 

@@ -21,7 +21,7 @@ from repro.delta.channel import DeltaReceiveEndpoint, DeltaStaleError
 from repro.exchange.errors import ExchangeProtocolError
 from repro.net.cluster import Cluster, Node
 from repro.simtime import Category
-from repro.transport.digest import semantic_graph_digest
+from repro.transport.digest import epoch_digest
 
 
 class Loopback:
@@ -54,5 +54,5 @@ class Loopback:
                     f"cannot apply epoch frame ({type(exc).__name__}: {exc})"
                 ) from exc
         return {"root_addresses": roots,
-                "digest": (semantic_graph_digest(jvm, roots)
+                "digest": (epoch_digest(self.receiver, channel_id, roots)
                            if digest and roots else None)}

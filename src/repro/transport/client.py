@@ -72,17 +72,23 @@ def _write_streams(conn: FrameConnection, streams, rng=None,
                    on_flush=None) -> None:
     """The in-hand writer.  Each ``(StreamHeader, data)`` stream is its
     STREAM opener, ``DEFAULT_MUX_CHUNK_BYTES`` DATA chunks (one at least)
-    and TRAILER; streams interleave round-robin (in order within each — the
-    only ordering the worker requires), or in ``rng``'s order (anything
-    with ``randrange``; how the fuzz tests splice).  Frames coalesce into
-    one ``sendall`` per ``MUX_FLUSH_BYTES`` and always through each
-    trailer, after which ``on_flush`` runs with the id of the stream whose
-    trailer went out (``None`` after a size flush).  A failed write raises
+    and TRAILER — or, for an epoch that fits one chunk, the opener alone,
+    carrying it inline; streams interleave round-robin (in order within
+    each — the only ordering the worker requires), or in ``rng``'s order
+    (anything with ``randrange``; how the fuzz tests splice).  Frames
+    coalesce into one ``sendall`` per ``MUX_FLUSH_BYTES`` and always
+    through each stream's last frame, after which ``on_flush`` runs with
+    that stream's id (``None`` after a size flush).  A failed write raises
     the worker's pending ERROR if it sent one."""
     queues = []
     for header, data in streams:
         sid, view, step = header.stream_id, memoryview(data), \
             DEFAULT_MUX_CHUNK_BYTES
+        if header.kind == frames.STREAM_EPOCH and len(data) <= step:
+            header = header._replace(inline=bytes(data))
+            queues.append((sid, [frames.encode_frame(
+                frames.STREAM, frames.encode_stream(header))]))
+            continue
         queue = [frames.encode_frame(frames.STREAM,
                                      frames.encode_stream(header))]
         queue += [frames.data_frame(sid, view[off:off + step])
@@ -114,9 +120,7 @@ def _write_streams(conn: FrameConnection, streams, rng=None,
 def _read_result(frame: Tuple[int, bytes], span) -> dict:
     """A received frame as the RESULT it must be (an ERROR frame raises
     the remote failure), the worker's spans grafted under ``span``."""
-    result = frames.decode_json(
-        expect_payload(frame, frames.RESULT), what="RESULT"
-    )
+    result = frames.decode_result(expect_payload(frame, frames.RESULT))
     obs.absorb_remote(result, span)
     return result
 
@@ -385,9 +389,10 @@ class WorkerClient:
         or ``(channel_id, epoch, frame_bytes, digest)`` tuples (``digest``
         defaults to True and rides the stream's opener).  Each epoch is
         one stream whose id is its channel id, interleaved with the others
-        by :func:`_write_streams`.  RESULT frames are drained as they
-        arrive and matched back to their channel by the ``channel_id`` the
-        worker tags them with.
+        by :func:`_write_streams`; one that fits a chunk is a single STREAM
+        frame.  The binary RESULT records are drained as they arrive,
+        decoded into dicts and matched back to their channel by the
+        ``channel_id`` the worker tags them with.
 
         Each channel may appear at most once per call: the worker allows
         one open stream per id, and results are keyed by channel id —
@@ -402,6 +407,7 @@ class WorkerClient:
         """
         streams = []
         expected: set = set()
+        traced = obs.enabled()  # then a TRACE frame precedes the batch
         for entry in epochs:
             channel_id, epoch, frame_bytes = entry[:3]
             digest = entry[3] if len(entry) > 3 else True
@@ -415,7 +421,7 @@ class WorkerClient:
             streams.append((frames.StreamHeader(
                 channel_id, frames.STREAM_EPOCH, epoch=epoch,
                 frame_kind=frame_bytes[0] if frame_bytes else 0,
-                digest=digest), frame_bytes))
+                digest=digest, traced=traced), frame_bytes))
         conn = self._require_conn()
         self._sync_registry()
 

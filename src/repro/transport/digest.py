@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, Dict, Iterable, Sequence
+import weakref
+from array import array
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.kernels import (
     KLASS_WORD_END,
@@ -37,6 +39,8 @@ from repro.core.kernels import (
     receive_kernel_for,
 )
 from repro.core.receiver import ObjectGraphReceiver
+from repro.core.runtime import SkywayRuntime
+from repro.delta.channel import DeltaReceiveEndpoint
 from repro.heap.layout import KLASS_OFFSET, MARK_OFFSET
 from repro.jvm.jvm import JVM
 
@@ -47,12 +51,13 @@ _HASH_BATCH_BYTES = 64 * 1024
 def _hash_objects(
     jvm: JVM,
     addresses: Iterable[int],
-    digest,
+    flush: Callable[[List], None],
     zeroed_offsets: Sequence[int],
     normalize: Callable[[int], int],
 ) -> None:
-    """The digest kernel: hash ``class name | size | normalized image`` for
-    each object at ``addresses``.
+    """The digest kernel: ``class name | size | normalized image`` for each
+    object at ``addresses``, to ``flush`` as pieces about every 64 KiB
+    (each image a ``bytearray``, the rest ``bytes``).
 
     Per object: the klass word resolves through one dict hit to the class's
     cached :class:`ReceiveKernel` (size, reference slots and hash prefix
@@ -106,10 +111,10 @@ def _hash_objects(
         batch.append(image)
         batched += size
         if batched >= _HASH_BATCH_BYTES:
-            digest.update(b"".join(batch))
-            batch.clear()
+            flush(batch)
+            batch = []
             batched = 0
-    digest.update(b"".join(batch))
+    flush(batch)
 
 
 def graph_digest(jvm: JVM, receiver: ObjectGraphReceiver) -> str:
@@ -143,9 +148,9 @@ def graph_digest(jvm: JVM, receiver: ObjectGraphReceiver) -> str:
         return logical + (pointer - physical)
 
     digest = hashlib.sha256()
-    _hash_objects(
-        jvm, receiver.buffer.placed_objects, digest, (KLASS_OFFSET,), to_logical
-    )
+    _hash_objects(jvm, receiver.buffer.placed_objects,
+                  lambda batch: digest.update(b"".join(batch)),
+                  (KLASS_OFFSET,), to_logical)
     return digest.hexdigest()
 
 
@@ -167,6 +172,20 @@ def semantic_graph_digest(jvm: JVM, roots: Sequence[int]) -> str:
     word if the layout carries one (sender-side scratch state), and every
     reference word (rewritten to the referent's visit index; 0 for null).
     """
+    digest = hashlib.sha256()
+    _semantic_walk(jvm, roots, lambda batch: digest.update(b"".join(batch)))
+    return digest.hexdigest()
+
+
+def _zeroed_words(jvm: JVM) -> List[int]:
+    layout = jvm.layout
+    return [MARK_OFFSET, KLASS_OFFSET] + [layout.baddr_offset] * layout.has_baddr
+
+
+def _semantic_walk(jvm: JVM, roots: Sequence[int],
+                   flush: Callable[[List], None]) -> List[int]:
+    """:func:`semantic_graph_digest`'s pieces into ``flush``: the roots
+    header, then each object in BFS order.  Returns that order."""
     index: Dict[int, int] = {}
     order = []
     for root in roots:
@@ -181,14 +200,132 @@ def semantic_graph_digest(jvm: JVM, roots: Sequence[int]) -> str:
             number = index[pointer] = len(order)
         return number
 
-    zeroed = [MARK_OFFSET, KLASS_OFFSET]
-    if jvm.layout.has_baddr:
-        zeroed.append(jvm.layout.baddr_offset)
-    digest = hashlib.sha256()
-    digest.update(len(roots).to_bytes(8, "little"))
-    for root in roots:
-        digest.update(index.get(root, 0).to_bytes(8, "little"))
+    flush([len(roots).to_bytes(8, "little")]
+          + [index.get(root, 0).to_bytes(8, "little") for root in roots])
     # ``order`` is the BFS queue: hashing an object numbers (and enqueues)
     # its unvisited referents, so the loop inside walks the list as it grows.
-    _hash_objects(jvm, order, digest, zeroed, visit)
-    return digest.hexdigest()
+    _hash_objects(jvm, order, flush, _zeroed_words(jvm), visit)
+    return order
+
+
+class _EpochCache:
+    """A DELTA channel's last digest input: ``norm``, the string
+    :func:`semantic_graph_digest` hashed; ``slots``, each placed object's
+    image offset in it by placement ordinal (-1: unreachable); ``raw``, a
+    copy of each chunk of the buffer, laid out as ``layout``."""
+
+    __slots__ = ("roots", "layout", "raw", "norm", "slots")
+
+    def advance(self, jvm: JVM, buffer, roots: Sequence[int],
+                patched: Sequence[int]) -> Optional[str]:
+        """The digest after a PATCH-only epoch wrote ``patched``, or
+        ``None`` (hash in full) on new roots or chunks, a PATCHed object
+        whose header or pointers changed, or any other byte of the buffer
+        that differs from the copy."""
+        layout = [(chunk.physical_start, chunk.filled)
+                  for chunk in buffer.chunks]
+        if tuple(roots) != self.roots or layout != self.layout:
+            return None
+        heap = jvm.heap
+        memory, base = heap.memory_view, heap.base
+        placed, norm, raw = buffer.placed_objects, self.norm, self.raw
+        starts = [start for start, _filled in layout]
+        unpack_word = WORD_STRUCT.unpack_from
+        zeroed = [offset >> 3 for offset in _zeroed_words(jvm)]
+        for address in patched:
+            k = bisect.bisect_right(starts, address) - 1
+            ordinal = bisect.bisect_left(placed, address)
+            if k < 0 or placed[ordinal : ordinal + 1] != [address]:
+                return None
+            kernel = receive_kernel_for(heap.klass_of(address), jvm.layout,
+                                        jvm.cost_model)
+            at, lo, copy = address - base, address - starts[k], raw[k]
+            size, refs, header = kernel.size, kernel.ref_words, KLASS_WORD_END
+            if size is None:
+                header = kernel.length_offset + 4
+                length = LENGTH_STRUCT.unpack_from(memory, at + header - 4)[0]
+                size = kernel.array_size(length)
+                refs = range(kernel.elem_word, kernel.elem_word + (
+                    length if kernel.has_ref_elements else 0))
+            # The same class and length as the copy: the same slot size.
+            if lo + size > layout[k][1] or copy[lo + KLASS_OFFSET : lo + header] \
+                    != memory[at + KLASS_OFFSET : at + header]:
+                return None
+            image = bytearray(memory[at : at + size])
+            words = memoryview(image).cast("Q")
+            # An unchanged pointer keeps its referent's BFS number.
+            if any(words[i] != unpack_word(copy, lo + 8 * i)[0] for i in refs):
+                return None
+            copy[lo : lo + size] = image
+            offset = self.slots[ordinal]
+            if offset >= 0:
+                for i in zeroed:
+                    words[i] = 0
+                for i in refs:
+                    words[i] = unpack_word(norm, offset + 8 * i)[0]
+                norm[offset : offset + size] = image
+        # One compare per chunk: a write outside the PATCHes shows here.
+        for (start, filled), copy in zip(layout, raw):
+            if copy != memory[start - base : start - base + filled]:
+                return None
+        return hashlib.sha256(norm).hexdigest()
+
+    @classmethod
+    def build(cls, jvm: JVM, buffer, roots: Sequence[int]
+              ) -> Tuple[str, Optional["_EpochCache"]]:
+        """:func:`semantic_graph_digest` of ``roots`` and its cache, or no
+        cache when a reachable object lies outside ``buffer``."""
+        pieces: List = []
+        order = iter(_semantic_walk(jvm, roots, pieces.extend))
+        norm = bytearray().join(pieces)
+        hexdigest = hashlib.sha256(norm).hexdigest()
+        placed = buffer.placed_objects
+        slots = array("q", [-1]) * len(placed)
+        position = 0
+        for piece in pieces:
+            if type(piece) is bytearray:  # an image, in BFS order
+                address = next(order)
+                ordinal = bisect.bisect_left(placed, address)
+                if placed[ordinal : ordinal + 1] != [address]:
+                    return hexdigest, None
+                slots[ordinal] = position
+            position += len(piece)
+        cache = cls()
+        cache.roots, cache.norm, cache.slots = tuple(roots), norm, slots
+        cache.layout = [(chunk.physical_start, chunk.filled)
+                        for chunk in buffer.chunks]
+        memory, base = jvm.heap.memory_view, jvm.heap.base
+        cache.raw = [bytearray(memory[start - base : start - base + filled])
+                     for start, filled in cache.layout]
+        return hexdigest, cache
+
+
+#: Each DELTA channel's cache, keyed by its receiving state: a FULL epoch
+#: (a fresh state) or a dropped channel takes the cache along.
+_EPOCH_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def epoch_digest(runtime: SkywayRuntime, channel_id: int,
+                 roots: Sequence[int]) -> str:
+    """:func:`semantic_graph_digest` of an applied epoch's ``roots``, paid
+    in proportion to the change after a PATCH-only DELTA epoch.
+
+    A DELTA epoch's digest leaves an :class:`_EpochCache`; the next one
+    re-normalizes only its PATCHed objects, read back from the heap,
+    compares every other byte with the cache's copy and hashes the cached
+    string.  No cache, a NEW record or any doubt :meth:`_EpochCache.advance`
+    finds hashes in full and rebuilds; a FULL epoch hashes in full and
+    keeps nothing."""
+    state = DeltaReceiveEndpoint.for_runtime(runtime).state_of(channel_id)
+    applied = None if state is None else state.last_apply
+    if applied is None:
+        return semantic_graph_digest(runtime.jvm, roots)
+    buffer = state.applier.receiver.buffer
+    cache = _EPOCH_CACHES.pop(state, None)
+    hexdigest = cache and not applied.new_objects and cache.advance(
+        runtime.jvm, buffer, roots, applied.patched_addresses)
+    if not hexdigest:
+        hexdigest, cache = _EpochCache.build(runtime.jvm, buffer, roots)
+    if cache is not None:
+        _EPOCH_CACHES[state] = cache
+    return hexdigest

@@ -18,15 +18,17 @@ Frame conversation (driver = client, worker = server)::
                   both sides then install the same merged mapping
     TRACE      -> optional: trace id + parent span id, so worker spans
                   stitch under the driver's trace; worker spans return
-                  inside the RESULT JSON under "trace"
+                  inside the RESULT under "trace"
     CALL       -> JSON control op ("ping", "stats", ...)
     RESULT     <- JSON op result   |   ERROR <- typed remote failure
-    STREAM     -> stream id + kind + the kind's fields: opens a stream
+    STREAM     -> stream id + kind + the kind's fields: opens a stream; an
+                  epoch that fits one chunk rides in it, DATA and TRAILER
+                  implied
     DATA*      -> stream id + one chunk of that stream's bytes
     TRAILER    -> stream id + total bytes + whole-stream CRC + chunk count
-    RESULT     <- one per completed stream; an epoch's is tagged
-                  "channel_id", and "ok": false confines a failure (the
-                  DeltaStaleError NACK) to that channel
+    RESULT     <- one per completed stream; an epoch's is a binary record
+                  (:func:`encode_epoch_result`), and "ok" false confines
+                  a failure (the DeltaStaleError NACK) to that channel
     BYE        -> end of connection
 
 Every data-bearing transfer is a stream, and any number interleave on one
@@ -51,10 +53,9 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 from repro.net.streams import ByteInputStream, ByteOutputStream, StreamError
 from repro.transport.errors import FrameCorruptionError
 
-#: v4: graph, blob and epoch transfers are all STREAM/DATA/TRAILER streams
-#: keyed by stream id, and CALL carries control ops only; a mixed pair
-#: fails at HELLO with the typed mismatch.
-PROTOCOL_VERSION = 4
+#: v5: one-frame epochs and the binary epoch RESULT; a mixed pair fails at
+#: HELLO with the typed mismatch.
+PROTOCOL_VERSION = 5
 
 #: Hard cap on one frame's payload; a corrupt length field beyond this is
 #: reported instead of allocated.
@@ -78,10 +79,10 @@ BYE = 8
 STREAM = 9
 #: Optional trace-context announcement: carries the driver's trace id and
 #: current span id so worker-side spans stitch under the sender's trace.
-#: Sent at most once per CALL or bulk stream, immediately before it (which
-#: consumes it), or once before a batch of epoch streams (every epoch
-#: opened under it); a worker that never sees one simply doesn't trace.
-#: Worker spans travel back inside each RESULT JSON under ``"trace"``.
+#: Sent immediately before a CALL or a bulk stream (which consumes it), or
+#: once before a batch of epoch streams, each of whose openers is flagged
+#: ``traced``; a worker that never sees one simply doesn't trace.  Worker
+#: spans travel back inside each RESULT under ``"trace"``.
 TRACE = 10
 
 FRAME_NAMES = {
@@ -225,9 +226,10 @@ def decode_hello_ack(payload: bytes) -> Tuple[str, List[str]]:
 
 class StreamHeader(NamedTuple):
     """A STREAM frame's fields.  Each kind reads only its own: a graph its
-    ``retain`` flag; an epoch its number, its FULL/DELTA frame kind and
-    whether the worker digests it; a blob its ``key`` (empty: received
-    and acknowledged, not stored)."""
+    ``retain`` flag; an epoch its number, its FULL/DELTA frame kind, its
+    ``digest`` and ``traced`` flags and, when it fits a chunk, the whole
+    epoch ``inline``; a blob its ``key`` (empty: acknowledged, not
+    stored)."""
 
     stream_id: int
     kind: int
@@ -236,6 +238,13 @@ class StreamHeader(NamedTuple):
     frame_kind: int = 0
     digest: bool = True
     key: str = ""
+    traced: bool = False
+    inline: Optional[bytes] = None
+
+
+#: Flag bits of an epoch opener (digest, inline, traced) and RESULT (ok,
+#: digest, traced).
+_DIGEST, _INLINE, _TRACED, _OK = 1, 2, 4, 8
 
 
 def encode_stream(header: StreamHeader) -> bytes:
@@ -247,7 +256,10 @@ def encode_stream(header: StreamHeader) -> bytes:
     elif header.kind == STREAM_EPOCH:
         out.write_varint(header.epoch)
         out.write_u8(header.frame_kind)
-        out.write_u8(int(header.digest))
+        out.write_u8(header.digest * _DIGEST + header.traced * _TRACED
+                     + (header.inline is not None) * _INLINE)
+        if header.inline is not None:
+            out.write_bytes(header.inline)
     else:
         out.write_utf(header.key)
     return out.getvalue()
@@ -257,14 +269,25 @@ def decode_stream(payload: bytes) -> StreamHeader:
     def parse(inp: ByteInputStream):
         stream_id, kind = inp.read_varint(), inp.read_u8()
         if kind == STREAM_GRAPH:
-            return StreamHeader(stream_id, kind, retain=bool(inp.read_u8()))
-        if kind == STREAM_EPOCH:
-            return StreamHeader(stream_id, kind, epoch=inp.read_varint(),
-                                frame_kind=inp.read_u8(),
-                                digest=bool(inp.read_u8()))
-        if kind == STREAM_BLOB:
-            return StreamHeader(stream_id, kind, key=inp.read_utf())
-        raise ValueError(f"unknown stream kind {kind}")
+            header = StreamHeader(stream_id, kind, retain=bool(inp.read_u8()))
+        elif kind == STREAM_EPOCH:
+            epoch, frame_kind, flags = (inp.read_varint(), inp.read_u8(),
+                                        inp.read_u8())
+            if flags >= _OK:
+                raise ValueError(f"unknown epoch opener flags {flags:#x}")
+            inline = (inp.read_bytes(inp.remaining) if flags & _INLINE
+                      else None)
+            header = StreamHeader(stream_id, kind, epoch=epoch,
+                                  frame_kind=frame_kind,
+                                  digest=bool(flags & _DIGEST),
+                                  traced=bool(flags & _TRACED), inline=inline)
+        elif kind == STREAM_BLOB:
+            header = StreamHeader(stream_id, kind, key=inp.read_utf())
+        else:
+            raise ValueError(f"unknown stream kind {kind}")
+        if not inp.at_end():
+            raise ValueError(f"{inp.remaining} bytes after the opener")
+        return header
     return _wrap_decode(parse, payload, "STREAM")
 
 
@@ -317,6 +340,72 @@ def decode_error(payload: bytes) -> Tuple[str, str]:
     def parse(inp: ByteInputStream):
         return inp.read_utf(), inp.read_utf()
     return _wrap_decode(parse, payload, "ERROR")
+
+
+#: An epoch RESULT: flags, kind, channel id, epoch, stream bytes, queue
+#: wait, root count; then the roots, and as flagged the 32-byte digest, a
+#: failure's kind and message, and a traced epoch's spans (JSON, to the end).
+EPOCH_RESULT = struct.Struct("<BBQQQdI")
+_EPOCH_KINDS = ("", "full", "delta")
+
+
+def encode_epoch_result(result: dict) -> bytes:
+    """An epoch's RESULT dict as its binary record."""
+    ok = result.get("ok", False)
+    digest, trace = result.get("digest"), result.get("trace")
+    roots = result.get("root_addresses", ())
+    flags = (ok * _OK + (digest is not None) * _DIGEST
+             + (trace is not None) * _TRACED)
+    parts = [EPOCH_RESULT.pack(
+        flags, _EPOCH_KINDS.index(result.get("kind", "")),
+        result["channel_id"], result["epoch"],
+        result.get("stream_bytes", 0), result.get("queue_wait_s", 0.0),
+        len(roots)), struct.pack(f"<{len(roots)}Q", *roots)]
+    if digest is not None:
+        parts.append(bytes.fromhex(digest))
+    if not ok:
+        parts.append(encode_error(result["error_kind"], result["error"]))
+    if trace is not None:
+        parts.append(encode_json(trace))
+    return b"".join(parts)
+
+
+def decode_epoch_result(payload: bytes) -> dict:
+    """An epoch RESULT record as the dict the worker answered."""
+    try:
+        flags, kind, channel_id, epoch, stream_bytes, wait, count = \
+            EPOCH_RESULT.unpack_from(payload)
+        if flags >= 2 * _OK or kind >= len(_EPOCH_KINDS):
+            raise ValueError(f"flags {flags:#x}, kind {kind}")
+        inp = ByteInputStream(payload)
+        inp.read_bytes(EPOCH_RESULT.size)
+        result = {"op": "recv_epoch", "ok": bool(flags & _OK),
+                  "channel_id": channel_id, "epoch": epoch}
+        roots = list(struct.unpack(f"<{count}Q", inp.read_bytes(8 * count)))
+        if flags & _OK:
+            result.update(kind=_EPOCH_KINDS[kind], roots=count,
+                          root_addresses=roots, stream_bytes=stream_bytes,
+                          queue_wait_s=wait)
+        if flags & _DIGEST:
+            result["digest"] = inp.read_bytes(32).hex()
+        if not flags & _OK:
+            result["error_kind"], result["error"] = (inp.read_utf(),
+                                                     inp.read_utf())
+        if flags & _TRACED:
+            result["trace"] = json.loads(inp.read_bytes(inp.remaining))
+        if not inp.at_end():
+            raise ValueError(f"{inp.remaining} trailing bytes")
+    except (struct.error, StreamError, UnicodeDecodeError, ValueError) as exc:
+        raise FrameCorruptionError(
+            f"malformed epoch RESULT payload: {exc}") from exc
+    return result
+
+
+def decode_result(payload: bytes) -> dict:
+    """A RESULT payload: JSON, or an epoch's binary record."""
+    if payload[:1] == b"{":
+        return decode_json(payload, what="RESULT")
+    return decode_epoch_result(payload)
 
 
 def encode_json(obj) -> bytes:

@@ -16,9 +16,8 @@ loop and no second thread.  The protocol per connection:
    driver may re-HELLO on the same connection after loading new classes;
    the worker treats any HELLO as a fresh merge.
 2. TRACE, optionally — the sender's trace context.  A CALL or a bulk
-   stream consumes it; an epoch's opener only reads it, so one TRACE
-   covers a batch of epochs, and the trailer that leaves no stream open
-   (a batch writes every opener before any trailer) clears it.
+   stream consumes it; an epoch opener flagged ``traced`` only reads it,
+   so one TRACE covers a batch of epochs.
 3. CALL frames carrying a JSON ``{"op": ...}`` control op, answered
    RESULT or ERROR straight away (``_OPS``): ``ping`` (echo),
    ``admit_channel``, ``send_peer``, ``send_blob_peer``, ``stats``
@@ -34,10 +33,11 @@ loop and no second thread.  The protocol per connection:
    benchmark sends don't exhaust the heap.  A blob (``recv_blob``, or
    ``put_blob`` when it has a key: the Spark broadcast path, the fleet's
    named shuffle-bucket mirror) answers size and CRC at its trailer.  An
-   epoch's stream id is its channel id; it is queued at its trailer and
-   answered at apply time by a RESULT tagged ``channel_id`` — possibly
-   out of order with other channels, which is the point.  Graphs and
-   blobs use stream 0, which no channel may take.
+   epoch's stream id is its channel id; one that fits a chunk arrives
+   whole in its opener.  It is queued once complete and answered at apply
+   time by a binary RESULT tagged with its channel id — possibly out of
+   order with other channels, which is the point.  Graphs and blobs use
+   stream 0, which no channel may take.
 5. BYE ends the connection; the worker keeps accepting new ones (this is
    what lets a driver's retry/backoff recover from a killed connection).
 
@@ -108,7 +108,8 @@ from repro.transport.bootstrap import (
     serve_reporting_port,
 )
 from repro.transport.client import WorkerClient
-from repro.transport.digest import graph_digest, semantic_graph_digest
+from repro.transport.digest import (epoch_digest, graph_digest,
+                                    semantic_graph_digest)
 from repro.transport.errors import (
     ClusterProtocolError,
     PeerGoneError,
@@ -213,8 +214,8 @@ class _AsyncConn(Connection):
                  sock: socket.socket) -> None:
         super().__init__(server, sock)
         #: The last TRACE frame's context.  A CALL or a bulk stream
-        #: consumes it; an epoch's opener only reads it, so one TRACE covers
-        #: a whole batch of epoch streams, until the batch's last trailer.
+        #: consumes it; an epoch opener flagged ``traced`` only reads it, so
+        #: one TRACE covers a whole batch of epoch streams.
         self.trace: Optional[Tuple[str, str]] = None
         #: Open streams by stream id.
         self.streams: Dict[int, _Stream] = {}
@@ -362,15 +363,11 @@ class WorkerServer(FrameLoop):
         self._answer(conn, op, trace, lambda: handler(self, call))
 
     @contextlib.contextmanager
-    def _adopted(self, trace: Optional[Tuple[str, str]]):
+    def _adopted(self, trace: Tuple[str, str]):
         """Point the process-global tracer at one connection's trace for
         the duration of that connection's own work (a CALL op, an epoch
         apply), so interleaved work from other traced connections does not
-        land under it.  Yields the tracer, or ``None`` when the connection
-        sent no TRACE."""
-        if trace is None:
-            yield None
-            return
+        land under it.  Yields the tracer."""
         trace_id, parent_span = trace
         tracer = obs.enable(process=f"worker:{self.spec.name}",
                             trace_id=trace_id or None)
@@ -383,19 +380,22 @@ class WorkerServer(FrameLoop):
     def _answer(self, conn: _AsyncConn, op: str,
                 trace: Optional[Tuple[str, str]], run, **attrs) -> None:
         """Run an op body (immediately for plain CALLs, at the TRAILER for
-        streaming ones, at apply time for an epoch) and answer its RESULT.
-        After a TRACE frame the body runs inside a ``worker.<op>`` span
-        and its spans ship back inside the RESULT under ``"trace"``."""
-        with self._adopted(trace) as tracer:
-            if tracer is None:
-                result = run()
-            else:
+        streaming ones, at apply time for an epoch) and answer its RESULT:
+        JSON, or an epoch's binary record.  After a TRACE frame the body
+        runs inside a ``worker.<op>`` span and its spans ship back inside
+        the RESULT under ``"trace"``."""
+        if trace is None:
+            result = run()
+        else:
+            with self._adopted(trace) as tracer:
                 mark = tracer.mark()
                 with tracer.span(f"worker.{op}", **attrs,
                                  clock=self.runtime.jvm.clock):
                     result = run()
                 result["trace"] = tracer.export_payload(tracer.drain(mark))
-        conn.send_frame(frames.RESULT, frames.encode_json(result))
+        encode = (frames.encode_epoch_result if op == "recv_epoch"
+                  else frames.encode_json)
+        conn.send_frame(frames.RESULT, encode(result))
 
     # -- streams: open at STREAM, fed by DATA, complete at TRAILER ---------
 
@@ -410,6 +410,7 @@ class WorkerServer(FrameLoop):
         trace, error = conn.trace, None
         if kind == frames.STREAM_EPOCH:
             sink, error = bytearray(), self._refusal(sid)
+            trace = trace if header.traced else None
         elif sid != frames.BULK_STREAM:
             raise TransportError(
                 f"protocol violation: a graph or blob stream must use id "
@@ -421,8 +422,17 @@ class WorkerServer(FrameLoop):
                 sink = IncrementalStreamDecoder(self.runtime)
         else:
             conn.trace, sink = None, bytearray()
-        stream = conn.streams[sid] = _Stream(header, sink, trace)
+        stream = _Stream(header, sink, trace)
         stream.error = error
+        if header.inline is None:
+            conn.streams[sid] = stream
+            return
+        # The whole epoch rode in: its DATA and TRAILER are implied.
+        stream.chunks, stream.total = 1, len(header.inline)
+        if error is None:
+            stream.sink = header.inline
+            conn.queued_bytes += stream.total
+        self._epoch_complete(conn, stream)
 
     def _stream_of(self, conn: _AsyncConn, sid: int,
                    ftype: int) -> _Stream:
@@ -456,25 +466,14 @@ class WorkerServer(FrameLoop):
         sid, total, crc, chunks = frames.decode_trailer(payload)
         stream = self._stream_of(conn, sid, frames.TRAILER)
         del conn.streams[sid]
-        if not conn.streams:
-            conn.trace = None  # the batch's TRACE covers no later epoch
         # Every trailer is checked, a refused epoch's too: its bytes were
         # discarded, but counted.
         _check_trailer(f"trailer of stream {sid}", (total, crc, chunks),
                        (stream.total, stream.crc, stream.chunks))
         header = stream.header
-        if stream.error is not None:
-            self._answer(conn, "recv_epoch", stream.trace,
-                         lambda: self._epoch_failed(
-                             sid, header.epoch, *stream.error),
-                         channel=sid, epoch=header.epoch)
-        elif header.kind == frames.STREAM_EPOCH:
+        if header.kind == frames.STREAM_EPOCH:
             stream.sink = bytes(stream.sink)
-            stream.enqueued = time.perf_counter()
-            conn.ready.append(stream)
-            conn.pending_per_channel[sid] = \
-                conn.pending_per_channel.get(sid, 0) + 1
-            self._maybe_pause(conn)
+            self._epoch_complete(conn, stream)
         else:
             graph = header.kind == frames.STREAM_GRAPH
             op = "recv_graph" if graph else (
@@ -492,6 +491,22 @@ class WorkerServer(FrameLoop):
                 return self._complete_blob(op, stream)
 
             self._answer(conn, op, stream.trace, run)
+
+    def _epoch_complete(self, conn: _AsyncConn, stream: _Stream) -> None:
+        """An epoch whose bytes are all here: queued for apply, or — when
+        its opener was refused — answered ``ok=false`` now."""
+        sid, epoch = stream.header.stream_id, stream.header.epoch
+        if stream.error is not None:
+            self._answer(conn, "recv_epoch", stream.trace,
+                         lambda: self._epoch_failed(sid, epoch,
+                                                    *stream.error),
+                         channel=sid, epoch=epoch)
+            return
+        stream.enqueued = time.perf_counter()
+        conn.ready.append(stream)
+        pending = conn.pending_per_channel[sid] = \
+            conn.pending_per_channel.get(sid, 0) + 1
+        self._maybe_pause(conn, pending)
 
     def _complete_recv_graph(self, stream: _Stream) -> dict:
         """Everything after the last chunk: finish placement, digest,
@@ -567,15 +582,13 @@ class WorkerServer(FrameLoop):
         return {"op": "recv_epoch", "ok": False, "channel_id": channel_id,
                 "epoch": epoch, "error_kind": kind, "error": message}
 
-    def _over_pending_cap(self, conn: _AsyncConn) -> bool:
-        pending = conn.pending_per_channel
-        return bool(pending) and max(pending.values()) >= MAX_PENDING_EPOCHS
-
-    def _maybe_pause(self, conn: _AsyncConn) -> None:
+    def _maybe_pause(self, conn: _AsyncConn, pending: int = 0) -> None:
+        """Pause reads over the byte mark or at ``pending``, the count of
+        the channel that just queued an epoch (counts only grow there)."""
         if conn.paused or conn.closing or conn.closed:
             return
         if conn.queued_bytes >= HIGH_WATER_BYTES \
-                or self._over_pending_cap(conn):
+                or pending >= MAX_PENDING_EPOCHS:
             conn.paused = True
             self.reads_paused_total += 1
             self._update_interest(conn)
@@ -591,7 +604,8 @@ class WorkerServer(FrameLoop):
         # instead of stopping outright.
         if not conn.ready or (
                 conn.queued_bytes <= HIGH_WATER_BYTES // 2
-                and not self._over_pending_cap(conn)):
+                and max(conn.pending_per_channel.values(), default=0)
+                < MAX_PENDING_EPOCHS):
             conn.paused = False
             self._update_interest(conn)
 
@@ -675,9 +689,8 @@ class WorkerServer(FrameLoop):
             }
             if header.digest:
                 with self.metrics.phase("digest"), obs.span("recv.digest"):
-                    result["digest"] = semantic_graph_digest(
-                        self.runtime.jvm, roots
-                    )
+                    result["digest"] = epoch_digest(
+                        self.runtime, header.stream_id, roots)
         if self.membership is not None:
             # The telemetry plane's per-epoch observation point.  The
             # receive time covers opener-to-last-chunk *as this worker saw

@@ -12,8 +12,13 @@ Two properties the event loop must hold under hostile interleavings:
   *reading* once the per-connection high-water mark is hit (real
   backpressure, not an unbounded inbound queue), then drain to a fully
   correct state once the applier resumes.
+
+The splice mixes one-frame epochs (those within the shrunken chunk size)
+with multi-frame ones, and every epoch RESULT is the binary record.  A
+third test flips every bit of a one-frame epoch.
 """
 
+import builtins
 import random
 import threading
 import time
@@ -55,8 +60,7 @@ def _splice(client, jobs, blob, rng):
     client_module._write_streams(conn, streams, rng)
     results, blob_result = {}, None
     while len(results) < len(jobs) or blob_result is None:
-        result = frames.decode_json(conn.expect_frame(frames.RESULT),
-                                    what="RESULT")
+        result = frames.decode_result(conn.expect_frame(frames.RESULT))
         if "channel_id" in result:
             results[result["channel_id"]] = result
         else:
@@ -213,3 +217,91 @@ def test_stalled_applier_pauses_reads_then_drains(transport_driver,
         channel.close()
     for pin in pins:
         driver.jvm.unpin(pin)
+
+
+def test_bit_flips_in_a_one_frame_epoch_never_leak_a_bare_exception(
+        transport_driver):
+    """Every bit of a one-frame DELTA epoch flipped in turn, once under the
+    frame CRC and once re-CRCed so the flip reaches the opener's decoder
+    and the epoch's apply: each frame ends in a typed ERROR, a typed
+    ``ok=false`` RESULT, an epoch that applied, or a frame still waiting
+    for bytes — never a builtin exception's name on the wire."""
+    driver = transport_driver
+    head = make_list(driver.jvm, range(NODES))
+    pin = driver.jvm.pin(head)
+    channel = DeltaSendChannel(driver, "flips", channel_id=41)
+    full = channel.send([head])
+    driver.jvm.set_field(head, "payload", 99)
+    delta = channel.send([head])
+    channel.close()
+    header = frames.StreamHeader(41, frames.STREAM_EPOCH, frame_kind=delta[0])
+    payload = frames.encode_stream(header._replace(
+        epoch=2, inline=delta, traced=True))
+    loop = worker_module.WorkerServer(WorkerSpec(
+        name="flips", classpath_factory=SAMPLE_FACTORY))
+    sent = frames.encode_hello("flip-driver", driver.view.snapshot())
+    conn = _loop_conn(loop)
+    conn.decoder.feed(frames.encode_frame(frames.HELLO, sent))
+    loop._drain_frames(conn)
+    builtin = {name for name in dir(builtins) if name.endswith("Error")}
+    kinds = set()
+    rng = random.Random(5)
+    for resealed in (False, True):
+        for bit in range(8 * (len(payload) + frames.HEADER_BYTES)):
+            if resealed and bit < 8 * frames.HEADER_BYTES:
+                continue
+            # Each flip against a freshly bootstrapped channel 41.
+            conn = _loop_conn(loop)
+            _feed_frames(loop, conn, [(frames.STREAM, frames.encode_stream(
+                header._replace(epoch=1, frame_kind=full[0], inline=full)))])
+            if resealed:
+                flipped = bytearray(payload)
+                bit -= 8 * frames.HEADER_BYTES
+                flipped[bit >> 3] ^= 1 << (bit & 7)
+                wire = frames.encode_frame(frames.STREAM, bytes(flipped))
+            else:
+                wire = bytearray(frames.encode_frame(frames.STREAM, payload))
+                wire[bit >> 3] ^= 1 << (bit & 7)
+            conn.decoder.feed(bytes(wire))
+            loop._drain_frames(conn)
+            loop._process_ready()
+            for ftype, reply in _loop_replies(conn):
+                if ftype == frames.ERROR:
+                    kinds.add(frames.decode_error(reply)[0])
+                elif ftype == frames.RESULT:
+                    result = frames.decode_result(reply)
+                    kinds.add(result.get("error_kind", "ok"))
+            if rng.random() < 0.5:
+                loop._close_conn(conn)
+    assert not kinds & builtin, kinds & builtin
+    assert {"FrameCorruptionError", "ok"} <= kinds
+    driver.jvm.unpin(pin)
+
+
+def _loop_conn(loop):
+    conn = worker_module._AsyncConn(loop, _DeadSocket())
+    loop._conns.append(conn)
+    return conn
+
+
+def _feed_frames(loop, conn, sent):
+    for ftype, payload in sent:
+        conn.decoder.feed(frames.encode_frame(ftype, payload))
+    loop._drain_frames(conn)
+    loop._process_ready()
+    _loop_replies(conn)
+
+
+def _loop_replies(conn):
+    decoder = frames.FrameDecoder()
+    decoder.feed(bytes(conn.out))
+    conn.out.clear()
+    return list(decoder.frames())
+
+
+class _DeadSocket:
+    def recv(self, _size):
+        return b""
+
+    def close(self):
+        pass

@@ -6,7 +6,8 @@ its channel's — runs the same STREAM/DATA/TRAILER machine, so each check
 below is one kind-generic body: the ``classic_stream`` tests run it for the
 bulk kinds, the ``mux_stream`` tests for the epoch kind.  Covers the
 trailer cross-checks (total / chunk count / CRC), the happy paths, the
-mid-stream failures and what v4 took out of the protocol — each failure
+mid-stream failures, what v4 took out of the protocol and what v5 added
+(the one-frame epoch and the binary epoch RESULT) — each failure
 asserting the loop's contract: one ERROR frame naming the exception, the
 connection marked closing, nothing tracked on the heap."""
 
@@ -14,6 +15,7 @@ import zlib
 
 import pytest
 
+from repro import obs
 from repro.core.streams import SkywayObjectOutputStream
 from repro.delta.channel import DeltaSendChannel
 from repro.net.streams import ByteOutputStream
@@ -24,6 +26,7 @@ from repro.transport import (
     registry_sync,
     semantic_graph_digest,
 )
+from repro.transport.errors import FrameCorruptionError
 from repro.transport.worker import _AsyncConn
 from repro.transport.testing import SAMPLE_FACTORY
 
@@ -155,7 +158,7 @@ def _handshake(loop, conn, driver):
 def _result(conn):
     [(ftype, payload)] = _replies(conn)
     assert ftype == frames.RESULT
-    return frames.decode_json(payload, what="RESULT")
+    return frames.decode_result(payload)
 
 
 def _assert_failed(loop, conn, kind, match):
@@ -338,12 +341,14 @@ def test_epochs_are_not_a_call_op(loop, conn):
     _assert_failed(loop, conn, "TransportError", "unknown op 'recv_epoch'")
 
 
-def test_a_v3_peer_fails_at_hello(loop, conn):
-    """A mixed pair never gets as far as a frame one side no longer has."""
+def test_a_v4_peer_fails_at_hello(loop, conn):
+    """A mixed pair never gets as far as a frame one side no longer has:
+    a v4 driver would send an epoch as three frames and read a JSON
+    RESULT."""
     _feed(loop, conn, (frames.HELLO, frames.encode_hello(
         "old-driver", {}, version=frames.PROTOCOL_VERSION - 1)))
     _assert_failed(loop, conn, "TransportError",
-                   "protocol version mismatch: peer 'old-driver' speaks v3")
+                   "protocol version mismatch: peer 'old-driver' speaks v4")
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +386,7 @@ def test_a_blob_stream_and_epoch_streams_interleave(transport_driver):
     results = {}
     for ftype, payload in _replies(conn):
         assert ftype == frames.RESULT
-        result = frames.decode_json(payload, what="RESULT")
+        result = frames.decode_result(payload)
         results[result["channel_id"]] = result
     for channel, head in zip(channels, heads):
         result = results[channel.channel_id]
@@ -444,3 +449,102 @@ def test_stream_stalled_mid_op_times_out(payloads, transport_driver):
         conn.last_activity -= loop.spec.read_timeout + 1.0
         loop._reap_stalled()
         _assert_failed(loop, conn, "TransportTimeout", "stalled")
+
+
+# ---------------------------------------------------------------------------
+# v5: one-frame epochs and the binary epoch RESULT
+# ---------------------------------------------------------------------------
+
+def _inline(header, data):
+    """A whole epoch in its opener: the one frame a small epoch is."""
+    return frames.STREAM, frames.encode_stream(
+        header._replace(frame_kind=data[0] if data else 0, inline=data))
+
+
+def test_a_one_frame_epoch_is_queued_and_answered_in_binary(
+        payloads, transport_driver):
+    loop, conn = _served(transport_driver)
+    _feed(loop, conn, _inline(HEADERS["epoch"], payloads["epoch"]))
+    assert len(conn.ready) == 1 and not conn.streams
+    assert _replies(conn) == []
+    loop._process_ready()
+    [(ftype, payload)] = _replies(conn)
+    assert ftype == frames.RESULT and payload[:1] != b"{"
+    result = frames.decode_epoch_result(payload)
+    assert result["ok"] and result["channel_id"] == CHANNEL
+    assert (result["kind"], result["roots"]) == ("full", 1)
+    assert result["stream_bytes"] == len(payloads["epoch"])
+    assert result["digest"] == semantic_graph_digest(
+        transport_driver.jvm, [payloads["head"]])
+    assert frames.decode_epoch_result(
+        frames.encode_epoch_result(result)) == result
+    assert loop.epochs_applied == 1 and conn.queued_bytes == 0
+
+
+def test_a_one_frame_epoch_on_an_open_stream_id_is_a_violation(payloads,
+                                                               transport_driver):
+    loop, conn = _served(transport_driver)
+    header, data = HEADERS["epoch"], payloads["epoch"]
+    _feed(loop, conn, _opener(header, data), _data(CHANNEL, data[:64]),
+          _inline(header, data))
+    _assert_failed(loop, conn, "TransportError",
+                   f"protocol violation: stream {CHANNEL} opened again")
+
+
+def test_a_refused_channels_one_frame_epoch_answers_ok_false(loop, conn):
+    _feed(loop, conn, _inline(HEADERS["epoch"]._replace(stream_id=0),
+                              b"\x01data"))
+    result = _result(conn)
+    assert (result["ok"], result["channel_id"]) == (False, 0)
+    assert result["error_kind"] == "ClusterProtocolError"
+    assert not conn.closing and not conn.ready and conn.queued_bytes == 0
+
+
+def test_a_traced_one_frame_epoch_ships_its_spans(payloads, transport_driver):
+    """The opener's ``traced`` flag runs the epoch under the connection's
+    TRACE, its spans parented to the driver's span; an epoch opened
+    without the flag runs untraced although the TRACE is still there."""
+    loop, conn = _served(transport_driver)
+    _feed(loop, conn, (frames.TRACE, frames.encode_trace("t-42", "s-7")),
+          _inline(HEADERS["epoch"]._replace(traced=True), payloads["epoch"]))
+    try:
+        loop._process_ready()
+    finally:
+        obs.disable()
+    result = _result(conn)
+    assert result["ok"]
+    spans = {span["name"]: span for span in result["trace"]["spans"]}
+    assert spans["worker.recv_epoch"]["parent_id"] == "s-7"
+    assert spans["worker.recv_epoch"]["trace_id"] == "t-42"
+    assert "recv.digest" in spans
+
+    driver = transport_driver
+    channel = DeltaSendChannel(driver, "sm-worker", channel_id=CHANNEL + 1)
+    head = make_list(driver.jvm, range(3))
+    _feed(loop, conn, _inline(
+        HEADERS["epoch"]._replace(stream_id=CHANNEL + 1),
+        channel.send([head])))
+    loop._process_ready()
+    channel.close()
+    result = _result(conn)
+    assert result["ok"] and "trace" not in result
+
+
+@pytest.mark.parametrize("cut", [1, 8, 33], ids=["flags", "fixed", "digest"])
+def test_a_truncated_epoch_result_is_a_typed_error(payloads,
+                                                   transport_driver, cut):
+    loop, conn = _served(transport_driver)
+    _feed(loop, conn, _inline(HEADERS["epoch"], payloads["epoch"]))
+    loop._process_ready()
+    [(_ftype, payload)] = _replies(conn)
+    with pytest.raises(FrameCorruptionError, match="malformed epoch RESULT"):
+        frames.decode_result(payload[:-cut])
+
+
+def test_an_epoch_result_with_trailing_bytes_is_a_typed_error():
+    record = frames.encode_epoch_result({
+        "ok": False, "channel_id": 3, "epoch": 2,
+        "error_kind": "DeltaStaleError", "error": "retained epoch is 0"})
+    assert frames.decode_result(record)["error_kind"] == "DeltaStaleError"
+    with pytest.raises(FrameCorruptionError, match="1 trailing bytes"):
+        frames.decode_result(record + b"\x00")

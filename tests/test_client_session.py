@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.transport.errors import FrameCorruptionError
 from repro.transport import client as client_module
 from repro.transport import (
     FrameConnection,
@@ -35,7 +36,7 @@ ERROR = frames.encode_frame(
     frames.ERROR, frames.encode_error("Boom", "it broke"))
 WRONG = frames.encode_frame(frames.DATA, b"stray chunk")
 SILENCE = b""
-NACK = frames.encode_frame(frames.RESULT, frames.encode_json({
+NACK = frames.encode_frame(frames.RESULT, frames.encode_epoch_result({
     "op": "recv_epoch", "ok": False, "channel_id": 7, "epoch": 2,
     "error_kind": "DeltaStaleError", "error": "retained epoch is 0"}))
 
@@ -141,9 +142,9 @@ def test_client_reads_a_transcript(name, scripted):
     assert outcome == expected
 
 
-# The handshake, then the two of a single-chunk epoch's three frames
-# (STREAM, DATA, TRAILER) that draw no reply.
-EPOCH_SENT = [HELLO_ACK, SILENCE, SILENCE]
+# The handshake; a single-chunk epoch is one STREAM frame, which the next
+# reply answers.
+EPOCH_SENT = [HELLO_ACK]
 
 
 def test_epoch_nack_is_typed_and_the_connection_lives(scripted):
@@ -163,6 +164,19 @@ def test_epoch_result_without_a_channel_id_cannot_be_demultiplexed(scripted):
     client = scripted([*EPOCH_SENT, RESULT]).connect()
     with pytest.raises(TransportClosed, match="carries no channel_id"):
         client.send_epoch(b"\x01full", 7, 1)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda record: record[:-1], lambda record: record + b"\x00",
+], ids=["truncated", "trailing"])
+def test_a_spoiled_epoch_result_is_a_typed_error(scripted, spoil):
+    record = frames.encode_epoch_result({
+        "ok": False, "channel_id": 7, "epoch": 2,
+        "error_kind": "DeltaStaleError", "error": "retained epoch is 0"})
+    client = scripted([*EPOCH_SENT, frames.encode_frame(
+        frames.RESULT, spoil(record))]).connect()
+    with pytest.raises(FrameCorruptionError, match="malformed epoch RESULT"):
+        client.send_epoch(b"\x02delta", 7, 2)
 
 
 def test_error_in_place_of_an_epoch_result_is_raised_not_hung(scripted):

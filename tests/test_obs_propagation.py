@@ -207,7 +207,7 @@ def test_trace_covers_only_the_batch_it_precedes(transport_driver):
     assert not obs.enabled()
     [(ftype, payload)] = replies
     assert ftype == frames.RESULT
-    assert "trace" not in frames.decode_json(payload)
+    assert "trace" not in frames.decode_result(payload)
     assert "trace" not in untraced and untraced["ok"]
 
 
