@@ -1,4 +1,4 @@
-"""Compiled per-class clone kernels (paper §4.2–4.3, batch-shaped).
+"""Compiled per-class kernels (paper §4.2–4.3, batch-shaped).
 
 Skyway's pitch is that a transfer costs "memcpy plus three fixups", yet an
 interpreted sender pays per-object, per-field Python work: it recomputes
@@ -6,26 +6,29 @@ interpreted sender pays per-object, per-field Python work: it recomputes
 ``bytearray``/``bytes`` copies per payload, and the receiver re-resolves
 tID → class name → klass for every placed object.  A *kernel* moves all of
 that to class-load time: each :class:`~repro.heap.klass.Klass` compiles
-once into an immutable :class:`CloneKernel` (sender side) and
-:class:`ReceiveKernel` (receiver side) holding
+once into one immutable :class:`ClassKernel` that the sender's loop, the
+delta encoder, the receive pass, the scan, the delta apply and both
+digests read, holding
 
 * the reference slots as word indexes (``ref_words``), which the sender's
   loop, the receive pass and the digest read and write one index at a
   time, and for delta encoding a cached :class:`struct.Struct` that
   unpacks every pointer slot in one call (pad bytes skip primitive
   fields, so it is unpack only);
-* a cached header pack (mark word, tID, zeroed baddr) per layout;
+* a cached header pack (mark word, tID, zeroed baddr) per layout, and the
+  klass ID the receiver restores;
 * the fixed ``object_size`` for non-arrays, and the element geometry
   (``elem_base``, ``elem_word``, ``elem_size``) an array's size and slot
   range come from;
-* the per-object simulated-time charge, pre-added so the clock is charged
-  once per object (scaled by the non-null reference count) instead of
-  once per pointer.
+* the digest's per-class hash prefix;
+* the per-object simulated-time charges of a clone and of a receive,
+  pre-added so the clock is charged once per object (scaled by the
+  non-null reference count) instead of once per pointer.
 
-Kernels are cached on the klass itself and keyed by (tID, layout, cost
-model): the transport's HELLO merge rewrites ``Klass.tid`` after late
-class loads, which drops the stale kernel automatically (the ``tid``
-setter clears the cache slot).
+Kernels are cached on the klass itself and keyed by (tID, klass ID,
+layout, cost model): the transport's HELLO merge rewrites ``Klass.tid``
+after late class loads, which drops the stale kernel automatically (the
+``tid`` setter clears the cache slot).
 """
 
 from __future__ import annotations
@@ -91,17 +94,18 @@ def _scattered_unpack(offsets: Tuple[int, ...]) -> Optional[struct.Struct]:
     return struct.Struct("".join(parts))
 
 
-class CloneKernel:
-    """Sender-side compiled clone recipe for one class (homogeneous sends).
+class ClassKernel:
+    """Compiled clone, placement and digest recipe for one class.
 
     Immutable after compilation; every mutable datum (array length, mark
-    word, reference values) comes from the object image at clone time.
+    word, reference values) comes from the object image at use time.
     """
 
     __slots__ = (
-        "klass", "tid", "layout", "cost", "is_array", "has_ref_elements",
-        "size", "ref_offsets", "ref_words", "n_refs", "ref_unpack",
-        "header_struct", "elem_base", "elem_word", "elem_size", "base_cost",
+        "klass", "tid", "klass_id", "key", "cost", "is_array",
+        "has_ref_elements", "size", "ref_offsets", "ref_words", "ref_unpack",
+        "header_struct", "length_offset", "length_word", "elem_base",
+        "elem_word", "elem_size", "base_cost", "finish_cost", "hash_prefix",
         "array_header_bytes",
         "header_bytes", "pointer_bytes", "data_bytes", "padding_bytes",
     )
@@ -109,12 +113,20 @@ class CloneKernel:
     def __init__(self, klass: Klass, layout: HeapLayout, cost) -> None:
         self.klass = klass
         self.tid = klass.tid
-        self.layout = layout
+        self.klass_id = klass.klass_id
+        self.key = (self.tid, self.klass_id, layout, cost)
         self.cost = cost
         self.is_array = klass.is_array
         self.has_ref_elements = klass.has_reference_elements
         self.header_struct = HEADER3_STRUCT if layout.has_baddr else HEADER2_STRUCT
-
+        self.length_offset = layout.array_length_offset
+        self.length_word = self.length_offset >> 3
+        #: What the digest hashes ahead of each image: the class name, and
+        #: for a fixed-size class its 8-byte size too.
+        self.hash_prefix = klass.name.encode("utf-8")
+        #: Per-object share of the receiver's linear scan (size decode +
+        #: klass patch).
+        self.finish_cost = cost.skyway_receive_object
         if self.is_array:
             elem = klass.element_descriptor or ""
             self.elem_base = layout.array_payload_offset(elem)
@@ -124,38 +136,37 @@ class CloneKernel:
             self.size = None
             self.ref_offsets = ()
             self.ref_words = None
-            self.n_refs = 0
             self.ref_unpack = None
             self.base_cost = 0.0
             #: The length slot counts as header metadata (§5.2 accounting).
             self.array_header_bytes = layout.header_size + 4
             self.header_bytes = self.pointer_bytes = 0
             self.data_bytes = self.padding_bytes = 0
-        else:
-            self.elem_base = self.elem_word = self.elem_size = 0
-            self.array_header_bytes = 0
-            self.size = klass.object_size()
-            self.ref_offsets = klass.oop_offsets
-            #: Reference slots as word indexes from the object's first word.
-            self.ref_words = tuple(offset >> 3 for offset in self.ref_offsets)
-            self.n_refs = len(self.ref_offsets)
-            self.ref_unpack = _scattered_unpack(self.ref_offsets)
-            self.base_cost = (
-                cost.skyway_header_fixup
-                + cost.memcpy(self.size)
-                + self.n_refs * cost.skyway_pointer_fixup
-            )
-            # §5.2 byte-composition constants, precomputed per class.
-            self.header_bytes = layout.header_size
-            self.pointer_bytes = 8 * self.n_refs
-            self.data_bytes = sum(
-                f.size for f in klass.all_fields() if not f.is_reference
-            )
-            self.padding_bytes = max(
-                0,
-                self.size - self.header_bytes - self.pointer_bytes
-                - self.data_bytes,
-            )
+            return
+        self.elem_base = self.elem_word = self.elem_size = 0
+        self.array_header_bytes = 0
+        self.size = klass.object_size()
+        self.hash_prefix += self.size.to_bytes(8, "little")
+        self.ref_offsets = klass.oop_offsets
+        #: Reference slots as word indexes from the object's first word.
+        self.ref_words = tuple(offset >> 3 for offset in self.ref_offsets)
+        self.ref_unpack = _scattered_unpack(self.ref_offsets)
+        fixups = len(self.ref_offsets) * cost.skyway_pointer_fixup
+        self.base_cost = (
+            cost.skyway_header_fixup + cost.memcpy(self.size) + fixups
+        )
+        self.finish_cost += fixups
+        # §5.2 byte-composition constants, precomputed per class.
+        self.header_bytes = layout.header_size
+        self.pointer_bytes = 8 * len(self.ref_offsets)
+        self.data_bytes = sum(
+            f.size for f in klass.all_fields() if not f.is_reference
+        )
+        self.padding_bytes = max(
+            0,
+            self.size - self.header_bytes - self.pointer_bytes
+            - self.data_bytes,
+        )
 
     def array_size(self, length: int) -> int:
         """Total byte size of an array instance (non-arrays use ``size``)."""
@@ -173,85 +184,16 @@ class CloneKernel:
         )
 
 
-def clone_kernel_for(klass: Klass, layout: HeapLayout, cost) -> CloneKernel:
-    """The (possibly cached) clone kernel for ``klass`` under ``layout``.
+def kernel_for(klass: Klass, layout: HeapLayout, cost) -> ClassKernel:
+    """The (possibly cached) kernel for ``klass`` under ``layout``.
 
     Recompiles when the cached kernel went stale: a tID rewrite (the
-    transport's HELLO merge), a different layout, or a different cost
-    model (ablation benches scale constants).
+    transport's HELLO merge), a new klass ID, a different layout, or a
+    different cost model (ablation benches scale constants).  Layouts and
+    cost models compare by value, so a sender targeting an equal layout
+    and a digest of its own heap share one kernel.
     """
-    kernel = klass.clone_kernel
-    if (
-        kernel is not None
-        and kernel.tid == klass.tid
-        and kernel.layout is layout
-        and kernel.cost is cost
-    ):
-        return kernel
-    kernel = CloneKernel(klass, layout, cost)
-    klass.clone_kernel = kernel
-    return kernel
-
-
-class ReceiveKernel:
-    """Receiver-side compiled placement/absolutization recipe for one tID."""
-
-    __slots__ = (
-        "klass", "klass_id", "layout", "cost", "is_array",
-        "has_ref_elements", "size", "length_offset", "length_word",
-        "elem_base", "elem_word", "elem_size", "ref_words", "finish_cost",
-        "hash_prefix",
-    )
-
-    def __init__(self, klass: Klass, layout: HeapLayout, cost) -> None:
-        self.klass = klass
-        self.klass_id = klass.klass_id
-        self.layout = layout
-        self.cost = cost
-        self.is_array = klass.is_array
-        self.has_ref_elements = klass.has_reference_elements
-        self.length_offset = layout.array_length_offset
-        self.length_word = self.length_offset >> 3
-        #: Per-object share of the linear scan (size decode + klass patch).
-        object_cost = cost.skyway_receive_object
-        #: What the digest hashes ahead of each image: the class name, and
-        #: for a fixed-size class its 8-byte size too.
-        self.hash_prefix = klass.name.encode("utf-8")
-        if self.is_array:
-            elem = klass.element_descriptor or ""
-            self.elem_base = layout.array_payload_offset(elem)
-            #: First element's word index (a reference payload is aligned).
-            self.elem_word = self.elem_base >> 3
-            self.elem_size = klass.element_size
-            self.size = None
-            self.ref_words = None
-            self.finish_cost = object_cost
-        else:
-            self.elem_base = self.elem_word = self.elem_size = 0
-            self.size = klass.object_size()
-            #: Reference slots as word indexes from the object's first word.
-            self.ref_words = tuple(offset >> 3 for offset in klass.oop_offsets)
-            self.finish_cost = (
-                object_cost + len(self.ref_words) * cost.skyway_pointer_fixup
-            )
-            self.hash_prefix += self.size.to_bytes(8, "little")
-
-    def array_size(self, length: int) -> int:
-        return align_up(
-            self.elem_base + self.elem_size * length, OBJECT_ALIGNMENT
-        )
-
-
-def receive_kernel_for(klass: Klass, layout: HeapLayout, cost) -> ReceiveKernel:
-    """The (possibly cached) receive kernel for ``klass``."""
-    kernel = klass.receive_kernel
-    if (
-        kernel is not None
-        and kernel.klass_id == klass.klass_id
-        and kernel.layout is layout
-        and kernel.cost is cost
-    ):
-        return kernel
-    kernel = ReceiveKernel(klass, layout, cost)
-    klass.receive_kernel = kernel
+    kernel = klass.kernel
+    if kernel is None or kernel.key != (klass.tid, klass.klass_id, layout, cost):
+        kernel = klass.kernel = ClassKernel(klass, layout, cost)
     return kernel

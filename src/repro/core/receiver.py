@@ -5,7 +5,7 @@
 1. **Placement** (streaming): each arriving segment's object boundaries
    are parsed — the klass slot holds a tID, which the registry view
    resolves once per class (loading the class if this JVM never saw it) to
-   a compiled receive kernel that knows each object's size — and the
+   a compiled class kernel that knows each object's size — and the
    segment is then copied into in-heap input-buffer chunks as one run.
 2. **The receive pass** (streaming, while the chunks abut): the same loop
    restores each klass word and absolutizes each reference with one add,
@@ -30,7 +30,7 @@ import hashlib
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.input_buffer import InputBuffer, InputBufferError
-from repro.core.kernels import KLASS_WORD_END, ReceiveKernel, receive_kernel_for
+from repro.core.kernels import KLASS_WORD_END, ClassKernel, kernel_for
 from repro.core.output_buffer import LOGICAL_BASE
 from repro.core.type_registry import RegistryView
 from repro.heap.handles import Handle
@@ -68,14 +68,14 @@ class ObjectGraphReceiver:
         self.view = registry_view
         self.buffer = InputBuffer(jvm.heap, chunk_size=chunk_size)
         self._update_functions = update_functions or {}
-        #: Per-receiver tID -> compiled receive kernel memo: the registry
+        #: Per-receiver tID -> compiled kernel memo: the registry
         #: view and class loader are consulted once per class, not once per
         #: object (the old per-object ``name_for`` + ``loader.load`` pair
         #: dominated placement time for homogeneous streams).
-        self._kernels: Dict[int, ReceiveKernel] = {}
-        #: Receive kernel per placed object, parallel to
+        self._kernels: Dict[int, ClassKernel] = {}
+        #: Kernel per placed object, parallel to
         #: ``buffer.placed_objects`` (logical order).
-        self._placed_kernels: List[ReceiveKernel] = []
+        self._placed_kernels: List[ClassKernel] = []
         self._finished = False
         self.objects_received = 0
         self.bytes_received = 0
@@ -122,7 +122,7 @@ class ObjectGraphReceiver:
         whole = n >> 3  # words the segment fills completely
         stop = (n + 7) >> 3
         sizes: List[int] = []
-        placed: List[ReceiveKernel] = []
+        placed: List[ClassKernel] = []
         add_size = sizes.append
         add_kernel = placed.append
         w = 0
@@ -186,7 +186,7 @@ class ObjectGraphReceiver:
             return
         self._hash_run(addresses[0], addresses[-1] + sizes[-1], placed, sizes)
 
-    def kernel_for(self, tid: int) -> ReceiveKernel:
+    def kernel_for(self, tid: int) -> ClassKernel:
         """tID -> this receiver's kernel for the local klass (memoized),
         loading the class if it is missing here (paper: "Skyway instructs
         the class loader to load the missing class since the type registry
@@ -197,12 +197,12 @@ class ObjectGraphReceiver:
         klass = self.jvm.loader.load(self.view.name_for(tid))
         if klass.klass_id is None:  # pragma: no cover - loader invariant
             raise ReceiveError(f"klass {klass.name} not installed")
-        kernel = receive_kernel_for(klass, self.jvm.layout, self.jvm.cost_model)
+        kernel = kernel_for(klass, self.jvm.layout, self.jvm.cost_model)
         self._kernels[tid] = kernel
         return kernel
 
     def _hash_run(
-        self, start: int, end: int, placed: List[ReceiveKernel],
+        self, start: int, end: int, placed: List[ClassKernel],
         sizes: List[int],
     ) -> None:
         """Hash the run ``[start, end)`` just placed, read back from the
@@ -291,14 +291,14 @@ class ObjectGraphReceiver:
         self._apply_updates()
         return [self.jvm.pin(self._root_address(off)) for off in root_offsets]
 
-    def absolutize(self, objects: Iterable[Tuple[int, ReceiveKernel]]) -> None:
+    def absolutize(self, objects: Iterable[Tuple[int, ClassKernel]]) -> None:
         """The linear scan over ``(address, kernel)`` pairs of placed wire
         images, for a stream that left the receive pass and for the objects
         a delta apply touched: restore each klass word and absolutize each
         reference by the chunk arithmetic; the cost is charged once."""
         self.jvm.clock.charge(self._rewrite(objects, self.buffer.translate))
 
-    def _rewrite(self, objects: Iterable[Tuple[int, ReceiveKernel]],
+    def _rewrite(self, objects: Iterable[Tuple[int, ClassKernel]],
                  rewrite: Callable[[int], int]) -> float:
         """Restore each object's klass word and replace each non-null
         reference by ``rewrite(reference)`` on the heap's word view;

@@ -52,7 +52,7 @@ class SkywayRuntime:
         #: The §3.1 "user-provided configuration file" naming each node's
         #: object format; None means a homogeneous cluster.
         self.format_config = format_config
-        #: Compiled clone kernels on the send path (False = interpreted
+        #: Compiled kernels on the send path (False = interpreted
         #: per-field loops, kept for ablation benchmarks).
         self.use_kernels = use_kernels
         #: Current shuffling-phase ID (bumped by shuffle_start).

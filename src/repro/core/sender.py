@@ -43,7 +43,7 @@ from repro.heap.klass import Klass
 from repro.heap.layout import HeapLayout, KLASS_OFFSET, MARK_OFFSET
 from repro.heap.markword import FRESH_MARK, HASH_MASK
 from repro.jvm.jvm import JVM
-from repro.core.kernels import CloneKernel, clone_kernel_for
+from repro.core.kernels import ClassKernel, kernel_for
 from repro.core.output_buffer import OutputBuffer
 from repro.types import descriptors
 from repro.types.loader import ClassLoader
@@ -193,10 +193,10 @@ class ObjectGraphSender:
             heap.write_baddr(obj, compose_baddr(self.sid, self.thread_id, addr))
         return addr
 
-    def _kernel_for(self, obj: int) -> CloneKernel:
-        """``obj``'s class, checked for a tID, as its clone kernel."""
+    def _kernel_for(self, obj: int) -> ClassKernel:
+        """``obj``'s class, checked for a tID, as its kernel."""
         klass = self._typed_klass(obj)
-        return clone_kernel_for(klass, self.target_layout, self.jvm.cost_model)
+        return kernel_for(klass, self.target_layout, self.jvm.cost_model)
 
     def _typed_klass(self, obj: int) -> Klass:
         klass = self.jvm.heap.klass_of(obj)
@@ -239,7 +239,7 @@ class ObjectGraphSender:
         claim_bits = (sid_tag << 48) | (thread_id << _REL_BITS)
         buffer = self.buffer
         shared = self._shared_table
-        kernels: Dict[int, CloneKernel] = {}
+        kernels: Dict[int, ClassKernel] = {}
         gray: List[Tuple[int, int, int]] = []
         gray_append = gray.append
         bump = buffer.allocable_addr

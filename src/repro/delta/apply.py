@@ -4,7 +4,7 @@ The receive path mirrors §4.3's two passes, restricted to the records in
 the frame, with a check in front because a PATCH overwrites live objects:
 
 0. **Validation**, before any byte is written: each payload's tID resolves
-   through the receiver's tID -> :class:`~repro.core.kernels.ReceiveKernel`
+   through the receiver's tID -> :class:`~repro.core.kernels.ClassKernel`
    memo, the payload must be exactly as long as that kernel says (array
    length from the payload), NEW offsets must continue the append cursor,
    and a PATCH must name a resident object of the *same* class (and array
@@ -41,7 +41,7 @@ from repro.core.kernels import (
     KLASS_WORD_END,
     LENGTH_STRUCT,
     WORD_STRUCT,
-    ReceiveKernel,
+    ClassKernel,
 )
 from repro.core.output_buffer import LOGICAL_BASE
 from repro.core.receiver import ObjectGraphReceiver
@@ -97,7 +97,7 @@ class DeltaApplier:
 
         # Pass 0 — validation; nothing is written until every record passed.
         #: (PATCH target address, or None for a NEW object, and its kernel)
-        touched: List[Tuple[Optional[int], ReceiveKernel]] = []
+        touched: List[Tuple[Optional[int], ClassKernel]] = []
         memory = self._memory
         heap_base = self._heap_base
         heap_size = len(memory)

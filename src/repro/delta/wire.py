@@ -21,7 +21,7 @@ trailer of root offsets, a logical-size check word), one frame per epoch:
 
 Record payloads are exactly Algorithm 2 clones — mark word reset, klass
 word replaced by the tID, references relativized — built from the same
-per-class :class:`~repro.core.kernels.CloneKernel` a full send reads (one
+per-class :class:`~repro.core.kernels.ClassKernel` a full send reads (one
 slice off the heap, one header pack, one batched pointer unpack), except
 that reference slots are relativized against the *receiver's* retained
 buffer: a cached referent keeps the offset recorded in the epoch cache, a
@@ -46,8 +46,8 @@ from repro.core.kernels import (
     HEADER3_STRUCT,
     LENGTH_STRUCT,
     WORD_STRUCT,
-    CloneKernel,
-    clone_kernel_for,
+    ClassKernel,
+    kernel_for,
     ref_run_struct,
 )
 from repro.delta.epoch_cache import EpochRecord
@@ -268,10 +268,10 @@ class DeltaEncoder:
         new_members = summary.new_members
         new_sizes = summary.new_sizes
         logical_cursor = record.logical_end
-        new_queue: Deque[Tuple[int, CloneKernel, int]] = deque()
-        #: klass word -> (clone kernel, instance size or None for arrays):
+        new_queue: Deque[Tuple[int, ClassKernel, int]] = deque()
+        #: klass word -> (kernel, instance size or None for arrays):
         #: the class is resolved and its kernel looked up once per epoch.
-        recipes: Dict[int, Tuple[CloneKernel, Optional[int]]] = {}
+        recipes: Dict[int, Tuple[ClassKernel, Optional[int]]] = {}
         clock_cost = 0.0
 
         out = bytearray()
@@ -281,8 +281,8 @@ class DeltaEncoder:
         _put_varint(out, epoch)
         _put_varint(out, record.logical_end)
 
-        def recipe(address: int) -> Tuple[CloneKernel, int]:
-            """The object's compiled clone kernel and its byte size."""
+        def recipe(address: int) -> Tuple[ClassKernel, int]:
+            """The object's compiled kernel and its byte size."""
             at = address - hbase
             word = unpack_word(mem, at + KLASS_OFFSET)[0]
             entry = recipes.get(word)
@@ -293,7 +293,7 @@ class DeltaEncoder:
                         f"class {klass.name} has no global type ID — is the "
                         f"Skyway type registry attached to this JVM?"
                     )
-                kernel = clone_kernel_for(klass, layout, cost)
+                kernel = kernel_for(klass, layout, cost)
                 entry = recipes[word] = (kernel, kernel.size)
             kernel, size = entry
             if size is None:
@@ -318,7 +318,7 @@ class DeltaEncoder:
                     new_queue.append((address, kernel, size))
             return known
 
-        def emit(tag: int, offset: int, address: int, kernel: CloneKernel,
+        def emit(tag: int, offset: int, address: int, kernel: ClassKernel,
                  size: int) -> None:
             """Append one PATCH/NEW record: its header, then the object's
             clone written straight into the frame and fixed up there."""

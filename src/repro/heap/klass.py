@@ -59,10 +59,9 @@ class Klass:
         self.own_fields: Tuple[FieldInfo, ...] = tuple(own_fields)
         self.instance_size = instance_size
         self.element_descriptor = element_descriptor
-        #: Compiled clone/receive kernels (repro.core.kernels); cached here
-        #: so a tID rewrite (transport registry merge) can invalidate them.
-        self.clone_kernel = None
-        self.receive_kernel = None
+        #: Compiled kernel (repro.core.kernels); cached here so a tID
+        #: rewrite (transport registry merge) can invalidate it.
+        self.kernel = None
         #: Skyway global type ID; written by the type registry on load.
         self.tid: Optional[int] = None
         #: Per-JVM klass-word value; assigned by the loader.
@@ -116,10 +115,10 @@ class Klass:
     @tid.setter
     def tid(self, value: Optional[int]) -> None:
         # The transport handshake renumbers tIDs after a registry merge;
-        # a compiled clone kernel bakes the tID into its header pack, so
-        # any rewrite must drop it (it recompiles lazily on next use).
+        # a compiled kernel bakes the tID into its header pack, so any
+        # rewrite must drop it (it recompiles lazily on next use).
         self._tid = value
-        self.clone_kernel = None
+        self.kernel = None
 
     @property
     def is_array(self) -> bool:

@@ -34,9 +34,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.kernels import (
     KLASS_WORD_END,
     LENGTH_STRUCT,
-    ReceiveKernel,
     WORD_STRUCT,
-    receive_kernel_for,
+    ClassKernel,
+    kernel_for,
 )
 from repro.core.receiver import ObjectGraphReceiver
 from repro.core.runtime import SkywayRuntime
@@ -60,7 +60,7 @@ def _hash_objects(
     (each image a ``bytearray``, the rest ``bytes``).
 
     Per object: the klass word resolves through one dict hit to the class's
-    cached :class:`ReceiveKernel` (size, reference slots and hash prefix
+    cached :class:`ClassKernel` (size, reference slots and hash prefix
     precomputed), the image is copied once out of the heap's backing
     store, the header words at ``zeroed_offsets`` are cleared and every
     non-null reference word is rewritten to ``normalize(pointer)`` in that
@@ -75,8 +75,8 @@ def _hash_objects(
     unpack_word = WORD_STRUCT.unpack_from
     unpack_length = LENGTH_STRUCT.unpack_from
     zeroed_words = [offset >> 3 for offset in zeroed_offsets]
-    #: klass word -> the class's receive kernel.
-    classes: Dict[int, ReceiveKernel] = {}
+    #: klass word -> the class's kernel.
+    classes: Dict[int, ClassKernel] = {}
     batch = []
     batched = 0
     for address in addresses:
@@ -86,7 +86,7 @@ def _hash_objects(
         klass_word = unpack_word(memory, at + KLASS_OFFSET)[0]
         kernel = classes.get(klass_word)
         if kernel is None:
-            kernel = classes[klass_word] = receive_kernel_for(
+            kernel = classes[klass_word] = kernel_for(
                 heap.klass_of(address), layout, cost)
         prefix = kernel.hash_prefix
         size = kernel.size
@@ -237,8 +237,8 @@ class _EpochCache:
             ordinal = bisect.bisect_left(placed, address)
             if k < 0 or placed[ordinal : ordinal + 1] != [address]:
                 return None
-            kernel = receive_kernel_for(heap.klass_of(address), jvm.layout,
-                                        jvm.cost_model)
+            kernel = kernel_for(heap.klass_of(address), jvm.layout,
+                                jvm.cost_model)
             at, lo, copy = address - base, address - starts[k], raw[k]
             size, refs, header = kernel.size, kernel.ref_words, KLASS_WORD_END
             if size is None:

@@ -12,14 +12,18 @@ import sys
 import pytest
 
 from repro.apps.incremental import build_vertex_graph, install_incremental_classes
-from repro.core.kernels import clone_kernel_for
+from repro.core.kernels import kernel_for
 from repro.core.output_buffer import OutputBuffer
 from repro.core.receiver import ReceiveError
 from repro.core.runtime import attach_skyway
 from repro.core.sender import ObjectGraphSender, SendError
 from repro.core.streams import SkywayObjectInputStream, SkywayObjectOutputStream
-from repro.heap.layout import BASELINE_LAYOUT
+from repro.delta.epoch_cache import EpochRecord
+from repro.delta.wire import DeltaEncoder, DeltaWireError
+from repro.exchange import GraphChannel, Loopback
+from repro.heap.layout import BASELINE_LAYOUT, HeapLayout
 from repro.jvm.jvm import JVM
+from repro.transport.digest import graph_digest, semantic_graph_digest
 from repro.types.classdef import ClassPath
 from repro.types.corelib import install_core_classes
 
@@ -273,31 +277,119 @@ class TestKernelLifecycle:
         src, _ = pair
         framed(src, [make_date(src, 1, 1, 1)], True)
         klass = src.loader.load("Date")
-        kernel = klass.clone_kernel
+        kernel = klass.kernel
         assert kernel is not None and kernel.tid == klass.tid
         framed(src, [make_date(src, 2, 2, 2)], True)
-        assert klass.clone_kernel is kernel  # cache hit, no recompile
+        assert klass.kernel is kernel  # cache hit, no recompile
 
     def test_tid_reassignment_invalidates_kernel(self, pair):
         src, _ = pair
         framed(src, [make_date(src, 1, 1, 1)], True)
         klass = src.loader.load("Date")
-        stale = klass.clone_kernel
+        stale = klass.kernel
         assert stale is not None
         klass.tid = klass.tid + 1000  # e.g. a HELLO merge renumbering
-        assert klass.clone_kernel is None
+        assert klass.kernel is None
         framed(src, [make_date(src, 3, 3, 3)], True)
-        assert klass.clone_kernel is not None
-        assert klass.clone_kernel is not stale
-        assert klass.clone_kernel.tid == klass.tid
+        assert klass.kernel is not None
+        assert klass.kernel is not stale
+        assert klass.kernel.tid == klass.tid
 
-    def test_clone_kernel_for_rejects_untyped_class(self, pair):
+    def test_send_and_both_digests_share_one_kernel(self, pair):
+        src, dst = pair
+        root = make_date(src, 1, 1, 1)
+        data = framed(src, [root], True)
+        sent = src.loader.load("Date").kernel
+        semantic_graph_digest(src, [root])
+        assert src.loader.load("Date").kernel is sent
+
+        inp = SkywayObjectInputStream(dst.skyway)
+        inp.receiver._leave_pass(0)  # graph_digest hashes, not recalls
+        inp.accept(data)
+        received = dst.loader.load("Date").kernel
+        assert received is not None
+        graph_digest(dst, inp.receiver)
+        semantic_graph_digest(dst, [inp.read_object()])
+        assert dst.loader.load("Date").kernel is received
+
+    def test_loopback_channel_send_and_digest_share_one_kernel(
+            self, classpath):
+        src = JVM("lb-src", classpath=classpath)
+        dst = JVM("lb-dst", classpath=classpath, layout=HeapLayout())
+        attach_skyway(src, [dst])
+        pin = src.pin(make_list(src, range(5)))
+        GraphChannel(src.skyway, Loopback(dst.skyway)).send([pin.address])
+        klass = src.loader.load("ListNode")
+        kernel = klass.kernel
+        assert kernel is not None
+        semantic_graph_digest(src, [pin.address])
+        assert klass.kernel is kernel
+
+    def test_equal_target_layout_hits_the_cache(self, pair):
+        # Layouts key the cache by value: a sender targeting an equal
+        # HeapLayout, not the JVM's own object, shares the digest's kernel.
+        src, _ = pair
+        root = make_date(src, 1, 1, 1)
+        src.skyway.shuffle_start()
+        sender = src.skyway.new_sender("eq", target_layout=HeapLayout(),
+                                       fresh_buffer=True)
+        assert sender.target_layout is not src.layout
+        assert sender.use_kernels and not sender.heterogeneous
+        sender.write_object(root)
+        kernel = src.loader.load("Date").kernel
+        semantic_graph_digest(src, [root])
+        assert src.loader.load("Date").kernel is kernel
+
+    def test_tid_rewrite_recompiles_on_next_receive(self, pair):
+        src, dst = pair
+        data = framed(src, [make_date(src, 1, 1, 1)], True)
+        klass = dst.loader.load("Date")
+
+        def receive():
+            inp = SkywayObjectInputStream(dst.skyway)
+            inp.receiver._leave_pass(0)
+            inp.accept(data)
+            return graph_digest(dst, inp.receiver)
+
+        before = receive()
+        stale = klass.kernel
+        klass.tid = klass.tid + 1000
+        assert klass.kernel is None
+        assert receive() == before
+        assert klass.kernel is not stale
+        assert klass.kernel.tid == klass.tid
+        assert klass.kernel.klass_id == stale.klass_id == klass.klass_id
+
+    def test_sender_refuses_untyped_class(self, pair):
+        src, _ = pair
+        root = make_date(src, 1, 1, 1)
+        src.loader.load("Date").tid = None
+        src.skyway.shuffle_start()
+        sender = src.skyway.new_sender("untyped", fresh_buffer=True)
+        with pytest.raises(SendError, match="Date has no global type ID"):
+            sender.write_object(root)
+
+    def test_delta_encoder_refuses_untyped_class(self, pair):
+        src, _ = pair
+        root = make_date(src, 1, 1, 1)
+        src.skyway.shuffle_start()
+        sender = src.skyway.new_sender("untyped", fresh_buffer=True)
+        sender.write_object(root)
+        record = EpochRecord.from_full_send("untyped", sender.cloned, 0, 0)
+        src.loader.load("Date").tid = None
+        with pytest.raises(DeltaWireError,
+                           match="Date has no global type ID"):
+            DeltaEncoder(src, record).encode([root], [root], 1, 2)
+
+    def test_kernel_for_compiles_untyped_class(self, pair):
+        # The digest hashes classes the registry never typed.
         src, _ = pair
         klass = src.loader.load("Date")
-        layout, cost = src.layout, src.cost_model
-        kernel = clone_kernel_for(klass, layout, cost)
+        klass.tid = None
+        kernel = kernel_for(klass, src.layout, src.cost_model)
+        assert kernel.tid is None and klass.kernel is kernel
         assert kernel.size == klass.object_size()
-        assert len(kernel.ref_offsets) == 3
+        assert len(kernel.ref_words) == 3
 
     def test_receiver_memoizes_kernels_per_tid(self, pair):
         src, dst = pair

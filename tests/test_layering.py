@@ -117,8 +117,8 @@ def test_transport_defers_no_repro_import():
 
 
 #: What a per-slot / per-object interpreter is made of.  ``repro.delta``
-#: encodes through ``CloneKernel`` and applies through the receiver's
-#: ``kernel_for`` / ``absolutize``; none of these may come back.
+#: encodes and applies through ``ClassKernel`` (applying via the receiver's
+#: ``kernel_for`` / ``absolutize``); none of these calls may come back.
 INTERPRETER_CALLS = {"reference_offsets", "klass_of", "read_word",
                      "write_word", "write_klass_word", "name_for"}
 

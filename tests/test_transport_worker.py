@@ -13,6 +13,7 @@ import zlib
 import pytest
 
 from repro.apps.incremental import build_vertex_graph
+from repro.core import kernels
 from repro.cluster.fleet import Fleet, FleetChannel
 from repro.core.runtime import SkywayRuntime
 from repro.core.streams import SkywayObjectInputStream
@@ -479,3 +480,7 @@ def test_pre_framed_sends_and_channels_take_no_pipeline_knobs():
         "store_and_forward", "throttle_mbps"]  # metrics: the connection's
     assert not hasattr(policy_plane, "PolicyEngine")
     assert not hasattr(policy_plane, "resolve_engine")
+    # One compiled kernel per class: one type, one factory.
+    for name in ("CloneKernel", "ReceiveKernel", "clone_kernel_for",
+                 "receive_kernel_for"):
+        assert not hasattr(kernels, name)
