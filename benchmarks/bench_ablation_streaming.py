@@ -52,7 +52,10 @@ def run_ablation(nodes: int):
         src.skyway.shuffle_start()
         buffer = _PeakTrackingBuffer("peer", capacity=capacity,
                                      sink=lambda seg: None)
-        sender = ObjectGraphSender(src, buffer, sid=src.skyway.sid)
+        # The interpreted sender calls write_object once per clone, which
+        # is what the tracking buffer counts.
+        sender = ObjectGraphSender(src, buffer, sid=src.skyway.sid,
+                                   use_kernels=False)
         sender.write_object(head)
         buffer.flush()
         stats[label] = {

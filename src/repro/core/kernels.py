@@ -19,7 +19,9 @@ digests read, holding
   klass ID the receiver restores;
 * the fixed ``object_size`` for non-arrays, and the element geometry
   (``elem_base``, ``elem_word``, ``elem_size``) an array's size and slot
-  range come from;
+  range come from, all under the *destination* layout: a Skyway heap
+  sending to a baseline one compiles a converting kernel whose image is
+  the source's minus the baddr word (paper §3.1);
 * the digest's per-class hash prefix;
 * the per-object simulated-time charges of a clone and of a receive,
   pre-added so the clock is charged once per object (scaled by the
@@ -111,6 +113,12 @@ class ClassKernel:
     )
 
     def __init__(self, klass: Klass, layout: HeapLayout, cost) -> None:
+        #: Bytes the source image carries ahead of ``layout``'s: 0, or 8
+        #: when converting for a header without the baddr word.  Every
+        #: field, length slot and element moves down by it; so does the
+        #: size.  A conversion pays a second copy of the object.
+        shift = klass.layout.header_size - layout.header_size
+        copies = 2 if shift else 1
         self.klass = klass
         self.tid = klass.tid
         self.klass_id = klass.klass_id
@@ -145,15 +153,16 @@ class ClassKernel:
             return
         self.elem_base = self.elem_word = self.elem_size = 0
         self.array_header_bytes = 0
-        self.size = klass.object_size()
+        self.size = klass.object_size() - shift
         self.hash_prefix += self.size.to_bytes(8, "little")
-        self.ref_offsets = klass.oop_offsets
+        self.ref_offsets = tuple(offset - shift for offset in klass.oop_offsets)
         #: Reference slots as word indexes from the object's first word.
         self.ref_words = tuple(offset >> 3 for offset in self.ref_offsets)
         self.ref_unpack = _scattered_unpack(self.ref_offsets)
         fixups = len(self.ref_offsets) * cost.skyway_pointer_fixup
         self.base_cost = (
-            cost.skyway_header_fixup + cost.memcpy(self.size) + fixups
+            cost.skyway_header_fixup + cost.memcpy(self.size) * copies
+            + fixups
         )
         self.finish_cost += fixups
         # §5.2 byte-composition constants, precomputed per class.
@@ -175,8 +184,8 @@ class ClassKernel:
         )
 
     def array_cost(self, size: int, n_refs: int) -> float:
-        """Per-object charge for an array clone of ``size`` bytes with
-        ``n_refs`` pointer slots (null or not)."""
+        """Per-object charge for a same-layout array clone of ``size``
+        bytes with ``n_refs`` pointer slots (null or not)."""
         return (
             self.cost.skyway_header_fixup
             + self.cost.memcpy(size)

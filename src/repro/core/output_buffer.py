@@ -16,8 +16,8 @@ a process-wide :class:`SegmentArena` and returned on :meth:`clear` (i.e. at
 The kernel sender then copies a run of object images straight from the
 heap into that segment and reports how far it got with :meth:`commit`, so
 the buffer is called once per segment, not once per object.
-:meth:`write_object` (the interpreted path) is a thin wrapper over
-:meth:`begin_clone` and keeps its historical eager-flush timing.
+:meth:`write_object` (the interpreted sender's) wraps :meth:`begin_clone`
+with an eager flush.
 
 Logical address 0 is reserved for null references; the logical space
 therefore starts at one word.
@@ -139,7 +139,7 @@ class OutputBuffer:
         return seg, offset
 
     def write_object(self, logical_addr: int, payload: bytes) -> None:
-        """Clone object bytes at ``logical_addr`` (the interpreted path).
+        """Clone object bytes at ``logical_addr``.
         Flushes first if the object would overflow the physical buffer;
         objects larger than the whole buffer stream through in one
         oversized segment."""

@@ -39,7 +39,6 @@ class SkywayRuntime:
         output_buffer_capacity: int = 256 * 1024,
         input_chunk_size: int = 64 * 1024,
         format_config=None,
-        use_kernels: bool = True,
     ) -> None:
         self.jvm = jvm
         self.is_driver = is_driver
@@ -52,9 +51,6 @@ class SkywayRuntime:
         #: The §3.1 "user-provided configuration file" naming each node's
         #: object format; None means a homogeneous cluster.
         self.format_config = format_config
-        #: Compiled kernels on the send path (False = interpreted
-        #: per-field loops, kept for ablation benchmarks).
-        self.use_kernels = use_kernels
         #: Current shuffling-phase ID (bumped by shuffle_start).
         self.sid = 1
         self._buffers: Dict[Tuple[str, int], OutputBuffer] = {}
@@ -122,8 +118,7 @@ class SkywayRuntime:
         return ObjectGraphSender(
             self.jvm, buffer, sid=self.sid, thread_id=thread_id,
             target_layout=target_layout,
-            use_kernels=(self.use_kernels if use_kernels is None
-                         else use_kernels),
+            use_kernels=True if use_kernels is None else use_kernels,
         )
 
     def new_receiver(self) -> ObjectGraphReceiver:

@@ -26,10 +26,9 @@ per stream — "these copies will become separate objects after delivered to
 a remote node. This semantics is consistent with that of the existing
 serializers."
 
-Heterogeneous clusters: when the receiver's object layout differs (e.g. a
-header without the baddr word), ``CLONEINBUFFER`` re-formats each clone to
-the receiver's layout — the sender pays, the receiver uses objects at zero
-cost (paper §3.1).
+Heterogeneous clusters (paper §3.1): for a receiver whose header lacks the
+baddr word, the same loop runs converting kernels, which copy each image
+from one word further in; the sender pays, the receiver nothing.
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ from repro.heap.markword import FRESH_MARK, HASH_MASK
 from repro.jvm.jvm import JVM
 from repro.core.kernels import ClassKernel, kernel_for
 from repro.core.output_buffer import OutputBuffer
-from repro.types import descriptors
-from repro.types.loader import ClassLoader
 
 _REL_BITS = 40
 _REL_MASK = (1 << _REL_BITS) - 1
@@ -103,17 +100,13 @@ class ObjectGraphSender:
         self.source_layout = jvm.layout
         self.target_layout = target_layout if target_layout is not None else jvm.layout
         self.heterogeneous = self.target_layout != self.source_layout
-        #: Compiled-kernel fast path: homogeneous sends only (heterogeneous
-        #: re-formatting stays interpreted), and only into a buffer whose
-        #: ``write_object`` is not overridden — instrumenting subclasses
-        #: (the streaming-ablation bench) observe the interpreted path.
-        self.use_kernels = (
-            use_kernels
-            and not self.heterogeneous
-            and type(buffer).write_object is OutputBuffer.write_object
-        )
-        self._target_loader: Optional[ClassLoader] = None
-        self._target_cache: Dict[str, Klass] = {}
+        #: The kernel loop serves every destination layout; False selects
+        #: the interpreted per-object reference, for homogeneous sends.
+        if self.heterogeneous and not use_kernels:
+            raise SendError(
+                "the interpreted sender only clones into the source layout"
+            )
+        self.use_kernels = use_kernels
         #: Thread-local fallback table for objects first claimed by another
         #: thread's baddr (paper §4.2 "Support for Threads").
         self._shared_table: Dict[int, int] = {}
@@ -183,8 +176,7 @@ class ObjectGraphSender:
         """Reserve buffer space for ``obj`` and stamp its baddr (or the
         thread-local table when another thread holds the baddr)."""
         heap = self.jvm.heap
-        size = self._target_size(obj)
-        addr = self.buffer.reserve(size)
+        addr = self.buffer.reserve(heap.object_size(obj))
         word = heap.read_baddr(obj)
         if baddr_sid(word) == (self.sid & _SID_MASK) and baddr_thread(word) != self.thread_id:
             self._shared_table[obj] = addr
@@ -212,7 +204,9 @@ class ObjectGraphSender:
 
         Heap and segment are read and written through 64-bit word views,
         so the baddr, klass word, mark word and every reference slot is
-        one index operation.  Each class is checked once per call (a memo
+        one index operation.  Images and reference slots are read from
+        ``skip`` words into the source object, the words a converting
+        kernel drops.  Each class is checked once per call (a memo
         keyed by the raw klass word); a claim bumps a local allocation
         pointer and appends ``(source, address, size)`` to the gray list,
         which is also the call's clone record.  Objects go into the open
@@ -228,9 +222,15 @@ class ObjectGraphSender:
         hbase = heap.base
         bw = heap.layout.baddr_offset >> 3
         lw = heap.layout.array_length_offset >> 3
+        target = self.target_layout
+        skip = (heap.layout.header_size - target.header_size) >> 3
+        #: Zeroed ahead of the tID store: the target's baddr word, or the
+        #: klass word that store overwrites when the target has none.
+        zw = target.baddr_offset >> 3 if target.has_baddr else 1
         cost = self.jvm.cost_model
         hf = cost.skyway_header_fixup
-        mpb = cost.memcpy_per_byte
+        # A conversion pays a second copy, as ClassKernel.base_cost does.
+        mpb = cost.memcpy_per_byte * (2 if skip else 1)
         pf = cost.skyway_pointer_fixup
         tw = cost.traverse_word
         sid_tag = self.sid & _SID_MASK
@@ -279,12 +279,13 @@ class ObjectGraphSender:
                     seg_end = seg_base + len(seg)
                     segw = memoryview(seg)[: len(seg) & -8].cast("Q")
                 o = addr - seg_base
-                soff = sw << 3
+                sb = sw + skip
+                soff = sb << 3
                 seg[o : o + size] = mem[soff : soff + size]
                 ow = o >> 3
                 segw[ow] = FRESH_MARK | (words[sw] & HASH_MASK)
+                segw[ow + zw] = 0
                 segw[ow + 1] = kernel.tid
-                segw[ow + bw] = 0
 
                 slots = kernel.ref_words
                 if slots is None:  # an array: costs as kernel.array_cost
@@ -309,7 +310,7 @@ class ObjectGraphSender:
 
                 nonnull = 0
                 for i in slots:
-                    ref = words[sw + i]
+                    ref = words[sb + i]
                     if not ref:
                         continue
                     nonnull += 1
@@ -375,7 +376,7 @@ class ObjectGraphSender:
             if existing is not None:
                 return existing
             # Claimed by another thread: clone separately for this stream.
-            addr = self.buffer.reserve(self._target_size(obj))
+            addr = self.buffer.reserve(heap.object_size(obj))
             self._shared_table[obj] = addr
             gray.append((obj, addr))
             return addr
@@ -391,12 +392,9 @@ class ObjectGraphSender:
         heap = self.jvm.heap
         cost = self.jvm.cost_model
         klass = self._typed_klass(source)
-        if self.heterogeneous:
-            payload = self._convert_format(source, klass, gray)
-        else:
-            payload = bytearray(heap.read_bytes(source, heap.object_size(source)))
-            self._fix_header(payload, klass)
-            self._fix_references_homogeneous(source, payload, gray)
+        payload = bytearray(heap.read_bytes(source, heap.object_size(source)))
+        self._fix_header(payload, klass)
+        self._fix_references(source, payload, gray)
 
         self.jvm.clock.charge(cost.skyway_header_fixup)
         self.jvm.clock.charge(cost.memcpy(len(payload)))
@@ -411,20 +409,18 @@ class ObjectGraphSender:
         self, klass: Klass, payload_len: int, array_length: Optional[int]
     ) -> None:
         """Split one clone's bytes into header / pointers / data / padding."""
-        target = self._target_klass(klass.name) if self.heterogeneous else klass
-        header = self.target_layout.header_size
+        header = self.source_layout.header_size
         pointers = 0
         data = 0
-        if target.is_array:
+        if klass.is_array:
             header += 4  # the length slot counts as header metadata
-            elem = target.element_descriptor or ""
             count = array_length or 0
-            if descriptors.is_reference(elem):
+            if klass.has_reference_elements:
                 pointers = count * 8
             else:
-                data = count * target.element_size
+                data = count * klass.element_size
         else:
-            for field in target.all_fields():
+            for field in klass.all_fields():
                 if field.is_reference:
                     pointers += 8
                 else:
@@ -440,11 +436,10 @@ class ObjectGraphSender:
         clean = markword.reset_for_transfer(mark)
         payload[MARK_OFFSET : MARK_OFFSET + 8] = clean.to_bytes(8, "little")
         payload[KLASS_OFFSET : KLASS_OFFSET + 8] = (klass.tid or 0).to_bytes(8, "little")
-        if self.target_layout.has_baddr:
-            off = self.target_layout.baddr_offset
-            payload[off : off + 8] = bytes(8)
+        off = self.source_layout.baddr_offset
+        payload[off : off + 8] = bytes(8)
 
-    def _fix_references_homogeneous(
+    def _fix_references(
         self, source: int, payload: bytearray, gray: Deque[Tuple[int, int]]
     ) -> None:
         heap = self.jvm.heap
@@ -454,91 +449,3 @@ class ObjectGraphSender:
             relative = self._resolve_reference(target, gray)
             payload[offset : offset + 8] = relative.to_bytes(8, "little")
             self.jvm.clock.charge(cost.skyway_pointer_fixup)
-
-    # ------------------------------------------------------------------
-    # heterogeneous-format support
-    # ------------------------------------------------------------------
-
-    def _target_klass(self, name: str) -> Klass:
-        if not self.heterogeneous:
-            return self.jvm.loader.load(name)
-        cached = self._target_cache.get(name)
-        if cached is not None:
-            return cached
-        if self._target_loader is None:
-            self._target_loader = ClassLoader(self.jvm.classpath, self.target_layout)
-        klass = self._target_loader.load(name)
-        self._target_cache[name] = klass
-        return klass
-
-    def _target_size(self, obj: int) -> int:
-        heap = self.jvm.heap
-        klass = heap.klass_of(obj)
-        if not self.heterogeneous:
-            return heap.object_size(obj)
-        target = self._target_klass(klass.name)
-        if target.is_array:
-            return target.object_size(heap.array_length(obj))
-        return target.object_size()
-
-    def _convert_format(
-        self, source: int, klass: Klass, gray: Deque[Tuple[int, int]]
-    ) -> bytearray:
-        """Re-lay an object out in the receiver's format: new header
-        geometry, new field offsets.  Extra cost lands on the sender only
-        (paper §3.1)."""
-        heap = self.jvm.heap
-        cost = self.jvm.cost_model
-        target = self._target_klass(klass.name)
-        if target.is_array:
-            length = heap.array_length(source)
-            size = target.object_size(length)
-        else:
-            length = None
-            size = target.object_size()
-        payload = bytearray(size)
-
-        mark = markword.reset_for_transfer(heap.read_mark(source))
-        payload[MARK_OFFSET : MARK_OFFSET + 8] = mark.to_bytes(8, "little")
-        payload[KLASS_OFFSET : KLASS_OFFSET + 8] = (klass.tid or 0).to_bytes(8, "little")
-        # Conversion pays roughly a second copy of the object.
-        self.jvm.clock.charge(cost.memcpy(size))
-
-        if target.is_array:
-            assert length is not None
-            lo = self.target_layout.array_length_offset
-            payload[lo : lo + 4] = length.to_bytes(4, "little")
-            elem = target.element_descriptor or ""
-            src_base = self.source_layout.array_payload_offset(elem)
-            dst_base = self.target_layout.array_payload_offset(elem)
-            esize = target.element_size
-            if descriptors.is_reference(elem):
-                for i in range(length):
-                    ref = heap.read_word(source + src_base + i * esize)
-                    rel = self._resolve_reference(ref, gray)
-                    off = dst_base + i * esize
-                    payload[off : off + 8] = rel.to_bytes(8, "little")
-                    self.jvm.clock.charge(cost.skyway_pointer_fixup)
-            else:
-                raw = heap.read_bytes(source + src_base, length * esize)
-                payload[dst_base : dst_base + len(raw)] = raw
-        else:
-            source_fields = {f.name: f for f in klass.all_fields()}
-            for tf in target.all_fields():
-                sf = source_fields.get(tf.name)
-                if sf is None:
-                    raise SendError(
-                        f"cannot re-format {klass.name} for the receiver's "
-                        f"layout: target class {target.name} declares field "
-                        f"{tf.name!r} ({tf.descriptor}) that the source "
-                        f"class does not have"
-                    )
-                if tf.is_reference:
-                    ref = heap.read_word(source + sf.offset)
-                    rel = self._resolve_reference(ref, gray)
-                    payload[tf.offset : tf.offset + 8] = rel.to_bytes(8, "little")
-                    self.jvm.clock.charge(cost.skyway_pointer_fixup)
-                else:
-                    raw = heap.read_bytes(source + sf.offset, sf.size)
-                    payload[tf.offset : tf.offset + tf.size] = raw
-        return payload

@@ -116,9 +116,10 @@ class DeltaSendChannel:
         #: the write barrier entirely (no card table attached) — the plain
         #: full-send mode of the exchange layer, on the same wire format.
         self.delta_enabled = delta_enabled
-        #: None inherits the runtime's clone engine; the exchange layer
-        #: passes its channel's ``kernel`` capability explicitly.
+        #: None means the kernel loop; the exchange layer passes its
+        #: channel's ``kernel`` capability explicitly.
         self.use_kernels = use_kernels
+        self.target_layout = target_layout
         #: PATCH overwrites clones in place, so the destination must share
         #: this JVM's object layout; heterogeneous destinations always
         #: take the full-send path.
@@ -365,6 +366,7 @@ class DeltaSendChannel:
         stream = SkywayObjectOutputStream(
             self.runtime,
             destination=f"delta:{self.channel_id}:{self.destination}",
+            target_layout=self.target_layout,
             use_kernels=self.use_kernels,
         )
         for root in roots:

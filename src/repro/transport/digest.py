@@ -179,7 +179,8 @@ def semantic_graph_digest(jvm: JVM, roots: Sequence[int]) -> str:
 
 def _zeroed_words(jvm: JVM) -> List[int]:
     layout = jvm.layout
-    return [MARK_OFFSET, KLASS_OFFSET] + [layout.baddr_offset] * layout.has_baddr
+    baddr = [layout.baddr_offset] if layout.has_baddr else []
+    return [MARK_OFFSET, KLASS_OFFSET] + baddr
 
 
 def _semantic_walk(jvm: JVM, roots: Sequence[int],

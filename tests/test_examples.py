@@ -12,6 +12,29 @@ import pytest
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
+#: ``examples/heterogeneous_cluster.py``'s whole stdout: object counts,
+#: bytes and simulated CPU of a homogeneous and a converting send.
+HETEROGENEOUS_CLUSTER_OUTPUT = """\
+Same graph, homogeneous vs heterogeneous destination formats
+
+homogeneous (24-byte headers both sides):
+  objects sent      : 18
+  transferred bytes : 880
+  sender CPU (us)   : 1.12
+  receiver CPU (us) : 0.39
+  payload intact    : True
+
+heterogeneous (receiver uses 16-byte headers; sender converts):
+  objects sent      : 18
+  transferred bytes : 736
+  sender CPU (us)   : 1.15
+  receiver CPU (us) : 0.38
+  payload intact    : True
+
+Note: the heterogeneous transfer ships fewer bytes (no baddr word per clone)
+and its extra conversion cost lands on the sender only (paper §3.1).
+"""
+
 
 def load_example(name: str):
     path = EXAMPLES / f"{name}.py"
@@ -30,9 +53,7 @@ class TestExamples:
 
     def test_heterogeneous_cluster(self, capsys):
         load_example("heterogeneous_cluster").main()
-        out = capsys.readouterr().out
-        assert "homogeneous" in out and "heterogeneous" in out
-        assert "payload intact    : True" in out
+        assert capsys.readouterr().out == HETEROGENEOUS_CLUSTER_OUTPUT
 
     def test_jsbs_shootout_quick(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["jsbs_shootout.py", "--quick"])

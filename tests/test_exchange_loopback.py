@@ -1,10 +1,11 @@
 """The exchange layer on its in-process substrate: channel capabilities,
 full→delta epochs with receiver-value checks, the channel's obs-source
 dict, in-process NACK recovery, frames applied with the loopback
-substrate's ``deliver_epoch``, and the exchange's closed-channel
-bookkeeping."""
+substrate's ``deliver_epoch``, the exchange's closed-channel
+bookkeeping, and a channel to a baseline-layout heap."""
 
 import json
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.exchange import (
     Loopback,
     SOCKET_OFFER,
 )
+from repro.heap.layout import BASELINE_LAYOUT
 from repro.jvm.jvm import JVM
 from repro.net.cluster import Cluster
 from repro.spark.context import SparkContext
@@ -152,6 +154,46 @@ class TestLoopbackEpochs:
             Loopback(fresh).deliver_epoch(delta, channel.channel_id,
                                           channel.epoch)
         channel.close()
+
+
+class TestBaselineDestination:
+    """A loopback to a heap without the baddr word: every epoch is FULL,
+    cloned in the receiver's layout."""
+
+    @staticmethod
+    def pair():
+        classpath = sample_classpath()
+        src = JVM("hl-src", classpath=classpath)
+        dst = JVM("hl-dst", classpath=classpath, layout=BASELINE_LAYOUT)
+        attach_skyway(src, [dst])
+        return src, dst
+
+    def test_epochs_ship_full_in_the_receivers_layout(self):
+        src, dst = self.pair()
+        channel = GraphChannel(src.skyway, Loopback(dst.skyway))
+        pin = src.pin(make_list(src, range(5)))
+        for value in (10, 20, 30):
+            src.set_field(pin.address, "payload", value)
+            receipt = channel.send([pin.address])
+            assert (receipt.mode, receipt.reason) == ("full", "heterogeneous")
+            assert read_list(dst, receipt.roots[0]) == [value, 1, 2, 3, 4]
+
+    def test_digest_send_returns_the_receivers_digest(self):
+        src, dst = self.pair()
+        channel = GraphChannel(src.skyway, Loopback(dst.skyway))
+        pin = src.pin(make_list(src, range(5)))
+        receipt = channel.send([pin.address], digest=True)
+        assert re.fullmatch("[0-9a-f]{64}", receipt.digest)
+        assert receipt.digest == semantic_graph_digest(dst, receipt.roots)
+
+    def test_digest_of_a_graph_built_on_a_baseline_heap(self):
+        # Same shape and values on either side of a converting send.
+        src, dst = self.pair()
+        built = dst.pin(make_list(dst, range(5))).address
+        channel = GraphChannel(src.skyway, Loopback(dst.skyway))
+        receipt = channel.send([src.pin(make_list(src, range(5))).address])
+        assert semantic_graph_digest(dst, [built]) == \
+            semantic_graph_digest(dst, receipt.roots)
 
 
 class TestNackRecovery:

@@ -3,7 +3,9 @@
 The contract: for every homogeneous send the kernel path must produce the
 *exact* framed bytes the interpreted per-field traversal produces — same
 clones, same relativized references, same charges on the simulated clock.
-Kernels may only change how fast the Python gets there.
+Kernels may only change how fast the Python gets there.  A send to a
+baseline heap runs the same loop with converting kernels, whose geometry
+is the Skyway class's shifted down by the baddr word.
 """
 
 import random
@@ -21,13 +23,19 @@ from repro.core.streams import SkywayObjectInputStream, SkywayObjectOutputStream
 from repro.delta.epoch_cache import EpochRecord
 from repro.delta.wire import DeltaEncoder, DeltaWireError
 from repro.exchange import GraphChannel, Loopback
-from repro.heap.layout import BASELINE_LAYOUT, HeapLayout
+from repro.heap.layout import BASELINE_LAYOUT, SKYWAY_LAYOUT, HeapLayout
 from repro.jvm.jvm import JVM
+from repro.simtime.costmodel import CostModel
 from repro.transport.digest import graph_digest, semantic_graph_digest
+from repro.transport.testing import sample_worker_classpath
 from repro.types.classdef import ClassPath
-from repro.types.corelib import install_core_classes
+from repro.types.corelib import install_core_classes, standard_classpath
+from repro.types.descriptors import PRIMITIVE_DESCRIPTORS
+from repro.types.loader import ClassLoader
 
-from tests.conftest import make_date, make_list, read_date, read_list
+from tests.conftest import (
+    make_date, make_list, read_date, read_list, sample_classpath,
+)
 
 
 @pytest.fixture
@@ -40,10 +48,10 @@ def pair(classpath):
 
 def framed(src, roots, use_kernels, thread_id=0):
     """One fresh-phase send of ``roots``; returns the framed byte stream."""
-    src.skyway.use_kernels = use_kernels
     src.skyway.shuffle_start()
     out = SkywayObjectOutputStream(
-        src.skyway, destination="kernel-test", thread_id=thread_id
+        src.skyway, destination="kernel-test", thread_id=thread_id,
+        use_kernels=use_kernels,
     )
     for root in roots:
         out.write_object(root)
@@ -233,11 +241,9 @@ def test_kernel_matches_interpreted_on_random_graphs(pair, seed):
     assert kernel["shared"]
 
 
-def test_sender_makes_no_call_per_object():
-    """A deterministic speed gate: the kernel loop's Python calls on a
-    2,000-vertex ring-plus-chords graph, counted with ``sys.setprofile``.
-    The loop appends to its gray list once per object; anything above a
-    handful per object means a per-object call crept back in."""
+def sender_calls_per_object(target_layout):
+    """The kernel loop's Python calls per object on a 2,000-vertex
+    ring-plus-chords graph, counted with ``sys.setprofile``."""
     classpath = install_incremental_classes(install_core_classes(ClassPath()))
     src = JVM("calls-src", classpath=classpath)
     dst = JVM("calls-dst", classpath=classpath)
@@ -247,8 +253,13 @@ def test_sender_makes_no_call_per_object():
     edges = [(v, (v + 1) % n) for v in range(n)]
     edges += [(v, rng.randrange(n)) for v in range(n)]
     root = src.pin(build_vertex_graph(src, edges)).address
-    framed(src, [root], True)  # compile and cache the kernels
 
+    def send():
+        src.skyway.shuffle_start()
+        return SkywayObjectOutputStream(src.skyway, destination="kernel-test",
+                                        target_layout=target_layout)
+
+    send().write_object(root)  # compile and cache the kernels
     calls = 0
 
     def count(frame, event, arg):
@@ -256,8 +267,7 @@ def test_sender_makes_no_call_per_object():
         if event in ("call", "c_call"):
             calls += 1
 
-    src.skyway.shuffle_start()
-    out = SkywayObjectOutputStream(src.skyway, destination="kernel-test")
+    out = send()
     sys.setprofile(count)
     try:
         out.write_object(root)
@@ -265,7 +275,22 @@ def test_sender_makes_no_call_per_object():
         sys.setprofile(None)
     objects = out.sender.objects_sent
     assert objects == 2 * n + 2
-    assert calls / objects <= 6, f"{calls / objects:.2f} calls per object"
+    return calls / objects
+
+
+def test_sender_makes_no_call_per_object():
+    """A deterministic speed gate.  The loop appends to its gray list once
+    per object; anything above a handful per object means a per-object
+    call crept back in."""
+    calls = sender_calls_per_object(None)
+    assert calls <= 6, f"{calls:.2f} calls per object"
+
+
+def test_converting_sender_makes_no_call_per_object():
+    """The same gate for a send to a baseline heap: conversion lives in
+    the kernels, not in per-object calls."""
+    calls = sender_calls_per_object(BASELINE_LAYOUT)
+    assert calls <= 6, f"{calls:.2f} calls per object"
 
 
 # ---------------------------------------------------------------------------
@@ -402,37 +427,58 @@ class TestKernelLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# satellite regressions: typed errors out of the conversion/receive paths
+# converting kernels: a baseline destination
 # ---------------------------------------------------------------------------
 
-class TestHeterogeneousFieldMismatch:
-    def test_missing_source_field_is_a_send_error(self, classpath):
-        """A receiver-side class declaring a field the sender's class lacks
-        must surface as a SendError naming both, not a bare KeyError."""
-        src = JVM("h-src", classpath=classpath)
-        dst = JVM("h-dst", classpath=classpath, layout=BASELINE_LAYOUT)
-        attach_skyway(src, [dst])
-        date = make_date(src, 1, 1, 1)
-        src.skyway.shuffle_start()
-        sender = src.skyway.new_sender(
-            "h", target_layout=BASELINE_LAYOUT, fresh_buffer=True
-        )
-        assert sender.heterogeneous and not sender.use_kernels
+_CLASSPATHS = (sample_classpath, sample_worker_classpath, standard_classpath)
+_ARRAY_KINDS = tuple(PRIMITIVE_DESCRIPTORS) + ("Ljava.lang.Object;",)
 
-        # The destination evolved: its Date has an extra "era" field.
-        evolved = install_core_classes(ClassPath())
-        evolved.define("Year4D", [("year", "I")])
-        evolved.define("Month2D", [("month", "I")])
-        evolved.define("Day2D", [("day", "I")])
-        evolved.define("Date", [
-            ("year", "LYear4D;"), ("month", "LMonth2D;"),
-            ("day", "LDay2D;"), ("era", "I"),
-        ])
-        target = JVM("h-evolved", classpath=evolved, layout=BASELINE_LAYOUT)
-        sender._target_cache["Date"] = target.loader.load("Date")
 
-        with pytest.raises(SendError, match=r"Date.*'era'"):
-            sender.write_object(date)
+@pytest.mark.parametrize("make_classpath", _CLASSPATHS,
+                         ids=lambda f: f.__name__)
+def test_baseline_geometry_is_skyway_minus_the_baddr_word(make_classpath):
+    """The invariant a converting kernel relies on: every field offset and
+    size of a baseline class is the Skyway class's minus 8, and a
+    converting kernel compiles exactly the baseline geometry."""
+    classpath = make_classpath()
+    skyway = ClassLoader(classpath, SKYWAY_LAYOUT)
+    baseline = ClassLoader(classpath, BASELINE_LAYOUT)
+    cost = CostModel()
+    for name in classpath.names():
+        wide, narrow = skyway.load(name), baseline.load(name)
+        assert [(f.name, f.offset - 8) for f in wide.all_fields()] == \
+            [(f.name, f.offset) for f in narrow.all_fields()], name
+        assert wide.object_size() - 8 == narrow.object_size(), name
+        kernel = kernel_for(wide, BASELINE_LAYOUT, cost)
+        assert kernel.size == narrow.object_size(), name
+        assert kernel.ref_offsets == narrow.oop_offsets, name
+    for desc in _ARRAY_KINDS:
+        wide = skyway.load("[" + desc)
+        kernel = kernel_for(wide, BASELINE_LAYOUT, cost)
+        assert kernel.elem_base == \
+            SKYWAY_LAYOUT.array_payload_offset(desc) - 8
+        for length in (0, 1, 2, 3, 7, 64):
+            size = wide.object_size(length) - 8
+            assert size == baseline.load("[" + desc).object_size(length)
+            assert kernel.array_size(length) == size
+
+
+class TestPathSelection:
+    def test_baseline_target_runs_the_kernel_loop(self, pair):
+        src, _ = pair
+        sender = src.skyway.new_sender("b", target_layout=BASELINE_LAYOUT)
+        assert sender.heterogeneous and sender.use_kernels
+
+    def test_interpreted_sender_refuses_a_baseline_target(self, pair):
+        src, _ = pair
+        with pytest.raises(SendError, match="source layout"):
+            src.skyway.new_sender("b", target_layout=BASELINE_LAYOUT,
+                                  use_kernels=False)
+
+
+# ---------------------------------------------------------------------------
+# satellite regressions: typed errors out of the receive path
+# ---------------------------------------------------------------------------
 
 
 class TestNullTidRejection:

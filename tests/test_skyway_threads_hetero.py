@@ -1,5 +1,7 @@
 """Tests for Skyway's multi-thread sending and heterogeneous-cluster paths."""
 
+import hashlib
+
 import pytest
 
 from repro.core.runtime import attach_skyway
@@ -202,11 +204,10 @@ class TestHeterogeneousTransfer:
         received = inp.read_object()
         assert read_date(dst, received) == (2018, 3, 24)
 
-    def test_baseline_to_skyway_layout(self, classpath):
-        # A baseline-layout sender cannot hold baddr words, so the sender
-        # JVM uses the Skyway layout (it runs Skyway); the *receiver* is
-        # what varies in practice.  Still, the converter is symmetric and
-        # arrays + strings must survive both directions.
+    def test_skyway_target_arrays_and_strings(self, classpath):
+        # A baseline-layout sender cannot hold baddr words, so only the
+        # receiver's layout varies; naming the sender's own layout as the
+        # target is a homogeneous send.
         src, dst = self._make_pair(classpath, SKYWAY_LAYOUT, SKYWAY_LAYOUT)
         value = ["text", (1, 2.5), b"\x09"]
         addr = to_heap(src, value)
@@ -272,3 +273,63 @@ class TestHeterogeneousTransfer:
         inp2.accept(out2.close())
         homo_receiver_cost = dst2.clock.total() - d2_before
         assert hetero_receiver_cost <= homo_receiver_cost + 1e-12
+
+
+#: Every array element kind, one array of each in the golden graph.
+_ELEMENT_KINDS = ("Z", "B", "C", "S", "I", "F", "J", "D", "Ljava.lang.Object;")
+
+
+def test_golden_send_to_a_baseline_heap(classpath):
+    """A converting send pinned to the stream the interpreted converter
+    produced: several roots, a shared Date, a repeated root, a null root,
+    every array element kind, and a chain another thread claimed first
+    (the shared-table path).  The golden values were recorded from the
+    interpreted converter, before the kernel loop took over this send."""
+    src = JVM("g-src", classpath=classpath)
+    dst = JVM("g-dst", classpath=classpath, layout=BASELINE_LAYOUT)
+    attach_skyway(src, [dst])
+    shared = src.pin(make_date(src, 2018, 3, 24)).address
+    chain = src.pin(make_list(src, range(7))).address
+    holder = src.pin(
+        src.new_array("Ljava.lang.Object;", len(_ELEMENT_KINDS) + 3)).address
+    for i, desc in enumerate(_ELEMENT_KINDS):
+        src.heap.write_element(holder, i, src.new_array(desc, 2 * i + 1))
+    src.heap.write_element(holder, len(_ELEMENT_KINDS), shared)
+    src.heap.write_element(holder, len(_ELEMENT_KINDS) + 1, chain)
+    mixed = src.pin(src.new_instance("Mixed")).address
+    for field, value in (("b", 7), ("z", 1), ("c", 65), ("s", -2),
+                         ("i", 12345), ("f", 2.5), ("j", 2**50),
+                         ("d", -0.125)):
+        src.set_field(mixed, field, value)
+    src.set_field(mixed, "ref", shared)
+
+    src.skyway.shuffle_start()
+    other = src.skyway.new_sender("other", thread_id=1,
+                                  target_layout=BASELINE_LAYOUT,
+                                  fresh_buffer=True)
+    other.write_object(chain)
+    before = src.clock.total()
+    out = SkywayObjectOutputStream(src.skyway, destination="golden",
+                                   target_layout=BASELINE_LAYOUT)
+    roots = (holder, mixed, shared, chain, holder, 0)
+    for root in roots:
+        out.write_object(root)
+    data = out.close()
+    seconds = src.clock.total() - before
+
+    sender = out.sender
+    assert hashlib.sha256(data).hexdigest() == (
+        "63efff22189a74ddcae0be84cddf5e3f4139d64317db1f02a00245e6f11324ca")
+    assert (sender.objects_sent, sender.bytes_sent) == (22, 1184)
+    assert (sender.header_bytes, sender.pointer_bytes, sender.data_bytes,
+            sender.padding_bytes) == (392, 320, 430, 42)
+    assert seconds == pytest.approx(1.50408e-06, rel=1e-9)
+    assert len(sender._shared_table) == 7  # the chain, claimed by thread 1
+
+    inp = SkywayObjectInputStream(dst.skyway)
+    inp.accept(data)
+    received = [inp.read_object() for _ in roots]
+    assert read_list(dst, received[3]) == list(range(7))
+    assert read_date(dst, received[2]) == (2018, 3, 24)
+    assert dst.get_field(received[1], "j") == 2**50
+    assert received[0] == received[4] and received[5] == 0
